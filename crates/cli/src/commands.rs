@@ -1215,10 +1215,12 @@ mod tests {
         assert!(out.contains("SLO"));
     }
 
-    fn small_fleet_toml() -> String {
+    /// Writes the small fleet config to a file of its own per `test`, so
+    /// tests running in parallel never read a file another is rewriting.
+    fn small_fleet_toml(test: &str) -> String {
         let dir = std::env::temp_dir().join("windserve-cli-fleet-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fleet.toml");
+        let path = dir.join(format!("{test}-{}.toml", std::process::id()));
         std::fs::write(
             &path,
             r#"
@@ -1257,7 +1259,7 @@ tier = 1
 
     #[test]
     fn fleet_reports_per_tenant_slo_attainment() {
-        let path = small_fleet_toml();
+        let path = small_fleet_toml("per-tenant");
         let out = fleet(&args(&format!("fleet --config {path}"))).unwrap();
         assert!(out.contains("SLO both"), "{out}");
         assert!(out.contains("t-a"));
@@ -1267,7 +1269,7 @@ tier = 1
 
     #[test]
     fn fleet_json_is_identical_across_job_counts() {
-        let path = small_fleet_toml();
+        let path = small_fleet_toml("job-counts");
         let seq = fleet(&args(&format!("fleet --config {path} --jobs 1 --json"))).unwrap();
         let par = fleet(&args(&format!("fleet --config {path} --jobs 4 --json"))).unwrap();
         assert_eq!(seq, par, "fleet report must not depend on --jobs");

@@ -336,6 +336,9 @@ pub struct Cluster {
     dropped: Vec<DroppedRequest>,
     /// Peak resident (queued or running) request count observed.
     peak_pending: usize,
+    /// Completed requests meeting both SLOs, counted as records are pushed
+    /// so a live snapshot need not re-summarize every record.
+    slo_attaining: usize,
     /// Scheduling-decision recorder; a no-op unless `cfg.trace` enables it.
     tracer: Tracer,
     /// Token-level milestone buffer; `None` (the batch default) makes
@@ -537,6 +540,7 @@ impl Cluster {
             parked: Vec::new(),
             dropped: Vec::new(),
             peak_pending: 0,
+            slo_attaining: 0,
             tracer,
             live: None,
         })
@@ -2346,7 +2350,7 @@ impl Cluster {
         let decode_enqueue = rec.decode_enqueue.unwrap_or(first_token);
         self.tracer.emit(now, || TraceEvent::Finished { id });
         push_live(&mut self.live, LiveEvent::Finished { id, at: now });
-        records.push(RequestRecord {
+        let record = RequestRecord {
             id,
             prompt_tokens: rec.req.prompt_tokens,
             output_tokens: rec.req.output_tokens,
@@ -2361,7 +2365,9 @@ impl Cluster {
             migrations: rec.migrations,
             session: rec.req.session,
             cached_prefix_tokens: rec.cached_prefix,
-        });
+        };
+        self.slo_attaining += usize::from(self.cfg.slo.meets_both(&record));
+        records.push(record);
     }
 
     fn schedule_transfer_done(&mut self, tid: u64, at: SimTime) {
@@ -2806,10 +2812,10 @@ impl ClusterSession {
 
     /// Point-in-time view of the live deployment for the control plane.
     pub fn snapshot(&self) -> SessionSnapshot {
-        let summary = LatencySummary::of(self.cluster.cfg.slo, &self.records);
+        let slo_attaining = self.cluster.slo_attaining;
         let virtual_now_secs = self.events.now().as_secs_f64();
         let goodput_rps = if virtual_now_secs > 0.0 {
-            summary.slo_attaining as f64 / virtual_now_secs
+            slo_attaining as f64 / virtual_now_secs
         } else {
             0.0
         };
@@ -2832,7 +2838,7 @@ impl ClusterSession {
             virtual_now_secs,
             pending_requests: self.cluster.pending.len(),
             completed_requests: self.records.len(),
-            slo_attaining: summary.slo_attaining,
+            slo_attaining,
             goodput_rps,
             dropped_requests: self.cluster.dropped.len(),
             requests_rejected: self.cluster.counters.requests_rejected,
@@ -2954,5 +2960,13 @@ impl ClusterSession {
             prefix_cached_tokens: cluster.counters.prefix_cached_tokens,
         };
         Ok((report, log))
+    }
+}
+
+#[cfg(test)]
+impl ClusterSession {
+    /// Records completed so far, in completion order.
+    pub(crate) fn records(&self) -> &[RequestRecord] {
+        &self.records
     }
 }

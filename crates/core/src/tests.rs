@@ -464,3 +464,45 @@ fn ttft_predictions_are_recorded_and_reasonable() {
     assert!(colo.ttft_predictions.is_empty());
     assert!(colo.ttft_prediction_error().is_none());
 }
+
+/// The live snapshot's running SLO count equals a full re-summary of the
+/// session's records after every pump slice and at drain, with both
+/// SLO-meeting and SLO-missing completions in the run.
+#[test]
+fn snapshot_slo_count_matches_a_full_summary() {
+    use windserve_metrics::LatencySummary;
+    use windserve_sim::SimTime;
+
+    let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
+    let slo = cfg.slo;
+    let trace = sharegpt_trace(20.0, 300, 17);
+    let mut session = Cluster::new(cfg).expect("valid config").into_session();
+    for req in trace.requests() {
+        session.inject(*req);
+    }
+    let summarized = |s: &crate::ClusterSession| LatencySummary::of(slo, s.records()).slo_attaining;
+    let mut mid_run_checks = 0;
+    for slice in 1..=200 {
+        session
+            .pump_until(SimTime::from_secs_f64(0.25 * f64::from(slice)))
+            .expect("pump");
+        let snap = session.snapshot();
+        assert_eq!(snap.slo_attaining, summarized(&session), "slice {slice}");
+        mid_run_checks += usize::from(snap.pending_requests > 0 && snap.completed_requests > 0);
+    }
+    assert!(
+        mid_run_checks > 10,
+        "only {mid_run_checks} slices saw a run in progress"
+    );
+    session.pump_to_drain().expect("drain");
+    let snap = session.snapshot();
+    assert_eq!(snap.slo_attaining, summarized(&session));
+    assert!(
+        snap.slo_attaining > 0 && snap.slo_attaining < snap.completed_requests,
+        "the run must both meet and miss SLOs: {} of {}",
+        snap.slo_attaining,
+        snap.completed_requests
+    );
+    let (report, _) = session.finish().expect("finish");
+    assert_eq!(report.summary.slo_attaining, snap.slo_attaining);
+}

@@ -62,6 +62,9 @@ pub struct Instance {
     pub(crate) backups: BackupStore,
     pub(crate) seqs: FxHashMap<u64, SeqState>,
     pub(crate) waiting_prefill: VecDeque<RequestId>,
+    /// Σ `prompt_remaining()` over `waiting_prefill`, kept in step with
+    /// every push and removal so the Algorithm 1 backlog query is O(1).
+    pub(crate) waiting_prefill_tokens: u64,
     pub(crate) waiting_decode: VecDeque<RequestId>,
     pub(crate) swapped: VecDeque<RequestId>,
     pub(crate) lanes: Vec<Lane>,
@@ -124,6 +127,7 @@ impl Instance {
             backups: BackupStore::new(),
             seqs: FxHashMap::default(),
             waiting_prefill: VecDeque::new(),
+            waiting_prefill_tokens: 0,
             waiting_decode: VecDeque::new(),
             swapped: VecDeque::new(),
             lanes: vec![Lane::default(); lanes],
@@ -204,12 +208,12 @@ impl Instance {
         cached_tokens: u32,
         output_target: u32,
     ) {
-        let prior = self.seqs.insert(
-            id.0,
-            SeqState::new_with_cached(id, prompt_tokens, cached_tokens, output_target),
-        );
+        let seq = SeqState::new_with_cached(id, prompt_tokens, cached_tokens, output_target);
+        let remaining = u64::from(seq.prompt_remaining());
+        let prior = self.seqs.insert(id.0, seq);
         assert!(prior.is_none(), "{id} enqueued twice");
         self.waiting_prefill.push_back(id);
+        self.waiting_prefill_tokens += remaining;
     }
 
     /// Accepts a mid-life sequence for decoding (KV handoff from a prefill
@@ -337,6 +341,7 @@ impl Instance {
         let mut lost: Vec<SeqState> = self.seqs.drain().map(|(_, state)| state).collect();
         lost.sort_by_key(|s| s.id.0);
         self.waiting_prefill.clear();
+        self.waiting_prefill_tokens = 0;
         self.waiting_decode.clear();
         self.swapped.clear();
         for lane in &mut self.lanes {
@@ -402,16 +407,11 @@ impl Instance {
     // Queries used by the global scheduler
     // ------------------------------------------------------------------
 
-    /// Total prompt tokens waiting (plus still unprocessed in flight) —
-    /// the Profiler's queue-depth input for TTFT prediction.
+    /// Prompt tokens still to process across the prefill waiting queue —
+    /// the Profiler's queue-depth input for TTFT prediction. O(1): read
+    /// from a running count, not by walking the queue.
     pub fn prefill_backlog_tokens(&self) -> u64 {
-        let waiting: u64 = self
-            .waiting_prefill
-            .iter()
-            .filter_map(|id| self.seqs.get(&id.0))
-            .map(|s| u64::from(s.prompt_remaining()))
-            .sum();
-        waiting
+        self.waiting_prefill_tokens
     }
 
     /// Time until some lane frees up (zero if one is idle) — the
@@ -540,10 +540,9 @@ impl Instance {
             .get(&id.0)
             .map(|s| s.phase == SeqPhase::Prefilling && s.prefill_untouched())
             .unwrap_or(false);
-        if !untouched || !self.waiting_prefill.contains(&id) {
+        if !untouched || !self.remove_waiting_prefill(id) {
             return false;
         }
-        self.waiting_prefill.retain(|r| *r != id);
         // Unstarted jobs have no KV allocation; release defensively anyway.
         self.kv.release(id.0);
         self.seqs.remove(&id.0);
@@ -557,19 +556,17 @@ impl Instance {
     /// dropped regardless.
     pub fn abort_sequence(&mut self, id: RequestId) -> bool {
         self.drop_backup(id);
-        if self.in_running_step(id) {
+        if self.in_running_step(id) || !self.seqs.contains_key(&id.0) {
             return false;
         }
-        let known = self.seqs.remove(&id.0).is_some();
-        if !known {
-            return false;
-        }
+        // Before the state goes: the backlog count needs its remainder.
+        self.remove_waiting_prefill(id);
+        self.seqs.remove(&id.0);
         for lane in &mut self.lanes {
             lane.running.retain(|r| *r != id);
         }
         self.swapped.retain(|r| *r != id);
         self.waiting_decode.retain(|r| *r != id);
-        self.waiting_prefill.retain(|r| *r != id);
         self.kv.release(id.0);
         self.kv.forget_swapped(id.0);
         self.migrating.remove(&id.0);
@@ -586,7 +583,9 @@ impl Instance {
     /// 3. every queued/running id has a live [`SeqState`], with a phase
     ///    consistent with its location and sane token counters;
     /// 4. every resident KV table belongs to a live sequence or a live
-    ///    backup.
+    ///    backup;
+    /// 5. the running prefill backlog count equals Σ `prompt_remaining()`
+    ///    over the prefill waiting queue.
     ///
     /// # Errors
     ///
@@ -630,6 +629,17 @@ impl Instance {
         for &id in &self.waiting_prefill {
             check(id, "waiting_prefill")?;
         }
+        let backlog: u64 = self
+            .waiting_prefill
+            .iter()
+            .map(|id| u64::from(self.seqs[&id.0].prompt_remaining()))
+            .sum();
+        if backlog != self.waiting_prefill_tokens {
+            return Err(format!(
+                "{name}: prefill backlog count {} but the queue holds {backlog} tokens",
+                self.waiting_prefill_tokens
+            ));
+        }
         for &id in &self.waiting_decode {
             check(id, "waiting_decode")?;
         }
@@ -657,6 +667,18 @@ impl Instance {
     // ------------------------------------------------------------------
     // Internal helpers shared with the step module
     // ------------------------------------------------------------------
+
+    /// Removes `id` from the prefill waiting queue in one pass, taking its
+    /// remaining prompt off the backlog count. Returns whether it was
+    /// queued. The sequence state must still be present.
+    fn remove_waiting_prefill(&mut self, id: RequestId) -> bool {
+        let Some(pos) = self.waiting_prefill.iter().position(|r| *r == id) else {
+            return false;
+        };
+        self.waiting_prefill.remove(pos);
+        self.waiting_prefill_tokens -= u64::from(self.seqs[&id.0].prompt_remaining());
+        true
+    }
 
     /// Swap-transfer duration for `tokens` tokens over the host link.
     pub(crate) fn swap_duration(&self, tokens: u32) -> SimDuration {
@@ -736,8 +758,49 @@ mod tests {
         let mut inst = test_instance(InstanceRole::Prefill);
         inst.enqueue_prefill(RequestId(1), 700, 10);
         inst.enqueue_prefill(RequestId(2), 300, 10);
-        assert_eq!(inst.prefill_backlog_tokens(), 1000);
-        assert_eq!(inst.waiting_prefill_len(), 2);
+        inst.enqueue_prefill_cached(RequestId(3), 400, 250, 10);
+        assert_eq!(
+            inst.prefill_backlog_tokens(),
+            1150,
+            "cached prefix excluded"
+        );
+        assert_eq!(inst.waiting_prefill_len(), 3);
+
+        // A migrated decode holds the lane, so prefill runs in 512-token
+        // chunks: the head job leaves the queue, then returns with 188 left.
+        inst.enqueue_decode_arrival(SeqState::arriving_for_decode(RequestId(9), 100, 50, 1, 1));
+        let started = inst.try_start(SimTime::ZERO);
+        assert_eq!(started.len(), 1);
+        assert_eq!(inst.prefill_backlog_tokens(), 450);
+        inst.complete_step(started[0].lane, started[0].ends_at);
+        assert_eq!(inst.prefill_backlog_tokens(), 638);
+        inst.check_invariants().unwrap();
+
+        // Cancel refuses the partially prefilled head, takes an untouched job.
+        assert!(!inst.cancel_queued_prefill(RequestId(1)));
+        assert!(inst.cancel_queued_prefill(RequestId(2)));
+        assert!(!inst.cancel_queued_prefill(RequestId(2)));
+        assert_eq!(inst.prefill_backlog_tokens(), 338);
+        // Abort removes the partial job's remainder; aborting a decode
+        // leaves the backlog alone.
+        assert!(inst.abort_sequence(RequestId(1)));
+        assert_eq!(inst.prefill_backlog_tokens(), 150);
+        assert!(inst.abort_sequence(RequestId(9)));
+        assert_eq!(inst.prefill_backlog_tokens(), 150);
+        inst.check_invariants().unwrap();
+
+        assert_eq!(inst.fail_and_drain().len(), 1);
+        assert_eq!(inst.prefill_backlog_tokens(), 0);
+        inst.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn auditor_catches_a_drifted_backlog_count() {
+        let mut inst = test_instance(InstanceRole::Prefill);
+        inst.enqueue_prefill(RequestId(1), 700, 10);
+        inst.waiting_prefill_tokens += 1;
+        let err = inst.check_invariants().unwrap_err();
+        assert!(err.starts_with("p: prefill backlog count 701"), "{err}");
     }
 
     #[test]

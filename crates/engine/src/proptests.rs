@@ -1,6 +1,7 @@
 //! Property tests of the whole instance under randomized workloads: the
-//! miniature event loop feeds random mixes of prefill and decode work and
-//! asserts the global invariants after every step.
+//! miniature event loop feeds random mixes of prefill and decode work (and
+//! cancels, aborts and crashes) and asserts the global invariants after
+//! every step.
 
 use crate::config::{InstanceConfig, InstanceRole, PreemptionMode};
 use crate::instance::Instance;
@@ -14,8 +15,20 @@ use windserve_workload::RequestId;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Prefill { prompt: u32, output: u32 },
-    DecodeArrival { ctx: u32, output: u32 },
+    Prefill {
+        prompt: u32,
+        output: u32,
+    },
+    DecodeArrival {
+        ctx: u32,
+        output: u32,
+    },
+    /// `cancel_queued_prefill` on the `idx`-th arrival so far (modulo).
+    Cancel(usize),
+    /// `abort_sequence` on the `idx`-th arrival so far (modulo).
+    Abort(usize),
+    /// `fail_and_drain`: the instance crashes, losing everything.
+    Crash,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -23,6 +36,32 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1u32..1500, 1u32..60).prop_map(|(prompt, output)| Op::Prefill { prompt, output }),
         (1u32..1800, 1u32..60).prop_map(|(ctx, output)| Op::DecodeArrival { ctx, output }),
     ]
+}
+
+/// Arrivals (two thirds) mixed with every way a request can leave a queue
+/// early: cancels and aborts, and a crash one time in 24.
+fn mutation_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        op_strategy(),
+        op_strategy(),
+        (0usize..512).prop_map(|k| match k % 8 {
+            0 => Op::Crash,
+            1..=3 => Op::Cancel(k / 8),
+            _ => Op::Abort(k / 8),
+        }),
+    ]
+}
+
+/// Enqueues an arrival op as request `id`; returns false for other ops.
+fn enqueue(inst: &mut Instance, id: RequestId, op: &Op) -> bool {
+    match *op {
+        Op::Prefill { prompt, output } => inst.enqueue_prefill(id, prompt.min(1500), output),
+        Op::DecodeArrival { ctx, output } => inst.enqueue_decode_arrival(
+            SeqState::arriving_for_decode(id, ctx.min(1800), output.max(2), 1, 0),
+        ),
+        Op::Cancel(_) | Op::Abort(_) | Op::Crash => return false,
+    }
+    true
 }
 
 fn cramped_instance(role: InstanceRole, kv_tokens: u64, preemption: PreemptionMode) -> Instance {
@@ -43,49 +82,54 @@ fn cramped_instance(role: InstanceRole, kv_tokens: u64, preemption: PreemptionMo
     Instance::new(cfg, cost, StreamSharing::default(), 20e9).unwrap()
 }
 
-/// Drives to quiescence; returns (completed, finished_prefills).
-fn drive_all(inst: &mut Instance, max_events: usize) -> (usize, usize) {
-    let mut pending: Vec<(LaneRef, SimTime)> = inst
-        .try_start(SimTime::ZERO)
-        .into_iter()
-        .map(|s| (s.lane, s.ends_at))
-        .collect();
-    let mut completed = 0;
-    let mut prefills = 0;
-    for _ in 0..max_events {
-        let Some(idx) = pending
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, t))| *t)
-            .map(|(i, _)| i)
-        else {
-            break;
-        };
-        let (lane, at) = pending.swap_remove(idx);
-        let out = inst.complete_step(lane, at);
-        inst.kv().check_invariants().expect("KV conservation");
-        completed += out.completed.len();
-        prefills += out.finished_prefills.len();
-        for fp in &out.finished_prefills {
-            // Emulate the cluster: promote locally-prefilled work, or
-            // finish one-token requests whose prefill was the whole answer.
-            match inst.role() {
-                InstanceRole::Prefill => inst.release_sequence(fp.id),
-                _ => {
-                    if inst.sequence_is_done(fp.id) {
-                        inst.release_sequence(fp.id);
-                        completed += 1;
-                    } else {
-                        inst.promote_to_decode(fp.id);
-                    }
-                }
-            }
-        }
-        for s in inst.try_start(at) {
-            pending.push((s.lane, s.ends_at));
+/// Starts whatever `inst` can start at `now`, recording the steps.
+fn start(inst: &mut Instance, now: SimTime, pending: &mut Vec<(LaneRef, SimTime)>) {
+    pending.extend(inst.try_start(now).into_iter().map(|s| (s.lane, s.ends_at)));
+}
+
+/// Completes the earliest pending step, emulating the cluster's reaction,
+/// then starts new work and checks every structural invariant. Returns the
+/// step's instant and how many requests left the instance (completed, or
+/// handed off after prefill on a prefill instance); `None` when idle.
+fn step_once(
+    inst: &mut Instance,
+    pending: &mut Vec<(LaneRef, SimTime)>,
+) -> Option<(SimTime, usize)> {
+    let idx = pending
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, (_, t))| *t)
+        .map(|(i, _)| i)?;
+    let (lane, at) = pending.swap_remove(idx);
+    let out = inst.complete_step(lane, at);
+    let mut left = out.completed.len();
+    for fp in &out.finished_prefills {
+        // Emulate the cluster: hand prefilled work off, promote it, or
+        // finish one-token requests whose prefill was the whole answer.
+        if inst.role() == InstanceRole::Prefill || inst.sequence_is_done(fp.id) {
+            inst.release_sequence(fp.id);
+            left += 1;
+        } else {
+            inst.promote_to_decode(fp.id);
         }
     }
-    (completed, prefills)
+    start(inst, at, pending);
+    inst.check_invariants().expect("structural invariants");
+    Some((at, left))
+}
+
+/// Drives to quiescence; returns how many requests left the instance.
+fn drive_all(inst: &mut Instance, max_events: usize) -> usize {
+    let mut pending = Vec::new();
+    start(inst, SimTime::ZERO, &mut pending);
+    let mut left = 0;
+    for _ in 0..max_events {
+        let Some((_, n)) = step_once(inst, &mut pending) else {
+            break;
+        };
+        left += n;
+    }
+    left
 }
 
 proptest! {
@@ -102,21 +146,9 @@ proptest! {
         let mut inst = cramped_instance(InstanceRole::Decode, 24 * 1024, mode);
         let mut expected = 0usize;
         for (i, op) in ops.iter().enumerate() {
-            let id = RequestId(i as u64);
-            match *op {
-                Op::Prefill { prompt, output } => {
-                    inst.enqueue_prefill(id, prompt.min(1500), output);
-                    expected += 1;
-                }
-                Op::DecodeArrival { ctx, output } => {
-                    inst.enqueue_decode_arrival(SeqState::arriving_for_decode(
-                        id, ctx.min(1800), output.max(2), 1, 0,
-                    ));
-                    expected += 1;
-                }
-            }
+            expected += usize::from(enqueue(&mut inst, RequestId(i as u64), op));
         }
-        let (completed, _prefills) = drive_all(&mut inst, 400_000);
+        let completed = drive_all(&mut inst, 400_000);
         prop_assert_eq!(completed, expected, "every request must finish");
         prop_assert_eq!(inst.kv().free_blocks(), inst.kv().total_blocks());
         prop_assert_eq!(inst.running_decode_count(), 0);
@@ -136,19 +168,7 @@ proptest! {
         let mut inst = cramped_instance(InstanceRole::Decode, 24 * 1024, mode);
         let mut expected = 0usize;
         for (i, op) in ops.iter().enumerate() {
-            let id = RequestId(i as u64);
-            match *op {
-                Op::Prefill { prompt, output } => {
-                    inst.enqueue_prefill(id, prompt.min(1500), output);
-                    expected += 1;
-                }
-                Op::DecodeArrival { ctx, output } => {
-                    inst.enqueue_decode_arrival(SeqState::arriving_for_decode(
-                        id, ctx.min(1800), output.max(2), 1, 0,
-                    ));
-                    expected += 1;
-                }
-            }
+            expected += usize::from(enqueue(&mut inst, RequestId(i as u64), op));
         }
         // Same event loop as drive_all, but between steps preempt a
         // pick-selected running decode, exactly as the cluster's
@@ -213,22 +233,70 @@ proptest! {
         let mut inst = cramped_instance(InstanceRole::Colocated, 20 * 1024, PreemptionMode::Swap);
         let mut expected = 0usize;
         for (i, op) in ops.iter().enumerate() {
-            let id = RequestId(i as u64);
-            match *op {
-                Op::Prefill { prompt, output } => {
-                    inst.enqueue_prefill(id, prompt.min(1500), output);
-                    expected += 1;
-                }
-                Op::DecodeArrival { ctx, output } => {
-                    inst.enqueue_decode_arrival(SeqState::arriving_for_decode(
-                        id, ctx.min(1800), output.max(2), 1, 0,
-                    ));
-                    expected += 1;
-                }
-            }
+            expected += usize::from(enqueue(&mut inst, RequestId(i as u64), op));
         }
-        let (completed, _) = drive_all(&mut inst, 400_000);
+        let completed = drive_all(&mut inst, 400_000);
         prop_assert_eq!(completed, expected);
         prop_assert_eq!(inst.kv().free_blocks(), inst.kv().total_blocks());
+    }
+
+    /// Cancels, aborts and crashes interleaved with steps keep the running
+    /// prefill backlog count exact: `check_invariants` recomputes it after
+    /// every operation and every step. On the prefill instance, migrated
+    /// decodes hold the lane, so prompts run in chunks and both
+    /// `pack_chunk`'s pop and the unfinished chunk's push_front execute.
+    /// Every arrival ends up finished, handed off, or removed.
+    #[test]
+    fn queue_mutations_keep_the_backlog_count_exact(
+        ops in proptest::collection::vec(mutation_strategy(), 1..60),
+        role in prop_oneof![
+            Just(InstanceRole::Prefill),
+            Just(InstanceRole::Decode),
+            Just(InstanceRole::Colocated),
+        ],
+    ) {
+        let mut inst = cramped_instance(role, 24 * 1024, PreemptionMode::Swap);
+        let mut arrived = Vec::new();
+        let (mut left, mut removed) = (0usize, 0usize);
+        let mut pending = Vec::new();
+        let mut now = SimTime::ZERO;
+        for (i, op) in ops.iter().enumerate() {
+            let id = RequestId(i as u64);
+            let pick = |k: usize| arrived[k % arrived.len()];
+            match *op {
+                Op::Cancel(k) if !arrived.is_empty() => {
+                    removed += usize::from(inst.cancel_queued_prefill(pick(k)));
+                }
+                Op::Abort(k) if !arrived.is_empty() => {
+                    removed += usize::from(inst.abort_sequence(pick(k)));
+                }
+                Op::Crash => {
+                    removed += inst.fail_and_drain().len();
+                    prop_assert_eq!(inst.prefill_backlog_tokens(), 0);
+                    // The crashed steps' completions are discarded.
+                    pending.clear();
+                }
+                _ => {
+                    if enqueue(&mut inst, id, op) {
+                        arrived.push(id);
+                    }
+                }
+            }
+            inst.check_invariants().expect("structural invariants");
+            start(&mut inst, now, &mut pending);
+            if let Some((at, n)) = step_once(&mut inst, &mut pending) {
+                now = at;
+                left += n;
+            }
+        }
+        for _ in 0..400_000 {
+            let Some((_, n)) = step_once(&mut inst, &mut pending) else {
+                break;
+            };
+            left += n;
+        }
+        prop_assert_eq!(left + removed, arrived.len(), "every arrival accounted for");
+        prop_assert_eq!(inst.prefill_backlog_tokens(), 0);
+        prop_assert!(inst.is_drained());
     }
 }

@@ -157,6 +157,7 @@ impl Instance {
             } else {
                 // Unfinished chunked job returns to the head of the queue.
                 self.waiting_prefill.push_front(*id);
+                self.waiting_prefill_tokens += u64::from(seq.prompt_remaining());
             }
         }
 
@@ -519,6 +520,7 @@ impl Instance {
                 self.kv.allocate(id.0, prompt).expect("fit ensured");
             }
             self.waiting_prefill.pop_front();
+            self.waiting_prefill_tokens -= u64::from(need);
             tokens += u64::from(need);
             packed.push((id, need));
         }
@@ -533,7 +535,8 @@ impl Instance {
             return out;
         };
         let seq = &self.seqs[&id.0];
-        let chunk = self.cfg.chunk_tokens.min(seq.prompt_remaining());
+        let remaining = seq.prompt_remaining();
+        let chunk = self.cfg.chunk_tokens.min(remaining);
         if self.kv.tokens_of(id.0).is_none() {
             let prompt = seq.prompt_tokens;
             if !self.kv.can_fit(prompt) && !self.evict_backups_for(prompt) {
@@ -542,6 +545,7 @@ impl Instance {
             self.kv.allocate(id.0, prompt).expect("fit ensured");
         }
         self.waiting_prefill.pop_front();
+        self.waiting_prefill_tokens -= u64::from(remaining);
         out.push((id, chunk));
         out
     }

@@ -293,14 +293,16 @@ impl BlockManager {
                 self.total_blocks
             )));
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = vec![false; self.total_blocks];
         for id in self
             .free
             .iter()
             .chain(self.tables.values().flat_map(|t| t.blocks.iter()))
         {
-            if !seen.insert(*id) {
-                return Err(violated(format!("block {id:?} appears twice")));
+            match seen.get_mut(id.0 as usize) {
+                Some(s) if !*s => *s = true,
+                Some(_) => return Err(violated(format!("block {id:?} appears twice"))),
+                None => return Err(violated(format!("block {id:?} out of range"))),
             }
         }
         for (key, table) in &self.tables {

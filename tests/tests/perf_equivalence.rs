@@ -1,11 +1,12 @@
 //! Guards for the simulation hot-path optimizations: the cost-model step
 //! cache must be *exact* (bit-identical reported results with the cache on
-//! or off) and the FxHash map swap must leave every run — including fault
-//! recovery — byte-for-byte deterministic.
+//! or off), the FxHash map swap must leave every run — including fault
+//! recovery — byte-for-byte deterministic, and the running prefill backlog
+//! count must match its queue at every event of a saturated run.
 
-use windserve::{FaultPlan, ServeConfig, SystemKind};
+use windserve::{FaultPlan, OverloadConfig, ServeConfig, SystemKind};
 use windserve_sim::SimDuration;
-use windserve_tests::{run, sharegpt_trace};
+use windserve_tests::{longbench_trace, run, sharegpt_trace};
 
 /// The headline acceptance check: a decode-heavy end-to-end run with the
 /// step cache enabled reports exactly the same latency percentiles,
@@ -75,4 +76,44 @@ fn fault_recovery_is_byte_deterministic() {
     let ja = serde_json::to_string(&a).unwrap();
     let jb = serde_json::to_string(&b).unwrap();
     assert_eq!(ja, jb, "serialized fault-recovery reports must match");
+}
+
+/// Past saturation the prefill queues hold hundreds of requests, the
+/// regime where Algorithm 1 reads the backlog count on every arrival. An
+/// overload config that admits everything, with the invariant auditor run
+/// after every event, recomputes each instance's backlog from its queue and
+/// compares it with the running count — and the run stays identical to the
+/// legacy one.
+#[test]
+fn saturated_backlog_count_is_exact_at_every_event() {
+    let legacy_cfg = ServeConfig::llama2_13b_longbench(SystemKind::WindServe);
+    // 3 req/s per GPU: the backlog grows for the whole arrival window.
+    let trace = longbench_trace(legacy_cfg.total_rate(3.0), 1400, 48879);
+    let mut audited_cfg = legacy_cfg.clone();
+    audited_cfg.overload = Some(OverloadConfig {
+        max_queued_requests: None,
+        shedding: false,
+        audit_interval_events: Some(1),
+        ..OverloadConfig::default()
+    });
+    let legacy = run(legacy_cfg, &trace);
+    let audited = run(audited_cfg, &trace);
+
+    assert!(
+        audited.peak_pending > 500,
+        "peak pending {}",
+        audited.peak_pending
+    );
+    assert!(
+        audited.dropped.is_empty(),
+        "admit-everything config dropped work"
+    );
+    assert!(
+        audited.invariant_checks > 10_000,
+        "{} audits",
+        audited.invariant_checks
+    );
+    let mut scrubbed = audited.clone();
+    scrubbed.invariant_checks = legacy.invariant_checks;
+    assert_eq!(scrubbed, legacy, "auditing must not change the run");
 }
