@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
-use windserve::{Cluster, DrainMode, RunReport, ServeConfig, SystemKind};
+use windserve::{Cluster, RunReport, ServeConfig, SystemKind};
 use windserve_workload::{ArrivalProcess, Dataset, Scenario};
 
 /// One model/dataset/placement evaluation case (a row of the paper's
@@ -94,65 +94,13 @@ pub fn run_point(
     requests: usize,
     seed: u64,
 ) -> RunReport {
-    run_point_with_drain(
-        cfg,
-        dataset,
-        per_gpu_rate,
-        requests,
-        seed,
-        DrainMode::default(),
-    )
-}
-
-/// [`run_point`] with an explicit event-drain mode, for the batched vs
-/// sequential identity check. The trace generation is identical, so the
-/// two modes see the exact same arrivals.
-///
-/// # Panics
-///
-/// Same conditions as [`run_point`].
-pub fn run_point_with_drain(
-    cfg: ServeConfig,
-    dataset: &Dataset,
-    per_gpu_rate: f64,
-    requests: usize,
-    seed: u64,
-    mode: DrainMode,
-) -> RunReport {
     let total = cfg.total_rate(per_gpu_rate);
     let trace = Scenario::single_shot(dataset.clone(), ArrivalProcess::poisson(total), requests)
         .generate(seed)
         .expect("valid single-shot scenario");
     Cluster::new(cfg)
         .expect("experiment config must be valid")
-        .run_with_drain(&trace, mode)
-        .expect("experiment run must complete")
-}
-
-/// [`run_point_with_drain`] on the sharded executor: the same trace and
-/// drain mode, executed by `shards` worker threads. Sharding must never
-/// change the report, so callers compare this against the single-threaded
-/// path byte for byte.
-///
-/// # Panics
-///
-/// Same conditions as [`run_point`].
-pub fn run_point_sharded(
-    cfg: ServeConfig,
-    dataset: &Dataset,
-    per_gpu_rate: f64,
-    requests: usize,
-    seed: u64,
-    shards: usize,
-    mode: DrainMode,
-) -> RunReport {
-    let total = cfg.total_rate(per_gpu_rate);
-    let trace = Scenario::single_shot(dataset.clone(), ArrivalProcess::poisson(total), requests)
-        .generate(seed)
-        .expect("valid single-shot scenario");
-    Cluster::new(cfg)
-        .expect("experiment config must be valid")
-        .run_sharded_with_drain(&trace, shards, mode)
+        .run(&trace)
         .expect("experiment run must complete")
 }
 

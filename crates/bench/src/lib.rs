@@ -2,8 +2,7 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! WindServe paper (see `DESIGN.md`'s experiment index). Each experiment
-//! lives in [`experiments`] and has a matching binary under `src/bin/`;
-//! criterion microbenches live under `benches/`.
+//! lives in [`experiments`] and has a matching binary under `src/bin/`.
 //!
 //! Run any experiment with
 //! `cargo run -p windserve-bench --release --bin <name> [-- --quick]`.
@@ -16,7 +15,6 @@
 mod chart;
 pub mod experiments;
 mod harness;
-pub mod perf;
 
 pub use chart::{BarChart, LineChart};
 pub use harness::{default_jobs, parallel_map, print_table, run_point, Case, ExpContext};

@@ -40,7 +40,6 @@ pub const SWITCHES: &[&str] = &[
     "autoscale",
     "check-cache",
     "check-drain",
-    "check-shards",
     "overload",
     "emit-config",
 ];
@@ -89,7 +88,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "overload-factor",
     "tiers",
     "jobs",
-    "shards",
     "port",
     "time-scale",
     "workers",
@@ -232,6 +230,9 @@ mod tests {
     fn unknown_flags_fail_loudly() {
         let err = Args::parse(["--modle".to_string(), "opt-13b".to_string()]).unwrap_err();
         assert!(err.0.contains("--modle"), "{err}");
+        // Retired flags are unknown too, with the same typed error.
+        let err = Args::parse(["run", "--shards", "4"].map(String::from)).unwrap_err();
+        assert!(err.0.starts_with("unknown flag --shards"), "{err}");
     }
 
     #[test]

@@ -287,9 +287,6 @@ impl RunSpec {
             }
             config.overload = Some(overload);
         }
-        if let Some(shards) = args.get_opt::<usize>("shards")? {
-            config.shards = shards;
-        }
         config
             .validate()
             .map_err(|e| ArgError(format!("invalid configuration: {e}")))?;

@@ -31,19 +31,12 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
     }
 }
 
-/// Runs `cfg` over `trace` — on the sharded parallel executor when the
-/// config asks for more than one shard, on the classic single-threaded
-/// loop otherwise. The two are byte-identical; `--shards` only changes
-/// how the work is threaded.
+/// Runs `cfg` over `trace`, mapping build and run failures to CLI errors.
 fn run_cluster(cfg: windserve::ServeConfig, trace: &Trace) -> Result<RunReport, ArgError> {
-    let shards = cfg.shards;
-    let cluster = Cluster::new(cfg).map_err(|e| ArgError(format!("config: {e}")))?;
-    let result = if shards > 1 {
-        cluster.run_sharded(trace, shards)
-    } else {
-        cluster.run(trace)
-    };
-    result.map_err(|e| ArgError(format!("simulation: {e}")))
+    Cluster::new(cfg)
+        .map_err(|e| ArgError(format!("config: {e}")))?
+        .run(trace)
+        .map_err(|e| ArgError(format!("simulation: {e}")))
 }
 
 /// Runs a multi-deployment fleet over one shared GPU pool and prints
@@ -74,11 +67,9 @@ pub fn fleet(args: &Args) -> Result<String, ArgError> {
     let fleet = cfg
         .build()
         .map_err(|e| ArgError(format!("fleet config: {e}")))?;
-    let (report, log) = match args.get_opt::<usize>("shards")? {
-        Some(shards) if shards > 1 => fleet.run_sharded_traced(shards),
-        _ => fleet.run_traced(jobs),
-    }
-    .map_err(|e| ArgError(format!("fleet: {e}")))?;
+    let (report, log) = fleet
+        .run_traced(jobs)
+        .map_err(|e| ArgError(format!("fleet: {e}")))?;
     let mut out = String::new();
     if let Some(path) = args.get("out") {
         std::fs::write(path, log.to_chrome_json())
@@ -343,16 +334,13 @@ pub fn overload(args: &Args) -> Result<String, ArgError> {
 /// is exact by design. With `--check-drain` the run is repeated with
 /// sequential (one-event-at-a-time) draining instead of the batched
 /// cohort drain and the reports must be byte-identical, because batching
-/// is a pure mechanical optimization. With `--check-shards` the run is
-/// repeated on the sharded parallel executor (at `--shards`, or 8 when
-/// unset) and must match the single-threaded loop byte for byte.
+/// is a pure mechanical optimization.
 ///
 /// # Errors
 ///
 /// Reports invalid flags, a failed simulation, a cached run that differs
-/// from the uncached one (`--check-cache`), a batched run that differs
-/// from the sequential one (`--check-drain`), or a sharded run that
-/// differs from the single-threaded one (`--check-shards`).
+/// from the uncached one (`--check-cache`), or a batched run that differs
+/// from the sequential one (`--check-drain`).
 pub fn perf(args: &Args) -> Result<String, ArgError> {
     let spec = RunSpec::from_args(args)?;
     let trace = spec.generate_trace()?;
@@ -401,38 +389,6 @@ pub fn perf(args: &Args) -> Result<String, ArgError> {
         None
     };
 
-    let shard_check = if args.switch("check-shards") {
-        let shards = if spec.config.shards > 1 {
-            spec.config.shards
-        } else {
-            8
-        };
-        // The reference is the classic single-threaded loop. When the main
-        // run already used it (shards == 1 above) reuse that report; when
-        // the main run was itself sharded, run the reference fresh.
-        let reference = if spec.config.shards > 1 {
-            let mut cfg = spec.config.clone();
-            cfg.shards = 1;
-            run_cluster(cfg, &trace)?
-        } else {
-            report.clone()
-        };
-        let sharded_start = std::time::Instant::now();
-        let sharded = Cluster::new(spec.config.clone())
-            .map_err(|e| ArgError(format!("config: {e}")))?
-            .run_sharded(&trace, shards)
-            .map_err(|e| ArgError(format!("simulation: {e}")))?;
-        let sharded_wall = sharded_start.elapsed().as_secs_f64();
-        if reference != sharded {
-            return Err(ArgError(
-                "sharded execution changed reported results — it must be exact".to_string(),
-            ));
-        }
-        Some((shards, sharded_wall))
-    } else {
-        None
-    };
-
     if args.switch("json") {
         let mut value = serde_json::json!({
             "wall_secs": wall,
@@ -454,13 +410,6 @@ pub fn perf(args: &Args) -> Result<String, ArgError> {
             value["drain_identity"] = serde_json::json!({
                 "identical": true,
                 "sequential_wall_secs": sequential_wall,
-            });
-        }
-        if let Some((shards, sharded_wall)) = shard_check {
-            value["shard_identity"] = serde_json::json!({
-                "identical": true,
-                "shards": shards,
-                "sharded_wall_secs": sharded_wall,
             });
         }
         render::json_envelope("perf", value)
@@ -486,11 +435,6 @@ pub fn perf(args: &Args) -> Result<String, ArgError> {
         if let Some(sequential_wall) = drain_check {
             out += &format!(
                 "drain check: identical results; sequential wall {sequential_wall:.3} s\n"
-            );
-        }
-        if let Some((shards, sharded_wall)) = shard_check {
-            out += &format!(
-                "shard check: identical results at {shards} shards; sharded wall {sharded_wall:.3} s\n"
             );
         }
         Ok(out)
@@ -867,9 +811,6 @@ COMMON FLAGS (with defaults):
                                  TOML file; explicit flags override it
     --jobs N                     (fleet) deployments simulated in parallel;
                                  results are identical for any N [1]
-    --shards N                   run on the sharded parallel executor with
-                                 N worker threads (fleet: deployments become
-                                 shard tasks); byte-identical for any N [1]
     --emit-config                (fleet) print the example fleet TOML
     --preset <name>              (trace) Table 3/4 operating point:
                                  opt13b-sharegpt, opt66b-sharegpt,
@@ -897,9 +838,6 @@ COMMON FLAGS (with defaults):
                                  and verify bit-identical results
     --check-drain                (perf) rerun with sequential event
                                  draining and verify bit-identical results
-    --check-shards               (perf) rerun on the sharded executor
-                                 (--shards, or 8) and verify bit-identical
-                                 results
     --port N                     (serve, loadgen) gateway TCP port; 0 picks
                                  an ephemeral port [8080]
     --time-scale F               (serve) virtual seconds per wall second [100]
@@ -1132,47 +1070,6 @@ mod tests {
                 .unwrap()
                 > 0.0
         );
-    }
-
-    #[test]
-    fn perf_check_shards_proves_sharded_execution_exact() {
-        let out = perf(&args("perf --requests 120 --rate 2 --check-shards")).unwrap();
-        assert!(
-            out.contains("shard check: identical results at 8 shards"),
-            "{out}"
-        );
-        // An explicit --shards both shards the measured run and sets the
-        // check's shard count.
-        let out = perf(&args(
-            "perf --requests 80 --rate 2 --shards 4 --check-shards --json",
-        ))
-        .unwrap();
-        let v = envelope(&out, "perf");
-        assert_eq!(v["shard_identity"]["identical"].as_bool(), Some(true));
-        assert_eq!(v["shard_identity"]["shards"].as_u64(), Some(4));
-        assert!(v["shard_identity"]["sharded_wall_secs"].as_f64().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn run_with_shards_matches_single_threaded_run() {
-        let single = run(&args("run --requests 60 --rate 2 --seed 9 --json")).unwrap();
-        let sharded = run(&args(
-            "run --requests 60 --rate 2 --seed 9 --shards 4 --json",
-        ))
-        .unwrap();
-        assert_eq!(
-            envelope(&single, "run"),
-            envelope(&sharded, "run"),
-            "--shards must not change results"
-        );
-    }
-
-    #[test]
-    fn bad_shard_counts_are_rejected() {
-        let err = run(&args("run --requests 10 --shards 0")).unwrap_err();
-        assert!(err.0.contains("shards"), "{err}");
-        let err = run(&args("run --requests 10 --shards 1000")).unwrap_err();
-        assert!(err.0.contains("shards"), "{err}");
     }
 
     #[test]

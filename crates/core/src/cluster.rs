@@ -613,76 +613,13 @@ impl Cluster {
         trace: &Trace,
         mode: DrainMode,
     ) -> crate::Result<(RunReport, TraceLog)> {
-        let mut session = self.seeded_session(trace, mode);
-        session.pump_to_drain()?;
-        session.finish()
-    }
-
-    /// A session with `trace`'s arrivals pre-injected and `mode` set —
-    /// the exact state `run_traced_with_drain` pumps to completion. The
-    /// sharded paths (here and in the fleet) seed their sessions through
-    /// this same helper so the two execution strategies drive
-    /// byte-identical event streams.
-    pub(crate) fn seeded_session(self, trace: &Trace, mode: DrainMode) -> ClusterSession {
         let mut session = self.into_session();
         session.set_drain_mode(mode);
         session.records.reserve(trace.requests().len());
         for req in trace.requests() {
             session.inject(*req);
         }
-        session
-    }
-
-    /// [`Cluster::run`] on the sharded parallel executor (see
-    /// [`windserve_sim::shard`]). A single deployment is one indivisible
-    /// shard task — its event loop shares every instance through the
-    /// global scheduler, so there is no safe intra-deployment partition —
-    /// which makes this the degenerate one-task case: it exists to route
-    /// the standalone path through the same executor the fleet uses, and
-    /// to prove the result byte-identical to the sequential loop.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cluster::run`], plus
-    /// [`crate::Error::Sharded`] for executor-level failures (zero
-    /// shards, worker panic).
-    pub fn run_sharded(self, trace: &Trace, shards: usize) -> crate::Result<RunReport> {
-        Ok(self
-            .run_sharded_traced(trace, shards, DrainMode::default())?
-            .0)
-    }
-
-    /// [`Cluster::run_sharded`] with an explicit drain mode.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cluster::run_sharded`].
-    pub fn run_sharded_with_drain(
-        self,
-        trace: &Trace,
-        shards: usize,
-        mode: DrainMode,
-    ) -> crate::Result<RunReport> {
-        Ok(self.run_sharded_traced(trace, shards, mode)?.0)
-    }
-
-    /// [`Cluster::run_traced`] on the sharded executor; see
-    /// [`Cluster::run_sharded`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cluster::run_sharded`].
-    pub fn run_sharded_traced(
-        self,
-        trace: &Trace,
-        shards: usize,
-        mode: DrainMode,
-    ) -> crate::Result<(RunReport, TraceLog)> {
-        let session = self.seeded_session(trace, mode);
-        let mut sessions = crate::shard::run_sessions_sharded(vec![session], shards)?;
-        let session = sessions.pop().ok_or(crate::Error::Sharded {
-            reason: "executor returned no session".into(),
-        })?;
+        session.pump_to_drain()?;
         session.finish()
     }
 
@@ -2470,6 +2407,15 @@ pub struct ClusterSession {
     autoscale_armed: bool,
     watchdog_armed: bool,
 }
+
+// The gateway builds a session on the caller's thread and moves it into
+// the driver thread that owns it from then on. This holds (and must keep
+// holding) because every layer below — instances, KV trackers, RNGs,
+// tracer — owns its state outright.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<ClusterSession>();
+};
 
 impl ClusterSession {
     /// Turns on token-level [`LiveEvent`] collection. Off by default so

@@ -415,14 +415,6 @@ pub struct ServeConfig {
     /// reconstructs exact step times — disabling it changes nothing but
     /// speed, and exists so perf tooling can prove that equivalence.
     pub cost_cache: bool,
-    /// Worker-thread shards for the parallel executor (see
-    /// [`windserve_sim::shard`]). Purely an execution strategy: results are
-    /// byte-identical at any shard count. `1` (the default) runs the
-    /// classic single-threaded loop; within one deployment the gain shows
-    /// up at the fleet layer, where independent deployments spread across
-    /// shards. Config files omitting the key inherit the default via the
-    /// [`crate::configfile`] merge-over-defaults scheme.
-    pub shards: usize,
 }
 
 impl ServeConfig {
@@ -466,7 +458,6 @@ impl ServeConfig {
             prefix_cache: None,
             workload: None,
             cost_cache: true,
-            shards: 1,
         }
     }
 
@@ -611,12 +602,6 @@ impl ServeConfig {
                 .scenario
                 .validate()
                 .map_err(|e| config(format!("workload scenario: {e}")))?;
-        }
-        if self.shards == 0 || self.shards > 256 {
-            return Err(config(format!(
-                "shards must be in [1, 256], got {}",
-                self.shards
-            )));
         }
         if let Some(faults) = &self.faults {
             faults

@@ -829,6 +829,9 @@ mod tests {
     fn unknown_top_level_keys_warn_but_load() {
         let cfg = ServeConfig::from_toml("retired_knob = 7\nchunk_tokens = 128\n").unwrap();
         assert_eq!(cfg.chunk_tokens, 128);
+        // A key an older schema had (and this one dropped) is ignored.
+        let cfg = ServeConfig::from_toml("shards = 4\nchunk_tokens = 128\n").unwrap();
+        assert_eq!(cfg, ServeConfig::from_toml("chunk_tokens = 128\n").unwrap());
         // Unknown keys nested in known tables still merge (and are caught
         // by deserialization if structurally wrong) — only the top level
         // is screened.

@@ -71,14 +71,6 @@ pub enum Error {
         /// What went wrong at the gateway layer.
         reason: String,
     },
-    /// A sharded-executor failure: a bad shard count, a violated
-    /// lookahead contract, a worker panic, or a poisoned lock. Task-level
-    /// simulation failures are unwrapped back into their own variants
-    /// rather than this one.
-    Sharded {
-        /// What went wrong in the sharded executor.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for Error {
@@ -105,20 +97,6 @@ impl std::fmt::Display for Error {
             Error::Invariant { reason } => write!(f, "invariant violated: {reason}"),
             Error::Fleet { reason } => write!(f, "fleet: {reason}"),
             Error::Gateway { reason } => write!(f, "gateway: {reason}"),
-            Error::Sharded { reason } => write!(f, "sharded executor: {reason}"),
-        }
-    }
-}
-
-impl From<windserve_sim::ShardError<Error>> for Error {
-    fn from(e: windserve_sim::ShardError<Error>) -> Self {
-        match e {
-            // A task failure is an ordinary simulation error that happened
-            // to surface on a worker thread; keep its own variant.
-            windserve_sim::ShardError::Task { source, .. } => source,
-            other => Error::Sharded {
-                reason: other.to_string(),
-            },
         }
     }
 }

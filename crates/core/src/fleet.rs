@@ -647,49 +647,6 @@ impl Fleet {
         jobs: usize,
         mode: DrainMode,
     ) -> Result<(FleetReport, TraceLog)> {
-        self.run_traced_with_exec(Exec::Jobs(jobs), mode)
-    }
-
-    /// Runs the fleet on the sharded parallel executor: every deployment
-    /// becomes one shard task, dealt across `shards` worker threads with
-    /// work stealing (see [`windserve_sim::shard`]). Byte-identical to
-    /// [`Fleet::run`] at any shard count — the sessions are seeded and
-    /// pumped by exactly the same code, only the threading differs.
-    ///
-    /// # Errors
-    ///
-    /// See [`Fleet::run`]; executor-level failures surface as
-    /// [`crate::Error::Sharded`] wrapped in the fleet prefix.
-    pub fn run_sharded(&self, shards: usize) -> Result<FleetReport> {
-        self.run_sharded_with_drain(shards, DrainMode::default())
-    }
-
-    /// [`Fleet::run_sharded`] with an explicit per-deployment event-drain
-    /// mode.
-    ///
-    /// # Errors
-    ///
-    /// See [`Fleet::run_sharded`].
-    pub fn run_sharded_with_drain(&self, shards: usize, mode: DrainMode) -> Result<FleetReport> {
-        self.run_traced_with_exec(Exec::Sharded(shards), mode)
-            .map(|(report, _)| report)
-    }
-
-    /// [`Fleet::run_sharded`], also returning the fleet-level trace log
-    /// (see [`Fleet::run_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Fleet::run_sharded`].
-    pub fn run_sharded_traced(&self, shards: usize) -> Result<(FleetReport, TraceLog)> {
-        self.run_traced_with_exec(Exec::Sharded(shards), DrainMode::default())
-    }
-
-    /// The shared fleet driver: plan, execute every deployment under the
-    /// chosen strategy, assemble. Both strategies produce per-deployment
-    /// results in deployment order, so assembly cannot observe which one
-    /// ran.
-    fn run_traced_with_exec(&self, exec: Exec, mode: DrainMode) -> Result<(FleetReport, TraceLog)> {
         let mut inventory = GpuInventory::new(&self.cfg.topology);
         let mut events: Vec<TimedEvent> = Vec::new();
         let plans = self.plan(&mut inventory, &mut events)?;
@@ -718,12 +675,9 @@ impl Fleet {
         }
 
         let slos: Vec<_> = runs.iter().map(|(serve, _)| serve.slo).collect();
-        let reports = match exec {
-            Exec::Jobs(jobs) => parallel_indexed(jobs, runs, |(serve, trace)| {
-                Cluster::new(serve)?.run_with_drain(&trace, mode)
-            }),
-            Exec::Sharded(shards) => run_deployments_sharded(runs, shards, mode),
-        };
+        let reports = parallel_indexed(jobs, runs, |(serve, trace)| {
+            Cluster::new(serve)?.run_with_drain(&trace, mode)
+        });
 
         let mut deployments = Vec::new();
         let mut tenants = Vec::new();
@@ -1002,66 +956,6 @@ impl Fleet {
         }
         Ok(plans)
     }
-}
-
-/// How the fleet executes its planned deployments.
-#[derive(Debug, Clone, Copy)]
-enum Exec {
-    /// Whole-deployment jobs on a simple thread pool (`Fleet::run`).
-    Jobs(usize),
-    /// Deployments as shard tasks on the conservative-window executor
-    /// with work stealing (`Fleet::run_sharded`).
-    Sharded(usize),
-}
-
-/// The `Exec::Sharded` backend: builds each deployment's seeded session
-/// (the exact state `Cluster::run_traced_with_drain` pumps), drains them
-/// all on the sharded executor, then finishes each into its report.
-/// Per-deployment results come back in deployment order, like
-/// `parallel_indexed`'s slots.
-fn run_deployments_sharded(
-    runs: Vec<(ServeConfig, Trace)>,
-    shards: usize,
-    mode: DrainMode,
-) -> Vec<Result<RunReport>> {
-    let n = runs.len();
-    let mut results: Vec<Option<Result<RunReport>>> = (0..n).map(|_| None).collect();
-    // Sessions that failed to build keep their error in-slot; the rest
-    // run together on the executor.
-    let mut live: Vec<usize> = Vec::new();
-    let mut sessions = Vec::new();
-    for (ix, (serve, trace)) in runs.into_iter().enumerate() {
-        match Cluster::new(serve) {
-            Ok(cluster) => {
-                live.push(ix);
-                sessions.push(cluster.seeded_session(&trace, mode));
-            }
-            Err(e) => results[ix] = Some(Err(e)),
-        }
-    }
-    match crate::shard::run_sessions_sharded(sessions, shards) {
-        Ok(drained) => {
-            for (&ix, session) in live.iter().zip(drained) {
-                results[ix] = Some(session.finish().map(|(report, _)| report));
-            }
-        }
-        Err(e) => {
-            // The executor aborts the whole batch on its first failure;
-            // every live slot reports it so the assembler's first-error
-            // scan surfaces the real cause whatever its index.
-            for &ix in &live {
-                results[ix] = Some(Err(e.clone()));
-            }
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or(Err(Error::Sharded {
-                reason: "deployment slot left unfilled".into(),
-            }))
-        })
-        .collect()
 }
 
 /// Runs `f` over `items` on up to `jobs` worker threads, writing results

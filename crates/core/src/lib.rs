@@ -82,7 +82,6 @@ pub mod fleet;
 mod pending;
 mod profiler;
 mod report;
-mod shard;
 
 pub use budget::calibrate_aux_budget;
 pub use builder::ServeConfigBuilder;

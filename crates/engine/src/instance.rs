@@ -50,9 +50,10 @@ pub(crate) struct Lane {
 
 /// One serving instance (prefill, decode, or colocated).
 ///
-/// `Instance` must stay [`Send`]: the sharded executor in the layers
-/// above moves whole deployments — instances included — onto worker
-/// threads (see the compile-time assertion at the bottom of this file).
+/// `Instance` must stay [`Send`]: the layers above move whole
+/// deployments — instances included — onto other threads (fleet worker
+/// threads, the gateway's driver thread; see the compile-time assertion
+/// at the bottom of this file).
 #[derive(Debug)]
 pub struct Instance {
     pub(crate) cfg: InstanceConfig,
@@ -716,10 +717,11 @@ impl Instance {
     }
 }
 
-// The sharded executor ships deployments (and their instances) across
-// worker threads. Keep this assertion: adding an `Rc`, `RefCell`-of-Rc,
-// or raw pointer anywhere inside `Instance` would break the parallel
-// engine, and this surfaces that at compile time with a readable error.
+// Deployments (and their instances) run on threads other than the one
+// that built them: the gateway moves its session into a driver thread.
+// Keep this assertion: adding an `Rc`, `RefCell`-of-Rc, or raw pointer
+// anywhere inside `Instance` would break that, and this surfaces it at
+// compile time with a readable error.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Instance>();

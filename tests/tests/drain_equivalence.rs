@@ -12,23 +12,7 @@
 use windserve::fleet::FleetConfig;
 use windserve::{DrainMode, FaultPlan, ServeConfig, SystemKind};
 use windserve_sim::SimDuration;
-use windserve_tests::{longbench_trace, run, run_sequential, run_sharded, sharegpt_trace};
-
-/// Asserts the sharded executor reproduces the sequential reference
-/// byte-for-byte at every shard count in the acceptance matrix.
-fn assert_sharded_identical(cfg: ServeConfig, trace: &windserve_workload::Trace, label: &str) {
-    let reference = run_sequential(cfg.clone(), trace);
-    let js = serde_json::to_string(&reference).unwrap();
-    for shards in [1, 2, 4, 8] {
-        let sharded = run_sharded(cfg.clone(), trace, shards);
-        assert_eq!(
-            sharded, reference,
-            "{label}: {shards} shards changed reported results"
-        );
-        let jp = serde_json::to_string(&sharded).unwrap();
-        assert_eq!(jp, js, "{label}: {shards} shards changed serialized bytes");
-    }
-}
+use windserve_tests::{longbench_trace, run, run_sequential, sharegpt_trace};
 
 /// Asserts the batched and sequential replays of `cfg` over `trace` agree
 /// on everything, down to the serialized bytes.
@@ -94,61 +78,6 @@ fn fault_preset_batched_equals_sequential() {
         batched, sequential,
         "fault recovery: batched draining changed reported results"
     );
-}
-
-/// The sharded executor vs the sequential reference, across all three
-/// system families at shards 1/2/4/8 (the acceptance matrix).
-#[test]
-fn sharded_equals_sequential_across_systems() {
-    for (system, label) in [
-        (SystemKind::WindServe, "windserve"),
-        (SystemKind::DistServe, "distserve"),
-        (SystemKind::VllmColocated, "vllm-colocated"),
-    ] {
-        let trace = sharegpt_trace(8.0, 250, 2766);
-        let cfg = ServeConfig::opt_13b_sharegpt(system);
-        assert_sharded_identical(cfg, &trace, label);
-    }
-}
-
-/// Fault injection under the sharded executor: crash/recovery events must
-/// land identically whichever thread pumps the deployment.
-#[test]
-fn sharded_fault_preset_equals_sequential() {
-    let trace = sharegpt_trace(10.0, 300, 41);
-    let mut cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
-    cfg.faults = Some(FaultPlan::replica_crash(
-        1,
-        SimDuration::from_secs_f64(30.0),
-        41,
-    ));
-    let reference = run_sequential(cfg.clone(), &trace);
-    assert!(
-        reference.faults_injected >= 2,
-        "fault plan must actually fire"
-    );
-    assert_sharded_identical(cfg, &trace, "sharded/faults");
-}
-
-/// The fleet on the sharded executor: every deployment becomes a shard
-/// task; the whole `FleetReport` must match the sequential-drain
-/// reference at every shard count.
-#[test]
-fn sharded_fleet_equals_sequential() {
-    let fleet = FleetConfig::example().build().expect("example fleet");
-    let reference = fleet
-        .run_with_drain(1, DrainMode::Sequential)
-        .expect("sequential fleet run");
-    let js = serde_json::to_string(&reference).unwrap();
-    for shards in [1, 2, 4, 8] {
-        let sharded = fleet.run_sharded(shards).expect("sharded fleet run");
-        assert_eq!(
-            sharded, reference,
-            "fleet: {shards} shards changed reported results"
-        );
-        let jp = serde_json::to_string(&sharded).unwrap();
-        assert_eq!(jp, js, "fleet: {shards} shards changed serialized bytes");
-    }
 }
 
 /// The fleet layer runs several deployments over one shared GPU pool;

@@ -1,13 +1,12 @@
 //! Multi-turn sessions end to end: prefix caching must change the work a
 //! cluster does without changing determinism. One seeded
 //! `SessionsScenario` trace replays byte-identically across drain modes,
-//! shard counts and a fault preset, while the prefix cache visibly serves
+//! with and without a fault preset, while the prefix cache visibly serves
 //! follow-up turns.
 
-use windserve::{Cluster, PrefixCacheConfig, ServeConfig, SystemKind};
-use windserve::{DrainMode, FaultPlan};
+use windserve::{FaultPlan, PrefixCacheConfig, ServeConfig, SystemKind};
 use windserve_sim::SimDuration;
-use windserve_tests::{run, run_sequential, run_sharded};
+use windserve_tests::{run, run_sequential};
 use windserve_workload::{Scenario, SessionsScenario, Trace};
 
 /// A compact multi-turn conversation trace.
@@ -62,23 +61,18 @@ fn follow_up_turns_hit_the_prefix_cache() {
 }
 
 #[test]
-fn cached_sessions_replay_identically_at_any_shard_count() {
+fn cached_sessions_replay_identically_across_drain_modes() {
     let trace = sessions_trace(60, 2766);
     let cfg = cached_config();
     let reference = run_sequential(cfg.clone(), &trace);
     assert!(reference.prefix_hits > 0, "cache must engage");
-    let js = serde_json::to_string(&reference).unwrap();
-    let batched = run(cfg.clone(), &trace);
+    let batched = run(cfg, &trace);
     assert_eq!(batched, reference, "batched drain changed a cached run");
-    for shards in [1, 2, 4] {
-        let sharded = run_sharded(cfg.clone(), &trace, shards);
-        assert_eq!(
-            sharded, reference,
-            "{shards} shards changed a cached sessions run"
-        );
-        let jp = serde_json::to_string(&sharded).unwrap();
-        assert_eq!(jp, js, "{shards} shards changed serialized bytes");
-    }
+    assert_eq!(
+        serde_json::to_string(&batched).unwrap(),
+        serde_json::to_string(&reference).unwrap(),
+        "batched drain changed serialized bytes"
+    );
 }
 
 #[test]
@@ -90,25 +84,19 @@ fn cached_sessions_replay_identically_under_faults() {
         SimDuration::from_secs_f64(20.0),
         41,
     ));
-    let reference = Cluster::new(cfg.clone())
-        .expect("valid config")
-        .run_with_drain(&trace, DrainMode::Sequential)
-        .expect("faulted run must drain");
+    let reference = run_sequential(cfg.clone(), &trace);
     assert!(reference.faults_injected >= 2, "fault plan must fire");
     assert!(reference.prefix_hits > 0, "cache must engage under faults");
-    let js = serde_json::to_string(&reference).unwrap();
-    for shards in [1, 4] {
-        let sharded = run_sharded(cfg.clone(), &trace, shards);
-        assert_eq!(
-            sharded, reference,
-            "{shards} shards changed a faulted cached run"
-        );
-        assert_eq!(
-            serde_json::to_string(&sharded).unwrap(),
-            js,
-            "{shards} shards changed serialized bytes under faults"
-        );
-    }
+    let batched = run(cfg, &trace);
+    assert_eq!(
+        batched, reference,
+        "batched drain changed a faulted cached run"
+    );
+    assert_eq!(
+        serde_json::to_string(&batched).unwrap(),
+        serde_json::to_string(&reference).unwrap(),
+        "batched drain changed serialized bytes under faults"
+    );
 }
 
 #[test]
