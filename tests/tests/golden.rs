@@ -79,6 +79,30 @@ fn llama2_13b_longbench() -> Vec<Row> {
     )
 }
 
+/// WindServe past saturation on LongBench (3 req/s/GPU, 2.4x the case's
+/// middle rate): the prefill backlog builds, Algorithm 1 dispatches guest
+/// prefills to the decode replica's aux stream, and the decode lane keeps
+/// stepping between handoffs.
+fn longbench_overload_cfg(trace: TraceMode) -> (ServeConfig, windserve_workload::Trace) {
+    let cfg = ServeConfig::llama2_13b_longbench(SystemKind::WindServe)
+        .to_builder()
+        .with_trace(trace)
+        .build()
+        .expect("valid config");
+    let trace = longbench_trace(cfg.total_rate(3.0), 1000, 2766);
+    (cfg, trace)
+}
+
+fn longbench_overload() -> Vec<Row> {
+    let (cfg, trace) = longbench_overload_cfg(TraceMode::Off);
+    let report = run(cfg, &trace);
+    assert!(report.dispatched_prefills > 0, "overload must dispatch");
+    vec![(
+        "windserve/llama2-13b-longbench-overload".into(),
+        digest(&report),
+    )]
+}
+
 /// WindServe scaled out to two prefill and two decode replicas, so
 /// Algorithm 1's replica choices and their tie-breaks are exercised.
 fn scaled_out() -> Vec<Row> {
@@ -197,17 +221,33 @@ fn traced() -> Vec<Row> {
     ]
 }
 
+/// The overload run above, fully traced: its report and its trace.
+fn traced_longbench_overload() -> Vec<Row> {
+    let (cfg, trace) = longbench_overload_cfg(TraceMode::Full);
+    let (report, log) = windserve::Cluster::new(cfg)
+        .expect("valid config")
+        .run_traced(&trace)
+        .expect("traced run");
+    assert!(report.dispatched_prefills > 0, "overload must dispatch");
+    vec![
+        ("traced/longbench-overload/report".into(), digest(&report)),
+        ("traced/longbench-overload/log".into(), digest(&log)),
+    ]
+}
+
 /// Every row, in file order. Cases run on their own threads.
 fn compute() -> Vec<Row> {
-    let cases: [fn() -> Vec<Row>; 8] = [
+    let cases: [fn() -> Vec<Row>; 10] = [
         opt_13b_sharegpt,
         llama2_13b_longbench,
+        longbench_overload,
         scaled_out,
         fault_presets,
         overload_shedding,
         sessions,
         fleet,
         traced,
+        traced_longbench_overload,
     ];
     std::thread::scope(|s| {
         let handles: Vec<_> = cases.iter().map(|case| s.spawn(case)).collect();
