@@ -38,7 +38,7 @@ fn decode_time_with_guest(
     if sbd {
         let kd = cost.kernel_cost(&decode);
         let kp = cost.kernel_cost(&BatchPlan::single_prefill(n));
-        let slow = sharing.slowdowns(&[kd, kp])[0];
+        let slow = sharing.slowdown(kd, kp);
         SimDuration::from_secs_f64(kd.alone_secs() * slow)
     } else {
         // Fused hybrid batch: the decode waits for the whole prefill.

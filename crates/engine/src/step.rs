@@ -343,7 +343,7 @@ impl Instance {
             let kernel = self.cost.kernel_cost(&self.plan_scratch);
             let mut alone = SimDuration::from_secs_f64(kernel.alone_secs());
             if let Some(aux) = &self.aux_step {
-                let slow = self.sharing.slowdowns(&[kernel, aux.kernel])[0];
+                let slow = self.sharing.slowdown(kernel, aux.kernel);
                 alone = alone.mul_f64(slow);
             }
             (alone, kernel)
@@ -483,7 +483,7 @@ impl Instance {
             .filter_map(|l| l.step.as_ref().map(|s| s.kernel))
             .max_by(|a, b| a.io_secs.partial_cmp(&b.io_secs).expect("finite"))
         {
-            let slow = self.sharing.slowdowns(&[kernel, busiest])[0];
+            let slow = self.sharing.slowdown(kernel, busiest);
             duration = duration.mul_f64(slow);
         }
         let decode_ids = self.take_idvec();

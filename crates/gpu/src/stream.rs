@@ -160,6 +160,22 @@ impl StreamSharing {
             .collect()
     }
 
+    /// Slowdown of `kernel` while `other` runs in a second stream: exactly
+    /// `self.slowdowns(&[kernel, other])[0]`, without the `Vec`. The engine
+    /// prices every decode step formed next to a guest prefill with it.
+    pub fn slowdown(&self, kernel: KernelCost, other: KernelCost) -> f64 {
+        let alone = kernel.alone_secs();
+        if alone == 0.0 {
+            return 1.0;
+        }
+        let active = usize::from(!kernel.is_zero()) + usize::from(!other.is_zero());
+        let compute_stretch = (kernel.compute_demand() + other.compute_demand()).max(1.0);
+        let bw_stretch = (kernel.bandwidth_demand() + other.bandwidth_demand()).max(1.0);
+        let tax = 1.0 + self.concurrency_tax * active.saturating_sub(1) as f64;
+        let shared = (kernel.compute_secs * compute_stretch).max(kernel.io_secs * bw_stretch) * tax;
+        shared / alone
+    }
+
     /// Convenience for the common two-stream case used by stream-based
     /// disaggregation: returns `(slowdown_a, slowdown_b)`.
     pub fn slowdown_pair(&self, a: KernelCost, b: KernelCost) -> (f64, f64) {
@@ -220,6 +236,34 @@ mod tests {
         let sbd_decode = d.alone_secs() * sd;
         let fused_step = p.fused(&d).alone_secs();
         assert!(sbd_decode < 0.4 * fused_step);
+    }
+
+    #[test]
+    fn two_kernel_slowdown_is_bit_identical_to_slowdowns() {
+        let kernels = [
+            KernelCost::ZERO,
+            KernelCost::new(0.0, 0.004),
+            KernelCost::new(-0.0, 0.0),
+            prefill_like(),
+            decode_like(),
+            KernelCost::new(0.05, 0.001),
+            KernelCost::new(0.0123456789, 0.0123456789),
+            KernelCost::new(3.5e-4, 1.9e-2),
+        ];
+        for tax in [0.0, 0.06, 0.37] {
+            let sharing = StreamSharing::new(tax);
+            for &a in &kernels {
+                for &b in &kernels {
+                    let reference = sharing.slowdowns(&[a, b])[0];
+                    let got = sharing.slowdown(a, b);
+                    assert_eq!(
+                        got.to_bits(),
+                        reference.to_bits(),
+                        "{a:?} beside {b:?} at tax {tax}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -167,7 +167,8 @@ impl BlockManager {
                 available: self.free.len(),
             });
         }
-        let blocks = self.free.split_off(self.free.len() - needed);
+        let mut blocks = Vec::with_capacity(needed);
+        blocks.extend(self.free.drain(self.free.len() - needed..));
         self.tables.insert(key, SeqTable { blocks, tokens });
         Ok(())
     }
@@ -199,8 +200,9 @@ impl BlockManager {
             });
         }
         if extra > 0 {
-            let fresh = self.free.split_off(free_len - extra);
-            table.blocks.extend(fresh);
+            // Moves the top `extra` free blocks in stack order; unlike
+            // `split_off`, draining allocates no intermediate `Vec`.
+            table.blocks.extend(self.free.drain(free_len - extra..));
         }
         table.tokens = new_tokens;
         Ok(())
