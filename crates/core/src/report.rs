@@ -85,7 +85,10 @@ pub struct RunReport {
     /// of the autoscaling trade-off.
     pub gpu_seconds_active: f64,
     /// Simulator events processed by the run's event loop (perf telemetry;
-    /// together with wall-clock this yields events/sec).
+    /// together with wall-clock this yields events/sec). Counts every
+    /// delivered event, including the decode steps a quiet-decode
+    /// run-ahead applies without passing them through the event queue, so
+    /// it equals the number of events a one-at-a-time loop would pop.
     pub events_processed: u64,
     /// Cost-model step-cache hits summed across instances.
     pub cost_cache_hits: u64,

@@ -31,7 +31,7 @@ pub(crate) fn backup_key(id: RequestId) -> u64 {
     id.0 | (1 << 63)
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RunningStep {
     pub(crate) kind: StepKind,
     pub(crate) started: SimTime,
@@ -93,6 +93,9 @@ pub struct Instance {
     /// Members of the forming step whose first decode iteration this is,
     /// collected during the same prefetch pass.
     pub(crate) newly_scratch: Vec<RequestId>,
+    /// Per-leap member counts by block-boundary residue, reused across
+    /// [`Instance::run_ahead`] calls.
+    pub(crate) residue_scratch: Vec<usize>,
 }
 
 impl Instance {
@@ -147,6 +150,7 @@ impl Instance {
             jobvec_pool: Vec::new(),
             ctx_scratch: Vec::new(),
             newly_scratch: Vec::new(),
+            residue_scratch: Vec::new(),
         })
     }
 

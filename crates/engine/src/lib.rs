@@ -42,6 +42,7 @@ mod config;
 mod error;
 mod instance;
 mod outcome;
+mod run_ahead;
 mod seq;
 mod stats;
 mod step;
@@ -57,5 +58,6 @@ pub use instance::Instance;
 pub use outcome::{
     CompletedSeq, FinishedPrefill, LaneRef, PausedSeq, StartedStep, StepKind, StepOutcome,
 };
+pub use run_ahead::RunAhead;
 pub use seq::{SeqPhase, SeqState};
 pub use stats::InstanceStats;

@@ -165,6 +165,27 @@ impl<E> EventQueue<E> {
         drained
     }
 
+    /// Moves "now" forward to `to` without delivering anything: for a
+    /// caller that applied events of its own, which it never scheduled
+    /// here, up to `to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is earlier than "now" or later than the next pending
+    /// event: either would let an event be delivered out of order.
+    pub fn advance_to(&mut self, to: SimTime) {
+        assert!(
+            to >= self.last_popped,
+            "cannot advance to {to} before current time {}",
+            self.last_popped
+        );
+        assert!(
+            self.heap.peek().is_none_or(|e| e.at >= to),
+            "cannot advance to {to} past a pending event"
+        );
+        self.last_popped = to;
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -239,6 +260,25 @@ mod tests {
         q.schedule(t, 1);
         q.drain_at(t, &mut out);
         assert_eq!(out.iter().map(|s| s.event).collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    #[test]
+    fn advance_moves_now_up_to_the_next_event() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_micros(9), 'a');
+        q.advance_to(SimTime::from_micros(9));
+        assert_eq!(q.now(), SimTime::from_micros(9));
+        assert_eq!(q.pop().unwrap().event, 'a');
+        q.advance_to(SimTime::from_micros(20));
+        assert_eq!(q.now(), SimTime::from_micros(20));
+    }
+
+    #[test]
+    #[should_panic(expected = "past a pending event")]
+    fn advancing_over_an_event_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_micros(5), ());
+        q.advance_to(SimTime::from_micros(6));
     }
 
     #[test]
