@@ -224,7 +224,7 @@ pub fn burstiness(ctx: &ExpContext) -> Value {
             let trace = Scenario::single_shot(dataset.clone(), arrivals.clone(), n)
                 .generate(0xE5)
                 .expect("valid single-shot scenario");
-            let report = Cluster::new(cfg.clone())
+            let (report, _) = Cluster::new(cfg.clone())
                 .expect("valid config")
                 .run(&trace)
                 .expect("run completes");
@@ -275,7 +275,7 @@ pub fn autoscaling(ctx: &ExpContext) -> Value {
         )
         .generate(0xE6)
         .expect("valid single-shot scenario");
-        let report = Cluster::new(cfg)
+        let (report, _) = Cluster::new(cfg)
             .expect("valid config")
             .run(&trace)
             .expect("run completes");

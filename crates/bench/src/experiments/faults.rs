@@ -56,7 +56,7 @@ pub fn run(ctx: &ExpContext) -> Value {
             builder = builder.with_faults(plan);
         }
         let cfg = builder.build().expect("experiment config must be valid");
-        let report = Cluster::new(cfg)
+        let (report, _) = Cluster::new(cfg)
             .expect("experiment config must be valid")
             .run(&trace)
             .expect("faulted run must still complete");

@@ -50,11 +50,11 @@ pub fn run(ctx: &ExpContext) -> Value {
     for (label, units, arbiter) in scenarios {
         let cfg = scenario_config(ctx, units, arbiter);
         let fleet = cfg.build().expect("example fleet config must be valid");
-        let report = fleet.run(ctx.jobs).expect("fleet run must complete");
+        let (report, _) = fleet.run(ctx.jobs).expect("fleet run must complete");
         if label == "static partition" {
             // Determinism cross-check: worker count must not leak into
             // the report.
-            let sequential = fleet.run(1).expect("fleet run must complete");
+            let (sequential, _) = fleet.run(1).expect("fleet run must complete");
             assert_eq!(
                 report, sequential,
                 "fleet report depends on the worker count"

@@ -54,6 +54,7 @@ pub fn run(ctx: &ExpContext) -> Value {
             .expect("experiment config must be valid")
             .run(&trace.with_rate_scaled(factor))
             .expect("overloaded run must still drain")
+            .0
     });
     let mut rows = Vec::new();
     let mut data = Vec::new();

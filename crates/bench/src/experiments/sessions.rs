@@ -87,6 +87,7 @@ pub fn run(ctx: &ExpContext) -> Value {
             .expect("experiment config must be valid")
             .run(&trace)
             .expect("sessions run must drain")
+            .0
     });
     let mut rows = Vec::new();
     let mut data = Vec::new();

@@ -102,6 +102,7 @@ pub fn run_point(
         .expect("experiment config must be valid")
         .run(&trace)
         .expect("experiment run must complete")
+        .0
 }
 
 /// Worker count to use when none is requested: `WINDSERVE_JOBS` if set to

@@ -38,8 +38,6 @@ pub const SWITCHES: &[&str] = &[
     "sample",
     "split-nodes",
     "autoscale",
-    "check-cache",
-    "check-drain",
     "overload",
     "emit-config",
 ];
@@ -233,6 +231,11 @@ mod tests {
         // Retired flags are unknown too, with the same typed error.
         let err = Args::parse(["run", "--shards", "4"].map(String::from)).unwrap_err();
         assert!(err.0.starts_with("unknown flag --shards"), "{err}");
+        for check in ["cache", "drain"] {
+            let flag = format!("--check-{check}");
+            let err = Args::parse(["perf".to_string(), flag.clone()]).unwrap_err();
+            assert!(err.0.starts_with(&format!("unknown flag {flag}")), "{err}");
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@ fn run_cluster(cfg: windserve::ServeConfig, trace: &Trace) -> Result<RunReport, 
     Cluster::new(cfg)
         .map_err(|e| ArgError(format!("config: {e}")))?
         .run(trace)
+        .map(|(report, _)| report)
         .map_err(|e| ArgError(format!("simulation: {e}")))
 }
 
@@ -68,7 +69,7 @@ pub fn fleet(args: &Args) -> Result<String, ArgError> {
         .build()
         .map_err(|e| ArgError(format!("fleet config: {e}")))?;
     let (report, log) = fleet
-        .run_traced(jobs)
+        .run(jobs)
         .map_err(|e| ArgError(format!("fleet: {e}")))?;
     let mut out = String::new();
     if let Some(path) = args.get("out") {
@@ -159,7 +160,7 @@ pub fn trace(args: &Args) -> Result<String, ArgError> {
     let trace = spec.generate_trace()?;
     let (report, log) = Cluster::new(spec.config.clone())
         .map_err(|e| ArgError(format!("config: {e}")))?
-        .run_traced(&trace)
+        .run(&trace)
         .map_err(|e| ArgError(format!("simulation: {e}")))?;
     let mut out = String::new();
     if let Some(path) = args.get("out") {
@@ -215,16 +216,10 @@ pub fn faults(args: &Args) -> Result<String, ArgError> {
         }
     };
     let trace = base.generate_trace()?;
-    let run_with = |config: windserve::ServeConfig| -> Result<RunReport, ArgError> {
-        Cluster::new(config)
-            .map_err(|e| ArgError(format!("config: {e}")))?
-            .run(&trace)
-            .map_err(|e| ArgError(format!("simulation: {e}")))
-    };
-    let baseline = run_with(base.config.clone())?;
+    let baseline = run_cluster(base.config.clone(), &trace)?;
     let mut faulted_cfg = base.config.clone();
     faulted_cfg.faults = Some(plan);
-    let faulted = run_with(faulted_cfg)?;
+    let faulted = run_cluster(faulted_cfg, &trace)?;
     if args.switch("json") {
         return render::json_envelope(
             "faults",
@@ -305,14 +300,8 @@ pub fn overload(args: &Args) -> Result<String, ArgError> {
     }
     let mut baseline_cfg = base.config.clone();
     baseline_cfg.overload = None;
-    let run_with = |config: windserve::ServeConfig| -> Result<RunReport, ArgError> {
-        Cluster::new(config)
-            .map_err(|e| ArgError(format!("config: {e}")))?
-            .run(&trace)
-            .map_err(|e| ArgError(format!("simulation: {e}")))
-    };
-    let baseline = run_with(baseline_cfg)?;
-    let controlled = run_with(controlled_cfg)?;
+    let baseline = run_cluster(baseline_cfg, &trace)?;
+    let controlled = run_cluster(controlled_cfg, &trace)?;
     if args.switch("json") {
         return render::json_envelope(
             "overload",
@@ -325,120 +314,6 @@ pub fn overload(args: &Args) -> Result<String, ArgError> {
         );
     }
     Ok(render::overload_text(&base, factor, &baseline, &controlled))
-}
-
-/// Benchmarks the simulator itself on one operating point: wall-clock,
-/// simulated-steps/sec, events/sec and the cost-model step-cache hit rate.
-/// With `--check-cache` the run is repeated with the cache disabled and the
-/// two reports are compared — any divergence is an error, because the cache
-/// is exact by design. With `--check-drain` the run is repeated with
-/// sequential (one-event-at-a-time) draining instead of the batched
-/// cohort drain and the reports must be byte-identical, because batching
-/// is a pure mechanical optimization.
-///
-/// # Errors
-///
-/// Reports invalid flags, a failed simulation, a cached run that differs
-/// from the uncached one (`--check-cache`), or a batched run that differs
-/// from the sequential one (`--check-drain`).
-pub fn perf(args: &Args) -> Result<String, ArgError> {
-    let spec = RunSpec::from_args(args)?;
-    let trace = spec.generate_trace()?;
-    let start = std::time::Instant::now();
-    let report = run_cluster(spec.config.clone(), &trace)?;
-    let wall = start.elapsed().as_secs_f64();
-    let steps = report.total_steps();
-    let events = report.events_processed;
-
-    let check = if args.switch("check-cache") {
-        let mut uncached_cfg = spec.config.clone();
-        uncached_cfg.cost_cache = false;
-        let uncached_start = std::time::Instant::now();
-        let uncached = Cluster::new(uncached_cfg)
-            .map_err(|e| ArgError(format!("config: {e}")))?
-            .run(&trace)
-            .map_err(|e| ArgError(format!("simulation: {e}")))?;
-        let uncached_wall = uncached_start.elapsed().as_secs_f64();
-        let mut scrubbed = report.clone();
-        scrubbed.cost_cache_hits = 0;
-        scrubbed.cost_cache_misses = 0;
-        if scrubbed != uncached {
-            return Err(ArgError(
-                "cost cache changed reported results — it must be exact".to_string(),
-            ));
-        }
-        Some(uncached_wall)
-    } else {
-        None
-    };
-
-    let drain_check = if args.switch("check-drain") {
-        let sequential_start = std::time::Instant::now();
-        let sequential = Cluster::new(spec.config.clone())
-            .map_err(|e| ArgError(format!("config: {e}")))?
-            .run_with_drain(&trace, windserve::DrainMode::Sequential)
-            .map_err(|e| ArgError(format!("simulation: {e}")))?;
-        let sequential_wall = sequential_start.elapsed().as_secs_f64();
-        if report != sequential {
-            return Err(ArgError(
-                "batched event draining changed reported results — it must be exact".to_string(),
-            ));
-        }
-        Some(sequential_wall)
-    } else {
-        None
-    };
-
-    if args.switch("json") {
-        let mut value = serde_json::json!({
-            "wall_secs": wall,
-            "total_steps": steps,
-            "total_events": events,
-            "steps_per_sec": steps as f64 / wall.max(1e-9),
-            "events_per_sec": events as f64 / wall.max(1e-9),
-            "cost_cache_hits": report.cost_cache_hits,
-            "cost_cache_misses": report.cost_cache_misses,
-            "cost_cache_hit_rate": report.cost_cache_hit_rate(),
-        });
-        if let Some(uncached_wall) = check {
-            value["cache_identity"] = serde_json::json!({
-                "identical": true,
-                "uncached_wall_secs": uncached_wall,
-            });
-        }
-        if let Some(sequential_wall) = drain_check {
-            value["drain_identity"] = serde_json::json!({
-                "identical": true,
-                "sequential_wall_secs": sequential_wall,
-            });
-        }
-        render::json_envelope("perf", value)
-    } else {
-        let mut out = format!(
-            "perf: {} requests in {:.3} s wall\n\
-             steps      {:>12}  ({:.0}/s)\n\
-             events     {:>12}  ({:.0}/s)\n\
-             cost cache {:>11.1}%  hit rate ({} hits / {} misses)\n",
-            spec.requests,
-            wall,
-            steps,
-            steps as f64 / wall.max(1e-9),
-            events,
-            events as f64 / wall.max(1e-9),
-            report.cost_cache_hit_rate() * 100.0,
-            report.cost_cache_hits,
-            report.cost_cache_misses,
-        );
-        if let Some(uncached_wall) = check {
-            out += &format!("cache check: identical results; uncached wall {uncached_wall:.3} s\n");
-        }
-        if let Some(sequential_wall) = drain_check {
-            out += &format!(
-                "drain check: identical results; sequential wall {sequential_wall:.3} s\n"
-            );
-        }
-        Ok(out)
-    }
 }
 
 /// Serves the simulated cluster over live HTTP/SSE: `POST
@@ -774,9 +649,6 @@ COMMANDS:
     faults       inject a fault preset and compare against the fault-free run
     overload     drive the workload past capacity and compare overload
                  control (admit/shed/preempt/watchdog) against no control
-    perf         benchmark the simulator itself (steps/sec, events/sec,
-                 cost-cache hit rate; --check-cache proves the cache exact,
-                 --check-drain proves batched draining exact)
     serve        expose the simulated cluster as a live HTTP/SSE gateway
                  (POST /v1/completions, GET /v1/cluster/status, /healthz)
     loadgen      fire an open-loop request stream at a running gateway and
@@ -834,10 +706,6 @@ COMMON FLAGS (with defaults):
                                  events (always once more at drain)
     --overload-factor F          (overload) arrival-rate multiplier [2.0]
     --tiers N                    (overload) priority tiers to assign [3]
-    --check-cache                (perf) rerun with the cost cache disabled
-                                 and verify bit-identical results
-    --check-drain                (perf) rerun with sequential event
-                                 draining and verify bit-identical results
     --port N                     (serve, loadgen) gateway TCP port; 0 picks
                                  an ephemeral port [8080]
     --time-scale F               (serve) virtual seconds per wall second [100]
@@ -1046,40 +914,6 @@ mod tests {
         let peak = v["controlled"]["peak_pending"].as_u64().unwrap();
         assert!(peak <= 24, "peak_pending {peak} exceeds --max-queue 24");
         assert!(v["controlled"]["requests_rejected"].as_u64().unwrap() > 0);
-    }
-
-    #[test]
-    fn perf_reports_rates_and_cache_stats() {
-        let out = perf(&args("perf --requests 120 --rate 2 --check-cache")).unwrap();
-        assert!(out.contains("steps"));
-        assert!(out.contains("events"));
-        assert!(out.contains("hit rate"));
-        assert!(out.contains("cache check: identical results"), "{out}");
-    }
-
-    #[test]
-    fn perf_check_drain_proves_batched_draining_exact() {
-        let out = perf(&args("perf --requests 120 --rate 2 --check-drain")).unwrap();
-        assert!(out.contains("drain check: identical results"), "{out}");
-        let out = perf(&args("perf --requests 80 --rate 2 --check-drain --json")).unwrap();
-        let v = envelope(&out, "perf");
-        assert_eq!(v["drain_identity"]["identical"].as_bool(), Some(true));
-        assert!(
-            v["drain_identity"]["sequential_wall_secs"]
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
-    }
-
-    #[test]
-    fn perf_json_carries_throughput_fields() {
-        let out = perf(&args("perf --requests 80 --rate 2 --json")).unwrap();
-        let v = envelope(&out, "perf");
-        assert!(v["steps_per_sec"].as_f64().unwrap() > 0.0);
-        assert!(v["events_per_sec"].as_f64().unwrap() > 0.0);
-        assert!(v["total_steps"].as_u64().unwrap() > 0);
-        assert!(v["cost_cache_hit_rate"].as_f64().unwrap() > 0.5);
     }
 
     #[test]

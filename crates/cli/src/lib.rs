@@ -46,7 +46,6 @@ pub fn dispatch(args: &Args) -> Result<String, args::ArgError> {
         Some("budget") => commands::budget(args),
         Some("faults") => commands::faults(args),
         Some("overload") => commands::overload(args),
-        Some("perf") => commands::perf(args),
         Some("serve") => commands::serve(args),
         Some("loadgen") => commands::loadgen(args),
         Some("help") | None => Ok(commands::help()),
@@ -73,5 +72,13 @@ mod tests {
         let bad = Args::parse(vec!["frobnicate".to_string()]).unwrap();
         let err = dispatch(&bad).unwrap_err();
         assert!(err.0.contains("frobnicate"));
+    }
+
+    #[test]
+    fn retired_perf_command_is_unknown() {
+        let perf = Args::parse(vec!["perf".to_string()]).unwrap();
+        let err = dispatch(&perf).unwrap_err();
+        assert!(err.0.starts_with(r#"unknown command "perf""#), "{}", err.0);
+        assert!(!commands::help().contains("\n    perf "));
     }
 }

@@ -312,12 +312,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Enables or disables the cost model's (exact) step-time cache.
-    pub fn cost_cache(mut self, enabled: bool) -> Self {
-        self.cfg.cost_cache = enabled;
-        self
-    }
-
     /// Validates and returns the assembled configuration.
     ///
     /// # Errors

@@ -166,24 +166,6 @@ struct MigrationCtl {
     dst: usize,
 }
 
-/// How a [`ClusterSession`] takes events off the future-event list.
-///
-/// Both modes deliver the exact same `(time, seq)` event stream —
-/// [`Batched`](DrainMode::Batched) removes every event sharing the earliest
-/// timestamp in one heap pass before dispatching, while
-/// [`Sequential`](DrainMode::Sequential) pops one event at a time. Replays
-/// are byte-identical across modes (the perf bench's `--check-drain`
-/// identity check and the equivalence test suite enforce this), so
-/// `Sequential` exists as the reference implementation for those checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DrainMode {
-    /// Drain the whole earliest-instant cohort per heap pass (default).
-    #[default]
-    Batched,
-    /// Pop events one at a time (reference mode for equivalence checks).
-    Sequential,
-}
-
 /// One token-level milestone in a request's life, emitted by a
 /// [`ClusterSession`] with live events enabled. Front-ends (the serving
 /// gateway) translate these into per-stream deliveries; batch replays never
@@ -280,7 +262,7 @@ struct Counters {
 #[derive(Debug)]
 pub struct Cluster {
     cfg: ServeConfig,
-    instances: Vec<Instance>,
+    pub(crate) instances: Vec<Instance>,
     /// Indices of prefill instances (empty for colocated systems).
     prefill_idxs: Vec<usize>,
     /// Indices of decode instances (empty for colocated systems).
@@ -483,12 +465,6 @@ impl Cluster {
             }
         }
 
-        if !cfg.cost_cache {
-            for inst in &instances {
-                inst.cost_model().set_step_cache_enabled(false);
-            }
-        }
-
         let coordinator = Coordinator {
             dispatch_threshold: cfg.effective_dispatch_threshold(),
             aux_budget_tokens: calibrated_budget,
@@ -562,16 +538,6 @@ impl Cluster {
         self.instances.len()
     }
 
-    /// Replays `trace` to completion and reports.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the simulation deadlocks (requests left
-    /// incomplete with no events pending) or exceeds the event backstop.
-    pub fn run(self, trace: &Trace) -> crate::Result<RunReport> {
-        Ok(self.run_traced(trace)?.0)
-    }
-
     /// Replays `trace` to completion, returning the report together with
     /// the collected scheduling trace.
     ///
@@ -583,39 +549,10 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Cluster::run`].
-    pub fn run_traced(self, trace: &Trace) -> crate::Result<(RunReport, TraceLog)> {
-        self.run_traced_with_drain(trace, DrainMode::default())
-    }
-
-    /// [`Cluster::run`] with an explicit event-drain mode.
-    ///
-    /// [`DrainMode::Batched`] (the default everywhere) pops whole
-    /// same-instant event cohorts per loop iteration; `Sequential` pops one
-    /// event at a time. The two are byte-identical by construction — this
-    /// entry point exists so benchmarks and the equivalence test suite can
-    /// *prove* it on real configurations rather than assume it.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cluster::run`].
-    pub fn run_with_drain(self, trace: &Trace, mode: DrainMode) -> crate::Result<RunReport> {
-        Ok(self.run_traced_with_drain(trace, mode)?.0)
-    }
-
-    /// [`Cluster::run_traced`] with an explicit event-drain mode; see
-    /// [`Cluster::run_with_drain`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Cluster::run`].
-    pub fn run_traced_with_drain(
-        self,
-        trace: &Trace,
-        mode: DrainMode,
-    ) -> crate::Result<(RunReport, TraceLog)> {
+    /// Returns an error if the simulation deadlocks (requests left
+    /// incomplete with no events pending) or exceeds the event backstop.
+    pub fn run(self, trace: &Trace) -> crate::Result<(RunReport, TraceLog)> {
         let mut session = self.into_session();
-        session.set_drain_mode(mode);
         session.records.reserve(trace.requests().len());
         for req in trace.requests() {
             session.inject(*req);
@@ -625,10 +562,10 @@ impl Cluster {
     }
 
     /// Converts the assembled deployment into an incrementally driven
-    /// [`ClusterSession`]: the same event loop as [`Cluster::run_traced`],
-    /// but with arrivals injected over time and virtual time advanced in
+    /// [`ClusterSession`]: the same event loop as [`Cluster::run`], but
+    /// with arrivals injected over time and virtual time advanced in
     /// bounded slices. Replaying a whole trace through a session is
-    /// byte-identical to `run_traced`.
+    /// byte-identical to `run`.
     pub fn into_session(self) -> ClusterSession {
         let audit_every = self.cfg.overload.and_then(|o| o.audit_interval_events);
         ClusterSession {
@@ -637,10 +574,8 @@ impl Cluster {
             requests: Vec::new(),
             records: Vec::new(),
             started_scratch: Vec::new(),
-            batch_scratch: Vec::new(),
             outcome_scratch: StepOutcome::default(),
             leap_scratch: Vec::new(),
-            drain_mode: DrainMode::default(),
             processed: 0,
             end_time: SimTime::ZERO,
             live_work: 0,
@@ -2390,7 +2325,7 @@ pub struct SessionSnapshot {
 }
 
 /// An incrementally driven serving deployment: the exact event loop of
-/// [`Cluster::run_traced`], re-cut into inject / pump / drain phases so a
+/// [`Cluster::run`], re-cut into inject / pump / drain phases so a
 /// front-end (the HTTP gateway's `SimDriver`) can feed arrivals in as they
 /// happen and advance virtual time faster than real time.
 ///
@@ -2409,13 +2344,10 @@ pub struct ClusterSession {
     /// Reused across the per-event instance sweep so the hot loop does not
     /// allocate a fresh Vec per (event, instance) pair.
     started_scratch: Vec<StartedStep>,
-    /// Reused cohort buffer for batched draining.
-    batch_scratch: Vec<Scheduled<Event>>,
     /// Reused step-outcome buffers; refilled in place on every completion.
     outcome_scratch: StepOutcome,
     /// Reused step boundaries of one decode run-ahead.
     leap_scratch: Vec<SimTime>,
-    drain_mode: DrainMode,
     processed: u64,
     end_time: SimTime,
     /// Periodic ticks (sampling, autoscaling) and injected faults must not
@@ -2457,19 +2389,6 @@ impl ClusterSession {
             Some(buf) => std::mem::take(buf),
             None => Vec::new(),
         }
-    }
-
-    /// Selects how the session takes events off the future-event list.
-    /// [`DrainMode::Batched`] (the default) and [`DrainMode::Sequential`]
-    /// produce byte-identical replays; the switch exists so equivalence
-    /// checks can compare the two paths.
-    pub fn set_drain_mode(&mut self, mode: DrainMode) {
-        self.drain_mode = mode;
-    }
-
-    /// The session's current drain mode.
-    pub fn drain_mode(&self) -> DrainMode {
-        self.drain_mode
     }
 
     /// Current virtual time (the timestamp of the last processed event).
@@ -2598,17 +2517,12 @@ impl ClusterSession {
     /// the event backstop.
     pub fn pump_until(&mut self, horizon: SimTime) -> crate::Result<()> {
         self.arm();
-        match self.drain_mode {
-            DrainMode::Batched => self.pump_batched(Some(horizon)),
-            DrainMode::Sequential => {
-                let ahead = horizon + SimDuration::from_micros(1);
-                while self.events.peek_time().is_some_and(|t| t <= horizon) {
-                    let scheduled = self.events.pop().expect("peeked event");
-                    self.step(scheduled, Some(ahead))?;
-                }
-                Ok(())
-            }
+        let ahead = horizon + SimDuration::from_micros(1);
+        while self.events.peek_time().is_some_and(|t| t <= horizon) {
+            let scheduled = self.events.pop().expect("peeked event");
+            self.step(scheduled, ahead)?;
         }
+        Ok(())
     }
 
     /// Processes every pending event until the queue drains (all injected
@@ -2619,54 +2533,18 @@ impl ClusterSession {
     /// Same conditions as [`ClusterSession::pump_until`].
     pub fn pump_to_drain(&mut self) -> crate::Result<()> {
         self.arm();
-        match self.drain_mode {
-            DrainMode::Batched => self.pump_batched(None),
-            DrainMode::Sequential => {
-                while let Some(scheduled) = self.events.pop() {
-                    self.step(scheduled, Some(SimTime::MAX))?;
-                }
-                Ok(())
-            }
+        while let Some(scheduled) = self.events.pop() {
+            self.step(scheduled, SimTime::MAX)?;
         }
-    }
-
-    /// The batched event loop: drain the earliest-instant cohort in one
-    /// heap pass, then dispatch its events in `(time, seq)` order. Events
-    /// an event defers for the *same* instant land in the heap (with later
-    /// seqs) and form the next cohort, so the delivered stream is
-    /// byte-identical to sequential popping.
-    fn pump_batched(&mut self, horizon: Option<SimTime>) -> crate::Result<()> {
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        let mut result = Ok(());
-        let ahead = horizon.map_or(SimTime::MAX, |h| h + SimDuration::from_micros(1));
-        'drain: while let Some(t) = self.events.peek_time() {
-            if horizon.is_some_and(|h| t > h) {
-                break;
-            }
-            batch.clear();
-            self.events.drain_at(t, &mut batch);
-            for (i, &scheduled) in batch.iter().enumerate() {
-                // Only the cohort's last event may run a lane ahead: the
-                // rest of the cohort is still to be delivered.
-                let last = i + 1 == batch.len();
-                if let Err(e) = self.step(scheduled, last.then_some(ahead)) {
-                    result = Err(e);
-                    break 'drain;
-                }
-            }
-        }
-        batch.clear();
-        self.batch_scratch = batch;
-        result
+        Ok(())
     }
 
     /// Delivers one scheduled event — the body of the original run loop.
     ///
-    /// `ahead` is `Some(bound)` when no other event of the current instant
-    /// remains to be delivered: a decode lane whose next step this event
-    /// started may then run ahead over steps ending before `bound` (just
-    /// past the pump's horizon) and before every queued event.
-    fn step(&mut self, scheduled: Scheduled<Event>, ahead: Option<SimTime>) -> crate::Result<()> {
+    /// A decode lane whose next step this event started may run ahead over
+    /// steps ending before `ahead` (just past the pump's horizon) and before
+    /// every queued event, including the rest of the current instant.
+    fn step(&mut self, scheduled: Scheduled<Event>, ahead: SimTime) -> crate::Result<()> {
         self.processed += 1;
         if !matches!(
             scheduled.event,
@@ -2770,7 +2648,7 @@ impl ClusterSession {
             self.cluster.instances[idx].try_start_into(now, &mut self.started_scratch);
             self.cluster.register_steps(idx, &self.started_scratch, now);
         }
-        let held = ahead.and_then(|bound| self.held_step(now, bound));
+        let held = self.held_step(now, ahead);
         let mut deferred = std::mem::take(&mut self.cluster.deferred);
         let held = held.map(|(pos, until)| (deferred.remove(pos), until));
         for (at, ev) in deferred.drain(..) {
@@ -2967,7 +2845,7 @@ impl ClusterSession {
 
     /// Finalizes the session: audits, checks for deadlock, and assembles
     /// the [`RunReport`] and [`TraceLog`] exactly as a closed-loop
-    /// [`Cluster::run_traced`] would.
+    /// [`Cluster::run`] would.
     ///
     /// # Errors
     ///

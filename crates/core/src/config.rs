@@ -411,10 +411,6 @@ pub struct ServeConfig {
     /// files). `None` leaves workload selection to the caller (CLI flags,
     /// bench harness).
     pub workload: Option<WorkloadSpec>,
-    /// Enables the cost model's step-time cache (the default). The cache
-    /// reconstructs exact step times — disabling it changes nothing but
-    /// speed, and exists so perf tooling can prove that equivalence.
-    pub cost_cache: bool,
 }
 
 impl ServeConfig {
@@ -457,7 +453,6 @@ impl ServeConfig {
             overload: None,
             prefix_cache: None,
             workload: None,
-            cost_cache: true,
         }
     }
 

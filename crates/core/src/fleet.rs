@@ -36,7 +36,7 @@
 //! ```
 //! use windserve::fleet::FleetConfig;
 //!
-//! let report = FleetConfig::example().build()?.run(1)?;
+//! let (report, _) = FleetConfig::example().build()?.run(1)?;
 //! assert_eq!(report.deployments.len(), 2);
 //! assert!(report.pool.balanced);
 //! for tenant in &report.tenants {
@@ -45,7 +45,7 @@
 //! # Ok::<(), windserve::Error>(())
 //! ```
 
-use crate::cluster::{Cluster, DrainMode};
+use crate::cluster::Cluster;
 use crate::config::{ServeConfig, SystemKind};
 use crate::configfile;
 use crate::error::{Error, Result};
@@ -602,51 +602,16 @@ impl Fleet {
     }
 
     /// Runs the fleet with up to `jobs` deployments executing
-    /// concurrently. The report is byte-identical for any `jobs >= 1`.
+    /// concurrently, returning the report together with a fleet-level
+    /// trace log of every lease movement ([`TraceEvent::FleetLease`]).
+    /// Both are byte-identical for any `jobs >= 1`.
     ///
     /// # Errors
     ///
     /// Returns the first deployment's error (prefixed with its name), or
     /// [`crate::Error::Fleet`] if planning or lease
     /// accounting fails.
-    pub fn run(&self, jobs: usize) -> Result<FleetReport> {
-        self.run_traced(jobs).map(|(report, _)| report)
-    }
-
-    /// [`Fleet::run`] with an explicit per-deployment event-drain mode
-    /// (see [`crate::Cluster::run_with_drain`]). Exists so the
-    /// equivalence suite can prove batched and sequential draining
-    /// byte-identical through the fleet layer too.
-    ///
-    /// # Errors
-    ///
-    /// See [`Fleet::run`].
-    pub fn run_with_drain(&self, jobs: usize, mode: DrainMode) -> Result<FleetReport> {
-        self.run_traced_with_drain(jobs, mode)
-            .map(|(report, _)| report)
-    }
-
-    /// Like [`Fleet::run`], also returning a fleet-level trace log of every
-    /// lease movement ([`TraceEvent::FleetLease`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Fleet::run`].
-    pub fn run_traced(&self, jobs: usize) -> Result<(FleetReport, TraceLog)> {
-        self.run_traced_with_drain(jobs, DrainMode::default())
-    }
-
-    /// [`Fleet::run_traced`] with an explicit event-drain mode; see
-    /// [`Fleet::run_with_drain`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Fleet::run`].
-    pub fn run_traced_with_drain(
-        &self,
-        jobs: usize,
-        mode: DrainMode,
-    ) -> Result<(FleetReport, TraceLog)> {
+    pub fn run(&self, jobs: usize) -> Result<(FleetReport, TraceLog)> {
         let mut inventory = GpuInventory::new(&self.cfg.topology);
         let mut events: Vec<TimedEvent> = Vec::new();
         let plans = self.plan(&mut inventory, &mut events)?;
@@ -676,7 +641,7 @@ impl Fleet {
 
         let slos: Vec<_> = runs.iter().map(|(serve, _)| serve.slo).collect();
         let reports = parallel_indexed(jobs, runs, |(serve, trace)| {
-            Cluster::new(serve)?.run_with_drain(&trace, mode)
+            Cluster::new(serve)?.run(&trace).map(|(report, _)| report)
         });
 
         let mut deployments = Vec::new();
@@ -1018,7 +983,7 @@ mod tests {
 
     #[test]
     fn two_deployments_share_the_pool_and_balance() {
-        let report = tiny_fleet().build().unwrap().run(1).unwrap();
+        let (report, _) = tiny_fleet().build().unwrap().run(1).unwrap();
         assert_eq!(report.deployments.len(), 2);
         assert_eq!(report.tenants.len(), 2);
         assert!(report.pool.balanced);
@@ -1106,7 +1071,7 @@ mod tests {
             d.expansion_units = 2;
         }
         let fleet = cfg.build().unwrap();
-        let (report, log) = fleet.run_traced(1).unwrap();
+        let (report, log) = fleet.run(1).unwrap();
         let actions: Vec<LeaseAction> = log
             .lease_events()
             .iter()
@@ -1159,7 +1124,7 @@ tier = 0
         assert_eq!(cfg.deployments.len(), 1);
         let base = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
         assert_eq!(cfg.deployments[0].serve.model, base.model);
-        let report = cfg.build().unwrap().run(2).unwrap();
+        let (report, _) = cfg.build().unwrap().run(2).unwrap();
         assert_eq!(report.tenants[0].summary.completed, 10);
     }
 }

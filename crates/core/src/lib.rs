@@ -37,9 +37,9 @@
 //!     200,
 //! )
 //! .generate(7)?;
-//! let wind = Cluster::new(ServeConfig::opt_13b_sharegpt(SystemKind::WindServe))?
+//! let (wind, _) = Cluster::new(ServeConfig::opt_13b_sharegpt(SystemKind::WindServe))?
 //!     .run(&trace)?;
-//! let dist = Cluster::new(ServeConfig::opt_13b_sharegpt(SystemKind::DistServe))?
+//! let (dist, _) = Cluster::new(ServeConfig::opt_13b_sharegpt(SystemKind::DistServe))?
 //!     .run(&trace)?;
 //! assert!(wind.summary.ttft.p50 <= dist.summary.ttft.p50 * 1.05);
 //! # Ok(())
@@ -57,7 +57,7 @@
 //! let trace = Scenario::single_shot(
 //!     Dataset::sharegpt(2048), ArrivalProcess::poisson(16.0), 50)
 //!     .generate(7)?;
-//! let (report, log) = Cluster::new(cfg)?.run_traced(&trace)?;
+//! let (report, log) = Cluster::new(cfg)?.run(&trace)?;
 //! assert_eq!(report.summary.completed, 50);
 //! assert!(!log.dispatch_decisions().is_empty());
 //! let _json = log.to_chrome_json(); // load in Perfetto / chrome://tracing
@@ -85,9 +85,7 @@ mod report;
 
 pub use budget::calibrate_aux_budget;
 pub use builder::ServeConfigBuilder;
-pub use cluster::{
-    Cluster, ClusterSession, DrainMode, InstanceSnapshot, LiveEvent, SessionSnapshot,
-};
+pub use cluster::{Cluster, ClusterSession, InstanceSnapshot, LiveEvent, SessionSnapshot};
 pub use config::{
     AutoscaleConfig, OverloadConfig, PrefixCacheConfig, ServeConfig, SystemKind, VictimPolicy,
     WorkloadSpec,

@@ -131,40 +131,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Removes every event firing at `at` — the current earliest instant —
-    /// and appends them to `out` in `(at, seq)` order.
-    ///
-    /// Returns the number of events drained. The cohort is exactly the set
-    /// of entries whose timestamp equals `at` *at call time*; events newly
-    /// scheduled for the same instant while the caller processes the batch
-    /// form the next cohort, so interleaving `drain_at` with `schedule` is
-    /// byte-identical to popping one event at a time. Draining advances the
-    /// queue's notion of "now" just like [`pop`](Self::pop).
-    ///
-    /// Draining at a time other than [`peek_time`](Self::peek_time) (or on
-    /// an empty queue) removes nothing and returns 0: skipping over earlier
-    /// events would break causality.
-    pub fn drain_at(&mut self, at: SimTime, out: &mut Vec<Scheduled<E>>) -> usize {
-        let mut drained = 0;
-        loop {
-            // Only the earliest instant may drain; an `at` in the future
-            // would skip over earlier entries.
-            if self.heap.peek().is_none_or(|e| e.at != at) {
-                break;
-            }
-            let Some(entry) = self.heap.pop() else { break };
-            debug_assert!(entry.at >= self.last_popped);
-            self.last_popped = entry.at;
-            out.push(Scheduled {
-                at: entry.at,
-                seq: entry.seq,
-                event: entry.event,
-            });
-            drained += 1;
-        }
-        drained
-    }
-
     /// Moves "now" forward to `to` without delivering anything: for a
     /// caller that applied events of its own, which it never scheduled
     /// here, up to `to`.
@@ -229,40 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_at_takes_exactly_the_earliest_cohort() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(5), 'a');
-        q.schedule(SimTime::from_micros(5), 'b');
-        q.schedule(SimTime::from_micros(9), 'c');
-        let mut out = Vec::new();
-        assert_eq!(q.drain_at(SimTime::from_micros(5), &mut out), 2);
-        assert_eq!(
-            out.iter().map(|s| s.event).collect::<Vec<_>>(),
-            vec!['a', 'b']
-        );
-        assert_eq!(q.now(), SimTime::from_micros(5));
-        // Draining at a non-earliest instant is a no-op.
-        out.clear();
-        assert_eq!(q.drain_at(SimTime::from_micros(7), &mut out), 0);
-        assert!(out.is_empty());
-        assert_eq!(q.pop().unwrap().event, 'c');
-    }
-
-    #[test]
-    fn drain_then_schedule_same_instant_forms_a_new_cohort() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_micros(3);
-        q.schedule(t, 0);
-        let mut out = Vec::new();
-        q.drain_at(t, &mut out);
-        // A same-instant event scheduled after the drain is still delivered
-        // (next cohort), exactly as a sequential pop loop would.
-        q.schedule(t, 1);
-        q.drain_at(t, &mut out);
-        assert_eq!(out.iter().map(|s| s.event).collect::<Vec<_>>(), vec![0, 1]);
-    }
-
-    #[test]
     fn advance_moves_now_up_to_the_next_event() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(9), 'a');
@@ -307,64 +239,47 @@ mod tests {
             prop_assert_eq!(count, times.len());
         }
 
-        /// `drain_at` must deliver the exact same `(at, seq)` stream as a
-        /// sequential pop loop, under arbitrary interleavings of schedule
-        /// and drain operations (schedule times are offsets from "now" so
-        /// causality always holds).
+        /// Interleaving `advance_to` (never past the next pending event)
+        /// with schedules and pops keeps delivery in `(at, seq)` order and
+        /// "now" monotone: what the run-ahead relies on when it moves "now"
+        /// over steps it applied itself.
         #[test]
-        fn drain_at_matches_sequential_pops(
-            ops in proptest::collection::vec(
-                prop_oneof![
-                    (0u64..50).prop_map(Some), // schedule at now + offset
-                    Just(None),                // drain the earliest cohort
-                ],
-                1..200,
-            )
+        fn advance_to_keeps_delivery_ordered(
+            ops in proptest::collection::vec((0u8..3, 0u64..50), 1..200)
         ) {
-            let mut batched = EventQueue::new();
-            let mut sequential = EventQueue::new();
-            let mut batched_log = Vec::new();
-            let mut sequential_log = Vec::new();
-            let mut scratch = Vec::new();
-            let mut next_payload = 0u32;
-            for op in ops {
+            let mut q = EventQueue::new();
+            let mut last: Option<(SimTime, u64)> = None;
+            let mut scheduled = 0;
+            let mut delivered = 0;
+            for (op, offset) in ops {
+                let now = q.now();
+                let later = SimTime::from_micros(now.as_micros() + offset);
                 match op {
-                    Some(offset) => {
-                        let at = SimTime::from_micros(batched.now().as_micros() + offset);
-                        batched.schedule(at, next_payload);
-                        sequential.schedule(at, next_payload);
-                        next_payload += 1;
+                    0 => {
+                        q.schedule(later, ());
+                        scheduled += 1;
                     }
-                    None => {
-                        if let Some(t) = batched.peek_time() {
-                            scratch.clear();
-                            batched.drain_at(t, &mut scratch);
-                            prop_assert!(!scratch.is_empty());
-                            batched_log.extend(
-                                scratch.iter().map(|s| (s.at, s.seq, s.event)),
-                            );
-                            while sequential.peek_time() == Some(t) {
-                                let s = sequential.pop().unwrap();
-                                sequential_log.push((s.at, s.seq, s.event));
-                            }
+                    1 => {
+                        if let Some(ev) = q.pop() {
+                            prop_assert!(ev.at >= now);
+                            prop_assert!(last < Some((ev.at, ev.seq)));
+                            last = Some((ev.at, ev.seq));
+                            delivered += 1;
                         }
+                    }
+                    _ => {
+                        let to = q.peek_time().map_or(later, |next| later.min(next));
+                        q.advance_to(to);
+                        prop_assert_eq!(q.now(), to);
                     }
                 }
             }
-            // Flush the rest the same way.
-            while let Some(t) = batched.peek_time() {
-                scratch.clear();
-                batched.drain_at(t, &mut scratch);
-                batched_log.extend(scratch.iter().map(|s| (s.at, s.seq, s.event)));
+            while let Some(ev) = q.pop() {
+                prop_assert!(last < Some((ev.at, ev.seq)));
+                last = Some((ev.at, ev.seq));
+                delivered += 1;
             }
-            while let Some(s) = sequential.pop() {
-                sequential_log.push((s.at, s.seq, s.event));
-            }
-            prop_assert_eq!(&batched_log, &sequential_log);
-            // The combined stream is (at, seq)-ordered.
-            for w in batched_log.windows(2) {
-                prop_assert!((w[0].0, w[0].1) < (w[1].0, w[1].1));
-            }
+            prop_assert_eq!(delivered, scheduled);
         }
 
         #[test]

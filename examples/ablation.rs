@@ -24,7 +24,7 @@ fn main() -> windserve::Result<()> {
         )
         .generate(seed)
         .expect("valid single-shot scenario");
-        let report = Cluster::new(cfg)?.run(&trace)?;
+        let (report, _) = Cluster::new(cfg)?.run(&trace)?;
         print_report(&format!("LongBench @ {rate} req/s/GPU"), &report);
         println!();
     }
@@ -43,7 +43,7 @@ fn main() -> windserve::Result<()> {
         )
         .generate(seed)
         .expect("valid single-shot scenario");
-        let report = Cluster::new(cfg)?.run(&trace)?;
+        let (report, _) = Cluster::new(cfg)?.run(&trace)?;
         print_report(
             &format!("ShareGPT [TP-2, TP-1] @ {} req/s/GPU", rate + 1.0),
             &report,

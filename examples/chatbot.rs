@@ -25,7 +25,7 @@ fn main() -> windserve::Result<()> {
         )
         .generate(seed)
         .expect("valid single-shot scenario");
-        let report = Cluster::new(cfg)?.run(&trace)?;
+        let (report, _) = Cluster::new(cfg)?.run(&trace)?;
         print_report(&format!("chatbot @ {rate} req/s/GPU"), &report);
         println!();
     }

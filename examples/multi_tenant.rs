@@ -32,7 +32,7 @@ fn main() -> windserve::Result<()> {
         .generate(seed + 1)
         .expect("valid single-shot scenario");
         let mixed = chat.merge(&summarize);
-        let report = Cluster::new(cfg)?.run(&mixed)?;
+        let (report, _) = Cluster::new(cfg)?.run(&mixed)?;
         print_report(
             &format!("multi-tenant (70% chat + 30% summarization) @ {rate} req/s/GPU"),
             &report,

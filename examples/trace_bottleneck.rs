@@ -24,7 +24,7 @@ fn main() -> windserve::Result<()> {
     )
     .generate(0xF1612)
     .expect("valid single-shot scenario");
-    let (report, log) = Cluster::new(cfg)?.run_traced(&trace)?;
+    let (report, log) = Cluster::new(cfg)?.run(&trace)?;
 
     println!(
         "{} @ {rate} req/s/GPU: {} requests, {} trace events over {:.1}s",

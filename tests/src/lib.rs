@@ -4,7 +4,7 @@
 //! utilities they share (trace construction, run drivers, tolerance
 //! assertions).
 
-use windserve::{Cluster, DrainMode, RunReport, ServeConfig};
+use windserve::{Cluster, RunReport, ServeConfig};
 use windserve_workload::{ArrivalProcess, Dataset, Scenario, Trace};
 
 /// Builds a ShareGPT-like trace at `total_rate` req/s.
@@ -36,16 +36,7 @@ pub fn run(cfg: ServeConfig, trace: &Trace) -> RunReport {
         .expect("config must be valid")
         .run(trace)
         .expect("run must complete")
-}
-
-/// Runs a config against a trace with sequential (one-event-at-a-time)
-/// event draining — the reference path the batched cohort drain must
-/// match byte for byte.
-pub fn run_sequential(cfg: ServeConfig, trace: &Trace) -> RunReport {
-    Cluster::new(cfg)
-        .expect("config must be valid")
-        .run_with_drain(trace, DrainMode::Sequential)
-        .expect("run must complete")
+        .0
 }
 
 /// Asserts `a <= b * factor` with a readable message.

@@ -136,8 +136,8 @@ fn seeded_fault_runs_replay_byte_identically() {
         ));
         cfg
     };
-    let (report_a, log_a) = Cluster::new(mk()).unwrap().run_traced(&trace).unwrap();
-    let (report_b, log_b) = Cluster::new(mk()).unwrap().run_traced(&trace).unwrap();
+    let (report_a, log_a) = Cluster::new(mk()).unwrap().run(&trace).unwrap();
+    let (report_b, log_b) = Cluster::new(mk()).unwrap().run(&trace).unwrap();
     assert_eq!(report_a, report_b, "fault runs must be deterministic");
     assert_eq!(
         log_a.to_chrome_json(),

@@ -35,8 +35,8 @@ fn two_deployment_fleet() -> FleetConfig {
 #[test]
 fn seeded_fleet_replay_is_byte_identical_across_jobs() {
     let fleet = two_deployment_fleet().build().unwrap();
-    let seq = fleet.run(1).unwrap();
-    let par = fleet.run(4).unwrap();
+    let (seq, _) = fleet.run(1).unwrap();
+    let (par, _) = fleet.run(4).unwrap();
     let seq_bytes = serde_json::to_string(&seq).unwrap();
     let par_bytes = serde_json::to_string(&par).unwrap();
     assert_eq!(
@@ -44,7 +44,7 @@ fn seeded_fleet_replay_is_byte_identical_across_jobs() {
         "fleet report must not depend on --jobs"
     );
     // And a fresh fleet from the same config reproduces it exactly.
-    let again = two_deployment_fleet().build().unwrap().run(2).unwrap();
+    let (again, _) = two_deployment_fleet().build().unwrap().run(2).unwrap();
     assert_eq!(seq_bytes, serde_json::to_string(&again).unwrap());
 }
 
@@ -55,8 +55,8 @@ fn faulted_fleet_replay_is_byte_identical_across_jobs() {
     // recovery machinery participates in the replay.
     cfg.deployments[0].serve.faults = Some(FaultPlan::flaky_transfers(0x5EED));
     let fleet = cfg.build().unwrap();
-    let seq = fleet.run(1).unwrap();
-    let par = fleet.run(4).unwrap();
+    let (seq, _) = fleet.run(1).unwrap();
+    let (par, _) = fleet.run(4).unwrap();
     assert_eq!(
         serde_json::to_string(&seq).unwrap(),
         serde_json::to_string(&par).unwrap(),
@@ -88,7 +88,7 @@ fn lease_grants_equal_reclaims_plus_returns() {
         max_rebalances: 4,
     });
     let fleet = cfg.build().unwrap();
-    let (report, log) = fleet.run_traced(1).unwrap();
+    let (report, log) = fleet.run(1).unwrap();
 
     let moved = |want: LeaseAction| -> u64 {
         log.lease_events()
@@ -114,7 +114,7 @@ fn lease_grants_equal_reclaims_plus_returns() {
 
 #[test]
 fn per_tenant_summaries_partition_each_deployment() {
-    let report = two_deployment_fleet().build().unwrap().run(2).unwrap();
+    let (report, _) = two_deployment_fleet().build().unwrap().run(2).unwrap();
     for d in &report.deployments {
         let tenant_total: usize = report
             .tenants

@@ -197,7 +197,7 @@ fn fleet() -> Vec<Row> {
     [1, 4]
         .into_iter()
         .map(|jobs| {
-            let report = fleet.run(jobs).expect("fleet run");
+            let (report, _) = fleet.run(jobs).expect("fleet run");
             (format!("fleet/example/jobs-{jobs}"), digest(&report))
         })
         .collect()
@@ -212,7 +212,7 @@ fn traced() -> Vec<Row> {
     let trace = sharegpt_trace(cfg.total_rate(3.0), 150, 77);
     let (report, log) = windserve::Cluster::new(cfg)
         .expect("valid config")
-        .run_traced(&trace)
+        .run(&trace)
         .expect("traced run");
     assert!(!log.is_empty(), "full tracing must record events");
     vec![
@@ -226,7 +226,7 @@ fn traced_longbench_overload() -> Vec<Row> {
     let (cfg, trace) = longbench_overload_cfg(TraceMode::Full);
     let (report, log) = windserve::Cluster::new(cfg)
         .expect("valid config")
-        .run_traced(&trace)
+        .run(&trace)
         .expect("traced run");
     assert!(report.dispatched_prefills > 0, "overload must dispatch");
     vec![

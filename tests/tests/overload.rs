@@ -140,8 +140,8 @@ fn preemption_runs_replay_byte_identically() {
         cfg
     };
     let trace = sharegpt_trace(12.0, 200, 127).with_tiers(3, 127);
-    let (report_a, log_a) = Cluster::new(mk()).unwrap().run_traced(&trace).unwrap();
-    let (report_b, log_b) = Cluster::new(mk()).unwrap().run_traced(&trace).unwrap();
+    let (report_a, log_a) = Cluster::new(mk()).unwrap().run(&trace).unwrap();
+    let (report_b, log_b) = Cluster::new(mk()).unwrap().run(&trace).unwrap();
     assert!(
         report_a.requests_preempted > 0,
         "test must exercise preemption"
@@ -179,7 +179,7 @@ fn watchdog_aborts_fault_stranded_work_instead_of_deadlocking() {
         max_queued_requests: None,
         ..Default::default()
     });
-    let report = Cluster::new(with_watchdog)
+    let (report, _) = Cluster::new(with_watchdog)
         .unwrap()
         .run(&trace)
         .expect("the watchdog must drain the stranded run");
@@ -220,7 +220,7 @@ fn every_arrival_gets_an_admission_trace_event() {
     let mut cfg = controlled(OverloadConfig::default());
     cfg.trace = TraceMode::Full;
     let trace = sharegpt_trace(24.0, 150, 139).with_tiers(3, 139);
-    let (report, log) = Cluster::new(cfg).unwrap().run_traced(&trace).unwrap();
+    let (report, log) = Cluster::new(cfg).unwrap().run(&trace).unwrap();
     let decisions = log.admission_decisions();
     assert_eq!(
         decisions.len(),

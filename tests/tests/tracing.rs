@@ -17,8 +17,8 @@ fn sharegpt_trace(requests: usize, rate_per_gpu: f64, cfg: &ServeConfig, seed: u
     .expect("valid single-shot scenario")
 }
 
-fn run_traced(cfg: ServeConfig, trace: &Trace) -> (RunReport, TraceLog) {
-    Cluster::new(cfg).unwrap().run_traced(trace).unwrap()
+fn traced_run(cfg: ServeConfig, trace: &Trace) -> (RunReport, TraceLog) {
+    Cluster::new(cfg).unwrap().run(trace).unwrap()
 }
 
 /// Two runs with the same seed and configuration must export byte-identical
@@ -32,8 +32,8 @@ fn same_seed_runs_export_byte_identical_traces() {
         .unwrap();
     let trace = sharegpt_trace(200, 3.0, &cfg, 77);
 
-    let (report_a, log_a) = run_traced(cfg.clone(), &trace);
-    let (report_b, log_b) = run_traced(cfg, &trace);
+    let (report_a, log_a) = traced_run(cfg.clone(), &trace);
+    let (report_b, log_b) = traced_run(cfg, &trace);
 
     assert_eq!(report_a.summary.completed, 200);
     assert_eq!(report_b.summary.completed, 200);
@@ -53,17 +53,19 @@ fn null_sink_records_nothing() {
     assert_eq!(cfg.trace, TraceMode::Off);
     let trace = sharegpt_trace(100, 3.0, &cfg, 7);
 
-    let (report, log) = run_traced(cfg.clone(), &trace);
+    let (report, log) = traced_run(cfg.clone(), &trace);
     assert_eq!(report.summary.completed, 100);
     assert!(log.is_empty());
     assert_eq!(log.len(), 0);
     assert!(log.dispatch_decisions().is_empty());
     assert!(log.request_ids().is_empty());
 
-    // The traced and untraced entry points agree on the outcome.
-    let plain = Cluster::new(cfg).unwrap().run(&trace).unwrap();
-    assert_eq!(plain.summary.completed, report.summary.completed);
-    assert_eq!(plain.dispatched_prefills, report.dispatched_prefills);
+    // Recording a full trace does not change the outcome.
+    let mut full_cfg = cfg;
+    full_cfg.trace = TraceMode::Full;
+    let (traced, _) = traced_run(full_cfg, &trace);
+    assert_eq!(traced.summary.completed, report.summary.completed);
+    assert_eq!(traced.dispatched_prefills, report.dispatched_prefills);
 }
 
 /// A ring buffer keeps only the most recent events, bounded by its capacity.
@@ -74,14 +76,14 @@ fn ring_buffer_keeps_only_the_tail() {
         .build()
         .unwrap();
     let trace = sharegpt_trace(150, 3.0, &cfg, 21);
-    let (_, ring_log) = run_traced(cfg.clone(), &trace);
+    let (_, ring_log) = traced_run(cfg.clone(), &trace);
 
     let full_cfg = cfg
         .to_builder()
         .with_trace(TraceMode::Full)
         .build()
         .unwrap();
-    let (_, full_log) = run_traced(full_cfg, &trace);
+    let (_, full_log) = traced_run(full_cfg, &trace);
 
     assert_eq!(ring_log.len(), 64);
     assert!(full_log.len() > 64);
@@ -104,7 +106,7 @@ fn dispatch_rejections_are_audited_with_ttft_pred_inputs() {
         .build()
         .unwrap();
     let trace = sharegpt_trace(120, 3.0, &cfg, 99);
-    let (_, log) = run_traced(cfg, &trace);
+    let (_, log) = traced_run(cfg, &trace);
 
     let decisions = log.dispatch_decisions();
     assert!(!decisions.is_empty(), "no dispatch decisions recorded");
@@ -143,7 +145,7 @@ fn chrome_export_has_lifecycle_spans_and_decision_instants() {
         .build()
         .unwrap();
     let trace = sharegpt_trace(80, 3.0, &cfg, 5);
-    let (_, log) = run_traced(cfg, &trace);
+    let (_, log) = traced_run(cfg, &trace);
 
     let json = log.to_chrome_json();
     let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
@@ -195,7 +197,7 @@ fn event_kind_labels_are_stable() {
         .build()
         .unwrap();
     let trace = sharegpt_trace(60, 3.0, &cfg, 11);
-    let (_, log) = run_traced(cfg, &trace);
+    let (_, log) = traced_run(cfg, &trace);
     for e in log.events() {
         match &e.event {
             TraceEvent::Queued { .. } => assert_eq!(e.event.kind(), "queued"),
