@@ -2775,7 +2775,7 @@ impl ClusterSession {
                     duration_us: (end - started).as_micros(),
                 });
                 if cluster.live.is_some() {
-                    for &id in cluster.instances[inst].step_members(lane) {
+                    for id in cluster.instances[inst].step_members(lane) {
                         push_live(&mut cluster.live, LiveEvent::Token { id, at: end });
                     }
                 }

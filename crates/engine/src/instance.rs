@@ -21,8 +21,8 @@ use std::collections::VecDeque;
 use windserve_gpu::{KernelCost, StreamSharing};
 use windserve_kvcache::{BackupStore, BlockManager};
 use windserve_model::{BatchPlan, CostModel};
-use windserve_sim::hash::{FxHashMap, FxHashSet};
-use windserve_sim::{SimDuration, SimTime};
+use windserve_sim::hash::FxHashSet;
+use windserve_sim::{KeyedSlab, SimDuration, SimTime};
 use windserve_workload::RequestId;
 
 /// Key used for a request's backup copy in the KV manager — disjoint from
@@ -31,20 +31,33 @@ pub(crate) fn backup_key(id: RequestId) -> u64 {
     id.0 | (1 << 63)
 }
 
+/// A decoding sequence as a lane or a running step holds it: the request,
+/// the slot of its [`SeqState`] in [`Instance::seqs`] and the slot of its
+/// KV table in the block manager, so per-member work reaches both by
+/// index. Both slots stay valid while the sequence is decoding; a step
+/// member preempted mid-step keeps a stale KV slot, which completion never
+/// reads (it appends only to members still decoding).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Member {
+    pub(crate) id: RequestId,
+    pub(crate) seq: u32,
+    pub(crate) kv: u32,
+}
+
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RunningStep {
     pub(crate) kind: StepKind,
     pub(crate) started: SimTime,
     pub(crate) ends_at: SimTime,
     pub(crate) kernel: KernelCost,
-    pub(crate) decode_ids: Vec<RequestId>,
+    pub(crate) decode_ids: Vec<Member>,
     /// `(request, new prompt tokens processed this step)`.
     pub(crate) prefill_ids: Vec<(RequestId, u32)>,
 }
 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Lane {
-    pub(crate) running: Vec<RequestId>,
+    pub(crate) running: Vec<Member>,
     pub(crate) step: Option<RunningStep>,
 }
 
@@ -61,7 +74,8 @@ pub struct Instance {
     pub(crate) sharing: StreamSharing,
     pub(crate) kv: BlockManager,
     pub(crate) backups: BackupStore,
-    pub(crate) seqs: FxHashMap<u64, SeqState>,
+    /// Live sequences, keyed by raw request id.
+    pub(crate) seqs: KeyedSlab<SeqState>,
     pub(crate) waiting_prefill: VecDeque<RequestId>,
     /// Σ `prompt_remaining()` over `waiting_prefill`, kept in step with
     /// every push and removal so the Algorithm 1 backlog query is O(1).
@@ -84,11 +98,11 @@ pub struct Instance {
     /// Recycled `decode_ids` buffers: step formation takes one, step
     /// completion returns it, so steady-state stepping allocates no fresh
     /// membership `Vec`s. Bounded by the number of concurrent steps.
-    pub(crate) idvec_pool: Vec<Vec<RequestId>>,
+    pub(crate) idvec_pool: Vec<Vec<Member>>,
     /// Recycled `prefill_ids` buffers, same lifecycle as `idvec_pool`.
     pub(crate) jobvec_pool: Vec<Vec<(RequestId, u32)>>,
     /// Per-formation scratch of lane-member context lengths, filled by the
-    /// single prefetch pass so batch pricing re-reads no hash maps.
+    /// single prefetch pass for pricing a hybrid step's plan.
     pub(crate) ctx_scratch: Vec<u32>,
     /// Members of the forming step whose first decode iteration this is,
     /// collected during the same prefetch pass.
@@ -129,7 +143,7 @@ impl Instance {
         Ok(Instance {
             kv: BlockManager::new(blocks, cfg.block_tokens),
             backups: BackupStore::new(),
-            seqs: FxHashMap::default(),
+            seqs: KeyedSlab::new(),
             waiting_prefill: VecDeque::new(),
             waiting_prefill_tokens: 0,
             waiting_decode: VecDeque::new(),
@@ -215,8 +229,8 @@ impl Instance {
     ) {
         let seq = SeqState::new_with_cached(id, prompt_tokens, cached_tokens, output_target);
         let remaining = u64::from(seq.prompt_remaining());
-        let prior = self.seqs.insert(id.0, seq);
-        assert!(prior.is_none(), "{id} enqueued twice");
+        assert!(!self.seqs.contains_key(id.0), "{id} enqueued twice");
+        self.seqs.insert(id.0, seq);
         self.waiting_prefill.push_back(id);
         self.waiting_prefill_tokens += remaining;
     }
@@ -230,8 +244,8 @@ impl Instance {
     pub fn enqueue_decode_arrival(&mut self, state: SeqState) {
         let id = state.id;
         assert_eq!(state.phase, SeqPhase::DecodeWaiting, "not a decode arrival");
-        let prior = self.seqs.insert(id.0, state);
-        assert!(prior.is_none(), "{id} enqueued twice");
+        assert!(!self.seqs.contains_key(id.0), "{id} enqueued twice");
+        self.seqs.insert(id.0, state);
         self.waiting_decode.push_back(id);
     }
 
@@ -244,7 +258,7 @@ impl Instance {
     /// Panics if the request is unknown or its prompt is not fully
     /// processed.
     pub fn promote_to_decode(&mut self, id: RequestId) {
-        let seq = self.seqs.get_mut(&id.0).expect("unknown sequence");
+        let seq = self.seq_mut(id);
         assert_eq!(seq.prompt_remaining(), 0, "{id} prompt not fully prefilled");
         assert!(!seq.is_done(), "{id} already complete");
         seq.phase = SeqPhase::DecodeWaiting;
@@ -255,7 +269,7 @@ impl Instance {
     /// to the decode instance completed). Idempotent.
     pub fn release_sequence(&mut self, id: RequestId) {
         self.kv.release(id.0);
-        self.seqs.remove(&id.0);
+        self.seqs.remove(id.0);
     }
 
     /// Instead of releasing after handoff, retain the KV as a best-effort
@@ -263,11 +277,11 @@ impl Instance {
     /// Returns true if the backup was kept.
     pub fn convert_to_backup(&mut self, id: RequestId, free_watermark: f64) -> bool {
         let Some(tokens) = self.kv.tokens_of(id.0) else {
-            self.seqs.remove(&id.0);
+            self.seqs.remove(id.0);
             return false;
         };
         self.kv.release(id.0);
-        self.seqs.remove(&id.0);
+        self.seqs.remove(id.0);
         let needed = self.kv.blocks_for(tokens);
         let after = (self.kv.free_blocks() - needed.min(self.kv.free_blocks())) as f64
             / self.kv.total_blocks() as f64;
@@ -396,13 +410,16 @@ impl Instance {
     /// returned here.
     pub fn request_pause(&mut self, id: RequestId) -> Option<crate::outcome::PausedSeq> {
         let in_lane = self.lanes.iter().any(|l| {
-            l.running.contains(&id) || l.step.as_ref().is_some_and(|s| s.decode_ids.contains(&id))
+            l.running.iter().any(|m| m.id == id)
+                || l.step
+                    .as_ref()
+                    .is_some_and(|s| s.decode_ids.iter().any(|m| m.id == id))
         });
         if in_lane {
             self.pause_requests.insert(id.0);
             return None;
         }
-        if !self.seqs.contains_key(&id.0) {
+        if !self.seqs.contains_key(id.0) {
             return None;
         }
         Some(self.detach_for_pause(id))
@@ -463,8 +480,8 @@ impl Instance {
         self.lanes
             .iter()
             .flat_map(|l| l.running.iter())
-            .filter(|id| !self.migrating.contains(&id.0))
-            .filter_map(|id| self.seqs.get(&id.0).map(|s| (s.id, s.context())))
+            .filter(|m| !self.migrating.contains(&m.id.0))
+            .map(|m| (m.id, self.seqs.at(m.seq).context()))
             .collect()
     }
 
@@ -489,13 +506,13 @@ impl Instance {
 
     /// The context length of sequence `id`, if it lives here.
     pub fn context_of(&self, id: RequestId) -> Option<u32> {
-        self.seqs.get(&id.0).map(|s| s.context())
+        self.seqs.get(id.0).map(|s| s.context())
     }
 
     /// True if sequence `id` lives here and has produced all of its output
     /// tokens (e.g. a one-token request fully answered by its prefill).
     pub fn sequence_is_done(&self, id: RequestId) -> bool {
-        self.seqs.get(&id.0).map(|s| s.is_done()).unwrap_or(false)
+        self.seqs.get(id.0).is_some_and(|s| s.is_done())
     }
 
     // ------------------------------------------------------------------
@@ -504,7 +521,7 @@ impl Instance {
 
     /// True if sequence `id` lives on this instance in any state.
     pub fn has_sequence(&self, id: RequestId) -> bool {
-        self.seqs.contains_key(&id.0)
+        self.seqs.contains_key(id.0)
     }
 
     /// True if `id` is a member of a currently *executing* step (main lane
@@ -512,7 +529,7 @@ impl Instance {
     /// must not be aborted out from under its completion event.
     pub fn in_running_step(&self, id: RequestId) -> bool {
         let in_step = |s: &RunningStep| {
-            s.decode_ids.contains(&id) || s.prefill_ids.iter().any(|&(p, _)| p == id)
+            s.decode_ids.iter().any(|m| m.id == id) || s.prefill_ids.iter().any(|&(p, _)| p == id)
         };
         self.lanes
             .iter()
@@ -526,12 +543,7 @@ impl Instance {
     pub fn queued_prefill_ids(&self) -> Vec<RequestId> {
         self.waiting_prefill
             .iter()
-            .filter(|id| {
-                self.seqs
-                    .get(&id.0)
-                    .map(|s| s.prefill_untouched())
-                    .unwrap_or(false)
-            })
+            .filter(|id| self.seqs.get(id.0).is_some_and(|s| s.prefill_untouched()))
             .copied()
             .collect()
     }
@@ -542,15 +554,14 @@ impl Instance {
     pub fn cancel_queued_prefill(&mut self, id: RequestId) -> bool {
         let untouched = self
             .seqs
-            .get(&id.0)
-            .map(|s| s.phase == SeqPhase::Prefilling && s.prefill_untouched())
-            .unwrap_or(false);
+            .get(id.0)
+            .is_some_and(|s| s.phase == SeqPhase::Prefilling && s.prefill_untouched());
         if !untouched || !self.remove_waiting_prefill(id) {
             return false;
         }
         // Unstarted jobs have no KV allocation; release defensively anyway.
         self.kv.release(id.0);
-        self.seqs.remove(&id.0);
+        self.seqs.remove(id.0);
         true
     }
 
@@ -561,14 +572,14 @@ impl Instance {
     /// dropped regardless.
     pub fn abort_sequence(&mut self, id: RequestId) -> bool {
         self.drop_backup(id);
-        if self.in_running_step(id) || !self.seqs.contains_key(&id.0) {
+        if self.in_running_step(id) || !self.seqs.contains_key(id.0) {
             return false;
         }
         // Before the state goes: the backlog count needs its remainder.
         self.remove_waiting_prefill(id);
-        self.seqs.remove(&id.0);
+        self.seqs.remove(id.0);
         for lane in &mut self.lanes {
-            lane.running.retain(|r| *r != id);
+            lane.running.retain(|m| m.id != id);
         }
         self.swapped.retain(|r| *r != id);
         self.waiting_decode.retain(|r| *r != id);
@@ -590,7 +601,11 @@ impl Instance {
     /// 4. every resident KV table belongs to a live sequence or a live
     ///    backup;
     /// 5. the running prefill backlog count equals Σ `prompt_remaining()`
-    ///    over the prefill waiting queue.
+    ///    over the prefill waiting queue;
+    /// 6. every lane member's and running-step member's slots resolve to
+    ///    the live sequence with its id and, while it decodes, to that
+    ///    sequence's KV table, whose tokens trail its context by at most
+    ///    one (the first token of a local prefill).
     ///
     /// # Errors
     ///
@@ -605,7 +620,7 @@ impl Instance {
             if !seen.insert(id.0) {
                 return Err(format!("{name}: {id} appears twice (last seen in {place})"));
             }
-            let Some(seq) = self.seqs.get(&id.0) else {
+            let Some(seq) = self.seqs.get(id.0) else {
                 return Err(format!("{name}: {id} in {place} has no sequence state"));
             };
             if seq.prefilled > seq.prompt_tokens {
@@ -637,7 +652,8 @@ impl Instance {
         let backlog: u64 = self
             .waiting_prefill
             .iter()
-            .map(|id| u64::from(self.seqs[&id.0].prompt_remaining()))
+            .filter_map(|id| self.seqs.get(id.0))
+            .map(|seq| u64::from(seq.prompt_remaining()))
             .sum();
         if backlog != self.waiting_prefill_tokens {
             return Err(format!(
@@ -652,8 +668,15 @@ impl Instance {
             check(id, "swapped")?;
         }
         for lane in &self.lanes {
-            for &id in &lane.running {
-                check(id, "lane")?;
+            for &m in &lane.running {
+                check(m.id, "lane")?;
+                self.check_member(m, "lane")?;
+            }
+        }
+        let steps = self.lanes.iter().filter_map(|l| l.step.as_ref());
+        for step in steps.chain(&self.aux_step) {
+            for &m in &step.decode_ids {
+                self.check_member(m, "running step")?;
             }
         }
         for key in self.kv.resident_keys() {
@@ -662,9 +685,42 @@ impl Instance {
                 if self.backups.tokens_of(raw).is_none() {
                     return Err(format!("{name}: KV backup table {raw} has no backup entry"));
                 }
-            } else if !self.seqs.contains_key(&key) {
+            } else if !self.seqs.contains_key(key) {
                 return Err(format!("{name}: KV table {key} has no live sequence"));
             }
+        }
+        Ok(())
+    }
+
+    /// Invariant 6 of [`Instance::check_invariants`] for one member.
+    fn check_member(&self, m: Member, place: &str) -> Result<(), String> {
+        let (name, id) = (self.name(), m.id);
+        let seq_slot = self.seqs.slot_of(id.0);
+        if seq_slot != Some(m.seq) {
+            return Err(format!(
+                "{name}: {id} in {place} has stale sequence slot {} (live: {seq_slot:?})",
+                m.seq
+            ));
+        }
+        let seq = self.seqs.at(m.seq);
+        // A step member preempted mid-step no longer decodes and holds no
+        // table until its step lands.
+        if seq.phase != SeqPhase::Decoding {
+            return Ok(());
+        }
+        let kv_slot = self.kv.slot_of(id.0);
+        if kv_slot != Some(m.kv) {
+            return Err(format!(
+                "{name}: {id} in {place} has stale KV slot {} (live: {kv_slot:?})",
+                m.kv
+            ));
+        }
+        let (tokens, _) = self.kv.fill_at(m.kv);
+        if !(tokens..=tokens + 1).contains(&seq.context()) {
+            return Err(format!(
+                "{name}: {id} in {place} has context {} over {tokens} KV tokens",
+                seq.context()
+            ));
         }
         Ok(())
     }
@@ -672,6 +728,39 @@ impl Instance {
     // ------------------------------------------------------------------
     // Internal helpers shared with the step module
     // ------------------------------------------------------------------
+
+    /// The live sequence `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not live here.
+    pub(crate) fn seq(&self, id: RequestId) -> &SeqState {
+        self.seqs.get(id.0).expect("unknown sequence")
+    }
+
+    /// The live sequence `id`, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not live here.
+    pub(crate) fn seq_mut(&mut self, id: RequestId) -> &mut SeqState {
+        self.seqs.get_mut(id.0).expect("unknown sequence")
+    }
+
+    /// Member `m`'s context and that context's offset in its last KV
+    /// block (`context % block_tokens`), read off the table's room with
+    /// no division: a decoding context runs at most one token ahead of
+    /// its KV.
+    #[inline]
+    pub(crate) fn member_context(&self, m: Member) -> (&SeqState, u32) {
+        let bt = self.cfg.block_tokens;
+        let seq = self.seqs.at(m.seq);
+        let (tokens, room) = self.kv.fill_at(m.kv);
+        let ahead = seq.context() - tokens;
+        debug_assert!(ahead <= 1, "{} context runs {ahead} ahead of its KV", m.id);
+        let offset = kv_offset(room, bt) + ahead;
+        (seq, if offset >= bt { offset - bt } else { offset })
+    }
 
     /// Removes `id` from the prefill waiting queue in one pass, taking its
     /// remaining prompt off the backlog count. Returns whether it was
@@ -681,7 +770,7 @@ impl Instance {
             return false;
         };
         self.waiting_prefill.remove(pos);
-        self.waiting_prefill_tokens -= u64::from(self.seqs[&id.0].prompt_remaining());
+        self.waiting_prefill_tokens -= u64::from(self.seq(id).prompt_remaining());
         true
     }
 
@@ -718,6 +807,17 @@ impl Instance {
     /// Total running sequences across lanes.
     pub(crate) fn total_running(&self) -> usize {
         self.lanes.iter().map(|l| l.running.len()).sum()
+    }
+}
+
+/// `tokens % block_tokens` of a KV table with `room` tokens left in its
+/// last block.
+#[inline]
+pub(crate) fn kv_offset(room: u32, block_tokens: u32) -> u32 {
+    if room == 0 {
+        0
+    } else {
+        block_tokens - room
     }
 }
 
@@ -807,6 +907,34 @@ mod tests {
         inst.waiting_prefill_tokens += 1;
         let err = inst.check_invariants().unwrap_err();
         assert!(err.starts_with("p: prefill backlog count 701"), "{err}");
+    }
+
+    #[test]
+    fn auditor_catches_a_stale_slot() {
+        let mut inst = test_instance(InstanceRole::Decode);
+        inst.enqueue_decode_arrival(SeqState::arriving_for_decode(RequestId(1), 100, 50, 1, 0));
+        inst.enqueue_decode_arrival(SeqState::arriving_for_decode(RequestId(2), 300, 50, 1, 0));
+        assert_eq!(inst.try_start(SimTime::ZERO).len(), 1);
+        inst.check_invariants().unwrap();
+
+        // A lane member pointing at another sequence's KV table.
+        let other = inst.lanes[0].running[1].kv;
+        inst.lanes[0].running[0].kv = other;
+        let err = inst.check_invariants().unwrap_err();
+        assert!(err.starts_with("d: r1 in lane has stale KV slot"), "{err}");
+
+        // A running-step member pointing at another sequence's state.
+        let mut inst = test_instance(InstanceRole::Decode);
+        inst.enqueue_decode_arrival(SeqState::arriving_for_decode(RequestId(1), 100, 50, 1, 0));
+        inst.enqueue_decode_arrival(SeqState::arriving_for_decode(RequestId(2), 300, 50, 1, 0));
+        inst.try_start(SimTime::ZERO);
+        let step = inst.lanes[0].step.as_mut().unwrap();
+        step.decode_ids[1].seq = step.decode_ids[0].seq;
+        let err = inst.check_invariants().unwrap_err();
+        assert!(
+            err.starts_with("d: r2 in running step has stale sequence slot"),
+            "{err}"
+        );
     }
 
     #[test]

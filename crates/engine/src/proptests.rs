@@ -4,7 +4,7 @@
 //! every step.
 
 use crate::config::{InstanceConfig, InstanceRole, PreemptionMode};
-use crate::instance::Instance;
+use crate::instance::{Instance, Member};
 use crate::outcome::LaneRef;
 use crate::seq::SeqState;
 use proptest::prelude::*;
@@ -408,7 +408,7 @@ fn quiet_now(inst: &Instance) -> bool {
 fn quiet_after(
     inst: &Instance,
     out: &crate::outcome::StepOutcome,
-    members: &[RequestId],
+    members: &[Member],
     floor: f64,
 ) -> bool {
     out.completed.is_empty()
@@ -427,8 +427,8 @@ fn assert_twins(a: &Instance, b: &Instance) {
     assert_eq!(a.seqs, b.seqs, "sequence states");
     for key in a.seqs.keys() {
         assert_eq!(
-            a.kv.tokens_of(*key),
-            b.kv.tokens_of(*key),
+            a.kv.tokens_of(key),
+            b.kv.tokens_of(key),
             "KV tokens of {key}"
         );
     }

@@ -12,10 +12,11 @@
 //! step cache (one lookup per step, the same `u64` arithmetic), recorded
 //! into [`InstanceStats`](crate::InstanceStats) in order, and its duration
 //! built the same way step formation builds it. Only the per-member work
-//! is batched: `generated += k` and one KV append of `k` tokens per member.
+//! is batched: `generated += k` and one KV append of `k` tokens per member,
+//! each reached through the member's slots with no hash probe.
 
 use crate::config::InstanceRole;
-use crate::instance::Instance;
+use crate::instance::{kv_offset, Instance};
 use crate::outcome::{LaneRef, StepKind};
 use windserve_sim::{SimDuration, SimTime};
 use windserve_workload::RequestId;
@@ -95,9 +96,9 @@ impl Instance {
                 });
             if !clear {
                 let exact = *free.get_or_insert_with(|| {
-                    for id in &step.decode_ids {
-                        let kv = self.kv.tokens_of(id.0).expect("decoding seq holds KV");
-                        kv_residues[kv as usize % bt] += 1;
+                    for m in &step.decode_ids {
+                        let (_, room) = self.kv.fill_at(m.kv);
+                        kv_residues[kv_offset(room, bt as u32) as usize] += 1;
                     }
                     (1..j).fold(free_before, |free, i| free - growth(kv_residues, i))
                 });
@@ -135,26 +136,24 @@ impl Instance {
         }
         boundaries.push(step.ends_at);
         let k = u32::try_from(applied).expect("bounded by a member's remaining output");
-        for id in &step.decode_ids {
-            self.seqs
-                .get_mut(&id.0)
-                .expect("decoding seq known")
-                .generated += k;
+        for m in &step.decode_ids {
+            self.seqs.at_mut(m.seq).generated += k;
             self.kv
-                .append_tokens(id.0, k)
+                .append_at(m.kv, k)
                 .expect("growth checked against free blocks");
         }
         applied
     }
 
     /// Members of the step running on `lane` that gain a token when it
-    /// completes, in batch order (empty when the lane is idle).
-    pub fn step_members(&self, lane: LaneRef) -> &[RequestId] {
+    /// completes, in batch order (none when the lane is idle).
+    pub fn step_members(&self, lane: LaneRef) -> impl Iterator<Item = RequestId> + '_ {
         let step = match lane {
             LaneRef::Main(i) => self.lanes.get(i).and_then(|l| l.step.as_ref()),
             LaneRef::Aux => self.aux_step.as_ref(),
         };
-        step.map_or(&[], |s| &s.decode_ids)
+        step.into_iter()
+            .flat_map(|s| s.decode_ids.iter().map(|m| m.id))
     }
 
     /// The O(1) preconditions of a leap: a pure decode step running on a
@@ -185,9 +184,9 @@ impl Instance {
             && !guest_prefill_ready
     }
 
-    /// One pass over the lane's members: returns the fewest output tokens
-    /// any member still owes and ΣL of the running step, and counts members
-    /// per `context % block_tokens` into the first half of
+    /// One pass over the lane's members, by slot: returns the fewest
+    /// output tokens any member still owes and ΣL of the running step, and
+    /// counts members per `context % block_tokens` into the first half of
     /// `residue_scratch` (zeroing the second, for KV residues). `None`,
     /// early, when a member finishes at the very next boundary.
     fn scan_members(&mut self, lane_idx: usize) -> Option<(u32, u64)> {
@@ -196,15 +195,14 @@ impl Instance {
         self.residue_scratch.resize(2 * bt, 0);
         let step = self.lanes[lane_idx].step.as_ref().expect("checked");
         let (mut min_left, mut sum_l) = (u32::MAX, 0u64);
-        for id in &step.decode_ids {
-            let seq = &self.seqs[&id.0];
+        for &m in &step.decode_ids {
+            let (seq, offset) = self.member_context(m);
             min_left = min_left.min(seq.output_target - seq.generated);
             if min_left <= 1 {
                 return None;
             }
-            let ctx = seq.context();
-            sum_l += u64::from(ctx.max(1));
-            self.residue_scratch[ctx as usize % bt] += 1;
+            sum_l += u64::from(seq.context().max(1));
+            self.residue_scratch[offset as usize] += 1;
         }
         Some((min_left, sum_l))
     }

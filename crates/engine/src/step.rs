@@ -14,7 +14,7 @@
 //! this quantization does not move the experiment shapes.
 
 use crate::config::InstanceRole;
-use crate::instance::{Instance, RunningStep};
+use crate::instance::{Instance, Member, RunningStep};
 use crate::outcome::{
     CompletedSeq, FinishedPrefill, LaneRef, PausedSeq, StartedStep, StepKind, StepOutcome,
 };
@@ -46,12 +46,7 @@ impl Instance {
             && self.aux_step.is_none()
         {
             if let Some(step) = self.form_aux_step(now) {
-                let newly_prefilling = step
-                    .prefill_ids
-                    .iter()
-                    .filter(|(id, _)| self.seqs[&id.0].prefill_untouched())
-                    .map(|&(id, _)| id)
-                    .collect();
+                let newly_prefilling = self.newly_prefilling(&step);
                 started.push(StartedStep {
                     lane: LaneRef::Aux,
                     ends_at: step.ends_at,
@@ -69,18 +64,10 @@ impl Instance {
                 // Never-decoded members were flagged during the formation's
                 // prefetch pass; no second scan over the step is needed.
                 let newly = std::mem::take(&mut self.newly_scratch);
-                for id in &newly {
-                    self.seqs
-                        .get_mut(&id.0)
-                        .expect("flagged during formation")
-                        .decode_start = Some(now);
+                for &id in &newly {
+                    self.seq_mut(id).decode_start = Some(now);
                 }
-                let newly_prefilling = step
-                    .prefill_ids
-                    .iter()
-                    .filter(|(id, _)| self.seqs[&id.0].prefill_untouched())
-                    .map(|&(id, _)| id)
-                    .collect();
+                let newly_prefilling = self.newly_prefilling(&step);
                 started.push(StartedStep {
                     lane: LaneRef::Main(lane_idx),
                     ends_at: step.ends_at,
@@ -90,6 +77,15 @@ impl Instance {
                 self.lanes[lane_idx].step = Some(step);
             }
         }
+    }
+
+    /// The step's prefill jobs that have not yet processed a prompt token.
+    fn newly_prefilling(&self, step: &RunningStep) -> Vec<RequestId> {
+        step.prefill_ids
+            .iter()
+            .filter(|&&(id, _)| self.seq(id).prefill_untouched())
+            .map(|&(id, _)| id)
+            .collect()
     }
 
     /// True when `try_start` would provably do nothing: no admissible work
@@ -145,7 +141,7 @@ impl Instance {
         outcome.paused.clear();
 
         for (id, n) in &step.prefill_ids {
-            let seq = self.seqs.get_mut(&id.0).expect("prefilling seq vanished");
+            let seq = self.seqs.get_mut(id.0).expect("prefilling seq vanished");
             seq.prefilled += n;
             if seq.prompt_remaining() == 0 {
                 // The prefill emits the request's first output token.
@@ -163,20 +159,20 @@ impl Instance {
 
         let mut appended = std::mem::take(&mut self.appended_scratch);
         appended.clear();
-        for id in &step.decode_ids {
-            let seq = self.seqs.get_mut(&id.0).expect("decoding seq vanished");
+        for &m in &step.decode_ids {
+            let seq = self.seqs.at_mut(m.seq);
             seq.generated += 1;
-            outcome.decoded.push(*id);
+            outcome.decoded.push(m.id);
             if seq.is_done() {
-                self.finish_sequence(*id, outcome);
+                self.finish_sequence(m.id, outcome);
                 continue;
             }
             if seq.phase == SeqPhase::Decoding {
-                self.append_one(*id, &appended);
-                appended.push(*id);
+                self.append_one(m, &appended);
+                appended.push(m.id);
             }
-            if self.pause_requests.contains(&id.0) {
-                self.pause_sequence(*id, outcome);
+            if !self.pause_requests.is_empty() && self.pause_requests.contains(&m.id.0) {
+                self.pause_sequence(m.id, outcome);
             }
         }
         self.appended_scratch = appended;
@@ -188,7 +184,7 @@ impl Instance {
     // Step-member buffer pools
     // ------------------------------------------------------------------
 
-    fn take_idvec(&mut self) -> Vec<RequestId> {
+    fn take_idvec(&mut self) -> Vec<Member> {
         self.idvec_pool.pop().unwrap_or_default()
     }
 
@@ -196,7 +192,7 @@ impl Instance {
         self.jobvec_pool.pop().unwrap_or_default()
     }
 
-    fn recycle_idvec(&mut self, mut v: Vec<RequestId>) {
+    fn recycle_idvec(&mut self, mut v: Vec<Member>) {
         v.clear();
         self.idvec_pool.push(v);
     }
@@ -223,7 +219,8 @@ impl Instance {
                 // join two concurrent steps. Wait for its step to land.
                 break;
             }
-            let ctx = self.seqs[&id.0].context();
+            let seq = self.seqs.slot_of(id.0).expect("swapped seq known");
+            let ctx = self.seqs.at(seq).context();
             if self.kv.free_blocks() < self.kv.blocks_for(ctx) {
                 break;
             }
@@ -244,9 +241,8 @@ impl Instance {
                 self.kv.allocate(id.0, ctx).expect("capacity checked");
                 self.pending_delay += self.cost.step_time(&BatchPlan::single_prefill(ctx.max(1)));
             }
-            self.seqs.get_mut(&id.0).expect("swapped seq known").phase = SeqPhase::Decoding;
-            let lane = self.least_loaded_lane();
-            self.lanes[lane].running.push(id);
+            self.seqs.at_mut(seq).phase = SeqPhase::Decoding;
+            self.join_lane(id, seq);
         }
         if !self.swapped.is_empty() {
             // Swapped requests hold admission priority: new sequences must
@@ -257,7 +253,8 @@ impl Instance {
             if self.total_running() >= capacity {
                 break;
             }
-            let ctx = self.seqs[&id.0].context();
+            let seq = self.seqs.slot_of(id.0).expect("waiting seq known");
+            let ctx = self.seqs.at(seq).context();
             if self.kv.tokens_of(id.0).is_none() {
                 if !self.kv.can_fit(ctx) && !self.evict_backups_for(ctx) {
                     break;
@@ -265,10 +262,17 @@ impl Instance {
                 self.kv.allocate(id.0, ctx).expect("fit ensured");
             }
             self.waiting_decode.pop_front();
-            self.seqs.get_mut(&id.0).expect("waiting seq known").phase = SeqPhase::Decoding;
-            let lane = self.least_loaded_lane();
-            self.lanes[lane].running.push(id);
+            self.seqs.at_mut(seq).phase = SeqPhase::Decoding;
+            self.join_lane(id, seq);
         }
+    }
+
+    /// Adds sequence `id` (state in slot `seq`, KV allocated) to the least
+    /// loaded lane.
+    fn join_lane(&mut self, id: RequestId, seq: u32) {
+        let kv = self.kv.slot_of(id.0).expect("admitted with KV");
+        let lane = self.least_loaded_lane();
+        self.lanes[lane].running.push(Member { id, seq, kv });
     }
 
     // ------------------------------------------------------------------
@@ -281,27 +285,28 @@ impl Instance {
         self.newly_scratch.clear();
         match self.cfg.role {
             InstanceRole::Decode => self.form_decode_step(lane_idx, now),
-            InstanceRole::Prefill => self.form_prefill_instance_step(lane_idx, now),
-            InstanceRole::Colocated => self.form_colocated_step(lane_idx, now),
+            InstanceRole::Prefill | InstanceRole::Colocated => {
+                self.form_chunked_step(lane_idx, now)
+            }
         }
     }
 
-    /// One pass over the lane's members: fetches each sequence's context
-    /// into `ctxs`, flags never-decoded members into `newly_scratch`, and
-    /// ensures growth blocks exist — preempting victims (and re-fetching
-    /// the surviving membership) only under KV pressure. Replaces three
-    /// separate hash-map sweeps with one.
-    fn prefetch_lane(&mut self, lane_idx: usize, ctxs: &mut Vec<u32>) {
-        let bt = self.cfg.block_tokens;
+    /// One pass over the lane's members, by slot: fetches each sequence's
+    /// context into `ctxs`, flags never-decoded members into
+    /// `newly_scratch`, and ensures growth blocks exist — preempting
+    /// victims (and re-fetching the surviving membership) only under KV
+    /// pressure. Returns ΣL, the sum of the decode contexts as a plan
+    /// counts them (each at least one token).
+    fn prefetch_lane(&mut self, lane_idx: usize, ctxs: &mut Vec<u32>) -> u64 {
         ctxs.clear();
         self.newly_scratch.clear();
         let mut extra = 0usize;
-        for id in &self.lanes[lane_idx].running {
-            let seq = &self.seqs[&id.0];
-            let ctx = seq.context();
-            extra += usize::from(ctx.is_multiple_of(bt));
-            if seq.decode_start.is_none() {
-                self.newly_scratch.push(*id);
+        for &m in &self.lanes[lane_idx].running {
+            let (seq, offset) = self.member_context(m);
+            let (ctx, fresh) = (seq.context(), seq.decode_start.is_none());
+            extra += usize::from(offset == 0);
+            if fresh {
+                self.newly_scratch.push(m.id);
             }
             ctxs.push(ctx);
         }
@@ -309,19 +314,29 @@ impl Instance {
             self.ensure_growth_blocks(lane_idx);
             ctxs.clear();
             self.newly_scratch.clear();
-            for id in &self.lanes[lane_idx].running {
-                let seq = &self.seqs[&id.0];
-                if seq.decode_start.is_none() {
-                    self.newly_scratch.push(*id);
+            for &m in &self.lanes[lane_idx].running {
+                let seq = self.seqs.at(m.seq);
+                let (ctx, fresh) = (seq.context(), seq.decode_start.is_none());
+                if fresh {
+                    self.newly_scratch.push(m.id);
                 }
-                ctxs.push(seq.context());
+                ctxs.push(ctx);
             }
         }
+        ctxs.iter().map(|&ctx| u64::from(ctx.max(1))).sum()
+    }
+
+    /// Kernel cost of a pure-decode step of `batch` members with context
+    /// sum `sum_l`, priced by (batch, ΣL) through the step cache: one
+    /// lookup, bit-identical to pricing the step's plan (see
+    /// [`windserve_model::DecodePricer`]).
+    fn decode_kernel(&self, batch: usize, sum_l: u64) -> windserve_gpu::KernelCost {
+        self.cost.decode_pricer(batch as u64).kernel_cost(sum_l)
     }
 
     fn form_decode_step(&mut self, lane_idx: usize, now: SimTime) -> Option<RunningStep> {
         let mut ctxs = std::mem::take(&mut self.ctx_scratch);
-        self.prefetch_lane(lane_idx, &mut ctxs);
+        let sum_l = self.prefetch_lane(lane_idx, &mut ctxs);
         let mut decode_ids = self.take_idvec();
         decode_ids.extend_from_slice(&self.lanes[lane_idx].running);
         let fused_prefills = if !self.cfg.stream_disaggregation {
@@ -337,10 +352,8 @@ impl Instance {
             self.recycle_jobvec(fused_prefills);
             return None;
         }
-        self.rebuild_plan_decode(&ctxs, &fused_prefills);
-        self.ctx_scratch = ctxs;
         let (duration, kernel) = if fused_prefills.is_empty() {
-            let kernel = self.cost.kernel_cost(&self.plan_scratch);
+            let kernel = self.decode_kernel(decode_ids.len(), sum_l);
             let mut alone = SimDuration::from_secs_f64(kernel.alone_secs());
             if let Some(aux) = &self.aux_step {
                 let slow = self.sharing.slowdown(kernel, aux.kernel);
@@ -348,11 +361,13 @@ impl Instance {
             }
             (alone, kernel)
         } else {
+            self.rebuild_plan(&ctxs, &fused_prefills);
             (
                 self.cost.hybrid_step_time(&self.plan_scratch),
                 self.cost.kernel_cost(&self.plan_scratch),
             )
         };
+        self.ctx_scratch = ctxs;
         Some(self.finish_step_construction(
             if fused_prefills.is_empty() {
                 StepKind::Decode
@@ -367,7 +382,10 @@ impl Instance {
         ))
     }
 
-    fn form_prefill_instance_step(&mut self, lane_idx: usize, now: SimTime) -> Option<RunningStep> {
+    /// A prefill or colocated instance's lane step: whole prompts when the
+    /// lane has no decodes, else its decodes plus one chunk of the head
+    /// prompt, which bounds prefill interference with them (§3.3).
+    fn form_chunked_step(&mut self, lane_idx: usize, now: SimTime) -> Option<RunningStep> {
         if self.lanes[lane_idx].running.is_empty() {
             // Pure prompt processing: pack whole prompts FCFS.
             let jobs = self.pack_whole_prefills(u64::from(self.cfg.max_prefill_tokens));
@@ -388,10 +406,8 @@ impl Instance {
                 jobs,
             ));
         }
-        // Migrated decodes are present: bound interference with
-        // chunked prefill (§3.3).
         let mut ctxs = std::mem::take(&mut self.ctx_scratch);
-        self.prefetch_lane(lane_idx, &mut ctxs);
+        let sum_l = self.prefetch_lane(lane_idx, &mut ctxs);
         let mut decode_ids = self.take_idvec();
         decode_ids.extend_from_slice(&self.lanes[lane_idx].running);
         let chunk = self.pack_chunk();
@@ -401,59 +417,22 @@ impl Instance {
             self.recycle_jobvec(chunk);
             return None;
         }
-        self.rebuild_plan_decode(&ctxs, &chunk);
-        self.ctx_scratch = ctxs;
-        let duration = self.cost.hybrid_step_time(&self.plan_scratch);
-        let kernel = self.cost.kernel_cost(&self.plan_scratch);
-        Some(self.finish_step_construction(
-            if chunk.is_empty() {
-                StepKind::Decode
-            } else {
-                StepKind::Hybrid
-            },
-            now,
-            duration,
-            kernel,
-            decode_ids,
-            chunk,
-        ))
-    }
-
-    fn form_colocated_step(&mut self, lane_idx: usize, now: SimTime) -> Option<RunningStep> {
-        if self.lanes[lane_idx].running.is_empty() {
-            let jobs = self.pack_whole_prefills(u64::from(self.cfg.max_prefill_tokens));
-            if jobs.is_empty() {
-                self.recycle_jobvec(jobs);
-                return None;
-            }
-            self.rebuild_plan(&[], &jobs);
-            let kernel = self.cost.kernel_cost(&self.plan_scratch);
+        let (duration, kernel) = if chunk.is_empty() {
+            // A decode-only step's single-stream time is its `step_time`.
+            // Every step formed here makes two cache lookups, which the
+            // report's cost-cache counts record: `hybrid_step_time` and
+            // `kernel_cost` below, two pricer calls here.
+            let kernel = self.decode_kernel(decode_ids.len(), sum_l);
             let duration = SimDuration::from_secs_f64(kernel.alone_secs());
-            let decode_ids = self.take_idvec();
-            return Some(self.finish_step_construction(
-                StepKind::Prefill,
-                now,
-                duration,
-                kernel,
-                decode_ids,
-                jobs,
-            ));
-        }
-        let mut ctxs = std::mem::take(&mut self.ctx_scratch);
-        self.prefetch_lane(lane_idx, &mut ctxs);
-        let mut decode_ids = self.take_idvec();
-        decode_ids.extend_from_slice(&self.lanes[lane_idx].running);
-        let chunk = self.pack_chunk();
-        if decode_ids.is_empty() && chunk.is_empty() {
-            self.ctx_scratch = ctxs;
-            self.recycle_idvec(decode_ids);
-            self.recycle_jobvec(chunk);
-            return None;
-        }
-        self.rebuild_plan_decode(&ctxs, &chunk);
+            (duration, self.decode_kernel(decode_ids.len(), sum_l))
+        } else {
+            self.rebuild_plan(&ctxs, &chunk);
+            (
+                self.cost.hybrid_step_time(&self.plan_scratch),
+                self.cost.kernel_cost(&self.plan_scratch),
+            )
+        };
         self.ctx_scratch = ctxs;
-        let duration = self.cost.hybrid_step_time(&self.plan_scratch);
-        let kernel = self.cost.kernel_cost(&self.plan_scratch);
         Some(self.finish_step_construction(
             if chunk.is_empty() {
                 StepKind::Decode
@@ -507,7 +486,7 @@ impl Instance {
             if packed.len() >= self.cfg.max_prefill_jobs {
                 break;
             }
-            let seq = &self.seqs[&id.0];
+            let seq = self.seq(id);
             let need = seq.prompt_remaining();
             if !packed.is_empty() && tokens + u64::from(need) > budget {
                 break;
@@ -534,7 +513,7 @@ impl Instance {
         let Some(&id) = self.waiting_prefill.front() else {
             return out;
         };
-        let seq = &self.seqs[&id.0];
+        let seq = self.seq(id);
         let remaining = seq.prompt_remaining();
         let chunk = self.cfg.chunk_tokens.min(remaining);
         if self.kv.tokens_of(id.0).is_none() {
@@ -550,29 +529,12 @@ impl Instance {
         out
     }
 
-    /// Refills the instance's scratch [`BatchPlan`] for the given step
-    /// members. Reusing one plan (and its heap capacity) keeps batch
-    /// pricing allocation-free; the plan is consumed before the next step
-    /// forms, so a single scratch suffices.
-    fn rebuild_plan(&mut self, decode_ids: &[RequestId], prefills: &[(RequestId, u32)]) {
-        let mut plan = std::mem::take(&mut self.plan_scratch);
-        plan.clear();
-        for id in decode_ids {
-            plan.add_decode(self.seqs[&id.0].context().max(1));
-        }
-        for &(id, new_tokens) in prefills {
-            plan.add_prefill(PrefillChunk {
-                new_tokens,
-                past_tokens: self.seqs[&id.0].prefilled,
-            });
-        }
-        self.plan_scratch = plan;
-    }
-
-    /// [`Instance::rebuild_plan`] with decode contexts already fetched by
-    /// [`Instance::prefetch_lane`], so the decode side of the plan costs no
-    /// map lookups.
-    fn rebuild_plan_decode(&mut self, ctxs: &[u32], prefills: &[(RequestId, u32)]) {
+    /// Refills the instance's scratch [`BatchPlan`] for a step with decode
+    /// contexts `ctxs` (already fetched by [`Instance::prefetch_lane`]) and
+    /// prefill jobs `prefills`. Reusing one plan (and its heap capacity)
+    /// keeps batch pricing allocation-free; the plan is consumed before the
+    /// next step forms, so a single scratch suffices.
+    fn rebuild_plan(&mut self, ctxs: &[u32], prefills: &[(RequestId, u32)]) {
         let mut plan = std::mem::take(&mut self.plan_scratch);
         plan.clear();
         for &ctx in ctxs {
@@ -581,7 +543,7 @@ impl Instance {
         for &(id, new_tokens) in prefills {
             plan.add_prefill(PrefillChunk {
                 new_tokens,
-                past_tokens: self.seqs[&id.0].prefilled,
+                past_tokens: self.seq(id).prefilled,
             });
         }
         self.plan_scratch = plan;
@@ -593,7 +555,7 @@ impl Instance {
         now: SimTime,
         mut duration: SimDuration,
         kernel: windserve_gpu::KernelCost,
-        decode_ids: Vec<RequestId>,
+        decode_ids: Vec<Member>,
         prefill_ids: Vec<(RequestId, u32)>,
     ) -> RunningStep {
         if !self.pending_delay.is_zero() {
@@ -625,7 +587,7 @@ impl Instance {
             let extra: usize = self.lanes[lane_idx]
                 .running
                 .iter()
-                .map(|id| self.extra_block_for(*id))
+                .map(|&m| usize::from(self.member_context(m).1 == 0))
                 .sum();
             if extra <= self.kv.free_blocks() {
                 return;
@@ -634,8 +596,8 @@ impl Instance {
                 .running
                 .iter()
                 .rev()
-                .find(|id| !self.migrating.contains(&id.0))
-                .copied();
+                .find(|m| !self.migrating.contains(&m.id.0))
+                .map(|m| m.id);
             match victim {
                 Some(v) => self.preempt(v),
                 None => return, // nothing evictable; appends will self-swap
@@ -645,23 +607,20 @@ impl Instance {
 
     /// True if `id` is a member of any lane's currently executing step.
     fn in_flight(&self, id: RequestId) -> bool {
-        self.lanes
-            .iter()
-            .any(|l| l.step.as_ref().is_some_and(|s| s.decode_ids.contains(&id)))
-    }
-
-    fn extra_block_for(&self, id: RequestId) -> usize {
-        let ctx = self.seqs[&id.0].context();
-        usize::from(ctx.is_multiple_of(self.cfg.block_tokens))
+        self.lanes.iter().any(|l| {
+            l.step
+                .as_ref()
+                .is_some_and(|s| s.decode_ids.iter().any(|m| m.id == id))
+        })
     }
 
     /// Preempts a sequence under KV pressure: swap its cache to host
     /// memory, or drop it for recomputation, per the configured mode.
     fn preempt(&mut self, id: RequestId) {
         for lane in &mut self.lanes {
-            lane.running.retain(|r| *r != id);
+            lane.running.retain(|m| m.id != id);
         }
-        let seq = self.seqs.get_mut(&id.0).expect("preempting unknown seq");
+        let seq = self.seq_mut(id);
         seq.phase = SeqPhase::Swapped;
         seq.swap_outs += 1;
         match self.cfg.preemption {
@@ -684,7 +643,10 @@ impl Instance {
     /// nothing) when `id` is not an eligible victim — not running,
     /// migrating, or already marked for a migration pause.
     pub fn preempt_for_pressure(&mut self, id: RequestId) -> bool {
-        let running = self.lanes.iter().any(|l| l.running.contains(&id));
+        let running = self
+            .lanes
+            .iter()
+            .any(|l| l.running.iter().any(|m| m.id == id));
         if !running || self.migrating.contains(&id.0) || self.pause_requests.contains(&id.0) {
             return false;
         }
@@ -692,12 +654,12 @@ impl Instance {
         true
     }
 
-    /// Appends one token's KV to `id`, preempting other sequences if blocks
-    /// have run out (last resort: swap `id` itself out un-appended; the
-    /// discrepancy is resynced at swap-in).
-    fn append_one(&mut self, id: RequestId, already_appended: &[RequestId]) {
+    /// Appends one token's KV to member `m`, preempting other sequences if
+    /// blocks have run out (last resort: swap `m` itself out un-appended;
+    /// the discrepancy is resynced at swap-in).
+    fn append_one(&mut self, m: Member, already_appended: &[RequestId]) {
         loop {
-            if self.kv.append_tokens(id.0, 1).is_ok() {
+            if self.kv.append_at(m.kv, 1).is_ok() {
                 return;
             }
             let victim = self
@@ -705,13 +667,15 @@ impl Instance {
                 .iter()
                 .flat_map(|l| l.running.iter().rev())
                 .find(|v| {
-                    v.0 != id.0 && !self.migrating.contains(&v.0) && !already_appended.contains(v)
+                    v.id != m.id
+                        && !self.migrating.contains(&v.id.0)
+                        && !already_appended.contains(&v.id)
                 })
-                .copied();
+                .map(|v| v.id);
             match victim {
                 Some(v) => self.preempt(v),
                 None => {
-                    self.preempt(id);
+                    self.preempt(m.id);
                     return;
                 }
             }
@@ -724,14 +688,14 @@ impl Instance {
 
     fn finish_sequence(&mut self, id: RequestId, outcome: &mut StepOutcome) {
         for lane in &mut self.lanes {
-            lane.running.retain(|r| *r != id);
+            lane.running.retain(|m| m.id != id);
         }
         self.swapped.retain(|r| *r != id);
         self.kv.release(id.0);
         self.kv.forget_swapped(id.0);
         self.migrating.remove(&id.0);
         self.pause_requests.remove(&id.0);
-        let seq = self.seqs.remove(&id.0).expect("finishing unknown seq");
+        let seq = self.seqs.remove(id.0).expect("finishing unknown seq");
         outcome.completed.push(CompletedSeq {
             id,
             generated: seq.generated,
@@ -751,7 +715,7 @@ impl Instance {
     /// immediate pauses of waiting/swapped sequences.
     pub(crate) fn detach_for_pause(&mut self, id: RequestId) -> PausedSeq {
         for lane in &mut self.lanes {
-            lane.running.retain(|r| *r != id);
+            lane.running.retain(|m| m.id != id);
         }
         self.swapped.retain(|r| *r != id);
         self.waiting_decode.retain(|r| *r != id);
@@ -759,7 +723,7 @@ impl Instance {
         self.kv.forget_swapped(id.0);
         self.migrating.remove(&id.0);
         self.pause_requests.remove(&id.0);
-        let mut state = self.seqs.remove(&id.0).expect("pausing unknown seq");
+        let mut state = self.seqs.remove(id.0).expect("pausing unknown seq");
         state.phase = SeqPhase::DecodeWaiting;
         PausedSeq { state }
     }

@@ -421,7 +421,7 @@ fn cached_prefix_charges_only_the_suffix() {
         "cached prefill {warm_finish:?} not faster than cold {cold_finish:?}"
     );
     // The cached sequence still accounts the full prompt as prefilled.
-    let seq = &warm.seqs[&1];
+    let seq = warm.seqs.get(1).unwrap();
     assert_eq!(seq.prefilled, 1500);
     assert_eq!(seq.cached, 1200);
     assert_eq!(seq.prompt_remaining(), 0);

@@ -6,11 +6,18 @@
 //! token allocates at most one new block; completion frees the whole table.
 //! The manager also accounts swap-outs to host memory — the paper's Fig. 1a
 //! and §2.2 blame exactly this swapping for degraded TPOT under load.
+//!
+//! Tables live in a [`KeyedSlab`]: a caller that keeps a table's slot (the
+//! engine does, for every decoding sequence) reads and grows it by index
+//! with no hash probe. Each table also keeps the token room left in its
+//! last block, so a one-token append is a decrement and takes a new block
+//! only when the room is used up.
 
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use windserve_sim::hash::FxHashMap;
+use windserve_sim::KeyedSlab;
 
 /// Identifier of one physical KV block within an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -40,10 +47,13 @@ impl fmt::Display for AllocError {
 
 impl Error for AllocError {}
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SeqTable {
     blocks: Vec<BlockId>,
     tokens: u32,
+    /// Tokens the last block can still take:
+    /// `blocks.len() · block_tokens − tokens`.
+    room: u32,
 }
 
 /// The per-instance block manager.
@@ -61,14 +71,12 @@ struct SeqTable {
 /// assert_eq!(mgr.release(1), 49);
 /// assert_eq!(mgr.free_blocks(), 100);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlockManager {
     block_tokens: u32,
     total_blocks: usize,
     free: Vec<BlockId>,
-    // Deterministic first-party hashing (see `windserve_sim::hash`): these
-    // maps sit on the one-lookup-per-generated-token hot path.
-    tables: FxHashMap<SeqKey, SeqTable>,
+    tables: KeyedSlab<SeqTable>,
     swapped: FxHashMap<SeqKey, u32>,
     swap_outs: u64,
     swap_ins: u64,
@@ -88,7 +96,7 @@ impl BlockManager {
             block_tokens,
             total_blocks,
             free: (0..total_blocks as u32).rev().map(BlockId).collect(),
-            tables: FxHashMap::default(),
+            tables: KeyedSlab::new(),
             swapped: FxHashMap::default(),
             swap_outs: 0,
             swap_ins: 0,
@@ -132,12 +140,30 @@ impl BlockManager {
 
     /// Tokens resident for `key`, if it is allocated on-device.
     pub fn tokens_of(&self, key: SeqKey) -> Option<u32> {
-        self.tables.get(&key).map(|t| t.tokens)
+        self.tables.get(key).map(|t| t.tokens)
+    }
+
+    /// The slot of `key`'s table, if it is allocated on-device. The slot
+    /// stays valid until the table is released or swapped out.
+    pub fn slot_of(&self, key: SeqKey) -> Option<u32> {
+        self.tables.slot_of(key)
+    }
+
+    /// Tokens held by the table in `slot`, and the room left in its last
+    /// block (`0` when the tokens fill their blocks exactly).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no table lives in `slot`.
+    #[inline]
+    pub fn fill_at(&self, slot: u32) -> (u32, u32) {
+        let table = self.tables.at(slot);
+        (table.tokens, table.room)
     }
 
     /// Keys of all resident sequences (unordered).
     pub fn resident_keys(&self) -> impl Iterator<Item = SeqKey> + '_ {
-        self.tables.keys().copied()
+        self.tables.keys()
     }
 
     /// Number of resident sequences.
@@ -157,7 +183,7 @@ impl BlockManager {
     /// scheduler bug).
     pub fn allocate(&mut self, key: SeqKey, tokens: u32) -> Result<(), AllocError> {
         assert!(
-            !self.tables.contains_key(&key),
+            !self.tables.contains_key(key),
             "sequence {key} already allocated"
         );
         let needed = self.blocks_for(tokens);
@@ -169,7 +195,15 @@ impl BlockManager {
         }
         let mut blocks = Vec::with_capacity(needed);
         blocks.extend(self.free.drain(self.free.len() - needed..));
-        self.tables.insert(key, SeqTable { blocks, tokens });
+        let room = (needed * self.block_tokens as usize - tokens as usize) as u32;
+        self.tables.insert(
+            key,
+            SeqTable {
+                blocks,
+                tokens,
+                room,
+            },
+        );
         Ok(())
     }
 
@@ -184,27 +218,47 @@ impl BlockManager {
     ///
     /// Panics if `key` has no table.
     pub fn append_tokens(&mut self, key: SeqKey, n: u32) -> Result<(), AllocError> {
-        // Single map lookup: this runs once per generated token across the
-        // whole simulation, so the table is resolved exactly once and the
-        // common no-new-block case touches nothing else.
-        let block_tokens = self.block_tokens as usize;
+        let slot = self.slot_of(key).expect("sequence not allocated");
+        self.append_at(slot, n)
+    }
+
+    /// [`append_tokens`](Self::append_tokens) on the table in `slot`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] if growth requires more blocks than are free;
+    /// the table is left unchanged in that case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no table lives in `slot`.
+    #[inline]
+    pub fn append_at(&mut self, slot: u32, n: u32) -> Result<(), AllocError> {
+        let table = self.tables.at_mut(slot);
+        if n <= table.room {
+            table.room -= n;
+            table.tokens += n;
+            return Ok(());
+        }
+        // Whole blocks until the room covers `n`: one pass for a one-token
+        // append, and no division.
+        let (mut room, mut extra) = (table.room, 0usize);
+        while room < n {
+            room += self.block_tokens;
+            extra += 1;
+        }
         let free_len = self.free.len();
-        let table = self.tables.get_mut(&key).expect("sequence not allocated");
-        let new_tokens = table.tokens + n;
-        let need = (new_tokens as usize).div_ceil(block_tokens);
-        let extra = need.saturating_sub(table.blocks.len());
         if extra > free_len {
             return Err(AllocError {
                 needed: extra,
                 available: free_len,
             });
         }
-        if extra > 0 {
-            // Moves the top `extra` free blocks in stack order; unlike
-            // `split_off`, draining allocates no intermediate `Vec`.
-            table.blocks.extend(self.free.drain(free_len - extra..));
-        }
-        table.tokens = new_tokens;
+        // Moves the top `extra` free blocks in stack order; unlike
+        // `split_off`, draining allocates no intermediate `Vec`.
+        table.blocks.extend(self.free.drain(free_len - extra..));
+        table.room = room - n;
+        table.tokens += n;
         Ok(())
     }
 
@@ -212,7 +266,7 @@ impl BlockManager {
     /// was unknown — releasing twice is tolerated so callers can be
     /// idempotent on completion paths).
     pub fn release(&mut self, key: SeqKey) -> u32 {
-        match self.tables.remove(&key) {
+        match self.tables.remove(key) {
             Some(table) => {
                 self.free.extend(table.blocks);
                 table.tokens
@@ -229,7 +283,7 @@ impl BlockManager {
     ///
     /// Panics if `key` has no device table.
     pub fn swap_out(&mut self, key: SeqKey) -> u32 {
-        let table = self.tables.remove(&key).expect("sequence not resident");
+        let table = self.tables.remove(key).expect("sequence not resident");
         self.free.extend(table.blocks);
         self.swapped.insert(key, table.tokens);
         self.swap_outs += 1;
@@ -277,7 +331,8 @@ impl BlockManager {
     }
 
     /// Verifies conservation: every block is either free or in exactly one
-    /// table.
+    /// table, and every table holds exactly the blocks its tokens need,
+    /// with the room it records left in the last one.
     ///
     /// # Errors
     ///
@@ -286,7 +341,7 @@ impl BlockManager {
     /// describing the violated invariant.
     pub fn check_invariants(&self) -> crate::Result<()> {
         let violated = |reason: String| crate::Error::InvariantViolated { reason };
-        let in_tables: usize = self.tables.values().map(|t| t.blocks.len()).sum();
+        let in_tables: usize = self.tables.iter().map(|(_, t)| t.blocks.len()).sum();
         if in_tables + self.free.len() != self.total_blocks {
             return Err(violated(format!(
                 "block leak: {} in tables + {} free != {} total",
@@ -299,7 +354,7 @@ impl BlockManager {
         for id in self
             .free
             .iter()
-            .chain(self.tables.values().flat_map(|t| t.blocks.iter()))
+            .chain(self.tables.iter().flat_map(|(_, t)| t.blocks.iter()))
         {
             match seen.get_mut(id.0 as usize) {
                 Some(s) if !*s => *s = true,
@@ -307,13 +362,23 @@ impl BlockManager {
                 None => return Err(violated(format!("block {id:?} out of range"))),
             }
         }
-        for (key, table) in &self.tables {
+        for (key, table) in self.tables.iter() {
             if self.blocks_for(table.tokens) != table.blocks.len() {
                 return Err(violated(format!(
                     "sequence {key}: {} tokens need {} blocks, has {}",
                     table.tokens,
                     self.blocks_for(table.tokens),
                     table.blocks.len()
+                )));
+            }
+            let room =
+                table.blocks.len() as u64 * u64::from(self.block_tokens) - u64::from(table.tokens);
+            if u64::from(table.room) != room {
+                return Err(violated(format!(
+                    "sequence {key}: room {} but {} blocks hold {} tokens",
+                    table.room,
+                    table.blocks.len(),
+                    table.tokens
                 )));
             }
         }
@@ -399,6 +464,20 @@ mod tests {
         let _ = mgr.allocate(1, 10);
     }
 
+    #[test]
+    fn auditor_catches_a_drifted_room() {
+        let mut mgr = BlockManager::new(10, 16);
+        mgr.allocate(3, 20).unwrap();
+        assert_eq!(mgr.fill_at(mgr.slot_of(3).unwrap()), (20, 12));
+        let slot = mgr.slot_of(3).unwrap();
+        mgr.tables.at_mut(slot).room -= 1;
+        let err = mgr.check_invariants().unwrap_err().to_string();
+        assert!(
+            err.contains("sequence 3: room 11 but 2 blocks hold 20 tokens"),
+            "{err}"
+        );
+    }
+
     proptest! {
         /// Random alloc/append/release/swap interleavings never leak or
         /// double-book blocks.
@@ -435,6 +514,69 @@ mod tests {
                     }
                 }
                 mgr.check_invariants().unwrap();
+            }
+        }
+
+        /// Room-based appends, by key and by slot, keep every table's tokens
+        /// and block count where the `div_ceil` formula puts them, through
+        /// allocations, appends of any size, failed appends, swaps and
+        /// releases.
+        #[test]
+        fn room_keeps_blocks_at_the_div_ceil_formula(
+            block_tokens in 1u32..20,
+            ops in proptest::collection::vec((0u8..5, 0u64..6, 0u32..70), 1..300)
+        ) {
+            let total = 48;
+            let mut mgr = BlockManager::new(total, block_tokens);
+            // Key → tokens, resident and on host.
+            let mut resident = std::collections::BTreeMap::new();
+            let mut host = std::collections::BTreeMap::new();
+            let blocks = |tokens: u32| tokens.div_ceil(block_tokens) as usize;
+            for (op, key, n) in ops {
+                match op {
+                    0 if !resident.contains_key(&key) && !host.contains_key(&key) => {
+                        if mgr.allocate(key, n).is_ok() {
+                            resident.insert(key, n);
+                        }
+                    }
+                    1 | 2 if resident.contains_key(&key) => {
+                        let tokens = resident[&key];
+                        let free = mgr.free_blocks();
+                        let grown = if op == 1 {
+                            mgr.append_tokens(key, n)
+                        } else {
+                            let slot = mgr.slot_of(key).expect("resident");
+                            mgr.append_at(slot, n)
+                        };
+                        let extra = blocks(tokens + n) - blocks(tokens);
+                        prop_assert_eq!(grown.is_ok(), extra <= free);
+                        if grown.is_ok() {
+                            resident.insert(key, tokens + n);
+                        }
+                    }
+                    3 if resident.contains_key(&key) => {
+                        prop_assert_eq!(mgr.swap_out(key), resident[&key]);
+                        host.insert(key, resident.remove(&key).expect("resident"));
+                    }
+                    3 if host.contains_key(&key) => {
+                        if mgr.swap_in(key).is_ok() {
+                            resident.insert(key, host.remove(&key).expect("on host"));
+                        }
+                    }
+                    _ => {
+                        prop_assert_eq!(mgr.release(key), resident.remove(&key).unwrap_or(0));
+                    }
+                }
+                mgr.check_invariants().unwrap();
+                let mut held = 0;
+                for (&key, &tokens) in &resident {
+                    let (got, room) = mgr.fill_at(mgr.slot_of(key).expect("resident"));
+                    prop_assert_eq!(got, tokens);
+                    prop_assert_eq!((tokens + room) as usize, blocks(tokens) * block_tokens as usize);
+                    held += blocks(tokens);
+                }
+                prop_assert_eq!(mgr.free_blocks(), total - held);
+                prop_assert_eq!(mgr.resident_count(), resident.len());
             }
         }
 

@@ -17,6 +17,11 @@
 //! The store tracks *token counts*, not block ids: the simulator charges
 //! compute from lengths, and the capacity budget models the block pressure
 //! the retained KV puts on the instance.
+//!
+//! Beside the entries the store keeps two orders: by last touch, so TTL
+//! expiry pops the expired sessions off the front, and by LRU stamp, so
+//! capacity eviction pops the least recently used one. Neither scans the
+//! entries, so expiry and eviction touch only what they remove.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -55,7 +60,7 @@ impl PrefixStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     /// Context tokens of retained KV for the session.
     tokens: u32,
@@ -84,9 +89,14 @@ struct Entry {
 /// assert_eq!(store.stats().hits, 1);
 /// assert_eq!(store.stats().misses, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixStore {
     entries: BTreeMap<SessionKey, Entry>,
+    /// `(touched_at, stamp) → session` for every entry, stalest first:
+    /// the sessions idle past the TTL are a prefix of this order.
+    by_touch: BTreeMap<(SimTime, u64), SessionKey>,
+    /// `stamp → session` for every entry, least recently used first.
+    by_stamp: BTreeMap<u64, SessionKey>,
     capacity_tokens: u64,
     ttl: SimDuration,
     live_tokens: u64,
@@ -106,6 +116,8 @@ impl PrefixStore {
         assert!(capacity_tokens > 0, "prefix cache needs a token budget");
         PrefixStore {
             entries: BTreeMap::new(),
+            by_touch: BTreeMap::new(),
+            by_stamp: BTreeMap::new(),
             capacity_tokens,
             ttl,
             live_tokens: 0,
@@ -122,39 +134,35 @@ impl PrefixStore {
     /// exceeds the budget.
     pub fn insert(&mut self, session: SessionKey, tokens: u32, now: SimTime) {
         self.expire(now);
-        self.clock += 1;
-        let stamp = self.clock;
-        match self.entries.get_mut(&session) {
-            Some(entry) => {
-                let grown = u64::from(tokens.max(entry.tokens)) - u64::from(entry.tokens);
-                entry.tokens = entry.tokens.max(tokens);
-                entry.touched_at = now;
-                entry.stamp = stamp;
-                self.live_tokens += grown;
-                self.stats.inserted_tokens += grown;
-            }
-            None => {
-                self.entries.insert(
-                    session,
-                    Entry {
-                        tokens,
-                        touched_at: now,
-                        stamp,
-                    },
-                );
-                self.live_tokens += u64::from(tokens);
-                self.stats.inserted_tokens += u64::from(tokens);
-            }
-        }
+        let held = self.entries.get(&session).map_or(0, |e| e.tokens);
+        let grown = u64::from(tokens.max(held) - held);
+        self.live_tokens += grown;
+        self.stats.inserted_tokens += grown;
+        self.touch(session, tokens.max(held), now);
         while self.live_tokens > self.capacity_tokens {
-            let lru = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(&k, _)| k)
+            let (_, &lru) = self
+                .by_stamp
+                .first_key_value()
                 .expect("live tokens imply live entries");
             self.evict(lru);
         }
+    }
+
+    /// Sets `session`'s entry to `tokens`, touched at `now` with a fresh
+    /// LRU stamp, and files it in both orders.
+    fn touch(&mut self, session: SessionKey, tokens: u32, now: SimTime) {
+        self.clock += 1;
+        let entry = Entry {
+            tokens,
+            touched_at: now,
+            stamp: self.clock,
+        };
+        if let Some(old) = self.entries.insert(session, entry) {
+            self.by_touch.remove(&(old.touched_at, old.stamp));
+            self.by_stamp.remove(&old.stamp);
+        }
+        self.by_touch.insert((now, entry.stamp), session);
+        self.by_stamp.insert(entry.stamp, session);
     }
 
     /// Usable cached prefix for a follow-up of `session` whose prompt
@@ -164,19 +172,10 @@ impl PrefixStore {
     /// position and records a hit; anything else records a miss.
     pub fn lookup(&mut self, session: SessionKey, want_tokens: u32, now: SimTime) -> u32 {
         self.expire(now);
-        let served = match self.entries.get_mut(&session) {
-            Some(entry) => {
-                let served = entry.tokens.min(want_tokens);
-                if served > 0 {
-                    self.clock += 1;
-                    entry.touched_at = now;
-                    entry.stamp = self.clock;
-                }
-                served
-            }
-            None => 0,
-        };
+        let held = self.entries.get(&session).map_or(0, |e| e.tokens);
+        let served = held.min(want_tokens);
         if served > 0 {
+            self.touch(session, held, now);
             self.stats.hits += 1;
             self.stats.hit_tokens += u64::from(served);
         } else {
@@ -200,11 +199,7 @@ impl PrefixStore {
     /// Invalidates `session`'s retained KV (completed for good, or its
     /// blocks were reclaimed). Returns the evicted token count, if any.
     pub fn remove(&mut self, session: SessionKey) -> Option<u32> {
-        self.entries.contains_key(&session).then(|| {
-            let tokens = self.entries[&session].tokens;
-            self.evict(session);
-            tokens
-        })
+        self.evict(session)
     }
 
     /// Drops everything (instance crash or scale-down): all retained KV is
@@ -220,23 +215,24 @@ impl PrefixStore {
     /// lazily by [`insert`](Self::insert) and [`lookup`](Self::lookup);
     /// exposed so owners can sweep at reporting boundaries too.
     pub fn expire(&mut self, now: SimTime) {
-        let dead: Vec<SessionKey> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| now.saturating_since(e.touched_at) > self.ttl)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in dead {
-            self.evict(key);
+        while let Some((&(touched_at, _), &session)) = self.by_touch.first_key_value() {
+            if now.saturating_since(touched_at) <= self.ttl {
+                break;
+            }
+            self.evict(session);
         }
     }
 
-    fn evict(&mut self, session: SessionKey) {
-        if let Some(entry) = self.entries.remove(&session) {
-            self.live_tokens -= u64::from(entry.tokens);
-            self.stats.evictions += 1;
-            self.stats.evicted_tokens += u64::from(entry.tokens);
-        }
+    /// Removes `session`'s entry, accounted as an eviction; returns its
+    /// tokens.
+    fn evict(&mut self, session: SessionKey) -> Option<u32> {
+        let entry = self.entries.remove(&session)?;
+        self.by_touch.remove(&(entry.touched_at, entry.stamp));
+        self.by_stamp.remove(&entry.stamp);
+        self.live_tokens -= u64::from(entry.tokens);
+        self.stats.evictions += 1;
+        self.stats.evicted_tokens += u64::from(entry.tokens);
+        Some(entry.tokens)
     }
 
     /// Tokens of retained KV currently live.
@@ -377,7 +373,181 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The store as it was before the expiry and LRU orders: every expiry
+    /// walks all entries and every eviction scans for the smallest stamp.
+    /// Kept as the oracle for the indexed store.
+    struct ScanStore {
+        entries: BTreeMap<SessionKey, Entry>,
+        capacity_tokens: u64,
+        ttl: SimDuration,
+        live_tokens: u64,
+        clock: u64,
+        stats: PrefixStats,
+    }
+
+    impl ScanStore {
+        fn new(capacity_tokens: u64, ttl: SimDuration) -> Self {
+            ScanStore {
+                entries: BTreeMap::new(),
+                capacity_tokens,
+                ttl,
+                live_tokens: 0,
+                clock: 0,
+                stats: PrefixStats::default(),
+            }
+        }
+
+        fn insert(&mut self, session: SessionKey, tokens: u32, now: SimTime) {
+            self.expire(now);
+            self.clock += 1;
+            let stamp = self.clock;
+            match self.entries.get_mut(&session) {
+                Some(entry) => {
+                    let grown = u64::from(tokens.max(entry.tokens)) - u64::from(entry.tokens);
+                    entry.tokens = entry.tokens.max(tokens);
+                    entry.touched_at = now;
+                    entry.stamp = stamp;
+                    self.live_tokens += grown;
+                    self.stats.inserted_tokens += grown;
+                }
+                None => {
+                    let entry = Entry {
+                        tokens,
+                        touched_at: now,
+                        stamp,
+                    };
+                    self.entries.insert(session, entry);
+                    self.live_tokens += u64::from(tokens);
+                    self.stats.inserted_tokens += u64::from(tokens);
+                }
+            }
+            while self.live_tokens > self.capacity_tokens {
+                let lru = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| e.stamp)
+                    .map(|(&k, _)| k)
+                    .expect("live tokens imply live entries");
+                self.evict(lru);
+            }
+        }
+
+        fn lookup(&mut self, session: SessionKey, want_tokens: u32, now: SimTime) -> u32 {
+            self.expire(now);
+            let served = match self.entries.get_mut(&session) {
+                Some(entry) => {
+                    let served = entry.tokens.min(want_tokens);
+                    if served > 0 {
+                        self.clock += 1;
+                        entry.touched_at = now;
+                        entry.stamp = self.clock;
+                    }
+                    served
+                }
+                None => 0,
+            };
+            if served > 0 {
+                self.stats.hits += 1;
+                self.stats.hit_tokens += u64::from(served);
+            } else {
+                self.stats.misses += 1;
+            }
+            served
+        }
+
+        fn peek(&self, session: SessionKey, want_tokens: u32, now: SimTime) -> u32 {
+            match self.entries.get(&session) {
+                Some(entry) if now.saturating_since(entry.touched_at) <= self.ttl => {
+                    entry.tokens.min(want_tokens)
+                }
+                _ => 0,
+            }
+        }
+
+        fn remove(&mut self, session: SessionKey) -> Option<u32> {
+            let tokens = self.entries.get(&session)?.tokens;
+            self.evict(session);
+            Some(tokens)
+        }
+
+        fn clear(&mut self) {
+            let keys: Vec<SessionKey> = self.entries.keys().copied().collect();
+            for key in keys {
+                self.evict(key);
+            }
+        }
+
+        fn expire(&mut self, now: SimTime) {
+            let dead: Vec<SessionKey> = self
+                .entries
+                .iter()
+                .filter(|(_, e)| now.saturating_since(e.touched_at) > self.ttl)
+                .map(|(&k, _)| k)
+                .collect();
+            for key in dead {
+                self.evict(key);
+            }
+        }
+
+        fn evict(&mut self, session: SessionKey) {
+            if let Some(entry) = self.entries.remove(&session) {
+                self.live_tokens -= u64::from(entry.tokens);
+                self.stats.evictions += 1;
+                self.stats.evicted_tokens += u64::from(entry.tokens);
+            }
+        }
+    }
+
     proptest! {
+        /// The indexed store answers, counts and holds exactly what the
+        /// full-scan store does, under random inserts, lookups, peeks,
+        /// removals, sweeps and clears at arbitrary (not only advancing)
+        /// times, with the budget and the TTL both binding.
+        #[test]
+        fn indexed_store_matches_the_full_scan(
+            capacity in 200u64..4000,
+            ttl_secs in 1u32..60,
+            ops in proptest::collection::vec(
+                (0u8..6, 0u64..12, 0u32..1500, 0u32..200),
+                1..300,
+            ),
+        ) {
+            let ttl = SimDuration::from_secs_f64(f64::from(ttl_secs));
+            let mut store = PrefixStore::new(capacity, ttl);
+            let mut oracle = ScanStore::new(capacity, ttl);
+            for (op, session, tokens, at) in ops {
+                let now = SimTime::ZERO + SimDuration::from_secs_f64(f64::from(at));
+                match op {
+                    0 => {
+                        store.insert(session, tokens, now);
+                        oracle.insert(session, tokens, now);
+                    }
+                    1 => prop_assert_eq!(
+                        store.lookup(session, tokens, now),
+                        oracle.lookup(session, tokens, now)
+                    ),
+                    2 => prop_assert_eq!(
+                        store.peek(session, tokens, now),
+                        oracle.peek(session, tokens, now)
+                    ),
+                    3 => prop_assert_eq!(store.remove(session), oracle.remove(session)),
+                    4 => {
+                        store.expire(now);
+                        oracle.expire(now);
+                    }
+                    _ => {
+                        store.clear();
+                        oracle.clear();
+                    }
+                }
+                prop_assert_eq!(store.stats(), oracle.stats);
+                prop_assert_eq!(store.live_tokens(), oracle.live_tokens);
+                prop_assert_eq!(&store.entries, &oracle.entries);
+                prop_assert_eq!(store.by_touch.len(), store.entries.len());
+                prop_assert_eq!(store.by_stamp.len(), store.entries.len());
+            }
+        }
+
         /// Token conservation under arbitrary interleavings of inserts,
         /// lookups, removals, sweeps and clears at advancing times: every
         /// token ever inserted is either still live or has been evicted,

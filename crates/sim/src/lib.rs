@@ -1,7 +1,7 @@
 //! # windserve-sim
 //!
 //! Deterministic discrete-event simulation kernel underpinning the WindServe
-//! reproduction. It provides exactly four things, each small and heavily
+//! reproduction. It provides a few primitives, each small and heavily
 //! tested:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time;
@@ -10,7 +10,9 @@
 //! * [`SimRng`] — a stable, seedable RNG (xoshiro256++) so every simulation
 //!   is reproducible from one `u64`;
 //! * [`FxHashMap`] / [`FxHashSet`] — deterministic, fast hashing for the
-//!   hot maps of the layers above (no per-process SipHash seed).
+//!   hot maps of the layers above (no per-process SipHash seed);
+//! * [`KeyedSlab`] — values at stable, recycled slots, found by key through
+//!   one such map, so hot loops that keep a slot skip the hash probe.
 //!
 //! The actual serving semantics (instances, batches, KV caches, the global
 //! scheduler) live in the higher-level crates; this crate knows nothing
@@ -56,10 +58,12 @@ mod epoch;
 pub mod hash;
 mod queue;
 mod rng;
+mod slab;
 mod time;
 
 pub use epoch::{Epoch, EpochCounter};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::{EventQueue, Scheduled};
 pub use rng::SimRng;
+pub use slab::KeyedSlab;
 pub use time::{SimDuration, SimTime};

@@ -5,10 +5,19 @@
 //! instant are delivered earlier. Cancellation uses the epoch pattern (see
 //! [`crate::epoch`]): rather than deleting entries, schedulers tag events
 //! with a generation counter and ignore stale deliveries.
+//!
+//! Events are kept in two places. An event scheduled no earlier than the
+//! last event of the *run* — a FIFO — joins the run's tail; any other goes
+//! to a binary heap. The run is therefore sorted by `(at, seq)` by
+//! construction, and `pop` takes the smaller of the two heads, so delivery
+//! order is exactly that of one heap over all events. A replay injects its
+//! arrivals in time order before anything else, so they all land in the
+//! run and the heap holds only in-flight work: a few hundred entries
+//! instead of tens of thousands.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A scheduled event, ready for delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +76,8 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// Events in non-decreasing `(at, seq)` order, earliest at the front.
+    run: VecDeque<Entry<E>>,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -91,6 +102,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            run: VecDeque::new(),
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -110,13 +122,32 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        let entry = Entry { at, seq, event };
+        // `seq` grows with every schedule, so an event no earlier than the
+        // run's tail keeps the run sorted by `(at, seq)`.
+        if self.run.back().is_none_or(|last| at >= last.at) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
+    }
+
+    /// True if the next event is the run's head rather than the heap's.
+    fn run_is_next(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(run), Some(heap)) => (run.at, run.seq) < (heap.at, heap.seq),
+            (run, _) => run.is_some(),
+        }
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty. Advances the queue's notion of "now".
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let entry = self.heap.pop()?;
+        let entry = if self.run_is_next() {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        }?;
         debug_assert!(entry.at >= self.last_popped);
         self.last_popped = entry.at;
         Some(Scheduled {
@@ -128,7 +159,10 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the next event, if any, without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        match (self.run.front(), self.heap.peek()) {
+            (Some(run), Some(heap)) => Some(run.at.min(heap.at)),
+            (run, heap) => run.or(heap).map(|e| e.at),
+        }
     }
 
     /// Moves "now" forward to `to` without delivering anything: for a
@@ -146,7 +180,7 @@ impl<E> EventQueue<E> {
             self.last_popped
         );
         assert!(
-            self.heap.peek().is_none_or(|e| e.at >= to),
+            self.peek_time().is_none_or(|next| next >= to),
             "cannot advance to {to} past a pending event"
         );
         self.last_popped = to;
@@ -154,12 +188,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.run.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.run.is_empty()
     }
 
     /// The time of the most recently popped event (the simulation "now").
@@ -280,6 +314,55 @@ mod tests {
                 delivered += 1;
             }
             prop_assert_eq!(delivered, scheduled);
+        }
+
+        /// The heap-plus-run queue delivers exactly what one binary heap
+        /// over every event delivers, in `(at, seq, event)`, under
+        /// schedules in and out of time order, same-instant ties, pops,
+        /// `peek_time` and `advance_to`.
+        #[test]
+        fn run_and_heap_deliver_like_one_heap(
+            ops in proptest::collection::vec((0u8..6, 0u64..40), 1..300)
+        ) {
+            use std::cmp::Reverse;
+            let at_micros = |t: SimTime, offset: u64| SimTime::from_micros(t.as_micros() + offset);
+            let mut q = EventQueue::new();
+            let mut reference = BinaryHeap::new();
+            let mut next_seq = 0u64;
+            let mut latest = SimTime::ZERO;
+            for (i, (op, offset)) in ops.into_iter().enumerate() {
+                let now = q.now();
+                let at = match op {
+                    // In time order: no earlier than anything scheduled.
+                    0 => Some(at_micros(latest.max(now), offset)),
+                    // Anywhere from "now" on, often before queued events.
+                    1 => Some(at_micros(now, offset)),
+                    // A tie with the latest scheduled instant.
+                    2 => Some(latest.max(now)),
+                    _ => None,
+                };
+                if let Some(at) = at {
+                    q.schedule(at, i);
+                    reference.push(Reverse((at, next_seq, i)));
+                    next_seq += 1;
+                    latest = latest.max(at);
+                } else if op == 5 {
+                    let next = reference.peek().map(|Reverse((at, _, _))| *at);
+                    let to = next.map_or(at_micros(now, offset), |n| n.min(at_micros(now, offset)));
+                    q.advance_to(to);
+                    prop_assert_eq!(q.now(), to);
+                } else {
+                    let got = q.pop().map(|e| (e.at, e.seq, e.event));
+                    prop_assert_eq!(got, reference.pop().map(|Reverse(e)| e));
+                }
+                prop_assert_eq!(q.peek_time(), reference.peek().map(|Reverse((at, _, _))| *at));
+                prop_assert_eq!(q.len(), reference.len());
+            }
+            while let Some(Reverse(want)) = reference.pop() {
+                let got = q.pop().map(|e| (e.at, e.seq, e.event));
+                prop_assert_eq!(got, Some(want));
+            }
+            prop_assert!(q.is_empty() && q.pop().is_none());
         }
 
         #[test]
