@@ -43,3 +43,72 @@ pub fn run(cfg: ServeConfig, trace: &Trace) -> RunReport {
 pub fn assert_at_most(label: &str, a: f64, b: f64, factor: f64) {
     assert!(a <= b * factor, "{label}: {a} should be <= {factor} x {b}");
 }
+
+/// The runs that reach the decode paths a quiet decode step never takes:
+/// swap-outs, migrations, KV-pressure preemptions and watchdog aborts.
+/// Each is named as its golden row; all replay ShareGPT, 300 requests,
+/// seed 2766.
+pub fn decode_path_cases() -> Vec<(&'static str, ServeConfig, Trace)> {
+    use windserve::{OverloadConfig, SystemKind};
+    use windserve_engine::PreemptionMode;
+    use windserve_gpu::GpuSpec;
+    use windserve_sim::SimDuration;
+
+    let rtx_4090 = |system, preemption| {
+        ServeConfig::opt_13b_sharegpt(system)
+            .to_builder()
+            .gpu(GpuSpec::rtx_4090())
+            .preemption(preemption)
+            .build()
+            .expect("valid config")
+    };
+    let overloaded = |overload| {
+        let mut cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
+        cfg.overload = Some(overload);
+        cfg
+    };
+    let cases = [
+        (
+            "vllm/opt-13b-sharegpt-rtx4090-swap",
+            rtx_4090(SystemKind::VllmColocated, PreemptionMode::Swap),
+            4.0,
+        ),
+        (
+            "windserve/opt-13b-sharegpt-rtx4090-swap",
+            rtx_4090(SystemKind::WindServe, PreemptionMode::Swap),
+            4.0,
+        ),
+        (
+            "windserve/opt-13b-sharegpt-rtx4090-recompute",
+            rtx_4090(SystemKind::WindServe, PreemptionMode::Recompute),
+            4.0,
+        ),
+        (
+            "overload/kv-preempt",
+            overloaded(OverloadConfig {
+                shedding: false,
+                preempt_kv_watermark: Some(0.5),
+                deadline: Some(SimDuration::from_secs(30)),
+                ..OverloadConfig::default()
+            }),
+            6.0,
+        ),
+        (
+            "overload/watchdog",
+            overloaded(OverloadConfig {
+                max_queued_requests: None,
+                shedding: false,
+                deadline: Some(SimDuration::from_millis(500)),
+                ..OverloadConfig::default()
+            }),
+            8.0,
+        ),
+    ];
+    cases
+        .into_iter()
+        .map(|(name, cfg, rate_per_gpu)| {
+            let trace = sharegpt_trace(cfg.total_rate(rate_per_gpu), 300, 2766);
+            (name, cfg, trace)
+        })
+        .collect()
+}

@@ -14,7 +14,7 @@ use std::fmt::{Debug, Write as _};
 use windserve::fleet::FleetConfig;
 use windserve::{FaultPlan, OverloadConfig, PrefixCacheConfig, ServeConfig, SystemKind, TraceMode};
 use windserve_sim::SimDuration;
-use windserve_tests::{longbench_trace, run, sharegpt_trace};
+use windserve_tests::{decode_path_cases, longbench_trace, run, sharegpt_trace};
 use windserve_workload::{Scenario, SessionsScenario};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/digests.txt");
@@ -235,9 +235,36 @@ fn traced_longbench_overload() -> Vec<Row> {
     ]
 }
 
+/// The runs that swap, migrate, preempt under KV pressure and abort on
+/// the watchdog: the decode paths no other row reaches. Each asserts that
+/// its path fires.
+fn decode_paths() -> Vec<Row> {
+    decode_path_cases()
+        .into_iter()
+        .map(|(name, cfg, trace)| {
+            let report = run(cfg, &trace);
+            let swap_outs: u64 = report.instances.iter().map(|i| i.swap_outs).sum();
+            let fired = match name {
+                "vllm/opt-13b-sharegpt-rtx4090-swap" => swap_outs > 0,
+                "windserve/opt-13b-sharegpt-rtx4090-swap" => {
+                    report.migrations_completed > 0 && swap_outs > 0
+                }
+                "windserve/opt-13b-sharegpt-rtx4090-recompute" => report.migrations_completed > 0,
+                "overload/kv-preempt" => {
+                    report.requests_preempted > 0 && report.migrations_started > 0
+                }
+                "overload/watchdog" => report.watchdog_aborts > 0,
+                _ => unreachable!("unknown decode-path case {name}"),
+            };
+            assert!(fired, "{name}: its decode path must fire");
+            (name.to_string(), digest(&report))
+        })
+        .collect()
+}
+
 /// Every row, in file order. Cases run on their own threads.
 fn compute() -> Vec<Row> {
-    let cases: [fn() -> Vec<Row>; 10] = [
+    let cases: [fn() -> Vec<Row>; 11] = [
         opt_13b_sharegpt,
         llama2_13b_longbench,
         longbench_overload,
@@ -248,6 +275,7 @@ fn compute() -> Vec<Row> {
         fleet,
         traced,
         traced_longbench_overload,
+        decode_paths,
     ];
     std::thread::scope(|s| {
         let handles: Vec<_> = cases.iter().map(|case| s.spawn(case)).collect();

@@ -7,7 +7,7 @@
 
 use windserve::{FaultPlan, OverloadConfig, ServeConfig, SystemKind};
 use windserve_sim::SimDuration;
-use windserve_tests::{longbench_trace, run, sharegpt_trace};
+use windserve_tests::{decode_path_cases, longbench_trace, run, sharegpt_trace};
 
 /// Fault recovery walks every hot map (pending transfers, migrations,
 /// per-sequence state) on the panic-recovery paths; with the
@@ -72,4 +72,34 @@ fn saturated_backlog_count_is_exact_at_every_event() {
     let mut scrubbed = audited.clone();
     scrubbed.invariant_checks = legacy.invariant_checks;
     assert_eq!(scrubbed, legacy, "auditing must not change the run");
+}
+
+/// The decode-lane step ledger defers each member's tokens and KV growth,
+/// so every path that swaps, migrates, preempts or aborts a member must
+/// settle it first. The runs that reach those paths, with the auditor
+/// recomputing every lane's ledger from settled member state after every
+/// event, must each equal their unaudited run.
+#[test]
+fn ledger_is_exact_at_every_event() {
+    for (name, cfg, trace) in decode_path_cases() {
+        let mut audited_cfg = cfg.clone();
+        let mut overload = cfg.overload.unwrap_or(OverloadConfig {
+            max_queued_requests: None,
+            shedding: false,
+            ..OverloadConfig::default()
+        });
+        overload.audit_interval_events = Some(1);
+        audited_cfg.overload = Some(overload);
+        let plain = run(cfg, &trace);
+        let audited = run(audited_cfg, &trace);
+        assert!(
+            audited.invariant_checks >= audited.events_processed,
+            "{name}: {} audits over {} events",
+            audited.invariant_checks,
+            audited.events_processed
+        );
+        let mut scrubbed = audited.clone();
+        scrubbed.invariant_checks = plain.invariant_checks;
+        assert_eq!(scrubbed, plain, "{name}: auditing must not change the run");
+    }
 }
