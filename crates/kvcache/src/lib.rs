@@ -35,6 +35,6 @@ mod prefix;
 
 pub use backup::{Backup, BackupStore};
 pub use error::{Error, Result};
-pub use manager::{AllocError, BlockId, BlockManager, SeqKey};
+pub use manager::{AllocError, BlockManager, SeqKey};
 pub use migrate::{background_duration_secs, MigrationPhase, StallFreeMigration};
 pub use prefix::{PrefixStats, PrefixStore, SessionKey};

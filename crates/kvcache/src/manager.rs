@@ -7,21 +7,24 @@
 //! The manager also accounts swap-outs to host memory — the paper's Fig. 1a
 //! and §2.2 blame exactly this swapping for degraded TPOT under load.
 //!
-//! Tables live in a [`KeyedSlab`]: a caller that keeps a table's slot (the
-//! engine does, for every decoding sequence) reads and grows it by index
-//! with no hash probe. Each table also keeps the token room left in its
-//! last block, so a one-token append is a decrement and takes a new block
-//! only when the room is used up.
+//! Blocks are interchangeable, so the manager keeps counts, not block ids:
+//! each table records how many blocks it holds, and the pool how many are
+//! free. Tables live in a [`KeyedSlab`]: a caller that keeps a table's
+//! slot (the engine does, for every decoding sequence) reads and grows it
+//! by index with no hash probe. Each table also keeps the token room left
+//! in its last block, so a one-token append is a decrement and takes a new
+//! block only when the room is used up.
+//!
+//! Growth can also be *deferred*: a caller that knows how many blocks a
+//! batch of appends will take debits them from the free pool at once
+//! ([`debit_growth`](BlockManager::debit_growth)) and later moves the
+//! tokens into each table ([`settle_at`](BlockManager::settle_at)), whose
+//! new blocks then come out of the debited pool instead of the free one.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use windserve_sim::hash::FxHashMap;
 use windserve_sim::KeyedSlab;
-
-/// Identifier of one physical KV block within an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct BlockId(pub u32);
 
 /// Key identifying a sequence in the manager (the request id's raw value).
 pub type SeqKey = u64;
@@ -49,10 +52,9 @@ impl Error for AllocError {}
 
 #[derive(Debug, Clone)]
 struct SeqTable {
-    blocks: Vec<BlockId>,
+    blocks: usize,
     tokens: u32,
-    /// Tokens the last block can still take:
-    /// `blocks.len() · block_tokens − tokens`.
+    /// Tokens the last block can still take: `blocks · block_tokens − tokens`.
     room: u32,
 }
 
@@ -75,7 +77,9 @@ struct SeqTable {
 pub struct BlockManager {
     block_tokens: u32,
     total_blocks: usize,
-    free: Vec<BlockId>,
+    free: usize,
+    /// Blocks debited for growth not yet settled into any table.
+    deferred: usize,
     tables: KeyedSlab<SeqTable>,
     swapped: FxHashMap<SeqKey, u32>,
     swap_outs: u64,
@@ -95,7 +99,8 @@ impl BlockManager {
         BlockManager {
             block_tokens,
             total_blocks,
-            free: (0..total_blocks as u32).rev().map(BlockId).collect(),
+            free: total_blocks,
+            deferred: 0,
             tables: KeyedSlab::new(),
             swapped: FxHashMap::default(),
             swap_outs: 0,
@@ -115,12 +120,18 @@ impl BlockManager {
 
     /// Currently free blocks.
     pub fn free_blocks(&self) -> usize {
-        self.free.len()
+        self.free
+    }
+
+    /// Blocks debited by [`debit_growth`](Self::debit_growth) and not yet
+    /// settled into a table.
+    pub fn deferred_blocks(&self) -> usize {
+        self.deferred
     }
 
     /// Fraction of blocks free, in `[0, 1]`.
     pub fn free_fraction(&self) -> f64 {
-        self.free.len() as f64 / self.total_blocks as f64
+        self.free as f64 / self.total_blocks as f64
     }
 
     /// Blocks required to hold `tokens` tokens.
@@ -130,12 +141,12 @@ impl BlockManager {
 
     /// Largest token count an allocation could currently satisfy.
     pub fn free_token_capacity(&self) -> u64 {
-        self.free.len() as u64 * u64::from(self.block_tokens)
+        self.free as u64 * u64::from(self.block_tokens)
     }
 
     /// True if a new sequence of `tokens` tokens would fit right now.
     pub fn can_fit(&self, tokens: u32) -> bool {
-        self.blocks_for(tokens) <= self.free.len()
+        self.blocks_for(tokens) <= self.free
     }
 
     /// Tokens resident for `key`, if it is allocated on-device.
@@ -187,19 +198,18 @@ impl BlockManager {
             "sequence {key} already allocated"
         );
         let needed = self.blocks_for(tokens);
-        if needed > self.free.len() {
+        if needed > self.free {
             return Err(AllocError {
                 needed,
-                available: self.free.len(),
+                available: self.free,
             });
         }
-        let mut blocks = Vec::with_capacity(needed);
-        blocks.extend(self.free.drain(self.free.len() - needed..));
+        self.free -= needed;
         let room = (needed * self.block_tokens as usize - tokens as usize) as u32;
         self.tables.insert(
             key,
             SeqTable {
-                blocks,
+                blocks: needed,
                 tokens,
                 room,
             },
@@ -234,11 +244,53 @@ impl BlockManager {
     /// Panics if no table lives in `slot`.
     #[inline]
     pub fn append_at(&mut self, slot: u32, n: u32) -> Result<(), AllocError> {
+        let extra = self.grow(slot, n, self.free)?;
+        self.free -= extra;
+        Ok(())
+    }
+
+    /// Takes `blocks` free blocks for growth that
+    /// [`settle_at`](Self::settle_at) will later move into tables.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] if fewer blocks are free; nothing changes.
+    pub fn debit_growth(&mut self, blocks: usize) -> Result<(), AllocError> {
+        if blocks > self.free {
+            return Err(AllocError {
+                needed: blocks,
+                available: self.free,
+            });
+        }
+        self.free -= blocks;
+        self.deferred += blocks;
+        Ok(())
+    }
+
+    /// Appends `n` tokens to the table in `slot`, taking any new blocks
+    /// from those [`debit_growth`](Self::debit_growth) set aside.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no table lives in `slot`, or if the growth needs more
+    /// blocks than were debited (the caller's count was wrong).
+    #[inline]
+    pub fn settle_at(&mut self, slot: u32, n: u32) {
+        let extra = self
+            .grow(slot, n, self.deferred)
+            .expect("settled growth exceeds the debited blocks");
+        self.deferred -= extra;
+    }
+
+    /// Grows the table in `slot` by `n` tokens if the blocks that takes
+    /// are at most `available`; returns how many it took.
+    #[inline]
+    fn grow(&mut self, slot: u32, n: u32, available: usize) -> Result<usize, AllocError> {
         let table = self.tables.at_mut(slot);
         if n <= table.room {
             table.room -= n;
             table.tokens += n;
-            return Ok(());
+            return Ok(0);
         }
         // Whole blocks until the room covers `n`: one pass for a one-token
         // append, and no division.
@@ -247,19 +299,16 @@ impl BlockManager {
             room += self.block_tokens;
             extra += 1;
         }
-        let free_len = self.free.len();
-        if extra > free_len {
+        if extra > available {
             return Err(AllocError {
                 needed: extra,
-                available: free_len,
+                available,
             });
         }
-        // Moves the top `extra` free blocks in stack order; unlike
-        // `split_off`, draining allocates no intermediate `Vec`.
-        table.blocks.extend(self.free.drain(free_len - extra..));
+        table.blocks += extra;
         table.room = room - n;
         table.tokens += n;
-        Ok(())
+        Ok(extra)
     }
 
     /// Frees `key`'s table, returning the token count it held (0 if the key
@@ -268,7 +317,7 @@ impl BlockManager {
     pub fn release(&mut self, key: SeqKey) -> u32 {
         match self.tables.remove(key) {
             Some(table) => {
-                self.free.extend(table.blocks);
+                self.free += table.blocks;
                 table.tokens
             }
             None => 0,
@@ -284,7 +333,7 @@ impl BlockManager {
     /// Panics if `key` has no device table.
     pub fn swap_out(&mut self, key: SeqKey) -> u32 {
         let table = self.tables.remove(key).expect("sequence not resident");
-        self.free.extend(table.blocks);
+        self.free += table.blocks;
         self.swapped.insert(key, table.tokens);
         self.swap_outs += 1;
         table.tokens
@@ -330,9 +379,10 @@ impl BlockManager {
         self.swap_ins
     }
 
-    /// Verifies conservation: every block is either free or in exactly one
-    /// table, and every table holds exactly the blocks its tokens need,
-    /// with the room it records left in the last one.
+    /// Verifies conservation: the blocks in tables, the free blocks and
+    /// the debited growth add up to the total, and every table holds
+    /// exactly the blocks its tokens need, with the room it records left
+    /// in the last one.
     ///
     /// # Errors
     ///
@@ -341,44 +391,27 @@ impl BlockManager {
     /// describing the violated invariant.
     pub fn check_invariants(&self) -> crate::Result<()> {
         let violated = |reason: String| crate::Error::InvariantViolated { reason };
-        let in_tables: usize = self.tables.iter().map(|(_, t)| t.blocks.len()).sum();
-        if in_tables + self.free.len() != self.total_blocks {
+        let in_tables: usize = self.tables.iter().map(|(_, t)| t.blocks).sum();
+        if in_tables + self.free + self.deferred != self.total_blocks {
             return Err(violated(format!(
-                "block leak: {} in tables + {} free != {} total",
-                in_tables,
-                self.free.len(),
-                self.total_blocks
+                "block leak: {} in tables + {} free + {} debited != {} total",
+                in_tables, self.free, self.deferred, self.total_blocks
             )));
         }
-        let mut seen = vec![false; self.total_blocks];
-        for id in self
-            .free
-            .iter()
-            .chain(self.tables.iter().flat_map(|(_, t)| t.blocks.iter()))
-        {
-            match seen.get_mut(id.0 as usize) {
-                Some(s) if !*s => *s = true,
-                Some(_) => return Err(violated(format!("block {id:?} appears twice"))),
-                None => return Err(violated(format!("block {id:?} out of range"))),
-            }
-        }
         for (key, table) in self.tables.iter() {
-            if self.blocks_for(table.tokens) != table.blocks.len() {
+            if self.blocks_for(table.tokens) != table.blocks {
                 return Err(violated(format!(
                     "sequence {key}: {} tokens need {} blocks, has {}",
                     table.tokens,
                     self.blocks_for(table.tokens),
-                    table.blocks.len()
+                    table.blocks
                 )));
             }
-            let room =
-                table.blocks.len() as u64 * u64::from(self.block_tokens) - u64::from(table.tokens);
+            let room = table.blocks as u64 * u64::from(self.block_tokens) - u64::from(table.tokens);
             if u64::from(table.room) != room {
                 return Err(violated(format!(
                     "sequence {key}: room {} but {} blocks hold {} tokens",
-                    table.room,
-                    table.blocks.len(),
-                    table.tokens
+                    table.room, table.blocks, table.tokens
                 )));
             }
         }
@@ -474,6 +507,45 @@ mod tests {
         let err = mgr.check_invariants().unwrap_err().to_string();
         assert!(
             err.contains("sequence 3: room 11 but 2 blocks hold 20 tokens"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn deferred_growth_settles_from_the_debit() {
+        let mut mgr = BlockManager::new(10, 16);
+        mgr.allocate(1, 16).unwrap();
+        mgr.allocate(2, 20).unwrap();
+        // Five appends each: table 1 crosses once, table 2 does not.
+        mgr.debit_growth(1).unwrap();
+        assert_eq!((mgr.free_blocks(), mgr.deferred_blocks()), (6, 1));
+        assert_eq!(mgr.debit_growth(7).unwrap_err().available, 6);
+        mgr.check_invariants().unwrap();
+        mgr.settle_at(mgr.slot_of(2).unwrap(), 5);
+        mgr.settle_at(mgr.slot_of(1).unwrap(), 5);
+        assert_eq!(mgr.deferred_blocks(), 0);
+        assert_eq!(mgr.tokens_of(1), Some(21));
+        assert_eq!(mgr.release(1), 21);
+        assert_eq!(mgr.free_blocks(), 8);
+        mgr.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the debited blocks")]
+    fn settling_more_than_the_debit_panics() {
+        let mut mgr = BlockManager::new(10, 16);
+        mgr.allocate(1, 16).unwrap();
+        mgr.settle_at(mgr.slot_of(1).unwrap(), 1);
+    }
+
+    #[test]
+    fn auditor_catches_a_leaked_debit() {
+        let mut mgr = BlockManager::new(10, 16);
+        mgr.allocate(1, 20).unwrap();
+        mgr.deferred += 1;
+        let err = mgr.check_invariants().unwrap_err().to_string();
+        assert!(
+            err.contains("block leak: 2 in tables + 8 free + 1 debited != 10 total"),
             "{err}"
         );
     }
@@ -577,6 +649,40 @@ mod tests {
                 }
                 prop_assert_eq!(mgr.free_blocks(), total - held);
                 prop_assert_eq!(mgr.resident_count(), resident.len());
+            }
+        }
+
+        /// Growth debited up front and settled table by table leaves the
+        /// manager exactly where appending each table directly does.
+        #[test]
+        fn deferred_growth_matches_direct_appends(
+            block_tokens in 1u32..20,
+            tables in proptest::collection::vec(0u32..60, 1..8),
+            rounds in proptest::collection::vec(proptest::collection::vec(0u32..40, 8..9), 1..6),
+        ) {
+            let mut direct = BlockManager::new(400, block_tokens);
+            let mut deferred = BlockManager::new(400, block_tokens);
+            for (key, &tokens) in tables.iter().enumerate() {
+                direct.allocate(key as u64, tokens).unwrap();
+                deferred.allocate(key as u64, tokens).unwrap();
+            }
+            for grow in rounds {
+                let free = direct.free_blocks();
+                for (key, &n) in grow.iter().enumerate().take(tables.len()) {
+                    let _ = direct.append_tokens(key as u64, n);
+                }
+                let taken = free - direct.free_blocks();
+                deferred.debit_growth(taken).unwrap();
+                for key in 0..tables.len() {
+                    let want = direct.tokens_of(key as u64).unwrap();
+                    let slot = deferred.slot_of(key as u64).unwrap();
+                    let n = want - deferred.fill_at(slot).0;
+                    deferred.settle_at(slot, n);
+                    prop_assert_eq!(deferred.fill_at(slot), direct.fill_at(direct.slot_of(key as u64).unwrap()));
+                }
+                prop_assert_eq!(deferred.deferred_blocks(), 0);
+                prop_assert_eq!(deferred.free_blocks(), direct.free_blocks());
+                deferred.check_invariants().unwrap();
             }
         }
 
