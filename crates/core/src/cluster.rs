@@ -575,6 +575,7 @@ impl Cluster {
             records: Vec::new(),
             started_scratch: Vec::new(),
             outcome_scratch: StepOutcome::default(),
+            decoded_scratch: Vec::new(),
             leap_scratch: Vec::new(),
             processed: 0,
             end_time: SimTime::ZERO,
@@ -1318,10 +1319,14 @@ impl Cluster {
         }
     }
 
+    /// Reacts to a completed step. `decoded` holds the step's members,
+    /// read before its completion, when live listeners or migrations need
+    /// their tokens (empty otherwise).
     fn on_step_outcome(
         &mut self,
         inst: usize,
         outcome: &StepOutcome,
+        decoded: &[RequestId],
         now: SimTime,
         records: &mut Vec<RequestRecord>,
     ) -> crate::Result<()> {
@@ -1334,15 +1339,11 @@ impl Cluster {
         for fp in &outcome.finished_prefills {
             self.on_finished_prefill(inst, fp.id, now, records)?;
         }
-        // The common case has no live listeners and no migration in flight;
-        // skip the per-token loop (and its hash probes) entirely then.
-        if self.live.is_some() || !self.migrations.is_empty() {
-            for id in &outcome.decoded {
-                push_live(&mut self.live, LiveEvent::Token { id: *id, at: now });
-                if let Some(m) = self.migrations.get_mut(&id.0) {
-                    if m.state.phase() == windserve_kvcache::MigrationPhase::Background {
-                        m.state.on_tokens_generated(1);
-                    }
+        for id in decoded {
+            push_live(&mut self.live, LiveEvent::Token { id: *id, at: now });
+            if let Some(m) = self.migrations.get_mut(&id.0) {
+                if m.state.phase() == windserve_kvcache::MigrationPhase::Background {
+                    m.state.on_tokens_generated(1);
                 }
             }
         }
@@ -2346,6 +2347,9 @@ pub struct ClusterSession {
     started_scratch: Vec<StartedStep>,
     /// Reused step-outcome buffers; refilled in place on every completion.
     outcome_scratch: StepOutcome,
+    /// Reused list of a completing step's members, read for live tokens
+    /// and background migrations.
+    decoded_scratch: Vec<RequestId>,
     /// Reused step boundaries of one decode run-ahead.
     leap_scratch: Vec<SimTime>,
     processed: u64,
@@ -2583,12 +2587,20 @@ impl ClusterSession {
                 // A crash bumps the epoch: completions for steps the
                 // crash destroyed are stale and must be dropped.
                 if epoch == self.cluster.step_epoch[inst] {
+                    let cluster = &mut self.cluster;
                     let mut outcome = std::mem::take(&mut self.outcome_scratch);
-                    self.cluster.instances[inst].complete_step_into(lane, now, &mut outcome);
+                    let mut decoded = std::mem::take(&mut self.decoded_scratch);
+                    decoded.clear();
+                    // The common case has no live listeners and no migration
+                    // in flight; skip reading the step's members then.
+                    if cluster.live.is_some() || !cluster.migrations.is_empty() {
+                        decoded.extend(cluster.instances[inst].step_members(lane));
+                    }
+                    cluster.instances[inst].complete_step_into(lane, now, &mut outcome);
                     let applied =
-                        self.cluster
-                            .on_step_outcome(inst, &outcome, now, &mut self.records);
+                        cluster.on_step_outcome(inst, &outcome, &decoded, now, &mut self.records);
                     self.outcome_scratch = outcome;
+                    self.decoded_scratch = decoded;
                     applied?;
                 }
             }

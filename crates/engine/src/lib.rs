@@ -41,12 +41,15 @@
 mod config;
 mod error;
 mod instance;
+mod ledger;
 mod outcome;
 mod run_ahead;
 mod seq;
 mod stats;
 mod step;
 
+#[cfg(test)]
+mod oracle;
 #[cfg(test)]
 mod proptests;
 #[cfg(test)]

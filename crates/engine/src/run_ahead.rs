@@ -11,12 +11,13 @@
 //! The leap is exact. Each step is still priced through the cost model's
 //! step cache (one lookup per step, the same `u64` arithmetic), recorded
 //! into [`InstanceStats`](crate::InstanceStats) in order, and its duration
-//! built the same way step formation builds it. Only the per-member work
-//! is batched: `generated += k` and one KV append of `k` tokens per member,
-//! each reached through the member's slots with no hash probe.
+//! built the same way step formation builds it. The members are never
+//! walked: the lane's step ledger gives ΣL, the growth blocks each step
+//! takes and the first finish, and the leap applies as `clock += k` and
+//! one debit of the growth blocks.
 
 use crate::config::InstanceRole;
-use crate::instance::{kv_offset, Instance};
+use crate::instance::Instance;
 use crate::outcome::{LaneRef, StepKind};
 use windserve_sim::{SimDuration, SimTime};
 use windserve_workload::RequestId;
@@ -66,57 +67,42 @@ impl Instance {
         if bounds.max_steps == 0 || !self.lane_can_run_ahead(lane_idx, bounds.until) {
             return 0;
         }
-        let Some((min_left, sum_l)) = self.scan_members(lane_idx) else {
+        let lane = &mut self.lanes[lane_idx];
+        let ledger = &lane.ledger;
+        let clock = ledger.clock;
+        // The running step completes at `clock + 1`; the step ending at the
+        // first member's finish is not quiet.
+        let finish = ledger.next_finish().expect("a decode step has members");
+        let limit = bounds.max_steps.min(finish - clock - 1);
+        if limit == 0 {
             return 0;
-        };
-        let bt = self.cfg.block_tokens as usize;
-        let (ctx_residues, kv_residues) = self.residue_scratch.split_at_mut(bt);
-        let step = self.lanes[lane_idx].step.as_mut().expect("checked above");
-        let members = step.decode_ids.len();
-        let batch = members as u64;
+        }
+        let batch = ledger.members as u64;
+        let sum_l = ledger.sum_l();
+        let step = lane.step.as_mut().expect("checked above");
         let aux_kernel = self.aux_step.as_ref().map(|aux| aux.kernel);
         let total = self.kv.total_blocks() as f64;
-        let limit = bounds.max_steps.min(u64::from(min_left - 1));
         let mut pricer = self.cost.decode_pricer(batch);
-        let free_before = self.kv.free_blocks();
-        // Exact free blocks before the next step's completion, once the
-        // members' KV residues are counted. Until then a bound stands in:
-        // in `j` appends a member crosses at most `ceil(j / bt)` block
-        // boundaries. The residues are only read if the bound comes near
-        // the floor.
-        let mut free = None;
+        // Free blocks before the next step's completion.
+        let mut free = self.kv.free_blocks();
         let mut applied = 0u64;
         boundaries.push(step.started);
         while applied < limit && step.ends_at < bounds.until {
             let j = applied + 1;
-            let worst = free_before.checked_sub(members * (j as usize).div_ceil(bt));
-            let clear = free.is_none()
-                && worst.is_some_and(|lb| {
-                    lb >= members && (lb as f64 / total) >= bounds.min_free_fraction
-                });
-            if !clear {
-                let exact = *free.get_or_insert_with(|| {
-                    for m in &step.decode_ids {
-                        let (_, room) = self.kv.fill_at(m.kv);
-                        kv_residues[kv_offset(room, bt as u32) as usize] += 1;
-                    }
-                    (1..j).fold(free_before, |free, i| free - growth(kv_residues, i))
-                });
-                // Completing step j appends one token per member: a
-                // member whose KV holds a multiple of `bt` tokens takes a
-                // fresh block.
-                let taken = growth(kv_residues, j);
-                if taken > exact || ((exact - taken) as f64 / total) < bounds.min_free_fraction {
-                    break;
-                }
-                // Forming step j + 1 wants a block for each member whose
-                // context then sits on a block boundary; more than are
-                // free would preempt.
-                if growth(ctx_residues, j + 1) > exact - taken {
-                    break;
-                }
-                free = Some(exact - taken);
+            // Completing step j moves the clock to `clock + j`, appending
+            // one token per member: each member whose KV sits on a block
+            // boundary takes a fresh block.
+            let taken = ledger.kv_crossings(clock + j - 1);
+            if taken > free || ((free - taken) as f64 / total) < bounds.min_free_fraction {
+                break;
             }
+            // Forming step j + 1 wants a block for each member whose
+            // context then sits on a block boundary; more than are free
+            // would preempt.
+            if ledger.ctx_crossings(clock + j) > free - taken {
+                break;
+            }
+            free -= taken;
             self.stats
                 .record_step(StepKind::Decode, step.ends_at - step.started, &step.kernel);
             boundaries.push(step.ends_at);
@@ -135,13 +121,10 @@ impl Instance {
             return 0;
         }
         boundaries.push(step.ends_at);
-        let k = u32::try_from(applied).expect("bounded by a member's remaining output");
-        for m in &step.decode_ids {
-            self.seqs.at_mut(m.seq).generated += k;
-            self.kv
-                .append_at(m.kv, k)
-                .expect("growth checked against free blocks");
-        }
+        lane.ledger.clock += applied;
+        self.kv
+            .debit_growth(self.kv.free_blocks() - free)
+            .expect("growth checked against free blocks");
         applied
     }
 
@@ -149,11 +132,15 @@ impl Instance {
     /// completes, in batch order (none when the lane is idle).
     pub fn step_members(&self, lane: LaneRef) -> impl Iterator<Item = RequestId> + '_ {
         let step = match lane {
-            LaneRef::Main(i) => self.lanes.get(i).and_then(|l| l.step.as_ref()),
-            LaneRef::Aux => self.aux_step.as_ref(),
+            LaneRef::Main(i) => self
+                .lanes
+                .get(i)
+                .and_then(|l| l.step.as_ref())
+                .map(|step| (i, step)),
+            LaneRef::Aux => None,
         };
         step.into_iter()
-            .flat_map(|s| s.decode_ids.iter().map(|m| m.id))
+            .flat_map(|(i, step)| self.members_of(i, step).map(|m| m.id))
     }
 
     /// The O(1) preconditions of a leap: a pure decode step running on a
@@ -174,8 +161,9 @@ impl Instance {
         self.cfg.role == InstanceRole::Decode
             && step.kind == StepKind::Decode
             && step.ends_at < until
-            && !step.decode_ids.is_empty()
-            && step.decode_ids == lane.running
+            && lane.ledger.members > 0
+            && lane.ledger.members == lane.roster.len()
+            && step.departed.is_empty()
             && self.waiting_decode.is_empty()
             && self.swapped.is_empty()
             && self.pending_delay.is_zero()
@@ -183,35 +171,4 @@ impl Instance {
             && self.pause_requests.is_empty()
             && !guest_prefill_ready
     }
-
-    /// One pass over the lane's members, by slot: returns the fewest
-    /// output tokens any member still owes and ΣL of the running step, and
-    /// counts members per `context % block_tokens` into the first half of
-    /// `residue_scratch` (zeroing the second, for KV residues). `None`,
-    /// early, when a member finishes at the very next boundary.
-    fn scan_members(&mut self, lane_idx: usize) -> Option<(u32, u64)> {
-        let bt = self.cfg.block_tokens as usize;
-        self.residue_scratch.clear();
-        self.residue_scratch.resize(2 * bt, 0);
-        let step = self.lanes[lane_idx].step.as_ref().expect("checked");
-        let (mut min_left, mut sum_l) = (u32::MAX, 0u64);
-        for &m in &step.decode_ids {
-            let (seq, offset) = self.member_context(m);
-            min_left = min_left.min(seq.output_target - seq.generated);
-            if min_left <= 1 {
-                return None;
-            }
-            sum_l += u64::from(seq.context().max(1));
-            self.residue_scratch[offset as usize] += 1;
-        }
-        Some((min_left, sum_l))
-    }
-}
-
-/// Members that cross a block boundary at the `j`-th append (`j >= 1`),
-/// given member counts by token count modulo the block size: those whose
-/// count plus `j - 1` is a multiple of it.
-fn growth(residues: &[usize], j: u64) -> usize {
-    let bt = residues.len() as u64;
-    residues[((bt - (j - 1) % bt) % bt) as usize]
 }
