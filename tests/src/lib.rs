@@ -112,3 +112,35 @@ pub fn decode_path_cases() -> Vec<(&'static str, ServeConfig, Trace)> {
         })
         .collect()
 }
+
+/// The benchmark's `sessions_prefix` deployment (OPT-13B WindServe, four
+/// prefill and four decode replicas on two A800 nodes, prefix cache on)
+/// with its sessions scenario cut to 300 sessions, seed 2766: the one case
+/// whose four decode lanes interleave.
+pub fn sessions_4p4d(trace: windserve::TraceMode) -> (ServeConfig, Trace) {
+    use windserve::{DatasetSpec, PrefixCacheConfig, SessionsScenario, SystemKind};
+    use windserve_gpu::Topology;
+
+    let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+        .to_builder()
+        .topology(Topology::a800_multi_node(2))
+        .prefill_replicas(4)
+        .decode_replicas(4)
+        .with_prefix_cache(PrefixCacheConfig::default())
+        .with_trace(trace)
+        .build()
+        .expect("valid config");
+    let sessions = SessionsScenario::builder()
+        .sessions(300)
+        .session_rate(8.0)
+        .turns(2, 6)
+        .mean_think_secs(20.0)
+        .followup_tokens(16, 192)
+        .dataset(DatasetSpec::named("sharegpt", 2048))
+        .build()
+        .expect("valid sessions scenario");
+    let trace = Scenario::sessions(sessions)
+        .generate(2766)
+        .expect("valid sessions scenario");
+    (cfg, trace)
+}

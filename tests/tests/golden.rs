@@ -13,8 +13,8 @@
 use std::fmt::{Debug, Write as _};
 use windserve::fleet::FleetConfig;
 use windserve::{FaultPlan, OverloadConfig, PrefixCacheConfig, ServeConfig, SystemKind, TraceMode};
-use windserve_sim::SimDuration;
-use windserve_tests::{decode_path_cases, longbench_trace, run, sharegpt_trace};
+use windserve_sim::{SimDuration, SimTime};
+use windserve_tests::{decode_path_cases, longbench_trace, run, sessions_4p4d, sharegpt_trace};
 use windserve_workload::{Scenario, SessionsScenario};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/digests.txt");
@@ -262,9 +262,48 @@ fn decode_paths() -> Vec<Row> {
         .collect()
 }
 
+/// The benchmark's four-decode-replica sessions deployment: its report,
+/// its full trace, and the live token stream of a session pumped in 100 ms
+/// slices the way the gateway drives one. The sliced session must end in
+/// the same report as the closed-loop run.
+fn sessions_4p4d_rows() -> Vec<Row> {
+    let (cfg, trace) = sessions_4p4d(TraceMode::Off);
+    let report = run(cfg.clone(), &trace);
+    assert!(report.prefix_hits > 0, "the prefix cache must engage");
+
+    let (traced_cfg, _) = sessions_4p4d(TraceMode::Full);
+    let (_, log) = windserve::Cluster::new(traced_cfg)
+        .expect("valid config")
+        .run(&trace)
+        .expect("traced run");
+    assert!(!log.is_empty(), "full tracing must record events");
+
+    let mut session = windserve::Cluster::new(cfg)
+        .expect("valid config")
+        .into_session();
+    session.enable_live_events();
+    for req in trace.requests() {
+        session.inject(*req);
+    }
+    let mut live = Vec::new();
+    let mut horizon = SimTime::ZERO;
+    while session.next_event_at().is_some() {
+        horizon += SimDuration::from_millis(100);
+        session.pump_until(horizon).expect("sliced pump");
+        live.extend(session.drain_live_events());
+    }
+    let (sliced, _) = session.finish().expect("sliced session");
+    assert_eq!(sliced, report, "slicing must not change the run");
+    vec![
+        ("sessions/4p4d-two-nodes".into(), digest(&report)),
+        ("traced/sessions-4p4d/log".into(), digest(&log)),
+        ("live/sessions-4p4d".into(), digest(&live)),
+    ]
+}
+
 /// Every row, in file order. Cases run on their own threads.
 fn compute() -> Vec<Row> {
-    let cases: [fn() -> Vec<Row>; 11] = [
+    let cases: [fn() -> Vec<Row>; 12] = [
         opt_13b_sharegpt,
         llama2_13b_longbench,
         longbench_overload,
@@ -276,6 +315,7 @@ fn compute() -> Vec<Row> {
         traced,
         traced_longbench_overload,
         decode_paths,
+        sessions_4p4d_rows,
     ];
     std::thread::scope(|s| {
         let handles: Vec<_> = cases.iter().map(|case| s.spawn(case)).collect();
