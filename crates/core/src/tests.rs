@@ -574,3 +574,70 @@ fn cost_cache_is_exact_for_colocated_hybrid_batching() {
     scrubbed.cost_cache_misses = 0;
     assert_eq!(scrubbed, uncached);
 }
+
+/// The benchmark's `sessions_prefix` deployment (four prefill and four
+/// decode replicas on two nodes, prefix cache on) over 300 sessions, with
+/// the invariant auditor at `audit_interval_events`.
+fn sessions_4p4d(audit_interval_events: Option<u64>) -> (ServeConfig, Trace) {
+    use crate::{OverloadConfig, PrefixCacheConfig};
+    use windserve_workload::{DatasetSpec, SessionsScenario};
+
+    let mut cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+        .to_builder()
+        .topology(windserve_gpu::Topology::a800_multi_node(2))
+        .prefill_replicas(4)
+        .decode_replicas(4)
+        .with_prefix_cache(PrefixCacheConfig::default())
+        .build()
+        .expect("valid config");
+    cfg.overload = audit_interval_events.map(|n| OverloadConfig {
+        max_queued_requests: None,
+        shedding: false,
+        audit_interval_events: Some(n),
+        ..OverloadConfig::default()
+    });
+    let sessions = SessionsScenario::builder()
+        .sessions(300)
+        .session_rate(8.0)
+        .turns(2, 6)
+        .mean_think_secs(20.0)
+        .followup_tokens(16, 192)
+        .dataset(DatasetSpec::named("sharegpt", 2048))
+        .build()
+        .expect("valid sessions scenario");
+    let trace = Scenario::sessions(sessions)
+        .generate(2766)
+        .expect("valid sessions scenario");
+    (cfg, trace)
+}
+
+#[test]
+fn interleaved_decode_completions_go_through_the_leap() {
+    let run_counted = |audit| {
+        let (cfg, trace) = sessions_4p4d(audit);
+        let mut session = Cluster::new(cfg).expect("valid config").into_session();
+        for req in trace.requests() {
+            session.inject(*req);
+        }
+        session.pump_to_drain().expect("the auditor passes");
+        let quiet = session.quiet_deliveries;
+        let (report, _) = session.finish().expect("the auditor passes");
+        (quiet, report)
+    };
+    let (quiet, report) = run_counted(None);
+    let decode_steps: u64 = report
+        .instances
+        .iter()
+        .filter(|i| i.name.starts_with("decode"))
+        .map(|i| i.decode_steps)
+        .sum();
+    assert!(
+        2 * quiet > decode_steps,
+        "{quiet} of {decode_steps} decode completions went through the leap"
+    );
+    // Audited after every event, each leap ends on an audit point after
+    // the one step it delivers; the same completions are quiet.
+    let (audited_quiet, audited) = run_counted(Some(1));
+    assert_eq!(audited_quiet, quiet);
+    assert!(audited.invariant_checks > audited.events_processed);
+}

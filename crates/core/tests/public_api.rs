@@ -25,16 +25,18 @@ fn crate_root() -> PathBuf {
 }
 
 /// Extracts the `pub` item declarations of one source file, one per line,
-/// with bodies and trailing punctuation stripped. Test modules (everything
-/// from the first `#[cfg(test)]` on — they sit at the end of every file in
-/// this workspace) are excluded, as are `pub(crate)`/`pub(super)` items.
+/// with bodies and trailing punctuation stripped. Test-only items
+/// (everything from the first top-level `#[cfg(test)]` on — they sit at the
+/// end of every file in this workspace) are excluded, as are
+/// `pub(crate)`/`pub(super)` items. An indented `#[cfg(test)]` marks one
+/// field or statement and ends nothing.
 fn public_items(source: &str) -> Vec<String> {
     let mut items = Vec::new();
     for line in source.lines() {
-        let trimmed = line.trim_start();
-        if trimmed.starts_with("#[cfg(test)]") {
+        if line.starts_with("#[cfg(test)]") {
             break;
         }
+        let trimmed = line.trim_start();
         let Some(rest) = trimmed.strip_prefix("pub ") else {
             continue;
         };

@@ -2,11 +2,13 @@
 //!
 //! Most decode steps are *quiet*: every member gains one token, none
 //! finishes or pauses, no prefill completes, and the next step forms from
-//! the same members at ΣL + B. When the cluster can prove that no other
-//! event falls before some instant `until`, nothing can observe or change
-//! the instance in between, so [`Instance::run_ahead`] applies the quiet
-//! steps ending before `until` in one pass instead of one completion event
-//! each.
+//! the same members at ΣL + B. The cluster hands every main-lane step
+//! completion it delivers to [`Instance::run_ahead`] first, with `until`
+//! set to its next queued event: nothing can observe or change the
+//! instance before then, so a quiet delivered step and the lane's quiet
+//! steps after it that end before `until` are applied in one pass instead
+//! of one completion event each. Only a step that is not quiet takes the
+//! general completion path.
 //!
 //! The leap is exact. Each step is still priced through the cost model's
 //! step cache (one lookup per step, the same `u64` arithmetic), recorded
@@ -23,7 +25,9 @@ use windserve_sim::{SimDuration, SimTime};
 use windserve_workload::RequestId;
 
 /// How far one [`Instance::run_ahead`] call may go. The caller guarantees
-/// that no other event touches the instance before `until`.
+/// that no other event touches the instance before `until`; the running
+/// step, whose completion the caller is delivering, may end at any
+/// instant before it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunAhead {
     /// Apply only steps that end strictly before this instant.
@@ -38,9 +42,12 @@ pub struct RunAhead {
 
 impl Instance {
     /// Applies the quiet steps of decode lane `lane` that end before
-    /// `bounds.until`, then leaves the next step running on the lane
-    /// exactly as step-by-step [`complete_step`](Instance::complete_step)
-    /// and [`try_start`](Instance::try_start) calls would have.
+    /// `bounds.until`, starting with the running one, then leaves the next
+    /// step running on the lane exactly as step-by-step
+    /// [`complete_step`](Instance::complete_step) and
+    /// [`try_start`](Instance::try_start) calls would have. When the
+    /// running step is not quiet nothing changes and the caller completes
+    /// it the general way.
     ///
     /// A step counts as quiet when completing it finishes no member, pauses
     /// none, takes no KV block that would breach `bounds.min_free_fraction`

@@ -5,9 +5,9 @@
 //! exactness tests live with the core crate, which can switch the cache
 //! off per instance.
 
-use windserve::{FaultPlan, OverloadConfig, ServeConfig, SystemKind};
+use windserve::{FaultPlan, OverloadConfig, ServeConfig, SystemKind, TraceMode};
 use windserve_sim::SimDuration;
-use windserve_tests::{decode_path_cases, longbench_trace, run, sharegpt_trace};
+use windserve_tests::{decode_path_cases, longbench_trace, run, sessions_4p4d, sharegpt_trace};
 
 /// Fault recovery walks every hot map (pending transfers, migrations,
 /// per-sequence state) on the panic-recovery paths; with the
@@ -76,12 +76,20 @@ fn saturated_backlog_count_is_exact_at_every_event() {
 
 /// The decode-lane step ledger defers each member's tokens and KV growth,
 /// so every path that swaps, migrates, preempts or aborts a member must
-/// settle it first. The runs that reach those paths, with the auditor
-/// recomputing every lane's ledger from settled member state after every
-/// event, must each equal their unaudited run.
+/// settle it first. The runs that reach those paths, and the four
+/// interleaved decode replicas whose quiet completions go through the
+/// run-ahead, with the auditor recomputing every lane's ledger from
+/// settled member state after every event, must each equal their
+/// unaudited run.
 #[test]
 fn ledger_is_exact_at_every_event() {
-    for (name, cfg, trace) in decode_path_cases() {
+    let (sessions_cfg, sessions_trace) = sessions_4p4d(TraceMode::Off);
+    let cases = decode_path_cases().into_iter().chain([(
+        "sessions/4p4d-two-nodes",
+        sessions_cfg,
+        sessions_trace,
+    )]);
+    for (name, cfg, trace) in cases {
         let mut audited_cfg = cfg.clone();
         let mut overload = cfg.overload.unwrap_or(OverloadConfig {
             max_queued_requests: None,
