@@ -187,16 +187,14 @@ impl Eager {
             }
             self.join(id);
         }
-        if !self.swapped.is_empty() {
-            return;
-        }
+        let swaps_waiting = !self.swapped.is_empty();
         while let Some(&id) = self.waiting_decode.front() {
             if self.total_running() >= capacity {
                 break;
             }
             let ctx = self.seqs[&id.0].context();
             if self.kv.tokens_of(id.0).is_none() {
-                if !self.kv.can_fit(ctx) {
+                if swaps_waiting || !self.kv.can_fit(ctx) {
                     break;
                 }
                 self.kv.allocate(id.0, ctx).expect("fit ensured");

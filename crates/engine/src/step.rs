@@ -268,11 +268,11 @@ impl Instance {
             self.seqs.at_mut(seq).phase = SeqPhase::Decoding;
             self.join_lane(id, seq);
         }
-        if !self.swapped.is_empty() {
-            // Swapped requests hold admission priority: new sequences must
-            // not starve them of the blocks they are waiting for.
-            return;
-        }
+        // Swapped requests hold admission priority: a sequence that needs a
+        // fresh allocation must not starve them of the blocks they are
+        // waiting for. One that already holds its KV takes none, and
+        // holding it back would keep those blocks from ever freeing.
+        let swaps_waiting = !self.swapped.is_empty();
         while let Some(&id) = self.waiting_decode.front() {
             if self.total_running() >= capacity {
                 break;
@@ -280,7 +280,7 @@ impl Instance {
             let seq = self.seqs.slot_of(id.0).expect("waiting seq known");
             let ctx = self.seqs.at(seq).context();
             if self.kv.tokens_of(id.0).is_none() {
-                if !self.kv.can_fit(ctx) && !self.evict_backups_for(ctx) {
+                if swaps_waiting || (!self.kv.can_fit(ctx) && !self.evict_backups_for(ctx)) {
                     break;
                 }
                 self.kv.allocate(id.0, ctx).expect("fit ensured");

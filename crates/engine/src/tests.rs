@@ -30,18 +30,16 @@ fn instance(role: InstanceRole) -> Instance {
 }
 
 /// Tiny capacity instance for memory-pressure tests.
-fn cramped_decode(total_blocks_tokens: u64) -> Instance {
+fn cramped(cfg: InstanceConfig, total_blocks_tokens: u64) -> Instance {
     let mut cost = opt13b_cost();
     // Shrink usable KV by inflating the activation reserve.
     let spare = cost.kv_capacity_bytes() - total_blocks_tokens * cost.model().kv_bytes_per_token();
     cost.activation_reserve_bytes += spare / cost.parallelism().n_gpus() as u64;
-    Instance::new(
-        InstanceConfig::decode("tiny"),
-        cost,
-        StreamSharing::default(),
-        20e9,
-    )
-    .unwrap()
+    Instance::new(cfg, cost, StreamSharing::default(), 20e9).unwrap()
+}
+
+fn cramped_decode(total_blocks_tokens: u64) -> Instance {
+    cramped(InstanceConfig::decode("tiny"), total_blocks_tokens)
 }
 
 /// Drives the instance until idle or `max_events`; `react` sees every step
@@ -233,6 +231,40 @@ fn memory_pressure_triggers_swapping_and_everyone_still_finishes() {
         "cramped instance must have swapped"
     );
     assert_eq!(inst.kv().free_blocks(), inst.kv().total_blocks());
+}
+
+/// Swapped sequences re-admit first, but a waiting decode that already
+/// holds its KV takes no blocks from them. Held back, it would keep the
+/// blocks the swapped head waits for, with nothing running to free any.
+#[test]
+fn swapped_head_does_not_hold_back_a_kv_holding_decode() {
+    // 128 blocks: A's 57 and B's 63 leave 8, too few for C's 13.
+    let mut inst = cramped(InstanceConfig::colocated("tiny"), 2048);
+    let (a, b, c) = (RequestId(1), RequestId(2), RequestId(3));
+    inst.enqueue_prefill(a, 900, 400);
+    inst.enqueue_prefill(b, 1000, 20);
+    inst.enqueue_prefill(c, 200, 20);
+    // Only A decodes. When it outgrows the cache it swaps itself out and
+    // C's prefill takes part of its blocks; B and C keep their KV.
+    let now = drive(&mut inst, 10_000, |inst, out, _| {
+        for fp in out.finished_prefills.iter().filter(|fp| fp.id == a) {
+            inst.promote_to_decode(fp.id);
+        }
+    });
+    assert_eq!(inst.swapped_len(), 1);
+    assert_eq!(inst.running_decode_count(), 0);
+    let a_blocks = inst.kv().blocks_for(inst.context_of(a).unwrap());
+    assert!(inst.kv().free_blocks() < a_blocks, "A must not fit back in");
+    inst.promote_to_decode(b);
+    let started = inst.try_start(now);
+    assert_eq!(
+        started.len(),
+        1,
+        "B must be admitted behind the swapped head"
+    );
+    assert_eq!(inst.step_members(started[0].lane).collect::<Vec<_>>(), [b]);
+    assert_eq!(inst.swapped_len(), 1);
+    inst.check_invariants().unwrap();
 }
 
 #[test]

@@ -129,3 +129,26 @@ fn tiny_model_on_one_gpu() {
     let report = run(cfg, &trace);
     assert_eq!(report.summary.completed, 300);
 }
+
+/// vLLM on RTX 4090s with swap preemption at 4 req/s/GPU. Over 1,000
+/// requests its swap queue once waited for blocks held by decodes that
+/// were themselves waiting behind it, and the run deadlocked with nothing
+/// running.
+#[test]
+fn vllm_swap_on_rtx4090_completes_a_thousand_requests() {
+    use windserve_engine::PreemptionMode;
+    use windserve_gpu::GpuSpec;
+    use windserve_tests::sharegpt_trace;
+
+    let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::VllmColocated)
+        .to_builder()
+        .gpu(GpuSpec::rtx_4090())
+        .preemption(PreemptionMode::Swap)
+        .build()
+        .expect("valid config");
+    let trace = sharegpt_trace(cfg.total_rate(4.0), 1000, 2766);
+    let report = run(cfg, &trace);
+    assert_eq!(report.summary.completed, 1000);
+    let swap_outs: u64 = report.instances.iter().map(|i| i.swap_outs).sum();
+    assert!(swap_outs > 0, "the run must swap");
+}
