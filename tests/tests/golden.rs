@@ -12,7 +12,10 @@
 
 use std::fmt::{Debug, Write as _};
 use windserve::fleet::FleetConfig;
-use windserve::{FaultPlan, OverloadConfig, PrefixCacheConfig, ServeConfig, SystemKind, TraceMode};
+use windserve::{
+    AutoscaleConfig, DropReason, FaultPlan, OverloadConfig, PrefixCacheConfig, ServeConfig,
+    SystemKind, TraceMode,
+};
 use windserve_sim::{SimDuration, SimTime};
 use windserve_tests::{decode_path_cases, longbench_trace, run, sessions_4p4d, sharegpt_trace};
 use windserve_workload::{Scenario, SessionsScenario};
@@ -132,6 +135,18 @@ fn fault_presets() -> Vec<Row> {
             FaultPlan::replica_crash(first_decode, horizon, seed),
         ),
         ("faults/flaky-transfers", FaultPlan::flaky_transfers(seed)),
+        (
+            "faults/prefill-crash",
+            FaultPlan::replica_crash(0, horizon, seed),
+        ),
+        (
+            "faults/degraded-link",
+            FaultPlan::degraded_link(horizon, seed),
+        ),
+        (
+            "faults/chaos",
+            FaultPlan::chaos(first_decode, horizon, seed),
+        ),
     ]
     .into_iter()
     .map(|(name, plan)| {
@@ -155,6 +170,93 @@ fn overload_shedding() -> Vec<Row> {
     let report = run(cfg, &trace);
     assert!(report.requests_shed > 0, "2x the saturation rate must shed");
     vec![("overload/shedding".into(), digest(&report))]
+}
+
+/// Admission caps, shedding and the watchdog at once, far past saturation:
+/// a queue cap, a queued-token budget, SLO-aware shedding and a short
+/// deadline, so every typed drop reason fires.
+fn admission_caps_cfg(trace: TraceMode) -> (ServeConfig, windserve_workload::Trace) {
+    let mut cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+        .to_builder()
+        .with_trace(trace)
+        .build()
+        .expect("valid config");
+    cfg.overload = Some(OverloadConfig {
+        max_queued_requests: Some(64),
+        max_queued_tokens: Some(6144),
+        shedding: true,
+        deadline: Some(SimDuration::from_millis(300)),
+        ..OverloadConfig::default()
+    });
+    let trace = sharegpt_trace(60.0, 400, 131).with_tiers(3, 131);
+    (cfg, trace)
+}
+
+/// The admission-caps run's report, its full trace, and the live stream of
+/// a session pumped in 100 ms slices, which must end in the same report.
+fn admission_caps() -> Vec<Row> {
+    let (cfg, trace) = admission_caps_cfg(TraceMode::Off);
+    let report = run(cfg.clone(), &trace);
+    for reason in [
+        DropReason::QueueFull,
+        DropReason::TokenBudget,
+        DropReason::Shed,
+        DropReason::DeadlineExceeded,
+    ] {
+        assert!(report.dropped_with(reason) > 0, "{reason:?} must fire");
+    }
+
+    let (traced_cfg, _) = admission_caps_cfg(TraceMode::Full);
+    let (_, log) = windserve::Cluster::new(traced_cfg)
+        .expect("valid config")
+        .run(&trace)
+        .expect("traced run");
+    assert!(!log.is_empty(), "full tracing must record events");
+
+    let (sliced, live) = sliced_live_run(cfg, &trace);
+    assert_eq!(sliced, report, "slicing must not change the run");
+    vec![
+        ("overload/admission-caps".into(), digest(&report)),
+        ("traced/admission-caps/log".into(), digest(&log)),
+        ("live/admission-caps".into(), digest(&live)),
+    ]
+}
+
+/// Replays `trace` through a live session pumped in 100 ms slices, the way
+/// the gateway drives one: the final report and every live event.
+fn sliced_live_run(
+    cfg: ServeConfig,
+    trace: &windserve_workload::Trace,
+) -> (windserve::RunReport, Vec<windserve::LiveEvent>) {
+    let mut session = windserve::Cluster::new(cfg)
+        .expect("valid config")
+        .into_session();
+    session.enable_live_events();
+    for req in trace.requests() {
+        session.inject(*req);
+    }
+    let mut live = Vec::new();
+    let mut horizon = SimTime::ZERO;
+    while session.next_event_at().is_some() {
+        horizon += SimDuration::from_millis(100);
+        session.pump_until(horizon).expect("sliced pump");
+        live.extend(session.drain_live_events());
+    }
+    let (report, _) = session.finish().expect("sliced session");
+    (report, live)
+}
+
+/// Single-cluster autoscale: a 2P+2D ceiling over a 1P+1D floor under load
+/// that overwhelms the floor.
+fn autoscale() -> Vec<Row> {
+    let trace = sharegpt_trace(32.0, 1200, 81);
+    let mut cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
+    cfg.prefill_replicas = 2;
+    cfg.decode_replicas = 2;
+    cfg.autoscale = Some(AutoscaleConfig::default());
+    let report = run(cfg, &trace);
+    assert!(report.autoscale_events > 0, "overload must trigger scaling");
+    vec![("autoscale/2p2d".into(), digest(&report))]
 }
 
 /// Multi-turn sessions on two prefill replicas, with the prefix cache on
@@ -278,21 +380,7 @@ fn sessions_4p4d_rows() -> Vec<Row> {
         .expect("traced run");
     assert!(!log.is_empty(), "full tracing must record events");
 
-    let mut session = windserve::Cluster::new(cfg)
-        .expect("valid config")
-        .into_session();
-    session.enable_live_events();
-    for req in trace.requests() {
-        session.inject(*req);
-    }
-    let mut live = Vec::new();
-    let mut horizon = SimTime::ZERO;
-    while session.next_event_at().is_some() {
-        horizon += SimDuration::from_millis(100);
-        session.pump_until(horizon).expect("sliced pump");
-        live.extend(session.drain_live_events());
-    }
-    let (sliced, _) = session.finish().expect("sliced session");
+    let (sliced, live) = sliced_live_run(cfg, &trace);
     assert_eq!(sliced, report, "slicing must not change the run");
     vec![
         ("sessions/4p4d-two-nodes".into(), digest(&report)),
@@ -303,7 +391,7 @@ fn sessions_4p4d_rows() -> Vec<Row> {
 
 /// Every row, in file order. Cases run on their own threads.
 fn compute() -> Vec<Row> {
-    let cases: [fn() -> Vec<Row>; 12] = [
+    let cases: [fn() -> Vec<Row>; 14] = [
         opt_13b_sharegpt,
         llama2_13b_longbench,
         longbench_overload,
@@ -316,6 +404,8 @@ fn compute() -> Vec<Row> {
         traced_longbench_overload,
         decode_paths,
         sessions_4p4d_rows,
+        admission_caps,
+        autoscale,
     ];
     std::thread::scope(|s| {
         let handles: Vec<_> = cases.iter().map(|case| s.spawn(case)).collect();
