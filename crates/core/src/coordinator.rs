@@ -16,6 +16,7 @@ use crate::profiler::Profiler;
 use serde::{Deserialize, Serialize};
 use windserve_engine::Instance;
 use windserve_sim::{SimDuration, SimTime};
+use windserve_trace::DispatchVerdict;
 use windserve_workload::RequestId;
 
 /// Dispatch and rescheduling policy state.
@@ -77,20 +78,24 @@ impl Coordinator {
             .min(spare_kv)
     }
 
-    /// Algorithm 1, lines 5-8: dispatch decision for a new request.
+    /// Algorithm 1, lines 5-8: the dispatch verdict for a new request of
+    /// `prompt_tokens` whose prefill replica predicts `ttft_pred`, given
+    /// the decode replicas' best slot offer. It dispatches only when the
+    /// prediction exceeds `thrd` and the offer holds the whole prompt;
+    /// `NoSlots` marks an overload no decode replica could absorb.
     pub fn should_dispatch(
         &self,
-        profiler: &Profiler,
-        prefill: &Instance,
-        decode: &Instance,
+        ttft_pred: SimDuration,
+        best_offer: u64,
         prompt_tokens: u32,
-        now: SimTime,
-    ) -> bool {
-        let ttft_pred = self.predict_ttft(profiler, prefill, prompt_tokens, now);
-        if ttft_pred.as_secs_f64() <= self.dispatch_threshold.as_secs_f64() {
-            return false;
+    ) -> DispatchVerdict {
+        if ttft_pred <= self.dispatch_threshold {
+            DispatchVerdict::BelowThreshold
+        } else if best_offer >= u64::from(prompt_tokens) {
+            DispatchVerdict::Dispatched
+        } else {
+            DispatchVerdict::NoSlots
         }
-        self.available_slots(decode) >= u64::from(prompt_tokens)
     }
 
     /// True when the decode instance's KV blocks are nearly exhausted and
@@ -159,22 +164,6 @@ mod tests {
         .unwrap()
     }
 
-    fn prefill_instance() -> Instance {
-        let cost = CostModel::new(
-            ModelSpec::opt_13b(),
-            GpuSpec::a800_80gb(),
-            Parallelism::tp(2),
-        )
-        .unwrap();
-        Instance::new(
-            InstanceConfig::prefill("p"),
-            cost,
-            StreamSharing::default(),
-            20e9,
-        )
-        .unwrap()
-    }
-
     #[test]
     fn idle_decode_instance_offers_the_full_budget() {
         let c = coordinator();
@@ -201,18 +190,31 @@ mod tests {
     #[test]
     fn dispatch_requires_overload_and_slots() {
         let c = coordinator();
-        let mut p = prefill_instance();
-        let d = decode_instance();
-        let profiler = Profiler::fit(p.cost_model());
-        // Empty prefill instance: below threshold, no dispatch.
-        assert!(!c.should_dispatch(&profiler, &p, &d, 700, SimTime::ZERO));
-        // Deep backlog: overload, dispatch.
-        for i in 0..60 {
-            p.enqueue_prefill(RequestId(i), 1500, 10);
-        }
-        assert!(c.should_dispatch(&profiler, &p, &d, 700, SimTime::ZERO));
-        // But not if the prompt exceeds the slots.
-        assert!(!c.should_dispatch(&profiler, &p, &d, 2047, SimTime::ZERO) || 2047 <= 2048);
+        let thrd = c.dispatch_threshold;
+        let over = thrd + SimDuration::from_micros(1);
+        // A prediction at the threshold is not overload, whatever the offer.
+        assert_eq!(
+            c.should_dispatch(thrd, 2048, 700),
+            DispatchVerdict::BelowThreshold
+        );
+        // Past it, an offer of exactly the prompt dispatches...
+        assert_eq!(
+            c.should_dispatch(over, 700, 700),
+            DispatchVerdict::Dispatched
+        );
+        // ...and one token short does not.
+        assert_eq!(c.should_dispatch(over, 699, 700), DispatchVerdict::NoSlots);
+        // The offer comes from `available_slots`: an idle decode replica
+        // offers its full budget, a prompt past it gets no slots.
+        let offer = c.available_slots(&decode_instance());
+        assert_eq!(
+            c.should_dispatch(over, offer, 2048),
+            DispatchVerdict::Dispatched
+        );
+        assert_eq!(
+            c.should_dispatch(over, offer, 2049),
+            DispatchVerdict::NoSlots
+        );
     }
 
     #[test]

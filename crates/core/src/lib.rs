@@ -79,7 +79,6 @@ pub mod configfile;
 mod coordinator;
 mod error;
 pub mod fleet;
-mod pending;
 mod profiler;
 mod report;
 

@@ -70,23 +70,39 @@ fn public_items(source: &str) -> Vec<String> {
     items
 }
 
+/// Every `.rs` file under `dir`, recursively, except the crate's
+/// `tests.rs`.
+fn source_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            source_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs")
+            && path.file_name().is_some_and(|n| n != "tests.rs")
+        {
+            out.push(path);
+        }
+    }
+}
+
 fn render_surface(root: &Path) -> String {
     let src = root.join("src");
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&src)
-        .expect("crate src/ directory")
-        .map(|e| e.expect("directory entry").path())
-        .filter(|p| {
-            p.extension().is_some_and(|e| e == "rs")
-                && p.file_name().is_some_and(|n| n != "tests.rs")
-        })
-        .collect();
+    let mut files = Vec::new();
+    source_files(&src, &mut files);
     files.sort();
     let mut out = String::from(
         "# Public API of the `windserve` facade. Regenerate with\n\
          # UPDATE_API_SNAPSHOT=1 cargo test -p windserve --test public_api\n",
     );
     for path in files {
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        // Headers name the file by its path under `src/`, `/`-separated.
+        let name = path
+            .strip_prefix(&src)
+            .expect("file under src/")
+            .components()
+            .map(|c| c.as_os_str().to_string_lossy())
+            .collect::<Vec<_>>()
+            .join("/");
         let source = std::fs::read_to_string(&path).expect("readable source file");
         let items = public_items(&source);
         if items.is_empty() {
