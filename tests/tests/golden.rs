@@ -12,6 +12,7 @@
 
 use std::fmt::{Debug, Write as _};
 use windserve::fleet::FleetConfig;
+use windserve::trace::TraceEvent;
 use windserve::{
     AutoscaleConfig, DropReason, FaultPlan, OverloadConfig, PrefixCacheConfig, ServeConfig,
     SystemKind, TraceMode,
@@ -389,9 +390,90 @@ fn sessions_4p4d_rows() -> Vec<Row> {
     ]
 }
 
+/// The 4P+4D sessions deployment with the prefix store's eviction paths
+/// binding: a token budget so small that most inserts evict the least
+/// recently used session, a TTL below the 20 s mean think time so that
+/// most follow-ups find their prefix expired, and a prefill-replica crash
+/// that clears a populated store. Each asserts that its path fires.
+fn sessions_prefix_paths() -> Vec<Row> {
+    let (base, trace) = sessions_4p4d(TraceMode::Off);
+    let pc = base.prefix_cache.expect("the deployment caches prefixes");
+    let session_turns = trace
+        .requests()
+        .iter()
+        .filter(|r| r.session.is_some())
+        .count() as u64;
+    let with_cache = |cache: PrefixCacheConfig| {
+        let mut cfg = base.clone();
+        cfg.prefix_cache = Some(cache);
+        cfg
+    };
+
+    // The default TTL outlives every think time here, so each eviction is
+    // the budget's.
+    let capacity = run(
+        with_cache(PrefixCacheConfig {
+            capacity_tokens: 4096,
+            ..pc
+        }),
+        &trace,
+    );
+    assert!(
+        2 * capacity.prefix_evictions > session_turns,
+        "LRU eviction must fire on most inserts"
+    );
+
+    // A budget no run can fill, so each eviction is an expiry.
+    let ttl = run(
+        with_cache(PrefixCacheConfig {
+            capacity_tokens: 1 << 40,
+            ttl: SimDuration::from_secs(5),
+            ..pc
+        }),
+        &trace,
+    );
+    assert!(ttl.prefix_evictions > 0, "TTL expiry must fire");
+    assert!(
+        ttl.prefix_misses > ttl.prefix_hits,
+        "expiry must dominate the follow-ups"
+    );
+
+    // Traced, to see the crash clear prefill replica 0's store. A traced
+    // run's report equals the untraced one.
+    let horizon = SimDuration::from_secs_f64(trace.span());
+    let (mut crash_cfg, _) = sessions_4p4d(TraceMode::Full);
+    crash_cfg.faults = Some(FaultPlan::replica_crash(0, horizon, 2766));
+    let (crash, log) = windserve::Cluster::new(crash_cfg)
+        .expect("valid config")
+        .run(&trace)
+        .expect("traced run");
+    let crashed_at = log
+        .events()
+        .iter()
+        .find(|e| {
+            matches!(&e.event, TraceEvent::FaultInjected { fault, inst: Some(0) }
+                if fault == "replica_crash")
+        })
+        .expect("the crash must fire")
+        .at;
+    assert!(
+        log.events()
+            .iter()
+            .any(|e| e.at == crashed_at
+                && matches!(e.event, TraceEvent::PrefixEvicted { inst: 0, .. })),
+        "the crash must clear a populated store"
+    );
+
+    vec![
+        ("sessions/prefix-capacity".into(), digest(&capacity)),
+        ("sessions/prefix-ttl".into(), digest(&ttl)),
+        ("sessions/prefill-crash".into(), digest(&crash)),
+    ]
+}
+
 /// Every row, in file order. Cases run on their own threads.
 fn compute() -> Vec<Row> {
-    let cases: [fn() -> Vec<Row>; 14] = [
+    let cases: [fn() -> Vec<Row>; 15] = [
         opt_13b_sharegpt,
         llama2_13b_longbench,
         longbench_overload,
@@ -406,6 +488,7 @@ fn compute() -> Vec<Row> {
         sessions_4p4d_rows,
         admission_caps,
         autoscale,
+        sessions_prefix_paths,
     ];
     std::thread::scope(|s| {
         let handles: Vec<_> = cases.iter().map(|case| s.spawn(case)).collect();
