@@ -513,6 +513,41 @@ fn snapshot_slo_count_matches_a_full_summary() {
     assert_eq!(report.summary.slo_attaining, snap.slo_attaining);
 }
 
+/// `finish` sorts the records in place by `(id, completion)`: exactly the
+/// order a stable sort by id gives the completion order, also when ids
+/// complete out of order and one is reused after it completed.
+#[test]
+fn report_records_are_a_stable_sort_of_completion_order() {
+    use windserve_sim::SimDuration;
+    use windserve_workload::{Request, RequestId};
+
+    let trace = sharegpt_trace(14.0, 120, 23);
+    let n = trace.requests().len() as u64;
+    let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
+    let mut session = Cluster::new(cfg).expect("valid config").into_session();
+    // Ids scrambled against arrival order (37 is coprime with 120).
+    for (i, req) in trace.requests().iter().enumerate() {
+        let id = RequestId(i as u64 * 37 % n);
+        session.inject(Request { id, ..*req });
+    }
+    session.pump_to_drain().expect("drain");
+    // A later request reuses the id of the first one to complete.
+    let first = session.records()[0];
+    let at = first.completion + SimDuration::from_secs(1);
+    session.inject(Request::new(first.id, at, 64, 16));
+    session.pump_to_drain().expect("drain");
+
+    let mut expected = session.records().to_vec();
+    assert!(
+        !expected.is_sorted_by_key(|r| r.id),
+        "ids must complete out of order"
+    );
+    assert_eq!(expected.iter().filter(|r| r.id == first.id).count(), 2);
+    expected.sort_by_key(|r| r.id);
+    let (report, _) = session.finish().expect("finish");
+    assert_eq!(report.records, expected);
+}
+
 /// Replays `trace` with every instance's cost-model step cache turned off:
 /// the exact reference the cache must reproduce.
 fn run_uncached(cfg: ServeConfig, trace: &Trace) -> crate::RunReport {
