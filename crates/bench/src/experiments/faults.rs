@@ -9,6 +9,7 @@
 use crate::harness::{print_table, ExpContext};
 use serde_json::{json, Value};
 use windserve::{Cluster, FaultPlan, ServeConfig, SystemKind};
+use windserve_engine::InstanceRole;
 use windserve_sim::SimDuration;
 use windserve_workload::{ArrivalProcess, Dataset, Scenario};
 
@@ -30,12 +31,17 @@ pub fn run(ctx: &ExpContext) -> Value {
     // Fault times scale with the expected run span so crash/recover land
     // mid-run regardless of --quick.
     let horizon = SimDuration::from_secs_f64(n as f64 / total);
-    // Instance 1 is the decode replica of the 1x1 deployment.
+    let first_decode = base
+        .layout()
+        .expect("experiment config must be valid")
+        .iter()
+        .position(|r| r.role == InstanceRole::Decode)
+        .expect("the deployment has a decode replica") as u32;
     let scenarios: Vec<(&str, Option<FaultPlan>)> = vec![
         ("fault-free", None),
         (
             "decode crash",
-            Some(FaultPlan::replica_crash(1, horizon, seed)),
+            Some(FaultPlan::replica_crash(first_decode, horizon, seed)),
         ),
         (
             "prefill crash",
@@ -46,7 +52,7 @@ pub fn run(ctx: &ExpContext) -> Value {
             "degraded link",
             Some(FaultPlan::degraded_link(horizon, seed)),
         ),
-        ("chaos", Some(FaultPlan::chaos(1, horizon, seed))),
+        ("chaos", Some(FaultPlan::chaos(first_decode, horizon, seed))),
     ];
     let mut rows = Vec::new();
     let mut data = Vec::new();

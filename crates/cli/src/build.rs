@@ -61,40 +61,6 @@ pub fn system_by_name(name: &str) -> Result<SystemKind, ArgError> {
     }
 }
 
-/// Resolves a dataset by its CLI name, capped to the model's window.
-///
-/// # Errors
-///
-/// Lists the known names on a miss, and rejects malformed `fixed:P:O`.
-pub fn dataset_by_name(name: &str, max_context: u32) -> Result<Dataset, ArgError> {
-    let lower = name.to_ascii_lowercase();
-    if let Some(rest) = lower.strip_prefix("fixed:") {
-        let parts: Vec<&str> = rest.split(':').collect();
-        if parts.len() != 2 {
-            return Err(ArgError("fixed dataset is fixed:<prompt>:<output>".into()));
-        }
-        let prompt: u32 = parts[0]
-            .parse()
-            .map_err(|_| ArgError(format!("bad prompt length {:?}", parts[0])))?;
-        let output: u32 = parts[1]
-            .parse()
-            .map_err(|_| ArgError(format!("bad output length {:?}", parts[1])))?;
-        if prompt == 0 || output == 0 || prompt + output > max_context {
-            return Err(ArgError(format!(
-                "fixed:{prompt}:{output} does not fit the {max_context}-token window"
-            )));
-        }
-        return Ok(Dataset::fixed(prompt, output, max_context));
-    }
-    match lower.as_str() {
-        "sharegpt" => Ok(Dataset::sharegpt(max_context)),
-        "longbench" => Ok(Dataset::longbench(max_context)),
-        other => Err(ArgError(format!(
-            "unknown dataset {other:?}; try sharegpt, longbench, fixed:<prompt>:<output>"
-        ))),
-    }
-}
-
 /// A `TP` or `TPxPP` parallelism spec, e.g. `2` or `2x2`.
 ///
 /// # Errors
@@ -291,10 +257,11 @@ impl RunSpec {
             .validate()
             .map_err(|e| ArgError(format!("invalid configuration: {e}")))?;
 
-        let dataset = dataset_by_name(
+        let dataset = Dataset::by_name(
             args.get("dataset").unwrap_or("sharegpt"),
             config.model.max_context,
-        )?;
+        )
+        .map_err(|e| ArgError(e.to_string()))?;
         let rate_per_gpu: f64 = args.get_or("rate", 3.0)?;
         if !(rate_per_gpu.is_finite() && rate_per_gpu > 0.0) {
             return Err(ArgError(format!(

@@ -1,11 +1,12 @@
 //! CLI subcommands.
 
 use crate::args::{ArgError, Args};
-use crate::build::{dataset_by_name, preset_by_name, system_by_name, RunSpec};
+use crate::build::{preset_by_name, system_by_name, RunSpec};
 use crate::render;
 use windserve::{Cluster, FaultPlan, RequestId, RunReport, TraceMode};
+use windserve_engine::InstanceRole;
 use windserve_sim::SimDuration;
-use windserve_workload::{ArrivalProcess, Trace};
+use windserve_workload::{ArrivalProcess, Dataset, Trace};
 
 /// Runs one serving simulation and prints (or JSON-dumps) the report.
 ///
@@ -152,7 +153,8 @@ pub fn trace(args: &Args) -> Result<String, ArgError> {
     let mut spec = RunSpec::from_args(args)?;
     if let Some(name) = args.get("preset") {
         let (config, dataset) = preset_by_name(name)?;
-        spec.dataset = dataset_by_name(dataset, config.model.max_context)?;
+        spec.dataset = Dataset::by_name(dataset, config.model.max_context)
+            .map_err(|e| ArgError(e.to_string()))?;
         spec.arrivals = ArrivalProcess::poisson(config.total_rate(spec.rate_per_gpu));
         spec.config = config;
     }
@@ -194,14 +196,15 @@ pub fn faults(args: &Args) -> Result<String, ArgError> {
     // schedule so crash/recover land mid-run at any --rate/--requests.
     let horizon =
         SimDuration::from_secs_f64(base.requests as f64 / base.arrivals.mean_rate().max(1e-9));
-    // Disaggregated deployments order instances prefill-first; the first
-    // decode replica sits right after them. Colocated replicas all serve
-    // both phases, so replica 0 stands in for either preset.
-    let first_decode = if base.config.system.colocated() {
-        0
-    } else {
-        base.config.prefill_replicas as u32
-    };
+    // Colocated replicas all serve both phases, so replica 0 stands in for
+    // the first decode replica.
+    let first_decode = base
+        .config
+        .layout()
+        .map_err(|e| ArgError(format!("invalid configuration: {e}")))?
+        .iter()
+        .position(|r| r.role == InstanceRole::Decode)
+        .unwrap_or(0) as u32;
     let plan = match preset {
         "decode-crash" => FaultPlan::replica_crash(first_decode, horizon, fault_seed),
         "prefill-crash" => FaultPlan::replica_crash(0, horizon, fault_seed),
@@ -796,6 +799,12 @@ mod tests {
         let out = run(&args("run --requests 120 --rate 2")).unwrap();
         assert!(out.contains("TTFT"));
         assert!(out.contains("WindServe"));
+    }
+
+    #[test]
+    fn split_node_overflow_is_an_invalid_configuration() {
+        let err = run(&args("run --nodes 2 --split-nodes --prefill-replicas 5")).unwrap_err();
+        assert!(err.0.starts_with("invalid configuration"), "{}", err.0);
     }
 
     #[test]

@@ -62,7 +62,9 @@ use autoscale::Activation;
 use routing::PrefixCache;
 use session::Event;
 use transfer::{MigrationCtl, Transfers};
-use windserve_engine::{Instance, InstanceConfig, LaneRef, StartedStep, StepKind, StepOutcome};
+use windserve_engine::{
+    Instance, InstanceConfig, InstanceRole, LaneRef, StartedStep, StepKind, StepOutcome,
+};
 use windserve_faults::FaultEvent;
 use windserve_gpu::{GpuId, StreamSharing, TransferEngine};
 use windserve_kvcache::PrefixStore;
@@ -328,97 +330,59 @@ impl Cluster {
         let cost_model = |gpu, parallelism| CostModel::new(cfg.model.clone(), gpu, parallelism);
         let profiler = Profiler::fit(&cost_model(cfg.prefill_gpu(), cfg.prefill_parallelism)?);
 
-        if cfg.system.colocated() {
-            // One replica per prefill-parallelism-sized GPU group.
-            let group = cfg.prefill_parallelism.n_gpus();
-            let replicas = (cfg.total_gpus() / group).max(1);
-            let per_gpu_host = cfg.topology.host_route(&[GpuId(0)]);
-            for r in 0..replicas {
-                let cost = cost_model(cfg.gpu.clone(), cfg.prefill_parallelism)?;
-                let icfg = tuned(InstanceConfig::colocated(format!("colocated-{r}")));
-                instances.push(Instance::new(
-                    icfg,
-                    cost,
-                    sharing,
-                    per_gpu_host.bandwidth * group as f64,
-                )?);
-            }
-        } else {
-            // Carve GPU groups for every replica. The classic 1x1 deployment
-            // keeps the NVLink-paired placement (shard i of prefill across
-            // a bridge from shard i of decode); multi-replica deployments
-            // take sequential groups.
-            let pn = cfg.prefill_parallelism.n_gpus();
-            let dn = cfg.decode_parallelism.n_gpus();
-            let (p_groups, d_groups): (Vec<Vec<GpuId>>, Vec<Vec<GpuId>>) = if cfg.prefill_replicas
-                == 1
-                && cfg.decode_replicas == 1
-                && !cfg.split_phases_across_nodes
-            {
-                let (p, d) = cfg.topology.paired_placement(pn, dn);
-                (vec![p], vec![d])
-            } else {
-                let node_gpus = cfg.topology.n_gpus() / cfg.topology.n_nodes().max(1);
-                let decode_base = if cfg.split_phases_across_nodes && cfg.topology.n_nodes() > 1 {
-                    node_gpus
-                } else {
-                    pn * cfg.prefill_replicas
-                };
-                let p = (0..cfg.prefill_replicas)
-                    .map(|r| (r * pn..(r + 1) * pn).map(GpuId).collect())
-                    .collect();
-                let d = (0..cfg.decode_replicas)
-                    .map(|r| {
-                        (decode_base + r * dn..decode_base + (r + 1) * dn)
-                            .map(GpuId)
-                            .collect()
-                    })
-                    .collect();
-                (p, d)
+        let layout = cfg.layout()?;
+        for replica in &layout {
+            let idx = instances.len();
+            let name = replica.name();
+            let host = cfg.topology.host_route(&replica.gpus).bandwidth;
+            let instance = match replica.role {
+                InstanceRole::Colocated => {
+                    // Priced per GPU, times the group: the vLLM golden rows
+                    // pin this expression.
+                    let host =
+                        cfg.topology.host_route(&[GpuId(0)]).bandwidth * replica.gpus.len() as f64;
+                    let cost = cost_model(cfg.gpu.clone(), cfg.prefill_parallelism)?;
+                    Instance::new(tuned(InstanceConfig::colocated(name)), cost, sharing, host)?
+                }
+                InstanceRole::Prefill => {
+                    let p_cost = cost_model(cfg.prefill_gpu(), cfg.prefill_parallelism)?;
+                    prefill_idxs.push(idx);
+                    Instance::new(tuned(InstanceConfig::prefill(name)), p_cost, sharing, host)?
+                }
+                InstanceRole::Decode => {
+                    let d_cost = cost_model(cfg.gpu.clone(), cfg.decode_parallelism)?;
+                    let mut d_cfg = tuned(InstanceConfig::decode(name));
+                    d_cfg.stream_disaggregation = cfg.system.sbd_enabled();
+                    // The budget is always calibrated under the stream-sharing
+                    // model: the no-split ablation (Fig. 13a) removes only the
+                    // execution-level stream separation, not the dispatch
+                    // policy, which is exactly why its TPOT suffers.
+                    let budget = cfg.aux_budget_override.unwrap_or_else(|| {
+                        calibrate_aux_budget(
+                            &d_cost,
+                            &sharing,
+                            true,
+                            &cfg.slo,
+                            typical_context,
+                            2 * cfg.model.max_context,
+                        )
+                    });
+                    d_cfg.aux_budget_tokens = budget;
+                    calibrated_budget = budget;
+                    decode_idxs.push(idx);
+                    Instance::new(d_cfg, d_cost, sharing, host)?
+                }
             };
-
-            for (r, gpus) in p_groups.iter().enumerate() {
-                let p_cost = cost_model(cfg.prefill_gpu(), cfg.prefill_parallelism)?;
-                let p_cfg = tuned(InstanceConfig::prefill(format!("prefill-{r}")));
-                let host = cfg.topology.host_route(gpus);
-                prefill_idxs.push(instances.len());
-                instances.push(Instance::new(p_cfg, p_cost, sharing, host.bandwidth)?);
-            }
-            for (r, gpus) in d_groups.iter().enumerate() {
-                let d_cost = cost_model(cfg.gpu.clone(), cfg.decode_parallelism)?;
-                let mut d_cfg = tuned(InstanceConfig::decode(format!("decode-{r}")));
-                d_cfg.stream_disaggregation = cfg.system.sbd_enabled();
-                // The budget is always calibrated under the stream-sharing
-                // model: the no-split ablation (Fig. 13a) removes only the
-                // execution-level stream separation, not the dispatch
-                // policy, which is exactly why its TPOT suffers.
-                let budget = cfg.aux_budget_override.unwrap_or_else(|| {
-                    calibrate_aux_budget(
-                        &d_cost,
-                        &sharing,
-                        true,
-                        &cfg.slo,
-                        typical_context,
-                        2 * cfg.model.max_context,
-                    )
-                });
-                d_cfg.aux_budget_tokens = budget;
-                calibrated_budget = budget;
-                let host = cfg.topology.host_route(gpus);
-                decode_idxs.push(instances.len());
-                instances.push(Instance::new(d_cfg, d_cost, sharing, host.bandwidth)?);
-            }
-            // Directed routes between every prefill/decode pair.
-            for (pi, p_gpus) in prefill_idxs.iter().zip(&p_groups) {
-                for (di, d_gpus) in decode_idxs.iter().zip(&d_groups) {
-                    routes.insert(
-                        (*pi, *di),
-                        engine.add_route(cfg.topology.route_between(p_gpus, d_gpus)),
-                    );
-                    routes.insert(
-                        (*di, *pi),
-                        engine.add_route(cfg.topology.route_between(d_gpus, p_gpus)),
-                    );
+            instances.push(instance);
+        }
+        // Directed routes between every prefill/decode pair.
+        for &pi in &prefill_idxs {
+            for &di in &decode_idxs {
+                for (src, dst) in [(pi, di), (di, pi)] {
+                    let route = cfg
+                        .topology
+                        .route_between(&layout[src].gpus, &layout[dst].gpus);
+                    routes.insert((src, dst), engine.add_route(route));
                 }
             }
         }
@@ -439,10 +403,6 @@ impl Cluster {
             None => Vec::new(),
         };
         let n_instances = instances.len();
-        let gpus = instances
-            .iter()
-            .map(|inst| inst.cost_model().parallelism().n_gpus())
-            .collect();
         Ok(Cluster {
             cfg,
             instances,
@@ -461,7 +421,7 @@ impl Cluster {
             deferred: Vec::new(),
             series: Vec::new(),
             ttft_predictions: Vec::new(),
-            activation: Activation::new(gpus),
+            activation: Activation::new(layout.iter().map(|r| r.gpus.len()).collect()),
             fault_events: Vec::new(),
             crashed: vec![false; n_instances],
             step_epoch: vec![0; n_instances],

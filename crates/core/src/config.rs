@@ -6,9 +6,9 @@
 //! paper discusses (`thrd`, watermarks, pause threshold, chunk size).
 
 use serde::{Deserialize, Serialize};
-use windserve_engine::PreemptionMode;
+use windserve_engine::{InstanceRole, PreemptionMode};
 use windserve_faults::FaultPlan;
-use windserve_gpu::{GpuSpec, Topology};
+use windserve_gpu::{GpuId, GpuSpec, Topology};
 use windserve_metrics::SloSpec;
 use windserve_model::{ModelSpec, Parallelism};
 use windserve_sim::SimDuration;
@@ -327,6 +327,34 @@ impl SystemKind {
     }
 }
 
+/// One replica of a deployment: what it serves and the GPUs it occupies.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Replica {
+    /// The phase the replica serves.
+    pub role: InstanceRole,
+    /// Replica index within its role.
+    pub index: usize,
+    /// Topology GPU ids of the replica's shards, in shard order.
+    pub gpus: Vec<GpuId>,
+}
+
+impl Replica {
+    /// The role as instance names and the status endpoint spell it:
+    /// `prefill`, `decode` or `colocated`.
+    pub fn phase(&self) -> &'static str {
+        match self.role {
+            InstanceRole::Prefill => "prefill",
+            InstanceRole::Decode => "decode",
+            InstanceRole::Colocated => "colocated",
+        }
+    }
+
+    /// The instance name: `prefill-i`, `decode-i` or `colocated-i`.
+    pub fn name(&self) -> String {
+        format!("{}-{}", self.phase(), self.index)
+    }
+}
+
 /// Full configuration of one serving run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeConfig {
@@ -529,6 +557,82 @@ impl ServeConfig {
             + self.decode_parallelism.n_gpus() * self.decode_replicas
     }
 
+    /// The deployment's replicas in instance order, each on its GPU group:
+    /// the one place the layout is decided.
+    ///
+    /// - Colocated systems run `total_gpus / group` replicas (at least
+    ///   one) on sequential prefill-parallelism groups.
+    /// - An unsplit 1P+1D deployment takes the topology's paired placement.
+    /// - Otherwise prefill replicas take sequential groups from GPU 0 and
+    ///   decode replicas follow them, or start on node 1 under
+    ///   `split_phases_across_nodes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`](crate::Error::Config) when the placement
+    /// needs more GPUs than the topology has, a group runs off the
+    /// topology, or two groups share a GPU.
+    pub fn layout(&self) -> crate::Result<Vec<Replica>> {
+        use InstanceRole::{Colocated, Decode, Prefill};
+        let config = |reason: String| crate::Error::Config { reason };
+        let n_gpus = self.topology.n_gpus();
+        let (pn, dn) = (
+            self.prefill_parallelism.n_gpus(),
+            self.decode_parallelism.n_gpus(),
+        );
+        if self.total_gpus() > n_gpus {
+            return Err(config(format!(
+                "placement needs {} GPUs, node has {n_gpus}",
+                self.total_gpus()
+            )));
+        }
+        if pn == 0 || dn == 0 {
+            return Err(config("every replica needs at least one GPU".into()));
+        }
+        let replica = |role, index, gpus| Replica { role, index, gpus };
+        // Replica `index` of `role` on the `index`-th `size`-GPU group from `first`.
+        let seq = |role, first: usize, size: usize, index: usize| {
+            let gpus = (first + index * size..first + (index + 1) * size).map(GpuId);
+            replica(role, index, gpus.collect())
+        };
+        let layout: Vec<Replica> = if self.system.colocated() {
+            (0..(self.total_gpus() / pn).max(1))
+                .map(|r| seq(Colocated, 0, pn, r))
+                .collect()
+        } else if self.prefill_replicas == 1
+            && self.decode_replicas == 1
+            && !self.split_phases_across_nodes
+        {
+            let (p, d) = self.topology.paired_placement(pn, dn);
+            vec![replica(Prefill, 0, p), replica(Decode, 0, d)]
+        } else {
+            let n_nodes = self.topology.n_nodes();
+            let decode_base = if self.split_phases_across_nodes && n_nodes > 1 {
+                n_gpus / n_nodes
+            } else {
+                pn * self.prefill_replicas
+            };
+            let prefill = (0..self.prefill_replicas).map(|r| seq(Prefill, 0, pn, r));
+            let decode = (0..self.decode_replicas).map(|r| seq(Decode, decode_base, dn, r));
+            prefill.chain(decode).collect()
+        };
+        let mut owner: Vec<Option<usize>> = vec![None; n_gpus];
+        for (i, replica) in layout.iter().enumerate() {
+            for &GpuId(g) in &replica.gpus {
+                let reason = match owner.get_mut(g) {
+                    None => format!("needs GPU {g}, beyond the topology's {n_gpus} GPUs"),
+                    Some(Some(other)) => format!("shares GPU {g} with {}", layout[*other].name()),
+                    Some(slot) => {
+                        *slot = Some(i);
+                        continue;
+                    }
+                };
+                return Err(config(format!("{} {reason}", replica.name())));
+            }
+        }
+        Ok(layout)
+    }
+
     /// Converts an aggregate request rate into the paper's per-GPU rate.
     pub fn per_gpu_rate(&self, total_rate: f64) -> f64 {
         total_rate / self.total_gpus() as f64
@@ -552,13 +656,7 @@ impl ServeConfig {
         if let Some(pg) = &self.prefill_gpu {
             pg.validate()?;
         }
-        if self.total_gpus() > self.topology.n_gpus() {
-            return Err(config(format!(
-                "placement needs {} GPUs, node has {}",
-                self.total_gpus(),
-                self.topology.n_gpus()
-            )));
-        }
+        let n_instances = self.layout()?.len();
         for (label, v) in [
             ("resched_watermark", self.resched_watermark),
             ("backup_watermark", self.backup_watermark),
@@ -602,19 +700,11 @@ impl ServeConfig {
             faults
                 .validate()
                 .map_err(|reason| config(format!("fault plan: {reason}")))?;
-            let n_instances = if self.system.colocated() {
-                (self.total_gpus() / self.prefill_parallelism.n_gpus()).max(1)
-            } else {
-                self.prefill_replicas + self.decode_replicas
-            };
-            for event in &faults.events {
-                if let Some(inst) = event.kind.instance() {
-                    if inst as usize >= n_instances {
-                        return Err(config(format!(
-                            "fault plan targets instance {inst}, cluster has {n_instances}"
-                        )));
-                    }
-                }
+            let mut targets = faults.events.iter().filter_map(|e| e.kind.instance());
+            if let Some(inst) = targets.find(|&i| i as usize >= n_instances) {
+                return Err(config(format!(
+                    "fault plan targets instance {inst}, cluster has {n_instances}"
+                )));
             }
         }
         Ok(())

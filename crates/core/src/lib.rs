@@ -86,8 +86,8 @@ pub use budget::calibrate_aux_budget;
 pub use builder::ServeConfigBuilder;
 pub use cluster::{Cluster, ClusterSession, InstanceSnapshot, LiveEvent, SessionSnapshot};
 pub use config::{
-    AutoscaleConfig, OverloadConfig, PrefixCacheConfig, ServeConfig, SystemKind, VictimPolicy,
-    WorkloadSpec,
+    AutoscaleConfig, OverloadConfig, PrefixCacheConfig, Replica, ServeConfig, SystemKind,
+    VictimPolicy, WorkloadSpec,
 };
 pub use coordinator::Coordinator;
 pub use error::{Error, Result};

@@ -80,11 +80,15 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Derives the registry from a validated [`ServeConfig`], mirroring
-    /// the instance layout the [`Cluster`](windserve::Cluster) builds:
-    /// prefill replicas first, then decode replicas (or `colocated-i`
-    /// replicas for colocated systems), GPUs assigned contiguously.
-    pub fn from_config(cfg: &ServeConfig) -> Self {
+    /// Derives the registry from a [`ServeConfig`]: one endpoint and one
+    /// assignment per replica of [`ServeConfig::layout`], the placement
+    /// the [`Cluster`](windserve::Cluster) runs, in its instance order.
+    ///
+    /// # Errors
+    ///
+    /// The layout's [`Error::Config`](windserve::Error::Config) when the
+    /// placement does not fit the topology.
+    pub fn from_config(cfg: &ServeConfig) -> windserve::Result<Self> {
         let topo = &cfg.topology;
         let mut nodes: Vec<NodeStatus> = (0..topo.n_nodes())
             .map(|n| NodeStatus {
@@ -103,63 +107,28 @@ impl Registry {
             });
         }
         let version = 1;
-        let mut endpoints = Vec::new();
-        let mut assignments = Vec::new();
-        let mut next_gpu = 0usize;
-        let mut place = |name: String, replica_id: usize, phase: &str, n_gpus: usize| {
-            let gpu_indices: Vec<usize> = (next_gpu..next_gpu + n_gpus)
-                .map(|g| g % topo.n_gpus().max(1))
-                .collect();
-            next_gpu += n_gpus;
-            let node_id = format!(
-                "node-{}",
-                topo.node_of(GpuId(
-                    *gpu_indices.first().unwrap_or(&0) % topo.n_gpus().max(1)
-                ))
-            );
-            endpoints.push(EndpointInfo {
-                endpoint_id: name.clone(),
-                replica_id,
-                phase: phase.to_string(),
-                node_id: node_id.clone(),
-                api_flavor: "openai-completions".to_string(),
-                plan_version: version,
-            });
-            assignments.push(PlacementAssignment {
-                endpoint_id: name,
-                node_id,
-                gpu_indices,
-            });
-        };
-        if cfg.system.colocated() {
-            let n = cfg.prefill_replicas.max(cfg.decode_replicas).max(1);
-            for i in 0..n {
-                place(
-                    format!("colocated-{i}"),
-                    i,
-                    "colocated",
-                    cfg.decode_parallelism.n_gpus(),
-                );
-            }
-        } else {
-            for i in 0..cfg.prefill_replicas {
-                place(
-                    format!("prefill-{i}"),
-                    i,
-                    "prefill",
-                    cfg.prefill_parallelism.n_gpus(),
-                );
-            }
-            for i in 0..cfg.decode_replicas {
-                place(
-                    format!("decode-{i}"),
-                    i,
-                    "decode",
-                    cfg.decode_parallelism.n_gpus(),
-                );
-            }
-        }
-        Registry {
+        let (endpoints, assignments) = cfg
+            .layout()?
+            .into_iter()
+            .map(|r| {
+                let node = r.gpus.first().map_or(0, |&g| topo.node_of(g));
+                let endpoint = EndpointInfo {
+                    endpoint_id: r.name(),
+                    replica_id: r.index,
+                    phase: r.phase().to_string(),
+                    node_id: format!("node-{node}"),
+                    api_flavor: "openai-completions".to_string(),
+                    plan_version: version,
+                };
+                let assignment = PlacementAssignment {
+                    endpoint_id: r.name(),
+                    node_id: format!("node-{node}"),
+                    gpu_indices: r.gpus.iter().map(|g| g.0).collect(),
+                };
+                (endpoint, assignment)
+            })
+            .unzip();
+        Ok(Registry {
             nodes,
             endpoints,
             placement: PlacementPlan {
@@ -167,19 +136,20 @@ impl Registry {
                 version,
                 assignments,
             },
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use windserve::SystemKind;
+    use windserve::{Cluster, SystemKind};
+    use windserve_gpu::Topology;
 
     #[test]
     fn registry_mirrors_the_paper_default_layout() {
         let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
-        let reg = Registry::from_config(&cfg);
+        let reg = Registry::from_config(&cfg).unwrap();
         assert!(!reg.nodes.is_empty());
         let total_gpus: usize = reg.nodes.iter().map(|n| n.gpus.len()).sum();
         assert_eq!(total_gpus, cfg.topology.n_gpus());
@@ -200,15 +170,72 @@ mod tests {
     #[test]
     fn colocated_systems_register_colocated_endpoints() {
         let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::VllmColocated);
-        let reg = Registry::from_config(&cfg);
+        let reg = Registry::from_config(&cfg).unwrap();
         assert!(reg.endpoints.iter().all(|e| e.phase == "colocated"));
         assert!(reg.endpoints[0].endpoint_id.starts_with("colocated-"));
+    }
+
+    /// The status endpoint names exactly the instances the cluster runs,
+    /// in its order, on the GPUs the cluster places them on.
+    #[test]
+    fn registry_states_the_placement_the_cluster_runs() {
+        let windserve = || ServeConfig::opt_13b_sharegpt(SystemKind::WindServe).to_builder();
+        let split = windserve()
+            .topology(Topology::a800_multi_node(2))
+            .split_phases_across_nodes(true)
+            .build()
+            .unwrap();
+        let cases: [(ServeConfig, &[&[usize]]); 4] = [
+            (
+                ServeConfig::opt_13b_sharegpt(SystemKind::VllmColocated),
+                &[&[0, 1], &[2, 3]],
+            ),
+            (windserve().build().unwrap(), &[&[0, 2], &[1, 3]]),
+            (
+                windserve()
+                    .prefill_replicas(2)
+                    .decode_replicas(2)
+                    .build()
+                    .unwrap(),
+                &[&[0, 1], &[2, 3], &[4, 5], &[6, 7]],
+            ),
+            (split.clone(), &[&[0, 1], &[8, 9]]),
+        ];
+        for (cfg, gpus) in cases {
+            let reg = Registry::from_config(&cfg).unwrap();
+            let running: Vec<String> = Cluster::new(cfg.clone())
+                .unwrap()
+                .into_session()
+                .snapshot()
+                .instances
+                .into_iter()
+                .map(|inst| inst.name)
+                .collect();
+            let ids: Vec<&str> = reg
+                .endpoints
+                .iter()
+                .map(|e| e.endpoint_id.as_str())
+                .collect();
+            assert_eq!(ids, running, "{:?}", cfg.system);
+            let placed: Vec<&[usize]> = reg
+                .placement
+                .assignments
+                .iter()
+                .map(|a| a.gpu_indices.as_slice())
+                .collect();
+            assert_eq!(placed, gpus, "{ids:?}");
+        }
+        // Split across nodes, decode runs on node 1.
+        let reg = Registry::from_config(&split).unwrap();
+        assert_eq!(reg.endpoints[1].endpoint_id, "decode-0");
+        assert_eq!(reg.endpoints[1].node_id, "node-1");
+        assert_eq!(reg.placement.assignments[1].node_id, "node-1");
     }
 
     #[test]
     fn registry_serializes_to_json() {
         let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
-        let reg = Registry::from_config(&cfg);
+        let reg = Registry::from_config(&cfg).unwrap();
         let v = serde_json::to_value(&reg);
         assert!(v["nodes"].as_array().is_some());
         assert_eq!(v["placement"]["version"].as_u64(), Some(1));

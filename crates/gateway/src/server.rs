@@ -179,7 +179,7 @@ impl Gateway {
                 reason: format!("net-chaos plan: {e}"),
             })?;
         }
-        let registry = serde_json::to_value(&Registry::from_config(&gw.cfg));
+        let registry = serde_json::to_value(&Registry::from_config(&gw.cfg)?);
         let max_context = gw.cfg.model.max_context;
         let driver = SimDriver::spawn(gw.cfg, gw.time_scale)?;
         let handle = driver.handle();

@@ -152,3 +152,52 @@ fn vllm_swap_on_rtx4090_completes_a_thousand_requests() {
     let swap_outs: u64 = report.instances.iter().map(|i| i.swap_outs).sum();
     assert!(swap_outs > 0, "the run must swap");
 }
+
+/// Split-phase placements that run past their node: five TP-2 prefill
+/// replicas spill onto node 1 where decode starts, and five TP-2 decode
+/// replicas run off the second node. Both are typed config errors, from
+/// validation and from building the cluster.
+#[test]
+fn split_node_overflow_is_a_config_error() {
+    use windserve_gpu::Topology;
+
+    let split = |prefill, decode| {
+        let mut cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
+        cfg.topology = Topology::a800_multi_node(2);
+        cfg.split_phases_across_nodes = true;
+        cfg.prefill_replicas = prefill;
+        cfg.decode_replicas = decode;
+        cfg
+    };
+    for cfg in [split(5, 1), split(1, 5)] {
+        let (p, d) = (cfg.prefill_replicas, cfg.decode_replicas);
+        assert!(
+            matches!(cfg.validate(), Err(windserve::Error::Config { .. })),
+            "{p}P+{d}D"
+        );
+        assert!(
+            matches!(
+                windserve::Cluster::new(cfg),
+                Err(windserve::Error::Config { .. })
+            ),
+            "{p}P+{d}D"
+        );
+    }
+}
+
+/// A config file can set a zero parallel degree, which the constructors
+/// reject; the layout answers it with a typed error instead of dividing
+/// by zero.
+#[test]
+fn zero_gpu_replicas_are_a_config_error() {
+    for system in ["VllmColocated", "WindServe"] {
+        let text = format!("system = \"{system}\"\n[prefill_parallelism]\ntp = 0\npp = 1\n");
+        assert!(
+            matches!(
+                ServeConfig::from_toml(&text),
+                Err(windserve::Error::Config { .. })
+            ),
+            "{system}"
+        );
+    }
+}
