@@ -328,27 +328,41 @@ pub fn profiler_accuracy(ctx: &ExpContext) -> Value {
             0xE7,
         );
         let err = report.ttft_prediction_error().unwrap_or(f64::NAN);
-        let within_30 = report
+        // Signed relative errors: positive when the prediction is too high.
+        let rel: Vec<f64> = report
             .ttft_predictions
             .iter()
             .filter(|p| !p.dispatched && p.actual > 0.0)
-            .filter(|p| ((p.predicted - p.actual) / p.actual).abs() <= 0.3)
-            .count() as f64
-            / report.ttft_predictions.len().max(1) as f64;
+            .map(|p| (p.predicted - p.actual) / p.actual)
+            .collect();
+        let count = |keep: fn(f64) -> bool| rel.iter().filter(|&&e| keep(e)).count() as f64;
+        let signed = rel.iter().sum::<f64>() / rel.len().max(1) as f64;
+        let too_high = count(|e| e > 0.0) / rel.len().max(1) as f64;
+        let within_30 = count(|e| e.abs() <= 0.3) / report.ttft_predictions.len().max(1) as f64;
         rows.push(vec![
             format!("{rate:.1}"),
             format!("{:.1}%", err * 100.0),
+            format!("{:+.1}%", signed * 100.0),
+            format!("{:.1}%", too_high * 100.0),
             format!("{:.1}%", within_30 * 100.0),
         ]);
         data.push(json!({
             "rate_per_gpu": rate,
             "mean_rel_error": err,
+            "mean_signed_error": signed,
+            "fraction_too_high": too_high,
             "fraction_within_30pct": within_30,
         }));
     }
     print_table(
         "Extra 7: Algorithm 1 TTFT-prediction accuracy (DistServe path, OPT-13B)",
-        &["req/s/GPU", "mean |rel err|", "within ±30%"],
+        &[
+            "req/s/GPU",
+            "mean |rel err|",
+            "signed err",
+            "too high",
+            "within ±30%",
+        ],
         &rows,
     );
     Value::Array(data)
