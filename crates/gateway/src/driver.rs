@@ -34,14 +34,33 @@ pub enum Sink {
     /// Deliver typed updates over a channel (non-streamed responses,
     /// tests).
     Channel(Sender<StreamUpdate>),
-    /// Frame updates as SSE chunks and push them to the stream pump
-    /// under this stream id.
-    Pump {
-        /// Handle to the pump thread.
-        pump: PumpHandle,
-        /// The pump stream the bytes belong to.
-        stream: u64,
-    },
+    /// Frame updates as SSE chunks and push them to the stream pump,
+    /// whose stream for the request is keyed by its id.
+    Pump(PumpHandle),
+}
+
+impl Sink {
+    /// Delivers one update for request `id`: typed over a channel, or as
+    /// the SSE event `sse` builds, framed as one HTTP chunk for the pump.
+    /// A terminal update also ends the chunked body and closes the stream.
+    fn deliver(&self, id: RequestId, update: StreamUpdate, sse: impl FnOnce() -> SseEvent) {
+        match self {
+            Sink::Channel(tx) => {
+                let _ = tx.send(update);
+            }
+            Sink::Pump(pump) => {
+                let mut bytes = encode_chunk(&sse().encode());
+                let last = !matches!(update, StreamUpdate::Token { .. });
+                if last {
+                    bytes.extend_from_slice(LAST_CHUNK);
+                }
+                pump.push(id.0, Frame::Data(bytes));
+                if last {
+                    pump.push(id.0, Frame::Close);
+                }
+            }
+        }
+    }
 }
 
 /// A live update for one submitted request.
@@ -81,7 +100,7 @@ pub enum SubmitError {
 }
 
 /// Final accounting from a driver that has shut down.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DriverReport {
     /// Requests submitted over the gateway.
     pub submitted: u64,
@@ -119,8 +138,9 @@ enum Msg {
     },
     /// Record a gateway-layer event into the session trace.
     Trace(TraceEvent),
-    /// A pump stream died mid-flight (client disconnect); reclaim it.
-    StreamDead(u64),
+    /// A request's pump stream died mid-flight (client disconnect);
+    /// reclaim it.
+    StreamDead(RequestId),
     /// Injected driver stall (network chaos): sleep on the driver thread.
     Stall(Duration),
     Shutdown {
@@ -182,10 +202,11 @@ impl DriverHandle {
         let _ = self.tx.send(Msg::Trace(ev));
     }
 
-    /// Reports a pump stream that died mid-flight so the driver reclaims
-    /// its routing state instead of feeding a vanished client forever.
-    pub fn stream_dead(&self, stream: u64) {
-        let _ = self.tx.send(Msg::StreamDead(stream));
+    /// Reports that request `id`'s pump stream died mid-flight so the
+    /// driver reclaims its routing state instead of feeding a vanished
+    /// client forever.
+    pub fn stream_dead(&self, id: RequestId) {
+        let _ = self.tx.send(Msg::StreamDead(id));
     }
 
     /// Injects a driver stall (network chaos): the driver thread sleeps
@@ -259,15 +280,9 @@ impl SimDriver {
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
-        report.unwrap_or(DriverReport {
-            submitted: 0,
-            completed: 0,
-            rejected: 0,
-            aborted: 0,
-            deadline_exceeded: 0,
-            disconnected: 0,
-            run_report: None,
+        report.unwrap_or_else(|| DriverReport {
             error: Some("driver thread unavailable".to_string()),
+            ..DriverReport::default()
         })
     }
 }
@@ -281,6 +296,18 @@ struct StreamState {
     /// Virtual instant past which the stream is killed with
     /// `deadline-exceeded` (mapped from the wall-clock budget).
     deadline: Option<SimTime>,
+}
+
+/// How an admitted request ends.
+enum Terminal {
+    /// The simulator finished it at this virtual instant.
+    Done(SimTime),
+    /// The simulator dropped it after admission.
+    Dropped(DropReason),
+    /// Its gateway deadline passed.
+    Deadline,
+    /// Its client went away mid-stream.
+    Disconnected,
 }
 
 /// Longest injected driver stall honored per message — a chaos plan can
@@ -301,24 +328,15 @@ struct GatewaySession {
 struct Driver {
     session: ClusterSession,
     streams: HashMap<RequestId, StreamState>,
-    /// Pump stream id → request, so a dead-socket notification can
-    /// reclaim the right routing entry.
-    pump_streams: HashMap<u64, RequestId>,
     /// Conversation state per `x-session-id` key.
     sessions: HashMap<String, GatewaySession>,
     next_session: u64,
     next_id: u64,
-    submitted: u64,
-    completed: u64,
-    rejected: u64,
-    aborted: u64,
-    deadline_exceeded: u64,
-    disconnected: u64,
+    /// The counters, filled in as requests end. Its `error` is the first
+    /// session failure; once set the driver stops pumping.
+    report: DriverReport,
     /// Virtual seconds per real second (for mapping request deadlines).
     scale: f64,
-    /// First session failure; once set the driver stops pumping and
-    /// reports the error on shutdown.
-    error: Option<String>,
 }
 
 /// The wall-to-virtual clock mapping, in pure integer arithmetic.
@@ -370,18 +388,11 @@ fn driver_loop(session: ClusterSession, rx: &Receiver<Msg>, scale: f64) {
     let mut driver = Driver {
         session,
         streams: HashMap::new(),
-        pump_streams: HashMap::new(),
         sessions: HashMap::new(),
         next_session: 0,
         next_id: 0,
-        submitted: 0,
-        completed: 0,
-        rejected: 0,
-        aborted: 0,
-        deadline_exceeded: 0,
-        disconnected: 0,
+        report: DriverReport::default(),
         scale,
-        error: None,
     };
     let shutdown_reply = loop {
         let vnow = clock.now();
@@ -404,39 +415,25 @@ fn driver_loop(session: ClusterSession, rx: &Receiver<Msg>, scale: f64) {
     // Drain in-flight work so every admitted request reaches a terminal
     // state (tokens stream out at full simulation speed, untied from the
     // wall clock now that the gateway is closing).
-    if driver.error.is_none() {
+    if driver.report.error.is_none() {
         if let Err(e) = driver.session.pump_to_drain() {
-            driver.error = Some(e.to_string());
+            driver.report.error = Some(e.to_string());
         }
         driver.route_live_events();
     }
     let Driver {
         session,
-        submitted,
-        completed,
-        rejected,
-        aborted,
-        deadline_exceeded,
-        disconnected,
-        error,
+        mut report,
         ..
     } = driver;
-    let (run_report, error) = match (error, session.finish()) {
-        (None, Ok((report, _log))) => (Some(report), None),
-        (None, Err(e)) => (None, Some(e.to_string())),
-        (Some(e), _) => (None, Some(e)),
-    };
+    if report.error.is_none() {
+        match session.finish() {
+            Ok((run, _log)) => report.run_report = Some(run),
+            Err(e) => report.error = Some(e.to_string()),
+        }
+    }
     if let Some(reply) = shutdown_reply {
-        let _ = reply.send(DriverReport {
-            submitted,
-            completed,
-            rejected,
-            aborted,
-            deadline_exceeded,
-            disconnected,
-            run_report,
-            error,
-        });
+        let _ = reply.send(report);
     }
 }
 
@@ -477,20 +474,17 @@ impl Driver {
     /// Pumps the session to the mapped virtual instant, routes every
     /// live event produced, then kills streams past their deadline.
     fn advance(&mut self, vnow: SimTime) {
-        if self.error.is_some() {
+        if self.report.error.is_some() {
             return;
         }
         if let Err(e) = self.session.pump_until(vnow) {
-            self.error = Some(e.to_string());
+            self.report.error = Some(e.to_string());
         }
         self.route_live_events();
         self.enforce_deadlines(vnow);
     }
 
-    /// Aborts every live stream whose virtual deadline has passed: the
-    /// client gets a typed `deadline-exceeded` SSE terminal (or a
-    /// [`StreamUpdate::Aborted`]), and the routing entry is dropped so
-    /// later sim events for the request are ignored.
+    /// Closes every live stream whose virtual deadline has passed.
     fn enforce_deadlines(&mut self, vnow: SimTime) {
         let expired: Vec<RequestId> = self
             .streams
@@ -499,34 +493,60 @@ impl Driver {
             .map(|(id, _)| *id)
             .collect();
         for id in expired {
-            let Some(state) = self.streams.remove(&id) else {
-                continue;
-            };
-            self.deadline_exceeded += 1;
-            if let Sink::Pump { stream, .. } = &state.sink {
-                self.pump_streams.remove(stream);
-            }
-            self.session.emit_trace(TraceEvent::GatewayStreamClosed {
-                id,
-                delivered_tokens: state.tokens,
-            });
-            match &state.sink {
-                Sink::Channel(tx) => {
-                    let _ = tx.send(StreamUpdate::Aborted {
-                        reason: DropReason::DeadlineExceeded,
-                    });
-                }
-                Sink::Pump { pump, stream } => {
-                    let body = String::from_utf8(api::drop_body(DropReason::DeadlineExceeded))
-                        .unwrap_or_default();
-                    let ev = SseEvent::named(DropReason::DeadlineExceeded.label(), body);
-                    let mut bytes = encode_chunk(&ev.encode());
-                    bytes.extend_from_slice(LAST_CHUNK);
-                    pump.push(*stream, Frame::Data(bytes));
-                    pump.push(*stream, Frame::Close);
-                }
-            }
+            self.close(id, Terminal::Deadline);
         }
+    }
+
+    /// Ends request `id`'s stream with `terminal`. The only code that drops
+    /// a routing entry, counts a terminal, traces `GatewayStreamClosed`
+    /// and writes the terminal to the sink. A request already closed is
+    /// left alone, so the sim events that still arrive for it after a
+    /// deadline or a disconnect are ignored.
+    fn close(&mut self, id: RequestId, terminal: Terminal) {
+        let Some(state) = self.streams.remove(&id) else {
+            return;
+        };
+        let counter = match terminal {
+            Terminal::Done(_) => &mut self.report.completed,
+            Terminal::Dropped(_) => &mut self.report.aborted,
+            Terminal::Deadline => &mut self.report.deadline_exceeded,
+            Terminal::Disconnected => &mut self.report.disconnected,
+        };
+        *counter += 1;
+        self.session.emit_trace(TraceEvent::GatewayStreamClosed {
+            id,
+            delivered_tokens: state.tokens,
+        });
+        let drop_event = |name: &str, reason: DropReason| {
+            SseEvent::named(name, String::from_utf8_lossy(&api::drop_body(reason)))
+        };
+        let since_submit = |t: SimTime| t.saturating_since(state.submitted_at).as_secs_f64();
+        let (update, event) = match terminal {
+            Terminal::Done(at) => (
+                StreamUpdate::Done {
+                    tokens: state.tokens,
+                    ttft_virtual_secs: since_submit(state.first_token_at.unwrap_or(at)),
+                    latency_virtual_secs: since_submit(at),
+                },
+                SseEvent::data(api::DONE_SENTINEL),
+            ),
+            Terminal::Dropped(reason) => (
+                StreamUpdate::Aborted { reason },
+                drop_event("error", reason),
+            ),
+            Terminal::Deadline => {
+                let reason = DropReason::DeadlineExceeded;
+                (
+                    StreamUpdate::Aborted { reason },
+                    drop_event(reason.label(), reason),
+                )
+            }
+            // The sim keeps producing tokens for the request; with the
+            // routing entry gone they are dropped on the floor, which is
+            // exactly what a vanished client deserves.
+            Terminal::Disconnected => return,
+        };
+        state.sink.deliver(id, update, || event);
     }
 
     fn handle(&mut self, msg: Msg, vnow: SimTime) {
@@ -540,14 +560,14 @@ impl Driver {
                 verdict,
                 sink,
             } => {
-                if self.error.is_some() {
+                if self.report.error.is_some() {
                     // A failed session admits nothing; surface as shed.
                     let _ = verdict.send(Err(DropReason::Shed));
                     return;
                 }
                 let id = RequestId(self.next_id);
                 self.next_id += 1;
-                self.submitted += 1;
+                self.report.submitted += 1;
                 let mut req = Request::new(id, vnow, prompt_tokens, output_tokens).with_tier(tier);
                 if let Some(key) = session {
                     let tag = self.session_turn(key, prompt_tokens, output_tokens);
@@ -564,7 +584,7 @@ impl Driver {
                 // (queue cap, token budget, shed-on-admit) shows up as a
                 // Dropped event for this id before any token can.
                 if let Err(e) = self.session.pump_until(vnow) {
-                    self.error = Some(e.to_string());
+                    self.report.error = Some(e.to_string());
                     let _ = verdict.send(Err(DropReason::Shed));
                     return;
                 }
@@ -590,9 +610,6 @@ impl Driver {
                         let deadline = timeout_secs
                             .filter(|secs| secs.is_finite() && *secs > 0.0)
                             .map(|secs| vnow + SimDuration::from_secs_f64(secs * self.scale));
-                        if let Sink::Pump { stream, .. } = &sink {
-                            self.pump_streams.insert(*stream, id);
-                        }
                         self.streams.insert(
                             id,
                             StreamState {
@@ -606,7 +623,7 @@ impl Driver {
                         let _ = verdict.send(Ok(id));
                     }
                     Err(reason) => {
-                        self.rejected += 1;
+                        self.report.rejected += 1;
                         let _ = verdict.send(Err(reason));
                     }
                 }
@@ -617,22 +634,7 @@ impl Driver {
             Msg::Trace(ev) => {
                 self.session.emit_trace(ev);
             }
-            Msg::StreamDead(stream) => {
-                let Some(id) = self.pump_streams.remove(&stream) else {
-                    return;
-                };
-                let Some(state) = self.streams.remove(&id) else {
-                    return;
-                };
-                self.disconnected += 1;
-                self.session.emit_trace(TraceEvent::GatewayStreamClosed {
-                    id,
-                    delivered_tokens: state.tokens,
-                });
-                // The sim keeps producing tokens for the request; with
-                // the routing entry gone they are dropped on the floor,
-                // which is exactly what a vanished client deserves.
-            }
+            Msg::StreamDead(id) => self.close(id, Terminal::Disconnected),
             Msg::Stall(dur) => {
                 std::thread::sleep(dur.min(MAX_DRIVER_STALL));
             }
@@ -650,93 +652,28 @@ impl Driver {
     /// Delivers one live event to its request's sink.
     fn route_one(&mut self, ev: LiveEvent) {
         let id = ev.request_id();
-        let Some(state) = self.streams.get_mut(&id) else {
-            // Rejected at submission (already answered) or unknown.
-            return;
-        };
         match ev {
             LiveEvent::FirstToken { at, .. } | LiveEvent::Token { at, .. } => {
+                let Some(state) = self.streams.get_mut(&id) else {
+                    // Rejected at submission (already answered), closed,
+                    // or unknown.
+                    return;
+                };
                 let index = state.tokens;
                 state.tokens += 1;
                 state.first_token_at.get_or_insert(at);
-                match &state.sink {
-                    Sink::Channel(tx) => {
-                        let _ = tx.send(StreamUpdate::Token {
-                            index,
-                            virtual_secs: at.as_secs_f64(),
-                        });
-                    }
-                    Sink::Pump { pump, stream } => {
-                        let payload =
-                            SseEvent::data(api::token_event_json(id, index, at.as_secs_f64()));
-                        pump.push(*stream, Frame::Data(encode_chunk(&payload.encode())));
-                    }
-                }
-            }
-            LiveEvent::Finished { at, .. } => {
-                // Presence was checked above; a vanished entry means a
-                // duplicate terminal event — drop it rather than kill the
-                // driver thread (and with it every live stream).
-                let Some(state) = self.streams.remove(&id) else {
-                    return;
-                };
-                if let Sink::Pump { stream, .. } = &state.sink {
-                    self.pump_streams.remove(stream);
-                }
-                self.completed += 1;
-                self.session.emit_trace(TraceEvent::GatewayStreamClosed {
+                let virtual_secs = at.as_secs_f64();
+                state.sink.deliver(
                     id,
-                    delivered_tokens: state.tokens,
-                });
-                let ttft = state
-                    .first_token_at
-                    .unwrap_or(at)
-                    .saturating_since(state.submitted_at)
-                    .as_secs_f64();
-                let latency = at.saturating_since(state.submitted_at).as_secs_f64();
-                match &state.sink {
-                    Sink::Channel(tx) => {
-                        let _ = tx.send(StreamUpdate::Done {
-                            tokens: state.tokens,
-                            ttft_virtual_secs: ttft,
-                            latency_virtual_secs: latency,
-                        });
-                    }
-                    Sink::Pump { pump, stream } => {
-                        let done = SseEvent::data(api::DONE_SENTINEL);
-                        let mut bytes = encode_chunk(&done.encode());
-                        bytes.extend_from_slice(LAST_CHUNK);
-                        pump.push(*stream, Frame::Data(bytes));
-                        pump.push(*stream, Frame::Close);
-                    }
-                }
+                    StreamUpdate::Token {
+                        index,
+                        virtual_secs,
+                    },
+                    || SseEvent::data(api::token_event_json(id, index, virtual_secs)),
+                );
             }
-            LiveEvent::Dropped { reason, .. } => {
-                let Some(state) = self.streams.remove(&id) else {
-                    return;
-                };
-                if let Sink::Pump { stream, .. } = &state.sink {
-                    self.pump_streams.remove(stream);
-                }
-                self.aborted += 1;
-                self.session.emit_trace(TraceEvent::GatewayStreamClosed {
-                    id,
-                    delivered_tokens: state.tokens,
-                });
-                match &state.sink {
-                    Sink::Channel(tx) => {
-                        let _ = tx.send(StreamUpdate::Aborted { reason });
-                    }
-                    Sink::Pump { pump, stream } => {
-                        let body = String::from_utf8(api::drop_body(reason)).unwrap_or_default();
-                        let ev = SseEvent::named("error", body);
-                        let mut bytes = encode_chunk(&ev.encode());
-                        bytes.extend_from_slice(LAST_CHUNK);
-                        pump.push(*stream, Frame::Data(bytes));
-                        pump.push(*stream, Frame::Close);
-                    }
-                }
-            }
+            LiveEvent::Finished { at, .. } => self.close(id, Terminal::Done(at)),
+            LiveEvent::Dropped { reason, .. } => self.close(id, Terminal::Dropped(reason)),
         }
     }
 }

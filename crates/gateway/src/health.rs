@@ -20,6 +20,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
+use windserve_trace::TraceEvent;
 
 /// The gateway-wide health state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -116,6 +117,29 @@ pub enum HealthSignal {
         /// Consecutive admission failures at the transition.
         consecutive_failures: u32,
     },
+}
+
+impl From<HealthSignal> for TraceEvent {
+    fn from(signal: HealthSignal) -> Self {
+        match signal {
+            HealthSignal::StateChanged {
+                from,
+                to,
+                error_rate,
+            } => TraceEvent::GatewayHealthChanged {
+                from: from.label().to_string(),
+                to: to.label().to_string(),
+                error_rate,
+            },
+            HealthSignal::Breaker {
+                state,
+                consecutive_failures,
+            } => TraceEvent::GatewayBreaker {
+                state: state.to_string(),
+                consecutive_failures,
+            },
+        }
+    }
 }
 
 /// A point-in-time health snapshot for `/healthz` and the cluster

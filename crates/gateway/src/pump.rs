@@ -2,9 +2,9 @@
 //!
 //! Worker threads hand streaming sockets off here after writing the
 //! response head, so a thousand idle streams cost one thread, not a
-//! thousand. The driver pushes ready-framed bytes by stream id; the pump
-//! writes them with non-blocking sockets, buffering what the kernel
-//! won't take yet.
+//! thousand. The driver pushes ready-framed bytes by stream id (the
+//! gateway uses the request id); the pump writes them with non-blocking
+//! sockets, buffering what the kernel won't take yet.
 //!
 //! Backpressure: a stream whose client reads too slowly accumulates
 //! buffered frames; past [`MAX_BUFFERED_BYTES`] the pump drops the whole

@@ -19,7 +19,7 @@
 
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -27,11 +27,12 @@ use serde_json::Value;
 use windserve::{Error, ServeConfig};
 use windserve_faults::{NetFaultKind, NetFaultPlan, NetFaultRecord};
 use windserve_trace::TraceEvent;
+use windserve_workload::RequestId;
 
 use crate::api::{self, CompletionRequest};
 use crate::driver::{DriverHandle, DriverReport, SimDriver, Sink, StreamUpdate, SubmitError};
 use crate::envelope::json_envelope;
-use crate::health::{Gate, Health, HealthConfig, HealthSignal, HealthState};
+use crate::health::{Gate, Health, HealthConfig, HealthState};
 use crate::http::{self, HttpRequest};
 use crate::pool::WorkerPool;
 use crate::pump::{PumpHandle, StreamPump};
@@ -113,34 +114,6 @@ struct Ctx {
     /// Injected-fault log (deterministic for a fixed seed and a
     /// sequential client).
     fault_log: Arc<Mutex<Vec<NetFaultRecord>>>,
-    /// Pump stream ids (decoupled from request ids, which the driver
-    /// assigns after submission).
-    next_stream: AtomicU64,
-}
-
-impl Ctx {
-    /// Forwards a health transition into the scheduling trace.
-    fn emit_signal(&self, signal: HealthSignal) {
-        let ev = match signal {
-            HealthSignal::StateChanged {
-                from,
-                to,
-                error_rate,
-            } => TraceEvent::GatewayHealthChanged {
-                from: from.label().to_string(),
-                to: to.label().to_string(),
-                error_rate,
-            },
-            HealthSignal::Breaker {
-                state,
-                consecutive_failures,
-            } => TraceEvent::GatewayBreaker {
-                state: state.to_string(),
-                consecutive_failures,
-            },
-        };
-        self.handle.emit_trace(ev);
-    }
 }
 
 /// A running gateway: listener + workers + pump + driver.
@@ -184,14 +157,14 @@ impl Gateway {
         let driver = SimDriver::spawn(gw.cfg, gw.time_scale)?;
         let handle = driver.handle();
         // Dead SSE sockets loop back to the driver so it reclaims the
-        // stream instead of feeding a vanished client forever.
+        // stream instead of feeding a vanished client forever. Pump
+        // streams are keyed by request id.
         let pump = {
             let handle = handle.clone();
-            StreamPump::with_notifier(Box::new(move |stream| handle.stream_dead(stream))).map_err(
-                |e| Error::Gateway {
+            StreamPump::with_notifier(Box::new(move |id| handle.stream_dead(RequestId(id))))
+                .map_err(|e| Error::Gateway {
                     reason: format!("spawn pump: {e}"),
-                },
-            )?
+                })?
         };
         let listener =
             TcpListener::bind((gw.addr.as_str(), gw.port)).map_err(|e| Error::Gateway {
@@ -211,7 +184,6 @@ impl Gateway {
             request_timeout_secs: gw.request_timeout_secs,
             net_faults: gw.net_faults,
             fault_log: Arc::clone(&fault_log),
-            next_stream: AtomicU64::new(0),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let pool =
@@ -246,12 +218,6 @@ impl Gateway {
         self.local_addr
     }
 
-    /// A submission/status handle to the underlying driver (used by
-    /// in-process clients and tests).
-    pub fn driver_handle(&self) -> DriverHandle {
-        self.driver.handle()
-    }
-
     /// The gateway's current health state.
     pub fn health_state(&self) -> HealthState {
         self.health.state()
@@ -262,25 +228,7 @@ impl Gateway {
     /// follow with [`Gateway::shutdown`] to finish them and exit.
     pub fn drain(&self) {
         if let Some(signal) = self.health.begin_drain() {
-            let ev = match signal {
-                HealthSignal::StateChanged {
-                    from,
-                    to,
-                    error_rate,
-                } => TraceEvent::GatewayHealthChanged {
-                    from: from.label().to_string(),
-                    to: to.label().to_string(),
-                    error_rate,
-                },
-                HealthSignal::Breaker {
-                    state,
-                    consecutive_failures,
-                } => TraceEvent::GatewayBreaker {
-                    state: state.to_string(),
-                    consecutive_failures,
-                },
-            };
-            self.handle.emit_trace(ev);
+            self.handle.emit_trace(signal.into());
         }
     }
 
@@ -481,7 +429,7 @@ fn handle_completion(
 ) {
     let (gate, signal) = ctx.health.gate();
     if let Some(signal) = signal {
-        ctx.emit_signal(signal);
+        ctx.handle.emit_trace(signal.into());
     }
     match gate {
         Gate::Allow { .. } => {}
@@ -546,31 +494,26 @@ fn handle_completion(
         .filter(|s| !s.is_empty())
         .map(str::to_string);
     if creq.stream {
-        let stream = ctx.next_stream.fetch_add(1, Ordering::Relaxed);
-        let sink = Sink::Pump {
-            pump: ctx.pump.clone(),
-            stream,
-        };
         let result = ctx.handle.submit(
             creq.prompt_tokens,
             creq.max_tokens,
             creq.tier,
             timeout_secs,
             session,
-            sink,
+            Sink::Pump(ctx.pump.clone()),
         );
         for signal in ctx.health.record(result.is_err()) {
-            ctx.emit_signal(signal);
+            ctx.handle.emit_trace(signal.into());
         }
         match result {
-            Ok(_) => {
+            Ok(id) => {
                 if sock.write_all(&http::sse_response_head()).is_ok() {
-                    ctx.pump.register(stream, sock);
+                    ctx.pump.register(id.0, sock);
                     if let Some(NetFaultKind::StalledWrite { stall_ms }) = &fault {
                         // Buffered SSE bytes sit in the pump for the
                         // stall window before flushing resumes.
                         ctx.pump.stall(
-                            stream,
+                            id.0,
                             Duration::from_millis(*stall_ms).min(MAX_INJECTED_DELAY),
                         );
                     }
@@ -595,7 +538,7 @@ fn handle_completion(
             Sink::Channel(tx),
         );
         for signal in ctx.health.record(result.is_err()) {
-            ctx.emit_signal(signal);
+            ctx.handle.emit_trace(signal.into());
         }
         match result {
             Ok(id) => loop {
