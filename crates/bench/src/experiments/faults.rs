@@ -10,6 +10,7 @@ use crate::harness::{print_table, ExpContext};
 use serde_json::{json, Value};
 use windserve::{Cluster, FaultPlan, ServeConfig, SystemKind};
 use windserve_engine::InstanceRole;
+use windserve_faults::FAULT_PRESETS;
 use windserve_sim::SimDuration;
 use windserve_workload::{ArrivalProcess, Dataset, Scenario};
 
@@ -37,23 +38,12 @@ pub fn run(ctx: &ExpContext) -> Value {
         .iter()
         .position(|r| r.role == InstanceRole::Decode)
         .expect("the deployment has a decode replica") as u32;
-    let scenarios: Vec<(&str, Option<FaultPlan>)> = vec![
-        ("fault-free", None),
-        (
-            "decode crash",
-            Some(FaultPlan::replica_crash(first_decode, horizon, seed)),
-        ),
-        (
-            "prefill crash",
-            Some(FaultPlan::replica_crash(0, horizon, seed)),
-        ),
-        ("flaky transfers", Some(FaultPlan::flaky_transfers(seed))),
-        (
-            "degraded link",
-            Some(FaultPlan::degraded_link(horizon, seed)),
-        ),
-        ("chaos", Some(FaultPlan::chaos(first_decode, horizon, seed))),
-    ];
+    let mut scenarios = vec![("fault-free".to_string(), None)];
+    for preset in FAULT_PRESETS {
+        let plan =
+            FaultPlan::from_preset(preset, first_decode, horizon, seed).expect("registered preset");
+        scenarios.push((preset.replace('-', " "), Some(plan)));
+    }
     let mut rows = Vec::new();
     let mut data = Vec::new();
     for (label, plan) in scenarios {

@@ -205,19 +205,8 @@ pub fn faults(args: &Args) -> Result<String, ArgError> {
         .iter()
         .position(|r| r.role == InstanceRole::Decode)
         .unwrap_or(0) as u32;
-    let plan = match preset {
-        "decode-crash" => FaultPlan::replica_crash(first_decode, horizon, fault_seed),
-        "prefill-crash" => FaultPlan::replica_crash(0, horizon, fault_seed),
-        "flaky-transfers" => FaultPlan::flaky_transfers(fault_seed),
-        "degraded-link" => FaultPlan::degraded_link(horizon, fault_seed),
-        "chaos" => FaultPlan::chaos(first_decode, horizon, fault_seed),
-        other => {
-            return Err(ArgError(format!(
-                "unknown fault preset {other:?}; try decode-crash, prefill-crash, \
-                 flaky-transfers, degraded-link, chaos"
-            )))
-        }
-    };
+    let plan = FaultPlan::from_preset(preset, first_decode, horizon, fault_seed)
+        .map_err(|e| ArgError(format!("--preset: {e}")))?;
     let trace = base.generate_trace()?;
     let baseline = run_cluster(base.config.clone(), &trace)?;
     let mut faulted_cfg = base.config.clone();

@@ -93,7 +93,7 @@ impl std::fmt::Display for FaultError {
                 write!(f, "{field} must be nonzero while its fault is enabled")
             }
             FaultError::UnknownPreset { name, known } => {
-                write!(f, "unknown net-chaos preset {name:?}; try one of {known:?}")
+                write!(f, "unknown preset {name:?}; try one of {known:?}")
             }
         }
     }
@@ -167,10 +167,19 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// The known preset names accepted by [`FaultPlan::from_preset`].
+pub const FAULT_PRESETS: &[&str] = &[
+    "decode-crash",
+    "prefill-crash",
+    "flaky-transfers",
+    "degraded-link",
+    "chaos",
+];
+
 /// A complete, seeded description of the failures injected into one run.
 ///
 /// Build one with [`FaultPlan::new`] plus the `with_*` methods, or use a
-/// preset ([`FaultPlan::replica_crash`], [`FaultPlan::flaky_transfers`],
+/// preset ([`FaultPlan::from_preset`], [`FaultPlan::replica_crash`],
 /// ...). Attach it to a serving configuration via
 /// `ServeConfig::builder().with_faults(plan)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -219,6 +228,33 @@ impl FaultPlan {
         self.max_transfer_retries = max_retries;
         self.retry_backoff = backoff;
         self
+    }
+
+    /// Resolves a preset by name (see [`FAULT_PRESETS`]). Crashes land on
+    /// replica `first_decode` (`decode-crash`, `chaos`) or replica 0
+    /// (`prefill-crash`); timed faults are placed over `horizon`, the
+    /// run's expected span.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultError::UnknownPreset`] for a name outside the registry.
+    pub fn from_preset(
+        name: &str,
+        first_decode: u32,
+        horizon: SimDuration,
+        seed: u64,
+    ) -> Result<Self, FaultError> {
+        match name {
+            "decode-crash" => Ok(FaultPlan::replica_crash(first_decode, horizon, seed)),
+            "prefill-crash" => Ok(FaultPlan::replica_crash(0, horizon, seed)),
+            "flaky-transfers" => Ok(FaultPlan::flaky_transfers(seed)),
+            "degraded-link" => Ok(FaultPlan::degraded_link(horizon, seed)),
+            "chaos" => Ok(FaultPlan::chaos(first_decode, horizon, seed)),
+            other => Err(FaultError::UnknownPreset {
+                name: other.to_string(),
+                known: FAULT_PRESETS,
+            }),
+        }
     }
 
     /// Preset: crash one replica partway through the run, recover it later.
@@ -484,6 +520,21 @@ mod tests {
             let json = serde_json::to_string(&plan).unwrap();
             let back: FaultPlan = serde_json::from_str(&json).unwrap();
             assert_eq!(back, plan);
+        }
+    }
+
+    #[test]
+    fn presets_resolve_by_name() {
+        let horizon = SimDuration::from_secs_f64(120.0);
+        for name in FAULT_PRESETS {
+            let plan = FaultPlan::from_preset(name, 1, horizon, 9).expect("known preset");
+            plan.validate().expect("preset must validate");
+            assert!(!plan.is_empty(), "preset {name} must inject something");
+        }
+        let err = FaultPlan::from_preset("nope", 1, horizon, 9).unwrap_err();
+        assert!(matches!(err, FaultError::UnknownPreset { .. }), "{err}");
+        for name in FAULT_PRESETS {
+            assert!(err.to_string().contains(name), "{err}");
         }
     }
 }

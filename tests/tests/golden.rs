@@ -18,6 +18,7 @@ use windserve::{
     SystemKind, TraceMode,
 };
 use windserve_engine::InstanceRole;
+use windserve_faults::FAULT_PRESETS;
 use windserve_gpu::Topology;
 use windserve_sim::{SimDuration, SimTime};
 use windserve_tests::{decode_path_cases, longbench_trace, run, sessions_4p4d, sharegpt_trace};
@@ -176,37 +177,23 @@ fn fault_presets() -> Vec<Row> {
         .iter()
         .position(|r| r.role == InstanceRole::Decode)
         .expect("the deployment has a decode replica") as u32;
-    [
-        (
-            "faults/decode-crash",
-            FaultPlan::replica_crash(first_decode, horizon, seed),
-        ),
-        ("faults/flaky-transfers", FaultPlan::flaky_transfers(seed)),
-        (
-            "faults/prefill-crash",
-            FaultPlan::replica_crash(0, horizon, seed),
-        ),
-        (
-            "faults/degraded-link",
-            FaultPlan::degraded_link(horizon, seed),
-        ),
-        (
-            "faults/chaos",
-            FaultPlan::chaos(first_decode, horizon, seed),
-        ),
-    ]
-    .into_iter()
-    .map(|(name, plan)| {
-        let mut cfg = base.clone();
-        cfg.faults = Some(plan);
-        let report = run(cfg, &trace);
-        assert!(
-            report.faults_injected + report.transfer_retries > 0,
-            "{name}: the plan must fire"
-        );
-        (name.to_string(), digest(&report))
-    })
-    .collect()
+    FAULT_PRESETS
+        .iter()
+        .map(|preset| {
+            let name = format!("faults/{preset}");
+            let mut cfg = base.clone();
+            cfg.faults = Some(
+                FaultPlan::from_preset(preset, first_decode, horizon, seed)
+                    .expect("registered preset"),
+            );
+            let report = run(cfg, &trace);
+            assert!(
+                report.faults_injected + report.transfer_retries > 0,
+                "{name}: the plan must fire"
+            );
+            (name.to_string(), digest(&report))
+        })
+        .collect()
 }
 
 /// SLO-aware shedding at twice the 1x1 deployment's saturation rate.
