@@ -52,7 +52,6 @@ use crate::error::{Error, Result};
 use crate::report::RunReport;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 use windserve_gpu::{GpuId, GpuInventory, Topology};
 use windserve_metrics::LatencySummary;
 use windserve_sim::SimTime;
@@ -640,7 +639,7 @@ impl Fleet {
         }
 
         let slos: Vec<_> = runs.iter().map(|(serve, _)| serve.slo).collect();
-        let reports = parallel_indexed(jobs, runs, |(serve, trace)| {
+        let reports = crate::parallel_map(jobs, runs, |(serve, trace)| {
             Cluster::new(serve)?.run(&trace).map(|(report, _)| report)
         });
 
@@ -921,40 +920,6 @@ impl Fleet {
         }
         Ok(plans)
     }
-}
-
-/// Runs `f` over `items` on up to `jobs` worker threads, writing results
-/// into index-addressed slots — output order (and content) is independent
-/// of thread interleaving.
-fn parallel_indexed<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let queue: Mutex<Vec<(usize, T)>> = Mutex::new(items.into_iter().enumerate().rev().collect());
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let next = queue.lock().expect("queue lock").pop();
-                let Some((ix, item)) = next else { break };
-                let result = f(item);
-                slots.lock().expect("slot lock")[ix] = Some(result);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("slot lock")
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect()
 }
 
 #[cfg(test)]

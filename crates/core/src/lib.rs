@@ -79,6 +79,7 @@ pub mod configfile;
 mod coordinator;
 mod error;
 pub mod fleet;
+mod parallel;
 mod profiler;
 mod report;
 
@@ -95,6 +96,7 @@ pub use fleet::{
     ArbiterConfig, DeploymentConfig, DeploymentReport, Fleet, FleetConfig, FleetConfigBuilder,
     FleetReport, PoolReport, TenantReport, TenantRoute, TenantSpec,
 };
+pub use parallel::parallel_map;
 pub use profiler::Profiler;
 pub use report::{InstanceReport, RunReport, TtftPrediction};
 
