@@ -27,7 +27,7 @@ const HEADERS: [&str; 7] = [
 /// Scales the example fleet's tenant workloads to the context and applies
 /// a sharing policy.
 fn scenario_config(ctx: &ExpContext, units: usize, arbiter: Option<ArbiterConfig>) -> FleetConfig {
-    let mut cfg = FleetConfig::example().config();
+    let mut cfg = FleetConfig::example();
     cfg.arbiter = arbiter;
     for d in &mut cfg.deployments {
         d.expansion_units = units;

@@ -52,7 +52,7 @@ fn run_cluster(cfg: windserve::ServeConfig, trace: &Trace) -> Result<RunReport, 
 pub fn fleet(args: &Args) -> Result<String, ArgError> {
     use windserve::fleet::FleetConfig;
     if args.switch("emit-config") {
-        return Ok(FleetConfig::example().config().to_toml());
+        return Ok(FleetConfig::example().to_toml());
     }
     let mut cfg = match args.get("config") {
         Some(path) => {
@@ -60,7 +60,7 @@ pub fn fleet(args: &Args) -> Result<String, ArgError> {
                 .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
             FleetConfig::from_toml(&text).map_err(|e| ArgError(format!("{path}: {e}")))?
         }
-        None => FleetConfig::example().config(),
+        None => FleetConfig::example(),
     };
     if let Some(seed) = args.get_opt::<u64>("seed")? {
         cfg.seed = seed;

@@ -651,6 +651,7 @@ impl ServeConfig {
     /// substrate error) describing the first invalid field.
     pub fn validate(&self) -> crate::Result<()> {
         let config = |reason: String| crate::Error::Config { reason };
+        self.topology.validate()?;
         self.model.validate()?;
         self.gpu.validate()?;
         if let Some(pg) = &self.prefill_gpu {

@@ -4,12 +4,12 @@
 //! [`ServeConfig`] serving its own tenants — against a single
 //! [`Topology`]'s worth of GPUs:
 //!
-//! 1. **Placement planning.** Every deployment leases its base placement
-//!    from the shared [`GpuInventory`] (lowest-numbered free GPUs first,
-//!    so the plan is a pure function of the config). Remaining capacity is
-//!    handed out as *expansion units* — one extra prefill replica plus one
-//!    extra decode replica — round-robin, up to each deployment's
-//!    [`DeploymentConfig::expansion_units`] appetite.
+//! 1. **Placement planning.** A lease is a GPU count. Every deployment
+//!    leases its base placement's GPUs from the shared pool, in planning
+//!    order, so the plan is a pure function of the config. Remaining
+//!    capacity is handed out as *expansion units* — one extra prefill
+//!    replica plus one extra decode replica — round-robin, up to each
+//!    deployment's [`DeploymentConfig::expansion_units`] appetite.
 //! 2. **Fair-share arbitration.** The arbiter estimates each deployment's
 //!    demand pressure (workload tokens per second per leased GPU) from its
 //!    tenants' traces and moves expansion units from underloaded
@@ -25,10 +25,10 @@
 //!    results are written into index-addressed slots, so the
 //!    [`FleetReport`] is byte-identical whatever the thread count.
 //! 5. **Accounting.** All leases return to the pool at wind-down; the run
-//!    fails with [`crate::Error::Fleet`] if the inventory
-//!    does not balance. [`FleetReport`] breaks latency, goodput and SLO
-//!    attainment down per tenant and GPU-seconds per deployment, and the
-//!    trace log records every lease movement as a
+//!    fails with [`crate::Error::Fleet`] unless the pool ends whole with
+//!    grants equal to returns. [`FleetReport`] breaks latency, goodput and
+//!    SLO attainment down per tenant and GPU-seconds per deployment, and
+//!    the trace log records every lease movement as a
 //!    [`TraceEvent::FleetLease`](windserve_trace::TraceEvent).
 //!
 //! # Examples
@@ -52,7 +52,7 @@ use crate::error::{Error, Result};
 use crate::report::RunReport;
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use windserve_gpu::{GpuId, GpuInventory, Topology};
+use windserve_gpu::Topology;
 use windserve_metrics::LatencySummary;
 use windserve_sim::SimTime;
 use windserve_trace::{LeaseAction, TimedEvent, TraceEvent, TraceLog};
@@ -170,6 +170,28 @@ impl ArbiterConfig {
 }
 
 /// Configuration of a whole fleet.
+///
+/// # Examples
+///
+/// ```
+/// use windserve::fleet::{ArbiterConfig, DeploymentConfig, FleetConfig, TenantSpec};
+/// use windserve::{ServeConfig, SystemKind};
+/// use windserve_gpu::Topology;
+///
+/// let fleet = FleetConfig {
+///     topology: Topology::a800_testbed(),
+///     deployments: vec![DeploymentConfig {
+///         name: "chat".into(),
+///         serve: ServeConfig::opt_13b_sharegpt(SystemKind::WindServe),
+///         expansion_units: 0,
+///         tenants: vec![TenantSpec::new("t0", "sharegpt", 4.0, 50)],
+///     }],
+///     arbiter: Some(ArbiterConfig::default()),
+///     seed: 7,
+/// }
+/// .build()?;
+/// # Ok::<(), windserve::Error>(())
+/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// The shared GPU pool every deployment leases from.
@@ -195,48 +217,33 @@ pub struct TenantRoute {
 }
 
 impl FleetConfig {
-    /// A fleet with the given shared topology and no deployments yet.
-    pub fn new(topology: Topology) -> Self {
-        FleetConfig {
-            topology,
-            deployments: Vec::new(),
-            arbiter: None,
-            seed: 0,
-        }
-    }
-
-    /// A fluent [`FleetConfigBuilder`] over an empty fleet on the 8-GPU
-    /// testbed topology.
-    pub fn builder() -> FleetConfigBuilder {
-        FleetConfigBuilder::new()
-    }
-
     /// The example the CLI's `fleet --emit-config` prints: a chatbot
     /// deployment (two ShareGPT tenants at different tiers) and a
     /// summarization deployment (one LongBench tenant) sharing a
     /// two-node A800 pool, with fair-share arbitration on.
-    pub fn example() -> FleetConfigBuilder {
-        let chatbot = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
-        let summarize = ServeConfig::llama2_13b_longbench(SystemKind::WindServe);
-        FleetConfigBuilder::new()
-            .topology(Topology::a800_multi_node(2))
-            .seed(0xF1EE7)
-            .with_arbiter(ArbiterConfig::default())
-            .with_deployment(DeploymentConfig {
-                name: "chatbot".into(),
-                serve: chatbot,
-                expansion_units: 1,
-                tenants: vec![
-                    TenantSpec::new("chat-free", "sharegpt", 6.0, 120),
-                    TenantSpec::new("chat-pro", "sharegpt", 6.0, 120).with_tier(2),
-                ],
-            })
-            .with_deployment(DeploymentConfig {
-                name: "summarize".into(),
-                serve: summarize,
-                expansion_units: 1,
-                tenants: vec![TenantSpec::new("batch-sum", "longbench", 1.0, 40)],
-            })
+    pub fn example() -> FleetConfig {
+        FleetConfig {
+            topology: Topology::a800_multi_node(2),
+            deployments: vec![
+                DeploymentConfig {
+                    name: "chatbot".into(),
+                    serve: ServeConfig::opt_13b_sharegpt(SystemKind::WindServe),
+                    expansion_units: 1,
+                    tenants: vec![
+                        TenantSpec::new("chat-free", "sharegpt", 6.0, 120),
+                        TenantSpec::new("chat-pro", "sharegpt", 6.0, 120).with_tier(2),
+                    ],
+                },
+                DeploymentConfig {
+                    name: "summarize".into(),
+                    serve: ServeConfig::llama2_13b_longbench(SystemKind::WindServe),
+                    expansion_units: 1,
+                    tenants: vec![TenantSpec::new("batch-sum", "longbench", 1.0, 40)],
+                },
+            ],
+            arbiter: Some(ArbiterConfig::default()),
+            seed: 0xF1EE7,
+        }
     }
 
     /// The fleet-wide router: every tenant with its id and deployment, in
@@ -261,16 +268,18 @@ impl FleetConfig {
         self.deployments.iter().map(|d| d.serve.total_gpus()).sum()
     }
 
-    /// Validates the fleet: named, non-empty deployments with unique
-    /// deployment and tenant names, feasible base placements against the
+    /// Validates the fleet: a well-formed pool topology, named, non-empty
+    /// deployments with unique deployment and tenant names, feasible base placements against the
     /// shared pool, sane tenant specs, and a valid arbiter policy.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Fleet`] (or a wrapped per-deployment config error)
+    /// Returns [`Error::Gpu`] for a malformed pool topology, otherwise
+    /// [`Error::Fleet`] (or a wrapped per-deployment config error)
     /// describing the first problem.
     pub fn validate(&self) -> Result<()> {
         let fleet = |reason: String| Error::Fleet { reason };
+        self.topology.validate()?;
         if self.deployments.is_empty() {
             return Err(fleet("a fleet needs at least one deployment".into()));
         }
@@ -401,87 +410,6 @@ impl FleetConfig {
     }
 }
 
-/// Fluent construction of [`FleetConfig`], mirroring
-/// [`ServeConfigBuilder`](crate::ServeConfigBuilder)'s `with_*` style for
-/// optional subsystems.
-///
-/// # Examples
-///
-/// ```
-/// use windserve::fleet::{ArbiterConfig, DeploymentConfig, FleetConfig, TenantSpec};
-/// use windserve::{ServeConfig, SystemKind};
-///
-/// let fleet = FleetConfig::builder()
-///     .seed(7)
-///     .with_arbiter(ArbiterConfig::default())
-///     .with_deployment(DeploymentConfig {
-///         name: "chat".into(),
-///         serve: ServeConfig::opt_13b_sharegpt(SystemKind::WindServe),
-///         expansion_units: 0,
-///         tenants: vec![TenantSpec::new("t0", "sharegpt", 4.0, 50)],
-///     })
-///     .build()?;
-/// # Ok::<(), windserve::Error>(())
-/// ```
-#[derive(Debug, Clone)]
-#[must_use = "call .build() to obtain the Fleet"]
-pub struct FleetConfigBuilder {
-    cfg: FleetConfig,
-}
-
-impl Default for FleetConfigBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FleetConfigBuilder {
-    /// An empty fleet on the paper's 8-GPU testbed topology.
-    pub fn new() -> Self {
-        FleetConfigBuilder {
-            cfg: FleetConfig::new(Topology::a800_testbed()),
-        }
-    }
-
-    /// The shared GPU pool.
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.cfg.topology = topology;
-        self
-    }
-
-    /// The master workload seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Appends a deployment (planning order is append order).
-    pub fn with_deployment(mut self, deployment: DeploymentConfig) -> Self {
-        self.cfg.deployments.push(deployment);
-        self
-    }
-
-    /// Enables fair-share arbitration.
-    pub fn with_arbiter(mut self, arbiter: ArbiterConfig) -> Self {
-        self.cfg.arbiter = Some(arbiter);
-        self
-    }
-
-    /// The assembled config, unvalidated — useful for serialization.
-    pub fn config(self) -> FleetConfig {
-        self.cfg
-    }
-
-    /// Validates and returns the runnable [`Fleet`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Fleet`] describing the first invalid field.
-    pub fn build(self) -> Result<Fleet> {
-        self.cfg.build()
-    }
-}
-
 /// A validated, runnable fleet.
 #[derive(Debug, Clone)]
 pub struct Fleet {
@@ -575,13 +503,78 @@ impl FleetReport {
 
 /// Everything the planner decided for one deployment before execution.
 struct Plan {
-    lease: Vec<GpuId>,
+    /// GPUs currently leased (base + granted units).
+    leased: usize,
     unit_gpus: usize,
     granted_units: usize,
     pressure: f64,
     trace: Trace,
     /// Maps a merged-trace request id to its fleet-wide tenant index.
     tenant_of: Vec<TenantId>,
+}
+
+/// The shared pool's lease ledger: its free count, its lifetime grant and
+/// return totals, and the trace of every lease movement.
+struct Ledger {
+    free: usize,
+    pool: PoolReport,
+    events: Vec<TimedEvent>,
+}
+
+impl Ledger {
+    fn new(capacity: usize) -> Self {
+        Ledger {
+            free: capacity,
+            pool: PoolReport {
+                capacity,
+                granted_gpus: 0,
+                returned_gpus: 0,
+                balanced: false,
+            },
+            events: Vec::new(),
+        }
+    }
+
+    /// Moves `gpus` between the pool and deployment `ix`'s lease of
+    /// `leased` GPUs — out of the pool for [`LeaseAction::Granted`], back
+    /// into it otherwise — and records the movement.
+    fn apply(
+        &mut self,
+        at: SimTime,
+        ix: usize,
+        leased: &mut usize,
+        action: LeaseAction,
+        gpus: usize,
+    ) -> Result<()> {
+        if action == LeaseAction::Granted {
+            if gpus > self.free {
+                return Err(Error::Fleet {
+                    reason: format!(
+                        "deployment {ix} requested {gpus} GPUs but only {} are free",
+                        self.free
+                    ),
+                });
+            }
+            self.free -= gpus;
+            self.pool.granted_gpus += gpus as u64;
+            *leased += gpus;
+        } else {
+            self.free += gpus;
+            self.pool.returned_gpus += gpus as u64;
+            *leased -= gpus;
+        }
+        self.events.push(TimedEvent {
+            at,
+            event: TraceEvent::FleetLease {
+                deployment: ix as u32,
+                action,
+                gpus: gpus as u32,
+                lease_after: *leased as u32,
+                pool_free: self.free as u32,
+            },
+        });
+        Ok(())
+    }
 }
 
 /// SplitMix64 — forks per-tenant workload seeds off the fleet seed so
@@ -611,15 +604,14 @@ impl Fleet {
     /// [`crate::Error::Fleet`] if planning or lease
     /// accounting fails.
     pub fn run(&self, jobs: usize) -> Result<(FleetReport, TraceLog)> {
-        let mut inventory = GpuInventory::new(&self.cfg.topology);
-        let mut events: Vec<TimedEvent> = Vec::new();
-        let plans = self.plan(&mut inventory, &mut events)?;
+        let mut ledger = Ledger::new(self.cfg.topology.n_gpus());
+        let mut plans = self.plan(&mut ledger)?;
 
         // Build the final per-deployment configs on their lease subsets.
         let mut runs: Vec<(ServeConfig, Trace)> = Vec::new();
         for (d, plan) in self.cfg.deployments.iter().zip(&plans) {
             let mut serve = d.serve.clone();
-            serve.topology = self.cfg.topology.subset(plan.lease.len());
+            serve.topology = self.cfg.topology.subset(plan.leased);
             if plan.granted_units > 0 {
                 let base_prefill = serve.prefill_replicas;
                 let base_decode = serve.decode_replicas;
@@ -648,7 +640,7 @@ impl Fleet {
         let routes = self.cfg.tenant_routing();
         for (ix, result) in reports.into_iter().enumerate() {
             let d = &self.cfg.deployments[ix];
-            let plan = &plans[ix];
+            let plan = &mut plans[ix];
             let report = result.map_err(|e| Error::Fleet {
                 reason: format!("deployment {:?}: {e}", d.name),
             })?;
@@ -683,84 +675,55 @@ impl Fleet {
             }
 
             // Wind-down: the whole lease returns to the pool.
+            let leased_gpus = plan.leased;
             let end = SimTime::from_secs_f64(report.duration_secs);
-            inventory.release(&plan.lease).map_err(|e| Error::Fleet {
-                reason: format!("deployment {:?}: {e}", d.name),
-            })?;
-            events.push(TimedEvent {
-                at: end,
-                event: TraceEvent::FleetLease {
-                    deployment: ix as u32,
-                    action: LeaseAction::Returned,
-                    gpus: plan.lease.len() as u32,
-                    lease_after: 0,
-                    pool_free: inventory.free() as u32,
-                },
-            });
+            ledger.apply(
+                end,
+                ix,
+                &mut plan.leased,
+                LeaseAction::Returned,
+                leased_gpus,
+            )?;
 
             deployments.push(DeploymentReport {
                 name: d.name.clone(),
                 base_gpus: d.serve.total_gpus(),
                 granted_units: plan.granted_units,
                 unit_gpus: plan.unit_gpus,
-                leased_gpus: plan.lease.len(),
+                leased_gpus,
                 pressure: plan.pressure,
                 gpu_seconds: report.gpu_seconds_active,
                 report,
             });
         }
 
-        if !inventory.is_balanced() {
+        let mut pool = ledger.pool;
+        pool.balanced = ledger.free == pool.capacity && pool.granted_gpus == pool.returned_gpus;
+        if !pool.balanced {
             return Err(Error::Fleet {
                 reason: format!(
                     "lease accounting does not balance: granted {} returned {}",
-                    inventory.granted_total(),
-                    inventory.returned_total()
+                    pool.granted_gpus, pool.returned_gpus
                 ),
             });
         }
-        let pool = PoolReport {
-            capacity: inventory.capacity(),
-            granted_gpus: inventory.granted_total(),
-            returned_gpus: inventory.returned_total(),
-            balanced: true,
-        };
         Ok((
             FleetReport {
                 deployments,
                 tenants,
                 pool,
             },
-            TraceLog::new(events),
+            TraceLog::new(ledger.events),
         ))
     }
 
     /// Placement planning + arbitration: base leases, tenant workloads,
     /// round-robin expansion grants, then fair-share rebalancing.
-    fn plan(
-        &self,
-        inventory: &mut GpuInventory,
-        events: &mut Vec<TimedEvent>,
-    ) -> Result<Vec<Plan>> {
+    fn plan(&self, ledger: &mut Ledger) -> Result<Vec<Plan>> {
         let fleet = |reason: String| Error::Fleet { reason };
         let mut plans: Vec<Plan> = Vec::new();
         let mut tenant_ix = 0u64;
         for (d_ix, d) in self.cfg.deployments.iter().enumerate() {
-            let base = d.serve.total_gpus();
-            let lease = inventory
-                .lease(base)
-                .map_err(|e| fleet(format!("deployment {:?}: {e}", d.name)))?;
-            events.push(TimedEvent {
-                at: SimTime::ZERO,
-                event: TraceEvent::FleetLease {
-                    deployment: d_ix as u32,
-                    action: LeaseAction::Granted,
-                    gpus: base as u32,
-                    lease_after: base as u32,
-                    pool_free: inventory.free() as u32,
-                },
-            });
-
             // Router: generate, tag and merge every tenant's workload.
             let mut sources: Vec<(TenantId, Trace)> = Vec::new();
             for t in &d.tenants {
@@ -792,6 +755,7 @@ impl Fleet {
 
             // Demand estimate: total workload tokens per second per base
             // GPU — the arbiter's pressure signal.
+            let base = d.serve.total_gpus();
             let tokens: u64 = trace
                 .requests()
                 .iter()
@@ -800,8 +764,10 @@ impl Fleet {
             let span = trace.span().max(1e-9);
             let pressure = tokens as f64 / span / base.max(1) as f64;
 
+            let mut leased = 0;
+            ledger.apply(SimTime::ZERO, d_ix, &mut leased, LeaseAction::Granted, base)?;
             plans.push(Plan {
-                lease,
+                leased,
                 unit_gpus: d.serve.prefill_parallelism.n_gpus()
                     + d.serve.decode_parallelism.n_gpus(),
                 granted_units: 0,
@@ -817,25 +783,18 @@ impl Fleet {
             let mut granted_any = false;
             for (d_ix, d) in self.cfg.deployments.iter().enumerate() {
                 let plan = &mut plans[d_ix];
-                if plan.granted_units >= d.expansion_units || plan.unit_gpus > inventory.free() {
+                if plan.granted_units >= d.expansion_units || plan.unit_gpus > ledger.free {
                     continue;
                 }
-                let unit = inventory
-                    .lease(plan.unit_gpus)
-                    .map_err(|e| fleet(format!("deployment {:?}: {e}", d.name)))?;
-                plan.lease.extend(unit);
+                ledger.apply(
+                    SimTime::ZERO,
+                    d_ix,
+                    &mut plan.leased,
+                    LeaseAction::Granted,
+                    plan.unit_gpus,
+                )?;
                 plan.granted_units += 1;
                 granted_any = true;
-                events.push(TimedEvent {
-                    at: SimTime::ZERO,
-                    event: TraceEvent::FleetLease {
-                        deployment: d_ix as u32,
-                        action: LeaseAction::Granted,
-                        gpus: plan.unit_gpus as u32,
-                        lease_after: plan.lease.len() as u32,
-                        pool_free: inventory.free() as u32,
-                    },
-                });
             }
             if !granted_any {
                 break;
@@ -875,47 +834,31 @@ impl Fleet {
                     });
                 let Some(cold) = cold else { break };
 
-                // Reclaim one unit from the cold deployment (the most
-                // recently granted GPUs — they are the lease's tail).
+                // Reclaim one unit from the cold deployment.
                 let cold_unit = plans[cold].unit_gpus;
-                let keep = plans[cold].lease.len() - cold_unit;
-                let reclaimed: Vec<GpuId> = plans[cold].lease.split_off(keep);
-                inventory
-                    .release(&reclaimed)
-                    .map_err(|e| fleet(format!("arbiter reclaim: {e}")))?;
+                ledger.apply(
+                    SimTime::ZERO,
+                    cold,
+                    &mut plans[cold].leased,
+                    LeaseAction::Reclaimed,
+                    cold_unit,
+                )?;
                 plans[cold].granted_units -= 1;
-                events.push(TimedEvent {
-                    at: SimTime::ZERO,
-                    event: TraceEvent::FleetLease {
-                        deployment: cold as u32,
-                        action: LeaseAction::Reclaimed,
-                        gpus: cold_unit as u32,
-                        lease_after: plans[cold].lease.len() as u32,
-                        pool_free: inventory.free() as u32,
-                    },
-                });
 
                 let hot_unit = plans[hot].unit_gpus;
-                if hot_unit > inventory.free() {
+                if hot_unit > ledger.free {
                     // The freed unit is too small for the hot deployment's
                     // unit shape; leave it in the pool.
                     continue;
                 }
-                let unit = inventory
-                    .lease(hot_unit)
-                    .map_err(|e| fleet(format!("arbiter grant: {e}")))?;
-                plans[hot].lease.extend(unit);
+                ledger.apply(
+                    SimTime::ZERO,
+                    hot,
+                    &mut plans[hot].leased,
+                    LeaseAction::Granted,
+                    hot_unit,
+                )?;
                 plans[hot].granted_units += 1;
-                events.push(TimedEvent {
-                    at: SimTime::ZERO,
-                    event: TraceEvent::FleetLease {
-                        deployment: hot as u32,
-                        action: LeaseAction::Granted,
-                        gpus: hot_unit as u32,
-                        lease_after: plans[hot].lease.len() as u32,
-                        pool_free: inventory.free() as u32,
-                    },
-                });
             }
         }
         Ok(plans)
@@ -926,24 +869,28 @@ impl Fleet {
 mod tests {
     use super::*;
 
-    fn tiny_fleet() -> FleetConfigBuilder {
+    fn tiny_fleet() -> FleetConfig {
         let mut chat = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
         chat.topology = Topology::a800_testbed();
-        FleetConfig::builder()
-            .topology(Topology::a800_testbed())
-            .seed(11)
-            .with_deployment(DeploymentConfig {
-                name: "a".into(),
-                serve: chat.clone(),
-                expansion_units: 0,
-                tenants: vec![TenantSpec::new("t-a", "fixed:64:8", 8.0, 30)],
-            })
-            .with_deployment(DeploymentConfig {
-                name: "b".into(),
-                serve: chat,
-                expansion_units: 0,
-                tenants: vec![TenantSpec::new("t-b", "fixed:64:8", 4.0, 20)],
-            })
+        FleetConfig {
+            topology: Topology::a800_testbed(),
+            seed: 11,
+            arbiter: None,
+            deployments: vec![
+                DeploymentConfig {
+                    name: "a".into(),
+                    serve: chat.clone(),
+                    expansion_units: 0,
+                    tenants: vec![TenantSpec::new("t-a", "fixed:64:8", 8.0, 30)],
+                },
+                DeploymentConfig {
+                    name: "b".into(),
+                    serve: chat,
+                    expansion_units: 0,
+                    tenants: vec![TenantSpec::new("t-b", "fixed:64:8", 4.0, 20)],
+                },
+            ],
+        }
     }
 
     #[test]
@@ -969,7 +916,7 @@ mod tests {
 
     #[test]
     fn routing_assigns_dense_tenant_ids() {
-        let cfg = tiny_fleet().config();
+        let cfg = tiny_fleet();
         let routes = cfg.tenant_routing();
         assert_eq!(routes.len(), 2);
         assert_eq!(routes[0].tenant, TenantId(0));
@@ -987,7 +934,9 @@ mod tests {
             expansion_units: 0,
             tenants: vec![TenantSpec::new("t-c", "sharegpt", 1.0, 5)],
         };
-        let err = tiny_fleet().with_deployment(third).build().unwrap_err();
+        let mut cfg = tiny_fleet();
+        cfg.deployments.push(third);
+        let err = cfg.build().unwrap_err();
         assert!(matches!(err, Error::Fleet { .. }));
     }
 
@@ -999,17 +948,22 @@ mod tests {
             expansion_units: 0,
             tenants: vec![TenantSpec::new("t-z", "sharegpt", 1.0, 5)],
         };
-        let err = FleetConfig::builder()
-            .topology(Topology::a800_multi_node(2))
-            .with_deployment(DeploymentConfig {
-                name: "a".into(),
-                serve: ServeConfig::opt_13b_sharegpt(SystemKind::WindServe),
-                expansion_units: 0,
-                tenants: vec![TenantSpec::new("t-a", "sharegpt", 1.0, 5)],
-            })
-            .with_deployment(dup)
-            .build()
-            .unwrap_err();
+        let err = FleetConfig {
+            topology: Topology::a800_multi_node(2),
+            deployments: vec![
+                DeploymentConfig {
+                    name: "a".into(),
+                    serve: ServeConfig::opt_13b_sharegpt(SystemKind::WindServe),
+                    expansion_units: 0,
+                    tenants: vec![TenantSpec::new("t-a", "sharegpt", 1.0, 5)],
+                },
+                dup,
+            ],
+            arbiter: None,
+            seed: 0,
+        }
+        .build()
+        .unwrap_err();
         assert!(err.to_string().contains("duplicate deployment name"));
     }
 
@@ -1020,18 +974,18 @@ mod tests {
         // round-robin hands both deployments a unit. The cold deployment's
         // unit is then reclaimed for the hot one — but the hot one is at
         // its appetite, so the unit rests in the pool.
-        let report = tiny_fleet()
-            .topology(Topology::a800_multi_node(2))
-            .with_arbiter(ArbiterConfig {
+        let mut cfg = FleetConfig {
+            topology: Topology::a800_multi_node(2),
+            arbiter: Some(ArbiterConfig {
                 // The hot deployment (fixed:64:8 at 8 req/s over 4 GPUs =
                 // 144 tokens/s/GPU) sits above 100; the cold one (~72)
                 // sits below 100 * 0.9 = 90.
                 pressure_threshold: 100.0,
                 reclaim_fraction: 0.9,
                 max_rebalances: 4,
-            })
-            .config();
-        let mut cfg = report;
+            }),
+            ..tiny_fleet()
+        };
         for d in &mut cfg.deployments {
             d.expansion_units = 2;
         }
@@ -1061,8 +1015,60 @@ mod tests {
     }
 
     #[test]
+    fn ledger_refuses_a_grant_past_the_free_count() {
+        let mut ledger = Ledger::new(8);
+        let mut leased = 0;
+        ledger
+            .apply(SimTime::ZERO, 0, &mut leased, LeaseAction::Granted, 6)
+            .unwrap();
+        let err = ledger
+            .apply(SimTime::ZERO, 0, &mut leased, LeaseAction::Granted, 3)
+            .unwrap_err();
+        assert!(matches!(err, Error::Fleet { .. }), "{err}");
+        // The refused grant leaves no trace.
+        assert_eq!((ledger.free, leased), (2, 6));
+        assert_eq!(ledger.pool.granted_gpus, 6);
+        assert_eq!(ledger.events.len(), 1);
+    }
+
+    #[test]
+    fn ledger_balances_over_a_full_cycle() {
+        let mut ledger = Ledger::new(16);
+        let mut leases = [0; 4];
+        for (ix, gpus) in [4, 2, 6, 1].into_iter().enumerate() {
+            let (at, action) = (SimTime::ZERO, LeaseAction::Granted);
+            ledger.apply(at, ix, &mut leases[ix], action, gpus).unwrap();
+        }
+        assert_eq!((ledger.free, ledger.pool.granted_gpus), (3, 13));
+        ledger
+            .apply(SimTime::ZERO, 2, &mut leases[2], LeaseAction::Reclaimed, 2)
+            .unwrap();
+        for (ix, lease) in leases.iter_mut().enumerate() {
+            let gpus = *lease;
+            ledger
+                .apply(SimTime::ZERO, ix, lease, LeaseAction::Returned, gpus)
+                .unwrap();
+        }
+        assert_eq!(leases, [0; 4]);
+        assert_eq!(ledger.free, 16);
+        assert_eq!(ledger.pool.returned_gpus, 13);
+        // Each event carries the lease and pool after its movement.
+        let last = ledger.events.last().unwrap();
+        assert!(matches!(
+            last.event,
+            TraceEvent::FleetLease {
+                deployment: 3,
+                gpus: 1,
+                lease_after: 0,
+                pool_free: 16,
+                ..
+            }
+        ));
+    }
+
+    #[test]
     fn example_fleet_config_round_trips_through_toml() {
-        let cfg = FleetConfig::example().config();
+        let cfg = FleetConfig::example();
         let text = cfg.to_toml();
         let back = FleetConfig::from_toml(&text).unwrap();
         assert_eq!(back, cfg);

@@ -93,8 +93,8 @@ pub use config::{
 pub use coordinator::Coordinator;
 pub use error::{Error, Result};
 pub use fleet::{
-    ArbiterConfig, DeploymentConfig, DeploymentReport, Fleet, FleetConfig, FleetConfigBuilder,
-    FleetReport, PoolReport, TenantReport, TenantRoute, TenantSpec,
+    ArbiterConfig, DeploymentConfig, DeploymentReport, Fleet, FleetConfig, FleetReport, PoolReport,
+    TenantReport, TenantRoute, TenantSpec,
 };
 pub use parallel::parallel_map;
 pub use profiler::Profiler;

@@ -13,10 +13,10 @@ pub enum Error {
         /// What is wrong with it.
         reason: String,
     },
-    /// A lease or release against the shared pool could not be honoured
-    /// (see [`GpuInventory`](crate::GpuInventory)).
-    Inventory {
-        /// What is wrong with the request.
+    /// A topology field is out of range (see
+    /// [`Topology::validate`](crate::Topology::validate)).
+    Topology {
+        /// What is wrong with it.
         reason: String,
     },
 }
@@ -25,7 +25,7 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::InvalidSpec { name, reason } => write!(f, "{name}: {reason}"),
-            Error::Inventory { reason } => write!(f, "inventory: {reason}"),
+            Error::Topology { reason } => write!(f, "topology: {reason}"),
         }
     }
 }

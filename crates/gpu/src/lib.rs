@@ -30,14 +30,12 @@
 #![warn(missing_docs)]
 
 mod error;
-mod inventory;
 mod link;
 mod spec;
 mod stream;
 mod topology;
 
 pub use error::{Error, Result};
-pub use inventory::GpuInventory;
 pub use link::{LinkKind, RouteId, RouteSpec, TransferEngine};
 pub use spec::{GpuSpec, GIB};
 pub use stream::{KernelCost, StreamSharing};

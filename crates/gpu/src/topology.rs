@@ -7,6 +7,7 @@
 //! effective inter-instance route for sharded (tensor-parallel) transfers,
 //! where shard `i` of one instance talks to shard `i` of the other.
 
+use crate::error::{Error, Result};
 use crate::link::{LinkKind, RouteSpec};
 use serde::{Deserialize, Serialize};
 
@@ -69,6 +70,28 @@ impl Topology {
             numa_width,
             node_width: n_gpus,
         }
+    }
+
+    /// Checks that the topology has GPUs and positive NUMA and node
+    /// widths, the divisors of every link and node lookup. A topology read
+    /// from a config file is checked before anything places on it.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Topology`] naming the first zero field.
+    pub fn validate(&self) -> Result<()> {
+        for (field, value) in [
+            ("n_gpus", self.n_gpus),
+            ("numa_width", self.numa_width),
+            ("node_width", self.node_width),
+        ] {
+            if value == 0 {
+                return Err(Error::Topology {
+                    reason: format!("{field} must be positive"),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Number of GPUs in the node.

@@ -201,3 +201,40 @@ fn zero_gpu_replicas_are_a_config_error() {
         );
     }
 }
+
+/// A config file's topology with a zero GPU count, NUMA width or node
+/// width is a typed error from both config readers, before anything
+/// divides by the width or takes a subset of the pool.
+#[test]
+fn zero_topology_fields_are_typed_errors() {
+    use windserve::fleet::FleetConfig;
+
+    let topology = |zero: &str| {
+        let mut text = String::from("[topology]\nnvlink_pairs = false\n");
+        for field in ["n_gpus", "numa_width", "node_width"] {
+            let value = if field == zero { 0 } else { 8 };
+            text += &format!("{field} = {value}\n");
+        }
+        text
+    };
+    let fleet = "[[deployments]]\nname = \"solo\"\nexpansion_units = 0\n\
+                 [[deployments.tenants]]\nname = \"t0\"\ndataset = \"fixed:32:4\"\n\
+                 rate = 2.0\nrequests = 10\ntier = 0\n";
+    let is_topology_error = |r: Result<(), windserve::Error>| {
+        matches!(
+            r,
+            Err(windserve::Error::Gpu(windserve_gpu::Error::Topology { .. }))
+        )
+    };
+    for zero in ["n_gpus", "numa_width", "node_width"] {
+        let text = topology(zero);
+        assert!(
+            is_topology_error(ServeConfig::from_toml(&text).map(drop)),
+            "run config with zero {zero}"
+        );
+        assert!(
+            is_topology_error(FleetConfig::from_toml(&format!("{fleet}{text}")).map(drop)),
+            "fleet config with zero {zero}"
+        );
+    }
+}

@@ -11,25 +11,28 @@ use windserve_trace::LeaseAction;
 /// Two 4-GPU deployments on a 16-GPU pool, small fixed workloads.
 fn two_deployment_fleet() -> FleetConfig {
     let serve = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
-    FleetConfig::builder()
-        .topology(Topology::a800_multi_node(2))
-        .seed(0xF1EE7)
-        .with_deployment(DeploymentConfig {
-            name: "chat".into(),
-            serve: serve.clone(),
-            expansion_units: 0,
-            tenants: vec![
-                TenantSpec::new("chat-a", "fixed:64:8", 8.0, 40),
-                TenantSpec::new("chat-b", "fixed:128:16", 4.0, 30).with_tier(1),
-            ],
-        })
-        .with_deployment(DeploymentConfig {
-            name: "batch".into(),
-            serve,
-            expansion_units: 0,
-            tenants: vec![TenantSpec::new("batch-a", "fixed:256:32", 2.0, 20)],
-        })
-        .config()
+    FleetConfig {
+        topology: Topology::a800_multi_node(2),
+        seed: 0xF1EE7,
+        arbiter: None,
+        deployments: vec![
+            DeploymentConfig {
+                name: "chat".into(),
+                serve: serve.clone(),
+                expansion_units: 0,
+                tenants: vec![
+                    TenantSpec::new("chat-a", "fixed:64:8", 8.0, 40),
+                    TenantSpec::new("chat-b", "fixed:128:16", 4.0, 30).with_tier(1),
+                ],
+            },
+            DeploymentConfig {
+                name: "batch".into(),
+                serve,
+                expansion_units: 0,
+                tenants: vec![TenantSpec::new("batch-a", "fixed:256:32", 2.0, 20)],
+            },
+        ],
+    }
 }
 
 #[test]
