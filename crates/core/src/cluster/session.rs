@@ -8,7 +8,7 @@ use windserve_engine::{LaneRef, RunAhead, StartedStep};
 use windserve_faults::FaultPlan;
 use windserve_metrics::LatencySummary;
 use windserve_sim::{Scheduled, SimDuration, SimTime};
-use windserve_trace::{StepClass, TraceEvent, TraceLog, Tracer};
+use windserve_trace::{StepClass, TraceEvent, TraceLog};
 use windserve_workload::{Request, RequestId};
 
 /// Hard cap on processed events — a runaway-simulation backstop far above
@@ -583,7 +583,7 @@ impl ClusterSession {
                 aux_steps: inst.stats().aux_steps,
             })
             .collect();
-        let log = std::mem::replace(&mut cluster.tracer, Tracer::disabled()).finish();
+        let log = std::mem::take(&mut cluster.tracer).finish();
         let cache_stats = cluster
             .instances
             .iter()

@@ -10,12 +10,11 @@
 //! its [`windserve_sim::SimTime`], so a run can be audited after the fact
 //! and visualized on a timeline.
 //!
-//! * [`TraceSink`] — where events go. [`NullSink`] (the default) records
-//!   nothing and guarantees event payloads are never constructed;
-//!   [`RingBufferSink`] keeps a bounded tail; [`CollectSink`] keeps all.
 //! * [`Tracer`] — the recorder handle threaded through the cluster event
 //!   loop; build one with [`Tracer::for_mode`] from the [`TraceMode`] in
-//!   the serving configuration.
+//!   the serving configuration. [`TraceMode::Off`] (the default) records
+//!   nothing and never constructs an event payload; [`TraceMode::Ring`]
+//!   keeps a bounded tail; [`TraceMode::Full`] keeps every event.
 //! * [`TraceLog`] — the collected events, with per-request audit helpers
 //!   and a Chrome `trace_event` JSON exporter
 //!   ([`TraceLog::to_chrome_json`]) loadable in Perfetto or
@@ -58,4 +57,4 @@ pub use event::{
     StepClass, TimedEvent, TraceEvent,
 };
 pub use log::TraceLog;
-pub use sink::{CollectSink, NullSink, RingBufferSink, TraceMode, TraceSink, Tracer};
+pub use sink::{TraceMode, Tracer};

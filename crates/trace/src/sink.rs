@@ -1,4 +1,4 @@
-//! Trace sinks and the recorder handle threaded through the cluster.
+//! The trace recorder threaded through the cluster.
 
 use crate::event::{TimedEvent, TraceEvent};
 use crate::log::TraceLog;
@@ -19,183 +19,54 @@ pub enum TraceMode {
     Full,
 }
 
-/// Destination for trace events.
+/// The recorder handle the cluster threads through its event loop.
 ///
-/// Implementations decide retention; the [`Tracer`] guarantees that when
-/// [`TraceSink::enabled`] is `false`, event payloads are never even
-/// constructed. Sinks must be [`Send`] so a live session (and its tracer)
-/// can run on a dedicated thread — the gateway's `SimDriver` does exactly
-/// that.
-pub trait TraceSink: std::fmt::Debug + Send {
-    /// Whether recording is on. The tracer skips payload construction
-    /// entirely when this returns `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one event.
-    fn record(&mut self, event: TimedEvent);
-
-    /// Yields everything retained, in recording order, leaving the sink
-    /// empty.
-    fn drain(&mut self) -> Vec<TimedEvent> {
-        Vec::new()
-    }
-}
-
-/// The default sink: records nothing, costs nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _event: TimedEvent) {}
-}
-
-/// Keeps the last `capacity` events.
-#[derive(Debug, Clone, Default)]
-pub struct RingBufferSink {
+/// It retains at most `capacity` events, dropping the oldest past it:
+/// none for [`TraceMode::Off`], the last `n` for [`TraceMode::Ring`], all
+/// for [`TraceMode::Full`]. [`Tracer::emit`] takes the payload as a
+/// closure so a disabled tracer costs one inlined comparison per site — no
+/// formatting, no cloning, no allocation.
+#[derive(Debug, Default)]
+pub struct Tracer {
     capacity: usize,
     events: VecDeque<TimedEvent>,
 }
 
-impl RingBufferSink {
-    /// A ring holding at most `capacity` events (zero capacity behaves
-    /// like [`NullSink`]).
-    pub fn new(capacity: usize) -> Self {
-        RingBufferSink {
-            capacity,
-            events: VecDeque::with_capacity(capacity.min(4096)),
-        }
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    fn record(&mut self, event: TimedEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
-    }
-
-    fn drain(&mut self) -> Vec<TimedEvent> {
-        self.events.drain(..).collect()
-    }
-}
-
-/// Keeps every event.
-#[derive(Debug, Clone, Default)]
-pub struct CollectSink {
-    events: Vec<TimedEvent>,
-}
-
-impl CollectSink {
-    /// An empty collecting sink.
-    pub fn new() -> Self {
-        CollectSink::default()
-    }
-
-    /// Events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl TraceSink for CollectSink {
-    fn record(&mut self, event: TimedEvent) {
-        self.events.push(event);
-    }
-
-    fn drain(&mut self) -> Vec<TimedEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-/// The recorder handle the cluster threads through its event loop.
-///
-/// [`Tracer::emit`] takes the payload as a closure so a disabled tracer
-/// costs one inlined boolean test per site — no formatting, no cloning,
-/// no allocation.
-#[derive(Debug)]
-pub struct Tracer {
-    sink: Box<dyn TraceSink>,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::disabled()
-    }
-}
-
 impl Tracer {
-    /// A tracer writing into `sink`.
-    pub fn new(sink: Box<dyn TraceSink>) -> Self {
-        Tracer { sink }
-    }
-
-    /// A tracer that records nothing ([`NullSink`]).
-    pub fn disabled() -> Self {
-        Tracer::new(Box::new(NullSink))
-    }
-
-    /// A tracer retaining every event.
-    pub fn collecting() -> Self {
-        Tracer::new(Box::new(CollectSink::new()))
-    }
-
     /// The tracer matching a [`TraceMode`].
     pub fn for_mode(mode: TraceMode) -> Self {
-        match mode {
-            TraceMode::Off => Tracer::disabled(),
-            TraceMode::Ring(capacity) => Tracer::new(Box::new(RingBufferSink::new(capacity))),
-            TraceMode::Full => Tracer::collecting(),
+        let capacity = match mode {
+            TraceMode::Off => 0,
+            TraceMode::Ring(n) => n,
+            TraceMode::Full => usize::MAX,
+        };
+        Tracer {
+            capacity,
+            events: VecDeque::new(),
         }
     }
 
     /// Whether events are being recorded.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.sink.enabled()
+        self.capacity > 0
     }
 
     /// Records the event built by `f` at time `at`; `f` never runs when
     /// the tracer is disabled.
     #[inline]
     pub fn emit<F: FnOnce() -> TraceEvent>(&mut self, at: SimTime, f: F) {
-        if self.sink.enabled() {
-            self.sink.record(TimedEvent { at, event: f() });
+        if self.enabled() {
+            if self.events.len() == self.capacity {
+                self.events.pop_front();
+            }
+            self.events.push_back(TimedEvent { at, event: f() });
         }
     }
 
     /// Finishes recording and hands back the collected log.
     pub fn finish(self) -> TraceLog {
-        let mut sink = self.sink;
-        TraceLog::new(sink.drain())
+        TraceLog::new(self.events.into())
     }
 }
 
@@ -210,7 +81,7 @@ mod tests {
 
     #[test]
     fn null_sink_records_nothing_and_skips_payloads() {
-        let mut t = Tracer::disabled();
+        let mut t = Tracer::for_mode(TraceMode::Off);
         assert!(!t.enabled());
         let mut built = false;
         t.emit(SimTime::ZERO, || {
