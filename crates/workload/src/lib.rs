@@ -45,6 +45,6 @@ pub use arrival::ArrivalProcess;
 pub use dataset::{Dataset, QuantileSampler};
 pub use error::{Error, Result};
 pub use request::{Request, RequestId, SessionId, SessionTag, TenantId};
-pub use scenario::{DatasetSpec, Scenario, ScenarioBuilder};
+pub use scenario::{DatasetSpec, Scenario};
 pub use session::{SessionsBuilder, SessionsScenario};
 pub use trace::{LengthStats, Trace, TraceStats};

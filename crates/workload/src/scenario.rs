@@ -127,11 +127,6 @@ impl Scenario {
         Scenario::TraceDriven { requests }
     }
 
-    /// A builder starting from a single-shot ShareGPT default.
-    pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder::new()
-    }
-
     /// Checks the scenario end to end without generating anything.
     ///
     /// # Errors
@@ -214,93 +209,6 @@ impl Scenario {
     }
 }
 
-/// Builder for [`Scenario`] (single-shot fields individually settable;
-/// switching to sessions or trace-driven replaces the variant wholesale).
-#[derive(Debug, Clone)]
-#[must_use = "call .build() to obtain the Scenario"]
-pub struct ScenarioBuilder {
-    dataset: DatasetSpec,
-    arrivals: ArrivalProcess,
-    requests: usize,
-    variant: BuilderVariant,
-}
-
-#[derive(Debug, Clone)]
-enum BuilderVariant {
-    SingleShot,
-    Sessions(SessionsScenario),
-    TraceDriven(Vec<Request>),
-}
-
-impl Default for ScenarioBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ScenarioBuilder {
-    /// Starts from a single-shot ShareGPT workload: 1000 requests, Poisson
-    /// arrivals at 10 req/s, 2048-token window.
-    pub fn new() -> Self {
-        ScenarioBuilder {
-            dataset: DatasetSpec::named("sharegpt", 2048),
-            arrivals: ArrivalProcess::Poisson { rate: 10.0 },
-            requests: 1000,
-            variant: BuilderVariant::SingleShot,
-        }
-    }
-
-    /// Sets the single-shot dataset (accepts a [`Dataset`] or a
-    /// [`DatasetSpec`]).
-    pub fn dataset(mut self, dataset: impl Into<DatasetSpec>) -> Self {
-        self.dataset = dataset.into();
-        self
-    }
-
-    /// Sets the single-shot arrival process.
-    pub fn arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.arrivals = arrivals;
-        self
-    }
-
-    /// Sets the single-shot request count.
-    pub fn requests(mut self, n: usize) -> Self {
-        self.requests = n;
-        self
-    }
-
-    /// Switches the builder to a sessions scenario.
-    pub fn sessions(mut self, sessions: SessionsScenario) -> Self {
-        self.variant = BuilderVariant::Sessions(sessions);
-        self
-    }
-
-    /// Switches the builder to a trace-driven scenario.
-    pub fn trace_driven(mut self, requests: Vec<Request>) -> Self {
-        self.variant = BuilderVariant::TraceDriven(requests);
-        self
-    }
-
-    /// Validates and returns the scenario.
-    ///
-    /// # Errors
-    ///
-    /// See [`Scenario::validate`].
-    pub fn build(self) -> crate::Result<Scenario> {
-        let scenario = match self.variant {
-            BuilderVariant::SingleShot => Scenario::SingleShot {
-                dataset: self.dataset,
-                arrivals: self.arrivals,
-                requests: self.requests,
-            },
-            BuilderVariant::Sessions(sessions) => Scenario::Sessions(sessions),
-            BuilderVariant::TraceDriven(requests) => Scenario::TraceDriven { requests },
-        };
-        scenario.validate()?;
-        Ok(scenario)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,20 +226,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trips_each_variant() {
-        let single = Scenario::builder()
-            .dataset(Dataset::longbench(4096))
-            .arrivals(ArrivalProcess::uniform(2.0))
-            .requests(50)
-            .build()
-            .unwrap();
+    fn constructors_build_each_variant() {
+        let single =
+            Scenario::single_shot(Dataset::longbench(4096), ArrivalProcess::uniform(2.0), 50);
+        single.validate().unwrap();
         assert_eq!(single.request_count_hint(), Some(50));
         assert_eq!(single.generate(1).unwrap().requests().len(), 50);
 
-        let sessions = Scenario::builder()
-            .sessions(SessionsScenario::builder().sessions(5).build().unwrap())
-            .build()
-            .unwrap();
+        let sessions = Scenario::sessions(SessionsScenario::builder().sessions(5).build().unwrap());
+        sessions.validate().unwrap();
         assert_eq!(sessions.request_count_hint(), None);
         assert!(sessions.generate(1).unwrap().requests().len() >= 5);
 
@@ -339,10 +242,9 @@ mod tests {
             Request::new(RequestId(0), SimTime::ZERO, 10, 2),
             Request::new(RequestId(1), SimTime::from_micros(5), 10, 2),
         ];
-        let driven = Scenario::builder()
-            .trace_driven(reqs.clone())
-            .build()
-            .unwrap();
+        let driven = Scenario::trace_driven(reqs.clone());
+        driven.validate().unwrap();
+        assert_eq!(driven.request_count_hint(), Some(2));
         assert_eq!(driven.generate(99).unwrap().requests(), &reqs[..]);
     }
 
