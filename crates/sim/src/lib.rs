@@ -6,7 +6,6 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time;
 //! * [`EventQueue`] — the future-event list (time-ordered, FIFO ties);
-//! * [`EpochCounter`] — cancellation tokens for rescheduled activities;
 //! * [`SimRng`] — a stable, seedable RNG (xoshiro256++) so every simulation
 //!   is reproducible from one `u64`;
 //! * [`FxHashMap`] / [`FxHashSet`] — deterministic, fast hashing for the
@@ -54,14 +53,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod epoch;
 pub mod hash;
 mod queue;
 mod rng;
 mod slab;
 mod time;
 
-pub use epoch::{Epoch, EpochCounter};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::{EventQueue, Scheduled};
 pub use rng::SimRng;

@@ -2,9 +2,9 @@
 //!
 //! [`EventQueue`] is a priority queue of `(SimTime, E)` pairs ordered by
 //! time, with FIFO tie-breaking so that events scheduled earlier at the same
-//! instant are delivered earlier. Cancellation uses the epoch pattern (see
-//! [`crate::epoch`]): rather than deleting entries, schedulers tag events
-//! with a generation counter and ignore stale deliveries.
+//! instant are delivered earlier. Cancellation uses the epoch pattern:
+//! rather than deleting entries, schedulers tag events with a generation
+//! counter and ignore stale deliveries.
 //!
 //! Events are kept in two places. An event scheduled no earlier than the
 //! last event of the *run* — a FIFO — joins the run's tail; any other goes
