@@ -255,14 +255,12 @@ pub fn autoscaling(ctx: &ExpContext) -> Value {
         ("static 2Px2D", None),
         ("autoscaled 1-2Px1-2D", Some(AutoscaleConfig::default())),
     ] {
-        let mut builder = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
-            .to_builder()
-            .prefill_replicas(2)
-            .decode_replicas(2);
-        if let Some(auto) = autoscale {
-            builder = builder.with_autoscale(auto);
-        }
-        let cfg = builder.build().expect("valid config");
+        let cfg = ServeConfig {
+            prefill_replicas: 2,
+            decode_replicas: 2,
+            autoscale,
+            ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+        };
         let total = cfg.total_rate(2.0);
         let trace = Scenario::single_shot(
             dataset.clone(),

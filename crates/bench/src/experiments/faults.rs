@@ -47,11 +47,10 @@ pub fn run(ctx: &ExpContext) -> Value {
     let mut rows = Vec::new();
     let mut data = Vec::new();
     for (label, plan) in scenarios {
-        let mut builder = base.to_builder();
-        if let Some(plan) = plan {
-            builder = builder.with_faults(plan);
-        }
-        let cfg = builder.build().expect("experiment config must be valid");
+        let cfg = ServeConfig {
+            faults: plan,
+            ..base.clone()
+        };
         let (report, _) = Cluster::new(cfg)
             .expect("experiment config must be valid")
             .run(&trace)

@@ -40,16 +40,15 @@ pub fn run(ctx: &ExpContext) -> Value {
         .flat_map(|&f| [(f, false), (f, true)])
         .collect();
     let reports = parallel_map(ctx.jobs, points.clone(), |(factor, controlled)| {
-        let mut builder = base.to_builder();
-        if controlled {
-            builder = builder.with_overload(OverloadConfig {
+        let cfg = ServeConfig {
+            overload: controlled.then(|| OverloadConfig {
                 preempt_kv_watermark: Some(0.05),
                 deadline: Some(SimDuration::from_secs_f64(600.0)),
                 audit_interval_events: Some(5_000),
                 ..Default::default()
-            });
-        }
-        let cfg = builder.build().expect("experiment config must be valid");
+            }),
+            ..base.clone()
+        };
         Cluster::new(cfg)
             .expect("experiment config must be valid")
             .run(&trace.with_rate_scaled(factor))

@@ -74,15 +74,13 @@ pub fn run(ctx: &ExpContext) -> Value {
         // Several prefill replicas (two A800 nodes), so load-based routing
         // alone rarely lands a follow-up on the instance retaining its
         // session's KV.
-        let mut builder = ServeConfig::opt_13b_sharegpt(arm.kind)
-            .to_builder()
-            .topology(Topology::a800_multi_node(2))
-            .prefill_replicas(4)
-            .decode_replicas(4);
-        if let Some(cache) = arm.cache {
-            builder = builder.with_prefix_cache(cache);
-        }
-        let cfg = builder.build().expect("experiment config must be valid");
+        let cfg = ServeConfig {
+            topology: Topology::a800_multi_node(2),
+            prefill_replicas: 4,
+            decode_replicas: 4,
+            prefix_cache: arm.cache,
+            ..ServeConfig::opt_13b_sharegpt(arm.kind)
+        };
         Cluster::new(cfg)
             .expect("experiment config must be valid")
             .run(&trace)

@@ -19,9 +19,9 @@
 //!
 //! # Fault injection and recovery
 //!
-//! When a [`FaultPlan`](windserve_faults::FaultPlan) is attached (see
-//! [`ServeConfigBuilder::with_faults`](crate::ServeConfigBuilder::with_faults)),
-//! its events ride the same clock as the workload:
+//! When a [`FaultPlan`](windserve_faults::FaultPlan) is attached (the
+//! [`ServeConfig::faults`](crate::ServeConfig::faults) field), its events
+//! ride the same clock as the workload:
 //!
 //! * a **replica crash** drops the instance's entire working state — queues,
 //!   running steps, KV blocks, backups — and re-places every lost request:
@@ -455,8 +455,7 @@ impl Cluster {
     /// With [`TraceMode::Off`](windserve_trace::TraceMode::Off) (the
     /// default) the returned [`TraceLog`] is empty and recording costs
     /// nothing; enable capture via
-    /// [`ServeConfig::trace`](crate::ServeConfig) or
-    /// [`ServeConfigBuilder::with_trace`](crate::ServeConfigBuilder::with_trace).
+    /// [`ServeConfig::trace`](crate::ServeConfig::trace).
     ///
     /// # Errors
     ///

@@ -747,14 +747,15 @@ mod tests {
 
     #[test]
     fn optional_subsystems_round_trip() {
-        let cfg = ServeConfig::builder()
-            .with_autoscale(AutoscaleConfig::default())
-            .with_overload(OverloadConfig::default())
-            .with_trace(TraceMode::Ring(1024))
-            .with_faults(FaultPlan::chaos(1, SimDuration::from_secs(30), 0x5EED))
-            .sample_interval(SimDuration::from_millis(100))
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            autoscale: Some(AutoscaleConfig::default()),
+            overload: Some(OverloadConfig::default()),
+            trace: TraceMode::Ring(1024),
+            faults: Some(FaultPlan::chaos(1, SimDuration::from_secs(30), 0x5EED)),
+            sample_interval: Some(SimDuration::from_millis(100)),
+            ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+        };
+        cfg.validate().unwrap();
         let text = cfg.to_toml();
         let back = ServeConfig::from_toml(&text).unwrap();
         assert_eq!(back, cfg, "round-trip changed the config:\n{text}");
@@ -762,7 +763,7 @@ mod tests {
 
     #[test]
     fn prefix_cache_and_scenario_round_trip() {
-        use crate::config::PrefixCacheConfig;
+        use crate::config::{PrefixCacheConfig, WorkloadSpec};
         use windserve_workload::{Scenario, SessionsScenario};
         let scenario = Scenario::sessions(
             SessionsScenario::builder()
@@ -774,16 +775,17 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let cfg = ServeConfig::builder()
-            .with_prefix_cache(PrefixCacheConfig {
+        let cfg = ServeConfig {
+            prefix_cache: Some(PrefixCacheConfig {
                 capacity_tokens: 50_000,
                 ttl: SimDuration::from_secs(120),
                 min_hit_tokens: 32,
                 affinity: false,
-            })
-            .with_scenario(scenario)
-            .build()
-            .unwrap();
+            }),
+            workload: Some(WorkloadSpec { scenario }),
+            ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+        };
+        cfg.validate().unwrap();
         let text = cfg.to_toml();
         assert!(text.contains("[prefix_cache]"), "{text}");
         assert!(text.contains("[workload"), "{text}");
@@ -943,38 +945,33 @@ neg = -inf
                 SystemKind::DistServe,
                 SystemKind::VllmColocated,
             ][system_ix];
-            let mut b = ServeConfig::builder()
-                .system(system)
-                .prefill_replicas(prefill_replicas)
-                .decode_replicas(decode_replicas)
-                .resched_watermark(watermark)
-                .chunk_tokens(chunk)
-                .with_trace(match trace_ix {
+            let cfg = ServeConfig {
+                system,
+                prefill_replicas,
+                decode_replicas,
+                resched_watermark: watermark,
+                chunk_tokens: chunk,
+                trace: match trace_ix {
                     0 => TraceMode::Off,
                     1 => TraceMode::Ring(chunk as usize),
                     _ => TraceMode::Full,
-                });
-            // 0 doubles as "unset" so the Option field is exercised both
-            // ways without an Option strategy.
-            if thrd_us >= 1_000 {
-                b = b.dispatch_threshold(SimDuration::from_micros(thrd_us));
-            }
-            if with_autoscale {
-                b = b.with_autoscale(AutoscaleConfig::default());
-            }
-            if with_overload {
-                b = b.with_overload(OverloadConfig {
+                },
+                // 0 doubles as "unset" so the Option field is exercised both
+                // ways without an Option strategy.
+                dispatch_threshold: (thrd_us >= 1_000).then(|| SimDuration::from_micros(thrd_us)),
+                autoscale: with_autoscale.then(AutoscaleConfig::default),
+                overload: with_overload.then(|| OverloadConfig {
                     shed_ttft_factor: shed_factor,
                     ..OverloadConfig::default()
-                });
-            }
-            if with_faults {
-                b = b.with_faults(FaultPlan::chaos(0, SimDuration::from_secs(20), chunk as u64));
-            }
-            // Some random placements exceed the 8-GPU node; skip those.
-            let Ok(cfg) = b.build() else {
-                return;
+                }),
+                faults: with_faults
+                    .then(|| FaultPlan::chaos(0, SimDuration::from_secs(20), chunk as u64)),
+                ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
             };
+            // Some random placements exceed the 8-GPU node; skip those.
+            if cfg.validate().is_err() {
+                return;
+            }
             let text = cfg.to_toml();
             let back = ServeConfig::from_toml(&text).unwrap();
             proptest::prop_assert_eq!(back, cfg);

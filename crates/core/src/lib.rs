@@ -53,7 +53,10 @@
 //! use windserve::prelude::*;
 //!
 //! # fn main() -> windserve::Result<()> {
-//! let cfg = ServeConfig::builder().with_trace(TraceMode::Full).build()?;
+//! let cfg = ServeConfig {
+//!     trace: TraceMode::Full,
+//!     ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+//! };
 //! let trace = Scenario::single_shot(
 //!     Dataset::sharegpt(2048), ArrivalProcess::poisson(16.0), 50)
 //!     .generate(7)?;
@@ -122,8 +125,8 @@ pub use windserve_workload::{
 pub mod prelude {
     pub use crate::{
         ArbiterConfig, Cluster, DeploymentConfig, Error, FaultKind, FaultPlan, Fleet, FleetConfig,
-        FleetReport, OverloadConfig, PrefixCacheConfig, Result, RunReport, ServeConfig,
-        ServeConfigBuilder, SystemKind, TenantSpec, VictimPolicy,
+        FleetReport, OverloadConfig, PrefixCacheConfig, Result, RunReport, ServeConfig, SystemKind,
+        TenantSpec, VictimPolicy,
     };
     pub use windserve_metrics::SloSpec;
     pub use windserve_model::{ModelSpec, Parallelism};

@@ -617,20 +617,19 @@ fn sessions_4p4d(audit_interval_events: Option<u64>) -> (ServeConfig, Trace) {
     use crate::{OverloadConfig, PrefixCacheConfig};
     use windserve_workload::{DatasetSpec, SessionsScenario};
 
-    let mut cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
-        .to_builder()
-        .topology(windserve_gpu::Topology::a800_multi_node(2))
-        .prefill_replicas(4)
-        .decode_replicas(4)
-        .with_prefix_cache(PrefixCacheConfig::default())
-        .build()
-        .expect("valid config");
-    cfg.overload = audit_interval_events.map(|n| OverloadConfig {
-        max_queued_requests: None,
-        shedding: false,
-        audit_interval_events: Some(n),
-        ..OverloadConfig::default()
-    });
+    let cfg = ServeConfig {
+        topology: windserve_gpu::Topology::a800_multi_node(2),
+        prefill_replicas: 4,
+        decode_replicas: 4,
+        prefix_cache: Some(PrefixCacheConfig::default()),
+        overload: audit_interval_events.map(|n| OverloadConfig {
+            max_queued_requests: None,
+            shedding: false,
+            audit_interval_events: Some(n),
+            ..OverloadConfig::default()
+        }),
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    };
     let sessions = SessionsScenario::builder()
         .sessions(300)
         .session_rate(8.0)

@@ -180,8 +180,8 @@ pub const FAULT_PRESETS: &[&str] = &[
 ///
 /// Build one with [`FaultPlan::new`] plus the `with_*` methods, or use a
 /// preset ([`FaultPlan::from_preset`], [`FaultPlan::replica_crash`],
-/// ...). Attach it to a serving configuration via
-/// `ServeConfig::builder().with_faults(plan)`.
+/// ...). Attach it to a serving configuration by setting its `faults`
+/// field: `ServeConfig { faults: Some(plan), ..base }`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Timed faults, fired in chronological order.

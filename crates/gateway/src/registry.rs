@@ -179,24 +179,24 @@ mod tests {
     /// in its order, on the GPUs the cluster places them on.
     #[test]
     fn registry_states_the_placement_the_cluster_runs() {
-        let windserve = || ServeConfig::opt_13b_sharegpt(SystemKind::WindServe).to_builder();
-        let split = windserve()
-            .topology(Topology::a800_multi_node(2))
-            .split_phases_across_nodes(true)
-            .build()
-            .unwrap();
+        let windserve = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
+        let split = ServeConfig {
+            topology: Topology::a800_multi_node(2),
+            split_phases_across_nodes: true,
+            ..windserve.clone()
+        };
         let cases: [(ServeConfig, &[&[usize]]); 4] = [
             (
                 ServeConfig::opt_13b_sharegpt(SystemKind::VllmColocated),
                 &[&[0, 1], &[2, 3]],
             ),
-            (windserve().build().unwrap(), &[&[0, 2], &[1, 3]]),
+            (windserve.clone(), &[&[0, 2], &[1, 3]]),
             (
-                windserve()
-                    .prefill_replicas(2)
-                    .decode_replicas(2)
-                    .build()
-                    .unwrap(),
+                ServeConfig {
+                    prefill_replicas: 2,
+                    decode_replicas: 2,
+                    ..windserve
+                },
                 &[&[0, 1], &[2, 3], &[4, 5], &[6, 7]],
             ),
             (split.clone(), &[&[0, 1], &[8, 9]]),

@@ -32,10 +32,10 @@ fn main() -> windserve::Result<()> {
     println!("### Fig 13b analogue: value of Dynamic Rescheduling ###\n");
     let sharegpt = Dataset::sharegpt(2048);
     for system in [SystemKind::WindServe, SystemKind::WindServeNoResche] {
-        let cfg = ServeConfig::opt_13b_sharegpt(system)
-            .to_builder()
-            .decode_parallelism(Parallelism::tp(1)) // memory-tight decode
-            .build()?;
+        let cfg = ServeConfig {
+            decode_parallelism: Parallelism::tp(1), // memory-tight decode
+            ..ServeConfig::opt_13b_sharegpt(system)
+        };
         let trace = Scenario::single_shot(
             sharegpt.clone(),
             ArrivalProcess::poisson(cfg.total_rate(rate + 1.0)),

@@ -20,10 +20,10 @@ fn main() -> windserve::Result<()> {
         ("[TP-2, TP-2] (prefill-bound)", Parallelism::tp(2)),
     ] {
         for system in [SystemKind::WindServe, SystemKind::DistServe] {
-            let cfg = ServeConfig::opt_13b_sharegpt(system)
-                .to_builder()
-                .decode_parallelism(decode_par)
-                .build()?;
+            let cfg = ServeConfig {
+                decode_parallelism: decode_par,
+                ..ServeConfig::opt_13b_sharegpt(system)
+            };
             let trace = Scenario::single_shot(
                 dataset.clone(),
                 ArrivalProcess::poisson(cfg.total_rate(rate)),

@@ -20,12 +20,12 @@ fn main() -> windserve::Result<()> {
         ("2 prefill x 2 decode", 2, Topology::a800_testbed()),
         ("4 prefill x 4 decode", 4, Topology::a800_multi_node(2)),
     ] {
-        let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
-            .to_builder()
-            .prefill_replicas(replicas)
-            .decode_replicas(replicas)
-            .topology(topo)
-            .build()?;
+        let cfg = ServeConfig {
+            prefill_replicas: replicas,
+            decode_replicas: replicas,
+            topology: topo,
+            ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+        };
         let trace = Scenario::single_shot(
             dataset.clone(),
             ArrivalProcess::poisson(cfg.total_rate(rate)),

@@ -13,10 +13,11 @@ use windserve_workload::{ArrivalProcess, Dataset, Scenario};
 fn main() -> windserve::Result<()> {
     let rate = 4.0; // req/s/GPU — enough pressure to trigger dispatch
     let requests = 800;
-    let cfg = ServeConfig::builder()
-        .decode_parallelism(windserve::Parallelism::tp(1))
-        .with_trace(TraceMode::Full)
-        .build()?;
+    let cfg = ServeConfig {
+        decode_parallelism: windserve::Parallelism::tp(1),
+        trace: TraceMode::Full,
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    };
     let trace = Scenario::single_shot(
         Dataset::sharegpt(2048),
         ArrivalProcess::poisson(cfg.total_rate(rate)),

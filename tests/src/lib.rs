@@ -54,18 +54,14 @@ pub fn decode_path_cases() -> Vec<(&'static str, ServeConfig, Trace)> {
     use windserve_gpu::GpuSpec;
     use windserve_sim::SimDuration;
 
-    let rtx_4090 = |system, preemption| {
-        ServeConfig::opt_13b_sharegpt(system)
-            .to_builder()
-            .gpu(GpuSpec::rtx_4090())
-            .preemption(preemption)
-            .build()
-            .expect("valid config")
+    let rtx_4090 = |system, preemption| ServeConfig {
+        gpu: GpuSpec::rtx_4090(),
+        preemption,
+        ..ServeConfig::opt_13b_sharegpt(system)
     };
-    let overloaded = |overload| {
-        let mut cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
-        cfg.overload = Some(overload);
-        cfg
+    let overloaded = |overload| ServeConfig {
+        overload: Some(overload),
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
     };
     let cases = [
         (
@@ -121,15 +117,14 @@ pub fn sessions_4p4d(trace: windserve::TraceMode) -> (ServeConfig, Trace) {
     use windserve::{DatasetSpec, PrefixCacheConfig, SessionsScenario, SystemKind};
     use windserve_gpu::Topology;
 
-    let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
-        .to_builder()
-        .topology(Topology::a800_multi_node(2))
-        .prefill_replicas(4)
-        .decode_replicas(4)
-        .with_prefix_cache(PrefixCacheConfig::default())
-        .with_trace(trace)
-        .build()
-        .expect("valid config");
+    let cfg = ServeConfig {
+        topology: Topology::a800_multi_node(2),
+        prefill_replicas: 4,
+        decode_replicas: 4,
+        prefix_cache: Some(PrefixCacheConfig::default()),
+        trace,
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    };
     let sessions = SessionsScenario::builder()
         .sessions(300)
         .session_rate(8.0)

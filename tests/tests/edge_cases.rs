@@ -140,12 +140,11 @@ fn vllm_swap_on_rtx4090_completes_a_thousand_requests() {
     use windserve_gpu::GpuSpec;
     use windserve_tests::sharegpt_trace;
 
-    let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::VllmColocated)
-        .to_builder()
-        .gpu(GpuSpec::rtx_4090())
-        .preemption(PreemptionMode::Swap)
-        .build()
-        .expect("valid config");
+    let cfg = ServeConfig {
+        gpu: GpuSpec::rtx_4090(),
+        preemption: PreemptionMode::Swap,
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::VllmColocated)
+    };
     let trace = sharegpt_trace(cfg.total_rate(4.0), 1000, 2766);
     let report = run(cfg, &trace);
     assert_eq!(report.summary.completed, 1000);
@@ -235,6 +234,21 @@ fn zero_topology_fields_are_typed_errors() {
         assert!(
             is_topology_error(FleetConfig::from_toml(&format!("{fleet}{text}")).map(drop)),
             "fleet config with zero {zero}"
+        );
+    }
+}
+
+/// A zero SLO in a config file is a configuration error, not a run whose
+/// every request misses it.
+#[test]
+fn zero_slos_are_typed_errors() {
+    for text in ["[slo]\nttft = 0\n", "[slo]\ntpot = 0\n"] {
+        assert!(
+            matches!(
+                ServeConfig::from_toml(text),
+                Err(windserve::Error::Config { .. })
+            ),
+            "{text}"
         );
     }
 }

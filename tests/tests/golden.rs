@@ -91,11 +91,10 @@ fn llama2_13b_longbench() -> Vec<Row> {
 /// prefills to the decode replica's aux stream, and the decode lane keeps
 /// stepping between handoffs.
 fn longbench_overload_cfg(trace: TraceMode) -> (ServeConfig, windserve_workload::Trace) {
-    let cfg = ServeConfig::llama2_13b_longbench(SystemKind::WindServe)
-        .to_builder()
-        .with_trace(trace)
-        .build()
-        .expect("valid config");
+    let cfg = ServeConfig {
+        trace,
+        ..ServeConfig::llama2_13b_longbench(SystemKind::WindServe)
+    };
     let trace = longbench_trace(cfg.total_rate(3.0), 1000, 2766);
     (cfg, trace)
 }
@@ -113,12 +112,11 @@ fn longbench_overload() -> Vec<Row> {
 /// WindServe scaled out to two prefill and two decode replicas, so
 /// Algorithm 1's replica choices and their tie-breaks are exercised.
 fn scaled_out() -> Vec<Row> {
-    let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
-        .to_builder()
-        .prefill_replicas(2)
-        .decode_replicas(2)
-        .build()
-        .expect("valid config");
+    let cfg = ServeConfig {
+        prefill_replicas: 2,
+        decode_replicas: 2,
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    };
     let trace = sharegpt_trace(cfg.total_rate(3.0), 300, 2766);
     let report = run(cfg, &trace);
     assert!(report.dispatched_prefills > 0, "Algorithm 1 must dispatch");
@@ -131,28 +129,35 @@ fn scaled_out() -> Vec<Row> {
 /// deployment. The no-split ablation fuses dispatched prefills into the
 /// decode lane's steps, so it asserts that Algorithm 1 dispatches.
 fn placements() -> Vec<Row> {
-    let base = || ServeConfig::opt_13b_sharegpt(SystemKind::WindServe).to_builder();
+    let base = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
     let cases = [
         (
             "windserve/opt-13b-sharegpt-split-nodes",
-            base()
-                .topology(Topology::a800_multi_node(2))
-                .split_phases_across_nodes(true),
+            ServeConfig {
+                topology: Topology::a800_multi_node(2),
+                split_phases_across_nodes: true,
+                ..base.clone()
+            },
         ),
-        ("windserve/opt-13b-sharegpt-1p2d", base().decode_replicas(2)),
+        (
+            "windserve/opt-13b-sharegpt-1p2d",
+            ServeConfig {
+                decode_replicas: 2,
+                ..base.clone()
+            },
+        ),
         (
             "windserve-no-split/opt-13b-sharegpt",
-            base().system(SystemKind::WindServeNoSplit),
+            ServeConfig::opt_13b_sharegpt(SystemKind::WindServeNoSplit),
         ),
         (
             "windserve-no-resche/opt-13b-sharegpt",
-            base().system(SystemKind::WindServeNoResche),
+            ServeConfig::opt_13b_sharegpt(SystemKind::WindServeNoResche),
         ),
     ];
     cases
         .into_iter()
-        .map(|(name, builder)| {
-            let cfg = builder.build().expect("valid config");
+        .map(|(name, cfg)| {
             let trace = sharegpt_trace(cfg.total_rate(3.0), 300, 2766);
             let report = run(cfg, &trace);
             assert!(
@@ -210,18 +215,17 @@ fn overload_shedding() -> Vec<Row> {
 /// a queue cap, a queued-token budget, SLO-aware shedding and a short
 /// deadline, so every typed drop reason fires.
 fn admission_caps_cfg(trace: TraceMode) -> (ServeConfig, windserve_workload::Trace) {
-    let mut cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
-        .to_builder()
-        .with_trace(trace)
-        .build()
-        .expect("valid config");
-    cfg.overload = Some(OverloadConfig {
-        max_queued_requests: Some(64),
-        max_queued_tokens: Some(6144),
-        shedding: true,
-        deadline: Some(SimDuration::from_millis(300)),
-        ..OverloadConfig::default()
-    });
+    let cfg = ServeConfig {
+        trace,
+        overload: Some(OverloadConfig {
+            max_queued_requests: Some(64),
+            max_queued_tokens: Some(6144),
+            shedding: true,
+            deadline: Some(SimDuration::from_millis(300)),
+            ..OverloadConfig::default()
+        }),
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    };
     let trace = sharegpt_trace(60.0, 400, 131).with_tiers(3, 131);
     (cfg, trace)
 }
@@ -311,15 +315,14 @@ fn sessions() -> Vec<Row> {
     [("sessions/affinity", true), ("sessions/cache-only", false)]
         .into_iter()
         .map(|(name, affinity)| {
-            let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
-                .to_builder()
-                .prefill_replicas(2)
-                .with_prefix_cache(PrefixCacheConfig {
+            let cfg = ServeConfig {
+                prefill_replicas: 2,
+                prefix_cache: Some(PrefixCacheConfig {
                     affinity,
                     ..Default::default()
-                })
-                .build()
-                .expect("valid config");
+                }),
+                ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+            };
             let report = run(cfg, &trace);
             assert!(report.prefix_hits > 0, "{name}: the cache must engage");
             (name.to_string(), digest(&report))
@@ -384,10 +387,10 @@ fn fleet_arbiter() -> Vec<Row> {
 
 /// One fully traced run: the report and the scheduling trace both.
 fn traced() -> Vec<Row> {
-    let cfg = ServeConfig::builder()
-        .with_trace(TraceMode::Full)
-        .build()
-        .expect("valid config");
+    let cfg = ServeConfig {
+        trace: TraceMode::Full,
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    };
     let trace = sharegpt_trace(cfg.total_rate(3.0), 150, 77);
     let (report, log) = windserve::Cluster::new(cfg)
         .expect("valid config")

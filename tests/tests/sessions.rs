@@ -27,12 +27,11 @@ fn sessions_trace(sessions: usize, seed: u64) -> Trace {
 /// OPT-13B with two prefill replicas (so affinity routing has a real
 /// choice) and the prefix cache on.
 fn cached_config() -> ServeConfig {
-    ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
-        .to_builder()
-        .prefill_replicas(2)
-        .with_prefix_cache(PrefixCacheConfig::default())
-        .build()
-        .expect("valid config")
+    ServeConfig {
+        prefill_replicas: 2,
+        prefix_cache: Some(PrefixCacheConfig::default()),
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    }
 }
 
 #[test]
@@ -85,15 +84,13 @@ fn affinity_routing_raises_the_hit_rate() {
     let trace = sessions_trace(80, 7);
     let with_affinity = run(cached_config(), &trace);
     let without = run(
-        ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
-            .to_builder()
-            .prefill_replicas(2)
-            .with_prefix_cache(PrefixCacheConfig {
+        ServeConfig {
+            prefix_cache: Some(PrefixCacheConfig {
                 affinity: false,
                 ..Default::default()
-            })
-            .build()
-            .expect("valid config"),
+            }),
+            ..cached_config()
+        },
         &trace,
     );
     assert!(

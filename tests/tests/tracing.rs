@@ -26,10 +26,10 @@ fn traced_run(cfg: ServeConfig, trace: &Trace) -> (RunReport, TraceLog) {
 /// nondeterminism in the simulation.
 #[test]
 fn same_seed_runs_export_byte_identical_traces() {
-    let cfg = ServeConfig::builder()
-        .with_trace(TraceMode::Full)
-        .build()
-        .unwrap();
+    let cfg = ServeConfig {
+        trace: TraceMode::Full,
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    };
     let trace = sharegpt_trace(200, 3.0, &cfg, 77);
 
     let (report_a, log_a) = traced_run(cfg.clone(), &trace);
@@ -71,18 +71,17 @@ fn null_sink_records_nothing() {
 /// A ring buffer keeps only the most recent events, bounded by its capacity.
 #[test]
 fn ring_buffer_keeps_only_the_tail() {
-    let cfg = ServeConfig::builder()
-        .with_trace(TraceMode::Ring(64))
-        .build()
-        .unwrap();
+    let cfg = ServeConfig {
+        trace: TraceMode::Ring(64),
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    };
     let trace = sharegpt_trace(150, 3.0, &cfg, 21);
     let (_, ring_log) = traced_run(cfg.clone(), &trace);
 
-    let full_cfg = cfg
-        .to_builder()
-        .with_trace(TraceMode::Full)
-        .build()
-        .unwrap();
+    let full_cfg = ServeConfig {
+        trace: TraceMode::Full,
+        ..cfg
+    };
     let (_, full_log) = traced_run(full_cfg, &trace);
 
     assert_eq!(ring_log.len(), 64);
@@ -99,12 +98,12 @@ fn ring_buffer_keeps_only_the_tail() {
 fn dispatch_rejections_are_audited_with_ttft_pred_inputs() {
     // thrd of 1ms means every predicted TTFT exceeds it, so Algorithm 1
     // always wants to dispatch; a 1-token aux budget leaves no slots.
-    let cfg = ServeConfig::builder()
-        .dispatch_threshold(SimDuration::from_millis(1))
-        .aux_budget_override(1)
-        .with_trace(TraceMode::Full)
-        .build()
-        .unwrap();
+    let cfg = ServeConfig {
+        dispatch_threshold: Some(SimDuration::from_millis(1)),
+        aux_budget_override: Some(1),
+        trace: TraceMode::Full,
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    };
     let trace = sharegpt_trace(120, 3.0, &cfg, 99);
     let (_, log) = traced_run(cfg, &trace);
 
@@ -140,10 +139,10 @@ fn dispatch_rejections_are_audited_with_ttft_pred_inputs() {
 /// Perfetto expects: complete events carry `dur`, instants carry scope.
 #[test]
 fn chrome_export_has_lifecycle_spans_and_decision_instants() {
-    let cfg = ServeConfig::builder()
-        .with_trace(TraceMode::Full)
-        .build()
-        .unwrap();
+    let cfg = ServeConfig {
+        trace: TraceMode::Full,
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    };
     let trace = sharegpt_trace(80, 3.0, &cfg, 5);
     let (_, log) = traced_run(cfg, &trace);
 
@@ -192,10 +191,10 @@ fn chrome_export_has_lifecycle_spans_and_decision_instants() {
 /// audit format all key off them.
 #[test]
 fn event_kind_labels_are_stable() {
-    let cfg = ServeConfig::builder()
-        .with_trace(TraceMode::Full)
-        .build()
-        .unwrap();
+    let cfg = ServeConfig {
+        trace: TraceMode::Full,
+        ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+    };
     let trace = sharegpt_trace(60, 3.0, &cfg, 11);
     let (_, log) = traced_run(cfg, &trace);
     for e in log.events() {
