@@ -969,11 +969,12 @@ mod tests {
 
     #[test]
     fn arbiter_moves_units_from_cold_to_hot() {
-        // 16-GPU pool; two 4-GPU deployments, each with appetite for one
-        // 2-GPU unit; only the pool head is free after base leases, and
-        // round-robin hands both deployments a unit. The cold deployment's
-        // unit is then reclaimed for the hot one — but the hot one is at
-        // its appetite, so the unit rests in the pool.
+        // 16-GPU pool; two 4-GPU deployments, each with appetite for two
+        // 4-GPU units. After the base leases, round-robin grants each
+        // deployment one unit, which fills the pool. The cold deployment's
+        // (`b`'s) unit is then reclaimed and granted to the hot one (`a`),
+        // which ends on 12 GPUs (its base and both units) while `b` is back
+        // on its base 4.
         let mut cfg = FleetConfig {
             topology: Topology::a800_multi_node(2),
             arbiter: Some(ArbiterConfig {
