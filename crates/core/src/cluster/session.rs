@@ -584,11 +584,6 @@ impl ClusterSession {
             })
             .collect();
         let log = std::mem::take(&mut cluster.tracer).finish();
-        let cache_stats = cluster
-            .instances
-            .iter()
-            .map(|inst| inst.cost_model().step_cache_stats())
-            .fold((0u64, 0u64), |(h, m), s| (h + s.hits, m + s.misses));
         cluster.ttft_predictions.sort_by_key(|p| p.request);
         cluster.dropped.sort_by_key(|x| x.id);
         let report = RunReport {
@@ -611,8 +606,8 @@ impl ClusterSession {
             autoscale_events: cluster.activation.events,
             gpu_seconds_active: cluster.activation.gpu_seconds,
             events_processed: processed,
-            cost_cache_hits: cache_stats.0,
-            cost_cache_misses: cache_stats.1,
+            cost_cache_hits: 0,
+            cost_cache_misses: 0,
             dropped: cluster.dropped,
             requests_rejected: cluster.counters.requests_rejected,
             requests_shed: cluster.counters.requests_shed,

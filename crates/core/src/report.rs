@@ -90,9 +90,12 @@ pub struct RunReport {
     /// run-ahead applies without passing them through the event queue, so
     /// it equals the number of events a one-at-a-time loop would pop.
     pub events_processed: u64,
-    /// Cost-model step-cache hits summed across instances.
+    /// Always 0: step pricing is not counted into the report. The field
+    /// keeps its key for readers of the serialized report that look
+    /// counters up by name (the benchmark's `model.cost_cache_*` metrics)
+    /// and goes when they do.
     pub cost_cache_hits: u64,
-    /// Cost-model step-cache misses summed across instances.
+    /// Always 0, like [`RunReport::cost_cache_hits`].
     pub cost_cache_misses: u64,
     /// Requests that terminated without completing (admission rejection,
     /// shedding, watchdog abort), each with its typed reason. Sorted by
@@ -154,16 +157,6 @@ impl RunReport {
     /// Total swap-outs across instances (Fig. 1a's swapping signal).
     pub fn total_swap_outs(&self) -> u64 {
         self.instances.iter().map(|i| i.swap_outs).sum()
-    }
-
-    /// Cost-model step-cache hit rate across instances (0 with no lookups).
-    pub fn cost_cache_hit_rate(&self) -> f64 {
-        let total = self.cost_cache_hits + self.cost_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cost_cache_hits as f64 / total as f64
-        }
     }
 
     /// Mean absolute relative error of Algorithm 1's TTFT predictions over

@@ -560,8 +560,7 @@ fn run_uncached(cfg: ServeConfig, trace: &Trace) -> crate::RunReport {
 
 /// The headline acceptance check: a decode-heavy end-to-end run with the
 /// step cache enabled reports exactly the same latency percentiles,
-/// per-request records and scheduler counters as the uncached run, while
-/// answering the overwhelming majority of pricing lookups from the cache.
+/// per-request records and scheduler counters as the uncached run.
 /// LongBench past saturation applies many decode steps ahead, priced by
 /// the run-ahead's `DecodePricer`, so it covers that pricer's uncached
 /// branch too.
@@ -578,21 +577,7 @@ fn cost_cache_is_exact_end_to_end() {
     ] {
         let cached = run(cfg.clone(), &trace);
         let uncached = run_uncached(cfg, &trace);
-
-        assert_eq!(uncached.cost_cache_hits, 0, "uncached run must not cache");
-        assert_eq!(uncached.cost_cache_misses, 0);
-        assert!(
-            cached.cost_cache_hit_rate() > 0.8,
-            "decode-heavy hit rate {:.3} should exceed 0.8",
-            cached.cost_cache_hit_rate()
-        );
-
-        // Everything the paper reads must be identical; only the cache's
-        // own counters may differ.
-        let mut scrubbed = cached.clone();
-        scrubbed.cost_cache_hits = 0;
-        scrubbed.cost_cache_misses = 0;
-        assert_eq!(scrubbed, uncached, "step cache must be exact");
+        assert_eq!(cached, uncached, "step cache must be exact");
     }
 }
 
@@ -604,10 +589,7 @@ fn cost_cache_is_exact_for_colocated_hybrid_batching() {
     let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::VllmColocated);
     let cached = run(cfg.clone(), &trace);
     let uncached = run_uncached(cfg, &trace);
-    let mut scrubbed = cached.clone();
-    scrubbed.cost_cache_hits = 0;
-    scrubbed.cost_cache_misses = 0;
-    assert_eq!(scrubbed, uncached);
+    assert_eq!(cached, uncached);
 }
 
 /// The benchmark's `sessions_prefix` deployment (four prefill and four
