@@ -548,50 +548,6 @@ fn report_records_are_a_stable_sort_of_completion_order() {
     assert_eq!(report.records, expected);
 }
 
-/// Replays `trace` with every instance's cost-model step cache turned off:
-/// the exact reference the cache must reproduce.
-fn run_uncached(cfg: ServeConfig, trace: &Trace) -> crate::RunReport {
-    let cluster = Cluster::new(cfg).expect("valid config");
-    for inst in &cluster.instances {
-        inst.cost_model().set_step_cache_enabled(false);
-    }
-    cluster.run(trace).expect("run completes").0
-}
-
-/// The headline acceptance check: a decode-heavy end-to-end run with the
-/// step cache enabled reports exactly the same latency percentiles,
-/// per-request records and scheduler counters as the uncached run.
-/// LongBench past saturation applies many decode steps ahead, priced by
-/// the run-ahead's `DecodePricer`, so it covers that pricer's uncached
-/// branch too.
-#[test]
-fn cost_cache_is_exact_end_to_end() {
-    let longbench = ServeConfig::llama2_13b_longbench(SystemKind::WindServe);
-    let longbench_rate = longbench.total_rate(3.0);
-    for (cfg, trace) in [
-        (
-            ServeConfig::opt_13b_sharegpt(SystemKind::WindServe),
-            sharegpt_trace(8.0, 400, 2766),
-        ),
-        (longbench, longbench_trace(longbench_rate, 300, 48879)),
-    ] {
-        let cached = run(cfg.clone(), &trace);
-        let uncached = run_uncached(cfg, &trace);
-        assert_eq!(cached, uncached, "step cache must be exact");
-    }
-}
-
-/// The cache stays exact under the ablation systems too (hybrid batching
-/// exercises `hybrid_step_time`'s split-phase pricing).
-#[test]
-fn cost_cache_is_exact_for_colocated_hybrid_batching() {
-    let trace = sharegpt_trace(6.0, 250, 99);
-    let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::VllmColocated);
-    let cached = run(cfg.clone(), &trace);
-    let uncached = run_uncached(cfg, &trace);
-    assert_eq!(cached, uncached);
-}
-
 /// The benchmark's `sessions_prefix` deployment (four prefill and four
 /// decode replicas on two nodes, prefix cache on) over 300 sessions, with
 /// the invariant auditor at `audit_interval_events`.

@@ -21,7 +21,7 @@ use crate::stats::InstanceStats;
 use std::collections::VecDeque;
 use windserve_gpu::{KernelCost, StreamSharing};
 use windserve_kvcache::{BackupStore, BlockManager};
-use windserve_model::{BatchPlan, CostModel};
+use windserve_model::CostModel;
 use windserve_sim::hash::FxHashSet;
 use windserve_sim::{KeyedSlab, SimDuration, SimTime};
 use windserve_workload::RequestId;
@@ -117,9 +117,6 @@ pub struct Instance {
     pub(crate) pending_delay: SimDuration,
     pub(crate) host_bandwidth: f64,
     pub(crate) stats: InstanceStats,
-    /// Per-step scratch [`BatchPlan`], cleared and refilled by batch
-    /// formation so the hot loop allocates no fresh `Vec`s.
-    pub(crate) plan_scratch: BatchPlan,
     /// Scratch for the per-member completion pass: the step's members and
     /// the ones already appended.
     pub(crate) members_scratch: Vec<Member>,
@@ -130,8 +127,6 @@ pub struct Instance {
     /// completion returns it, so steady-state stepping allocates no fresh
     /// job `Vec`s. Bounded by the number of concurrent steps.
     pub(crate) jobvec_pool: Vec<Vec<(RequestId, u32)>>,
-    /// Scratch of lane-member contexts for pricing a hybrid step's plan.
-    pub(crate) ctx_scratch: Vec<u32>,
     /// Members of the forming step whose first decode iteration this is.
     pub(crate) newly_scratch: Vec<RequestId>,
 }
@@ -184,12 +179,10 @@ impl Instance {
             cfg,
             cost,
             sharing,
-            plan_scratch: BatchPlan::new(),
             members_scratch: Vec::new(),
             appended_scratch: Vec::new(),
             finish_scratch: Vec::new(),
             jobvec_pool: Vec::new(),
-            ctx_scratch: Vec::new(),
             newly_scratch: Vec::new(),
         })
     }

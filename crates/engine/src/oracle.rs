@@ -5,8 +5,8 @@
 //! It covers what a decode instance does without guest prefills: decode
 //! admission (swap-ins first), continuous batching over `pp` lanes, growth
 //! checks with swap or recompute preemption, pauses, pressure preemption,
-//! aborts and crashes. Pricing goes through the same cost model calls, so
-//! the step cache counts compare too.
+//! aborts and crashes. Each step is priced from its batch size and the
+//! ΣL summed member by member, so the ledger's ΣL is checked too.
 //!
 //! [`Instance`]: crate::Instance
 
@@ -137,10 +137,7 @@ impl Eager {
                     newly.push(*id);
                 }
             }
-            let kernel = self
-                .cost
-                .decode_pricer(members.len() as u64)
-                .kernel_cost(sum_l);
+            let kernel = self.cost.decode_kernel_cost(members.len() as u64, sum_l);
             let mut duration = SimDuration::from_secs_f64(kernel.alone_secs());
             if !self.pending_delay.is_zero() {
                 self.stats.swap_delay_secs += self.pending_delay.as_secs_f64();

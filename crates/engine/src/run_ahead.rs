@@ -10,10 +10,10 @@
 //! of one completion event each. Only a step that is not quiet takes the
 //! general completion path.
 //!
-//! The leap is exact. Each step is still priced through the cost model's
-//! step cache (one lookup per step, the same `u64` arithmetic), recorded
-//! into [`InstanceStats`](crate::InstanceStats) in order, and its duration
-//! built the same way step formation builds it. The members are never
+//! The leap is exact. Each step is still priced by the cost model from its
+//! batch size and ΣL (the same `u64` arithmetic step formation uses),
+//! recorded into [`InstanceStats`](crate::InstanceStats) in order, and its
+//! duration built the same way step formation builds it. The members are never
 //! walked: the lane's step ledger gives ΣL, the growth blocks each step
 //! takes and the first finish, and the leap applies as `clock += k` and
 //! one debit of the growth blocks.
@@ -89,7 +89,6 @@ impl Instance {
         let step = lane.step.as_mut().expect("checked above");
         let aux_kernel = self.aux_step.as_ref().map(|aux| aux.kernel);
         let total = self.kv.total_blocks() as f64;
-        let mut pricer = self.cost.decode_pricer(batch);
         // Free blocks before the next step's completion.
         let mut free = self.kv.free_blocks();
         let mut applied = 0u64;
@@ -113,7 +112,7 @@ impl Instance {
             self.stats
                 .record_step(StepKind::Decode, step.ends_at - step.started, &step.kernel);
             boundaries.push(step.ends_at);
-            let kernel = pricer.kernel_cost(sum_l + j * batch);
+            let kernel = self.cost.decode_kernel_cost(batch, sum_l + j * batch);
             let mut duration = SimDuration::from_secs_f64(kernel.alone_secs());
             if let Some(aux) = aux_kernel {
                 duration = duration.mul_f64(self.sharing.slowdown(kernel, aux));

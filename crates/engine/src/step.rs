@@ -9,10 +9,10 @@
 //! and migration pauses at the step boundary.
 //!
 //! A lane's decode members live in its step ledger (see the `ledger`
-//! module): forming a pure-decode step reads the growth check and ΣL off
-//! the ledger, and completing a step advances its clock. Only a pending
-//! pause, a member preempted mid-step or growth beyond the free blocks
-//! takes the per-member pass.
+//! module): forming a lane step reads the growth check and ΣL off the
+//! ledger (a hybrid step adds its prefill chunks to them), and completing
+//! a step advances its clock. Only a pending pause, a member preempted
+//! mid-step or growth beyond the free blocks takes the per-member pass.
 //!
 //! Contention modeling: a step's duration is fixed at start time from the
 //! kernels then co-resident (main stream vs aux stream, §3.4). Overlap
@@ -326,26 +326,25 @@ impl Instance {
         lane.ledger.sum_l()
     }
 
-    /// The contexts of lane `lane_idx`'s members in batch order, into
-    /// `ctx_scratch`, for pricing a hybrid step's plan.
-    fn lane_contexts(&mut self, lane_idx: usize) -> Vec<u32> {
-        let mut ctxs = std::mem::take(&mut self.ctx_scratch);
-        ctxs.clear();
-        ctxs.extend(
-            self.lanes[lane_idx]
-                .roster
-                .slots()
-                .map(|slot| self.context_at(slot)),
-        );
-        ctxs
+    /// Kernel cost of a pure-decode step of `batch` members with context
+    /// sum `sum_l`.
+    fn decode_kernel(&self, batch: usize, sum_l: u64) -> windserve_gpu::KernelCost {
+        self.cost.decode_kernel_cost(batch as u64, sum_l)
     }
 
-    /// Kernel cost of a pure-decode step of `batch` members with context
-    /// sum `sum_l`, priced by (batch, ΣL) through the step cache: one
-    /// lookup, bit-identical to pricing the step's plan (see
-    /// [`windserve_model::DecodePricer`]).
-    fn decode_kernel(&self, batch: usize, sum_l: u64) -> windserve_gpu::KernelCost {
-        self.cost.decode_pricer(batch as u64).kernel_cost(sum_l)
+    /// The plan of a step that decodes `batch` members with context sum
+    /// `sum_l` and runs the prefill jobs `prefills`, each continuing from
+    /// the prompt tokens its sequence has already prefilled.
+    fn step_plan(&self, batch: usize, sum_l: u64, prefills: &[(RequestId, u32)]) -> BatchPlan {
+        let mut plan = BatchPlan::new();
+        plan.add_decodes(batch as u64, sum_l);
+        for &(id, new_tokens) in prefills {
+            plan.add_prefill(PrefillChunk {
+                new_tokens,
+                past_tokens: self.seq(id).prefilled,
+            });
+        }
+        plan
     }
 
     fn form_decode_step(&mut self, lane_idx: usize, now: SimTime) -> Option<RunningStep> {
@@ -371,12 +370,10 @@ impl Instance {
             }
             (alone, kernel)
         } else {
-            let ctxs = self.lane_contexts(lane_idx);
-            self.rebuild_plan(&ctxs, &fused_prefills);
-            self.ctx_scratch = ctxs;
+            let plan = self.step_plan(batch, sum_l, &fused_prefills);
             (
-                self.cost.hybrid_step_time(&self.plan_scratch),
-                self.cost.kernel_cost(&self.plan_scratch),
+                self.cost.hybrid_step_time(&plan),
+                self.cost.kernel_cost(&plan),
             )
         };
         Some(self.finish_step_construction(
@@ -403,8 +400,7 @@ impl Instance {
                 self.recycle_jobvec(jobs);
                 return None;
             }
-            self.rebuild_plan(&[], &jobs);
-            let kernel = self.cost.kernel_cost(&self.plan_scratch);
+            let kernel = self.cost.kernel_cost(&self.step_plan(0, 0, &jobs));
             let duration = SimDuration::from_secs_f64(kernel.alone_secs());
             return Some(self.finish_step_construction(
                 StepKind::Prefill,
@@ -423,19 +419,13 @@ impl Instance {
         }
         let (duration, kernel) = if chunk.is_empty() {
             // A decode-only step's single-stream time is its `step_time`.
-            // Every step formed here makes two cache lookups, which the
-            // report's cost-cache counts record: `hybrid_step_time` and
-            // `kernel_cost` below, two pricer calls here.
             let kernel = self.decode_kernel(batch, sum_l);
-            let duration = SimDuration::from_secs_f64(kernel.alone_secs());
-            (duration, self.decode_kernel(batch, sum_l))
+            (SimDuration::from_secs_f64(kernel.alone_secs()), kernel)
         } else {
-            let ctxs = self.lane_contexts(lane_idx);
-            self.rebuild_plan(&ctxs, &chunk);
-            self.ctx_scratch = ctxs;
+            let plan = self.step_plan(batch, sum_l, &chunk);
             (
-                self.cost.hybrid_step_time(&self.plan_scratch),
-                self.cost.kernel_cost(&self.plan_scratch),
+                self.cost.hybrid_step_time(&plan),
+                self.cost.kernel_cost(&plan),
             )
         };
         Some(self.finish_step_construction(
@@ -457,8 +447,7 @@ impl Instance {
             self.recycle_jobvec(jobs);
             return None;
         }
-        self.rebuild_plan(&[], &jobs);
-        let kernel = self.cost.kernel_cost(&self.plan_scratch);
+        let kernel = self.cost.kernel_cost(&self.step_plan(0, 0, &jobs));
         let mut duration = SimDuration::from_secs_f64(kernel.alone_secs());
         if let Some(busiest) = self
             .lanes
@@ -523,26 +512,6 @@ impl Instance {
         self.waiting_prefill_tokens -= u64::from(remaining);
         out.push((id, chunk));
         out
-    }
-
-    /// Refills the instance's scratch [`BatchPlan`] for a step with decode
-    /// contexts `ctxs` (fetched by [`Instance::lane_contexts`]) and
-    /// prefill jobs `prefills`. Reusing one plan (and its heap capacity)
-    /// keeps batch pricing allocation-free; the plan is consumed before the
-    /// next step forms, so a single scratch suffices.
-    fn rebuild_plan(&mut self, ctxs: &[u32], prefills: &[(RequestId, u32)]) {
-        let mut plan = std::mem::take(&mut self.plan_scratch);
-        plan.clear();
-        for &ctx in ctxs {
-            plan.add_decode(ctx.max(1));
-        }
-        for &(id, new_tokens) in prefills {
-            plan.add_prefill(PrefillChunk {
-                new_tokens,
-                past_tokens: self.seq(id).prefilled,
-            });
-        }
-        self.plan_scratch = plan;
     }
 
     fn finish_step_construction(

@@ -33,7 +33,10 @@ impl PrefillChunk {
     }
 }
 
-/// The work content of one forward pass.
+/// The work content of one forward pass, held as the five sums that
+/// Table 1 prices it by: Σ new tokens, Σ new·context and Σ context over
+/// the prefill chunks, the decode batch `B` and the decode context sum
+/// `ΣL`. Plans with equal sums cost the same.
 ///
 /// # Examples
 ///
@@ -50,8 +53,17 @@ impl PrefillChunk {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct BatchPlan {
-    prefill: Vec<PrefillChunk>,
-    decode_contexts: Vec<u32>,
+    /// Σ over prefill chunks of `new_tokens`.
+    pub(crate) prefill_new: u64,
+    /// Σ over prefill chunks of `new_tokens · total_context` (the N²-ish
+    /// attention-score term).
+    pub(crate) prefill_cross: u64,
+    /// Σ over prefill chunks of `total_context` (KV read+write volume).
+    pub(crate) prefill_ctx: u64,
+    /// Decode batch size B.
+    pub(crate) decode_batch: u64,
+    /// Σ of decode context lengths.
+    pub(crate) decode_sum_l: u64,
 }
 
 impl BatchPlan {
@@ -69,10 +81,11 @@ impl BatchPlan {
 
     /// A plan decoding one token for each context length in `contexts`.
     pub fn decode_only<I: IntoIterator<Item = u32>>(contexts: I) -> Self {
-        BatchPlan {
-            prefill: Vec::new(),
-            decode_contexts: contexts.into_iter().collect(),
+        let mut plan = BatchPlan::new();
+        for context in contexts {
+            plan.add_decode(context);
         }
+        plan
     }
 
     /// Adds a prefill chunk.
@@ -82,7 +95,11 @@ impl BatchPlan {
     /// Panics if the chunk has no new tokens.
     pub fn add_prefill(&mut self, chunk: PrefillChunk) {
         assert!(chunk.new_tokens > 0, "empty prefill chunk");
-        self.prefill.push(chunk);
+        let new = u64::from(chunk.new_tokens);
+        let ctx = u64::from(chunk.total_context());
+        self.prefill_new += new;
+        self.prefill_cross += new * ctx;
+        self.prefill_ctx += ctx;
     }
 
     /// Adds a decode job with the given context length (prompt + generated
@@ -93,50 +110,45 @@ impl BatchPlan {
     /// Panics if `context` is zero.
     pub fn add_decode(&mut self, context: u32) {
         assert!(context > 0, "decode needs a context");
-        self.decode_contexts.push(context);
+        self.add_decodes(1, u64::from(context));
     }
 
-    /// The prefill chunks in the plan.
-    pub fn prefill_chunks(&self) -> &[PrefillChunk] {
-        &self.prefill
-    }
-
-    /// The decode jobs' context lengths.
-    pub fn decode_contexts(&self) -> &[u32] {
-        &self.decode_contexts
+    /// Adds `batch` decode jobs whose context lengths sum to `sum_l`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sum_l` is below `batch` (every decode context is at
+    /// least one token).
+    pub fn add_decodes(&mut self, batch: u64, sum_l: u64) {
+        assert!(sum_l >= batch, "decode contexts are at least one token");
+        self.decode_batch += batch;
+        self.decode_sum_l += sum_l;
     }
 
     /// Total new prefill tokens (the `N` of Table 1 / Eq. 1).
     pub fn prefill_tokens(&self) -> u64 {
-        self.prefill.iter().map(|c| u64::from(c.new_tokens)).sum()
+        self.prefill_new
     }
 
     /// Number of decode jobs (the `B` of Table 1).
     pub fn decode_batch(&self) -> u64 {
-        self.decode_contexts.len() as u64
+        self.decode_batch
     }
 
     /// Sum of decode context lengths (the `ΣL` of Table 1 / Eq. 2).
     pub fn decode_context_sum(&self) -> u64 {
-        self.decode_contexts.iter().map(|&l| u64::from(l)).sum()
+        self.decode_sum_l
     }
 
     /// Total new tokens produced by the step (prefill + one per decode).
     pub fn new_tokens(&self) -> u64 {
-        self.prefill_tokens() + self.decode_batch()
+        self.prefill_new + self.decode_batch
     }
 
-    /// True if the plan contains no work.
+    /// True if the plan contains no work. Every prefill chunk has new
+    /// tokens, so that is no new prefill token and no decode job.
     pub fn is_empty(&self) -> bool {
-        self.prefill.is_empty() && self.decode_contexts.is_empty()
-    }
-
-    /// Empties the plan while keeping its allocations, so engines can reuse
-    /// one plan as a per-step scratch buffer instead of allocating fresh
-    /// `Vec`s every step.
-    pub fn clear(&mut self) {
-        self.prefill.clear();
-        self.decode_contexts.clear();
+        self.prefill_new == 0 && self.decode_batch == 0
     }
 
     /// Splits the plan into its prefill-only and decode-only halves (used
@@ -144,12 +156,14 @@ impl BatchPlan {
     pub fn split_phases(&self) -> (BatchPlan, BatchPlan) {
         (
             BatchPlan {
-                prefill: self.prefill.clone(),
-                decode_contexts: Vec::new(),
+                decode_batch: 0,
+                decode_sum_l: 0,
+                ..*self
             },
             BatchPlan {
-                prefill: Vec::new(),
-                decode_contexts: self.decode_contexts.clone(),
+                decode_batch: self.decode_batch,
+                decode_sum_l: self.decode_sum_l,
+                ..BatchPlan::new()
             },
         )
     }

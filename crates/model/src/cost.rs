@@ -12,156 +12,55 @@ use crate::batch::BatchPlan;
 use crate::flops;
 use crate::parallel::Parallelism;
 use crate::spec::ModelSpec;
-use std::cell::RefCell;
 use windserve_gpu::{GpuSpec, KernelCost};
-use windserve_sim::hash::FxHashMap;
 use windserve_sim::SimDuration;
 
-/// Compact signature of everything in a [`BatchPlan`] that the roofline
-/// totals depend on *besides* the decode context-length sum ΣL.
-///
-/// Both totals are exactly affine in ΣL once these four numbers are fixed
-/// (Table 1 / Eq. 2: the only ΣL terms are `4·ΣL·H` FLOPs and
-/// `kv_dim·ΣL·dtype` KV bytes per layer), so the cache stores the affine
-/// *base* (the totals evaluated at ΣL = 0) and reconstructs exact totals
-/// as `base + slope·ΣL` in integer arithmetic. No quantization is
-/// involved: a cache hit returns bit-identical totals to the uncached
-/// loops, so cached and uncached runs report identical latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PlanSig {
-    /// Σ over prefill chunks of `new_tokens`.
-    prefill_new: u64,
-    /// Σ over prefill chunks of `new_tokens · total_context` (the N²-ish
-    /// attention-score term; distinguishes chunkings with equal Σnew).
-    prefill_cross: u64,
-    /// Σ over prefill chunks of `total_context` (KV read+write volume).
-    prefill_ctx: u64,
-    /// Decode batch size B.
-    decode_batch: u64,
+/// Table 1's terms, summed over every layer and the LM head, per unit of
+/// each of a [`BatchPlan`]'s five sums. Both roofline totals of a
+/// non-empty plan are exactly linear in those sums, so every step is
+/// priced with a few integer multiply-adds.
+#[derive(Debug, Clone, PartialEq)]
+struct Coefficients {
+    /// FLOPs per new token: its projections and FFN in every layer, plus
+    /// the LM head.
+    flops_per_token: u64,
+    /// Attention-score FLOPs per (query token, context token) pair: `4H`
+    /// per layer. Prices Σ new·context and ΣL.
+    flops_per_score: u64,
+    /// Bytes every non-empty pass streams: each layer's weights once, plus
+    /// the LM head.
+    io_fixed: u64,
+    /// KV bytes per context token read or written, over every layer.
+    /// Prices Σ prefill context and, per decode job, ΣL + B.
+    io_per_kv: u64,
+    /// Activation bytes per new token, over every layer.
+    io_per_token: u64,
 }
 
-impl PlanSig {
-    fn of(plan: &BatchPlan) -> Self {
-        let mut prefill_new = 0u64;
-        let mut prefill_cross = 0u64;
-        let mut prefill_ctx = 0u64;
-        for chunk in plan.prefill_chunks() {
-            let new = u64::from(chunk.new_tokens);
-            let ctx = u64::from(chunk.total_context());
-            prefill_new += new;
-            prefill_cross += new * ctx;
-            prefill_ctx += ctx;
-        }
-        PlanSig {
-            prefill_new,
-            prefill_cross,
-            prefill_ctx,
-            decode_batch: plan.decode_batch(),
+impl Coefficients {
+    fn of(model: &ModelSpec) -> Self {
+        let layers = u64::from(model.n_layers);
+        let head = 2 * u64::from(model.vocab) * u64::from(model.hidden);
+        let projections = flops::attn_flops(model, 1, 0) + flops::ffn_flops(model, 1);
+        Coefficients {
+            flops_per_token: projections * layers + head,
+            flops_per_score: (flops::attn_flops(model, 1, 1) - flops::attn_flops(model, 1, 0))
+                * layers,
+            io_fixed: flops::layer_weight_io(model) * layers + head,
+            io_per_kv: flops::layer_kv_io(model, 1, 0) * layers,
+            io_per_token: flops::layer_activation_io(model, 1) * layers,
         }
     }
-}
 
-/// Hit/miss counters of a [`CostModel`]'s step-time cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StepCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that priced the plan from first principles.
-    pub misses: u64,
-}
-
-impl StepCacheStats {
-    /// Hits as a fraction of all lookups (0 when there were none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Bound on distinct plan signatures retained; decode-heavy workloads use
-/// a handful, so this is a backstop against pathological prefill mixes.
-/// Overflow clears the map — only a perf event, never a semantic one.
-const STEP_CACHE_CAP: usize = 4096;
-
-#[derive(Debug, Default)]
-struct StepCache {
-    /// `PlanSig` → (FLOPs, IO bytes) evaluated at ΣL = 0.
-    base: FxHashMap<PlanSig, (u64, u64)>,
-    stats: StepCacheStats,
-    disabled: bool,
-    /// Times `base` was cleared, so a [`DecodePricer`] holding an entry
-    /// can tell that it is gone.
-    clears: u64,
-}
-
-/// Prices consecutive pure-decode steps of one batch size through the
-/// step cache, by context sum ΣL alone: what [`CostModel::kernel_cost`]
-/// returns for any decode-only plan of that batch and ΣL, with the same
-/// hit and miss counts, without building the plan.
-///
-/// Every call counts as one cache lookup. The first finds the batch's
-/// entry (or prices a stand-in plan with the same batch and ΣL, which
-/// stores it: a decode-only plan's totals depend on its batch size and
-/// ΣL alone, so every such plan prices bit-identically); later calls
-/// reuse the entry
-/// and count a hit, exactly as looking it up again would, until the cache
-/// is cleared.
-#[derive(Debug)]
-pub struct DecodePricer<'a> {
-    cost: &'a CostModel,
-    sig: PlanSig,
-    /// ΣL slopes of the two totals.
-    slopes: (u64, u64),
-    /// The batch's cached base, once a lookup found it.
-    base: Option<(u64, u64)>,
-    /// The cache's clear count when `base` was read.
-    clears: u64,
-}
-
-impl DecodePricer<'_> {
-    /// The two roofline legs of the batch at context sum `sum_l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sum_l` is below the batch size (every decode context is
-    /// at least one token).
-    pub fn kernel_cost(&mut self, sum_l: u64) -> KernelCost {
-        let batch = self.sig.decode_batch;
-        if batch == 0 {
-            return KernelCost::ZERO;
-        }
-        assert!(sum_l >= batch, "decode contexts are at least one token");
-        {
-            let mut cache = self.cost.cache.borrow_mut();
-            if !cache.disabled {
-                if self.base.is_none() || self.clears != cache.clears {
-                    self.base = cache.base.get(&self.sig).copied();
-                    self.clears = cache.clears;
-                }
-                if let Some((flops_base, io_base)) = self.base {
-                    cache.stats.hits += 1;
-                    drop(cache);
-                    let (flops_slope, io_slope) = self.slopes;
-                    return self.cost.kernel_of_totals(
-                        flops_base + flops_slope * sum_l,
-                        io_base + io_slope * sum_l,
-                    );
-                }
-            }
-        }
-        // A miss (or the cache is off): price a stand-in plan, spreading
-        // ΣL as evenly as possible so every context fits a `u32`.
-        let (q, r) = (sum_l / batch, sum_l % batch);
-        let mut plan = BatchPlan::new();
-        for i in 0..batch {
-            let ctx = q + u64::from(i < r);
-            plan.add_decode(u32::try_from(ctx).expect("context fits u32"));
-        }
-        self.cost.kernel_cost(&plan)
+    /// `(FLOPs, HBM bytes)` of one forward pass over a non-empty `plan`.
+    fn totals(&self, plan: &BatchPlan) -> (u64, u64) {
+        let tokens = plan.prefill_new + plan.decode_batch;
+        let flops = self.flops_per_token * tokens
+            + self.flops_per_score * (plan.prefill_cross + plan.decode_sum_l);
+        let io = self.io_fixed
+            + self.io_per_kv * (plan.prefill_ctx + plan.decode_sum_l + plan.decode_batch)
+            + self.io_per_token * tokens;
+        (flops, io)
     }
 }
 
@@ -179,7 +78,7 @@ impl DecodePricer<'_> {
 /// let decode = cost.step_time(&BatchPlan::decode_only(vec![768; 16]));
 /// assert!(prefill > decode); // prefill dominates a single decode step
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     model: ModelSpec,
     gpu: GpuSpec,
@@ -189,38 +88,8 @@ pub struct CostModel {
     /// Per-GPU bytes reserved for activations and scratch buffers; the
     /// paper's §4 notes WindServe pre-allocates these at engine init.
     pub activation_reserve_bytes: u64,
-    /// Memoized affine bases keyed by [`PlanSig`]; interior-mutable so
-    /// pricing stays `&self`. Excluded from `Clone`/`PartialEq` — it is
-    /// derived state, never semantics.
-    cache: RefCell<StepCache>,
-}
-
-impl Clone for CostModel {
-    fn clone(&self) -> Self {
-        CostModel {
-            model: self.model.clone(),
-            gpu: self.gpu.clone(),
-            parallelism: self.parallelism,
-            step_overhead: self.step_overhead,
-            activation_reserve_bytes: self.activation_reserve_bytes,
-            // Fresh cache: clones price identically, but each instance
-            // accounts its own hits/misses.
-            cache: RefCell::new(StepCache {
-                disabled: self.cache.borrow().disabled,
-                ..StepCache::default()
-            }),
-        }
-    }
-}
-
-impl PartialEq for CostModel {
-    fn eq(&self, other: &Self) -> bool {
-        self.model == other.model
-            && self.gpu == other.gpu
-            && self.parallelism == other.parallelism
-            && self.step_overhead == other.step_overhead
-            && self.activation_reserve_bytes == other.activation_reserve_bytes
-    }
+    /// Computed from `model` at construction.
+    coefficients: Coefficients,
 }
 
 impl CostModel {
@@ -236,12 +105,12 @@ impl CostModel {
         model.validate()?;
         gpu.validate()?;
         let cm = CostModel {
+            coefficients: Coefficients::of(&model),
             model,
             gpu,
             parallelism,
             step_overhead: SimDuration::from_micros(500),
             activation_reserve_bytes: 4 * windserve_gpu::GIB,
-            cache: RefCell::new(StepCache::default()),
         };
         if cm.kv_capacity_bytes() == 0 {
             return Err(crate::Error::DoesNotFit {
@@ -288,120 +157,6 @@ impl CostModel {
         self.kv_capacity_bytes() / self.model.kv_bytes_per_token()
     }
 
-    /// Total FLOPs of one forward pass over `plan`.
-    pub fn total_flops(&self, plan: &BatchPlan) -> u64 {
-        let layers = u64::from(self.model.n_layers);
-        let mut per_layer = 0u64;
-        for chunk in plan.prefill_chunks() {
-            per_layer += flops::attn_flops(
-                &self.model,
-                u64::from(chunk.new_tokens),
-                u64::from(chunk.total_context()),
-            );
-            per_layer += flops::ffn_flops(&self.model, u64::from(chunk.new_tokens));
-        }
-        for &ctx in plan.decode_contexts() {
-            per_layer += flops::attn_flops(&self.model, 1, u64::from(ctx));
-            per_layer += flops::ffn_flops(&self.model, 1);
-        }
-        // LM head over every new token.
-        let head =
-            2 * plan.new_tokens() * u64::from(self.model.vocab) * u64::from(self.model.hidden);
-        per_layer * layers + head
-    }
-
-    /// Total HBM bytes one forward pass over `plan` streams.
-    pub fn total_io_bytes(&self, plan: &BatchPlan) -> u64 {
-        if plan.is_empty() {
-            return 0;
-        }
-        let layers = u64::from(self.model.n_layers);
-        // Weights are read once per pass regardless of batch size — this is
-        // exactly why batching amortizes decode I/O (§2.1).
-        let weights = flops::layer_weight_io(&self.model) * layers;
-        let mut kv_and_act = 0u64;
-        for chunk in plan.prefill_chunks() {
-            // FlashAttention keeps the chunk's own KV in SRAM; it reads back
-            // past chunks' KV and writes the new KV.
-            kv_and_act += flops::layer_kv_io(
-                &self.model,
-                u64::from(chunk.new_tokens),
-                u64::from(chunk.past_tokens),
-            ) * layers;
-            kv_and_act +=
-                flops::layer_activation_io(&self.model, u64::from(chunk.new_tokens)) * layers;
-        }
-        for &ctx in plan.decode_contexts() {
-            kv_and_act += flops::layer_kv_io(&self.model, 1, u64::from(ctx)) * layers;
-            kv_and_act += flops::layer_activation_io(&self.model, 1) * layers;
-        }
-        let head = 2 * u64::from(self.model.vocab) * u64::from(self.model.hidden);
-        weights + kv_and_act + head
-    }
-
-    /// Per-layer ΣL slopes of the two totals: each decode context token
-    /// adds `4H` attention-score FLOPs and one KV-cache read of
-    /// `kv_dim · dtype` bytes per layer (Table 1's only ΣL terms).
-    fn sum_l_slopes(&self) -> (u64, u64) {
-        let layers = u64::from(self.model.n_layers);
-        let flops_slope = 4 * u64::from(self.model.hidden) * layers;
-        let io_slope = self.model.kv_dim() * u64::from(self.model.dtype_bytes) * layers;
-        (flops_slope, io_slope)
-    }
-
-    /// `(total_flops, total_io_bytes)` of `plan`, memoized on [`PlanSig`].
-    ///
-    /// The cache stores the totals with the ΣL terms subtracted out; hits
-    /// add them back with the same integer arithmetic, so the result is
-    /// bit-identical to [`Self::total_flops`] / [`Self::total_io_bytes`]
-    /// whether or not the lookup hit.
-    fn plan_totals(&self, plan: &BatchPlan) -> (u64, u64) {
-        let mut cache = self.cache.borrow_mut();
-        if cache.disabled {
-            return (self.total_flops(plan), self.total_io_bytes(plan));
-        }
-        let sig = PlanSig::of(plan);
-        let sum_l = plan.decode_context_sum();
-        let (flops_slope, io_slope) = self.sum_l_slopes();
-        if let Some(&(flops_base, io_base)) = cache.base.get(&sig) {
-            cache.stats.hits += 1;
-            return (flops_base + flops_slope * sum_l, io_base + io_slope * sum_l);
-        }
-        cache.stats.misses += 1;
-        let flops = self.total_flops(plan);
-        let io = self.total_io_bytes(plan);
-        if cache.base.len() >= STEP_CACHE_CAP {
-            cache.base.clear();
-            cache.clears += 1;
-        }
-        cache
-            .base
-            .insert(sig, (flops - flops_slope * sum_l, io - io_slope * sum_l));
-        (flops, io)
-    }
-
-    /// Hit/miss counters of the step-time cache since construction (or the
-    /// last clone, which starts fresh).
-    pub fn step_cache_stats(&self) -> StepCacheStats {
-        self.cache.borrow().stats
-    }
-
-    /// Enables or disables the step-time cache. Disabling exists so perf
-    /// tooling can demonstrate that cached and uncached runs price every
-    /// step identically; it never changes results.
-    pub fn set_step_cache_enabled(&self, enabled: bool) {
-        let mut cache = self.cache.borrow_mut();
-        cache.disabled = !enabled;
-        if !enabled {
-            // Forget both the entries and any lookups already accounted
-            // (e.g. during construction-time budget calibration), so an
-            // uncached run reports zero cache activity.
-            cache.base.clear();
-            cache.clears += 1;
-            cache.stats = StepCacheStats::default();
-        }
-    }
-
     /// The two roofline legs of executing `plan`, after dividing work across
     /// the tensor-parallel group. Pipeline parallelism does not shorten a
     /// single pass (stages are sequential); it adds concurrent lanes, which
@@ -410,25 +165,21 @@ impl CostModel {
         if plan.is_empty() {
             return KernelCost::ZERO;
         }
-        let (flops, io_bytes) = self.plan_totals(plan);
+        let (flops, io_bytes) = self.coefficients.totals(plan);
         self.kernel_of_totals(flops, io_bytes)
     }
 
-    /// A pricer for consecutive pure-decode steps of `batch` sequences,
-    /// priced by their context sum alone; see [`DecodePricer`].
-    pub fn decode_pricer(&self, batch: u64) -> DecodePricer<'_> {
-        DecodePricer {
-            cost: self,
-            sig: PlanSig {
-                prefill_new: 0,
-                prefill_cross: 0,
-                prefill_ctx: 0,
-                decode_batch: batch,
-            },
-            slopes: self.sum_l_slopes(),
-            base: None,
-            clears: 0,
-        }
+    /// The two roofline legs of a pure-decode step of `batch` jobs whose
+    /// contexts sum to `sum_l`: [`Self::kernel_cost`] of any such plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sum_l` is below `batch` (every decode context is at
+    /// least one token).
+    pub fn decode_kernel_cost(&self, batch: u64, sum_l: u64) -> KernelCost {
+        let mut plan = BatchPlan::new();
+        plan.add_decodes(batch, sum_l);
+        self.kernel_cost(&plan)
     }
 
     /// The two roofline legs for `flops` and `io_bytes` of total work.
@@ -477,6 +228,178 @@ impl CostModel {
 mod tests {
     use super::*;
     use crate::batch::PrefillChunk;
+    use proptest::prelude::*;
+
+    /// Reference walk: total FLOPs of one forward pass over `chunks` and
+    /// decode contexts `contexts`, summed job by job.
+    fn total_flops(cm: &CostModel, chunks: &[PrefillChunk], contexts: &[u32]) -> u64 {
+        let model = &cm.model;
+        let layers = u64::from(model.n_layers);
+        let mut per_layer = 0u64;
+        for chunk in chunks {
+            per_layer += flops::attn_flops(
+                model,
+                u64::from(chunk.new_tokens),
+                u64::from(chunk.total_context()),
+            );
+            per_layer += flops::ffn_flops(model, u64::from(chunk.new_tokens));
+        }
+        for &ctx in contexts {
+            per_layer += flops::attn_flops(model, 1, u64::from(ctx));
+            per_layer += flops::ffn_flops(model, 1);
+        }
+        // LM head over every new token.
+        let new_tokens: u64 =
+            chunks.iter().map(|c| u64::from(c.new_tokens)).sum::<u64>() + contexts.len() as u64;
+        let head = 2 * new_tokens * u64::from(model.vocab) * u64::from(model.hidden);
+        per_layer * layers + head
+    }
+
+    /// Reference walk: total HBM bytes one forward pass streams.
+    fn total_io_bytes(cm: &CostModel, chunks: &[PrefillChunk], contexts: &[u32]) -> u64 {
+        if chunks.is_empty() && contexts.is_empty() {
+            return 0;
+        }
+        let model = &cm.model;
+        let layers = u64::from(model.n_layers);
+        // Weights are read once per pass regardless of batch size — this is
+        // exactly why batching amortizes decode I/O (§2.1).
+        let weights = flops::layer_weight_io(model) * layers;
+        let mut kv_and_act = 0u64;
+        for chunk in chunks {
+            // FlashAttention keeps the chunk's own KV in SRAM; it reads back
+            // past chunks' KV and writes the new KV.
+            kv_and_act += flops::layer_kv_io(
+                model,
+                u64::from(chunk.new_tokens),
+                u64::from(chunk.past_tokens),
+            ) * layers;
+            kv_and_act += flops::layer_activation_io(model, u64::from(chunk.new_tokens)) * layers;
+        }
+        for &ctx in contexts {
+            kv_and_act += flops::layer_kv_io(model, 1, u64::from(ctx)) * layers;
+            kv_and_act += flops::layer_activation_io(model, 1) * layers;
+        }
+        let head = 2 * u64::from(model.vocab) * u64::from(model.hidden);
+        weights + kv_and_act + head
+    }
+
+    /// A plan and the jobs it was built from, for the reference walk.
+    fn plan_of(chunks: &[PrefillChunk], contexts: &[u32]) -> BatchPlan {
+        let mut plan = BatchPlan::decode_only(contexts.iter().copied());
+        for &chunk in chunks {
+            plan.add_prefill(chunk);
+        }
+        plan
+    }
+
+    /// [`CostModel::kernel_cost`] priced from the walk's totals.
+    fn walk_kernel(cm: &CostModel, chunks: &[PrefillChunk], contexts: &[u32]) -> KernelCost {
+        if chunks.is_empty() && contexts.is_empty() {
+            return KernelCost::ZERO;
+        }
+        cm.kernel_of_totals(
+            total_flops(cm, chunks, contexts),
+            total_io_bytes(cm, chunks, contexts),
+        )
+    }
+
+    /// [`CostModel::step_time`] priced from the walk's totals.
+    fn walk_step_time(cm: &CostModel, chunks: &[PrefillChunk], contexts: &[u32]) -> SimDuration {
+        SimDuration::from_secs_f64(walk_kernel(cm, chunks, contexts).alone_secs())
+    }
+
+    /// [`CostModel::hybrid_step_time`] priced from the walk's totals.
+    fn walk_hybrid_step_time(
+        cm: &CostModel,
+        chunks: &[PrefillChunk],
+        contexts: &[u32],
+    ) -> SimDuration {
+        let prefill = walk_step_time(cm, chunks, &[]);
+        let decode = walk_step_time(cm, &[], contexts);
+        match (chunks.is_empty(), contexts.is_empty()) {
+            (true, true) => SimDuration::ZERO,
+            (false, true) => prefill,
+            (true, false) => decode,
+            (false, false) => prefill + decode - cm.step_overhead,
+        }
+    }
+
+    /// Asserts that `cm` prices the plan of `chunks` and `contexts` bit for
+    /// bit as the walk does.
+    fn assert_prices_like_the_walk(cm: &CostModel, chunks: &[PrefillChunk], contexts: &[u32]) {
+        let plan = plan_of(chunks, contexts);
+        let what = || format!("{}: {chunks:?} + {} decodes", cm.model.name, contexts.len());
+        assert_eq!(
+            cm.kernel_cost(&plan),
+            walk_kernel(cm, chunks, contexts),
+            "{}",
+            what()
+        );
+        assert_eq!(
+            cm.step_time(&plan),
+            walk_step_time(cm, chunks, contexts),
+            "{}",
+            what()
+        );
+        assert_eq!(
+            cm.hybrid_step_time(&plan),
+            walk_hybrid_step_time(cm, chunks, contexts),
+            "{}",
+            what()
+        );
+    }
+
+    /// Every model preset on three placements that hold it.
+    fn preset_models() -> Vec<CostModel> {
+        let presets = [
+            ModelSpec::opt_125m(),
+            ModelSpec::opt_13b(),
+            ModelSpec::opt_30b(),
+            ModelSpec::opt_66b(),
+            ModelSpec::llama2_13b(),
+            ModelSpec::llama2_70b(),
+        ];
+        let placements = [
+            Parallelism::tp(2),
+            Parallelism::new(4, 2),
+            Parallelism::tp(8),
+        ];
+        presets
+            .iter()
+            .flat_map(|model| {
+                placements.map(|par| {
+                    CostModel::new(model.clone(), GpuSpec::a800_80gb(), par).expect("fits")
+                })
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The closed form prices every plan exactly as the job-by-job walk
+        /// of Table 1 does: `kernel_cost`, `step_time` and
+        /// `hybrid_step_time` agree bit for bit, for every preset and
+        /// placement. Each case also prices its empty, prefill-only and
+        /// one-decode plans.
+        #[test]
+        fn closed_form_prices_like_the_walk(
+            chunks in proptest::collection::vec((1u32..4097, 0u32..4097), 0..4),
+            contexts in proptest::collection::vec(1u32..8193, 0..301),
+        ) {
+            let chunks: Vec<PrefillChunk> = chunks
+                .into_iter()
+                .map(|(new_tokens, past_tokens)| PrefillChunk { new_tokens, past_tokens })
+                .collect();
+            let prefill_only = [PrefillChunk::whole(contexts.len() as u32 + 1)];
+            let one_decode = [contexts.first().copied().unwrap_or(1)];
+            for cm in preset_models() {
+                assert_prices_like_the_walk(&cm, &chunks, &contexts);
+                assert_prices_like_the_walk(&cm, &[], &[]);
+                assert_prices_like_the_walk(&cm, &prefill_only, &[]);
+                assert_prices_like_the_walk(&cm, &[], &one_decode);
+            }
+        }
+    }
 
     fn opt13b_tp2() -> CostModel {
         CostModel::new(
@@ -648,96 +571,53 @@ mod tests {
     }
 
     #[test]
-    fn step_cache_hits_are_bit_identical_to_cold_pricing() {
-        let cached = opt13b_tp2();
-        let reference = opt13b_tp2();
-        reference.set_step_cache_enabled(false);
-        // Decode batches of the same size but very different ΣL share one
-        // signature; prefill mixes exercise the cross/ctx terms.
-        let mut plans: Vec<BatchPlan> = vec![
-            BatchPlan::decode_only(vec![100; 16]),
-            BatchPlan::decode_only(vec![3000; 16]),
-            BatchPlan::decode_only((1..=16).map(|i| i * 37).collect::<Vec<_>>()),
-            BatchPlan::single_prefill(768),
-            BatchPlan::single_prefill(768),
-        ];
-        let mut mixed = BatchPlan::new();
-        mixed.add_prefill(PrefillChunk {
+    fn fixed_plans_price_like_the_walk() {
+        let cm = opt13b_tp2();
+        // Decode batches of the same size but very different ΣL, and a
+        // continued chunk beside decodes (the cross and context terms).
+        let ramp: Vec<u32> = (1..=16).map(|i| i * 37).collect();
+        let continued = [PrefillChunk {
             new_tokens: 256,
             past_tokens: 512,
-        });
-        for ctx in [64, 900, 2048] {
-            mixed.add_decode(ctx);
-        }
-        plans.push(mixed.clone());
-        plans.push(mixed);
-        for plan in &plans {
-            assert_eq!(cached.kernel_cost(plan), reference.kernel_cost(plan));
-            assert_eq!(cached.step_time(plan), reference.step_time(plan));
-        }
-        let stats = cached.step_cache_stats();
-        assert!(stats.hits >= 3, "expected repeats to hit: {stats:?}");
-        assert_eq!(reference.step_cache_stats(), StepCacheStats::default());
-    }
-
-    #[test]
-    fn decode_pricer_prices_like_the_real_plan() {
-        let by_plan = opt13b_tp2();
-        let by_sum = opt13b_tp2();
-        let runs: [&[&[u32]]; 4] = [
-            &[&[1]],
-            &[&[100; 16], &[101; 16], &[3000; 16]],
-            &[&[17, 4096, 33, 2048, 1], &[18, 4097, 34, 2049, 2]],
-            &[&[64, 900, 2048]],
+        }];
+        let plans: [(&[PrefillChunk], &[u32]); 6] = [
+            (&[], &[100; 16]),
+            (&[], &[3000; 16]),
+            (&[], &ramp),
+            (&[PrefillChunk::whole(768)], &[]),
+            (&continued, &[64, 900, 2048]),
+            (&continued, &[]),
         ];
-        let mut hits = 0;
-        for run in runs {
-            let mut pricer = by_sum.decode_pricer(run[0].len() as u64);
-            for ctxs in run {
-                let plan = BatchPlan::decode_only(ctxs.iter().copied());
-                let priced = pricer.kernel_cost(plan.decode_context_sum());
-                assert_eq!(priced, by_plan.kernel_cost(&plan));
-                assert_eq!(
-                    by_sum.step_cache_stats(),
-                    by_plan.step_cache_stats(),
-                    "same lookups, same hits and misses"
-                );
-            }
-            hits = by_sum.step_cache_stats().hits;
+        for (chunks, contexts) in plans {
+            assert_prices_like_the_walk(&cm, chunks, contexts);
         }
-        assert_eq!(hits, 3, "every repeat batch size hits");
-        assert_eq!(by_sum.decode_pricer(0).kernel_cost(0), KernelCost::ZERO);
     }
 
     #[test]
-    fn decode_pricer_notices_a_cleared_cache() {
-        let by_plan = opt13b_tp2();
-        let by_sum = opt13b_tp2();
-        let mut pricer = by_sum.decode_pricer(4);
-        let plan = BatchPlan::decode_only([10u32, 20, 30, 40]);
-        for cm in [&by_plan, &by_sum] {
-            cm.kernel_cost(&plan);
+    fn decode_kernel_cost_prices_like_the_real_plan() {
+        let cm = opt13b_tp2();
+        let batches: [&[u32]; 8] = [
+            &[1],
+            &[100; 16],
+            &[101; 16],
+            &[3000; 16],
+            &[17, 4096, 33, 2048, 1],
+            &[64, 900, 2048],
+            &[10, 20, 30, 40],
+            &[5, 6, 7],
+        ];
+        for contexts in batches {
+            let plan = BatchPlan::decode_only(contexts.iter().copied());
+            assert_eq!(
+                cm.decode_kernel_cost(plan.decode_batch(), plan.decode_context_sum()),
+                cm.kernel_cost(&plan)
+            );
         }
-        assert_eq!(pricer.kernel_cost(100), by_plan.kernel_cost(&plan));
-        // Overflow the cache: the next insert clears every entry.
-        for n in 1..=STEP_CACHE_CAP as u32 {
-            for cm in [&by_plan, &by_sum] {
-                cm.kernel_cost(&BatchPlan::single_prefill(n));
-            }
-        }
-        assert_eq!(pricer.kernel_cost(100), by_plan.kernel_cost(&plan));
-        assert_eq!(by_sum.step_cache_stats(), by_plan.step_cache_stats());
-        // With the cache off every step is priced from scratch.
-        by_sum.set_step_cache_enabled(false);
-        by_plan.set_step_cache_enabled(false);
-        let mut pricer = by_sum.decode_pricer(3);
-        let plan = BatchPlan::decode_only([5u32, 6, 7]);
-        assert_eq!(pricer.kernel_cost(18), by_plan.kernel_cost(&plan));
-        assert_eq!(by_sum.step_cache_stats(), StepCacheStats::default());
+        assert_eq!(cm.decode_kernel_cost(0, 0), KernelCost::ZERO);
     }
 
     #[test]
-    fn step_cache_distinguishes_chunkings_with_equal_new_tokens() {
+    fn continued_prefill_costs_more_than_fresh() {
         let cm = opt13b_tp2();
         // Same Σnew (512) but different past context → different price.
         let fresh = BatchPlan::single_prefill(512);
@@ -749,36 +629,16 @@ mod tests {
         let a = cm.step_time(&fresh);
         let b = cm.step_time(&continued);
         assert!(b > a, "continuation reads more KV: {a:?} vs {b:?}");
-        // And neither poisoned the other: repeat lookups still agree.
-        assert_eq!(cm.step_time(&fresh), a);
-        assert_eq!(cm.step_time(&continued), b);
     }
 
     #[test]
-    fn clone_prices_identically_with_fresh_stats() {
+    fn clone_prices_identically() {
         let cm = opt13b_tp2();
         let plan = BatchPlan::decode_only(vec![768; 16]);
         let t = cm.step_time(&plan);
         let cloned = cm.clone();
-        assert_eq!(cloned.step_cache_stats(), StepCacheStats::default());
         assert_eq!(cloned.step_time(&plan), t);
         assert_eq!(cloned, cm);
-    }
-
-    #[test]
-    fn decode_heavy_workload_hit_rate_is_high() {
-        let cm = opt13b_tp2();
-        // A decode instance stepping a stable batch whose contexts grow by
-        // one each step — the dominant steady-state shape.
-        let mut contexts = vec![700u32; 32];
-        for _ in 0..500 {
-            for c in &mut contexts {
-                *c += 1;
-            }
-            cm.step_time(&BatchPlan::decode_only(contexts.clone()));
-        }
-        let stats = cm.step_cache_stats();
-        assert!(stats.hit_rate() > 0.95, "hit rate {:?}", stats.hit_rate());
     }
 
     #[test]

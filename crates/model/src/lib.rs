@@ -37,7 +37,7 @@ mod parallel;
 mod spec;
 
 pub use batch::{BatchPlan, PrefillChunk};
-pub use cost::{CostModel, DecodePricer, StepCacheStats};
+pub use cost::CostModel;
 pub use error::{Error, Result};
 pub use parallel::Parallelism;
 pub use spec::{AttentionKind, FfnKind, ModelSpec};

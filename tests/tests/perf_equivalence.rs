@@ -1,9 +1,9 @@
 //! Guards for the simulation hot-path optimizations: the FxHash map swap
 //! must leave every run — including fault recovery — byte-for-byte
 //! deterministic, and the running prefill backlog count must match its
-//! queue at every event of a saturated run. The cost-model step cache's
-//! exactness tests live with the core crate, which can switch the cache
-//! off per instance.
+//! queue at every event of a saturated run. The cost model's closed-form
+//! pricing is checked against the job-by-job walk of Table 1 by the model
+//! crate's `closed_form_prices_like_the_walk` property.
 
 use windserve::{FaultPlan, OverloadConfig, ServeConfig, SystemKind, TraceMode};
 use windserve_sim::SimDuration;
