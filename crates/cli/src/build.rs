@@ -234,17 +234,7 @@ impl RunSpec {
         }
         let requests = args.get_or("requests", 1000usize)?;
         let seed = args.get_or("seed", 0xACEu64)?;
-        let total = config.total_rate(rate_per_gpu);
-        let arrivals = match args.get("arrivals").unwrap_or("poisson") {
-            "poisson" => ArrivalProcess::poisson(total),
-            "uniform" => ArrivalProcess::uniform(total),
-            "bursty" => ArrivalProcess::Bursty {
-                base_rate: total * 0.5,
-                burst_rate: total * 1.5,
-                mean_phase_secs: 10.0,
-            },
-            other => return Err(ArgError(format!("unknown arrival process {other:?}"))),
-        };
+        let arrivals = RunSpec::arrivals_at(args, config.total_rate(rate_per_gpu))?;
         Ok(RunSpec {
             config,
             dataset,
@@ -253,6 +243,30 @@ impl RunSpec {
             seed,
             arrivals,
         })
+    }
+
+    /// The `--arrivals` process (Poisson by default) at `total` req/s
+    /// across the cluster.
+    ///
+    /// # Errors
+    ///
+    /// Reports an unknown process, or a total rate that is not positive
+    /// and finite (a per-GPU `--rate` so large that it overflows).
+    pub fn arrivals_at(args: &Args, total: f64) -> Result<ArrivalProcess, ArgError> {
+        let process = match args.get("arrivals").unwrap_or("poisson") {
+            "poisson" => ArrivalProcess::try_poisson(total),
+            "uniform" => ArrivalProcess::try_uniform(total),
+            "bursty" => {
+                let bursty = ArrivalProcess::Bursty {
+                    base_rate: total * 0.5,
+                    burst_rate: total * 1.5,
+                    mean_phase_secs: 10.0,
+                };
+                bursty.validate().map(|()| bursty)
+            }
+            other => return Err(ArgError(format!("unknown arrival process {other:?}"))),
+        };
+        process.map_err(|e| ArgError(e.to_string()))
     }
 
     /// The workload this spec describes: the config file's

@@ -6,7 +6,7 @@ use crate::render;
 use windserve::{Cluster, FaultPlan, RequestId, RunReport, TraceMode};
 use windserve_engine::InstanceRole;
 use windserve_sim::SimDuration;
-use windserve_workload::{ArrivalProcess, Dataset, Trace};
+use windserve_workload::{Dataset, Trace};
 
 /// Runs one serving simulation and prints (or JSON-dumps) the report.
 ///
@@ -130,7 +130,7 @@ pub fn sweep(args: &Args) -> Result<String, ArgError> {
         let mut spec = base.clone();
         spec.rate_per_gpu = rate;
         // Rebuild the arrival process at the new rate.
-        spec.arrivals = windserve_workload::ArrivalProcess::poisson(spec.config.total_rate(rate));
+        spec.arrivals = RunSpec::arrivals_at(args, spec.config.total_rate(rate))?;
         let report = execute(&spec)?;
         rows.push((rate, report));
     }
@@ -155,7 +155,7 @@ pub fn trace(args: &Args) -> Result<String, ArgError> {
         let (config, dataset) = preset_by_name(name)?;
         spec.dataset = Dataset::by_name(dataset, config.model.max_context)
             .map_err(|e| ArgError(e.to_string()))?;
-        spec.arrivals = ArrivalProcess::poisson(config.total_rate(spec.rate_per_gpu));
+        spec.arrivals = RunSpec::arrivals_at(args, config.total_rate(spec.rate_per_gpu))?;
         spec.config = config;
     }
     spec.config.trace = TraceMode::Full;
@@ -331,8 +331,19 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
             "--time-scale must be positive, got {time_scale}"
         )));
     }
-    let duration = match args.get("duration") {
-        Some(raw) => Some(parse_duration_secs(raw)?),
+    // The deadline is fixed before the gateway starts, so one too far off
+    // to represent is reported before anything is announced.
+    let deadline = match args.get("duration") {
+        Some(raw) => {
+            let too_long = || ArgError(format!("--duration {raw:?} is too long"));
+            let run_for = std::time::Duration::try_from_secs_f64(parse_duration_secs(raw)?)
+                .map_err(|_| too_long())?;
+            Some(
+                std::time::Instant::now()
+                    .checked_add(run_for)
+                    .ok_or_else(too_long)?,
+            )
+        }
         None => None,
     };
     let request_timeout_secs = match args.get("request-timeout") {
@@ -377,8 +388,6 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         "windserve gateway listening on http://{} (time-scale {time_scale}x, {workers} workers)",
         gateway.addr()
     );
-    let deadline =
-        duration.map(|secs| std::time::Instant::now() + std::time::Duration::from_secs_f64(secs));
     let mut terminated = false;
     loop {
         if sigterm::received() {
@@ -819,6 +828,30 @@ mod tests {
         let out = sweep(&args("sweep --requests 60 --rates 1,2")).unwrap();
         let rows = out.lines().filter(|l| l.contains("req/s")).count();
         assert!(rows >= 2, "{out}");
+    }
+
+    #[test]
+    fn sweep_and_trace_presets_honour_the_arrival_process() {
+        let swept = sweep(&args(
+            "sweep --requests 40 --rates 2 --arrivals uniform --json",
+        ))
+        .unwrap();
+        let single = run(&args(
+            "run --requests 40 --rate 2 --arrivals uniform --json",
+        ))
+        .unwrap();
+        assert_eq!(
+            envelope(&swept, "sweep")[0]["report"],
+            envelope(&single, "run")
+        );
+        // The preset is the default deployment, so only the arrivals could
+        // tell the two traces apart.
+        let preset = trace(&args(
+            "trace --requests 40 --arrivals uniform --preset opt13b-sharegpt",
+        ))
+        .unwrap();
+        let flags = trace(&args("trace --requests 40 --arrivals uniform")).unwrap();
+        assert_eq!(preset, flags);
     }
 
     #[test]

@@ -80,3 +80,41 @@ fn bad_durations_and_zero_slos_exit_one() {
         assert!(stderr.starts_with("error: "), "{flags}: {stderr}");
     }
 }
+
+/// Runs `windserve` with `line`'s arguments and asserts a one-line error
+/// exit, not a panic.
+fn assert_exits_one(line: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_windserve"))
+        .args(line.split_whitespace())
+        .output()
+        .expect("run windserve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{line}: {stderr}");
+    assert!(stderr.starts_with("error: "), "{line}: {stderr}");
+}
+
+#[test]
+fn overflowing_rates_exit_one() {
+    for line in [
+        "run --requests 10 --rate 1e308",
+        "run --requests 10 --arrivals uniform --rate 1e308",
+        "compare --requests 10 --rate 1e308",
+        "sweep --requests 10 --rates 1e308",
+        "trace-stats --requests 10 --rate 1e308",
+        "trace --requests 10 --preset opt13b-sharegpt --rate 1e308",
+    ] {
+        assert_exits_one(line);
+    }
+}
+
+#[test]
+fn unrepresentable_durations_exit_one() {
+    for line in [
+        "serve --port 0 --duration 1e30",
+        "serve --port 0 --duration 1e308m",
+        "serve --port 0 --duration 1e19",
+        "loadgen --port 9 --duration 1e30",
+    ] {
+        assert_exits_one(line);
+    }
+}

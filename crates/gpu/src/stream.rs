@@ -175,13 +175,6 @@ impl StreamSharing {
         let shared = (kernel.compute_secs * compute_stretch).max(kernel.io_secs * bw_stretch) * tax;
         shared / alone
     }
-
-    /// Convenience for the common two-stream case used by stream-based
-    /// disaggregation: returns `(slowdown_a, slowdown_b)`.
-    pub fn slowdown_pair(&self, a: KernelCost, b: KernelCost) -> (f64, f64) {
-        let s = self.slowdowns(&[a, b]);
-        (s[0], s[1])
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +200,8 @@ mod tests {
     #[test]
     fn complementary_kernels_overlap_cheaply() {
         let sharing = StreamSharing::default();
-        let (sp, sd) = sharing.slowdown_pair(prefill_like(), decode_like());
+        let sp = sharing.slowdown(prefill_like(), decode_like());
+        let sd = sharing.slowdown(decode_like(), prefill_like());
         // Demands: compute 1.0 + 0.115, bandwidth 0.117 + 1.0 — both barely
         // oversubscribed, so slowdowns stay well under the serialization
         // factor.
@@ -232,7 +226,7 @@ mod tests {
         let sharing = StreamSharing::default();
         let p = prefill_like();
         let d = decode_like();
-        let (_, sd) = sharing.slowdown_pair(p, d);
+        let sd = sharing.slowdown(d, p);
         let sbd_decode = d.alone_secs() * sd;
         let fused_step = p.fused(&d).alone_secs();
         assert!(sbd_decode < 0.4 * fused_step);

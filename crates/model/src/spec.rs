@@ -99,22 +99,6 @@ impl ModelSpec {
         }
     }
 
-    /// OPT-6.7B.
-    pub fn opt_6_7b() -> Self {
-        ModelSpec {
-            name: "OPT-6.7B".to_string(),
-            n_layers: 32,
-            hidden: 4096,
-            n_heads: 32,
-            attention: AttentionKind::Mha,
-            ffn: FfnKind::Standard,
-            ffn_intermediate: 4 * 4096,
-            vocab: 50272,
-            max_context: 2048,
-            dtype_bytes: 2,
-        }
-    }
-
     /// OPT-30B.
     pub fn opt_30b() -> Self {
         ModelSpec {
@@ -143,38 +127,6 @@ impl ModelSpec {
             ffn_intermediate: 4 * 9216,
             vocab: 50272,
             max_context: 2048,
-            dtype_bytes: 2,
-        }
-    }
-
-    /// OPT-175B (the family's largest member; needs a full 8-GPU node).
-    pub fn opt_175b() -> Self {
-        ModelSpec {
-            name: "OPT-175B".to_string(),
-            n_layers: 96,
-            hidden: 12288,
-            n_heads: 96,
-            attention: AttentionKind::Mha,
-            ffn: FfnKind::Standard,
-            ffn_intermediate: 4 * 12288,
-            vocab: 50272,
-            max_context: 2048,
-            dtype_bytes: 2,
-        }
-    }
-
-    /// LLaMA2-7B.
-    pub fn llama2_7b() -> Self {
-        ModelSpec {
-            name: "LLaMA2-7B".to_string(),
-            n_layers: 32,
-            hidden: 4096,
-            n_heads: 32,
-            attention: AttentionKind::Mha,
-            ffn: FfnKind::Gated,
-            ffn_intermediate: 11008,
-            vocab: 32000,
-            max_context: 4096,
             dtype_bytes: 2,
         }
     }
@@ -305,9 +257,6 @@ mod tests {
     fn presets_validate() {
         for m in [
             ModelSpec::opt_125m(),
-            ModelSpec::opt_6_7b(),
-            ModelSpec::opt_175b(),
-            ModelSpec::llama2_7b(),
             ModelSpec::opt_13b(),
             ModelSpec::opt_30b(),
             ModelSpec::opt_66b(),
@@ -329,10 +278,7 @@ mod tests {
             );
         };
         close(ModelSpec::opt_125m(), 0.125);
-        close(ModelSpec::opt_6_7b(), 6.7);
         close(ModelSpec::opt_13b(), 13.0);
-        close(ModelSpec::opt_175b(), 175.0);
-        close(ModelSpec::llama2_7b(), 6.7);
         close(ModelSpec::opt_30b(), 30.0);
         close(ModelSpec::opt_66b(), 66.0);
         close(ModelSpec::llama2_13b(), 13.0);
