@@ -13,10 +13,10 @@
 //! The leap is exact. Each step is still priced by the cost model from its
 //! batch size and ΣL (the same `u64` arithmetic step formation uses),
 //! recorded into [`InstanceStats`](crate::InstanceStats) in order, and its
-//! duration built the same way step formation builds it. The members are never
-//! walked: the lane's step ledger gives ΣL, the growth blocks each step
-//! takes and the first finish, and the leap applies as `clock += k` and
-//! one debit of the growth blocks.
+//! duration built the same way step formation builds it. The members are
+//! never walked: the lane's step ledger gives ΣL, the growth blocks each
+//! step takes and the first finish, and the leap applies as `clock += k`
+//! and one debit of the growth blocks.
 
 use crate::config::InstanceRole;
 use crate::instance::Instance;

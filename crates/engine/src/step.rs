@@ -326,12 +326,6 @@ impl Instance {
         lane.ledger.sum_l()
     }
 
-    /// Kernel cost of a pure-decode step of `batch` members with context
-    /// sum `sum_l`.
-    fn decode_kernel(&self, batch: usize, sum_l: u64) -> windserve_gpu::KernelCost {
-        self.cost.decode_kernel_cost(batch as u64, sum_l)
-    }
-
     /// The plan of a step that decodes `batch` members with context sum
     /// `sum_l` and runs the prefill jobs `prefills`, each continuing from
     /// the prompt tokens its sequence has already prefilled.
@@ -362,7 +356,7 @@ impl Instance {
             return None;
         }
         let (duration, kernel) = if fused_prefills.is_empty() {
-            let kernel = self.decode_kernel(batch, sum_l);
+            let kernel = self.cost.decode_kernel_cost(batch as u64, sum_l);
             let mut alone = SimDuration::from_secs_f64(kernel.alone_secs());
             if let Some(aux) = &self.aux_step {
                 let slow = self.sharing.slowdown(kernel, aux.kernel);
@@ -419,7 +413,7 @@ impl Instance {
         }
         let (duration, kernel) = if chunk.is_empty() {
             // A decode-only step's single-stream time is its `step_time`.
-            let kernel = self.decode_kernel(batch, sum_l);
+            let kernel = self.cost.decode_kernel_cost(batch as u64, sum_l);
             (SimDuration::from_secs_f64(kernel.alone_secs()), kernel)
         } else {
             let plan = self.step_plan(batch, sum_l, &chunk);
