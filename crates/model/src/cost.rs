@@ -596,15 +596,14 @@ mod tests {
     #[test]
     fn decode_kernel_cost_prices_like_the_real_plan() {
         let cm = opt13b_tp2();
-        let batches: [&[u32]; 8] = [
+        let batches: [&[u32]; 7] = [
             &[1],
             &[100; 16],
             &[101; 16],
             &[3000; 16],
             &[17, 4096, 33, 2048, 1],
+            &[18, 4097, 34, 2049, 2],
             &[64, 900, 2048],
-            &[10, 20, 30, 40],
-            &[5, 6, 7],
         ];
         for contexts in batches {
             let plan = BatchPlan::decode_only(contexts.iter().copied());
@@ -614,6 +613,27 @@ mod tests {
             );
         }
         assert_eq!(cm.decode_kernel_cost(0, 0), KernelCost::ZERO);
+    }
+
+    #[test]
+    fn decode_kernel_cost_ignores_pricing_history() {
+        let cm = opt13b_tp2();
+        let plan = BatchPlan::decode_only([10u32, 20, 30, 40]);
+        let before = cm.decode_kernel_cost(4, 100);
+        assert_eq!(before, cm.kernel_cost(&plan));
+        // Price many unrelated steps in between: nothing is remembered.
+        for n in 1..=600 {
+            cm.kernel_cost(&BatchPlan::single_prefill(n));
+        }
+        assert_eq!(cm.decode_kernel_cost(4, 100), before);
+        assert_eq!(cm.decode_kernel_cost(4, 100), cm.kernel_cost(&plan));
+        // A fresh model prices the same batch the same way.
+        let plan = BatchPlan::decode_only([5u32, 6, 7]);
+        assert_eq!(
+            opt13b_tp2().decode_kernel_cost(3, 18),
+            cm.kernel_cost(&plan)
+        );
+        assert_eq!(cm.decode_kernel_cost(3, 18), cm.kernel_cost(&plan));
     }
 
     #[test]
