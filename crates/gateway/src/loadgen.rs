@@ -193,21 +193,20 @@ pub fn run(cfg: &LoadgenConfig) -> windserve::Result<LoadReport> {
             ),
         });
     }
-    let epoch = Instant::now();
     // Streams alive at the deadline get a generous drain grace before the
     // run is called off.
-    let deadlines = Duration::try_from_secs_f64(cfg.duration_secs)
-        .ok()
-        .zip(Duration::try_from_secs_f64(cfg.duration_secs.max(5.0) * 6.0).ok())
-        .and_then(|(window, grace)| {
-            let deadline = epoch.checked_add(window)?;
-            Some((deadline, deadline.checked_add(grace)?))
-        });
-    let Some((deadline, drain_deadline)) = deadlines else {
-        return Err(Error::Gateway {
-            reason: format!("loadgen duration is too long, got {}", cfg.duration_secs),
-        });
+    let window = Duration::try_from_secs_f64(cfg.duration_secs).ok();
+    let grace = Duration::try_from_secs_f64(cfg.duration_secs.max(5.0) * 6.0).ok();
+    let deadlines = |epoch: Instant| {
+        let deadline = epoch.checked_add(window?)?;
+        Some((deadline, deadline.checked_add(grace?)?))
     };
+    let too_long = || Error::Gateway {
+        reason: format!("loadgen duration is too long, got {}", cfg.duration_secs),
+    };
+    // Reject a window whose deadlines cannot be represented before drawing
+    // its gaps.
+    deadlines(Instant::now()).ok_or_else(too_long)?;
     let body = format!(
         r#"{{"prompt_tokens": {}, "max_tokens": {}, "stream": true}}"#,
         cfg.prompt_tokens.max(1),
@@ -224,6 +223,8 @@ pub fn run(cfg: &LoadgenConfig) -> windserve::Result<LoadReport> {
         .map(|g| g.as_secs_f64())
         .collect();
 
+    let epoch = Instant::now();
+    let (deadline, drain_deadline) = deadlines(epoch).ok_or_else(too_long)?;
     let mut next_arrival = epoch + Duration::from_secs_f64(gaps.pop_front().unwrap_or(0.0));
 
     let mut conns: Vec<Conn> = Vec::new();
