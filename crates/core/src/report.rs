@@ -90,10 +90,10 @@ pub struct RunReport {
     /// run-ahead applies without passing them through the event queue, so
     /// it equals the number of events a one-at-a-time loop would pop.
     pub events_processed: u64,
-    /// Always 0: step pricing is not counted into the report. The field
-    /// keeps its key for readers of the serialized report that look
-    /// counters up by name (the benchmark's `model.cost_cache_*` metrics)
-    /// and goes when they do.
+    /// Always 0: the cost model prices every step in closed form and has
+    /// no step cache. The field keeps its key for readers of the
+    /// serialized report that look counters up by name (the benchmark's
+    /// `model.cost_cache_*` metrics) and goes when they do.
     pub cost_cache_hits: u64,
     /// Always 0, like [`RunReport::cost_cache_hits`].
     pub cost_cache_misses: u64,
