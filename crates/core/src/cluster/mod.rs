@@ -63,7 +63,7 @@ use routing::PrefixCache;
 use session::Event;
 use transfer::{MigrationCtl, Transfers};
 use windserve_engine::{
-    Instance, InstanceConfig, InstanceRole, LaneRef, StartedStep, StepKind, StepOutcome,
+    Instance, InstanceConfig, InstanceRole, LaneRef, Leap, StartedStep, StepKind, StepOutcome,
 };
 use windserve_faults::FaultEvent;
 use windserve_gpu::{GpuId, StreamSharing, TransferEngine};
@@ -463,7 +463,6 @@ impl Cluster {
     /// incomplete with no events pending) or exceeds the event backstop.
     pub fn run(self, trace: &Trace) -> crate::Result<(RunReport, TraceLog)> {
         let mut session = self.into_session();
-        session.records.reserve(trace.requests().len());
         for req in trace.requests() {
             session.inject(*req);
         }
@@ -486,7 +485,7 @@ impl Cluster {
             started_scratch: Vec::new(),
             outcome_scratch: StepOutcome::default(),
             decoded_scratch: Vec::new(),
-            leap_scratch: Vec::new(),
+            leap_scratch: Leap::default(),
             swap_waiting: false,
             #[cfg(test)]
             quiet_deliveries: 0,
@@ -744,8 +743,8 @@ pub struct ClusterSession {
     /// Reused list of a completing step's members, read for live tokens
     /// and background migrations.
     decoded_scratch: Vec<RequestId>,
-    /// Reused step boundaries of one decode run-ahead.
-    leap_scratch: Vec<SimTime>,
+    /// Reused report of one decode run-ahead.
+    leap_scratch: Leap,
     /// Whether the last end-of-event sweep left a swapped sequence on any
     /// instance; `try_start` acts on those without any event, so no
     /// decode lane runs ahead while one waits.

@@ -192,6 +192,12 @@ impl ClusterSession {
         self.started = true;
         let now = self.events.now();
         let cluster = &mut self.cluster;
+        // Every injected request still to complete ends in a record, most
+        // with a TTFT prediction: one allocation each instead of growing
+        // while the run goes.
+        let left = self.requests.len() - self.records.len();
+        self.records.reserve(left);
+        cluster.ttft_predictions.reserve(left);
         cluster.fault_events = cluster
             .cfg
             .faults
@@ -403,21 +409,26 @@ impl ClusterSession {
         self.events.schedule(at, ev);
     }
 
-    /// Quiet-decode run-ahead from the `StepDone` of `inst`'s main `lane`,
-    /// just popped. The engine applies that step and the lane's
-    /// further quiet steps ending before the next queued event and
-    /// `ahead`; for each one this does what the general body would have
-    /// done (event count, run end, GPU-time integral, trace events and live
-    /// tokens, in order), then queues the step left running. Returns
-    /// whether the event was delivered; when the engine finds its step not
-    /// quiet nothing changes and the general body runs.
+    /// Decode run-ahead from the `StepDone` of `inst`'s main `lane`, just
+    /// popped. The engine applies that step and the lane's further steps
+    /// ending before the next queued event and `ahead` that its ledger
+    /// completes on its own; for each one this does what the general body
+    /// would have done, in its order: event count, run end and GPU-time
+    /// integral; `StepFinished` and live tokens; a record for each
+    /// finished request; `StepStarted` for the step formed at its end and
+    /// the decode-start stamps of its first-time members. Then it queues
+    /// the step left running, if any. Returns whether the event was
+    /// delivered; when the engine finds its step does not qualify nothing
+    /// changes and the general body runs.
     ///
-    /// Exactness: a quiet step changes only its own lane, and until the
-    /// next queued event nothing else can observe or change any instance.
-    /// The end-of-event sweep would find every other instance as the last
-    /// sweep left it, and `try_start` on such an instance is a no-op
-    /// unless a preemption left its swap queue non-empty; while one does,
-    /// nothing runs ahead.
+    /// Exactness: such a step changes only its own lane and the records
+    /// of the requests it finishes, and until the next queued event
+    /// nothing else can observe or change any instance. The end-of-event
+    /// sweep would find every other instance as the last sweep left it,
+    /// and `try_start` on such an instance is a no-op unless a preemption
+    /// left its swap queue non-empty; while one does, nothing runs ahead.
+    /// The pressure reactions a completion triggers stay off because the
+    /// engine keeps free KV at or above `leap_floor`.
     fn run_ahead(&mut self, inst: usize, lane: LaneRef, epoch: u64, ahead: SimTime) -> bool {
         if self.swap_waiting {
             return false;
@@ -431,53 +442,63 @@ impl ClusterSession {
             // leaves its last step's state.
             max_steps = max_steps.min(self.processed.next_multiple_of(n) - self.processed + 1);
         }
+        let cluster = &mut self.cluster;
         let bounds = RunAhead {
             until: self.events.peek_time().map_or(ahead, |t| t.min(ahead)),
             max_steps,
-            min_free_fraction: self.cluster.leap_floor(inst),
+            min_free_fraction: cluster.leap_floor(inst),
+            // Live tokens name each step's members, which stay those of
+            // the running step only while none finishes or joins.
+            quiet_only: cluster.live.is_some(),
         };
-        let mut ends = std::mem::take(&mut self.leap_scratch);
-        let applied = self.cluster.instances[inst].run_ahead(lane, bounds, &mut ends);
-        if applied > 0 {
-            // `ends` is the first applied step's start, each applied step's
-            // end, then the end of the step left running.
-            self.processed += applied - 1;
-            #[cfg(test)]
-            {
-                self.quiet_deliveries += applied;
+        let mut leap = std::mem::take(&mut self.leap_scratch);
+        let applied = cluster.instances[inst].run_ahead(lane, bounds, &mut leap);
+        for step in leap.steps() {
+            let end = step.ended;
+            self.end_time = end;
+            cluster.activation.account(end);
+            cluster.tracer.emit(end, || TraceEvent::StepFinished {
+                inst: inst as u32,
+                lane: trace_lane(lane),
+                class: StepClass::Decode,
+                duration_us: (end - step.started).as_micros(),
+            });
+            if cluster.live.is_some() {
+                for id in cluster.instances[inst].step_members(lane) {
+                    push_live(&mut cluster.live, LiveEvent::Token { id, at: end });
+                }
             }
-            self.end_time = ends[ends.len() - 2];
-            let cluster = &mut self.cluster;
-            let observed = cluster.tracer.enabled() || cluster.live.is_some();
-            for pair in ends.windows(3) {
-                let &[started, end, next_end] = pair else {
-                    unreachable!("windows of three")
-                };
-                cluster.activation.account(end);
-                if !observed {
-                    continue;
-                }
-                cluster.tracer.emit(end, || TraceEvent::StepFinished {
-                    inst: inst as u32,
-                    lane: trace_lane(lane),
-                    class: StepClass::Decode,
-                    duration_us: (end - started).as_micros(),
-                });
-                if cluster.live.is_some() {
-                    for id in cluster.instances[inst].step_members(lane) {
-                        push_live(&mut cluster.live, LiveEvent::Token { id, at: end });
-                    }
-                }
+            for c in step.completed {
+                cluster.migrations.remove(&c.id.0);
+                cluster.finalize_record(c.id, c.swap_outs, end, &mut self.records);
+            }
+            if let Some(next_end) = step.next_ends_at {
                 cluster.tracer.emit(end, || TraceEvent::StepStarted {
                     inst: inst as u32,
                     lane: trace_lane(lane),
                     ends_at: next_end,
                 });
             }
-            self.events.advance_to(self.end_time);
-            self.schedule(ends[ends.len() - 1], Event::StepDone { inst, lane, epoch });
+            for &id in step.newly_decoding {
+                stamp(&mut cluster.pending, id, end, |p| &mut p.decode_start);
+                cluster.tracer.emit(end, || TraceEvent::DecodeStarted {
+                    id,
+                    inst: inst as u32,
+                });
+            }
         }
-        self.leap_scratch = ends;
+        if applied > 0 {
+            self.processed += applied - 1;
+            #[cfg(test)]
+            {
+                self.quiet_deliveries += applied;
+            }
+            self.events.advance_to(self.end_time);
+            if let Some(end) = leap.running() {
+                self.schedule(end, Event::StepDone { inst, lane, epoch });
+            }
+        }
+        self.leap_scratch = leap;
         applied > 0
     }
 

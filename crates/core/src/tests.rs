@@ -583,6 +583,56 @@ fn sessions_4p4d(audit_interval_events: Option<u64>) -> (ServeConfig, Trace) {
     (cfg, trace)
 }
 
+/// Decode completions of a run and how many of them went through the
+/// leap.
+fn leap_share(mut session: crate::ClusterSession) -> (u64, u64, crate::RunReport) {
+    session.pump_to_drain().expect("the auditor passes");
+    let quiet = session.quiet_deliveries;
+    let (report, _) = session.finish().expect("the auditor passes");
+    let decode_steps = report
+        .instances
+        .iter()
+        .filter(|i| i.name.starts_with("decode"))
+        .map(|i| i.decode_steps)
+        .sum();
+    (quiet, decode_steps, report)
+}
+
+/// On the paper's OPT-13B/ShareGPT 1P+1D deployment requests join the
+/// decode batch after their handoff and leave when they finish; the leap
+/// runs through those boundaries, so nearly every decode completion goes
+/// through it, also when audited after every event.
+#[test]
+fn decode_completions_go_through_the_leap() {
+    let trace = sharegpt_trace(12.0, 1500, 17);
+    let run_counted = |audit: Option<u64>| {
+        let cfg = ServeConfig {
+            overload: audit.map(|n| crate::OverloadConfig {
+                max_queued_requests: None,
+                shedding: false,
+                audit_interval_events: Some(n),
+                ..crate::OverloadConfig::default()
+            }),
+            ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+        };
+        let mut session = Cluster::new(cfg).expect("valid config").into_session();
+        for req in trace.requests() {
+            session.inject(*req);
+        }
+        leap_share(session)
+    };
+    let (quiet, decode_steps, report) = run_counted(None);
+    assert_eq!(report.summary.completed, 1500);
+    assert!(
+        10 * quiet > 9 * decode_steps,
+        "{quiet} of {decode_steps} decode completions went through the leap"
+    );
+    let (audited_quiet, _, audited) = run_counted(Some(1));
+    assert_eq!(audited_quiet, quiet);
+    assert!(audited.invariant_checks > audited.events_processed);
+    assert_eq!(audited.records, report.records);
+}
+
 #[test]
 fn interleaved_decode_completions_go_through_the_leap() {
     let run_counted = |audit| {
@@ -591,25 +641,16 @@ fn interleaved_decode_completions_go_through_the_leap() {
         for req in trace.requests() {
             session.inject(*req);
         }
-        session.pump_to_drain().expect("the auditor passes");
-        let quiet = session.quiet_deliveries;
-        let (report, _) = session.finish().expect("the auditor passes");
-        (quiet, report)
+        leap_share(session)
     };
-    let (quiet, report) = run_counted(None);
-    let decode_steps: u64 = report
-        .instances
-        .iter()
-        .filter(|i| i.name.starts_with("decode"))
-        .map(|i| i.decode_steps)
-        .sum();
+    let (quiet, decode_steps, _) = run_counted(None);
     assert!(
-        2 * quiet > decode_steps,
+        10 * quiet > 9 * decode_steps,
         "{quiet} of {decode_steps} decode completions went through the leap"
     );
     // Audited after every event, each leap ends on an audit point after
-    // the one step it delivers; the same completions are quiet.
-    let (audited_quiet, audited) = run_counted(Some(1));
+    // the one step it delivers; the same completions go through it.
+    let (audited_quiet, _, audited) = run_counted(Some(1));
     assert_eq!(audited_quiet, quiet);
     assert!(audited.invariant_checks > audited.events_processed);
 }

@@ -25,8 +25,8 @@
 //! the step completes and folds it in at the new clock.
 
 use crate::instance::{Instance, Member, RunningStep};
+use crate::outcome::CompletedSeq;
 use crate::seq::SeqState;
-use std::collections::BTreeSet;
 use std::iter::Peekable;
 use windserve_kvcache::BlockManager;
 use windserve_workload::RequestId;
@@ -75,8 +75,10 @@ pub(crate) struct Ledger {
     pub(crate) kv_res: Vec<usize>,
     /// Folded members by `Terms::ctx_res`.
     pub(crate) ctx_res: Vec<usize>,
-    /// `(finish, join, sequence slot)` of every folded member.
-    pub(crate) finish: BTreeSet<(u64, u64, u32)>,
+    /// `(finish, join, sequence slot)` of every folded member, in
+    /// descending order: members mostly leave by finishing, so from the
+    /// end.
+    pub(crate) finish: Vec<(u64, u64, u32)>,
 }
 
 impl Ledger {
@@ -88,7 +90,7 @@ impl Ledger {
             ctx_rel_sum: 0,
             kv_res: vec![0; bt],
             ctx_res: vec![0; bt],
-            finish: BTreeSet::new(),
+            finish: Vec::new(),
         }
     }
 
@@ -99,7 +101,7 @@ impl Ledger {
     }
 
     /// The residue whose members sit on a block boundary at clock `at`.
-    fn boundary(&self, at: u64) -> usize {
+    pub(crate) fn boundary(&self, at: u64) -> usize {
         let bt = self.kv_res.len() as u64;
         ((bt - at % bt) % bt) as usize
     }
@@ -118,15 +120,15 @@ impl Ledger {
 
     /// The earliest clock at which a member finishes.
     pub(crate) fn next_finish(&self) -> Option<u64> {
-        self.finish.first().map(|&(at, _, _)| at)
+        self.finish.last().map(|&(at, _, _)| at)
     }
 
     /// Sequence slots of the members finishing at clock `at`, in batch
     /// order.
-    fn finishing_at(&self, at: u64) -> impl Iterator<Item = u32> + '_ {
-        self.finish
-            .range((at, 0, 0)..(at + 1, 0, 0))
-            .map(|&(_, _, slot)| slot)
+    pub(crate) fn finishing_at(&self, at: u64) -> impl Iterator<Item = u32> + '_ {
+        let from = self.finish.partition_point(|&(f, _, _)| f > at);
+        let to = self.finish.partition_point(|&(f, _, _)| f >= at);
+        self.finish[from..to].iter().rev().map(|&(_, _, slot)| slot)
     }
 
     /// Folds a member whose `seq` and KV (`kv_tokens`) are synced at the
@@ -150,8 +152,9 @@ impl Ledger {
         self.ctx_rel_sum = self.ctx_rel_sum.wrapping_add(t.ctx_rel);
         self.kv_res[t.kv_res as usize] += 1;
         self.ctx_res[t.ctx_res as usize] += 1;
-        self.finish
-            .insert((t.finish, seat.member.join, seat.member.seq));
+        let key = (t.finish, seat.member.join, seat.member.seq);
+        let at = self.finish.partition_point(|&e| e > key);
+        self.finish.insert(at, key);
     }
 
     /// Takes a folded member's terms back out; a pending member adds
@@ -165,10 +168,15 @@ impl Ledger {
         self.ctx_rel_sum = self.ctx_rel_sum.wrapping_sub(t.ctx_rel);
         self.kv_res[t.kv_res as usize] -= 1;
         self.ctx_res[t.ctx_res as usize] -= 1;
-        let removed = self
-            .finish
-            .remove(&(t.finish, seat.member.join, seat.member.seq));
-        debug_assert!(removed, "{} missing from the finish index", seat.member.id);
+        let key = (t.finish, seat.member.join, seat.member.seq);
+        let at = self.finish.partition_point(|&e| e > key);
+        debug_assert_eq!(
+            self.finish.get(at),
+            Some(&key),
+            "{} missing from the finish index",
+            seat.member.id
+        );
+        self.finish.remove(at);
     }
 }
 
@@ -381,8 +389,8 @@ impl Instance {
 
     /// Completes the decode members of lane `lane_idx`'s `step` through
     /// the ledger alone: finishes the members the index yields at the next
-    /// clock, debits the growth blocks the residue counts name and
-    /// advances the clock. A hybrid step's prefill chunk touches no lane
+    /// clock into `completed`, debits the growth blocks the residue counts
+    /// name and advances the clock. A hybrid step's prefill chunk touches no lane
     /// member, so it completes this way too. Returns `false`, changing
     /// nothing, when the step needs the per-member pass: a member
     /// preempted mid-step, a pending pause, or growth beyond the free
@@ -392,7 +400,7 @@ impl Instance {
         &mut self,
         lane_idx: usize,
         step: &RunningStep,
-        outcome: &mut crate::StepOutcome,
+        completed: &mut Vec<CompletedSeq>,
     ) -> bool {
         if !step.departed.is_empty() || !self.pause_requests.is_empty() {
             return false;
@@ -416,7 +424,7 @@ impl Instance {
         for &slot in &finishing {
             let (member, _) = self.leave_lane(slot).expect("finishing member seated");
             self.seqs.at_mut(slot).generated += 1;
-            self.finish_sequence(member.id, outcome);
+            self.finish_sequence(member.id, completed);
         }
         self.finish_scratch = finishing;
         self.kv

@@ -61,6 +61,6 @@ pub use instance::Instance;
 pub use outcome::{
     CompletedSeq, FinishedPrefill, LaneRef, PausedSeq, StartedStep, StepKind, StepOutcome,
 };
-pub use run_ahead::RunAhead;
+pub use run_ahead::{Leap, LeapStep, RunAhead};
 pub use seq::{SeqPhase, SeqState};
 pub use stats::InstanceStats;

@@ -304,29 +304,32 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// Quiet-decode run-ahead against step-by-step completion
+// Decode run-ahead against step-by-step completion
 // ----------------------------------------------------------------------
 
 /// One decode member of the run-ahead fixture: its context, output target
 /// and whether it was prefilled locally (its KV then holds one token less
 /// than its context). Contexts cluster on and around 16-token block
-/// boundaries.
+/// boundaries; a quarter of the outputs come from three lengths, so
+/// members share finish clocks.
 fn member_strategy() -> impl Strategy<Value = (u32, u32, bool)> {
-    (1u32..48, 0u32..4, 0u32..16, 0u32..8).prop_map(|(block, kind, off, len)| {
-        let ctx = match kind {
-            0 => 16 * block,
-            1 => 16 * block - 1,
-            2 => 16 * block + 1,
-            _ => 16 * block + off,
-        };
-        // Mostly long outputs, so KV runs out while they decode.
-        let output = if len % 4 > 0 {
-            150 + 23 * off + block
-        } else {
-            2 + off + block % 9
-        };
-        (ctx.max(2), output, len >= 4)
-    })
+    ((1u32..48, 0u32..4, 0u32..16, 0u32..8), proptest::bool::ANY).prop_map(
+        |((block, kind, off, len), local)| {
+            let ctx = match kind {
+                0 => 16 * block,
+                1 => 16 * block - 1,
+                2 => 16 * block + 1,
+                _ => 16 * block + off,
+            };
+            let output = match len {
+                0..=1 => [2, 4, 7][off as usize % 3],
+                2..=3 => 2 + off + block % 9,
+                // Long outputs, so KV runs out while they decode.
+                _ => 150 + 23 * off + block,
+            };
+            (ctx.max(2), output, local)
+        },
+    )
 }
 
 /// Builds the fixture deterministically, so two calls give twin instances:
@@ -370,13 +373,14 @@ fn leap_fixture(members: &[(u32, u32, bool)], guests: &[(u32, u32)], slack: u64)
 
 /// The cluster's reaction to one step completion, then the next
 /// `try_start`: finished guest prefills move to the decode queue (or leave
-/// when their first token was the whole answer).
+/// when their first token was the whole answer). Returns the outcome and
+/// the first-time members of the step lane 0 then starts.
 fn reference_event(
     inst: &mut Instance,
     lane: LaneRef,
     at: SimTime,
     pending: &mut Vec<(LaneRef, SimTime)>,
-) -> crate::outcome::StepOutcome {
+) -> (crate::outcome::StepOutcome, Vec<RequestId>) {
     pending.retain(|&(l, _)| l != lane);
     let out = inst.complete_step(lane, at);
     for fp in &out.finished_prefills {
@@ -386,8 +390,14 @@ fn reference_event(
             inst.promote_to_decode(fp.id);
         }
     }
-    start(inst, at, pending);
-    out
+    let mut newly = Vec::new();
+    for step in inst.try_start(at) {
+        if step.lane == LaneRef::Main(0) {
+            newly = step.newly_decoding;
+        }
+        pending.push((step.lane, step.ends_at));
+    }
+    (out, newly)
 }
 
 /// Lane `lane`'s members, in batch order.
@@ -404,34 +414,51 @@ fn step_ids(inst: &Instance, lane: usize) -> Vec<RequestId> {
     inst.step_members(LaneRef::Main(lane)).collect()
 }
 
-/// Whether lane 0 meets `run_ahead`'s static preconditions: the running
-/// step holds the lane's members and no admission, swap delay or guest
-/// prefill would act at its boundary.
-fn quiet_now(inst: &Instance) -> bool {
-    inst.lanes[0].step.is_some()
-        && step_ids(inst, 0) == lane_members(inst, 0)
+/// Whether lane 0's running step can go through the ledger, read off the
+/// members' synced state rather than the ledger: no member was preempted
+/// mid-step, no admission, swap delay or guest prefill would act at its
+/// boundary, and the free blocks cover a new block for every member that
+/// does not finish and whose KV fills its blocks. With `quiet_only`, no
+/// member finishes and none joined while it ran.
+fn leapable_now(inst: &Instance, quiet_only: bool) -> bool {
+    let Some(step) = &inst.lanes[0].step else {
+        return false;
+    };
+    let members = step_ids(inst, 0);
+    let view = synced_view(inst);
+    let state = |id: RequestId| {
+        view.iter()
+            .find(|(s, _, _)| s.id == id)
+            .expect("step member live")
+    };
+    let finishes = |id: RequestId| {
+        let (s, _, _) = state(id);
+        s.generated + 1 >= s.output_target
+    };
+    let growth = members
+        .iter()
+        .filter(|&&id| !finishes(id) && state(id).1.expect("on device") % 16 == 0)
+        .count();
+    step.departed.is_empty()
         && inst.waiting_decode.is_empty()
         && inst.swapped.is_empty()
         && inst.pending_delay.is_zero()
         && (inst.aux_step.is_some() || inst.waiting_prefill.is_empty())
+        && growth <= inst.kv.free_blocks()
+        && !(quiet_only
+            && (members.iter().any(|&id| finishes(id)) || members != lane_members(inst, 0)))
 }
 
-/// Whether the lane-0 completion that produced `out` was quiet: no member
-/// finished or paused, KV stayed at or above `floor`, nothing was
-/// preempted, and the next step formed from the same `members`.
-fn quiet_after(
-    inst: &Instance,
-    out: &crate::outcome::StepOutcome,
-    members: &[RequestId],
-    floor: f64,
-) -> bool {
-    out.completed.is_empty()
-        && out.paused.is_empty()
+/// Whether the lane-0 completion that produced `out` is one a leap may
+/// apply: no member paused, no prefill finished, KV stayed at or above
+/// `floor`, nothing was preempted, and a step runs on the lane unless
+/// every member finished.
+fn absorbed(inst: &Instance, out: &crate::outcome::StepOutcome, floor: f64) -> bool {
+    out.paused.is_empty()
         && out.finished_prefills.is_empty()
         && inst.kv_free_fraction() >= floor
         && inst.swapped.is_empty()
-        && inst.lanes[0].step.is_some()
-        && step_ids(inst, 0) == members
+        && (inst.lanes[0].step.is_some() || inst.lanes[0].roster.is_empty())
 }
 
 /// Every live sequence as of its lane's clock, by request id: its state
@@ -467,8 +494,11 @@ fn assert_twins(a: &Instance, b: &Instance) {
 
 proptest! {
     /// `run_ahead` up to T leaves the instance exactly where completing
-    /// and restarting lane 0 one boundary at a time up to T leaves it, and
-    /// stops at the first step that is not quiet.
+    /// and restarting lane 0 one boundary at a time up to T leaves it,
+    /// through steps where members finish (the last one included) and
+    /// where members that joined mid-step fold in. It reports each step's
+    /// completions and first-time members as those calls do, and stops
+    /// only at a step the ledger cannot complete.
     #[test]
     fn run_ahead_matches_step_by_step_completion(
         members in proptest::collection::vec(member_strategy(), 1..24),
@@ -478,6 +508,7 @@ proptest! {
         cuts in proptest::collection::vec((0u64..250_000, 1u64..40), 1..24)
             // Every eighth cut lands exactly on the next boundary.
             .prop_map(|c| c.into_iter().map(|(x, m)| (if x % 8 == 0 { 0 } else { x }, m)).collect::<Vec<_>>()),
+        quiet_only in (0u32..5).prop_map(|q| q == 0),
     ) {
         let mut a = leap_fixture(&members, &guests, slack);
         let mut b = leap_fixture(&members, &guests, slack);
@@ -485,7 +516,7 @@ proptest! {
         start(&mut a, SimTime::ZERO, &mut pa);
         start(&mut b, SimTime::ZERO, &mut pb);
         let mut cuts = cuts.into_iter().cycle();
-        let mut boundaries = Vec::new();
+        let mut leap = crate::Leap::default();
         let lane0 = LaneRef::Main(0);
         for _ in 0..600 {
             let Some(&(lane, at)) = pa.iter().min_by_key(|(_, t)| *t) else {
@@ -505,43 +536,37 @@ proptest! {
             let cut = at + windserve_sim::SimDuration::from_micros(extra);
             let until = others.map_or(cut, |o| o.min(cut));
             let floor = (a.kv_free_fraction() - floor_permille as f64 / 1000.0).max(0.0);
-            let bounds = crate::RunAhead { until, max_steps, min_free_fraction: floor };
-            let k = a.run_ahead(lane0, bounds, &mut boundaries);
+            let bounds = crate::RunAhead { until, max_steps, min_free_fraction: floor, quiet_only };
+            let k = a.run_ahead(lane0, bounds, &mut leap);
             a.check_invariants().expect("invariants after a leap");
             prop_assert!(k <= max_steps);
-            prop_assert_eq!(boundaries.len() as u64, if k == 0 { 0 } else { k + 2 });
-            let members_now = lane_members(&b, 0);
-            for j in 0..k as usize {
-                let step = b.lanes[0].step.as_ref().expect("running");
-                if j == 0 {
-                    prop_assert_eq!(boundaries[0], step.started);
-                }
-                let end = step.ends_at;
-                prop_assert_eq!(end, boundaries[j + 1]);
-                prop_assert!(end < until && quiet_now(&b));
-                let out = reference_event(&mut b, lane0, end, &mut pb);
-                prop_assert!(
-                    quiet_after(&b, &out, &members_now, floor),
-                    "absorbed a step that was not quiet"
-                );
+            prop_assert_eq!(leap.len() as u64, k);
+            for step in leap.steps() {
+                let running = b.lanes[0].step.as_ref().expect("running");
+                prop_assert_eq!((step.started, step.ended), (running.started, running.ends_at));
+                prop_assert!(step.ended < until && leapable_now(&b, quiet_only));
+                let (out, newly) = reference_event(&mut b, lane0, step.ended, &mut pb);
+                prop_assert!(absorbed(&b, &out, floor), "absorbed a step the ledger cannot complete");
+                prop_assert_eq!(step.completed, &out.completed[..], "completions");
+                prop_assert_eq!(step.newly_decoding, &newly[..], "first-time members");
+                prop_assert_eq!(step.next_ends_at, b.lanes[0].step.as_ref().map(|s| s.ends_at));
             }
             if k > 0 {
-                let end = *boundaries.last().expect("k > 0");
                 pa.retain(|&(l, _)| l != lane0);
-                pa.push((lane0, end));
+                pa.extend(leap.running().map(|end| (lane0, end)));
             }
             assert_twins(&a, &b);
             prop_assert_eq!(&pa, &pb);
-            // The boundary the leap stopped at must not have been quiet.
+            // The boundary the leap stopped at must not have been one it
+            // could apply.
             let next = a.lanes[0].step.as_ref().map(|s| s.ends_at);
             if let Some(end) = next.filter(|&e| e < until && k < max_steps) {
-                let was_quiet = quiet_now(&b);
-                let members_now = lane_members(&b, 0);
+                let could = leapable_now(&b, quiet_only);
                 reference_event(&mut a, lane0, end, &mut pa);
-                let out = reference_event(&mut b, lane0, end, &mut pb);
+                let (out, _) = reference_event(&mut b, lane0, end, &mut pb);
                 prop_assert!(
-                    !(was_quiet && quiet_after(&b, &out, &members_now, floor)),
-                    "run_ahead stopped before a quiet step"
+                    !(could && absorbed(&b, &out, floor)),
+                    "run_ahead stopped before a step it could apply"
                 );
                 assert_twins(&a, &b);
             }
@@ -550,8 +575,8 @@ proptest! {
 }
 
 /// A step ending exactly at `until` is left to the caller's queue (ties go
-/// to the queued event), and the boundaries of a shorter leap are a prefix
-/// of a longer one's.
+/// to the queued event), and the steps of a shorter leap are a prefix of
+/// a longer one's.
 #[test]
 fn run_ahead_leaves_a_step_ending_at_until() {
     let members = [(100, 300, false), (130, 300, true), (47, 300, false)];
@@ -562,16 +587,78 @@ fn run_ahead_leaves_a_step_ending_at_until() {
             until,
             max_steps: 10,
             min_free_fraction: 0.0,
+            quiet_only: false,
         };
-        let mut ends = Vec::new();
-        let k = inst.run_ahead(LaneRef::Main(0), bounds, &mut ends);
-        (k, ends)
+        let mut leap = crate::Leap::default();
+        let k = inst.run_ahead(LaneRef::Main(0), bounds, &mut leap);
+        let ends: Vec<SimTime> = leap.steps().map(|s| s.ended).collect();
+        (k, ends, leap.running())
     };
-    let (k, ends) = leap(SimTime::MAX);
-    assert_eq!((k, ends.len()), (10, 12), "max_steps bounds the leap");
-    let (k, cut) = leap(ends[4]);
+    let (k, ends, running) = leap(SimTime::MAX);
+    assert_eq!((k, ends.len()), (10, 10), "max_steps bounds the leap");
+    assert!(running > ends.last().copied());
+    let (k, cut, running) = leap(ends[3]);
     assert_eq!(k, 3, "the step ending at `until` stays queued");
-    assert_eq!(cut, ends[..5]);
+    assert_eq!(cut, ends[..3]);
+    assert_eq!(running, Some(ends[3]));
+}
+
+/// One leap crosses every kind of boundary the ledger completes: two
+/// members finishing together, a guest prefill's request joining
+/// mid-step and folding in at the next boundary, and the last member
+/// finishing, which leaves the lane idle with nothing running.
+#[test]
+fn run_ahead_runs_through_finishes_and_joins() {
+    let members = [(100, 4, false), (130, 4, true), (47, 9, false)];
+    let mut inst = leap_fixture(&members, &[(40, 4)], 64);
+    let mut pending = Vec::new();
+    start(&mut inst, SimTime::ZERO, &mut pending);
+    // The guest prefill completes first; its request joins lane 0's step.
+    let &(aux, at) = pending
+        .iter()
+        .find(|(l, _)| *l == LaneRef::Aux)
+        .expect("guest runs");
+    reference_event(&mut inst, aux, at, &mut pending);
+    assert_eq!(inst.lanes[0].roster.len(), 4, "the guest's request joined");
+    assert_eq!(
+        inst.lanes[0].ledger.members, 3,
+        "and waits for the boundary"
+    );
+    let bounds = crate::RunAhead {
+        until: SimTime::MAX,
+        max_steps: 100,
+        min_free_fraction: 0.0,
+        quiet_only: false,
+    };
+    let mut leap = crate::Leap::default();
+    let k = inst.run_ahead(LaneRef::Main(0), bounds, &mut leap);
+    inst.check_invariants().expect("invariants after a leap");
+    let steps: Vec<_> = leap.steps().collect();
+    let finished = |i: usize| {
+        steps[i]
+            .completed
+            .iter()
+            .map(|c| c.id.0)
+            .collect::<Vec<_>>()
+    };
+    let newly = |i: usize| {
+        steps[i]
+            .newly_decoding
+            .iter()
+            .map(|id| id.0)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(newly(0), [1000], "the joiner's first decode step forms");
+    assert_eq!(finished(2), [0, 1], "two members finish together");
+    // The guest's prefill emitted its first token; its three more take
+    // the steps that end at boundaries 1 to 3. Member 2 is the last.
+    assert_eq!(finished(3), [1000]);
+    assert_eq!(finished(7), [2]);
+    assert_eq!(k, 8);
+    assert_eq!(steps[7].next_ends_at, None);
+    assert_eq!(leap.running(), None);
+    assert!(inst.lanes[0].step.is_none() && inst.lanes[0].roster.is_empty());
+    assert_eq!(inst.kv.free_blocks(), inst.kv.total_blocks());
 }
 
 // ----------------------------------------------------------------------
@@ -740,7 +827,7 @@ proptest! {
         let (mut led, mut eager) = twin_pair(pp, [2, 4, 24][cramp as usize] * 1024, mode);
         let mut pending: Vec<(usize, SimTime)> = Vec::new();
         let mut now = SimTime::ZERO;
-        let mut boundaries = Vec::new();
+        let mut leap = crate::Leap::default();
         for (i, op) in ops.into_iter().enumerate() {
             let id = RequestId(i as u64);
             let live: Vec<RequestId> = eager.seqs.values().map(|s| s.id).collect();
@@ -777,18 +864,22 @@ proptest! {
                     let cut = end + windserve_sim::SimDuration::from_micros(extra);
                     let until = others.map_or(cut, |o| o.min(cut));
                     let floor = (eager.kv_free_fraction() - slack as f64 / 1000.0).max(0.0);
-                    let bounds = crate::RunAhead { until, max_steps, min_free_fraction: floor };
-                    let k = led.run_ahead(LaneRef::Main(0), bounds, &mut boundaries);
+                    let bounds = crate::RunAhead {
+                        until,
+                        max_steps,
+                        min_free_fraction: floor,
+                        quiet_only: false,
+                    };
+                    let k = led.run_ahead(LaneRef::Main(0), bounds, &mut leap);
                     prop_assert!(k <= max_steps);
-                    for j in 0..k as usize {
-                        let at = boundaries[j + 1];
-                        prop_assert!(at < until);
-                        complete_twins_eager_only(&mut eager, at, floor);
-                        now = at;
+                    for step in leap.steps() {
+                        prop_assert!(step.ended < until);
+                        complete_twins_eager_only(&mut eager, &step, floor);
+                        now = step.ended;
                     }
                     if k > 0 {
                         pending.retain(|&(l, _)| l != 0);
-                        pending.push((0, *boundaries.last().expect("k > 0")));
+                        pending.extend(leap.running().map(|end| (0, end)));
                     }
                 }
                 TwinOp::Pause(k) if !live.is_empty() => {
@@ -826,23 +917,26 @@ proptest! {
     }
 }
 
-/// The oracle's side of one step a leap applied: lane 0 completes at `at`
-/// with nothing to report, and the next step starts. The step must have
-/// been quiet.
-fn complete_twins_eager_only(eager: &mut Eager, at: SimTime, floor: f64) {
-    let members = eager.lanes[0].running.clone();
+/// The oracle's side of one step a leap applied: lane 0 completes with
+/// the same completions and no pause, KV stays at or above `floor`, and
+/// the next step starts alone, with the same first-time members and no
+/// preemption, unless every member finished.
+fn complete_twins_eager_only(eager: &mut Eager, step: &crate::LeapStep<'_>, floor: f64) {
     let out = eager.complete_step(0);
-    assert!(
-        out.completed.is_empty() && out.paused.is_empty(),
-        "leapt over a finish or pause"
-    );
+    assert_eq!(out.completed, step.completed, "completions");
+    assert!(out.paused.is_empty(), "leapt over a pause");
     assert!(
         eager.kv_free_fraction() >= floor,
         "leapt below the KV floor"
     );
-    let started = eager.try_start(at);
-    assert_eq!(started.len(), 1, "the leap's next step starts alone");
-    assert_eq!(eager.lanes[0].running, members, "leapt over a preemption");
+    let started = eager.try_start(step.ended);
+    let expect: Vec<_> = step
+        .next_ends_at
+        .map(|end| (0, end, step.newly_decoding.to_vec()))
+        .into_iter()
+        .collect();
+    assert_eq!(started, expect, "the leap's next step starts alone");
+    assert!(eager.swapped.is_empty(), "leapt over a preemption");
 }
 
 /// A pure-decode completion whose growth outruns the free blocks takes the

@@ -1,26 +1,34 @@
-//! Quiet-decode run-ahead: a decode lane's next steps applied in one call.
+//! Decode run-ahead: a decode lane's next steps applied in one call.
 //!
-//! Most decode steps are *quiet*: every member gains one token, none
-//! finishes or pauses, no prefill completes, and the next step forms from
-//! the same members at ΣL + B. The cluster hands every main-lane step
-//! completion it delivers to [`Instance::run_ahead`] first, with `until`
-//! set to its next queued event: nothing can observe or change the
-//! instance before then, so a quiet delivered step and the lane's quiet
-//! steps after it that end before `until` are applied in one pass instead
-//! of one completion event each. Only a step that is not quiet takes the
-//! general completion path.
+//! The cluster hands every main-lane step completion it delivers to
+//! [`Instance::run_ahead`] first, with `until` set to its next queued
+//! event: nothing can observe or change the instance before then, so the
+//! delivered step and the lane's steps after it that end before `until`
+//! are applied in one pass instead of one completion event each. A step
+//! qualifies when the lane's step ledger completes it on its own: every
+//! member gains one token, the members whose last token it is leave, the
+//! members that joined while it ran fold in, nothing pauses, the growth
+//! blocks fit, and the next step forms from the lane's members without
+//! preemption. Only a step that does not qualify takes the general
+//! completion path.
 //!
 //! The leap is exact. Each step is still priced by the cost model from its
 //! batch size and ΣL (the same `u64` arithmetic step formation uses),
 //! recorded into [`InstanceStats`](crate::InstanceStats) in order, and its
-//! duration built the same way step formation builds it. The members are
-//! never walked: the lane's step ledger gives ΣL, the growth blocks each
-//! step takes and the first finish, and the leap applies as `clock += k`
-//! and one debit of the growth blocks.
+//! duration built the same way step formation builds it. A *quiet* step,
+//! at which no member finishes or joins (most of them), never walks the
+//! members: the ledger gives ΣL, the growth blocks the step takes and the
+//! first finish, and the step applies as `clock += 1`, its growth blocks
+//! debited in one sum at the next boundary that needs the block manager or
+//! at the end. A step at which members finish or join settles that debit,
+//! then completes through the helpers [`complete_step`] uses, in its
+//! order: the finishers leave in batch order, then the joiners fold in.
+//!
+//! [`complete_step`]: Instance::complete_step
 
 use crate::config::InstanceRole;
 use crate::instance::Instance;
-use crate::outcome::{LaneRef, StepKind};
+use crate::outcome::{CompletedSeq, LaneRef, StepKind};
 use windserve_sim::{SimDuration, SimTime};
 use windserve_workload::RequestId;
 
@@ -34,104 +42,245 @@ pub struct RunAhead {
     pub until: SimTime,
     /// Apply at most this many steps.
     pub max_steps: u64,
-    /// Stop before a step whose KV growth would leave the free-block
-    /// fraction below this floor (the caller's pressure triggers: dynamic
+    /// Stop before a step after whose completion the free-block fraction
+    /// would be below this floor (the caller's pressure triggers: dynamic
     /// rescheduling and KV-pressure preemption). `0.0` disables it.
     pub min_free_fraction: f64,
+    /// Stop before a step at which a member finishes or a pending joiner
+    /// folds in, so every applied step has the members the running step
+    /// has now: a caller that needs each step's members reads them once,
+    /// through [`Instance::step_members`].
+    pub quiet_only: bool,
+}
+
+/// What one [`Instance::run_ahead`] call applied, step by step. The caller
+/// passes the same value to every call: it is cleared first and keeps its
+/// buffers, so a leap allocates nothing once they have grown.
+#[derive(Debug, Clone, Default)]
+pub struct Leap {
+    /// The first applied step's start.
+    start: SimTime,
+    /// Per applied step: its end, and the ends of its entries in
+    /// `completed` and `newly_decoding`.
+    ends: Vec<(SimTime, usize, usize)>,
+    completed: Vec<CompletedSeq>,
+    newly_decoding: Vec<RequestId>,
+    /// The end of the step left running on the lane, if any.
+    running: Option<SimTime>,
+}
+
+/// One step a [`Leap`] applied.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LeapStep<'a> {
+    /// When the step started.
+    pub started: SimTime,
+    /// When it ended.
+    pub ended: SimTime,
+    /// The members whose last token it produced, in batch order; they have
+    /// left the instance.
+    pub completed: &'a [CompletedSeq],
+    /// The members whose first decode iteration is the step formed at
+    /// `ended`.
+    pub newly_decoding: &'a [RequestId],
+    /// The end of the step formed at `ended`, or `None` when every member
+    /// finished and the lane was left idle.
+    pub next_ends_at: Option<SimTime>,
+}
+
+impl Leap {
+    /// Steps applied.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the call applied nothing.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The applied steps, in order.
+    pub fn steps(&self) -> impl Iterator<Item = LeapStep<'_>> + '_ {
+        (0..self.ends.len()).map(|i| {
+            let (ended, completed, newly) = self.ends[i];
+            let (started, done, fresh) = match i {
+                0 => (self.start, 0, 0),
+                _ => self.ends[i - 1],
+            };
+            LeapStep {
+                started,
+                ended,
+                completed: &self.completed[done..completed],
+                newly_decoding: &self.newly_decoding[fresh..newly],
+                next_ends_at: self.ends.get(i + 1).map(|e| e.0).or(self.running),
+            }
+        })
+    }
+
+    /// The end of the step the leap left running on the lane, or `None`
+    /// when it applied nothing or left the lane idle.
+    pub fn running(&self) -> Option<SimTime> {
+        self.running
+    }
+
+    fn clear(&mut self) {
+        self.ends.clear();
+        self.completed.clear();
+        self.newly_decoding.clear();
+        self.running = None;
+    }
 }
 
 impl Instance {
-    /// Applies the quiet steps of decode lane `lane` that end before
-    /// `bounds.until`, starting with the running one, then leaves the next
-    /// step running on the lane exactly as step-by-step
-    /// [`complete_step`](Instance::complete_step) and
+    /// Applies the steps of decode lane `lane` that end before
+    /// `bounds.until` and that the lane's ledger completes on its own,
+    /// starting with the running one, then leaves the next step running on
+    /// the lane (or the lane idle, once every member has finished) exactly
+    /// as step-by-step [`complete_step`](Instance::complete_step) and
     /// [`try_start`](Instance::try_start) calls would have. When the
-    /// running step is not quiet nothing changes and the caller completes
-    /// it the general way.
+    /// running step does not qualify nothing changes and the caller
+    /// completes it the general way.
     ///
-    /// A step counts as quiet when completing it finishes no member, pauses
-    /// none, takes no KV block that would breach `bounds.min_free_fraction`
-    /// and lets the next step form from the same members without
-    /// preemption. The leap applies nothing unless the instance is a
-    /// decode instance with no queued decode, swapped or migrating
-    /// sequence, no pending pause or swap delay, and no guest prefill the
-    /// aux stream (or a fused batch) could pick up.
+    /// A step qualifies when completing it pauses no member, takes no more
+    /// growth blocks than are free, leaves the free-block fraction at or
+    /// above `bounds.min_free_fraction` once its finishers have released
+    /// their KV, and lets the next step form without preemption. The leap
+    /// applies nothing unless the instance is a decode instance with no
+    /// queued decode, swapped or migrating sequence, no pending pause or
+    /// swap delay, and no guest prefill the aux stream (or a fused batch)
+    /// could pick up.
     ///
-    /// Returns the number of steps applied, `k`. `boundaries` is cleared;
-    /// when `k > 0` it receives `k + 2` instants: the first applied step's
-    /// start, each applied step's end, then the end of the step left
-    /// running.
-    pub fn run_ahead(
-        &mut self,
-        lane: LaneRef,
-        bounds: RunAhead,
-        boundaries: &mut Vec<SimTime>,
-    ) -> u64 {
-        boundaries.clear();
+    /// Returns the number of steps applied, which `leap` lists with the
+    /// sequences each one completed and the members whose first decode
+    /// iteration each formed step is; their `decode_start` is stamped.
+    pub fn run_ahead(&mut self, lane: LaneRef, bounds: RunAhead, leap: &mut Leap) -> u64 {
+        leap.clear();
         let LaneRef::Main(lane_idx) = lane else {
             return 0;
         };
         if bounds.max_steps == 0 || !self.lane_can_run_ahead(lane_idx, bounds.until) {
             return 0;
         }
-        let lane = &mut self.lanes[lane_idx];
-        let ledger = &lane.ledger;
-        let clock = ledger.clock;
-        // The running step completes at `clock + 1`; the step ending at the
-        // first member's finish is not quiet.
-        let finish = ledger.next_finish().expect("a decode step has members");
-        let limit = bounds.max_steps.min(finish - clock - 1);
-        if limit == 0 {
-            return 0;
-        }
-        let batch = ledger.members as u64;
-        let sum_l = ledger.sum_l();
-        let step = lane.step.as_mut().expect("checked above");
+        let mut step = self.lanes[lane_idx].step.take().expect("checked above");
         let aux_kernel = self.aux_step.as_ref().map(|aux| aux.kernel);
         let total = self.kv.total_blocks() as f64;
-        // Free blocks before the next step's completion.
+        // Free blocks once the growth of every applied step is debited.
         let mut free = self.kv.free_blocks();
-        let mut applied = 0u64;
-        boundaries.push(step.started);
-        while applied < limit && step.ends_at < bounds.until {
-            let j = applied + 1;
-            // Completing step j moves the clock to `clock + j`, appending
-            // one token per member: each member whose KV sits on a block
-            // boundary takes a fresh block.
-            let taken = ledger.kv_crossings(clock + j - 1);
-            if taken > free || ((free - taken) as f64 / total) < bounds.min_free_fraction {
-                break;
+        let mut next_finish = self.lanes[lane_idx].ledger.next_finish();
+        leap.start = step.started;
+        while (leap.ends.len() as u64) < bounds.max_steps && step.ends_at < bounds.until {
+            let lane = &self.lanes[lane_idx];
+            let ledger = &lane.ledger;
+            // Completing the running step moves the clock from `at`.
+            let at = ledger.clock;
+            let ended = step.ends_at;
+            let joiners = lane.roster.len() - ledger.members;
+            // Each member whose KV sits on a block boundary takes a fresh
+            // block; forming the next step wants one for each member and
+            // joiner whose context then does, and more than are free would
+            // preempt. Counting every member and joiner, and no finisher's
+            // release, bounds what a step needs; exactly so for a quiet one.
+            let taken = ledger.kv_crossings(at);
+            let fits = taken <= free
+                && ((free - taken) as f64 / total) >= bounds.min_free_fraction
+                && ledger.ctx_crossings(at + 1) + joiners <= free - taken;
+            if next_finish != Some(at + 1) && joiners == 0 {
+                if !fits {
+                    break;
+                }
+                free -= taken;
+                self.lanes[lane_idx].ledger.clock += 1;
+            } else {
+                if bounds.quiet_only {
+                    break;
+                }
+                // The ledger helpers read the block manager: settle the
+                // growth the quiet steps so far took.
+                self.kv
+                    .debit_growth(self.kv.free_blocks() - free)
+                    .expect("growth checked against free blocks");
+                if !fits && !self.boundary_fits(lane_idx, step.join_bound, bounds.min_free_fraction)
+                {
+                    break;
+                }
+                let completed = self.complete_quiet(lane_idx, &step, &mut leap.completed);
+                debug_assert!(completed, "growth checked against free blocks");
+                self.fold_joiners(lane_idx, step.join_bound);
+                free = self.kv.free_blocks();
+                next_finish = self.lanes[lane_idx].ledger.next_finish();
+                self.start_fresh(lane_idx, ended, &mut leap.newly_decoding);
             }
-            // Forming step j + 1 wants a block for each member whose
-            // context then sits on a block boundary; more than are free
-            // would preempt.
-            if ledger.ctx_crossings(clock + j) > free - taken {
-                break;
-            }
-            free -= taken;
             self.stats
-                .record_step(StepKind::Decode, step.ends_at - step.started, &step.kernel);
-            boundaries.push(step.ends_at);
-            let kernel = self.cost.decode_kernel_cost(batch, sum_l + j * batch);
+                .record_step(StepKind::Decode, ended - step.started, &step.kernel);
+            leap.ends
+                .push((ended, leap.completed.len(), leap.newly_decoding.len()));
+            let ledger = &self.lanes[lane_idx].ledger;
+            if ledger.members == 0 {
+                // Every member finished: the lane idles, as `try_start`
+                // leaves a lane with nothing to step.
+                self.recycle_jobvec(std::mem::take(&mut step.prefill_ids));
+                return leap.len() as u64;
+            }
+            let kernel = self
+                .cost
+                .decode_kernel_cost(ledger.members as u64, ledger.sum_l());
             let mut duration = SimDuration::from_secs_f64(kernel.alone_secs());
             if let Some(aux) = aux_kernel {
                 duration = duration.mul_f64(self.sharing.slowdown(kernel, aux));
             }
-            step.started = step.ends_at;
-            step.ends_at = step.started + duration.max(SimDuration::from_micros(1));
+            step.started = ended;
+            step.ends_at = ended + duration.max(SimDuration::from_micros(1));
             step.kernel = kernel;
-            applied = j;
+            step.join_bound = self.next_join;
         }
-        if applied == 0 {
-            boundaries.clear();
-            return 0;
-        }
-        boundaries.push(step.ends_at);
-        lane.ledger.clock += applied;
         self.kv
             .debit_growth(self.kv.free_blocks() - free)
             .expect("growth checked against free blocks");
-        applied
+        if !leap.is_empty() {
+            leap.running = Some(step.ends_at);
+        }
+        self.lanes[lane_idx].step = Some(step);
+        leap.len() as u64
+    }
+
+    /// Whether the running step of lane `lane_idx` (join bound
+    /// `join_bound`), at which members finish or pending joiners fold in,
+    /// completes through the ledger and lets the next step form: its
+    /// growth blocks fit, the blocks free once the finishers release their
+    /// KV keep at least `min_free_fraction` free, and they cover a growth
+    /// block for every member and joiner whose context then sits on a
+    /// block boundary. The block manager must be settled with the ledger.
+    fn boundary_fits(&self, lane_idx: usize, join_bound: u64, min_free_fraction: f64) -> bool {
+        let lane = &self.lanes[lane_idx];
+        let ledger = &lane.ledger;
+        let at = ledger.clock;
+        let (free, total) = (self.kv.free_blocks(), self.kv.total_blocks() as f64);
+        let (kv_edge, ctx_edge) = (ledger.boundary(at) as u32, ledger.boundary(at + 1) as u32);
+        let mut growth = ledger.kv_crossings(at);
+        let mut wanted = ledger.ctx_crossings(at + 1);
+        let mut released = 0;
+        for slot in ledger.finishing_at(at + 1) {
+            let seat = self.seat(slot).expect("finishing member seated");
+            // A finisher takes no growth block and forms no next step; it
+            // releases its KV as of the current clock.
+            growth -= usize::from(seat.terms.kv_res == kv_edge);
+            wanted -= usize::from(seat.terms.ctx_res == ctx_edge);
+            let tokens = self.kv.fill_at(seat.member.kv).0 + self.owed(slot);
+            released += self.kv.blocks_for(tokens);
+        }
+        // A joiner's context sits on a block boundary when it is a whole
+        // number of blocks.
+        let bt = self.cfg.block_tokens;
+        wanted += lane
+            .roster
+            .since(join_bound)
+            .iter()
+            .filter(|&&(_, slot)| self.seqs.at(slot).context().is_multiple_of(bt))
+            .count();
+        let Some(after) = free.checked_sub(growth) else {
+            return false;
+        };
+        let after = after + released;
+        (after as f64 / total) >= min_free_fraction && wanted <= after
     }
 
     /// Members of the step running on `lane` that gain a token when it
@@ -168,7 +317,6 @@ impl Instance {
             && step.kind == StepKind::Decode
             && step.ends_at < until
             && lane.ledger.members > 0
-            && lane.ledger.members == lane.roster.len()
             && step.departed.is_empty()
             && self.waiting_decode.is_empty()
             && self.swapped.is_empty()

@@ -68,12 +68,9 @@ impl Instance {
                 continue;
             }
             if let Some(step) = self.form_lane_step(lane_idx, now) {
-                // Never-decoded members were flagged during the formation's
-                // prefetch pass; no second scan over the step is needed.
+                // Never-decoded members were flagged and stamped while the
+                // step formed; no second scan over the step is needed.
                 let newly = std::mem::take(&mut self.newly_scratch);
-                for &id in &newly {
-                    self.seq_mut(id).decode_start = Some(now);
-                }
                 let newly_prefilling = self.newly_prefilling(&step);
                 started.push(StartedStep {
                     lane: LaneRef::Main(lane_idx),
@@ -164,7 +161,7 @@ impl Instance {
         }
 
         if let LaneRef::Main(i) = lane {
-            if !self.complete_quiet(i, &step, outcome) {
+            if !self.complete_quiet(i, &step, &mut outcome.completed) {
                 self.complete_members(i, &step, outcome);
             }
             self.fold_joiners(i, step.join_bound);
@@ -187,7 +184,7 @@ impl Instance {
             let seq = self.seqs.at_mut(m.seq);
             seq.generated += 1;
             if seq.is_done() {
-                self.finish_sequence(m.id, outcome);
+                self.finish_sequence(m.id, &mut outcome.completed);
                 continue;
             }
             if seq.phase == SeqPhase::Decoding {
@@ -221,7 +218,7 @@ impl Instance {
         self.jobvec_pool.pop().unwrap_or_default()
     }
 
-    fn recycle_jobvec(&mut self, mut v: Vec<(RequestId, u32)>) {
+    pub(crate) fn recycle_jobvec(&mut self, mut v: Vec<(RequestId, u32)>) {
         v.clear();
         self.jobvec_pool.push(v);
     }
@@ -307,23 +304,40 @@ impl Instance {
         }
     }
 
-    /// Readies idle lane `lane_idx`'s members for a step, off its ledger:
-    /// ensures a growth block for each member whose context sits on a
-    /// block boundary (preempting victims only under KV pressure) and
-    /// flags the members whose first decode iteration this is into
-    /// `newly_scratch`. Returns the members' ΣL.
-    fn prepare_lane(&mut self, lane_idx: usize) -> u64 {
+    /// Readies idle lane `lane_idx`'s members for a step starting at
+    /// `now`, off its ledger: ensures a growth block for each member whose
+    /// context sits on a block boundary (preempting victims only under KV
+    /// pressure), and stamps the members whose first decode iteration this
+    /// is and flags them into `newly_scratch`. Returns the members' ΣL.
+    fn prepare_lane(&mut self, lane_idx: usize, now: SimTime) -> u64 {
         self.ensure_growth_blocks(lane_idx);
-        self.newly_scratch.clear();
-        let lane = &mut self.lanes[lane_idx];
-        for (join, slot) in lane.fresh.drain(..) {
+        let mut newly = std::mem::take(&mut self.newly_scratch);
+        newly.clear();
+        self.start_fresh(lane_idx, now, &mut newly);
+        self.newly_scratch = newly;
+        self.lanes[lane_idx].ledger.sum_l()
+    }
+
+    /// Stamps `decode_start = now` on the members of lane `lane_idx` that
+    /// joined with no decode iteration behind them, for the step forming
+    /// at `now`, and appends their ids to `newly`.
+    pub(crate) fn start_fresh(
+        &mut self,
+        lane_idx: usize,
+        now: SimTime,
+        newly: &mut Vec<RequestId>,
+    ) {
+        for (join, slot) in self.lanes[lane_idx].fresh.drain(..) {
             // A member that left since keeps a stale entry.
-            let seated = self.seats[slot as usize].is_some_and(|s| s.member.join == join);
-            if seated && self.seqs.at(slot).decode_start.is_none() {
-                self.newly_scratch.push(self.seqs.at(slot).id);
+            if self.seats[slot as usize].is_none_or(|s| s.member.join != join) {
+                continue;
+            }
+            let seq = self.seqs.at_mut(slot);
+            if seq.decode_start.is_none() {
+                seq.decode_start = Some(now);
+                newly.push(seq.id);
             }
         }
-        lane.ledger.sum_l()
     }
 
     /// The plan of a step that decodes `batch` members with context sum
@@ -342,7 +356,7 @@ impl Instance {
     }
 
     fn form_decode_step(&mut self, lane_idx: usize, now: SimTime) -> Option<RunningStep> {
-        let sum_l = self.prepare_lane(lane_idx);
+        let sum_l = self.prepare_lane(lane_idx, now);
         let batch = self.lanes[lane_idx].roster.len();
         let fused_prefills = if !self.cfg.stream_disaggregation {
             // WindServe-no-split / regular batching: guest prefills fuse
@@ -404,7 +418,7 @@ impl Instance {
                 jobs,
             ));
         }
-        let sum_l = self.prepare_lane(lane_idx);
+        let sum_l = self.prepare_lane(lane_idx, now);
         let batch = self.lanes[lane_idx].roster.len();
         let chunk = self.pack_chunk();
         if batch == 0 && chunk.is_empty() {
@@ -636,7 +650,7 @@ impl Instance {
     // Completion helpers
     // ------------------------------------------------------------------
 
-    pub(crate) fn finish_sequence(&mut self, id: RequestId, outcome: &mut StepOutcome) {
+    pub(crate) fn finish_sequence(&mut self, id: RequestId, completed: &mut Vec<CompletedSeq>) {
         if let Some(slot) = self.seqs.slot_of(id.0) {
             self.leave_lane(slot);
         }
@@ -646,7 +660,7 @@ impl Instance {
         self.migrating.remove(&id.0);
         self.pause_requests.remove(&id.0);
         let seq = self.seqs.remove(id.0).expect("finishing unknown seq");
-        outcome.completed.push(CompletedSeq {
+        completed.push(CompletedSeq {
             id,
             generated: seq.generated,
             swap_outs: seq.swap_outs,

@@ -163,6 +163,21 @@ impl Outcome {
     }
 }
 
+/// Most arrival gaps drawn before the load starts: a window this long
+/// (a million gaps, 8 MB) already outlasts any sensible run, and the
+/// injection loop tops the queue up 64 gaps at a time past it.
+const MAX_PREDRAWN_GAPS: usize = 1 << 20;
+
+/// How many arrival gaps to draw before the load starts: twice what
+/// `rate` arrivals per second consume over `duration_secs`, plus 64, and
+/// at most [`MAX_PREDRAWN_GAPS`], so a huge but representable duration
+/// cannot ask for a huge allocation.
+fn predraw_len(rate: f64, duration_secs: f64) -> usize {
+    ((rate * duration_secs * 2.0) as usize)
+        .saturating_add(64)
+        .min(MAX_PREDRAWN_GAPS)
+}
+
 /// Jittered exponential backoff: `base * 2^attempt`, scaled by a
 /// uniform factor in `[0.5, 1.5)`, floored by the server's
 /// `Retry-After` hint and capped at 2 seconds.
@@ -218,7 +233,7 @@ pub fn run(cfg: &LoadgenConfig) -> windserve::Result<LoadReport> {
     // Pre-draw more gaps than the window can consume; top up if a hot
     // server actually drains them all.
     let mut gaps: VecDeque<f64> = process
-        .gaps((cfg.rate * cfg.duration_secs * 2.0) as usize + 64, &mut rng)
+        .gaps(predraw_len(cfg.rate, cfg.duration_secs), &mut rng)
         .into_iter()
         .map(|g| g.as_secs_f64())
         .collect();
@@ -515,5 +530,21 @@ fn sweep(conn: &mut Conn, buf: &mut [u8]) -> Sweep {
         Sweep::KeepProgress
     } else {
         Sweep::KeepIdle
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn predraw_is_capped() {
+        assert_eq!(predraw_len(40.0, 5.0), 464);
+        assert_eq!(predraw_len(0.5, 0.1), 64);
+        assert_eq!(predraw_len(1e6, 1e6), MAX_PREDRAWN_GAPS);
+        // Representable as a `Duration`, and a multi-terabyte pre-draw
+        // before the cap.
+        assert_eq!(predraw_len(1e3, 1e12), MAX_PREDRAWN_GAPS);
+        assert_eq!(predraw_len(f64::MAX, f64::MAX), MAX_PREDRAWN_GAPS);
     }
 }

@@ -90,6 +90,27 @@ impl Percentiles {
         assert!(values.iter().all(|v| !v.is_nan()), "NaN in samples");
         let mut sorted: Vec<f64> = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        Self::of_sorted(&sorted)
+    }
+
+    /// [`Percentiles::summarize`] of a sample the caller hands over, sorted
+    /// in place instead of copied. Values that compare equal are the same
+    /// bits unless both zeros occur, so on a sample without `-0.0`, such as
+    /// a run's latencies (durations), every statistic is bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any value is NaN.
+    pub(crate) fn summarize_owned(mut values: Vec<f64>) -> Self {
+        if values.is_empty() {
+            return Self::zero();
+        }
+        values.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
+        Self::of_sorted(&values)
+    }
+
+    /// The summary of a non-empty sample in ascending order.
+    fn of_sorted(sorted: &[f64]) -> Self {
         let at = |q: f64| sorted[nearest_rank(sorted.len(), q) - 1];
         Percentiles {
             count: sorted.len(),
@@ -203,6 +224,27 @@ mod tests {
             prop_assert_eq!(Some(p.p99), percentile(&xs, 0.99));
             prop_assert_eq!(Some(p.max), percentile(&xs, 1.0));
             prop_assert_eq!(Percentiles::of(&xs), Some(p));
+        }
+
+        /// The owned path sorts in place and still equals `Percentiles::of`
+        /// bit for bit, on non-negative samples with zeros and duplicates.
+        #[test]
+        fn owned_summary_matches_of_bit_for_bit(
+            raw in proptest::collection::vec((0u32..4, 0.0f64..1e3), 0..300),
+        ) {
+            let xs: Vec<f64> = raw
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => 0.0,
+                    1 => [0.25, 0.1, 7.0][(x as usize) % 3],
+                    _ => x,
+                })
+                .collect();
+            let bits = |p: Percentiles| {
+                [p.count as u64, p.mean.to_bits(), p.p50.to_bits(), p.p90.to_bits(), p.p99.to_bits(), p.max.to_bits()]
+            };
+            let expect = Percentiles::of(&xs).unwrap_or_else(Percentiles::zero);
+            prop_assert_eq!(bits(Percentiles::summarize_owned(xs)), bits(expect));
         }
 
         /// Percentiles are monotone in q.

@@ -93,21 +93,31 @@ impl SloAttainment {
     /// Computes attainment over `records` (1.0 across the board for an
     /// empty sample).
     pub fn of(slo: SloSpec, records: &[RequestRecord]) -> Self {
-        if records.is_empty() {
+        let count =
+            |pred: &dyn Fn(&RequestRecord) -> bool| records.iter().filter(|r| pred(r)).count();
+        Self::of_counts(
+            records.len(),
+            count(&|r| slo.meets_ttft(r)),
+            count(&|r| slo.meets_tpot(r)),
+            count(&|r| slo.meets_both(r)),
+        )
+    }
+
+    /// Attainment of `completed` requests of which `ttft`, `tpot` and
+    /// `both` meet the TTFT objective, the TPOT objective and both.
+    pub(crate) fn of_counts(completed: usize, ttft: usize, tpot: usize, both: usize) -> Self {
+        if completed == 0 {
             return SloAttainment {
                 ttft: 1.0,
                 tpot: 1.0,
                 both: 1.0,
             };
         }
-        let n = records.len() as f64;
-        let frac = |pred: &dyn Fn(&RequestRecord) -> bool| {
-            records.iter().filter(|r| pred(r)).count() as f64 / n
-        };
+        let n = completed as f64;
         SloAttainment {
-            ttft: frac(&|r| slo.meets_ttft(r)),
-            tpot: frac(&|r| slo.meets_tpot(r)),
-            both: frac(&|r| slo.meets_both(r)),
+            ttft: ttft as f64 / n,
+            tpot: tpot as f64 / n,
+            both: both as f64 / n,
         }
     }
 }

@@ -41,27 +41,40 @@ impl LatencySummary {
     /// Panics if any record fails [`RequestRecord::validate`] — a malformed
     /// record indicates a simulator bug, not bad input.
     pub fn of(slo: SloSpec, records: &[RequestRecord]) -> Self {
+        // One pass over the records collects the four samples and every
+        // count; each sample is then sorted in place.
+        let n = records.len();
+        let mut ttft = Vec::with_capacity(n);
+        let mut tpot = Vec::with_capacity(n);
+        let mut prefill_queue = Vec::with_capacity(n);
+        let mut decode_queue = Vec::with_capacity(n);
+        let (mut meets_ttft, mut meets_tpot, mut meets_both) = (0, 0, 0);
+        let (mut dispatched_prefills, mut migrated_requests, mut total_swap_outs) = (0, 0, 0);
         for r in records {
             r.validate().expect("malformed request record");
+            ttft.push(r.ttft());
+            tpot.extend(r.tpot());
+            prefill_queue.push(r.prefill_queue_delay());
+            decode_queue.push(r.decode_queue_delay());
+            let (t, p) = (slo.meets_ttft(r), slo.meets_tpot(r));
+            meets_ttft += usize::from(t);
+            meets_tpot += usize::from(p);
+            meets_both += usize::from(t && p);
+            dispatched_prefills += usize::from(r.prefill_site == PrefillSite::DecodeInstance);
+            migrated_requests += usize::from(r.migrations > 0);
+            total_swap_outs += u64::from(r.swap_outs);
         }
-        let ttfts: Vec<f64> = records.iter().map(|r| r.ttft()).collect();
-        let tpots: Vec<f64> = records.iter().filter_map(|r| r.tpot()).collect();
-        let pq: Vec<f64> = records.iter().map(|r| r.prefill_queue_delay()).collect();
-        let dq: Vec<f64> = records.iter().map(|r| r.decode_queue_delay()).collect();
         LatencySummary {
-            completed: records.len(),
-            ttft: Percentiles::of(&ttfts).unwrap_or_else(Percentiles::zero),
-            tpot: Percentiles::of(&tpots).unwrap_or_else(Percentiles::zero),
-            prefill_queue: Percentiles::of(&pq).unwrap_or_else(Percentiles::zero),
-            decode_queue: Percentiles::of(&dq).unwrap_or_else(Percentiles::zero),
-            slo: SloAttainment::of(slo, records),
-            slo_attaining: records.iter().filter(|r| slo.meets_both(r)).count(),
-            dispatched_prefills: records
-                .iter()
-                .filter(|r| r.prefill_site == PrefillSite::DecodeInstance)
-                .count(),
-            migrated_requests: records.iter().filter(|r| r.migrations > 0).count(),
-            total_swap_outs: records.iter().map(|r| u64::from(r.swap_outs)).sum(),
+            completed: n,
+            ttft: Percentiles::summarize_owned(ttft),
+            tpot: Percentiles::summarize_owned(tpot),
+            prefill_queue: Percentiles::summarize_owned(prefill_queue),
+            decode_queue: Percentiles::summarize_owned(decode_queue),
+            slo: SloAttainment::of_counts(n, meets_ttft, meets_tpot, meets_both),
+            slo_attaining: meets_both,
+            dispatched_prefills,
+            migrated_requests,
+            total_swap_outs,
         }
     }
 
@@ -157,6 +170,87 @@ mod tests {
         assert!(groups.values().all(|s| s.completed == 3));
         let total: usize = groups.values().map(|s| s.completed).sum();
         assert_eq!(total, records.len());
+    }
+
+    /// The summary as it was computed before the one-pass rewrite: a pass
+    /// per statistic over the records, each sample copied to be sorted.
+    fn per_statistic_passes(slo: SloSpec, records: &[RequestRecord]) -> LatencySummary {
+        let ttfts: Vec<f64> = records.iter().map(|r| r.ttft()).collect();
+        let tpots: Vec<f64> = records.iter().filter_map(|r| r.tpot()).collect();
+        let pq: Vec<f64> = records.iter().map(|r| r.prefill_queue_delay()).collect();
+        let dq: Vec<f64> = records.iter().map(|r| r.decode_queue_delay()).collect();
+        let of = |xs: &[f64]| Percentiles::of(xs).unwrap_or_else(Percentiles::zero);
+        LatencySummary {
+            completed: records.len(),
+            ttft: of(&ttfts),
+            tpot: of(&tpots),
+            prefill_queue: of(&pq),
+            decode_queue: of(&dq),
+            slo: SloAttainment::of(slo, records),
+            slo_attaining: records.iter().filter(|r| slo.meets_both(r)).count(),
+            dispatched_prefills: records
+                .iter()
+                .filter(|r| r.prefill_site == PrefillSite::DecodeInstance)
+                .count(),
+            migrated_requests: records.iter().filter(|r| r.migrations > 0).count(),
+            total_swap_outs: records.iter().map(|r| u64::from(r.swap_outs)).sum(),
+        }
+    }
+
+    proptest::proptest! {
+        /// The one-pass summary equals the per-statistic passes, on records
+        /// with zero and repeated stage gaps, one-token outputs and both
+        /// prefill sites.
+        #[test]
+        fn one_pass_matches_per_statistic_passes(
+            raw in proptest::collection::vec(
+                ((0u64..4, 0u64..400_000), (0u64..4, 0u64..300_000), 1u32..40, 0u32..3),
+                0..120,
+            ),
+        ) {
+            let gap = |(kind, us): (u64, u64)| {
+                SimDuration::from_micros(match kind {
+                    0 => 0,
+                    1 => 250_000,
+                    _ => us,
+                })
+            };
+            let records: Vec<RequestRecord> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b, output_tokens, k))| {
+                    let arrival = SimTime::from_secs_f64(i as f64 * 0.01);
+                    let prefill_start = arrival + gap(b);
+                    let first_token = prefill_start + gap(a);
+                    let decode_start = first_token + gap((u64::from(k), 40_000));
+                    RequestRecord {
+                        id: RequestId(i as u64),
+                        prompt_tokens: 64,
+                        output_tokens,
+                        arrival,
+                        prefill_start,
+                        first_token,
+                        decode_enqueue: first_token,
+                        decode_start,
+                        completion: decode_start + gap((a.0, u64::from(output_tokens) * 30_000)),
+                        prefill_site: if k == 0 {
+                            PrefillSite::DecodeInstance
+                        } else {
+                            PrefillSite::PrefillInstance
+                        },
+                        swap_outs: k,
+                        migrations: k % 2,
+                        session: None,
+                        cached_prefix_tokens: 0,
+                    }
+                })
+                .collect();
+            let slo = SloSpec::opt_13b_sharegpt();
+            proptest::prop_assert_eq!(
+                LatencySummary::of(slo, &records),
+                per_statistic_passes(slo, &records)
+            );
+        }
     }
 
     #[test]
