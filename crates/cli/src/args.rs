@@ -183,6 +183,41 @@ impl Args {
                 .map_err(|_| ArgError(format!("--{name}: cannot parse {raw:?}"))),
         }
     }
+
+    /// An optional duration flag, in seconds: a number with an optional
+    /// unit, `ms`, `s` or `m` (`500ms`, `5s`, `2m`), where a bare number
+    /// counts seconds. The number must be finite and non-negative, and
+    /// positive unless `zero_ok`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the value does not parse or is out of range.
+    pub fn secs(&self, name: &str, zero_ok: bool) -> Result<Option<f64>, ArgError> {
+        let Some(raw) = self.get(name) else {
+            return Ok(None);
+        };
+        let (number, scale) = if let Some(n) = raw.strip_suffix("ms") {
+            (n, 1e-3)
+        } else if let Some(n) = raw.strip_suffix('s') {
+            (n, 1.0)
+        } else if let Some(n) = raw.strip_suffix('m') {
+            (n, 60.0)
+        } else {
+            (raw, 1.0)
+        };
+        let least = if zero_ok { "non-negative" } else { "positive" };
+        number
+            .parse::<f64>()
+            .ok()
+            .filter(|&v| v.is_finite() && (v > 0.0 || zero_ok && v >= 0.0))
+            .map(|v| Some(v * scale))
+            .ok_or_else(|| {
+                ArgError(format!(
+                    "--{name} must be a finite, {least} duration such as 500ms, 5s, 2m \
+                     or 1.5 (seconds), got {raw:?}"
+                ))
+            })
+    }
 }
 
 #[cfg(test)]

@@ -147,9 +147,10 @@ impl RunSpec {
         if args.switch("split-nodes") {
             config.split_phases_across_nodes = true;
         }
-        config.dispatch_threshold = secs_flag(args, "thrd")?.or(config.dispatch_threshold);
-        config.slo.ttft = secs_flag(args, "slo-ttft")?.unwrap_or(config.slo.ttft);
-        config.slo.tpot = secs_flag(args, "slo-tpot")?.unwrap_or(config.slo.tpot);
+        let secs = |name| Ok::<_, ArgError>(args.secs(name, true)?.map(SimDuration::from_secs_f64));
+        config.dispatch_threshold = secs("thrd")?.or(config.dispatch_threshold);
+        config.slo.ttft = secs("slo-ttft")?.unwrap_or(config.slo.ttft);
+        config.slo.tpot = secs("slo-tpot")?.unwrap_or(config.slo.tpot);
         if let Some(policy) = args.get("victims") {
             config.victim_policy = match policy {
                 "longest" => VictimPolicy::LongestContext,
@@ -211,7 +212,7 @@ impl RunSpec {
             if let Some(w) = args.get_opt::<f64>("preempt-watermark")? {
                 overload.preempt_kv_watermark = Some(w);
             }
-            overload.deadline = secs_flag(args, "deadline")?.or(overload.deadline);
+            overload.deadline = secs("deadline")?.or(overload.deadline);
             if let Some(n) = args.get_opt::<u64>("audit-every")? {
                 overload.audit_interval_events = Some(n);
             }
@@ -311,16 +312,6 @@ fn paper_defaults(model: ModelSpec) -> ServeConfig {
         Parallelism::tp(2)
     };
     ServeConfig::new(model, slo, par, par, SystemKind::WindServe)
-}
-
-/// A flag holding a finite, non-negative number of seconds.
-fn secs_flag(args: &Args, name: &str) -> Result<Option<SimDuration>, ArgError> {
-    match args.get_opt::<f64>(name)? {
-        Some(s) if !(s.is_finite() && s >= 0.0) => Err(ArgError(format!(
-            "--{name} must be a finite, non-negative number of seconds, got {s}"
-        ))),
-        secs => Ok(secs.map(SimDuration::from_secs_f64)),
-    }
 }
 
 /// Reads a [`ServeConfig`] from a TOML file. Omitted fields inherit the

@@ -333,11 +333,11 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
     }
     // The deadline is fixed before the gateway starts, so one too far off
     // to represent is reported before anything is announced.
-    let deadline = match args.get("duration") {
-        Some(raw) => {
+    let deadline = match args.secs("duration", false)? {
+        Some(secs) => {
+            let raw = args.get("duration").unwrap_or_default();
             let too_long = || ArgError(format!("--duration {raw:?} is too long"));
-            let run_for = std::time::Duration::try_from_secs_f64(parse_duration_secs(raw)?)
-                .map_err(|_| too_long())?;
+            let run_for = std::time::Duration::try_from_secs_f64(secs).map_err(|_| too_long())?;
             Some(
                 std::time::Instant::now()
                     .checked_add(run_for)
@@ -346,10 +346,7 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         }
         None => None,
     };
-    let request_timeout_secs = match args.get("request-timeout") {
-        Some(raw) => Some(parse_duration_secs(raw)?),
-        None => None,
-    };
+    let request_timeout_secs = args.secs("request-timeout", false)?;
     let net_faults = match args.get("net-chaos") {
         Some(preset) => {
             let seed: u64 = match args.get("net-fault-seed") {
@@ -517,10 +514,7 @@ pub fn loadgen(args: &Args) -> Result<String, ArgError> {
     let cfg = LoadgenConfig {
         addr: format!("127.0.0.1:{port}"),
         rate: args.get_or("rate", 20.0)?,
-        duration_secs: match args.get("duration") {
-            Some(raw) => parse_duration_secs(raw)?,
-            None => 5.0,
-        },
+        duration_secs: args.secs("duration", false)?.unwrap_or(5.0),
         prompt_tokens: args.get_or("prompt-tokens", 256u32)?,
         output_tokens: args.get_or("output-tokens", 32u32)?,
         seed: args.get_or("seed", 2766u64)?,
@@ -586,26 +580,6 @@ pub fn loadgen(args: &Args) -> Result<String, ArgError> {
         ));
     }
     Ok(out)
-}
-
-/// Parses a duration like `500ms`, `5s`, `2m`, or a bare number of
-/// seconds.
-fn parse_duration_secs(raw: &str) -> Result<f64, ArgError> {
-    let (number, scale) = if let Some(n) = raw.strip_suffix("ms") {
-        (n, 1e-3)
-    } else if let Some(n) = raw.strip_suffix('s') {
-        (n, 1.0)
-    } else if let Some(n) = raw.strip_suffix('m') {
-        (n, 60.0)
-    } else {
-        (raw, 1.0)
-    };
-    number
-        .parse::<f64>()
-        .ok()
-        .filter(|v| v.is_finite() && *v > 0.0)
-        .map(|v| v * scale)
-        .ok_or_else(|| ArgError(format!("bad duration {raw:?}; try 500ms, 5s, or 2m")))
 }
 
 /// Prints Table 2-style statistics of a generated trace.
@@ -1049,13 +1023,42 @@ tier = 1
 
     #[test]
     fn durations_parse_with_units() {
-        assert_eq!(parse_duration_secs("500ms").unwrap(), 0.5);
-        assert_eq!(parse_duration_secs("5s").unwrap(), 5.0);
-        assert_eq!(parse_duration_secs("2m").unwrap(), 120.0);
-        assert_eq!(parse_duration_secs("1.5").unwrap(), 1.5);
-        assert!(parse_duration_secs("fast").is_err());
-        assert!(parse_duration_secs("-3s").is_err());
-        assert!(parse_duration_secs("0s").is_err());
+        // `None` marks a rejected value. `serve`'s `--duration` and
+        // `--request-timeout` (and `loadgen`'s `--duration`) reject zero;
+        // `--thrd`, `--slo-ttft`, `--slo-tpot` and `--deadline` take it.
+        let cases: [(&str, Option<f64>, Option<f64>); 14] = [
+            ("500ms", Some(0.5), Some(0.5)),
+            ("5s", Some(5.0), Some(5.0)),
+            ("2m", Some(120.0), Some(120.0)),
+            ("1.5", Some(1.5), Some(1.5)),
+            ("0.25", Some(0.25), Some(0.25)),
+            ("1e3", Some(1000.0), Some(1000.0)),
+            ("+2", Some(2.0), Some(2.0)),
+            ("0", None, Some(0.0)),
+            ("0s", None, Some(0.0)),
+            ("fast", None, None),
+            ("-3s", None, None),
+            ("-1", None, None),
+            ("inf", None, None),
+            ("nan", None, None),
+        ];
+        for (raw, positive, non_negative) in cases {
+            for (flag, zero_ok, want) in [
+                ("duration", false, positive),
+                ("request-timeout", false, positive),
+                ("thrd", true, non_negative),
+                ("slo-ttft", true, non_negative),
+                ("slo-tpot", true, non_negative),
+                ("deadline", true, non_negative),
+            ] {
+                let got = args(&format!("serve --{flag} {raw}")).secs(flag, zero_ok);
+                match want {
+                    Some(secs) => assert_eq!(got.unwrap(), Some(secs), "--{flag} {raw}"),
+                    None => assert!(got.is_err(), "--{flag} {raw} must be rejected"),
+                }
+            }
+        }
+        assert_eq!(args("serve").secs("duration", false).unwrap(), None);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! We binary-search the largest guest-prefill size whose co-execution with
 //! a representative decode batch keeps the decode iteration within the
 //! TPOT SLO — under the stream-sharing model when SBD is on, or under the
-//! serialized hybrid-batch model when it is off. This is exactly why the
-//! no-split ablation ends up with a much smaller budget.
+//! serialized hybrid-batch model when it is off. The cluster calibrates
+//! every system under stream sharing, the no-split ablation (Fig. 13a)
+//! included: that ablation removes only the execution-level stream
+//! separation, not the dispatch policy, so it gets WindServe's budget and
+//! its fused hybrid steps pay for it in TPOT.
 
 use windserve_gpu::StreamSharing;
 use windserve_metrics::SloSpec;

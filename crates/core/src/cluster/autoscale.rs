@@ -3,12 +3,24 @@
 
 use super::Cluster;
 use crate::AutoscaleConfig;
-use windserve_sim::SimTime;
+use windserve_sim::{SimDuration, SimTime};
 use windserve_trace::TraceEvent;
 
 /// Consecutive cool autoscaler ticks required before a scale-down — the
 /// hysteresis that stops activate/deactivate thrash under bursty load.
 const DRAIN_TICKS: u32 = 12;
+
+/// How often the scaler re-evaluates (the reproduction's default). The
+/// event loop re-arms the tick on this cadence.
+pub(super) const CHECK_INTERVAL: SimDuration = SimDuration::from_millis(250);
+
+/// Activation warmup: weights load and engine start (the reproduction's
+/// default).
+const WARMUP: SimDuration = SimDuration::from_secs(3);
+
+/// Scale decode up when every active replica's free-KV fraction drops
+/// below this value (the reproduction's default).
+const DECODE_UP_KV_FRACTION: f64 = 0.25;
 
 /// Which instances hold their GPUs, and the GPU-time that costs.
 #[derive(Debug)]
@@ -130,7 +142,7 @@ impl Cluster {
                 .idle_replica(&self.prefill_idxs)
                 .or_else(|| self.idle_replica(&self.decode_idxs));
             if let Some(idle) = idle {
-                self.scale(idle, Some(now + auto.warmup), now);
+                self.scale(idle, Some(now + WARMUP), now);
                 self.activation.cool_ticks_prefill = 0;
             }
         } else if active_p.len() > auto.min_prefill
@@ -140,7 +152,7 @@ impl Cluster {
                 .iter()
                 .rev()
                 .copied()
-                .filter(|&i| self.past_dwell(i, now, &auto))
+                .filter(|&i| self.past_dwell(i, now))
                 .collect();
             if let Some(&victim) = dwelled.iter().find(|&&i| {
                 self.instances[i].is_drained() || {
@@ -157,7 +169,7 @@ impl Cluster {
         let active_d = self.active_of(&self.decode_idxs);
         let all_tight = active_d.iter().all(|&i| {
             let inst = &self.instances[i];
-            inst.kv_free_fraction() < auto.decode_up_kv_fraction
+            inst.kv_free_fraction() < DECODE_UP_KV_FRACTION
                 || inst.waiting_decode_len() > 0
                 || inst.swapped_len() > 0
         });
@@ -165,7 +177,7 @@ impl Cluster {
         *cool = if all_tight { 0 } else { *cool + 1 };
         if all_tight {
             if let Some(idle) = self.idle_replica(&self.decode_idxs) {
-                self.scale(idle, Some(now + auto.warmup), now);
+                self.scale(idle, Some(now + WARMUP), now);
             }
         } else if active_d.len() > auto.min_decode
             && self.activation.cool_ticks_decode >= DRAIN_TICKS
@@ -173,7 +185,7 @@ impl Cluster {
             if let Some(&victim) = active_d
                 .iter()
                 .rev()
-                .filter(|&&i| self.past_dwell(i, now, &auto))
+                .filter(|&&i| self.past_dwell(i, now))
                 .find(|&&i| self.instances[i].is_drained())
             {
                 self.scale(victim, None, now);
@@ -211,9 +223,9 @@ impl Cluster {
     /// True once a replica has been ready long enough to have received
     /// work — freshly activated replicas are immune to scale-down, or the
     /// scaler would kill them the moment their warmup ends.
-    fn past_dwell(&self, idx: usize, now: SimTime, auto: &AutoscaleConfig) -> bool {
+    fn past_dwell(&self, idx: usize, now: SimTime) -> bool {
         match self.activation.active[idx] {
-            Some(ready) => now >= ready + auto.check_interval * u64::from(DRAIN_TICKS),
+            Some(ready) => now >= ready + CHECK_INTERVAL * u64::from(DRAIN_TICKS),
             None => false,
         }
     }

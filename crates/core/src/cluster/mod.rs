@@ -322,8 +322,6 @@ impl Cluster {
 
         let typical_context = cfg.model.max_context / 2;
         let tuned = |mut icfg: InstanceConfig| {
-            icfg.chunk_tokens = cfg.chunk_tokens;
-            icfg.max_prefill_tokens = cfg.model.max_context;
             icfg.preemption = cfg.preemption;
             icfg
         };
@@ -357,16 +355,14 @@ impl Cluster {
                     // model: the no-split ablation (Fig. 13a) removes only the
                     // execution-level stream separation, not the dispatch
                     // policy, which is exactly why its TPOT suffers.
-                    let budget = cfg.aux_budget_override.unwrap_or_else(|| {
-                        calibrate_aux_budget(
-                            &d_cost,
-                            &sharing,
-                            true,
-                            &cfg.slo,
-                            typical_context,
-                            2 * cfg.model.max_context,
-                        )
-                    });
+                    let budget = calibrate_aux_budget(
+                        &d_cost,
+                        &sharing,
+                        true,
+                        &cfg.slo,
+                        typical_context,
+                        2 * cfg.model.max_context,
+                    );
                     d_cfg.aux_budget_tokens = budget;
                     calibrated_budget = budget;
                     decode_idxs.push(idx);
@@ -390,8 +386,6 @@ impl Cluster {
         let coordinator = Coordinator {
             dispatch_threshold: cfg.effective_dispatch_threshold(),
             aux_budget_tokens: calibrated_budget,
-            kv_reserve_fraction: 0.15,
-            resched_watermark: cfg.resched_watermark,
             long_context_tokens: cfg.long_context_tokens,
             victim_policy: cfg.victim_policy,
         };
@@ -442,11 +436,6 @@ impl Cluster {
     /// The calibrated Algorithm 1 budget, in tokens.
     pub fn aux_budget_tokens(&self) -> u32 {
         self.coordinator.aux_budget_tokens
-    }
-
-    /// Number of serving instances in the deployment.
-    pub fn instance_count(&self) -> usize {
-        self.instances.len()
     }
 
     /// Replays `trace` to completion, returning the report together with

@@ -8,6 +8,11 @@ use windserve_sim::SimTime;
 use windserve_trace::{DispatchDecision, DispatchVerdict, TraceEvent, Tracer};
 use windserve_workload::Request;
 
+/// Minimum usable session prefix, in tokens, for a cache hit to be worth
+/// taking: tiny prefixes are not worth skewing placement for (the
+/// reproduction's default).
+const MIN_HIT_TOKENS: u32 = 64;
+
 /// Per-instance session prefix caches and what they served.
 #[derive(Debug, Default)]
 pub(super) struct PrefixCache {
@@ -68,7 +73,7 @@ impl Cluster {
     /// instance retaining the longest live prefix of `req`'s session
     /// context, with the retained length. `None` when caching or affinity
     /// is off, the request is not a session follow-up, or no candidate
-    /// holds at least `min_hit_tokens`. Candidates are scanned in the
+    /// holds at least [`MIN_HIT_TOKENS`]. Candidates are scanned in the
     /// given order and ties keep the earliest, so routing is
     /// deterministic.
     fn best_prefix_site(
@@ -82,7 +87,7 @@ impl Cluster {
             return None;
         }
         let tag = req.session?;
-        if tag.shared_prefix_tokens < pc.min_hit_tokens {
+        if tag.shared_prefix_tokens < MIN_HIT_TOKENS {
             return None;
         }
         let mut best: Option<(usize, u32)> = None;
@@ -91,7 +96,7 @@ impl Cluster {
                 continue;
             }
             let held = self.prefix.stores[i].peek(tag.session.0, tag.shared_prefix_tokens, now);
-            if held >= pc.min_hit_tokens && best.is_none_or(|(_, b)| held > b) {
+            if held >= MIN_HIT_TOKENS && best.is_none_or(|(_, b)| held > b) {
                 best = Some((i, held));
             }
         }
@@ -103,18 +108,15 @@ impl Cluster {
     /// caching, a session tag, or a sufficient hit). Mutates the store
     /// (LRU/TTL refresh) and records the hit or miss.
     fn prefix_serve(&mut self, req: &Request, inst: usize, now: SimTime) -> u32 {
-        let Some(pc) = self.cfg.prefix_cache else {
-            return 0;
-        };
         let Some(tag) = req.session else {
             return 0;
         };
-        if self.prefix.stores.is_empty() || tag.shared_prefix_tokens < pc.min_hit_tokens {
+        if self.prefix.stores.is_empty() || tag.shared_prefix_tokens < MIN_HIT_TOKENS {
             return 0;
         }
         let id = req.id;
         let served = self.prefix.stores[inst].lookup(tag.session.0, tag.shared_prefix_tokens, now);
-        if served >= pc.min_hit_tokens {
+        if served >= MIN_HIT_TOKENS {
             // `with_session` clamps the shared prefix below the prompt,
             // but keep the suffix invariant local too.
             let cached = served.min(req.prompt_tokens.saturating_sub(1));

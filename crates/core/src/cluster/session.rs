@@ -1,8 +1,11 @@
 //! The event loop: arrivals and ticks in, step completions through the
 //! decode run-ahead, the live snapshot, and the final report.
 
+use super::autoscale::CHECK_INTERVAL;
+use super::transfer::MAX_CONCURRENT_MIGRATIONS;
 use super::{push_live, sorted_ids, stamp, trace_lane, Cluster, ClusterSession, LiveEvent};
 use super::{InstanceSnapshot, SessionSnapshot};
+use crate::coordinator::RESCHED_WATERMARK;
 use crate::report::{InstanceReport, RunReport};
 use windserve_engine::{LaneRef, RunAhead, StartedStep};
 use windserve_faults::FaultPlan;
@@ -87,8 +90,8 @@ impl Cluster {
     fn leap_floor(&self, inst: usize) -> f64 {
         let (resched, preempt_watermark) = self.pressure_reactions(inst);
         let mut floor = preempt_watermark.unwrap_or(0.0);
-        if resched && self.migrations.len() < self.cfg.max_concurrent_migrations {
-            floor = floor.max(self.coordinator.resched_watermark);
+        if resched && self.migrations.len() < MAX_CONCURRENT_MIGRATIONS {
+            floor = floor.max(RESCHED_WATERMARK);
         }
         floor
     }
@@ -338,13 +341,11 @@ impl ClusterSession {
             Event::AutoscaleTick => {
                 self.autoscale_armed = false;
                 self.cluster.autoscale_tick(now);
-                if self.work_remains() {
-                    if let Some(auto) = self.cluster.cfg.autoscale {
-                        self.cluster
-                            .deferred
-                            .push((now + auto.check_interval, Event::AutoscaleTick));
-                        self.autoscale_armed = true;
-                    }
+                if self.work_remains() && self.cluster.cfg.autoscale.is_some() {
+                    self.cluster
+                        .deferred
+                        .push((now + CHECK_INTERVAL, Event::AutoscaleTick));
+                    self.autoscale_armed = true;
                 }
             }
             Event::Sample => {

@@ -4,6 +4,7 @@
 
 use super::session::Event;
 use super::{stamp, Cluster};
+use crate::coordinator::RESCHED_WATERMARK;
 use windserve_engine::{PausedSeq, SeqState};
 use windserve_gpu::{RouteId, TransferEngine};
 use windserve_kvcache::StallFreeMigration;
@@ -11,6 +12,23 @@ use windserve_sim::hash::FxHashMap;
 use windserve_sim::SimTime;
 use windserve_trace::TraceEvent;
 use windserve_workload::RequestId;
+
+/// Migrations in flight at once (the reproduction's default). The decode
+/// run-ahead's floor reads it too.
+pub(super) const MAX_CONCURRENT_MIGRATIONS: usize = 2;
+
+/// Decode-replica free-block fraction below which a long prompt's prefill
+/// replica keeps a KV backup after the handoff (§3.3's backups; the
+/// reproduction's default).
+const BACKUP_TRIGGER: f64 = 0.50;
+
+/// Prefill-replica free-block fraction a new backup must leave free (the
+/// reproduction's default).
+const BACKUP_WATERMARK: f64 = 0.35;
+
+/// Remaining tokens at which a migrating request pauses for its tail flush
+/// (§3.3's stall-free migration; the reproduction's default).
+const PAUSE_THRESHOLD_TOKENS: u32 = 128;
 
 #[derive(Debug)]
 pub(super) enum TransferAction {
@@ -158,7 +176,7 @@ impl Cluster {
         };
         let keep_backup = self.cfg.system.resched_enabled()
             && prompt >= self.cfg.long_context_tokens
-            && self.instances[dst].kv_free_fraction() < self.cfg.backup_trigger;
+            && self.instances[dst].kv_free_fraction() < BACKUP_TRIGGER;
         self.tracer.emit(now, || TraceEvent::KvTransferStarted {
             id,
             src: src as u32,
@@ -269,7 +287,7 @@ impl Cluster {
             } => {
                 let id = state.id;
                 if keep_backup {
-                    if self.instances[src].convert_to_backup(id, self.cfg.backup_watermark) {
+                    if self.instances[src].convert_to_backup(id, BACKUP_WATERMARK) {
                         self.counters.backups_created += 1;
                         self.tracer.emit(now, || TraceEvent::BackupCreated {
                             id,
@@ -367,17 +385,16 @@ impl Cluster {
         decode_idx: usize,
         now: SimTime,
     ) -> crate::Result<()> {
-        while self.migrations.len() < self.cfg.max_concurrent_migrations
+        while self.migrations.len() < MAX_CONCURRENT_MIGRATIONS
             && self
                 .coordinator
                 .needs_rescheduling(&self.instances[decode_idx])
         {
             let kv_free_fraction = self.instances[decode_idx].kv_free_fraction();
-            let watermark = self.cfg.resched_watermark;
             self.tracer.emit(now, || TraceEvent::ReschedTriggered {
                 inst: decode_idx as u32,
                 kv_free_fraction,
-                watermark,
+                watermark: RESCHED_WATERMARK,
             });
             let Some((victim, ctx)) = self.coordinator.pick_victim(&self.instances[decode_idx])
             else {
@@ -407,8 +424,8 @@ impl Cluster {
         if backup_hit {
             self.counters.backup_hits += 1;
         }
-        let migration = StallFreeMigration::new(ctx, self.cfg.pause_threshold_tokens.min(delta));
-        let bulk_tokens = delta.saturating_sub(self.cfg.pause_threshold_tokens);
+        let migration = StallFreeMigration::new(ctx, PAUSE_THRESHOLD_TOKENS.min(delta));
+        let bulk_tokens = delta.saturating_sub(PAUSE_THRESHOLD_TOKENS);
         self.tracer.emit(now, || TraceEvent::MigrationStarted {
             id,
             src: src as u32,

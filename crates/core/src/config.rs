@@ -2,8 +2,9 @@
 //!
 //! [`ServeConfig`] assembles everything a run needs: model, hardware,
 //! placement (Table 3), SLOs (Table 4), the system variant under test
-//! (WindServe, its ablations, or a baseline) and the scheduling knobs the
-//! paper discusses (`thrd`, watermarks, pause threshold, chunk size).
+//! (WindServe, its ablations, or a baseline) and the scheduling knobs that
+//! vary between runs (`thrd`, the long-context bar, the victim policy).
+//! Thresholds no run varies are named constants next to their readers.
 
 use serde::{Deserialize, Serialize};
 use windserve_engine::{InstanceRole, PreemptionMode};
@@ -33,26 +34,20 @@ pub enum VictimPolicy {
 /// Autoscaling policy (paper §7 future work): replicas beyond the minimum
 /// are activated when every active replica of a phase is overloaded and
 /// drained/deactivated when load recedes. Activation pays a warmup delay
-/// (model load + engine start).
+/// (model load + engine start); the check interval, the warmup and the
+/// decode KV threshold are constants of the scaler (`cluster/autoscale.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AutoscaleConfig {
     /// Always-active prefill replicas (>= 1).
     pub min_prefill: usize,
     /// Always-active decode replicas (>= 1).
     pub min_decode: usize,
-    /// How often the scaler re-evaluates.
-    pub check_interval: SimDuration,
     /// Scale prefill up when every active replica's predicted TTFT exceeds
     /// this fraction of the dispatch threshold.
     pub up_ttft_fraction: f64,
     /// Scale prefill down when aggregate predicted TTFT falls below this
     /// fraction of the dispatch threshold (and a replica is empty).
     pub down_ttft_fraction: f64,
-    /// Scale decode up when every active replica's free-KV fraction drops
-    /// below this value.
-    pub decode_up_kv_fraction: f64,
-    /// Activation warmup (weights load, engine start).
-    pub warmup: SimDuration,
 }
 
 impl Default for AutoscaleConfig {
@@ -60,11 +55,8 @@ impl Default for AutoscaleConfig {
         AutoscaleConfig {
             min_prefill: 1,
             min_decode: 1,
-            check_interval: SimDuration::from_millis(250),
             up_ttft_fraction: 0.8,
             down_ttft_fraction: 0.2,
-            decode_up_kv_fraction: 0.25,
-            warmup: SimDuration::from_secs(3),
         }
     }
 }
@@ -81,13 +73,9 @@ impl AutoscaleConfig {
         if self.min_prefill == 0 || self.min_decode == 0 {
             return Err(config("autoscale minimums must be at least 1".into()));
         }
-        if self.check_interval.is_zero() {
-            return Err(config("autoscale check interval must be positive".into()));
-        }
         for (label, v) in [
             ("up_ttft_fraction", self.up_ttft_fraction),
             ("down_ttft_fraction", self.down_ttft_fraction),
-            ("decode_up_kv_fraction", self.decode_up_kv_fraction),
         ] {
             if !(v.is_finite() && v > 0.0) {
                 return Err(config(format!("{label} must be positive, got {v}")));
@@ -208,9 +196,6 @@ pub struct PrefixCacheConfig {
     pub capacity_tokens: u64,
     /// Idle time after which a session's retained KV expires.
     pub ttl: SimDuration,
-    /// Minimum usable prefix (tokens) for a hit to be worth taking — tiny
-    /// prefixes are not worth skewing placement for.
-    pub min_hit_tokens: u32,
     /// Route follow-ups to the instance holding the longest live prefix of
     /// their session (falling back to load-based placement on a miss).
     /// With affinity off the cache still serves hits that land on the
@@ -224,7 +209,6 @@ impl Default for PrefixCacheConfig {
         PrefixCacheConfig {
             capacity_tokens: 200_000,
             ttl: SimDuration::from_secs(300),
-            min_hit_tokens: 64,
             affinity: true,
         }
     }
@@ -244,9 +228,6 @@ impl PrefixCacheConfig {
         }
         if self.ttl.is_zero() {
             return Err(config("prefix cache TTL must be positive".into()));
-        }
-        if self.min_hit_tokens == 0 {
-            return Err(config("min_hit_tokens must be at least 1".into()));
         }
         Ok(())
     }
@@ -386,27 +367,9 @@ pub struct ServeConfig {
     /// Algorithm 1's `thrd`; `None` selects the paper's default of
     /// "slightly below the TTFT SLO" (90% of it).
     pub dispatch_threshold: Option<SimDuration>,
-    /// Decode-instance free-block fraction below which dynamic
-    /// rescheduling activates.
-    pub resched_watermark: f64,
-    /// Prefill-instance free-block fraction that backups must preserve.
-    pub backup_watermark: f64,
-    /// Decode-instance free-block fraction below which the prefill
-    /// instance starts retaining backups.
-    pub backup_trigger: f64,
     /// Minimum context length for a request to be backed up / migrated
     /// (rescheduling targets long-context requests).
     pub long_context_tokens: u32,
-    /// Remaining-token threshold at which a migrating request pauses
-    /// (stall-free migration, §3.3).
-    pub pause_threshold_tokens: u32,
-    /// Concurrent migrations allowed.
-    pub max_concurrent_migrations: usize,
-    /// Chunk size for chunked prefill.
-    pub chunk_tokens: u32,
-    /// Override for the Algorithm 1 token budget; `None` calibrates it
-    /// from the cost model and TPOT SLO.
-    pub aux_budget_override: Option<u32>,
     /// Victim selection for dynamic rescheduling.
     pub victim_policy: VictimPolicy,
     /// On multi-node topologies, place all prefill replicas on node 0 and
@@ -463,14 +426,7 @@ impl ServeConfig {
             slo,
             system,
             dispatch_threshold: None,
-            resched_watermark: 0.10,
-            backup_watermark: 0.35,
-            backup_trigger: 0.50,
             long_context_tokens: 512,
-            pause_threshold_tokens: 128,
-            max_concurrent_migrations: 2,
-            chunk_tokens: 512,
-            aux_budget_override: None,
             victim_policy: VictimPolicy::LongestContext,
             split_phases_across_nodes: false,
             preemption: PreemptionMode::Swap,
@@ -656,20 +612,6 @@ impl ServeConfig {
         if self.slo.ttft.is_zero() || self.slo.tpot.is_zero() {
             return Err(config("slo.ttft and slo.tpot must be positive".into()));
         }
-        for (label, v) in [
-            ("resched_watermark", self.resched_watermark),
-            ("backup_watermark", self.backup_watermark),
-            ("backup_trigger", self.backup_trigger),
-        ] {
-            if !(0.0..=1.0).contains(&v) {
-                return Err(config(format!("{label} must be in [0, 1], got {v}")));
-            }
-        }
-        if self.chunk_tokens == 0 || self.max_concurrent_migrations == 0 {
-            return Err(config(
-                "chunk_tokens and max_concurrent_migrations must be positive".into(),
-            ));
-        }
         if !self.system.colocated() && (self.prefill_replicas == 0 || self.decode_replicas == 0) {
             return Err(config(
                 "PD systems need at least one replica per phase".into(),
@@ -831,10 +773,6 @@ mod tests {
             ..base.slo
         };
         for bad in [
-            ServeConfig {
-                chunk_tokens: 0,
-                ..base.clone()
-            },
             ServeConfig {
                 slo: zero_ttft,
                 ..base.clone()

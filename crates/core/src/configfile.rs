@@ -16,6 +16,11 @@
 //! * [`merge_values`] deep-merges a parsed (possibly partial) file over a
 //!   default tree, which is how `ServeConfig::from_toml` lets a config
 //!   file state only the fields it cares about.
+//! * Both loaders, [`ServeConfig::from_toml`] and
+//!   [`FleetConfig::from_toml`](crate::fleet::FleetConfig::from_toml),
+//!   check the file's `schema_version` and warn about every key, at any
+//!   depth, that the loaded config does not carry (a key an older schema
+//!   had loads with a warning, never an error).
 //!
 //! Floats are emitted with Rust's shortest-round-trip formatting, so a
 //! serialize → parse cycle reproduces every `f64` bit-for-bit; the
@@ -621,59 +626,96 @@ pub fn merge_values(base: &Value, overlay: &Value) -> Value {
     }
 }
 
-/// Parses TOML straight into a `Deserialize` type, with no defaulting —
-/// every non-`Option` field must be present.
+/// Reads a config file: checks its `schema_version`, deserializes the tree
+/// that `complete` builds from the file (filling in defaults), and warns
+/// on stderr about every key the file sets that the config does not carry.
+/// Returns the config together with those keys' paths, e.g.
+/// `autoscale.warmup` or `deployments[0].serve.chunk_tokens`.
+///
+/// A file declaring a `schema_version` newer than
+/// [`CONFIG_SCHEMA_VERSION`] is rejected. An unknown key, at any depth, is
+/// only a warning, so files written against older schemas stay loadable.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Config`] for syntax errors or structural mismatches.
-pub fn from_toml<T: Deserialize>(text: &str) -> Result<T> {
-    let tree = parse_toml(text)?;
-    T::deserialize_value(&tree).map_err(|e| Error::Config {
-        reason: format!("config file: {e}"),
-    })
-}
-
-/// Validates a parsed config file's top level before merging: the declared
-/// `schema_version` (if any) must be an integer no newer than
-/// [`CONFIG_SCHEMA_VERSION`], and top-level keys the schema does not know
-/// are dropped with a warning on stderr — never a hard error — so configs
-/// written against older schemas stay loadable.
-fn screen_top_level(overlay: &Value, base: &Value) -> Result<Value> {
-    let (Value::Object(map), Value::Object(known)) = (overlay, base) else {
-        return Ok(overlay.clone());
-    };
-    if let Some(v) = map.get("schema_version") {
+/// Returns [`Error::Config`] for syntax errors, a bad `schema_version` or
+/// a tree the config type cannot deserialize.
+pub(crate) fn load<T: Serialize + Deserialize>(
+    text: &str,
+    what: &str,
+    complete: impl FnOnce(&Value) -> Value,
+) -> Result<(T, Vec<String>)> {
+    let file = parse_toml(text)?;
+    if let Some(v) = file.get("schema_version") {
         match v.as_u64() {
             Some(n) if n <= CONFIG_SCHEMA_VERSION => {}
             Some(n) => {
                 return Err(Error::Config {
                     reason: format!(
-                        "config file: schema_version {n} is newer than the supported \
+                        "{what}: schema_version {n} is newer than the supported \
                          {CONFIG_SCHEMA_VERSION}"
                     ),
                 })
             }
             None => {
                 return Err(Error::Config {
-                    reason: "config file: schema_version must be a non-negative integer"
-                        .to_string(),
+                    reason: format!("{what}: schema_version must be a non-negative integer"),
                 })
             }
         }
     }
-    let mut out = Map::new();
-    for (k, v) in map.iter() {
-        if k.as_str() == "schema_version" {
-            continue;
-        }
-        if known.get(k).is_none() {
-            eprintln!("warning: config file: ignoring unknown top-level key `{k}`");
-            continue;
-        }
-        out.insert(k.clone(), v.clone());
+    let cfg = T::deserialize_value(&complete(&file)).map_err(|e| Error::Config {
+        reason: format!("{what}: {e}"),
+    })?;
+    let mut ignored = Vec::new();
+    unknown_keys(
+        &file,
+        &cfg.serialize_value(),
+        &mut String::new(),
+        &mut ignored,
+    );
+    ignored.retain(|key| key != "schema_version");
+    for key in &ignored {
+        eprintln!("warning: {what}: ignoring unknown key `{key}`");
     }
-    Ok(Value::Object(out))
+    Ok((cfg, ignored))
+}
+
+/// A (possibly partial) ServeConfig file's tree deep-merged over the
+/// paper's default operating point ([`ServeConfig::opt_13b_sharegpt`] under
+/// [`SystemKind::WindServe`]).
+pub(crate) fn with_serve_defaults(file: &Value) -> Value {
+    let base = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe).serialize_value();
+    merge_values(&base, file)
+}
+
+/// Appends to `out` the path of every key in `file` that `known` lacks (or
+/// holds as `null`), walking tables key by key and arrays index by index.
+fn unknown_keys(file: &Value, known: &Value, path: &mut String, out: &mut Vec<String>) {
+    let len = path.len();
+    match (file, known) {
+        (Value::Object(file), Value::Object(known)) => {
+            for (k, v) in file.iter() {
+                if !path.is_empty() {
+                    path.push('.');
+                }
+                path.push_str(k);
+                match known.get(k) {
+                    Some(kv) if !kv.is_null() => unknown_keys(v, kv, path, out),
+                    _ => out.push(path.clone()),
+                }
+                path.truncate(len);
+            }
+        }
+        (Value::Array(file), Value::Array(known)) => {
+            for (i, (v, kv)) in file.iter().zip(known).enumerate() {
+                path.push_str(&format!("[{i}]"));
+                unknown_keys(v, kv, path, out);
+                path.truncate(len);
+            }
+        }
+        _ => {}
+    }
 }
 
 impl ServeConfig {
@@ -702,9 +744,9 @@ impl ServeConfig {
     /// ```
     /// use windserve::ServeConfig;
     ///
-    /// let cfg = ServeConfig::from_toml("prefill_replicas = 2\nchunk_tokens = 256\n").unwrap();
+    /// let cfg = ServeConfig::from_toml("prefill_replicas = 2\nlong_context_tokens = 1024\n").unwrap();
     /// assert_eq!(cfg.prefill_replicas, 2);
-    /// assert_eq!(cfg.chunk_tokens, 256);
+    /// assert_eq!(cfg.long_context_tokens, 1024);
     /// ```
     ///
     /// # Errors
@@ -712,13 +754,7 @@ impl ServeConfig {
     /// Returns [`Error::Config`] for syntax errors, structural mismatches,
     /// or a merged config that fails [`ServeConfig::validate`].
     pub fn from_toml(text: &str) -> Result<ServeConfig> {
-        let overlay = parse_toml(text)?;
-        let base = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe).serialize_value();
-        let overlay = screen_top_level(&overlay, &base)?;
-        let merged = merge_values(&base, &overlay);
-        let cfg = ServeConfig::deserialize_value(&merged).map_err(|e| Error::Config {
-            reason: format!("config file: {e}"),
-        })?;
+        let (cfg, _) = load::<ServeConfig>(text, "config file", with_serve_defaults)?;
         cfg.validate()?;
         Ok(cfg)
     }
@@ -779,7 +815,6 @@ mod tests {
             prefix_cache: Some(PrefixCacheConfig {
                 capacity_tokens: 50_000,
                 ttl: SimDuration::from_secs(120),
-                min_hit_tokens: 32,
                 affinity: false,
             }),
             workload: Some(WorkloadSpec { scenario }),
@@ -821,33 +856,78 @@ mod tests {
     #[test]
     fn missing_and_older_schema_versions_load() {
         // Files written before versioning declare nothing.
-        assert!(ServeConfig::from_toml("chunk_tokens = 256\n").is_ok());
+        assert!(ServeConfig::from_toml("long_context_tokens = 256\n").is_ok());
         // The current version loads, trivially.
-        let text = format!("schema_version = {CONFIG_SCHEMA_VERSION}\nchunk_tokens = 256\n");
-        assert_eq!(ServeConfig::from_toml(&text).unwrap().chunk_tokens, 256);
+        let text = format!("schema_version = {CONFIG_SCHEMA_VERSION}\nlong_context_tokens = 256\n");
+        assert_eq!(
+            ServeConfig::from_toml(&text).unwrap().long_context_tokens,
+            256
+        );
     }
 
     #[test]
     fn unknown_top_level_keys_warn_but_load() {
-        let cfg = ServeConfig::from_toml("retired_knob = 7\nchunk_tokens = 128\n").unwrap();
-        assert_eq!(cfg.chunk_tokens, 128);
+        let cfg = ServeConfig::from_toml("retired_knob = 7\nlong_context_tokens = 128\n").unwrap();
+        assert_eq!(cfg.long_context_tokens, 128);
         // A key an older schema had (and this one dropped) is ignored.
-        let cfg = ServeConfig::from_toml("shards = 4\nchunk_tokens = 128\n").unwrap();
-        assert_eq!(cfg, ServeConfig::from_toml("chunk_tokens = 128\n").unwrap());
-        // Unknown keys nested in known tables still merge (and are caught
-        // by deserialization if structurally wrong) — only the top level
-        // is screened.
+        let cfg = ServeConfig::from_toml("shards = 4\nlong_context_tokens = 128\n").unwrap();
+        assert_eq!(
+            cfg,
+            ServeConfig::from_toml("long_context_tokens = 128\n").unwrap()
+        );
+    }
+
+    /// Loads `text` as a ServeConfig file, returning the ignored keys.
+    fn load_serve(text: &str) -> (ServeConfig, Vec<String>) {
+        load(text, "config file", with_serve_defaults).unwrap()
+    }
+
+    #[test]
+    fn removed_keys_load_and_are_reported_by_path() {
+        let autoscale = "[autoscale]\nmin_prefill = 1\nmin_decode = 1\n\
+                         up_ttft_fraction = 0.8\ndown_ttft_fraction = 0.2\n";
+        let prefix = "[prefix_cache]\ncapacity_tokens = 4096\nttl = 5000000\naffinity = true\n";
+        let cases = [
+            (
+                format!("{autoscale}warmup = 3000000\n"),
+                autoscale.to_string(),
+                "autoscale.warmup",
+            ),
+            (
+                format!("{prefix}min_hit_tokens = 64\n"),
+                prefix.to_string(),
+                "prefix_cache.min_hit_tokens",
+            ),
+            (
+                "schema_version = 1\nchunk_tokens = 256\n".to_string(),
+                "schema_version = 1\n".to_string(),
+                "chunk_tokens",
+            ),
+        ];
+        for (with, without, key) in cases {
+            let (cfg, ignored) = load_serve(&with);
+            assert_eq!(ignored, [key]);
+            assert_eq!(cfg, ServeConfig::from_toml(&with).unwrap());
+            assert_eq!(cfg, ServeConfig::from_toml(&without).unwrap());
+            assert!(load_serve(&without).1.is_empty());
+        }
+        // A file the current schema wrote reports nothing.
+        let cfg = ServeConfig {
+            autoscale: Some(AutoscaleConfig::default()),
+            ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
+        };
+        assert!(load_serve(&cfg.to_toml()).1.is_empty());
     }
 
     #[test]
     fn partial_file_inherits_defaults() {
         let cfg = ServeConfig::from_toml(
-            "prefill_replicas = 2\ndecode_replicas = 1\nresched_watermark = 0.2\n",
+            "prefill_replicas = 2\ndecode_replicas = 1\nlong_context_tokens = 1024\n",
         )
         .unwrap();
         let base = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
         assert_eq!(cfg.prefill_replicas, 2);
-        assert!((cfg.resched_watermark - 0.2).abs() < 1e-12);
+        assert_eq!(cfg.long_context_tokens, 1024);
         assert_eq!(cfg.model, base.model);
         assert_eq!(cfg.slo, base.slo);
     }
@@ -929,8 +1009,8 @@ neg = -inf
             system_ix in 0usize..5,
             prefill_replicas in 1usize..3,
             decode_replicas in 1usize..3,
-            watermark in 0.01f64..0.9,
-            chunk in 64u32..1024,
+            long_context in 1u32..4096,
+            ring in 64u32..1024,
             thrd_us in 0u64..2_000_000,
             with_autoscale in proptest::bool::ANY,
             with_overload in proptest::bool::ANY,
@@ -949,11 +1029,10 @@ neg = -inf
                 system,
                 prefill_replicas,
                 decode_replicas,
-                resched_watermark: watermark,
-                chunk_tokens: chunk,
+                long_context_tokens: long_context,
                 trace: match trace_ix {
                     0 => TraceMode::Off,
-                    1 => TraceMode::Ring(chunk as usize),
+                    1 => TraceMode::Ring(ring as usize),
                     _ => TraceMode::Full,
                 },
                 // 0 doubles as "unset" so the Option field is exercised both
@@ -965,7 +1044,7 @@ neg = -inf
                     ..OverloadConfig::default()
                 }),
                 faults: with_faults
-                    .then(|| FaultPlan::chaos(0, SimDuration::from_secs(20), chunk as u64)),
+                    .then(|| FaultPlan::chaos(0, SimDuration::from_secs(20), u64::from(ring))),
                 ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
             };
             // Some random placements exceed the 8-GPU node; skip those.

@@ -19,6 +19,15 @@ use windserve_sim::{SimDuration, SimTime};
 use windserve_trace::DispatchVerdict;
 use windserve_workload::RequestId;
 
+/// Fraction of a decode replica's KV blocks that must stay free for decode
+/// growth before Algorithm 1 offers any slots (the reproduction's default).
+const KV_RESERVE_FRACTION: f64 = 0.15;
+
+/// Decode-replica free-block fraction below which dynamic rescheduling
+/// starts (§3.3's watermark; the reproduction's default). The cluster's
+/// migration trigger and the decode run-ahead's floor read it too.
+pub(crate) const RESCHED_WATERMARK: f64 = 0.10;
+
 /// Dispatch and rescheduling policy state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Coordinator {
@@ -28,11 +37,6 @@ pub struct Coordinator {
     /// The calibrated budget: max guest-prefill tokens in flight on the
     /// decode instance.
     pub aux_budget_tokens: u32,
-    /// Fraction of decode KV blocks that must stay free for decode growth
-    /// before any slots are offered.
-    pub kv_reserve_fraction: f64,
-    /// Decode free-block fraction below which rescheduling activates.
-    pub resched_watermark: f64,
     /// Minimum context for migration victims (WindServe migrates *long*
     /// sequences, unlike Llumnix).
     pub long_context_tokens: u32,
@@ -67,10 +71,10 @@ impl Coordinator {
         if decode.waiting_decode_len() > 0 || decode.swapped_len() > 0 {
             return 0;
         }
-        if decode.kv_free_fraction() < self.kv_reserve_fraction {
+        if decode.kv_free_fraction() < KV_RESERVE_FRACTION {
             return 0;
         }
-        let reserve = (decode.kv().total_blocks() as f64 * self.kv_reserve_fraction) as u64
+        let reserve = (decode.kv().total_blocks() as f64 * KV_RESERVE_FRACTION) as u64
             * u64::from(decode.kv().block_tokens());
         let spare_kv = decode.kv_free_tokens().saturating_sub(reserve);
         u64::from(self.aux_budget_tokens)
@@ -104,7 +108,7 @@ impl Coordinator {
     /// non-empty decode waiting queue alone is *not* pressure — every KV
     /// handoff passes through it briefly.)
     pub fn needs_rescheduling(&self, decode: &Instance) -> bool {
-        decode.kv_free_fraction() < self.resched_watermark || decode.swapped_len() > 0
+        decode.kv_free_fraction() < RESCHED_WATERMARK || decode.swapped_len() > 0
     }
 
     /// Picks the migration victim among running decodes at or above the
@@ -141,8 +145,6 @@ mod tests {
         Coordinator {
             dispatch_threshold: SimDuration::from_millis(225),
             aux_budget_tokens: 2048,
-            kv_reserve_fraction: 0.15,
-            resched_watermark: 0.10,
             long_context_tokens: 512,
             victim_policy: VictimPolicy::LongestContext,
         }

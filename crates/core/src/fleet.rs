@@ -50,7 +50,7 @@ use crate::config::{ServeConfig, SystemKind};
 use crate::configfile;
 use crate::error::{Error, Result};
 use crate::report::RunReport;
-use serde::value::Value;
+use serde::value::{Map, Value};
 use serde::{Deserialize, Serialize};
 use windserve_gpu::Topology;
 use windserve_metrics::LatencySummary;
@@ -378,36 +378,37 @@ impl FleetConfig {
     /// structural problems and [`Error::Fleet`] if the result fails
     /// validation.
     pub fn from_toml(text: &str) -> Result<FleetConfig> {
-        let mut tree = configfile::parse_toml(text)?;
-        // Deep-merge every deployment's serve table over the ServeConfig
-        // defaults so fleet files can be partial too.
-        let base = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe).serialize_value();
-        if let Value::Object(root) = &mut tree {
-            // Top-level defaults: the testbed pool, seed 0.
-            if root.get("topology").is_none() {
-                root.insert("topology", Topology::a800_testbed().serialize_value());
-            }
-            if root.get("seed").is_none() {
-                root.insert("seed", Value::from(0u64));
-            }
-            if let Some(Value::Array(deployments)) = root.get_mut("deployments") {
-                for d in deployments.iter_mut() {
-                    if let Value::Object(dm) = d {
-                        let merged = match dm.get("serve") {
-                            Some(serve) => configfile::merge_values(&base, serve),
-                            None => base.clone(),
-                        };
-                        dm.insert("serve", merged);
-                    }
-                }
-            }
-        }
-        let cfg = FleetConfig::deserialize_value(&tree).map_err(|e| Error::Config {
-            reason: format!("fleet config file: {e}"),
-        })?;
+        let (cfg, _) = configfile::load::<FleetConfig>(text, "fleet config file", with_defaults)?;
         cfg.validate()?;
         Ok(cfg)
     }
+}
+
+/// A fleet file's tree with the defaults filled in: the testbed pool,
+/// seed 0, and every deployment's (possibly partial) `serve` table
+/// deep-merged over the paper's default operating point.
+fn with_defaults(file: &Value) -> Value {
+    let mut tree = file.clone();
+    if let Value::Object(root) = &mut tree {
+        if root.get("topology").is_none() {
+            root.insert("topology", Topology::a800_testbed().serialize_value());
+        }
+        if root.get("seed").is_none() {
+            root.insert("seed", Value::from(0u64));
+        }
+        if let Some(Value::Array(deployments)) = root.get_mut("deployments") {
+            for d in deployments.iter_mut() {
+                if let Value::Object(dm) = d {
+                    let serve = dm
+                        .get("serve")
+                        .cloned()
+                        .unwrap_or(Value::Object(Map::new()));
+                    dm.insert("serve", configfile::with_serve_defaults(&serve));
+                }
+            }
+        }
+    }
+    tree
 }
 
 /// A validated, runnable fleet.
@@ -1075,9 +1076,7 @@ mod tests {
         assert_eq!(back, cfg);
     }
 
-    #[test]
-    fn partial_fleet_toml_inherits_serve_defaults() {
-        let text = r#"
+    const PARTIAL_FLEET: &str = r#"
 seed = 3
 [[deployments]]
 name = "solo"
@@ -1092,6 +1091,29 @@ rate = 2.0
 requests = 10
 tier = 0
 "#;
+
+    /// Loads `text` as a fleet file, returning the ignored keys.
+    fn load_fleet(text: &str) -> (FleetConfig, Vec<String>) {
+        configfile::load(text, "fleet config file", with_defaults).unwrap()
+    }
+
+    #[test]
+    fn removed_serve_keys_in_a_fleet_file_load_and_are_reported_by_path() {
+        let with = PARTIAL_FLEET.replace(
+            "decode_replicas = 1\n",
+            "decode_replicas = 1\nchunk_tokens = 256\n",
+        );
+        let (cfg, ignored) = load_fleet(&with);
+        assert_eq!(ignored, ["deployments[0].serve.chunk_tokens"]);
+        assert_eq!(cfg, FleetConfig::from_toml(PARTIAL_FLEET).unwrap());
+        assert!(load_fleet(PARTIAL_FLEET).1.is_empty());
+        // The emitted example reports nothing.
+        assert!(load_fleet(&FleetConfig::example().to_toml()).1.is_empty());
+    }
+
+    #[test]
+    fn partial_fleet_toml_inherits_serve_defaults() {
+        let text = PARTIAL_FLEET;
         let cfg = FleetConfig::from_toml(text).unwrap();
         assert_eq!(cfg.deployments.len(), 1);
         let base = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);

@@ -207,6 +207,19 @@ fn aux_budget_is_calibrated_positive_for_sbd() {
 }
 
 #[test]
+fn no_split_ablation_calibrates_windserves_budget() {
+    let budget = |system| {
+        Cluster::new(ServeConfig::opt_13b_sharegpt(system))
+            .unwrap()
+            .aux_budget_tokens()
+    };
+    assert_eq!(
+        budget(SystemKind::WindServeNoSplit),
+        budget(SystemKind::WindServe)
+    );
+}
+
+#[test]
 fn kv_bytes_accounting_is_nonzero_for_pd_systems() {
     let trace = sharegpt_trace(8.0, 100, 9);
     let report = run(ServeConfig::opt_13b_sharegpt(SystemKind::DistServe), &trace);

@@ -29,27 +29,20 @@ pub enum InstanceRole {
     Colocated,
 }
 
-/// Tunables of one serving instance's local scheduler.
+/// What varies between serving instances. The local scheduler's fixed
+/// limits are constants next to their readers: the batch cap and chunk
+/// size in `step.rs` (which also caps prompts per step by role), the KV
+/// block size in `instance.rs`, and the prompt budget of a whole-prompt
+/// step is the model's context window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InstanceConfig {
     /// Display name (for reports).
     pub name: String,
     /// Scheduling role.
     pub role: InstanceRole,
-    /// Max sequences decoded per step.
-    pub max_batch: usize,
-    /// Max new prefill tokens packed into one prefill step.
-    pub max_prefill_tokens: u32,
-    /// Max prefill jobs packed into one step.
-    pub max_prefill_jobs: usize,
-    /// Chunk size used when prefills must share the instance with decodes
-    /// (chunked prefill, SARATHI-style).
-    pub chunk_tokens: u32,
     /// Run guest prefills in a separate CUDA stream (stream-based
     /// disaggregation) instead of fusing them into the decode batch.
     pub stream_disaggregation: bool,
-    /// Tokens per KV block.
-    pub block_tokens: u32,
     /// Max guest-prefill tokens in flight in the auxiliary stream (the
     /// Algorithm 1 *budget*, calibrated so one forward pass stays within
     /// the TPOT SLO).
@@ -59,78 +52,29 @@ pub struct InstanceConfig {
 }
 
 impl InstanceConfig {
-    /// Defaults for a dedicated prefill instance.
-    pub fn prefill(name: impl Into<String>) -> Self {
+    fn with_role(name: impl Into<String>, role: InstanceRole) -> Self {
         InstanceConfig {
             name: name.into(),
-            role: InstanceRole::Prefill,
-            max_batch: 256,
-            max_prefill_tokens: 4096,
-            max_prefill_jobs: 8,
-            chunk_tokens: 512,
-            stream_disaggregation: false,
-            block_tokens: 16,
+            role,
+            stream_disaggregation: role == InstanceRole::Decode,
             aux_budget_tokens: 2048,
             preemption: PreemptionMode::Swap,
         }
+    }
+
+    /// Defaults for a dedicated prefill instance.
+    pub fn prefill(name: impl Into<String>) -> Self {
+        Self::with_role(name, InstanceRole::Prefill)
     }
 
     /// Defaults for a dedicated decode instance with SBD enabled.
     pub fn decode(name: impl Into<String>) -> Self {
-        InstanceConfig {
-            name: name.into(),
-            role: InstanceRole::Decode,
-            max_batch: 256,
-            max_prefill_tokens: 4096,
-            max_prefill_jobs: 4,
-            chunk_tokens: 512,
-            stream_disaggregation: true,
-            block_tokens: 16,
-            aux_budget_tokens: 2048,
-            preemption: PreemptionMode::Swap,
-        }
+        Self::with_role(name, InstanceRole::Decode)
     }
 
     /// Defaults for a colocated (vLLM-like) instance with chunked prefill.
     pub fn colocated(name: impl Into<String>) -> Self {
-        InstanceConfig {
-            name: name.into(),
-            role: InstanceRole::Colocated,
-            max_batch: 256,
-            max_prefill_tokens: 4096,
-            max_prefill_jobs: 8,
-            chunk_tokens: 512,
-            stream_disaggregation: false,
-            block_tokens: 16,
-            aux_budget_tokens: 2048,
-            preemption: PreemptionMode::Swap,
-        }
-    }
-
-    /// Validates the tunables.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`](crate::Error::InvalidConfig)
-    /// describing the first invalid field.
-    pub fn validate(&self) -> crate::Result<()> {
-        let invalid = |reason: &str| crate::Error::InvalidConfig {
-            instance: self.name.clone(),
-            reason: reason.to_string(),
-        };
-        if self.max_batch == 0 {
-            return Err(invalid("max_batch must be positive"));
-        }
-        if self.max_prefill_tokens == 0 || self.max_prefill_jobs == 0 {
-            return Err(invalid("prefill budgets must be positive"));
-        }
-        if self.chunk_tokens == 0 {
-            return Err(invalid("chunk_tokens must be positive"));
-        }
-        if self.block_tokens == 0 {
-            return Err(invalid("block_tokens must be positive"));
-        }
-        Ok(())
+        Self::with_role(name, InstanceRole::Colocated)
     }
 }
 
@@ -139,22 +83,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_validate() {
-        InstanceConfig::prefill("p").validate().unwrap();
-        InstanceConfig::decode("d").validate().unwrap();
-        InstanceConfig::colocated("c").validate().unwrap();
-    }
-
-    #[test]
     fn decode_preset_enables_sbd() {
         assert!(InstanceConfig::decode("d").stream_disaggregation);
         assert!(!InstanceConfig::colocated("c").stream_disaggregation);
-    }
-
-    #[test]
-    fn validation_rejects_zero_budgets() {
-        let mut c = InstanceConfig::prefill("p");
-        c.chunk_tokens = 0;
-        assert!(c.validate().is_err());
     }
 }

@@ -26,6 +26,9 @@ use windserve_sim::hash::FxHashSet;
 use windserve_sim::{KeyedSlab, SimDuration, SimTime};
 use windserve_workload::RequestId;
 
+/// Tokens per KV block (vLLM's default block size).
+pub(crate) const BLOCK_TOKENS: u32 = 16;
+
 /// Key used for a request's backup copy in the KV manager — disjoint from
 /// live-sequence keys.
 pub(crate) fn backup_key(id: RequestId) -> u64 {
@@ -74,11 +77,11 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    fn new(block_tokens: u32) -> Self {
+    fn new() -> Self {
         Lane {
             roster: Roster::default(),
             step: None,
-            ledger: Ledger::new(block_tokens),
+            ledger: Ledger::new(),
             fresh: Vec::new(),
         }
     }
@@ -136,7 +139,7 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// Returns an error if the configuration is invalid or the placement
+    /// Returns an error if the host bandwidth is invalid or the placement
     /// leaves no room for KV blocks.
     pub fn new(
         cfg: InstanceConfig,
@@ -144,14 +147,13 @@ impl Instance {
         sharing: StreamSharing,
         host_bandwidth: f64,
     ) -> crate::Result<Self> {
-        cfg.validate()?;
         if !(host_bandwidth.is_finite() && host_bandwidth > 0.0) {
             return Err(crate::Error::InvalidConfig {
                 instance: cfg.name.clone(),
                 reason: "invalid host bandwidth".to_string(),
             });
         }
-        let blocks = (cost.kv_capacity_tokens() / u64::from(cfg.block_tokens)) as usize;
+        let blocks = (cost.kv_capacity_tokens() / u64::from(BLOCK_TOKENS)) as usize;
         if blocks == 0 {
             return Err(crate::Error::InvalidConfig {
                 instance: cfg.name.clone(),
@@ -160,14 +162,14 @@ impl Instance {
         }
         let lanes = cost.parallelism().lanes();
         Ok(Instance {
-            kv: BlockManager::new(blocks, cfg.block_tokens),
+            kv: BlockManager::new(blocks, BLOCK_TOKENS),
             backups: BackupStore::new(),
             seqs: KeyedSlab::new(),
             waiting_prefill: VecDeque::new(),
             waiting_prefill_tokens: 0,
             waiting_decode: VecDeque::new(),
             swapped: VecDeque::new(),
-            lanes: vec![Lane::new(cfg.block_tokens); lanes],
+            lanes: vec![Lane::new(); lanes],
             seats: Vec::new(),
             next_join: 0,
             aux_step: None,
@@ -317,7 +319,7 @@ impl Instance {
 
     /// Tokens a migration of `id` (currently at `current_tokens` context)
     /// still has to move here, after crediting any backup.
-    pub fn backup_delta_tokens(&mut self, id: RequestId, current_tokens: u32) -> u32 {
+    pub fn backup_delta_tokens(&self, id: RequestId, current_tokens: u32) -> u32 {
         self.backups.delta_tokens(id.0, current_tokens)
     }
 
@@ -341,9 +343,8 @@ impl Instance {
         }
     }
 
-    /// Tokens held in `id`'s backup here, if one exists. Unlike
-    /// [`Instance::backup_delta_tokens`] this is a pure query: it does not
-    /// touch the store's hit/miss statistics or refresh eviction order.
+    /// Tokens held in `id`'s backup here, if one exists. A pure query: it
+    /// does not refresh eviction order.
     pub fn backup_tokens_of(&self, id: RequestId) -> Option<u32> {
         self.backups.tokens_of(id.0)
     }
@@ -386,7 +387,7 @@ impl Instance {
         self.waiting_decode.clear();
         self.swapped.clear();
         for lane in &mut self.lanes {
-            *lane = Lane::new(self.cfg.block_tokens);
+            *lane = Lane::new();
         }
         self.seats.clear();
         self.aux_step = None;
@@ -396,7 +397,7 @@ impl Instance {
         while self.backups.evict_oldest().is_some() {}
         // HBM contents do not survive the crash; start from a fresh block
         // map rather than unwinding allocations one key at a time.
-        self.kv = BlockManager::new(self.kv.total_blocks(), self.cfg.block_tokens);
+        self.kv = BlockManager::new(self.kv.total_blocks(), BLOCK_TOKENS);
         self.stats.crashes += 1;
         lost
     }

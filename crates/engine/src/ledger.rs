@@ -24,7 +24,7 @@
 //! step: it stays *pending* (outside the aggregates, owed nothing) until
 //! the step completes and folds it in at the new clock.
 
-use crate::instance::{Instance, Member, RunningStep};
+use crate::instance::{Instance, Member, RunningStep, BLOCK_TOKENS};
 use crate::outcome::CompletedSeq;
 use crate::seq::SeqState;
 use std::iter::Peekable;
@@ -82,8 +82,8 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    pub(crate) fn new(block_tokens: u32) -> Self {
-        let bt = block_tokens as usize;
+    pub(crate) fn new() -> Self {
+        let bt = BLOCK_TOKENS as usize;
         Ledger {
             clock: 0,
             members: 0,
@@ -442,7 +442,7 @@ impl Instance {
         let mut deferred = 0usize;
         let mut seated = 0usize;
         for (i, lane) in self.lanes.iter().enumerate() {
-            let mut expect = Ledger::new(self.cfg.block_tokens);
+            let mut expect = Ledger::new();
             expect.clock = lane.ledger.clock;
             let bound = lane.step.as_ref().map_or(u64::MAX, |s| s.join_bound);
             for &(join, slot) in lane.roster.since(0) {

@@ -11,9 +11,11 @@
 //! [`Instance`]: crate::Instance
 
 use crate::config::{InstanceConfig, PreemptionMode};
+use crate::instance::BLOCK_TOKENS;
 use crate::outcome::{CompletedSeq, PausedSeq, StepKind};
 use crate::seq::{SeqPhase, SeqState};
 use crate::stats::InstanceStats;
+use crate::step::MAX_BATCH;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use windserve_gpu::KernelCost;
 use windserve_kvcache::BlockManager;
@@ -60,9 +62,9 @@ pub(crate) struct Eager {
 
 impl Eager {
     pub(crate) fn new(cfg: InstanceConfig, cost: CostModel, host_bandwidth: f64) -> Self {
-        let blocks = (cost.kv_capacity_tokens() / u64::from(cfg.block_tokens)) as usize;
+        let blocks = (cost.kv_capacity_tokens() / u64::from(BLOCK_TOKENS)) as usize;
         Eager {
-            kv: BlockManager::new(blocks, cfg.block_tokens),
+            kv: BlockManager::new(blocks, BLOCK_TOKENS),
             lanes: vec![EagerLane::default(); cost.parallelism().lanes()],
             cfg,
             cost,
@@ -160,7 +162,7 @@ impl Eager {
     }
 
     fn admit_decodes(&mut self) {
-        let capacity = self.cfg.max_batch * self.lanes.len();
+        let capacity = MAX_BATCH * self.lanes.len();
         while let Some(&id) = self.swapped.front() {
             if self.total_running() >= capacity || self.in_step(id) {
                 break;
@@ -210,7 +212,7 @@ impl Eager {
     }
 
     fn offset(&self, id: RequestId) -> u32 {
-        self.seqs[&id.0].context() % self.cfg.block_tokens
+        self.seqs[&id.0].context() % BLOCK_TOKENS
     }
 
     fn ensure_growth_blocks(&mut self, lane: usize) {
@@ -381,7 +383,7 @@ impl Eager {
         self.migrating.clear();
         self.pause_requests.clear();
         self.pending_delay = SimDuration::ZERO;
-        self.kv = BlockManager::new(self.kv.total_blocks(), self.cfg.block_tokens);
+        self.kv = BlockManager::new(self.kv.total_blocks(), BLOCK_TOKENS);
         self.stats.crashes += 1;
         lost
     }

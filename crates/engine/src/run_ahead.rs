@@ -27,7 +27,7 @@
 //! [`complete_step`]: Instance::complete_step
 
 use crate::config::InstanceRole;
-use crate::instance::Instance;
+use crate::instance::{Instance, BLOCK_TOKENS};
 use crate::outcome::{CompletedSeq, LaneRef, StepKind};
 use windserve_sim::{SimDuration, SimTime};
 use windserve_workload::RequestId;
@@ -269,7 +269,7 @@ impl Instance {
         }
         // A joiner's context sits on a block boundary when it is a whole
         // number of blocks.
-        let bt = self.cfg.block_tokens;
+        let bt = BLOCK_TOKENS;
         wanted += lane
             .roster
             .since(join_bound)

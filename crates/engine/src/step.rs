@@ -30,6 +30,23 @@ use windserve_model::{BatchPlan, PrefillChunk};
 use windserve_sim::{SimDuration, SimTime};
 use windserve_workload::RequestId;
 
+/// Most sequences one lane decodes per step (the reproduction's default).
+pub(crate) const MAX_BATCH: usize = 256;
+
+/// Prompt tokens per chunk when prefills share a step with decodes
+/// (SARATHI-style chunked prefill, §3.3; the reproduction's default).
+const CHUNK_TOKENS: u32 = 512;
+
+/// Most prompts packed into one step: a decode instance, whose prompts are
+/// guests beside its decodes, takes half as many (the reproduction's
+/// defaults).
+fn max_prefill_jobs(role: InstanceRole) -> usize {
+    match role {
+        InstanceRole::Decode => 4,
+        InstanceRole::Prefill | InstanceRole::Colocated => 8,
+    }
+}
+
 impl Instance {
     /// Admits waiting work and launches steps on every idle execution
     /// context. Returns the newly started steps so the cluster can schedule
@@ -228,7 +245,7 @@ impl Instance {
     // ------------------------------------------------------------------
 
     fn admit_decodes(&mut self) {
-        let capacity = self.cfg.max_batch * self.lanes.len();
+        let capacity = MAX_BATCH * self.lanes.len();
         // Swapped sequences re-admit first (FIFO), as in vLLM.
         while let Some(&id) = self.swapped.front() {
             if self.total_running() >= capacity {
@@ -361,7 +378,7 @@ impl Instance {
         let fused_prefills = if !self.cfg.stream_disaggregation {
             // WindServe-no-split / regular batching: guest prefills fuse
             // into the decode batch as whole prompts (Fig. 7 "Regular").
-            self.pack_whole_prefills(u64::from(self.cfg.max_prefill_tokens))
+            self.pack_whole_prefills(u64::from(self.cost.model().max_context))
         } else {
             self.take_jobvec()
         };
@@ -403,7 +420,7 @@ impl Instance {
     fn form_chunked_step(&mut self, lane_idx: usize, now: SimTime) -> Option<RunningStep> {
         if self.lanes[lane_idx].roster.is_empty() {
             // Pure prompt processing: pack whole prompts FCFS.
-            let jobs = self.pack_whole_prefills(u64::from(self.cfg.max_prefill_tokens));
+            let jobs = self.pack_whole_prefills(u64::from(self.cost.model().max_context));
             if jobs.is_empty() {
                 self.recycle_jobvec(jobs);
                 return None;
@@ -476,7 +493,7 @@ impl Instance {
         let mut packed = self.take_jobvec();
         let mut tokens = 0u64;
         while let Some(&id) = self.waiting_prefill.front() {
-            if packed.len() >= self.cfg.max_prefill_jobs {
+            if packed.len() >= max_prefill_jobs(self.cfg.role) {
                 break;
             }
             let seq = self.seq(id);
@@ -508,7 +525,7 @@ impl Instance {
         };
         let seq = self.seq(id);
         let remaining = seq.prompt_remaining();
-        let chunk = self.cfg.chunk_tokens.min(remaining);
+        let chunk = CHUNK_TOKENS.min(remaining);
         if self.kv.tokens_of(id.0).is_none() {
             let prompt = seq.prompt_tokens;
             if !self.kv.can_fit(prompt) && !self.evict_backups_for(prompt) {

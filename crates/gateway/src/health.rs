@@ -1,19 +1,18 @@
 //! The gateway's health state machine and admission circuit breaker.
 //!
 //! Health is `Healthy → Degraded → Draining`: a rolling window of
-//! admission outcomes drives the `Healthy ↔ Degraded` edge (error/shed
-//! rate above [`HealthConfig::degrade_threshold`] degrades, back below
-//! [`HealthConfig::recover_threshold`] recovers), while `Draining` is
-//! absorbing — set once by graceful shutdown, it rejects all new work
-//! until the process exits.
+//! admission outcomes drives the `Healthy ↔ Degraded` edge (an error/shed
+//! rate at or above `DEGRADE_THRESHOLD` degrades, one at or below
+//! `RECOVER_THRESHOLD` recovers), while `Draining` is absorbing — set once
+//! by graceful shutdown, it rejects all new work until the process exits.
 //!
 //! Orthogonally, a circuit breaker guards the admission path:
-//! [`HealthConfig::breaker_failures`] *consecutive* admission failures
-//! open it, fast-failing submissions with `503` + `Retry-After` without
-//! touching the driver; after [`HealthConfig::breaker_cooldown`] it
-//! half-opens and lets probe requests through — one success closes it,
-//! one failure re-opens it. Every transition surfaces as a
-//! [`HealthSignal`] the server forwards into the scheduling trace.
+//! `BREAKER_FAILURES` *consecutive* admission failures open it,
+//! fast-failing submissions with `503` + `Retry-After` without touching
+//! the driver; after `BREAKER_COOLDOWN` it half-opens and lets probe
+//! requests through — one success closes it, one failure re-opens it.
+//! Every transition surfaces as a [`HealthSignal`] the server forwards
+//! into the scheduling trace.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
@@ -46,38 +45,29 @@ impl HealthState {
     }
 }
 
-/// Thresholds for the health machine and circuit breaker.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Rolling admission-outcome window length.
-    pub window: usize,
-    /// Minimum samples in the window before the error rate can degrade
-    /// or recover the state.
-    pub min_samples: usize,
-    /// Degrade (`Healthy → Degraded`) when the window error rate reaches
-    /// this fraction.
-    pub degrade_threshold: f64,
-    /// Recover (`Degraded → Healthy`) when the window error rate falls
-    /// to or below this fraction.
-    pub recover_threshold: f64,
-    /// Consecutive admission failures that open the breaker.
-    pub breaker_failures: u32,
-    /// How long the breaker stays open before half-opening for probes.
-    pub breaker_cooldown: Duration,
-}
+// The health machine's and breaker's thresholds are the reproduction's
+// defaults.
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            window: 32,
-            min_samples: 8,
-            degrade_threshold: 0.5,
-            recover_threshold: 0.2,
-            breaker_failures: 8,
-            breaker_cooldown: Duration::from_millis(250),
-        }
-    }
-}
+/// Rolling admission-outcome window length.
+const WINDOW: usize = 32;
+
+/// Minimum samples in the window before the error rate can degrade or
+/// recover the state.
+const MIN_SAMPLES: usize = 8;
+
+/// Degrade (`Healthy → Degraded`) when the window error rate reaches this
+/// fraction.
+const DEGRADE_THRESHOLD: f64 = 0.5;
+
+/// Recover (`Degraded → Healthy`) when the window error rate falls to or
+/// below this fraction.
+const RECOVER_THRESHOLD: f64 = 0.2;
+
+/// Consecutive admission failures that open the breaker.
+const BREAKER_FAILURES: u32 = 8;
+
+/// How long the breaker stays open before half-opening for probes.
+const BREAKER_COOLDOWN: Duration = Duration::from_millis(250);
 
 /// The admission verdict from the health layer, checked by workers
 /// before a submission reaches the driver.
@@ -200,22 +190,20 @@ impl Inner {
 /// counters; a panicked recorder cannot corrupt it structurally).
 #[derive(Debug)]
 pub struct Health {
-    cfg: HealthConfig,
     inner: Mutex<Inner>,
 }
 
 impl Health {
     /// A healthy gateway with a closed breaker.
-    pub fn new(cfg: HealthConfig) -> Self {
+    pub(crate) fn new() -> Self {
         Health {
             inner: Mutex::new(Inner {
-                window: VecDeque::with_capacity(cfg.window.max(1)),
+                window: VecDeque::with_capacity(WINDOW),
                 failures_in_window: 0,
                 consecutive_failures: 0,
                 state: HealthState::Healthy,
                 breaker: Breaker::Closed,
             }),
-            cfg,
         }
     }
 
@@ -263,7 +251,7 @@ impl Health {
         if failed {
             inner.failures_in_window += 1;
         }
-        while inner.window.len() > self.cfg.window.max(1) {
+        while inner.window.len() > WINDOW {
             if inner.window.pop_front() == Some(true) {
                 inner.failures_in_window -= 1;
             }
@@ -275,9 +263,9 @@ impl Health {
         };
         // Breaker edges.
         match inner.breaker {
-            Breaker::Closed if inner.consecutive_failures >= self.cfg.breaker_failures => {
+            Breaker::Closed if inner.consecutive_failures >= BREAKER_FAILURES => {
                 inner.breaker = Breaker::Open {
-                    until: Instant::now() + self.cfg.breaker_cooldown,
+                    until: Instant::now() + BREAKER_COOLDOWN,
                 };
                 signals.push(HealthSignal::Breaker {
                     state: "open",
@@ -287,7 +275,7 @@ impl Health {
             Breaker::HalfOpen => {
                 if failed {
                     inner.breaker = Breaker::Open {
-                        until: Instant::now() + self.cfg.breaker_cooldown,
+                        until: Instant::now() + BREAKER_COOLDOWN,
                     };
                     signals.push(HealthSignal::Breaker {
                         state: "open",
@@ -304,16 +292,11 @@ impl Health {
             _ => {}
         }
         // Health edges (Draining is absorbing).
-        if inner.state != HealthState::Draining && inner.window.len() >= self.cfg.min_samples.max(1)
-        {
+        if inner.state != HealthState::Draining && inner.window.len() >= MIN_SAMPLES {
             let rate = inner.error_rate();
             let next = match inner.state {
-                HealthState::Healthy if rate >= self.cfg.degrade_threshold => {
-                    Some(HealthState::Degraded)
-                }
-                HealthState::Degraded if rate <= self.cfg.recover_threshold => {
-                    Some(HealthState::Healthy)
-                }
+                HealthState::Healthy if rate >= DEGRADE_THRESHOLD => Some(HealthState::Degraded),
+                HealthState::Degraded if rate <= RECOVER_THRESHOLD => Some(HealthState::Healthy),
                 _ => None,
             };
             if let Some(to) = next {
@@ -366,13 +349,9 @@ impl Health {
 mod tests {
     use super::*;
 
-    fn health() -> Health {
-        Health::new(HealthConfig::default())
-    }
-
     #[test]
     fn stays_healthy_on_successes_and_degrades_on_error_burst() {
-        let h = health();
+        let h = Health::new();
         for _ in 0..16 {
             assert!(h.record(false).is_empty());
         }
@@ -415,27 +394,26 @@ mod tests {
 
     #[test]
     fn breaker_opens_on_consecutive_failures_and_probes_half_open() {
-        let cfg = HealthConfig {
-            breaker_failures: 3,
-            breaker_cooldown: Duration::from_millis(10),
-            ..Default::default()
-        };
-        let h = Health::new(cfg);
+        let h = Health::new();
         assert!(matches!(h.gate().0, Gate::Allow { probe: false }));
-        h.record(true);
-        h.record(true);
+        for _ in 1..BREAKER_FAILURES {
+            assert!(h
+                .record(true)
+                .iter()
+                .all(|s| !matches!(s, HealthSignal::Breaker { .. })));
+        }
         let signals = h.record(true);
         assert!(signals
             .iter()
             .any(|s| matches!(s, HealthSignal::Breaker { state: "open", .. })));
         match h.gate().0 {
             Gate::BreakerOpen { retry_after } => {
-                assert!(retry_after <= Duration::from_millis(10));
+                assert!(retry_after <= BREAKER_COOLDOWN);
             }
             other => panic!("breaker must be open, got {other:?}"),
         }
         // After the cooldown the gate half-opens and allows a probe.
-        std::thread::sleep(Duration::from_millis(15));
+        std::thread::sleep(BREAKER_COOLDOWN + Duration::from_millis(5));
         let (gate, signal) = h.gate();
         assert!(matches!(gate, Gate::Allow { probe: true }));
         assert!(matches!(
@@ -459,15 +437,11 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_the_breaker() {
-        let cfg = HealthConfig {
-            breaker_failures: 2,
-            breaker_cooldown: Duration::from_millis(5),
-            ..Default::default()
-        };
-        let h = Health::new(cfg);
-        h.record(true);
-        h.record(true);
-        std::thread::sleep(Duration::from_millis(8));
+        let h = Health::new();
+        for _ in 0..BREAKER_FAILURES {
+            h.record(true);
+        }
+        std::thread::sleep(BREAKER_COOLDOWN + Duration::from_millis(5));
         assert!(matches!(h.gate().0, Gate::Allow { probe: true }));
         let signals = h.record(true);
         assert!(signals
@@ -478,7 +452,7 @@ mod tests {
 
     #[test]
     fn draining_is_absorbing_and_gates_everything() {
-        let h = health();
+        let h = Health::new();
         let first = h.begin_drain();
         assert!(matches!(
             first,

@@ -42,7 +42,7 @@ pub mod sse;
 pub use api::CompletionRequest;
 pub use driver::{DriverHandle, DriverReport, SimDriver, Sink, StreamUpdate, SubmitError};
 pub use envelope::{json_envelope, ENVELOPE_SCHEMA_VERSION};
-pub use health::{Health, HealthConfig, HealthSnapshot, HealthState};
+pub use health::{Health, HealthSnapshot, HealthState};
 pub use loadgen::{LoadReport, LoadgenConfig};
 pub use registry::Registry;
 pub use server::{Gateway, GatewayConfig, GatewayReport};

@@ -32,7 +32,7 @@ use windserve_workload::RequestId;
 use crate::api::{self, CompletionRequest};
 use crate::driver::{DriverHandle, DriverReport, SimDriver, Sink, StreamUpdate, SubmitError};
 use crate::envelope::json_envelope;
-use crate::health::{Gate, Health, HealthConfig, HealthState};
+use crate::health::{Gate, Health};
 use crate::http::{self, HttpRequest};
 use crate::pool::WorkerPool;
 use crate::pump::{PumpHandle, StreamPump};
@@ -173,7 +173,7 @@ impl Gateway {
         let local_addr = listener.local_addr().map_err(|e| Error::Gateway {
             reason: format!("local_addr: {e}"),
         })?;
-        let health = Arc::new(Health::new(HealthConfig::default()));
+        let health = Arc::new(Health::new());
         let fault_log = Arc::new(Mutex::new(Vec::new()));
         let ctx = Arc::new(Ctx {
             handle: handle.clone(),
@@ -216,11 +216,6 @@ impl Gateway {
     /// The bound address (resolves port `0`).
     pub fn addr(&self) -> std::net::SocketAddr {
         self.local_addr
-    }
-
-    /// The gateway's current health state.
-    pub fn health_state(&self) -> HealthState {
-        self.health.state()
     }
 
     /// Begins graceful drain: new completions are rejected with `503` +

@@ -41,8 +41,6 @@ pub struct Backup {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BackupStore {
     entries: VecDeque<Backup>,
-    hits: u64,
-    misses: u64,
 }
 
 impl BackupStore {
@@ -63,18 +61,11 @@ impl BackupStore {
     }
 
     /// Tokens a migration of `key` at `current_tokens` context still has to
-    /// move, after crediting the backup. Records a hit/miss for stats.
-    pub fn delta_tokens(&mut self, key: SeqKey, current_tokens: u32) -> u32 {
-        match self.tokens_of(key) {
-            Some(backed) => {
-                self.hits += 1;
-                current_tokens.saturating_sub(backed)
-            }
-            None => {
-                self.misses += 1;
-                current_tokens
-            }
-        }
+    /// move, after crediting the backup.
+    pub fn delta_tokens(&self, key: SeqKey, current_tokens: u32) -> u32 {
+        self.tokens_of(key).map_or(current_tokens, |backed| {
+            current_tokens.saturating_sub(backed)
+        })
     }
 
     /// Drops `key`'s backup (e.g. the request completed). Returns the
@@ -103,11 +94,6 @@ impl BackupStore {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// `(hits, misses)` of delta queries so far.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +106,6 @@ mod tests {
         s.insert(1, 1000);
         assert_eq!(s.delta_tokens(1, 1200), 200);
         assert_eq!(s.delta_tokens(2, 1200), 1200);
-        assert_eq!(s.hit_stats(), (1, 1));
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl QuantileSampler {
     pub fn sample(&self, rng: &mut SimRng) -> u32 {
         (self.quantile(rng.next_f64()).round() as u32).max(1)
     }
-
-    /// Largest possible value.
-    pub fn max_value(&self) -> f64 {
-        self.points[self.points.len() - 1].1
-    }
 }
 
 /// A workload dataset: paired prompt/output length distributions plus the
