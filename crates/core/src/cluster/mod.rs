@@ -71,7 +71,7 @@ use windserve_kvcache::PrefixStore;
 use windserve_metrics::{DropReason, DroppedRequest, PrefillSite, RequestRecord};
 use windserve_model::CostModel;
 use windserve_sim::hash::FxHashMap;
-use windserve_sim::{EventQueue, KeyedSlab, SimTime};
+use windserve_sim::{EventQueue, KeyedSlab, SimDuration, SimTime};
 use windserve_trace::{Lane, StepClass, TraceEvent, TraceLog, Tracer};
 use windserve_workload::{Request, RequestId, Trace};
 
@@ -477,7 +477,7 @@ impl Cluster {
             leap_scratch: Leap::default(),
             swap_waiting: false,
             #[cfg(test)]
-            quiet_deliveries: 0,
+            leap_deliveries: 0,
             processed: 0,
             end_time: SimTime::ZERO,
             live_work: 0,
@@ -500,27 +500,11 @@ impl Cluster {
         now: SimTime,
         records: &mut Vec<RequestRecord>,
     ) -> crate::Result<()> {
-        self.tracer.emit(now, || TraceEvent::StepFinished {
-            inst: inst as u32,
-            lane: trace_lane(outcome.lane),
-            class: trace_class(outcome.kind),
-            duration_us: outcome.duration.as_micros(),
-        });
+        self.trace_step_finished(inst, outcome.lane, outcome.kind, outcome.duration, now);
         for fp in &outcome.finished_prefills {
             self.on_finished_prefill(inst, fp.id, now, records)?;
         }
-        for id in decoded {
-            push_live(&mut self.live, LiveEvent::Token { id: *id, at: now });
-            if let Some(m) = self.migrations.get_mut(&id.0) {
-                if m.state.phase() == windserve_kvcache::MigrationPhase::Background {
-                    m.state.on_tokens_generated(1);
-                }
-            }
-        }
-        for c in &outcome.completed {
-            self.migrations.remove(&c.id.0);
-            self.finalize_record(c.id, c.swap_outs, now, records);
-        }
+        self.on_decoded(decoded, &outcome.completed, now, records);
         for p in &outcome.paused {
             self.on_paused(p.clone(), now)?;
         }
@@ -532,6 +516,48 @@ impl Cluster {
             self.preempt_under_pressure(inst, watermark, now);
         }
         Ok(())
+    }
+
+    /// Traces the end of the step that ran `duration` on `inst`'s `lane`.
+    fn trace_step_finished(
+        &mut self,
+        inst: usize,
+        lane: LaneRef,
+        kind: StepKind,
+        duration: SimDuration,
+        now: SimTime,
+    ) {
+        self.tracer.emit(now, || TraceEvent::StepFinished {
+            inst: inst as u32,
+            lane: trace_lane(lane),
+            class: trace_class(kind),
+            duration_us: duration.as_micros(),
+        });
+    }
+
+    /// The decode half of a step completed at `now`: a live token for each
+    /// member in `decoded`, credited to its background migration if any,
+    /// then a record for each sequence it `completed`.
+    #[inline]
+    fn on_decoded(
+        &mut self,
+        decoded: &[RequestId],
+        completed: &[windserve_engine::CompletedSeq],
+        now: SimTime,
+        records: &mut Vec<RequestRecord>,
+    ) {
+        for id in decoded {
+            push_live(&mut self.live, LiveEvent::Token { id: *id, at: now });
+            if let Some(m) = self.migrations.get_mut(&id.0) {
+                if m.state.phase() == windserve_kvcache::MigrationPhase::Background {
+                    m.state.on_tokens_generated(1);
+                }
+            }
+        }
+        for c in completed {
+            self.migrations.remove(&c.id.0);
+            self.finalize_record(c.id, c.swap_outs, now, records);
+        }
     }
 
     /// The KV-pressure reactions a completed step on `inst` may trigger:
@@ -729,8 +755,8 @@ pub struct ClusterSession {
     started_scratch: Vec<StartedStep>,
     /// Reused step-outcome buffers; refilled in place on every completion.
     outcome_scratch: StepOutcome,
-    /// Reused list of a completing step's members, read for live tokens
-    /// and background migrations.
+    /// Reused list of the members of a completing step, or of each step a
+    /// leap applies, for live tokens and background migrations.
     decoded_scratch: Vec<RequestId>,
     /// Reused report of one decode run-ahead.
     leap_scratch: Leap,
@@ -740,7 +766,7 @@ pub struct ClusterSession {
     swap_waiting: bool,
     /// Decode completions delivered through the run-ahead.
     #[cfg(test)]
-    pub(crate) quiet_deliveries: u64,
+    pub(crate) leap_deliveries: u64,
     processed: u64,
     end_time: SimTime,
     /// Periodic ticks (sampling, autoscaling) and injected faults must not

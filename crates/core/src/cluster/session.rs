@@ -3,15 +3,15 @@
 
 use super::autoscale::CHECK_INTERVAL;
 use super::transfer::MAX_CONCURRENT_MIGRATIONS;
-use super::{push_live, sorted_ids, stamp, trace_lane, Cluster, ClusterSession, LiveEvent};
+use super::{sorted_ids, stamp, trace_lane, Cluster, ClusterSession, LiveEvent};
 use super::{InstanceSnapshot, SessionSnapshot};
 use crate::coordinator::RESCHED_WATERMARK;
 use crate::report::{InstanceReport, RunReport};
-use windserve_engine::{LaneRef, RunAhead, StartedStep};
+use windserve_engine::{LaneRef, RunAhead, StartedStep, StepKind};
 use windserve_faults::FaultPlan;
 use windserve_metrics::LatencySummary;
 use windserve_sim::{Scheduled, SimDuration, SimTime};
-use windserve_trace::{StepClass, TraceEvent, TraceLog};
+use windserve_trace::{TraceEvent, TraceLog};
 use windserve_workload::{Request, RequestId};
 
 /// Hard cap on processed events — a runaway-simulation backstop far above
@@ -51,7 +51,7 @@ impl Event {
 
 impl Cluster {
     /// Queues the completion of every step the end-of-event sweep started
-    /// on `inst`, and stamps the requests those steps began serving.
+    /// on `inst`, and does each one's start half.
     fn register_steps(&mut self, inst: usize, started: &[StartedStep], now: SimTime) {
         for step in started {
             self.deferred.push((
@@ -62,25 +62,43 @@ impl Cluster {
                     epoch: self.step_epoch[inst],
                 },
             ));
-            self.tracer.emit(now, || TraceEvent::StepStarted {
+            let (prefilling, decoding) = (&step.newly_prefilling, &step.newly_decoding);
+            self.on_step_started(inst, step.lane, step.ends_at, prefilling, decoding, now);
+        }
+    }
+
+    /// The start half of a step formed on `inst`'s `lane` at `now`, ending
+    /// at `ends_at`: traces it and stamps the requests it starts serving.
+    // The leap calls this once per step; left out of line it cost long
+    // leaps several percent of their throughput.
+    #[inline(always)]
+    fn on_step_started(
+        &mut self,
+        inst: usize,
+        lane: LaneRef,
+        ends_at: SimTime,
+        newly_prefilling: &[RequestId],
+        newly_decoding: &[RequestId],
+        now: SimTime,
+    ) {
+        self.tracer.emit(now, || TraceEvent::StepStarted {
+            inst: inst as u32,
+            lane: trace_lane(lane),
+            ends_at,
+        });
+        for &id in newly_prefilling {
+            stamp(&mut self.pending, id, now, |p| &mut p.prefill_start);
+            self.tracer.emit(now, || TraceEvent::PrefillStarted {
+                id,
                 inst: inst as u32,
-                lane: trace_lane(step.lane),
-                ends_at: step.ends_at,
             });
-            for id in &step.newly_prefilling {
-                stamp(&mut self.pending, *id, now, |p| &mut p.prefill_start);
-                self.tracer.emit(now, || TraceEvent::PrefillStarted {
-                    id: *id,
-                    inst: inst as u32,
-                });
-            }
-            for id in &step.newly_decoding {
-                stamp(&mut self.pending, *id, now, |p| &mut p.decode_start);
-                self.tracer.emit(now, || TraceEvent::DecodeStarted {
-                    id: *id,
-                    inst: inst as u32,
-                });
-            }
+        }
+        for &id in newly_decoding {
+            stamp(&mut self.pending, id, now, |p| &mut p.decode_start);
+            self.tracer.emit(now, || TraceEvent::DecodeStarted {
+                id,
+                inst: inst as u32,
+            });
         }
     }
 
@@ -256,11 +274,11 @@ impl ClusterSession {
 
     /// Delivers one scheduled event.
     ///
-    /// A main-lane `StepDone` of the current epoch goes to the quiet-decode
-    /// run-ahead first, which applies its step and the lane's next quiet
-    /// steps that end before every queued event and before `ahead` (just
-    /// past the pump's horizon). Every other event, and a step that is not
-    /// quiet, runs the general body.
+    /// A main-lane `StepDone` of the current epoch goes to the decode
+    /// run-ahead first, which applies its step and the lane's next steps
+    /// that end before every queued event and before `ahead` (just past
+    /// the pump's horizon). Every other event, and a step the run-ahead
+    /// does not take, runs the general body.
     fn step(&mut self, scheduled: Scheduled<Event>, ahead: SimTime) -> crate::Result<()> {
         self.processed += 1;
         if !scheduled.event.is_tick() {
@@ -319,21 +337,16 @@ impl ClusterSession {
                 // A crash bumps the epoch: completions for steps the
                 // crash destroyed are stale and must be dropped.
                 if epoch == self.cluster.step_epoch[inst] {
-                    let cluster = &mut self.cluster;
-                    let mut outcome = std::mem::take(&mut self.outcome_scratch);
-                    let mut decoded = std::mem::take(&mut self.decoded_scratch);
+                    let (cluster, outcome) = (&mut self.cluster, &mut self.outcome_scratch);
+                    let decoded = &mut self.decoded_scratch;
                     decoded.clear();
                     // The common case has no live listeners and no migration
                     // in flight; skip reading the step's members then.
                     if cluster.live.is_some() || !cluster.migrations.is_empty() {
                         decoded.extend(cluster.instances[inst].step_members(lane));
                     }
-                    cluster.instances[inst].complete_step_into(lane, now, &mut outcome);
-                    let applied =
-                        cluster.on_step_outcome(inst, &outcome, &decoded, now, &mut self.records);
-                    self.outcome_scratch = outcome;
-                    self.decoded_scratch = decoded;
-                    applied?;
+                    cluster.instances[inst].complete_step_into(lane, now, outcome);
+                    cluster.on_step_outcome(inst, outcome, decoded, now, &mut self.records)?;
                 }
             }
             Event::TransferDone(tid) => self.cluster.on_transfer_done(tid, now)?,
@@ -414,13 +427,18 @@ impl ClusterSession {
     /// popped. The engine applies that step and the lane's further steps
     /// ending before the next queued event and `ahead` that its ledger
     /// completes on its own; for each one this does what the general body
-    /// would have done, in its order: event count, run end and GPU-time
-    /// integral; `StepFinished` and live tokens; a record for each
-    /// finished request; `StepStarted` for the step formed at its end and
-    /// the decode-start stamps of its first-time members. Then it queues
-    /// the step left running, if any. Returns whether the event was
-    /// delivered; when the engine finds its step does not qualify nothing
-    /// changes and the general body runs.
+    /// would have done, in its order and through the same helpers: event
+    /// count, run end and GPU-time integral; `trace_step_finished`;
+    /// `on_decoded` for its members and completions; `on_step_started` for
+    /// the step formed at its end. Then it queues the step left running,
+    /// if any. Returns whether the event was delivered; when the engine
+    /// finds its step does not qualify nothing changes and the general
+    /// body runs.
+    ///
+    /// Live tokens name each step's members, read once before the leap:
+    /// each step's completions leave them and its joiners follow. Only live
+    /// events read them: no leaping member is a migration source (the leap
+    /// needs an empty `migrating` set), so `on_decoded` credits none.
     ///
     /// Exactness: such a step changes only its own lane and the records
     /// of the requests it finishes, and until the next queued event
@@ -448,58 +466,43 @@ impl ClusterSession {
             until: self.events.peek_time().map_or(ahead, |t| t.min(ahead)),
             max_steps,
             min_free_fraction: cluster.leap_floor(inst),
-            // Live tokens name each step's members, which stay those of
-            // the running step only while none finishes or joins.
-            quiet_only: cluster.live.is_some(),
         };
-        let mut leap = std::mem::take(&mut self.leap_scratch);
-        let applied = cluster.instances[inst].run_ahead(lane, bounds, &mut leap);
+        let live = cluster.live.is_some();
+        let members = &mut self.decoded_scratch;
+        members.clear();
+        if live {
+            members.extend(cluster.instances[inst].step_members(lane));
+        }
+        let leap = &mut self.leap_scratch;
+        let applied = cluster.instances[inst].run_ahead(lane, bounds, leap);
         for step in leap.steps() {
             let end = step.ended;
             self.end_time = end;
             cluster.activation.account(end);
-            cluster.tracer.emit(end, || TraceEvent::StepFinished {
-                inst: inst as u32,
-                lane: trace_lane(lane),
-                class: StepClass::Decode,
-                duration_us: (end - step.started).as_micros(),
-            });
-            if cluster.live.is_some() {
-                for id in cluster.instances[inst].step_members(lane) {
-                    push_live(&mut cluster.live, LiveEvent::Token { id, at: end });
-                }
-            }
-            for c in step.completed {
-                cluster.migrations.remove(&c.id.0);
-                cluster.finalize_record(c.id, c.swap_outs, end, &mut self.records);
+            cluster.trace_step_finished(inst, lane, StepKind::Decode, end - step.started, end);
+            cluster.on_decoded(members, step.completed, end, &mut self.records);
+            if live {
+                // The completions are a subsequence of the members.
+                let mut done = step.completed.iter().peekable();
+                members.retain(|&id| done.next_if(|c| c.id == id).is_none());
+                debug_assert!(done.next().is_none(), "a completion that was no member");
+                members.extend_from_slice(step.joined);
             }
             if let Some(next_end) = step.next_ends_at {
-                cluster.tracer.emit(end, || TraceEvent::StepStarted {
-                    inst: inst as u32,
-                    lane: trace_lane(lane),
-                    ends_at: next_end,
-                });
-            }
-            for &id in step.newly_decoding {
-                stamp(&mut cluster.pending, id, end, |p| &mut p.decode_start);
-                cluster.tracer.emit(end, || TraceEvent::DecodeStarted {
-                    id,
-                    inst: inst as u32,
-                });
+                cluster.on_step_started(inst, lane, next_end, &[], step.newly_decoding, end);
             }
         }
         if applied > 0 {
             self.processed += applied - 1;
             #[cfg(test)]
             {
-                self.quiet_deliveries += applied;
+                self.leap_deliveries += applied;
             }
             self.events.advance_to(self.end_time);
             if let Some(end) = leap.running() {
                 self.schedule(end, Event::StepDone { inst, lane, epoch });
             }
         }
-        self.leap_scratch = leap;
         applied > 0
     }
 

@@ -13,7 +13,7 @@
 //! * [`parse_toml`] reads that subset back — plus inline tables,
 //!   single-quoted strings, comments, and multi-line arrays, so
 //!   hand-written files have room to breathe.
-//! * [`merge_values`] deep-merges a parsed (possibly partial) file over a
+//! * `merge_values` deep-merges a parsed (possibly partial) file over a
 //!   default tree, which is how `ServeConfig::from_toml` lets a config
 //!   file state only the fields it cares about.
 //! * Both loaders, [`ServeConfig::from_toml`] and
@@ -609,7 +609,7 @@ impl Parser {
 /// Deep-merges `overlay` over `base`: tables merge key-by-key (overlay
 /// wins), everything else — scalars, arrays, mismatched kinds — is
 /// replaced wholesale by the overlay.
-pub fn merge_values(base: &Value, overlay: &Value) -> Value {
+fn merge_values(base: &Value, overlay: &Value) -> Value {
     match (base, overlay) {
         (Value::Object(b), Value::Object(o)) => {
             let mut out = b.clone();

@@ -86,8 +86,8 @@ pub struct RunReport {
     pub gpu_seconds_active: f64,
     /// Simulator events processed by the run's event loop (perf telemetry;
     /// together with wall-clock this yields events/sec). Counts every
-    /// delivered event, including the decode steps a quiet-decode
-    /// run-ahead applies without passing them through the event queue, so
+    /// delivered event, including the decode steps the decode run-ahead
+    /// applies without passing them through the event queue, so
     /// it equals the number of events a one-at-a-time loop would pop.
     pub events_processed: u64,
     /// Always 0: the cost model prices every step in closed form and has

@@ -600,7 +600,7 @@ fn sessions_4p4d(audit_interval_events: Option<u64>) -> (ServeConfig, Trace) {
 /// leap.
 fn leap_share(mut session: crate::ClusterSession) -> (u64, u64, crate::RunReport) {
     session.pump_to_drain().expect("the auditor passes");
-    let quiet = session.quiet_deliveries;
+    let leapt = session.leap_deliveries;
     let (report, _) = session.finish().expect("the auditor passes");
     let decode_steps = report
         .instances
@@ -608,17 +608,18 @@ fn leap_share(mut session: crate::ClusterSession) -> (u64, u64, crate::RunReport
         .filter(|i| i.name.starts_with("decode"))
         .map(|i| i.decode_steps)
         .sum();
-    (quiet, decode_steps, report)
+    (leapt, decode_steps, report)
 }
 
 /// On the paper's OPT-13B/ShareGPT 1P+1D deployment requests join the
 /// decode batch after their handoff and leave when they finish; the leap
 /// runs through those boundaries, so nearly every decode completion goes
-/// through it, also when audited after every event.
+/// through it, also when audited after every event and with live events
+/// on (one leap rule for every run).
 #[test]
 fn decode_completions_go_through_the_leap() {
     let trace = sharegpt_trace(12.0, 1500, 17);
-    let run_counted = |audit: Option<u64>| {
+    let run_counted = |audit: Option<u64>, live: bool| {
         let cfg = ServeConfig {
             overload: audit.map(|n| crate::OverloadConfig {
                 max_queued_requests: None,
@@ -629,21 +630,27 @@ fn decode_completions_go_through_the_leap() {
             ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
         };
         let mut session = Cluster::new(cfg).expect("valid config").into_session();
+        if live {
+            session.enable_live_events();
+        }
         for req in trace.requests() {
             session.inject(*req);
         }
         leap_share(session)
     };
-    let (quiet, decode_steps, report) = run_counted(None);
+    let (leapt, decode_steps, report) = run_counted(None, false);
     assert_eq!(report.summary.completed, 1500);
     assert!(
-        10 * quiet > 9 * decode_steps,
-        "{quiet} of {decode_steps} decode completions went through the leap"
+        10 * leapt > 9 * decode_steps,
+        "{leapt} of {decode_steps} decode completions went through the leap"
     );
-    let (audited_quiet, _, audited) = run_counted(Some(1));
-    assert_eq!(audited_quiet, quiet);
+    let (audited_leapt, _, audited) = run_counted(Some(1), false);
+    assert_eq!(audited_leapt, leapt);
     assert!(audited.invariant_checks > audited.events_processed);
     assert_eq!(audited.records, report.records);
+    let (live_leapt, _, live) = run_counted(None, true);
+    assert_eq!(live_leapt, leapt, "live events take the same leaps");
+    assert_eq!(live, report);
 }
 
 #[test]
@@ -656,14 +663,14 @@ fn interleaved_decode_completions_go_through_the_leap() {
         }
         leap_share(session)
     };
-    let (quiet, decode_steps, _) = run_counted(None);
+    let (leapt, decode_steps, _) = run_counted(None);
     assert!(
-        10 * quiet > 9 * decode_steps,
-        "{quiet} of {decode_steps} decode completions went through the leap"
+        10 * leapt > 9 * decode_steps,
+        "{leapt} of {decode_steps} decode completions went through the leap"
     );
     // Audited after every event, each leap ends on an audit point after
     // the one step it delivers; the same completions go through it.
-    let (audited_quiet, _, audited) = run_counted(Some(1));
-    assert_eq!(audited_quiet, quiet);
+    let (audited_leapt, _, audited) = run_counted(Some(1));
+    assert_eq!(audited_leapt, leapt);
     assert!(audited.invariant_checks > audited.events_processed);
 }

@@ -330,11 +330,6 @@ impl Instance {
         }
     }
 
-    /// Number of live backups held.
-    pub fn backup_count(&self) -> usize {
-        self.backups.len()
-    }
-
     /// Drops every backup and frees its blocks (e.g. when the instance is
     /// drained for deactivation).
     pub fn clear_backups(&mut self) {
@@ -1054,10 +1049,10 @@ mod tests {
         inst.kv.allocate(1, 640).unwrap();
         let kept = inst.convert_to_backup(RequestId(1), 0.1);
         assert!(kept);
-        assert_eq!(inst.backup_count(), 1);
+        assert_eq!(inst.backups.len(), 1);
         assert_eq!(inst.backup_delta_tokens(RequestId(1), 700), 60);
         inst.drop_backup(RequestId(1));
-        assert_eq!(inst.backup_count(), 0);
+        assert_eq!(inst.backups.len(), 0);
         inst.kv.check_invariants().unwrap();
     }
 

@@ -81,8 +81,8 @@ pub struct PausedSeq {
 /// Everything that happened in one completed step.
 ///
 /// Every decode member of the step gained one output token; a caller that
-/// needs their ids reads [`Instance::step_members`] before completing the
-/// step.
+/// needs their ids reads [`Instance::step_members`] before the step
+/// completes, here or in a decode run-ahead.
 ///
 /// The `Default` value (an empty aux-lane decode outcome) exists so callers
 /// can hold a reusable scratch for [`Instance::complete_step_into`]; every

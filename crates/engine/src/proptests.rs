@@ -2,7 +2,7 @@
 //! miniature event loop feeds random mixes of prefill and decode work (and
 //! cancels, aborts and crashes) and asserts the global invariants after
 //! every step. The step ledger is checked against the eager per-member
-//! oracle, and the quiet-decode run-ahead against step-by-step completion.
+//! oracle, and the decode run-ahead against step-by-step completion.
 
 use crate::config::{InstanceConfig, InstanceRole, PreemptionMode};
 use crate::instance::Instance;
@@ -418,9 +418,8 @@ fn step_ids(inst: &Instance, lane: usize) -> Vec<RequestId> {
 /// members' synced state rather than the ledger: no member was preempted
 /// mid-step, no admission, swap delay or guest prefill would act at its
 /// boundary, and the free blocks cover a new block for every member that
-/// does not finish and whose KV fills its blocks. With `quiet_only`, no
-/// member finishes and none joined while it ran.
-fn leapable_now(inst: &Instance, quiet_only: bool) -> bool {
+/// does not finish and whose KV fills its blocks.
+fn leapable_now(inst: &Instance) -> bool {
     let Some(step) = &inst.lanes[0].step else {
         return false;
     };
@@ -445,8 +444,14 @@ fn leapable_now(inst: &Instance, quiet_only: bool) -> bool {
         && inst.pending_delay.is_zero()
         && (inst.aux_step.is_some() || inst.waiting_prefill.is_empty())
         && growth <= inst.kv.free_blocks()
-        && !(quiet_only
-            && (members.iter().any(|&id| finishes(id)) || members != lane_members(inst, 0)))
+}
+
+/// The members of the step a leap formed at `step`'s end, from those of
+/// `step` itself: its completions leave, then its joiners follow in join
+/// order.
+fn next_members(members: &mut Vec<RequestId>, step: &crate::LeapStep<'_>) {
+    members.retain(|&id| !step.completed.iter().any(|c| c.id == id));
+    members.extend_from_slice(step.joined);
 }
 
 /// Whether the lane-0 completion that produced `out` is one a leap may
@@ -497,7 +502,9 @@ proptest! {
     /// and restarting lane 0 one boundary at a time up to T leaves it,
     /// through steps where members finish (the last one included) and
     /// where members that joined mid-step fold in. It reports each step's
-    /// completions and first-time members as those calls do, and stops
+    /// completions and first-time members as those calls do, and its
+    /// joiners so that each step's members follow from the running step's
+    /// (as `step_members` reads them before each of those calls). It stops
     /// only at a step the ledger cannot complete.
     #[test]
     fn run_ahead_matches_step_by_step_completion(
@@ -508,7 +515,6 @@ proptest! {
         cuts in proptest::collection::vec((0u64..250_000, 1u64..40), 1..24)
             // Every eighth cut lands exactly on the next boundary.
             .prop_map(|c| c.into_iter().map(|(x, m)| (if x % 8 == 0 { 0 } else { x }, m)).collect::<Vec<_>>()),
-        quiet_only in (0u32..5).prop_map(|q| q == 0),
     ) {
         let mut a = leap_fixture(&members, &guests, slack);
         let mut b = leap_fixture(&members, &guests, slack);
@@ -536,20 +542,26 @@ proptest! {
             let cut = at + windserve_sim::SimDuration::from_micros(extra);
             let until = others.map_or(cut, |o| o.min(cut));
             let floor = (a.kv_free_fraction() - floor_permille as f64 / 1000.0).max(0.0);
-            let bounds = crate::RunAhead { until, max_steps, min_free_fraction: floor, quiet_only };
+            let bounds = crate::RunAhead { until, max_steps, min_free_fraction: floor };
+            let mut members = step_ids(&a, 0);
             let k = a.run_ahead(lane0, bounds, &mut leap);
             a.check_invariants().expect("invariants after a leap");
             prop_assert!(k <= max_steps);
-            prop_assert_eq!(leap.len() as u64, k);
+            prop_assert_eq!(leap.steps().count() as u64, k);
             for step in leap.steps() {
                 let running = b.lanes[0].step.as_ref().expect("running");
                 prop_assert_eq!((step.started, step.ended), (running.started, running.ends_at));
-                prop_assert!(step.ended < until && leapable_now(&b, quiet_only));
+                prop_assert!(step.ended < until && leapable_now(&b));
+                prop_assert_eq!(&members, &step_ids(&b, 0), "step members");
                 let (out, newly) = reference_event(&mut b, lane0, step.ended, &mut pb);
                 prop_assert!(absorbed(&b, &out, floor), "absorbed a step the ledger cannot complete");
                 prop_assert_eq!(step.completed, &out.completed[..], "completions");
                 prop_assert_eq!(step.newly_decoding, &newly[..], "first-time members");
                 prop_assert_eq!(step.next_ends_at, b.lanes[0].step.as_ref().map(|s| s.ends_at));
+                next_members(&mut members, &step);
+            }
+            if k > 0 {
+                prop_assert_eq!(&members, &step_ids(&b, 0), "members of the step left running");
             }
             if k > 0 {
                 pa.retain(|&(l, _)| l != lane0);
@@ -561,7 +573,7 @@ proptest! {
             // could apply.
             let next = a.lanes[0].step.as_ref().map(|s| s.ends_at);
             if let Some(end) = next.filter(|&e| e < until && k < max_steps) {
-                let could = leapable_now(&b, quiet_only);
+                let could = leapable_now(&b);
                 reference_event(&mut a, lane0, end, &mut pa);
                 let (out, _) = reference_event(&mut b, lane0, end, &mut pb);
                 prop_assert!(
@@ -587,7 +599,6 @@ fn run_ahead_leaves_a_step_ending_at_until() {
             until,
             max_steps: 10,
             min_free_fraction: 0.0,
-            quiet_only: false,
         };
         let mut leap = crate::Leap::default();
         let k = inst.run_ahead(LaneRef::Main(0), bounds, &mut leap);
@@ -628,7 +639,6 @@ fn run_ahead_runs_through_finishes_and_joins() {
         until: SimTime::MAX,
         max_steps: 100,
         min_free_fraction: 0.0,
-        quiet_only: false,
     };
     let mut leap = crate::Leap::default();
     let k = inst.run_ahead(LaneRef::Main(0), bounds, &mut leap);
@@ -659,6 +669,56 @@ fn run_ahead_runs_through_finishes_and_joins() {
     assert_eq!(leap.running(), None);
     assert!(inst.lanes[0].step.is_none() && inst.lanes[0].roster.is_empty());
     assert_eq!(inst.kv.free_blocks(), inst.kv.total_blocks());
+}
+
+/// A joiner that decoded before, as a migration's second phase delivers
+/// one with its `decode_start` set, folds in at the boundary without being
+/// a first-time member: the next step's members follow from `joined`, not
+/// from `newly_decoding`.
+#[test]
+fn run_ahead_reports_joiners_that_decoded_before() {
+    let members = [(100, 6, false), (130, 3, true)];
+    let twin = || {
+        let mut inst = leap_fixture(&members, &[], 64);
+        start(&mut inst, SimTime::ZERO, &mut Vec::new());
+        let mut migrated = SeqState::arriving_for_decode(RequestId(7), 63, 20, 5, 1);
+        migrated.decode_start = Some(SimTime::ZERO);
+        inst.enqueue_decode_arrival(migrated);
+        let mut pending = Vec::new();
+        start(&mut inst, SimTime::ZERO, &mut pending);
+        assert!(pending.is_empty(), "the lane's step is running");
+        assert_eq!(
+            inst.lanes[0].roster.len(),
+            3,
+            "the migrated sequence joined"
+        );
+        assert_eq!(
+            inst.lanes[0].ledger.members, 2,
+            "and waits for the boundary"
+        );
+        inst
+    };
+    let (mut a, mut b) = (twin(), twin());
+    let bounds = crate::RunAhead {
+        until: SimTime::MAX,
+        max_steps: 4,
+        min_free_fraction: 0.0,
+    };
+    let mut members = step_ids(&a, 0);
+    let mut leap = crate::Leap::default();
+    assert_eq!(a.run_ahead(LaneRef::Main(0), bounds, &mut leap), 4);
+    let steps: Vec<_> = leap.steps().collect();
+    assert_eq!(steps[0].joined, [RequestId(7)]);
+    assert!(steps[0].newly_decoding.is_empty(), "it decoded before");
+    assert_eq!(a.seq(RequestId(7)).decode_start, Some(SimTime::ZERO));
+    let mut pending = Vec::new();
+    for step in &steps {
+        assert_eq!(members, step_ids(&b, 0), "step members");
+        reference_event(&mut b, LaneRef::Main(0), step.ended, &mut pending);
+        next_members(&mut members, step);
+    }
+    assert_eq!(members, step_ids(&a, 0));
+    assert_twins(&a, &b);
 }
 
 // ----------------------------------------------------------------------
@@ -868,7 +928,6 @@ proptest! {
                         until,
                         max_steps,
                         min_free_fraction: floor,
-                        quiet_only: false,
                     };
                     let k = led.run_ahead(LaneRef::Main(0), bounds, &mut leap);
                     prop_assert!(k <= max_steps);

@@ -46,11 +46,6 @@ pub struct RunAhead {
     /// would be below this floor (the caller's pressure triggers: dynamic
     /// rescheduling and KV-pressure preemption). `0.0` disables it.
     pub min_free_fraction: f64,
-    /// Stop before a step at which a member finishes or a pending joiner
-    /// folds in, so every applied step has the members the running step
-    /// has now: a caller that needs each step's members reads them once,
-    /// through [`Instance::step_members`].
-    pub quiet_only: bool,
 }
 
 /// What one [`Instance::run_ahead`] call applied, step by step. The caller
@@ -61,9 +56,10 @@ pub struct Leap {
     /// The first applied step's start.
     start: SimTime,
     /// Per applied step: its end, and the ends of its entries in
-    /// `completed` and `newly_decoding`.
-    ends: Vec<(SimTime, usize, usize)>,
+    /// `completed`, `joined` and `newly_decoding`.
+    ends: Vec<(SimTime, usize, usize, usize)>,
     completed: Vec<CompletedSeq>,
+    joined: Vec<RequestId>,
     newly_decoding: Vec<RequestId>,
     /// The end of the step left running on the lane, if any.
     running: Option<SimTime>,
@@ -79,8 +75,12 @@ pub struct LeapStep<'a> {
     /// The members whose last token it produced, in batch order; they have
     /// left the instance.
     pub completed: &'a [CompletedSeq],
-    /// The members whose first decode iteration is the step formed at
-    /// `ended`.
+    /// The sequences that joined the lane while the step ran, folded in at
+    /// `ended` in join order: the step formed then has this step's members
+    /// less `completed`, then these.
+    pub joined: &'a [RequestId],
+    /// The joiners whose first decode iteration is the step formed at
+    /// `ended`; a swapped-in joiner decoded before and is not among them.
     pub newly_decoding: &'a [RequestId],
     /// The end of the step formed at `ended`, or `None` when every member
     /// finished and the lane was left idle.
@@ -88,28 +88,19 @@ pub struct LeapStep<'a> {
 }
 
 impl Leap {
-    /// Steps applied.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// True when the call applied nothing.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
     /// The applied steps, in order.
     pub fn steps(&self) -> impl Iterator<Item = LeapStep<'_>> + '_ {
         (0..self.ends.len()).map(|i| {
-            let (ended, completed, newly) = self.ends[i];
-            let (started, done, fresh) = match i {
-                0 => (self.start, 0, 0),
+            let (ended, completed, joined, newly) = self.ends[i];
+            let (started, done, join, fresh) = match i {
+                0 => (self.start, 0, 0, 0),
                 _ => self.ends[i - 1],
             };
             LeapStep {
                 started,
                 ended,
                 completed: &self.completed[done..completed],
+                joined: &self.joined[join..joined],
                 newly_decoding: &self.newly_decoding[fresh..newly],
                 next_ends_at: self.ends.get(i + 1).map(|e| e.0).or(self.running),
             }
@@ -125,6 +116,7 @@ impl Leap {
     fn clear(&mut self) {
         self.ends.clear();
         self.completed.clear();
+        self.joined.clear();
         self.newly_decoding.clear();
         self.running = None;
     }
@@ -149,8 +141,8 @@ impl Instance {
     /// swap delay, and no guest prefill the aux stream (or a fused batch)
     /// could pick up.
     ///
-    /// Returns the number of steps applied, which `leap` lists with the
-    /// sequences each one completed and the members whose first decode
+    /// Returns the number of steps applied, which `leap` lists with their
+    /// completions, their joiners and the joiners whose first decode
     /// iteration each formed step is; their `decode_start` is stamped.
     pub fn run_ahead(&mut self, lane: LaneRef, bounds: RunAhead, leap: &mut Leap) -> u64 {
         leap.clear();
@@ -161,7 +153,6 @@ impl Instance {
             return 0;
         }
         let mut step = self.lanes[lane_idx].step.take().expect("checked above");
-        let aux_kernel = self.aux_step.as_ref().map(|aux| aux.kernel);
         let total = self.kv.total_blocks() as f64;
         // Free blocks once the growth of every applied step is debited.
         let mut free = self.kv.free_blocks();
@@ -190,9 +181,6 @@ impl Instance {
                 free -= taken;
                 self.lanes[lane_idx].ledger.clock += 1;
             } else {
-                if bounds.quiet_only {
-                    break;
-                }
                 // The ledger helpers read the block manager: settle the
                 // growth the quiet steps so far took.
                 self.kv
@@ -204,6 +192,9 @@ impl Instance {
                 }
                 let completed = self.complete_quiet(lane_idx, &step, &mut leap.completed);
                 debug_assert!(completed, "growth checked against free blocks");
+                let joined = self.lanes[lane_idx].roster.since(step.join_bound);
+                leap.joined
+                    .extend(joined.iter().map(|&(_, slot)| self.seqs.at(slot).id));
                 self.fold_joiners(lane_idx, step.join_bound);
                 free = self.kv.free_blocks();
                 next_finish = self.lanes[lane_idx].ledger.next_finish();
@@ -211,22 +202,21 @@ impl Instance {
             }
             self.stats
                 .record_step(StepKind::Decode, ended - step.started, &step.kernel);
-            leap.ends
-                .push((ended, leap.completed.len(), leap.newly_decoding.len()));
+            let ends = (
+                ended,
+                leap.completed.len(),
+                leap.joined.len(),
+                leap.newly_decoding.len(),
+            );
+            leap.ends.push(ends);
             let ledger = &self.lanes[lane_idx].ledger;
             if ledger.members == 0 {
                 // Every member finished: the lane idles, as `try_start`
                 // leaves a lane with nothing to step.
                 self.recycle_jobvec(std::mem::take(&mut step.prefill_ids));
-                return leap.len() as u64;
+                return leap.ends.len() as u64;
             }
-            let kernel = self
-                .cost
-                .decode_kernel_cost(ledger.members as u64, ledger.sum_l());
-            let mut duration = SimDuration::from_secs_f64(kernel.alone_secs());
-            if let Some(aux) = aux_kernel {
-                duration = duration.mul_f64(self.sharing.slowdown(kernel, aux));
-            }
+            let (duration, kernel) = self.decode_step(ledger.members, ledger.sum_l());
             step.started = ended;
             step.ends_at = ended + duration.max(SimDuration::from_micros(1));
             step.kernel = kernel;
@@ -235,11 +225,11 @@ impl Instance {
         self.kv
             .debit_growth(self.kv.free_blocks() - free)
             .expect("growth checked against free blocks");
-        if !leap.is_empty() {
+        if !leap.ends.is_empty() {
             leap.running = Some(step.ends_at);
         }
         self.lanes[lane_idx].step = Some(step);
-        leap.len() as u64
+        leap.ends.len() as u64
     }
 
     /// Whether the running step of lane `lane_idx` (join bound
@@ -284,7 +274,11 @@ impl Instance {
     }
 
     /// Members of the step running on `lane` that gain a token when it
-    /// completes, in batch order (none when the lane is idle).
+    /// completes, in batch order (none when the lane is idle). Batch order
+    /// is join order: read before a [`run_ahead`](Instance::run_ahead),
+    /// they give each applied step's members, which less its
+    /// [`completed`](LeapStep::completed) and plus its
+    /// [`joined`](LeapStep::joined) are the next step's.
     pub fn step_members(&self, lane: LaneRef) -> impl Iterator<Item = RequestId> + '_ {
         let step = match lane {
             LaneRef::Main(i) => self

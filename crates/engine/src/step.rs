@@ -26,6 +26,7 @@ use crate::outcome::{
     CompletedSeq, FinishedPrefill, LaneRef, PausedSeq, StartedStep, StepKind, StepOutcome,
 };
 use crate::seq::SeqPhase;
+use windserve_gpu::KernelCost;
 use windserve_model::{BatchPlan, PrefillChunk};
 use windserve_sim::{SimDuration, SimTime};
 use windserve_workload::RequestId;
@@ -372,6 +373,18 @@ impl Instance {
         plan
     }
 
+    /// The kernel of a decode-only step over `batch` members with context
+    /// sum `sum_l`, and its duration beside the running aux step, if any.
+    #[inline]
+    pub(crate) fn decode_step(&self, batch: usize, sum_l: u64) -> (SimDuration, KernelCost) {
+        let kernel = self.cost.decode_kernel_cost(batch as u64, sum_l);
+        let mut alone = SimDuration::from_secs_f64(kernel.alone_secs());
+        if let Some(aux) = &self.aux_step {
+            alone = alone.mul_f64(self.sharing.slowdown(kernel, aux.kernel));
+        }
+        (alone, kernel)
+    }
+
     fn form_decode_step(&mut self, lane_idx: usize, now: SimTime) -> Option<RunningStep> {
         let sum_l = self.prepare_lane(lane_idx, now);
         let batch = self.lanes[lane_idx].roster.len();
@@ -387,13 +400,7 @@ impl Instance {
             return None;
         }
         let (duration, kernel) = if fused_prefills.is_empty() {
-            let kernel = self.cost.decode_kernel_cost(batch as u64, sum_l);
-            let mut alone = SimDuration::from_secs_f64(kernel.alone_secs());
-            if let Some(aux) = &self.aux_step {
-                let slow = self.sharing.slowdown(kernel, aux.kernel);
-                alone = alone.mul_f64(slow);
-            }
-            (alone, kernel)
+            self.decode_step(batch, sum_l)
         } else {
             let plan = self.step_plan(batch, sum_l, &fused_prefills);
             (
@@ -443,9 +450,8 @@ impl Instance {
             return None;
         }
         let (duration, kernel) = if chunk.is_empty() {
-            // A decode-only step's single-stream time is its `step_time`.
-            let kernel = self.cost.decode_kernel_cost(batch as u64, sum_l);
-            (SimDuration::from_secs_f64(kernel.alone_secs()), kernel)
+            // No aux stream here: a decode-only step runs alone.
+            self.decode_step(batch, sum_l)
         } else {
             let plan = self.step_plan(batch, sum_l, &chunk);
             (
@@ -544,7 +550,7 @@ impl Instance {
         kind: StepKind,
         now: SimTime,
         mut duration: SimDuration,
-        kernel: windserve_gpu::KernelCost,
+        kernel: KernelCost,
         prefill_ids: Vec<(RequestId, u32)>,
     ) -> RunningStep {
         if !self.pending_delay.is_zero() {

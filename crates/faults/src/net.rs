@@ -133,7 +133,7 @@ impl NetFaultPlan {
     }
 
     /// Preset: ~30% of connections in the window are reset cold.
-    pub fn resets(seed: u64) -> Self {
+    fn resets(seed: u64) -> Self {
         NetFaultPlan {
             reset_p: 0.3,
             ..NetFaultPlan::new(seed)
@@ -141,7 +141,7 @@ impl NetFaultPlan {
     }
 
     /// Preset: ~30% of connections read slowly, tying up workers.
-    pub fn slow_loris(seed: u64) -> Self {
+    fn slow_loris(seed: u64) -> Self {
         NetFaultPlan {
             slow_loris_p: 0.3,
             slow_loris_delay_ms: 150,
@@ -150,7 +150,7 @@ impl NetFaultPlan {
     }
 
     /// Preset: ~30% of connections see their response writes stall.
-    pub fn stalled_writes(seed: u64) -> Self {
+    fn stalled_writes(seed: u64) -> Self {
         NetFaultPlan {
             stalled_write_p: 0.3,
             stalled_write_ms: 150,
@@ -159,7 +159,7 @@ impl NetFaultPlan {
     }
 
     /// Preset: ~20% of connections panic their worker.
-    pub fn worker_panics(seed: u64) -> Self {
+    fn worker_panics(seed: u64) -> Self {
         NetFaultPlan {
             worker_panic_p: 0.2,
             ..NetFaultPlan::new(seed)
@@ -167,7 +167,7 @@ impl NetFaultPlan {
     }
 
     /// Preset: ~30% of submissions stall the driver briefly.
-    pub fn driver_stalls(seed: u64) -> Self {
+    fn driver_stalls(seed: u64) -> Self {
         NetFaultPlan {
             driver_stall_p: 0.3,
             driver_stall_ms: 20,

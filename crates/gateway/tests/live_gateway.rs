@@ -296,3 +296,41 @@ fn malformed_requests_get_typed_errors_and_service_continues() {
     assert_eq!(report.driver.completed, 1);
     assert!(report.driver.error.is_none(), "{:?}", report.driver.error);
 }
+
+/// Concurrent streams of different lengths share decode steps, so one leap
+/// runs through steps where some finish and others join: each stream
+/// still gets every token index once, in order, then `[DONE]`.
+#[test]
+fn concurrent_streams_of_different_lengths_get_every_token() {
+    let mut gw = GatewayConfig::local(ServeConfig::opt_13b_sharegpt(SystemKind::WindServe));
+    // Slow enough that the streams overlap in virtual time.
+    gw.time_scale = 100.0;
+    let gw = Gateway::start(gw).unwrap();
+    let addr = gw.addr();
+    let threads: Vec<_> = (0..8u64)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let max_tokens = 5 + 7 * i as usize;
+                let body = format!(
+                    r#"{{"prompt_tokens": {}, "max_tokens": {max_tokens}, "stream": true}}"#,
+                    32 + 16 * i
+                );
+                let mut parser = exchange(addr, &completion_request(&body));
+                assert_eq!(parser.status(), Some(200));
+                let events = SseParser::new().feed(&parser.take_body());
+                assert_eq!(events.len(), max_tokens + 1, "tokens + [DONE]: {events:?}");
+                for (k, ev) in events[..max_tokens].iter().enumerate() {
+                    let v: Value = serde_json::from_str(&ev.data).expect("token event JSON");
+                    assert_eq!(v["token_index"].as_u64(), Some(k as u64), "no gap");
+                }
+                assert_eq!(events[max_tokens].data, "[DONE]");
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("every stream is whole");
+    }
+    let report = gw.shutdown();
+    assert_eq!(report.driver.completed, 8);
+    assert!(report.driver.error.is_none(), "{:?}", report.driver.error);
+}

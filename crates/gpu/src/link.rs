@@ -98,12 +98,10 @@ pub struct RouteId(pub usize);
 struct RouteState {
     spec: RouteSpec,
     busy_until: SimTime,
-    bytes_moved: u64,
-    transfers: u64,
 }
 
 /// Schedules transfers over a set of directed routes, serializing transfers
-/// that share a route (FIFO) and accounting moved bytes.
+/// that share a route (FIFO).
 ///
 /// # Examples
 ///
@@ -132,8 +130,6 @@ impl TransferEngine {
         self.routes.push(RouteState {
             spec,
             busy_until: SimTime::ZERO,
-            bytes_moved: 0,
-            transfers: 0,
         });
         RouteId(self.routes.len() - 1)
     }
@@ -149,8 +145,6 @@ impl TransferEngine {
         let start = state.busy_until.max(now);
         let done = start + state.spec.duration(bytes);
         state.busy_until = done;
-        state.bytes_moved += bytes;
-        state.transfers += 1;
         done
     }
 
@@ -167,16 +161,6 @@ impl TransferEngine {
     /// The route's static description.
     pub fn spec(&self, route: RouteId) -> RouteSpec {
         self.routes[route.0].spec
-    }
-
-    /// Total bytes ever submitted on `route`.
-    pub fn bytes_moved(&self, route: RouteId) -> u64 {
-        self.routes[route.0].bytes_moved
-    }
-
-    /// Number of transfers ever submitted on `route`.
-    pub fn transfer_count(&self, route: RouteId) -> u64 {
-        self.routes[route.0].transfers
     }
 }
 
@@ -238,16 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn accounting_tracks_bytes_and_counts() {
-        let mut eng = TransferEngine::new();
-        let r = eng.add_route(RouteSpec::striped(LinkKind::NvLink, 2));
-        eng.submit(r, 100, SimTime::ZERO);
-        eng.submit(r, 200, SimTime::ZERO);
-        assert_eq!(eng.bytes_moved(r), 300);
-        assert_eq!(eng.transfer_count(r), 2);
-    }
-
-    #[test]
     fn submit_after_idle_starts_at_now() {
         let mut eng = TransferEngine::new();
         let r = eng.add_route(RouteSpec::striped(LinkKind::NvLink, 1));
@@ -281,7 +255,7 @@ mod proptests {
                 prop_assert!(done >= last_done);
                 last_done = done;
             }
-            prop_assert_eq!(eng.transfer_count(r), sizes.len().min(gaps.len()) as u64);
+            prop_assert_eq!(eng.busy_until(r), last_done);
         }
 
         /// Route duration is monotone in bytes and superadditive-free:

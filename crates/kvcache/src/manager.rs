@@ -177,11 +177,6 @@ impl BlockManager {
         self.tables.keys()
     }
 
-    /// Number of resident sequences.
-    pub fn resident_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Allocates a fresh table of `tokens` tokens for `key`.
     ///
     /// # Errors
@@ -648,7 +643,7 @@ mod tests {
                     held += blocks(tokens);
                 }
                 prop_assert_eq!(mgr.free_blocks(), total - held);
-                prop_assert_eq!(mgr.resident_count(), resident.len());
+                prop_assert_eq!(mgr.tables.len(), resident.len());
             }
         }
 

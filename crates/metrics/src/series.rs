@@ -90,11 +90,6 @@ impl Series {
     pub fn max(&self) -> f64 {
         self.values.iter().copied().fold(0.0, f64::max)
     }
-
-    /// The sample time of index `i`.
-    pub fn time_of(&self, i: usize) -> SimTime {
-        SimTime::ZERO + self.interval * i as u64
-    }
 }
 
 /// Sampled state of one instance over a run.
@@ -138,7 +133,6 @@ mod tests {
         assert_eq!(s.len(), 10);
         assert_eq!(s.mean(), 4.5);
         assert_eq!(s.max(), 9.0);
-        assert_eq!(s.time_of(4), SimTime::from_micros(200_000));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! utilities they share (trace construction, run drivers, tolerance
 //! assertions).
 
-use windserve::{Cluster, RunReport, ServeConfig};
+use windserve::{Cluster, LiveEvent, RunReport, ServeConfig};
+use windserve_sim::{SimDuration, SimTime};
 use windserve_workload::{ArrivalProcess, Dataset, Scenario, Trace};
 
 /// Builds a ShareGPT-like trace at `total_rate` req/s.
@@ -37,6 +38,25 @@ pub fn run(cfg: ServeConfig, trace: &Trace) -> RunReport {
         .run(trace)
         .expect("run must complete")
         .0
+}
+
+/// Replays `trace` through a live session pumped in 100 ms slices, the way
+/// the gateway drives one: the final report and every live event.
+pub fn sliced_live_run(cfg: ServeConfig, trace: &Trace) -> (RunReport, Vec<LiveEvent>) {
+    let mut session = Cluster::new(cfg).expect("valid config").into_session();
+    session.enable_live_events();
+    for req in trace.requests() {
+        session.inject(*req);
+    }
+    let mut live = Vec::new();
+    let mut horizon = SimTime::ZERO;
+    while session.next_event_at().is_some() {
+        horizon += SimDuration::from_millis(100);
+        session.pump_until(horizon).expect("sliced pump");
+        live.extend(session.drain_live_events());
+    }
+    let (report, _) = session.finish().expect("sliced session");
+    (report, live)
 }
 
 /// Asserts `a <= b * factor` with a readable message.

@@ -20,8 +20,10 @@ use windserve::{
 use windserve_engine::InstanceRole;
 use windserve_faults::FAULT_PRESETS;
 use windserve_gpu::Topology;
-use windserve_sim::{SimDuration, SimTime};
-use windserve_tests::{decode_path_cases, longbench_trace, run, sessions_4p4d, sharegpt_trace};
+use windserve_sim::SimDuration;
+use windserve_tests::{
+    decode_path_cases, longbench_trace, run, sessions_4p4d, sharegpt_trace, sliced_live_run,
+};
 use windserve_workload::{Scenario, SessionsScenario};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/digests.txt");
@@ -258,30 +260,6 @@ fn admission_caps() -> Vec<Row> {
         ("traced/admission-caps/log".into(), digest(&log)),
         ("live/admission-caps".into(), digest(&live)),
     ]
-}
-
-/// Replays `trace` through a live session pumped in 100 ms slices, the way
-/// the gateway drives one: the final report and every live event.
-fn sliced_live_run(
-    cfg: ServeConfig,
-    trace: &windserve_workload::Trace,
-) -> (windserve::RunReport, Vec<windserve::LiveEvent>) {
-    let mut session = windserve::Cluster::new(cfg)
-        .expect("valid config")
-        .into_session();
-    session.enable_live_events();
-    for req in trace.requests() {
-        session.inject(*req);
-    }
-    let mut live = Vec::new();
-    let mut horizon = SimTime::ZERO;
-    while session.next_event_at().is_some() {
-        horizon += SimDuration::from_millis(100);
-        session.pump_until(horizon).expect("sliced pump");
-        live.extend(session.drain_live_events());
-    }
-    let (report, _) = session.finish().expect("sliced session");
-    (report, live)
 }
 
 /// Single-cluster autoscale: a 2P+2D ceiling over a 1P+1D floor under load

@@ -2,8 +2,10 @@
 //! under randomized operating points.
 
 use proptest::prelude::*;
-use windserve::{Parallelism, ServeConfig, SystemKind};
-use windserve_tests::{run, sharegpt_trace};
+use std::collections::HashMap;
+use windserve::{LiveEvent, Parallelism, ServeConfig, SystemKind, TraceMode};
+use windserve_sim::SimTime;
+use windserve_tests::{decode_path_cases, run, sessions_4p4d, sharegpt_trace, sliced_live_run};
 
 #[test]
 fn reports_are_identical_across_reruns() {
@@ -16,6 +18,75 @@ fn reports_are_identical_across_reruns() {
         let a = run(ServeConfig::opt_13b_sharegpt(system), &trace);
         let b = run(ServeConfig::opt_13b_sharegpt(system), &trace);
         assert_eq!(a, b, "{} must be deterministic", system.label());
+    }
+}
+
+/// One request's live events.
+#[derive(Default)]
+struct Stream {
+    first: Option<SimTime>,
+    tokens: Vec<SimTime>,
+    finished: Option<SimTime>,
+}
+
+/// A live session pumped in 100 ms slices streams every completed request
+/// one `Token` per output token after the first, in time order, between
+/// its `FirstToken` and its `Finished`: on the 4P+4D sessions deployment,
+/// whose four decode replicas interleave, and under KV-pressure swap
+/// preemption.
+#[test]
+fn live_streams_carry_every_decoded_token() {
+    let (_, preempting, preempting_trace) = decode_path_cases()
+        .into_iter()
+        .find(|(name, ..)| *name == "overload/kv-preempt")
+        .expect("the KV-pressure case");
+    let (sessions, sessions_trace) = sessions_4p4d(TraceMode::Off);
+    let cases = [
+        (sessions, sessions_trace, false),
+        (preempting, preempting_trace, true),
+    ];
+    for (cfg, trace, preempts) in cases {
+        let (report, live) = sliced_live_run(cfg, &trace);
+        assert!(!report.records.is_empty());
+        assert_eq!(
+            report.requests_preempted > 0,
+            preempts,
+            "KV-pressure preemption"
+        );
+        let mut streams: HashMap<u64, Stream> = HashMap::new();
+        for ev in &live {
+            let stream = streams.entry(ev.request_id().0).or_default();
+            match *ev {
+                LiveEvent::FirstToken { at, .. } => stream.first = Some(at),
+                LiveEvent::Token { at, .. } => stream.tokens.push(at),
+                LiveEvent::Finished { at, .. } => stream.finished = Some(at),
+                LiveEvent::Dropped { .. } => {}
+            }
+        }
+        for rec in &report.records {
+            let Stream {
+                first,
+                tokens,
+                finished,
+            } = &streams[&rec.id.0];
+            let (first, finished) = (first.expect("first token"), finished.expect("finished"));
+            assert_eq!(
+                tokens.len() as u32,
+                rec.output_tokens - 1,
+                "{} tokens",
+                rec.id
+            );
+            assert!(
+                tokens.windows(2).all(|w| w[0] <= w[1]),
+                "{} in time order",
+                rec.id
+            );
+            assert!(
+                tokens.iter().all(|&t| first <= t && t <= finished),
+                "{} tokens between its first and its finish",
+                rec.id
+            );
+        }
     }
 }
 
