@@ -63,7 +63,7 @@ use routing::PrefixCache;
 use session::Event;
 use transfer::{MigrationCtl, Transfers};
 use windserve_engine::{
-    Instance, InstanceConfig, InstanceRole, LaneRef, Leap, StartedStep, StepKind, StepOutcome,
+    Instance, InstanceConfig, InstanceRole, LaneRef, Leap, StepKind, StepOutcome,
 };
 use windserve_faults::FaultEvent;
 use windserve_gpu::{GpuId, StreamSharing, TransferEngine};
@@ -471,8 +471,6 @@ impl Cluster {
             events: EventQueue::new(),
             requests: Vec::new(),
             records: Vec::new(),
-            started_scratch: Vec::new(),
-            outcome_scratch: StepOutcome::default(),
             decoded_scratch: Vec::new(),
             leap_scratch: Leap::default(),
             swap_waiting: false,
@@ -750,11 +748,6 @@ pub struct ClusterSession {
     /// Session-owned arrivals; `Event::Arrival` indexes here.
     requests: Vec<Request>,
     records: Vec<RequestRecord>,
-    /// Reused across the per-event instance sweep so the hot loop does not
-    /// allocate a fresh Vec per (event, instance) pair.
-    started_scratch: Vec<StartedStep>,
-    /// Reused step-outcome buffers; refilled in place on every completion.
-    outcome_scratch: StepOutcome,
     /// Reused list of the members of a completing step, or of each step a
     /// leap applies, for live tokens and background migrations.
     decoded_scratch: Vec<RequestId>,

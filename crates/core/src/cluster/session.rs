@@ -337,7 +337,7 @@ impl ClusterSession {
                 // A crash bumps the epoch: completions for steps the
                 // crash destroyed are stale and must be dropped.
                 if epoch == self.cluster.step_epoch[inst] {
-                    let (cluster, outcome) = (&mut self.cluster, &mut self.outcome_scratch);
+                    let cluster = &mut self.cluster;
                     let decoded = &mut self.decoded_scratch;
                     decoded.clear();
                     // The common case has no live listeners and no migration
@@ -345,8 +345,8 @@ impl ClusterSession {
                     if cluster.live.is_some() || !cluster.migrations.is_empty() {
                         decoded.extend(cluster.instances[inst].step_members(lane));
                     }
-                    cluster.instances[inst].complete_step_into(lane, now, outcome);
-                    cluster.on_step_outcome(inst, outcome, decoded, now, &mut self.records)?;
+                    let outcome = cluster.instances[inst].complete_step(lane, now);
+                    cluster.on_step_outcome(inst, &outcome, decoded, now, &mut self.records)?;
                 }
             }
             Event::TransferDone(tid) => self.cluster.on_transfer_done(tid, now)?,
@@ -399,9 +399,8 @@ impl ClusterSession {
         // launch steps (cheap — the instance count is tiny).
         let mut swap_waiting = false;
         for idx in 0..self.cluster.instances.len() {
-            self.started_scratch.clear();
-            self.cluster.instances[idx].try_start_into(now, &mut self.started_scratch);
-            self.cluster.register_steps(idx, &self.started_scratch, now);
+            let started = self.cluster.instances[idx].try_start(now);
+            self.cluster.register_steps(idx, &started, now);
             swap_waiting |= self.cluster.instances[idx].swapped_len() > 0;
         }
         self.swap_waiting = swap_waiting;

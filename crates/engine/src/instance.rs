@@ -120,16 +120,6 @@ pub struct Instance {
     pub(crate) pending_delay: SimDuration,
     pub(crate) host_bandwidth: f64,
     pub(crate) stats: InstanceStats,
-    /// Scratch for the per-member completion pass: the step's members and
-    /// the ones already appended.
-    pub(crate) members_scratch: Vec<Member>,
-    pub(crate) appended_scratch: Vec<RequestId>,
-    /// Scratch for the slots of members finishing at a quiet completion.
-    pub(crate) finish_scratch: Vec<u32>,
-    /// Recycled `prefill_ids` buffers: step formation takes one, step
-    /// completion returns it, so steady-state stepping allocates no fresh
-    /// job `Vec`s. Bounded by the number of concurrent steps.
-    pub(crate) jobvec_pool: Vec<Vec<(RequestId, u32)>>,
     /// Members of the forming step whose first decode iteration this is.
     pub(crate) newly_scratch: Vec<RequestId>,
 }
@@ -181,10 +171,6 @@ impl Instance {
             cfg,
             cost,
             sharing,
-            members_scratch: Vec::new(),
-            appended_scratch: Vec::new(),
-            finish_scratch: Vec::new(),
-            jobvec_pool: Vec::new(),
             newly_scratch: Vec::new(),
         })
     }

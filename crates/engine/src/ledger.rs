@@ -408,9 +408,7 @@ impl Instance {
         let ledger = &self.lanes[lane_idx].ledger;
         let clock = ledger.clock;
         let boundary = ledger.boundary(clock) as u32;
-        let mut finishing = std::mem::take(&mut self.finish_scratch);
-        finishing.clear();
-        finishing.extend(ledger.finishing_at(clock + 1));
+        let finishing: Vec<u32> = ledger.finishing_at(clock + 1).collect();
         // Finishing members take no growth block.
         let crossing_finishers = finishing
             .iter()
@@ -418,7 +416,6 @@ impl Instance {
             .count();
         let growth = ledger.kv_crossings(clock) - crossing_finishers;
         if growth > self.kv.free_blocks() {
-            self.finish_scratch = finishing;
             return false;
         }
         for &slot in &finishing {
@@ -426,7 +423,6 @@ impl Instance {
             self.seqs.at_mut(slot).generated += 1;
             self.finish_sequence(member.id, completed);
         }
-        self.finish_scratch = finishing;
         self.kv
             .debit_growth(growth)
             .expect("growth checked against free blocks");

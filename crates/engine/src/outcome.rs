@@ -84,11 +84,6 @@ pub struct PausedSeq {
 /// needs their ids reads [`Instance::step_members`] before the step
 /// completes, here or in a decode run-ahead.
 ///
-/// The `Default` value (an empty aux-lane decode outcome) exists so callers
-/// can hold a reusable scratch for [`Instance::complete_step_into`]; every
-/// field is overwritten before the outcome is read.
-///
-/// [`Instance::complete_step_into`]: crate::Instance::complete_step_into
 /// [`Instance::step_members`]: crate::Instance::step_members
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StepOutcome {
@@ -104,17 +99,4 @@ pub struct StepOutcome {
     pub completed: Vec<CompletedSeq>,
     /// Sequences paused for migration at this boundary.
     pub paused: Vec<PausedSeq>,
-}
-
-impl Default for StepOutcome {
-    fn default() -> Self {
-        StepOutcome {
-            lane: LaneRef::Aux,
-            kind: StepKind::Decode,
-            duration: SimDuration::ZERO,
-            finished_prefills: Vec::new(),
-            completed: Vec::new(),
-            paused: Vec::new(),
-        }
-    }
 }

@@ -213,7 +213,6 @@ impl Instance {
             if ledger.members == 0 {
                 // Every member finished: the lane idles, as `try_start`
                 // leaves a lane with nothing to step.
-                self.recycle_jobvec(std::mem::take(&mut step.prefill_ids));
                 return leap.ends.len() as u64;
             }
             let (duration, kernel) = self.decode_step(ledger.members, ledger.sum_l());

@@ -54,16 +54,8 @@ impl Instance {
     /// their completion events.
     pub fn try_start(&mut self, now: SimTime) -> Vec<StartedStep> {
         let mut started = Vec::new();
-        self.try_start_into(now, &mut started);
-        started
-    }
-
-    /// Allocation-free variant of [`Instance::try_start`]: appends newly
-    /// started steps to `started` (not cleared first), letting the cluster
-    /// event loop reuse one buffer across its per-event instance sweep.
-    pub fn try_start_into(&mut self, now: SimTime, started: &mut Vec<StartedStep>) {
         if self.is_start_quiescent() {
-            return;
+            return started;
         }
         self.admit_decodes();
         if self.cfg.role == InstanceRole::Decode
@@ -99,6 +91,7 @@ impl Instance {
                 self.lanes[lane_idx].step = Some(step);
             }
         }
+        started
     }
 
     /// The step's prefill jobs that have not yet processed a prompt token.
@@ -131,20 +124,6 @@ impl Instance {
     /// Panics if no step was running on `lane` — the cluster delivered a
     /// completion event the instance never scheduled.
     pub fn complete_step(&mut self, lane: LaneRef, now: SimTime) -> StepOutcome {
-        let mut outcome = StepOutcome::default();
-        self.complete_step_into(lane, now, &mut outcome);
-        outcome
-    }
-
-    /// Allocation-free variant of [`Instance::complete_step`]: clears and
-    /// refills `outcome` in place, so a caller-held scratch outcome makes
-    /// steady-state completion allocation-free (the finished step's member
-    /// buffers are recycled into the instance's pools).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no step was running on `lane`.
-    pub fn complete_step_into(&mut self, lane: LaneRef, now: SimTime, outcome: &mut StepOutcome) {
         let step = match lane {
             LaneRef::Main(i) => self.lanes[i].step.take(),
             LaneRef::Aux => self.aux_step.take(),
@@ -154,12 +133,14 @@ impl Instance {
         self.stats
             .record_step(step.kind, step.ends_at - step.started, &step.kernel);
 
-        outcome.lane = lane;
-        outcome.kind = step.kind;
-        outcome.duration = step.ends_at - step.started;
-        outcome.finished_prefills.clear();
-        outcome.completed.clear();
-        outcome.paused.clear();
+        let mut outcome = StepOutcome {
+            lane,
+            kind: step.kind,
+            duration: step.ends_at - step.started,
+            finished_prefills: Vec::new(),
+            completed: Vec::new(),
+            paused: Vec::new(),
+        };
 
         for (id, n) in &step.prefill_ids {
             let seq = self.seqs.get_mut(id.0).expect("prefilling seq vanished");
@@ -180,11 +161,11 @@ impl Instance {
 
         if let LaneRef::Main(i) = lane {
             if !self.complete_quiet(i, &step, &mut outcome.completed) {
-                self.complete_members(i, &step, outcome);
+                self.complete_members(i, &step, &mut outcome);
             }
             self.fold_joiners(i, step.join_bound);
         }
-        self.recycle_jobvec(step.prefill_ids);
+        outcome
     }
 
     /// The per-member completion of lane `lane_idx`'s `step`: syncs the
@@ -193,11 +174,8 @@ impl Instance {
     /// advances the lane's clock.
     fn complete_members(&mut self, lane_idx: usize, step: &RunningStep, outcome: &mut StepOutcome) {
         self.sync_lane(lane_idx);
-        let mut members = std::mem::take(&mut self.members_scratch);
-        members.clear();
-        members.extend(self.members_of(lane_idx, step));
-        let mut appended = std::mem::take(&mut self.appended_scratch);
-        appended.clear();
+        let members: Vec<Member> = self.members_of(lane_idx, step).collect();
+        let mut appended = Vec::new();
         for &m in &members {
             let seq = self.seqs.at_mut(m.seq);
             seq.generated += 1;
@@ -213,8 +191,6 @@ impl Instance {
                 self.pause_sequence(m.id, outcome);
             }
         }
-        self.appended_scratch = appended;
-        self.members_scratch = members;
         // The members still in the lane gained this step's token and KV
         // above: they are synced at the new clock.
         let lane = &mut self.lanes[lane_idx];
@@ -226,19 +202,6 @@ impl Instance {
             debug_assert_ne!(seat.synced_at, PENDING, "step member left pending");
             seat.synced_at = lane.ledger.clock;
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Step-member buffer pools
-    // ------------------------------------------------------------------
-
-    fn take_jobvec(&mut self) -> Vec<(RequestId, u32)> {
-        self.jobvec_pool.pop().unwrap_or_default()
-    }
-
-    pub(crate) fn recycle_jobvec(&mut self, mut v: Vec<(RequestId, u32)>) {
-        v.clear();
-        self.jobvec_pool.push(v);
     }
 
     // ------------------------------------------------------------------
@@ -393,10 +356,9 @@ impl Instance {
             // into the decode batch as whole prompts (Fig. 7 "Regular").
             self.pack_whole_prefills(u64::from(self.cost.model().max_context))
         } else {
-            self.take_jobvec()
+            Vec::new()
         };
         if batch == 0 && fused_prefills.is_empty() {
-            self.recycle_jobvec(fused_prefills);
             return None;
         }
         let (duration, kernel) = if fused_prefills.is_empty() {
@@ -429,7 +391,6 @@ impl Instance {
             // Pure prompt processing: pack whole prompts FCFS.
             let jobs = self.pack_whole_prefills(u64::from(self.cost.model().max_context));
             if jobs.is_empty() {
-                self.recycle_jobvec(jobs);
                 return None;
             }
             let kernel = self.cost.kernel_cost(&self.step_plan(0, 0, &jobs));
@@ -446,7 +407,6 @@ impl Instance {
         let batch = self.lanes[lane_idx].roster.len();
         let chunk = self.pack_chunk();
         if batch == 0 && chunk.is_empty() {
-            self.recycle_jobvec(chunk);
             return None;
         }
         let (duration, kernel) = if chunk.is_empty() {
@@ -475,7 +435,6 @@ impl Instance {
     fn form_aux_step(&mut self, now: SimTime) -> Option<RunningStep> {
         let jobs = self.pack_whole_prefills(u64::from(self.cfg.aux_budget_tokens));
         if jobs.is_empty() {
-            self.recycle_jobvec(jobs);
             return None;
         }
         let kernel = self.cost.kernel_cost(&self.step_plan(0, 0, &jobs));
@@ -496,7 +455,7 @@ impl Instance {
     /// allocating their KV (evicting backups if needed). Jobs are popped;
     /// they never return to the queue.
     fn pack_whole_prefills(&mut self, budget: u64) -> Vec<(RequestId, u32)> {
-        let mut packed = self.take_jobvec();
+        let mut packed = Vec::new();
         let mut tokens = 0u64;
         while let Some(&id) = self.waiting_prefill.front() {
             if packed.len() >= max_prefill_jobs(self.cfg.role) {
@@ -525,7 +484,7 @@ impl Instance {
     /// Takes one chunk from the head prefill job (chunked prefill). The job
     /// is popped; `complete_step` pushes it back if unfinished.
     fn pack_chunk(&mut self) -> Vec<(RequestId, u32)> {
-        let mut out = self.take_jobvec();
+        let mut out = Vec::new();
         let Some(&id) = self.waiting_prefill.front() else {
             return out;
         };

@@ -187,7 +187,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<HttpRequest>, H
 }
 
 /// The standard reason phrase for the status codes the gateway emits.
-pub fn status_reason(code: u16) -> &'static str {
+fn status_reason(code: u16) -> &'static str {
     match code {
         200 => "OK",
         400 => "Bad Request",

@@ -148,11 +148,6 @@ impl TransferEngine {
         done
     }
 
-    /// Unloaded duration of moving `bytes` over `route` (ignores queueing).
-    pub fn duration_unloaded(&self, route: RouteId, bytes: u64) -> SimDuration {
-        self.routes[route.0].spec.duration(bytes)
-    }
-
     /// When the route frees up, given everything submitted so far.
     pub fn busy_until(&self, route: RouteId) -> SimTime {
         self.routes[route.0].busy_until
@@ -201,7 +196,7 @@ mod tests {
         let t1 = eng.submit(r, 1 << 30, SimTime::ZERO);
         let t2 = eng.submit(r, 1 << 30, SimTime::ZERO);
         let gap = t2 - t1;
-        let solo = eng.duration_unloaded(r, 1 << 30);
+        let solo = eng.spec(r).duration(1 << 30);
         assert_eq!(gap, solo);
     }
 
@@ -251,7 +246,7 @@ mod proptests {
                 now += SimDuration::from_micros(*gap);
                 let done = eng.submit(r, *size, now);
                 let earliest_start = last_done.max(now);
-                prop_assert_eq!(done, earliest_start + eng.duration_unloaded(r, *size));
+                prop_assert_eq!(done, earliest_start + eng.spec(r).duration(*size));
                 prop_assert!(done >= last_done);
                 last_done = done;
             }

@@ -69,7 +69,7 @@ impl KernelCost {
 
     /// Fraction of standalone runtime during which the compute pipes are
     /// saturated (0 for an empty kernel).
-    pub fn compute_demand(&self) -> f64 {
+    fn compute_demand(&self) -> f64 {
         let alone = self.alone_secs();
         if alone == 0.0 {
             0.0
@@ -79,7 +79,7 @@ impl KernelCost {
     }
 
     /// Fraction of standalone runtime during which HBM is saturated.
-    pub fn bandwidth_demand(&self) -> f64 {
+    fn bandwidth_demand(&self) -> f64 {
         let alone = self.alone_secs();
         if alone == 0.0 {
             0.0

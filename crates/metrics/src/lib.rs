@@ -8,8 +8,8 @@
 //!   TPOT / queueing delays;
 //! * [`SloSpec`] / [`SloAttainment`] — Table 4 objectives and the
 //!   "meets both" attainment rate;
-//! * [`UtilizationMeter`] — time-weighted tensor-core / memory-bandwidth
-//!   utilization (Fig. 2);
+//! * [`Utilization`] — mean tensor-core / memory-bandwidth utilization
+//!   (Fig. 2);
 //! * [`LatencySummary`] — everything a run report needs.
 //!
 //! # Examples
@@ -42,4 +42,4 @@ pub use record::{PrefillSite, RequestRecord};
 pub use series::{InstanceSeries, Series};
 pub use slo::{SloAttainment, SloSpec};
 pub use summary::LatencySummary;
-pub use util::{Utilization, UtilizationMeter};
+pub use util::Utilization;

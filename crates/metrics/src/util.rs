@@ -3,34 +3,10 @@
 //! The paper's Fig. 2 motivates dynamic scheduling by showing that prefill
 //! instances saturate tensor cores while decode instances saturate memory
 //! bandwidth — each leaving the other resource mostly idle.
-//! [`UtilizationMeter`] integrates per-step resource usage over wall time
-//! to produce those mean-utilization numbers.
+//! [`Utilization`] carries those mean-utilization numbers; an instance's
+//! step statistics compute them.
 
 use serde::{Deserialize, Serialize};
-use windserve_sim::SimDuration;
-
-/// Integrates busy time per resource over observed wall time.
-///
-/// # Examples
-///
-/// ```
-/// use windserve_metrics::UtilizationMeter;
-/// use windserve_sim::SimDuration;
-///
-/// let mut m = UtilizationMeter::new();
-/// m.record(SimDuration::from_millis(10), 1.0, 0.1); // a compute-bound step
-/// m.observe_idle(SimDuration::from_millis(10));     // then idle
-/// let u = m.summary();
-/// assert!((u.compute - 0.5).abs() < 1e-9);
-/// assert!((u.bandwidth - 0.05).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct UtilizationMeter {
-    busy_compute_secs: f64,
-    busy_bandwidth_secs: f64,
-    wall_secs: f64,
-    steps: u64,
-}
 
 /// Mean utilization fractions over the observed window.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,95 +19,4 @@ pub struct Utilization {
     pub steps: u64,
     /// Total wall time observed, seconds.
     pub wall_secs: f64,
-}
-
-impl UtilizationMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        UtilizationMeter::default()
-    }
-
-    /// Records one execution interval of length `dur` during which the
-    /// compute pipes were busy a fraction `compute_frac` of the time and
-    /// HBM a fraction `bandwidth_frac`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fraction is outside `[0, 1]` (tolerating tiny float
-    /// excursions).
-    pub fn record(&mut self, dur: SimDuration, compute_frac: f64, bandwidth_frac: f64) {
-        for f in [compute_frac, bandwidth_frac] {
-            assert!(
-                (-1e-9..=1.0 + 1e-9).contains(&f),
-                "fraction {f} out of range"
-            );
-        }
-        let secs = dur.as_secs_f64();
-        self.busy_compute_secs += secs * compute_frac.clamp(0.0, 1.0);
-        self.busy_bandwidth_secs += secs * bandwidth_frac.clamp(0.0, 1.0);
-        self.wall_secs += secs;
-        self.steps += 1;
-    }
-
-    /// Accounts an idle interval (no step running).
-    pub fn observe_idle(&mut self, dur: SimDuration) {
-        self.wall_secs += dur.as_secs_f64();
-    }
-
-    /// Mean utilizations so far (all-zero if nothing observed).
-    pub fn summary(&self) -> Utilization {
-        let wall = self.wall_secs;
-        Utilization {
-            compute: if wall > 0.0 {
-                self.busy_compute_secs / wall
-            } else {
-                0.0
-            },
-            bandwidth: if wall > 0.0 {
-                self.busy_bandwidth_secs / wall
-            } else {
-                0.0
-            },
-            steps: self.steps,
-            wall_secs: wall,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_meter_reports_zero() {
-        let u = UtilizationMeter::new().summary();
-        assert_eq!(u.compute, 0.0);
-        assert_eq!(u.steps, 0);
-    }
-
-    #[test]
-    fn utilization_is_time_weighted() {
-        let mut m = UtilizationMeter::new();
-        m.record(SimDuration::from_millis(30), 1.0, 0.2);
-        m.record(SimDuration::from_millis(10), 0.0, 1.0);
-        let u = m.summary();
-        assert!((u.compute - 0.75).abs() < 1e-9);
-        assert!((u.bandwidth - 0.4).abs() < 1e-9);
-        assert_eq!(u.steps, 2);
-    }
-
-    #[test]
-    fn idle_time_dilutes_utilization() {
-        let mut m = UtilizationMeter::new();
-        m.record(SimDuration::from_millis(10), 1.0, 1.0);
-        m.observe_idle(SimDuration::from_millis(30));
-        let u = m.summary();
-        assert!((u.compute - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn fraction_above_one_rejected() {
-        UtilizationMeter::new().record(SimDuration::from_millis(1), 1.5, 0.0);
-    }
 }

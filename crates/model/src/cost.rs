@@ -138,7 +138,7 @@ impl CostModel {
     }
 
     /// Weight bytes resident on each GPU.
-    pub fn weight_bytes_per_gpu(&self) -> u64 {
+    fn weight_bytes_per_gpu(&self) -> u64 {
         self.model.weight_bytes() / self.parallelism.n_gpus() as u64
     }
 

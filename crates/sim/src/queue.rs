@@ -247,6 +247,27 @@ mod tests {
         q.advance_to(SimTime::from_micros(6));
     }
 
+    /// The arrival run's precondition: a replay's arrivals, injected in
+    /// time order, never touch the heap, and an event scheduled before the
+    /// run's tail goes to the heap and still pops in `(at, seq)` order.
+    #[test]
+    fn in_order_schedules_bypass_the_heap() {
+        let mut q = EventQueue::new();
+        for t in [1, 2, 2, 5] {
+            q.schedule(SimTime::from_micros(t), t);
+        }
+        assert!(q.heap.is_empty());
+        assert_eq!(q.run.len(), 4);
+
+        q.schedule(SimTime::from_micros(3), 3);
+        assert_eq!(q.heap.len(), 1);
+        let mut delivered = Vec::new();
+        while let Some(e) = q.pop() {
+            delivered.push((e.at.as_micros(), e.seq));
+        }
+        assert_eq!(delivered, [(1, 0), (2, 1), (2, 2), (3, 4), (5, 3)]);
+    }
+
     #[test]
     fn peek_matches_pop() {
         let mut q = EventQueue::new();

@@ -72,7 +72,7 @@ fn instant(name: &str, pid: u64, tid: u64, ts_us: u64, args: Value) -> Value {
 
 impl TraceLog {
     /// Renders the log as a Chrome `trace_event` JSON document.
-    pub fn to_chrome_trace(&self) -> Value {
+    fn to_chrome_trace(&self) -> Value {
         let mut events: Vec<Value> = vec![
             json!({"name": "process_name", "ph": "M", "pid": SCHEDULER_PID, "tid": 0u64,
                    "args": {"name": "global-scheduler"}}),

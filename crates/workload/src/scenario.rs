@@ -197,16 +197,6 @@ impl Scenario {
             Scenario::TraceDriven { requests } => Ok(Trace::from_requests(requests.clone())),
         }
     }
-
-    /// Number of requests this scenario will generate, when known without
-    /// generating (`None` for sessions, whose turn counts are seeded).
-    pub fn request_count_hint(&self) -> Option<usize> {
-        match self {
-            Scenario::SingleShot { requests, .. } => Some(*requests),
-            Scenario::Sessions(_) => None,
-            Scenario::TraceDriven { requests } => Some(requests.len()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -230,12 +220,10 @@ mod tests {
         let single =
             Scenario::single_shot(Dataset::longbench(4096), ArrivalProcess::uniform(2.0), 50);
         single.validate().unwrap();
-        assert_eq!(single.request_count_hint(), Some(50));
         assert_eq!(single.generate(1).unwrap().requests().len(), 50);
 
         let sessions = Scenario::sessions(SessionsScenario::builder().sessions(5).build().unwrap());
         sessions.validate().unwrap();
-        assert_eq!(sessions.request_count_hint(), None);
         assert!(sessions.generate(1).unwrap().requests().len() >= 5);
 
         let reqs = vec![
@@ -244,7 +232,6 @@ mod tests {
         ];
         let driven = Scenario::trace_driven(reqs.clone());
         driven.validate().unwrap();
-        assert_eq!(driven.request_count_hint(), Some(2));
         assert_eq!(driven.generate(99).unwrap().requests(), &reqs[..]);
     }
 
