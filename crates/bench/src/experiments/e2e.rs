@@ -68,7 +68,7 @@ pub fn sweep(case: &Case, systems: &[SystemKind], ctx: &ExpContext) -> Vec<Point
 }
 
 /// Prints the Fig. 10-style latency table for a case and returns its JSON.
-pub fn print_latency_table(case_label: &str, points: &[Point]) -> Value {
+pub(crate) fn print_latency_table(case_label: &str, points: &[Point]) -> Value {
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
@@ -104,7 +104,7 @@ pub fn print_latency_table(case_label: &str, points: &[Point]) -> Value {
 }
 
 /// Prints the Fig. 11-style attainment table and returns its JSON.
-pub fn print_attainment_table(case_label: &str, points: &[Point]) -> Value {
+pub(crate) fn print_attainment_table(case_label: &str, points: &[Point]) -> Value {
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {

@@ -49,7 +49,7 @@ const HEADERS: [&str; 8] = [
 ];
 
 /// 1. Heterogeneous prefill pool (§7 future work).
-pub fn heterogeneous(ctx: &ExpContext) -> Value {
+pub(crate) fn heterogeneous(ctx: &ExpContext) -> Value {
     let dataset = Dataset::sharegpt(2048);
     let n = ctx.scale(1500);
     let mut rows = Vec::new();
@@ -85,7 +85,7 @@ pub fn heterogeneous(ctx: &ExpContext) -> Value {
 ///    handoff heavy (~2.3 GB for a LLaMA2-13B LongBench request), so the
 ///    fabric's cost shows directly in the handoff gap (first token to
 ///    decode enqueue) and through it in TPOT.
-pub fn multi_node(ctx: &ExpContext) -> Value {
+pub(crate) fn multi_node(ctx: &ExpContext) -> Value {
     let dataset = Dataset::longbench(4096);
     let n = ctx.scale(1000);
     let rate = 1.0;
@@ -142,7 +142,7 @@ pub fn multi_node(ctx: &ExpContext) -> Value {
 }
 
 /// 3. Multi-replica scaling at fixed per-GPU rate (the linear scaling rule).
-pub fn scaling(ctx: &ExpContext) -> Value {
+pub(crate) fn scaling(ctx: &ExpContext) -> Value {
     let dataset = Dataset::sharegpt(2048);
     let n = ctx.scale(1600);
     let rate = 3.5;
@@ -172,7 +172,7 @@ pub fn scaling(ctx: &ExpContext) -> Value {
 
 /// 4. Victim-policy ablation: longest-context (WindServe) vs
 ///    shortest-context (Llumnix-style).
-pub fn victim_policy(ctx: &ExpContext) -> Value {
+pub(crate) fn victim_policy(ctx: &ExpContext) -> Value {
     let dataset = Dataset::sharegpt(2048);
     let n = ctx.scale(1500);
     let mut rows = Vec::new();
@@ -202,7 +202,7 @@ pub fn victim_policy(ctx: &ExpContext) -> Value {
 }
 
 /// 5. Robustness to bursty arrivals.
-pub fn burstiness(ctx: &ExpContext) -> Value {
+pub(crate) fn burstiness(ctx: &ExpContext) -> Value {
     let n = ctx.scale(1500);
     let dataset = Dataset::sharegpt(2048);
     let mut rows = Vec::new();
@@ -243,7 +243,7 @@ pub fn burstiness(ctx: &ExpContext) -> Value {
 
 /// 6. Autoscaling (§7 future work): replicas activate under load and
 ///    drain when it recedes; the win is GPU-seconds at comparable SLO.
-pub fn autoscaling(ctx: &ExpContext) -> Value {
+pub(crate) fn autoscaling(ctx: &ExpContext) -> Value {
     use windserve::AutoscaleConfig;
     let n = ctx.scale(1600);
     let dataset = Dataset::sharegpt(2048);
@@ -312,7 +312,7 @@ pub fn autoscaling(ctx: &ExpContext) -> Value {
 
 /// 7. Profiler accuracy: Algorithm 1 is only as good as `TTFT_pred`, so
 ///    measure the Eq. 1 predictions against realized TTFTs at runtime.
-pub fn profiler_accuracy(ctx: &ExpContext) -> Value {
+pub(crate) fn profiler_accuracy(ctx: &ExpContext) -> Value {
     let dataset = Dataset::sharegpt(2048);
     let n = ctx.scale(1500);
     let mut rows = Vec::new();

@@ -12,7 +12,7 @@ use windserve_sim::SimDuration;
 use windserve_workload::Dataset;
 
 /// Threshold multipliers of the TTFT SLO swept.
-pub const FRACTIONS: [f64; 6] = [0.05, 0.15, 0.3, 0.6, 0.9, 1.5];
+pub(crate) const FRACTIONS: [f64; 6] = [0.05, 0.15, 0.3, 0.6, 0.9, 1.5];
 
 /// One workload case: label, config constructor, dataset constructor,
 /// per-GPU rate, full-mode request count.

@@ -10,12 +10,12 @@
 use crate::harness::{print_table, ExpContext};
 use serde_json::{json, Value};
 use windserve::{ModelSpec, Parallelism};
-use windserve_gpu::{GpuSpec, StreamSharing};
+use windserve_gpu::{slowdowns, GpuSpec};
 use windserve_model::{BatchPlan, CostModel, PrefillChunk};
 
 /// Per-point measurement.
 #[derive(Debug, Clone)]
-pub struct SbdPoint {
+pub(crate) struct SbdPoint {
     /// Model name.
     pub model: String,
     /// Prefill tokens in the hybrid batch.
@@ -42,8 +42,7 @@ fn model_cases() -> Vec<(ModelSpec, Parallelism)> {
 }
 
 /// Measures every (model, prefill size) point analytically.
-pub fn measure() -> Vec<SbdPoint> {
-    let sharing = StreamSharing::default();
+pub(crate) fn measure() -> Vec<SbdPoint> {
     let mut points = Vec::new();
     for (model, par) in model_cases() {
         let ctx = model.max_context.min(2048);
@@ -54,7 +53,7 @@ pub fn measure() -> Vec<SbdPoint> {
         for prefill_tokens in [256u32, 512, 1024, 2048] {
             let prefill = BatchPlan::single_prefill(prefill_tokens);
             let kp = cost.kernel_cost(&prefill);
-            let slows = sharing.slowdowns(&[kd, kp]);
+            let slows = slowdowns(&[kd, kp]);
             let mut fused = decode.clone();
             fused.add_prefill(PrefillChunk::whole(prefill_tokens));
             points.push(SbdPoint {
@@ -72,18 +71,17 @@ pub fn measure() -> Vec<SbdPoint> {
 }
 
 /// The §3.4 LLaMA2-70B example: chunked-prefill total vs SBD prefill.
-pub fn llama70b_case_study() -> Value {
+pub(crate) fn llama70b_case_study() -> Value {
     let cost = CostModel::new(
         ModelSpec::llama2_70b(),
         GpuSpec::a800_80gb(),
         Parallelism::new(2, 2),
     )
     .expect("paper placement fits");
-    let sharing = StreamSharing::default();
     let decode = BatchPlan::decode_only(vec![2048; 16]);
     let kd = cost.kernel_cost(&decode);
     let kp = cost.kernel_cost(&BatchPlan::single_prefill(2048));
-    let slows = sharing.slowdowns(&[kd, kp]);
+    let slows = slowdowns(&[kd, kp]);
     // Chunked prefill: 4 steps of 512 tokens fused with the decode batch.
     let mut chunked_total = 0.0;
     let mut chunked_step = 0.0;

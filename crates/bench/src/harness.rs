@@ -36,7 +36,7 @@ impl Case {
     }
 
     /// OPT-66B on ShareGPT, `[TP-2 PP-2, TP-2 PP-2]` (Fig. 10a/b bottom).
-    pub fn opt_66b_sharegpt() -> Case {
+    pub(crate) fn opt_66b_sharegpt() -> Case {
         Case {
             label: "OPT-66B / ShareGPT",
             config: ServeConfig::opt_66b_sharegpt,
@@ -47,7 +47,7 @@ impl Case {
     }
 
     /// LLaMA2-13B on LongBench (Fig. 10c/d top).
-    pub fn llama2_13b_longbench() -> Case {
+    pub(crate) fn llama2_13b_longbench() -> Case {
         Case {
             label: "LLaMA2-13B / LongBench",
             config: ServeConfig::llama2_13b_longbench,
@@ -58,7 +58,7 @@ impl Case {
     }
 
     /// LLaMA2-70B on LongBench (Fig. 10c/d bottom).
-    pub fn llama2_70b_longbench() -> Case {
+    pub(crate) fn llama2_70b_longbench() -> Case {
         Case {
             label: "LLaMA2-70B / LongBench",
             config: ServeConfig::llama2_70b_longbench,
@@ -69,7 +69,7 @@ impl Case {
     }
 
     /// All four paper cases.
-    pub fn all() -> Vec<Case> {
+    pub(crate) fn all() -> Vec<Case> {
         vec![
             Case::opt_13b_sharegpt(),
             Case::opt_66b_sharegpt(),
@@ -172,7 +172,7 @@ impl ExpContext {
     }
 
     /// Scales a full-mode request count down in quick mode.
-    pub fn scale(&self, n: usize) -> usize {
+    pub(crate) fn scale(&self, n: usize) -> usize {
         if self.quick {
             (n / 5).max(250)
         } else {

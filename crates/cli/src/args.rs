@@ -31,7 +31,7 @@ pub struct Args {
 }
 
 /// Boolean switches that take no value.
-pub const SWITCHES: &[&str] = &[
+pub(crate) const SWITCHES: &[&str] = &[
     "json",
     "quiet",
     "help",
@@ -46,7 +46,7 @@ pub const SWITCHES: &[&str] = &[
 /// this registry (and [`SWITCHES`]), so a typo'd flag fails loudly
 /// instead of silently swallowing the next token; the help-drift test in
 /// `commands.rs` keeps both registries in sync with the help text.
-pub const VALUE_FLAGS: &[&str] = &[
+pub(crate) const VALUE_FLAGS: &[&str] = &[
     "model",
     "dataset",
     "system",
@@ -106,7 +106,7 @@ impl Args {
     ///
     /// Returns an error for a value-flag at the end of the line with no
     /// value.
-    pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Self, ArgError> {
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Self, ArgError> {
         let mut args = Args::default();
         let mut iter = tokens.into_iter().peekable();
         while let Some(tok) = iter.next() {
@@ -139,19 +139,19 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// See [`Args::parse`].
+    /// See `Args::parse`.
     pub fn from_env() -> Result<Self, ArgError> {
         Args::parse(std::env::args().skip(1))
     }
 
     /// True if the boolean switch was given.
-    pub fn switch(&self, name: &str) -> bool {
+    pub(crate) fn switch(&self, name: &str) -> bool {
         debug_assert!(SWITCHES.contains(&name), "unknown switch {name}");
         self.flags.contains_key(name)
     }
 
     /// The raw value of a flag, if present.
-    pub fn get(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
         self.flags.get(name).and_then(|v| v.as_deref())
     }
 
@@ -160,7 +160,11 @@ impl Args {
     /// # Errors
     ///
     /// Returns an error if the value does not parse as `T`.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
+    pub(crate) fn get_or<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
         match self.get(name) {
             None => Ok(default),
             Some(raw) => raw
@@ -174,7 +178,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns an error if the value does not parse as `T`.
-    pub fn get_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
+    pub(crate) fn get_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
         match self.get(name) {
             None => Ok(None),
             Some(raw) => raw
@@ -192,7 +196,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns an error if the value does not parse or is out of range.
-    pub fn secs(&self, name: &str, zero_ok: bool) -> Result<Option<f64>, ArgError> {
+    pub(crate) fn secs(&self, name: &str, zero_ok: bool) -> Result<Option<f64>, ArgError> {
         let Some(raw) = self.get(name) else {
             return Ok(None);
         };

@@ -13,7 +13,7 @@ use windserve_workload::{ArrivalProcess, Dataset, Scenario, Trace};
 /// # Errors
 ///
 /// Lists the known names on a miss.
-pub fn model_by_name(name: &str) -> Result<ModelSpec, ArgError> {
+pub(crate) fn model_by_name(name: &str) -> Result<ModelSpec, ArgError> {
     match name.to_ascii_lowercase().as_str() {
         "opt-13b" => Ok(ModelSpec::opt_13b()),
         "opt-30b" => Ok(ModelSpec::opt_30b()),
@@ -31,7 +31,7 @@ pub fn model_by_name(name: &str) -> Result<ModelSpec, ArgError> {
 /// # Errors
 ///
 /// Lists the known names on a miss.
-pub fn gpu_by_name(name: &str) -> Result<GpuSpec, ArgError> {
+pub(crate) fn gpu_by_name(name: &str) -> Result<GpuSpec, ArgError> {
     match name.to_ascii_lowercase().as_str() {
         "a800" | "a800-80gb" => Ok(GpuSpec::a800_80gb()),
         "a100" | "a100-40gb" => Ok(GpuSpec::a100_40gb()),
@@ -48,7 +48,7 @@ pub fn gpu_by_name(name: &str) -> Result<GpuSpec, ArgError> {
 /// # Errors
 ///
 /// Lists the known names on a miss.
-pub fn system_by_name(name: &str) -> Result<SystemKind, ArgError> {
+pub(crate) fn system_by_name(name: &str) -> Result<SystemKind, ArgError> {
     match name.to_ascii_lowercase().as_str() {
         "windserve" => Ok(SystemKind::WindServe),
         "windserve-no-split" | "no-split" => Ok(SystemKind::WindServeNoSplit),
@@ -66,7 +66,7 @@ pub fn system_by_name(name: &str) -> Result<SystemKind, ArgError> {
 /// # Errors
 ///
 /// Rejects malformed or zero degrees.
-pub fn parallelism_by_name(spec: &str) -> Result<Parallelism, ArgError> {
+pub(crate) fn parallelism_by_name(spec: &str) -> Result<Parallelism, ArgError> {
     let parts: Vec<&str> = spec.split(['x', 'X']).collect();
     let parse = |s: &str| -> Result<u32, ArgError> {
         s.parse()
@@ -85,7 +85,7 @@ pub fn parallelism_by_name(spec: &str) -> Result<Parallelism, ArgError> {
 
 /// Everything a serving run needs, assembled from flags.
 #[derive(Debug, Clone)]
-pub struct RunSpec {
+pub(crate) struct RunSpec {
     /// The assembled configuration.
     pub config: ServeConfig,
     /// The workload dataset.
@@ -107,7 +107,7 @@ impl RunSpec {
     /// # Errors
     ///
     /// Reports the first invalid flag.
-    pub fn from_args(args: &Args) -> Result<RunSpec, ArgError> {
+    pub(crate) fn from_args(args: &Args) -> Result<RunSpec, ArgError> {
         // The baseline is the `--config <file.toml>` file or, without one,
         // the paper's defaults for the model; each flag then overrides it.
         let file = args.get("config").map(load_config_file).transpose()?;
@@ -253,7 +253,7 @@ impl RunSpec {
     ///
     /// Reports an unknown process, or a total rate that is not positive
     /// and finite (a per-GPU `--rate` so large that it overflows).
-    pub fn arrivals_at(args: &Args, total: f64) -> Result<ArrivalProcess, ArgError> {
+    pub(crate) fn arrivals_at(args: &Args, total: f64) -> Result<ArrivalProcess, ArgError> {
         let process = match args.get("arrivals").unwrap_or("poisson") {
             "poisson" => ArrivalProcess::try_poisson(total),
             "uniform" => ArrivalProcess::try_uniform(total),
@@ -274,7 +274,7 @@ impl RunSpec {
     /// `[workload.scenario]` when one was given, otherwise the classic
     /// flag-driven single-shot workload (`--dataset` × `--arrivals` ×
     /// `--requests`).
-    pub fn scenario(&self) -> Scenario {
+    pub(crate) fn scenario(&self) -> Scenario {
         match &self.config.workload {
             Some(w) => w.scenario.clone(),
             None => {
@@ -289,7 +289,7 @@ impl RunSpec {
     ///
     /// Reports an invalid scenario (e.g. a config file naming an unknown
     /// dataset).
-    pub fn generate_trace(&self) -> Result<Trace, ArgError> {
+    pub(crate) fn generate_trace(&self) -> Result<Trace, ArgError> {
         self.scenario()
             .generate(self.seed)
             .map_err(|e| ArgError(format!("workload: {e}")))
@@ -320,7 +320,7 @@ fn paper_defaults(model: ModelSpec) -> ServeConfig {
 /// # Errors
 ///
 /// Reports I/O, parse, and validation failures with the path.
-pub fn load_config_file(path: &str) -> Result<ServeConfig, ArgError> {
+pub(crate) fn load_config_file(path: &str) -> Result<ServeConfig, ArgError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     ServeConfig::from_toml(&text).map_err(|e| ArgError(format!("{path}: {e}")))
@@ -332,7 +332,7 @@ pub fn load_config_file(path: &str) -> Result<ServeConfig, ArgError> {
 /// # Errors
 ///
 /// Lists the known names on a miss.
-pub fn preset_by_name(name: &str) -> Result<(ServeConfig, &'static str), ArgError> {
+pub(crate) fn preset_by_name(name: &str) -> Result<(ServeConfig, &'static str), ArgError> {
     match name.to_ascii_lowercase().as_str() {
         "opt13b-sharegpt" | "opt-13b-sharegpt" => Ok((
             ServeConfig::opt_13b_sharegpt(SystemKind::WindServe),

@@ -13,7 +13,7 @@ use windserve_workload::{Dataset, Trace};
 /// # Errors
 ///
 /// Reports invalid flags or a failed simulation.
-pub fn run(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn run(args: &Args) -> Result<String, ArgError> {
     let spec = RunSpec::from_args(args)?;
     let trace = match args.get("trace-file") {
         Some(path) => load_trace(path)?,
@@ -49,7 +49,7 @@ fn run_cluster(cfg: windserve::ServeConfig, trace: &Trace) -> Result<RunReport, 
 /// # Errors
 ///
 /// Reports invalid flags, an invalid fleet config file, or a failed run.
-pub fn fleet(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn fleet(args: &Args) -> Result<String, ArgError> {
     use windserve::fleet::FleetConfig;
     if args.switch("emit-config") {
         return Ok(FleetConfig::example().to_toml());
@@ -90,7 +90,7 @@ pub fn fleet(args: &Args) -> Result<String, ArgError> {
 /// # Errors
 ///
 /// Reports invalid flags or a failed simulation.
-pub fn compare(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn compare(args: &Args) -> Result<String, ArgError> {
     let base = RunSpec::from_args(args)?;
     let systems: Vec<&str> = match args.get("systems") {
         Some(list) => list.split(',').collect(),
@@ -115,7 +115,7 @@ pub fn compare(args: &Args) -> Result<String, ArgError> {
 /// # Errors
 ///
 /// Reports invalid flags or a failed simulation.
-pub fn sweep(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn sweep(args: &Args) -> Result<String, ArgError> {
     let base = RunSpec::from_args(args)?;
     if base.config.workload.is_some() {
         return Err(ArgError(
@@ -149,7 +149,7 @@ pub fn sweep(args: &Args) -> Result<String, ArgError> {
 /// # Errors
 ///
 /// Reports invalid flags, a failed simulation, or an unwritable `--out`.
-pub fn trace(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn trace(args: &Args) -> Result<String, ArgError> {
     let mut spec = RunSpec::from_args(args)?;
     if let Some(name) = args.get("preset") {
         let (config, dataset) = preset_by_name(name)?;
@@ -188,7 +188,7 @@ pub fn trace(args: &Args) -> Result<String, ArgError> {
 /// # Errors
 ///
 /// Reports invalid flags or a failed simulation.
-pub fn faults(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn faults(args: &Args) -> Result<String, ArgError> {
     let base = RunSpec::from_args(args)?;
     let preset = args.get("preset").unwrap_or("decode-crash");
     let fault_seed = args.get_or("fault-seed", base.seed)?;
@@ -264,7 +264,7 @@ pub fn faults(args: &Args) -> Result<String, ArgError> {
 /// # Errors
 ///
 /// Reports invalid flags or a failed simulation.
-pub fn overload(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn overload(args: &Args) -> Result<String, ArgError> {
     let base = RunSpec::from_args(args)?;
     let factor: f64 = args.get_or("overload-factor", 2.0)?;
     if !(factor.is_finite() && factor > 0.0) {
@@ -319,7 +319,7 @@ pub fn overload(args: &Args) -> Result<String, ArgError> {
 /// # Errors
 ///
 /// Reports invalid flags, an unbindable port, or an invalid config.
-pub fn serve(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn serve(args: &Args) -> Result<String, ArgError> {
     use windserve_faults::NetFaultPlan;
     use windserve_gateway::server::{Gateway, GatewayConfig};
     let spec = RunSpec::from_args(args)?;
@@ -468,7 +468,7 @@ mod sigterm {
 
     /// Installs the SIGTERM handler (idempotent).
     #[allow(unsafe_code)]
-    pub fn install() {
+    pub(crate) fn install() {
         const SIGTERM: i32 = 15;
         extern "C" {
             fn signal(signum: i32, handler: usize) -> usize;
@@ -482,7 +482,7 @@ mod sigterm {
     }
 
     /// True once SIGTERM has been delivered.
-    pub fn received() -> bool {
+    pub(crate) fn received() -> bool {
         RECEIVED.load(Ordering::SeqCst)
     }
 }
@@ -492,10 +492,10 @@ mod sigterm {
 #[cfg(not(unix))]
 mod sigterm {
     /// No-op.
-    pub fn install() {}
+    pub(crate) fn install() {}
 
     /// Always false.
-    pub fn received() -> bool {
+    pub(crate) fn received() -> bool {
         false
     }
 }
@@ -508,7 +508,7 @@ mod sigterm {
 ///
 /// Reports invalid flags; per-connection failures are counted in the
 /// report instead.
-pub fn loadgen(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn loadgen(args: &Args) -> Result<String, ArgError> {
     use windserve_gateway::loadgen::LoadgenConfig;
     let port: u16 = args.get_or("port", 8080u16)?;
     let cfg = LoadgenConfig {
@@ -587,7 +587,7 @@ pub fn loadgen(args: &Args) -> Result<String, ArgError> {
 /// # Errors
 ///
 /// Reports invalid flags.
-pub fn trace_stats(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn trace_stats(args: &Args) -> Result<String, ArgError> {
     let spec = RunSpec::from_args(args)?;
     let trace = spec.generate_trace()?;
     Ok(render::trace_stats_text(&spec, &trace))
@@ -598,7 +598,7 @@ pub fn trace_stats(args: &Args) -> Result<String, ArgError> {
 /// # Errors
 ///
 /// Reports invalid flags or an infeasible placement.
-pub fn budget(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn budget(args: &Args) -> Result<String, ArgError> {
     let spec = RunSpec::from_args(args)?;
     let cluster =
         Cluster::new(spec.config.clone()).map_err(|e| ArgError(format!("config: {e}")))?;
@@ -606,7 +606,7 @@ pub fn budget(args: &Args) -> Result<String, ArgError> {
 }
 
 /// The help text.
-pub fn help() -> String {
+pub(crate) fn help() -> String {
     r#"windserve — phase-disaggregated LLM serving simulator (WindServe, ISCA'25)
 
 USAGE:
@@ -717,7 +717,7 @@ fn execute(spec: &RunSpec) -> Result<RunReport, ArgError> {
 /// # Errors
 ///
 /// Reports I/O and parse failures with the path.
-pub fn load_trace(path: &str) -> Result<Trace, ArgError> {
+pub(crate) fn load_trace(path: &str) -> Result<Trace, ArgError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     serde_json::from_str(&text).map_err(|e| ArgError(format!("cannot parse {path}: {e}")))
@@ -728,7 +728,7 @@ pub fn load_trace(path: &str) -> Result<Trace, ArgError> {
 /// # Errors
 ///
 /// Reports I/O failures with the path.
-pub fn save_trace(path: &str, trace: &Trace) -> Result<(), ArgError> {
+pub(crate) fn save_trace(path: &str, trace: &Trace) -> Result<(), ArgError> {
     let text = serde_json::to_string(trace).map_err(|e| ArgError(format!("serialize: {e}")))?;
     std::fs::write(path, text).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
 }

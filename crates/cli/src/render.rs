@@ -15,7 +15,7 @@ use windserve_workload::Trace;
 /// # Errors
 ///
 /// Propagates serialization failures (should not happen for these types).
-pub fn json_envelope(command: &str, report: serde_json::Value) -> Result<String, ArgError> {
+pub(crate) fn json_envelope(command: &str, report: serde_json::Value) -> Result<String, ArgError> {
     serde_json::to_string_pretty(&windserve_gateway::json_envelope(command, report))
         .map_err(|e| ArgError(format!("serialize: {e}")))
 }
@@ -32,7 +32,7 @@ fn stat(p: &Percentiles, value: f64, width: usize) -> String {
 }
 
 /// Plain-text rendering of a single report.
-pub fn report_text(spec: &RunSpec, report: &RunReport) -> String {
+pub(crate) fn report_text(spec: &RunSpec, report: &RunReport) -> String {
     let mut out = String::new();
     let s = &report.summary;
     out += &format!(
@@ -110,7 +110,7 @@ pub fn report_text(spec: &RunSpec, report: &RunReport) -> String {
 }
 
 /// One-line summary of a run (the `--quiet` rendering).
-pub fn report_brief(spec: &RunSpec, report: &RunReport) -> String {
+pub(crate) fn report_brief(spec: &RunSpec, report: &RunReport) -> String {
     let s = &report.summary;
     format!(
         "{} | {} | {} completed | goodput {:.3} req/s | SLO {:.1}% (ttft {:.1}%, tpot {:.1}%)\n",
@@ -126,7 +126,7 @@ pub fn report_brief(spec: &RunSpec, report: &RunReport) -> String {
 
 /// Plain-text rendering of a fleet run: shared-pool accounting, one row
 /// per deployment, and per-tenant SLO attainment.
-pub fn fleet_text(cfg: &FleetConfig, report: &FleetReport, log: &TraceLog) -> String {
+pub(crate) fn fleet_text(cfg: &FleetConfig, report: &FleetReport, log: &TraceLog) -> String {
     let lease_moves = log.lease_events();
     let count = |want: LeaseAction| {
         lease_moves
@@ -199,13 +199,13 @@ pub fn fleet_text(cfg: &FleetConfig, report: &FleetReport, log: &TraceLog) -> St
 /// # Errors
 ///
 /// Propagates serialization failures (should not happen for these types).
-pub fn fleet_json(report: &FleetReport) -> Result<String, ArgError> {
+pub(crate) fn fleet_json(report: &FleetReport) -> Result<String, ArgError> {
     json_envelope("fleet", serde_json::to_value(report))
 }
 
 /// Renders values as a unicode sparkline, downsampled to at most `width`
 /// buckets (each bucket shows its mean).
-pub fn sparkline(values: &[f64], width: usize) -> String {
+pub(crate) fn sparkline(values: &[f64], width: usize) -> String {
     const BARS: [char; 8] = [
         '\u{2581}', '\u{2582}', '\u{2583}', '\u{2584}', '\u{2585}', '\u{2586}', '\u{2587}',
         '\u{2588}',
@@ -236,7 +236,7 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
 /// # Errors
 ///
 /// Propagates serialization failures (should not happen for these types).
-pub fn report_json(report: &RunReport) -> Result<String, ArgError> {
+pub(crate) fn report_json(report: &RunReport) -> Result<String, ArgError> {
     json_envelope("run", serde_json::to_value(report))
 }
 
@@ -245,12 +245,12 @@ pub fn report_json(report: &RunReport) -> Result<String, ArgError> {
 /// # Errors
 ///
 /// Propagates serialization failures.
-pub fn reports_json(reports: &[RunReport]) -> Result<String, ArgError> {
+pub(crate) fn reports_json(reports: &[RunReport]) -> Result<String, ArgError> {
     json_envelope("compare", serde_json::to_value(reports))
 }
 
 /// Comparison table across systems.
-pub fn comparison_text(spec: &RunSpec, reports: &[RunReport]) -> String {
+pub(crate) fn comparison_text(spec: &RunSpec, reports: &[RunReport]) -> String {
     let mut out = format!(
         "{} on {} @ {:.2} req/s/GPU, {} requests\n\n",
         spec.config.model.name, spec.dataset.name, spec.rate_per_gpu, spec.requests
@@ -288,7 +288,7 @@ pub fn comparison_text(spec: &RunSpec, reports: &[RunReport]) -> String {
 /// workload under overload control. Latency columns go through `stat`,
 /// so a run that completes nothing prints "n/a" instead of placeholder
 /// zeros.
-pub fn overload_text(
+pub(crate) fn overload_text(
     spec: &RunSpec,
     factor: f64,
     baseline: &RunReport,
@@ -338,7 +338,7 @@ pub fn overload_text(
 }
 
 /// Rate-sweep table.
-pub fn sweep_text(spec: &RunSpec, rows: &[(f64, RunReport)]) -> String {
+pub(crate) fn sweep_text(spec: &RunSpec, rows: &[(f64, RunReport)]) -> String {
     let mut out = format!(
         "{} | {} on {}, {} requests per point\n\n",
         spec.config.system.label(),
@@ -368,7 +368,7 @@ pub fn sweep_text(spec: &RunSpec, rows: &[(f64, RunReport)]) -> String {
 /// # Errors
 ///
 /// Propagates serialization failures.
-pub fn sweep_json(rows: &[(f64, RunReport)]) -> Result<String, ArgError> {
+pub(crate) fn sweep_json(rows: &[(f64, RunReport)]) -> Result<String, ArgError> {
     let values: Vec<serde_json::Value> = rows
         .iter()
         .map(|(rate, r)| {
@@ -382,7 +382,7 @@ pub fn sweep_json(rows: &[(f64, RunReport)]) -> Result<String, ArgError> {
 }
 
 /// Table 2-style statistics of a generated trace.
-pub fn trace_stats_text(spec: &RunSpec, trace: &Trace) -> String {
+pub(crate) fn trace_stats_text(spec: &RunSpec, trace: &Trace) -> String {
     let stats = trace.stats();
     format!(
         "{} trace: {} requests, {:.2} req/s observed\n\
@@ -402,7 +402,7 @@ pub fn trace_stats_text(spec: &RunSpec, trace: &Trace) -> String {
 
 /// Summary of a captured scheduling trace: event mix, Algorithm 1 verdict
 /// counts, and how to dig further.
-pub fn scheduling_trace_text(
+pub(crate) fn scheduling_trace_text(
     spec: &RunSpec,
     report: &RunReport,
     log: &windserve::TraceLog,
@@ -455,7 +455,7 @@ pub fn scheduling_trace_text(
 }
 
 /// Budget/profiler summary for a configuration.
-pub fn budget_text(spec: &RunSpec, cluster: &Cluster) -> String {
+pub(crate) fn budget_text(spec: &RunSpec, cluster: &Cluster) -> String {
     let profiler = cluster.profiler();
     let [cp, ap, bp] = profiler.prefill_coefficients();
     let [cd, ad] = profiler.decode_coefficients();
@@ -482,7 +482,7 @@ mod tests {
     fn empty_percentiles_render_as_na() {
         let empty = Percentiles::zero();
         assert_eq!(stat(&empty, empty.p99, 8), "     n/a");
-        let one = Percentiles::of(&[0.25]).unwrap();
+        let one = Percentiles::of(vec![0.25]);
         assert_eq!(stat(&one, one.p50, 8), "  0.2500");
     }
 

@@ -14,7 +14,6 @@
 //! separation, not the dispatch policy, so it gets WindServe's budget and
 //! its fused hybrid steps pay for it in TPOT.
 
-use windserve_gpu::StreamSharing;
 use windserve_metrics::SloSpec;
 use windserve_model::{BatchPlan, CostModel, PrefillChunk};
 use windserve_sim::SimDuration;
@@ -29,7 +28,6 @@ fn reference_decode_plan(typical_context: u32) -> BatchPlan {
 /// Decode-iteration time when a guest prefill of `n` tokens co-executes.
 fn decode_time_with_guest(
     cost: &CostModel,
-    sharing: &StreamSharing,
     sbd: bool,
     typical_context: u32,
     n: u32,
@@ -41,7 +39,7 @@ fn decode_time_with_guest(
     if sbd {
         let kd = cost.kernel_cost(&decode);
         let kp = cost.kernel_cost(&BatchPlan::single_prefill(n));
-        let slow = sharing.slowdown(kd, kp);
+        let slow = windserve_gpu::slowdown(kd, kp);
         SimDuration::from_secs_f64(kd.alone_secs() * slow)
     } else {
         // Fused hybrid batch: the decode waits for the whole prefill.
@@ -56,23 +54,22 @@ fn decode_time_with_guest(
 /// guest violates the objective.
 pub fn calibrate_aux_budget(
     cost: &CostModel,
-    sharing: &StreamSharing,
     sbd: bool,
     slo: &SloSpec,
     typical_context: u32,
     cap: u32,
 ) -> u32 {
     let tpot = slo.tpot;
-    if decode_time_with_guest(cost, sharing, sbd, typical_context, 16) > tpot {
+    if decode_time_with_guest(cost, sbd, typical_context, 16) > tpot {
         return 0;
     }
     let (mut lo, mut hi) = (16u32, cap.max(16));
-    if decode_time_with_guest(cost, sharing, sbd, typical_context, hi) <= tpot {
+    if decode_time_with_guest(cost, sbd, typical_context, hi) <= tpot {
         return hi;
     }
     while hi - lo > 16 {
         let mid = lo + (hi - lo) / 2;
-        if decode_time_with_guest(cost, sharing, sbd, typical_context, mid) <= tpot {
+        if decode_time_with_guest(cost, sbd, typical_context, mid) <= tpot {
             lo = mid;
         } else {
             hi = mid;
@@ -103,10 +100,9 @@ mod tests {
         // instance can absorb far more guest prefill under SBD than when
         // fusing, for the same TPOT objective.
         let cost = opt13b();
-        let sharing = StreamSharing::default();
         let slo = SloSpec::opt_13b_sharegpt();
-        let sbd = calibrate_aux_budget(&cost, &sharing, true, &slo, 968, 8192);
-        let fused = calibrate_aux_budget(&cost, &sharing, false, &slo, 968, 8192);
+        let sbd = calibrate_aux_budget(&cost, true, &slo, 968, 8192);
+        let fused = calibrate_aux_budget(&cost, false, &slo, 968, 8192);
         assert!(sbd > fused, "sbd {sbd} vs fused {fused}");
         assert!(sbd >= 2048, "sbd budget should be generous: {sbd}");
     }
@@ -114,11 +110,10 @@ mod tests {
     #[test]
     fn fused_budget_respects_tpot() {
         let cost = opt13b();
-        let sharing = StreamSharing::default();
         let slo = SloSpec::opt_13b_sharegpt();
-        let budget = calibrate_aux_budget(&cost, &sharing, false, &slo, 968, 8192);
+        let budget = calibrate_aux_budget(&cost, false, &slo, 968, 8192);
         if budget > 0 {
-            let t = decode_time_with_guest(&cost, &sharing, false, 968, budget);
+            let t = decode_time_with_guest(&cost, false, 968, budget);
             assert!(t <= slo.tpot, "budget {budget} violates TPOT: {t}");
         }
     }
@@ -126,22 +121,17 @@ mod tests {
     #[test]
     fn impossible_slo_yields_zero_budget() {
         let cost = opt13b();
-        let sharing = StreamSharing::default();
         let slo = SloSpec::new(SimDuration::from_millis(250), SimDuration::from_micros(100));
-        assert_eq!(
-            calibrate_aux_budget(&cost, &sharing, true, &slo, 968, 8192),
-            0
-        );
+        assert_eq!(calibrate_aux_budget(&cost, true, &slo, 968, 8192), 0);
     }
 
     #[test]
     fn budget_monotone_in_tpot() {
         let cost = opt13b();
-        let sharing = StreamSharing::default();
         let tight = SloSpec::new(SimDuration::from_millis(250), SimDuration::from_millis(20));
         let loose = SloSpec::new(SimDuration::from_millis(250), SimDuration::from_millis(200));
-        let b_tight = calibrate_aux_budget(&cost, &sharing, false, &tight, 968, 8192);
-        let b_loose = calibrate_aux_budget(&cost, &sharing, false, &loose, 968, 8192);
+        let b_tight = calibrate_aux_budget(&cost, false, &tight, 968, 8192);
+        let b_loose = calibrate_aux_budget(&cost, false, &loose, 968, 8192);
         assert!(b_loose >= b_tight);
     }
 }

@@ -66,7 +66,7 @@ use windserve_engine::{
     Instance, InstanceConfig, InstanceRole, LaneRef, Leap, StepKind, StepOutcome,
 };
 use windserve_faults::FaultEvent;
-use windserve_gpu::{GpuId, StreamSharing, TransferEngine};
+use windserve_gpu::{GpuId, TransferEngine};
 use windserve_kvcache::PrefixStore;
 use windserve_metrics::{DropReason, DroppedRequest, PrefillSite, RequestRecord};
 use windserve_model::CostModel;
@@ -145,16 +145,6 @@ impl LiveEvent {
             | LiveEvent::Token { id, .. }
             | LiveEvent::Finished { id, .. }
             | LiveEvent::Dropped { id, .. } => *id,
-        }
-    }
-
-    /// Virtual time of the milestone.
-    pub fn at(&self) -> SimTime {
-        match self {
-            LiveEvent::FirstToken { at, .. }
-            | LiveEvent::Token { at, .. }
-            | LiveEvent::Finished { at, .. }
-            | LiveEvent::Dropped { at, .. } => *at,
         }
     }
 }
@@ -312,7 +302,6 @@ impl Cluster {
     pub fn new(cfg: ServeConfig) -> crate::Result<Self> {
         cfg.validate()?;
         let tracer = Tracer::for_mode(cfg.trace);
-        let sharing = StreamSharing::default();
         let mut instances = Vec::new();
         let mut engine = TransferEngine::new();
         let mut prefill_idxs = Vec::new();
@@ -340,12 +329,12 @@ impl Cluster {
                     let host =
                         cfg.topology.host_route(&[GpuId(0)]).bandwidth * replica.gpus.len() as f64;
                     let cost = cost_model(cfg.gpu.clone(), cfg.prefill_parallelism)?;
-                    Instance::new(tuned(InstanceConfig::colocated(name)), cost, sharing, host)?
+                    Instance::new(tuned(InstanceConfig::colocated(name)), cost, host)?
                 }
                 InstanceRole::Prefill => {
                     let p_cost = cost_model(cfg.prefill_gpu(), cfg.prefill_parallelism)?;
                     prefill_idxs.push(idx);
-                    Instance::new(tuned(InstanceConfig::prefill(name)), p_cost, sharing, host)?
+                    Instance::new(tuned(InstanceConfig::prefill(name)), p_cost, host)?
                 }
                 InstanceRole::Decode => {
                     let d_cost = cost_model(cfg.gpu.clone(), cfg.decode_parallelism)?;
@@ -357,7 +346,6 @@ impl Cluster {
                     // policy, which is exactly why its TPOT suffers.
                     let budget = calibrate_aux_budget(
                         &d_cost,
-                        &sharing,
                         true,
                         &cfg.slo,
                         typical_context,
@@ -366,7 +354,7 @@ impl Cluster {
                     d_cfg.aux_budget_tokens = budget;
                     calibrated_budget = budget;
                     decode_idxs.push(idx);
-                    Instance::new(d_cfg, d_cost, sharing, host)?
+                    Instance::new(d_cfg, d_cost, host)?
                 }
             };
             instances.push(instance);

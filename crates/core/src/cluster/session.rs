@@ -133,11 +133,6 @@ impl ClusterSession {
         }
     }
 
-    /// Current virtual time (the timestamp of the last processed event).
-    pub fn now(&self) -> SimTime {
-        self.events.now()
-    }
-
     /// Firing time of the next pending event, if any.
     pub fn next_event_at(&self) -> Option<SimTime> {
         self.events.peek_time()

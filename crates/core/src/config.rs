@@ -68,7 +68,7 @@ impl AutoscaleConfig {
     ///
     /// Returns [`Error::Config`](crate::Error::Config) describing the first
     /// invalid field.
-    pub fn validate(&self) -> crate::Result<()> {
+    pub(crate) fn validate(&self) -> crate::Result<()> {
         let config = |reason: String| crate::Error::Config { reason };
         if self.min_prefill == 0 || self.min_decode == 0 {
             return Err(config("autoscale minimums must be at least 1".into()));
@@ -146,7 +146,7 @@ impl OverloadConfig {
     ///
     /// Returns [`Error::Config`](crate::Error::Config) describing the first
     /// invalid field.
-    pub fn validate(&self) -> crate::Result<()> {
+    pub(crate) fn validate(&self) -> crate::Result<()> {
         let config = |reason: String| crate::Error::Config { reason };
         if self.max_queued_requests == Some(0) {
             return Err(config("max_queued_requests must be at least 1".into()));
@@ -177,7 +177,7 @@ impl OverloadConfig {
     }
 
     /// The shed threshold in seconds for a given TTFT SLO.
-    pub fn shed_threshold(&self, slo: SloSpec) -> SimDuration {
+    pub(crate) fn shed_threshold(&self, slo: SloSpec) -> SimDuration {
         slo.ttft.mul_f64(self.shed_ttft_factor)
     }
 }
@@ -221,7 +221,7 @@ impl PrefixCacheConfig {
     ///
     /// Returns [`Error::Config`](crate::Error::Config) describing the first
     /// invalid field.
-    pub fn validate(&self) -> crate::Result<()> {
+    pub(crate) fn validate(&self) -> crate::Result<()> {
         let config = |reason: String| crate::Error::Config { reason };
         if self.capacity_tokens == 0 {
             return Err(config("prefix cache capacity must be positive".into()));
@@ -269,7 +269,7 @@ pub enum SystemKind {
 
 impl SystemKind {
     /// Dynamic prefill dispatch enabled (Algorithm 1)?
-    pub fn dispatch_enabled(self) -> bool {
+    pub(crate) fn dispatch_enabled(self) -> bool {
         matches!(
             self,
             SystemKind::WindServe | SystemKind::WindServeNoSplit | SystemKind::WindServeNoResche
@@ -277,22 +277,22 @@ impl SystemKind {
     }
 
     /// Dynamic rescheduling (and KV backups) enabled?
-    pub fn resched_enabled(self) -> bool {
+    pub(crate) fn resched_enabled(self) -> bool {
         matches!(self, SystemKind::WindServe | SystemKind::WindServeNoSplit)
     }
 
     /// Stream-based disaggregation enabled on the decode instance?
-    pub fn sbd_enabled(self) -> bool {
+    pub(crate) fn sbd_enabled(self) -> bool {
         matches!(self, SystemKind::WindServe | SystemKind::WindServeNoResche)
     }
 
     /// KV handoff overlapped with prefill computation?
-    pub fn overlapped_transfer(self) -> bool {
+    pub(crate) fn overlapped_transfer(self) -> bool {
         self.dispatch_enabled()
     }
 
     /// Colocated (non-disaggregated) deployment?
-    pub fn colocated(self) -> bool {
+    pub(crate) fn colocated(self) -> bool {
         matches!(self, SystemKind::VllmColocated)
     }
 
@@ -498,7 +498,7 @@ impl ServeConfig {
     }
 
     /// The GPU type backing the prefill instance.
-    pub fn prefill_gpu(&self) -> GpuSpec {
+    pub(crate) fn prefill_gpu(&self) -> GpuSpec {
         self.prefill_gpu.clone().unwrap_or_else(|| self.gpu.clone())
     }
 
@@ -582,11 +582,6 @@ impl ServeConfig {
             }
         }
         Ok(layout)
-    }
-
-    /// Converts an aggregate request rate into the paper's per-GPU rate.
-    pub fn per_gpu_rate(&self, total_rate: f64) -> f64 {
-        total_rate / self.total_gpus() as f64
     }
 
     /// Converts a per-GPU rate (the paper's x-axis) into an aggregate rate.
@@ -702,7 +697,7 @@ mod tests {
         let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
         let total = cfg.total_rate(4.0);
         assert_eq!(total, 16.0);
-        assert_eq!(cfg.per_gpu_rate(total), 4.0);
+        assert_eq!(total / cfg.total_gpus() as f64, 4.0);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! [`crate::ServeConfig`] (and the fleet config) actually
 //! needs, on both sides:
 //!
-//! * [`to_toml`] renders any `Serialize` type whose value tree is a table:
+//! * `to_toml` renders any `Serialize` type whose value tree is a table:
 //!   nested objects become `[dotted.sections]`, arrays of objects become
 //!   `[[arrays.of.tables]]`, everything else is emitted inline (including
 //!   nested arrays, e.g. quantile control points). `None` fields are
 //!   simply omitted.
-//! * [`parse_toml`] reads that subset back — plus inline tables,
+//! * `parse_toml` reads that subset back — plus inline tables,
 //!   single-quoted strings, comments, and multi-line arrays, so
 //!   hand-written files have room to breathe.
 //! * `merge_values` deep-merges a parsed (possibly partial) file over a
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// as the first line of every rendered config; files declaring a newer
 /// version are rejected, files declaring none (or an older one) load
 /// normally.
-pub const CONFIG_SCHEMA_VERSION: u64 = 1;
+pub(crate) const CONFIG_SCHEMA_VERSION: u64 = 1;
 
 // ---------------------------------------------------------------------------
 // Emission
@@ -48,7 +48,7 @@ pub const CONFIG_SCHEMA_VERSION: u64 = 1;
 /// Returns [`Error::Config`] if the type's value tree is not a table at the
 /// top level, or contains a value TOML cannot express (a bare `null`
 /// inside an array).
-pub fn to_toml<T: Serialize>(value: &T) -> Result<String> {
+pub(crate) fn to_toml<T: Serialize>(value: &T) -> Result<String> {
     match value.serialize_value() {
         Value::Object(map) => {
             let mut out = String::new();
@@ -230,7 +230,7 @@ fn emit_number(n: Number, out: &mut String) {
 /// Returns [`Error::Config`] with a line-numbered reason for syntax the
 /// subset does not cover (dates, dotted inline keys, heterogeneous
 /// object/scalar arrays).
-pub fn parse_toml(text: &str) -> Result<Value> {
+pub(crate) fn parse_toml(text: &str) -> Result<Value> {
     let mut p = Parser {
         chars: text.chars().collect(),
         pos: 0,
@@ -719,23 +719,6 @@ fn unknown_keys(file: &Value, known: &Value, path: &mut String, out: &mut Vec<St
 }
 
 impl ServeConfig {
-    /// Renders this config as a TOML document that [`ServeConfig::from_toml`]
-    /// reads back bit-for-bit. `None` fields are omitted.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use windserve::{ServeConfig, SystemKind};
-    ///
-    /// let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
-    /// let text = cfg.to_toml();
-    /// assert_eq!(ServeConfig::from_toml(&text).unwrap(), cfg);
-    /// ```
-    pub fn to_toml(&self) -> String {
-        let body = to_toml(self).expect("a ServeConfig always serializes to a table");
-        format!("schema_version = {CONFIG_SCHEMA_VERSION}\n{body}")
-    }
-
     /// Reads a (possibly partial) TOML config. Fields the file omits keep
     /// the values of the paper's default operating point
     /// ([`ServeConfig::opt_13b_sharegpt`] under [`SystemKind::WindServe`]),
@@ -768,6 +751,13 @@ mod tests {
     use windserve_sim::SimDuration;
     use windserve_trace::TraceMode;
 
+    /// A config as a schema-stamped TOML document, the form `from_toml`
+    /// reads back.
+    fn serve_toml(cfg: &ServeConfig) -> String {
+        let body = to_toml(cfg).expect("a ServeConfig always serializes to a table");
+        format!("schema_version = {CONFIG_SCHEMA_VERSION}\n{body}")
+    }
+
     #[test]
     fn default_config_round_trips() {
         for cfg in [
@@ -775,7 +765,7 @@ mod tests {
             ServeConfig::opt_66b_sharegpt(SystemKind::DistServe),
             ServeConfig::llama2_13b_longbench(SystemKind::VllmColocated),
         ] {
-            let text = cfg.to_toml();
+            let text = serve_toml(&cfg);
             let back = ServeConfig::from_toml(&text).unwrap();
             assert_eq!(back, cfg, "round-trip changed the config:\n{text}");
         }
@@ -792,7 +782,7 @@ mod tests {
             ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
         };
         cfg.validate().unwrap();
-        let text = cfg.to_toml();
+        let text = serve_toml(&cfg);
         let back = ServeConfig::from_toml(&text).unwrap();
         assert_eq!(back, cfg, "round-trip changed the config:\n{text}");
     }
@@ -821,7 +811,7 @@ mod tests {
             ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
         };
         cfg.validate().unwrap();
-        let text = cfg.to_toml();
+        let text = serve_toml(&cfg);
         assert!(text.contains("[prefix_cache]"), "{text}");
         assert!(text.contains("[workload"), "{text}");
         let back = ServeConfig::from_toml(&text).unwrap();
@@ -840,7 +830,7 @@ mod tests {
 
     #[test]
     fn emitted_config_declares_the_schema_version() {
-        let text = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe).to_toml();
+        let text = serve_toml(&ServeConfig::opt_13b_sharegpt(SystemKind::WindServe));
         let first = text.lines().next().unwrap();
         assert_eq!(first, format!("schema_version = {CONFIG_SCHEMA_VERSION}"));
     }
@@ -916,7 +906,7 @@ mod tests {
             autoscale: Some(AutoscaleConfig::default()),
             ..ServeConfig::opt_13b_sharegpt(SystemKind::WindServe)
         };
-        assert!(load_serve(&cfg.to_toml()).1.is_empty());
+        assert!(load_serve(&serve_toml(&cfg)).1.is_empty());
     }
 
     #[test]
@@ -1051,7 +1041,7 @@ neg = -inf
             if cfg.validate().is_err() {
                 return;
             }
-            let text = cfg.to_toml();
+            let text = serve_toml(&cfg);
             let back = ServeConfig::from_toml(&text).unwrap();
             proptest::prop_assert_eq!(back, cfg);
         }

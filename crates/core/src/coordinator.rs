@@ -48,7 +48,7 @@ impl Coordinator {
     /// Algorithm 1, line 1: `TTFT_pred` for a new request of
     /// `prompt_tokens`, from the waiting-queue backlog and the remaining
     /// time of the currently prefilling batch.
-    pub fn predict_ttft(
+    pub(crate) fn predict_ttft(
         &self,
         profiler: &Profiler,
         prefill: &Instance,
@@ -67,7 +67,7 @@ impl Coordinator {
     /// queued or swapped sequences, or KV below the reserve ("if the KV
     /// blocks in the decoding instance are inadequate, the available slot
     /// is set to 0").
-    pub fn available_slots(&self, decode: &Instance) -> u64 {
+    pub(crate) fn available_slots(&self, decode: &Instance) -> u64 {
         if decode.waiting_decode_len() > 0 || decode.swapped_len() > 0 {
             return 0;
         }
@@ -87,7 +87,7 @@ impl Coordinator {
     /// the decode replicas' best slot offer. It dispatches only when the
     /// prediction exceeds `thrd` and the offer holds the whole prompt;
     /// `NoSlots` marks an overload no decode replica could absorb.
-    pub fn should_dispatch(
+    pub(crate) fn should_dispatch(
         &self,
         ttft_pred: SimDuration,
         best_offer: u64,
@@ -107,14 +107,14 @@ impl Coordinator {
     /// watermark, or sequences already pushed out to host memory. (A
     /// non-empty decode waiting queue alone is *not* pressure — every KV
     /// handoff passes through it briefly.)
-    pub fn needs_rescheduling(&self, decode: &Instance) -> bool {
+    pub(crate) fn needs_rescheduling(&self, decode: &Instance) -> bool {
         decode.kv_free_fraction() < RESCHED_WATERMARK || decode.swapped_len() > 0
     }
 
     /// Picks the migration victim among running decodes at or above the
     /// long-context bar: the longest context under WindServe's policy, the
     /// shortest under the Llumnix-style alternative.
-    pub fn pick_victim(&self, decode: &Instance) -> Option<(RequestId, u32)> {
+    pub(crate) fn pick_victim(&self, decode: &Instance) -> Option<(RequestId, u32)> {
         let candidates = decode
             .running_decodes()
             .into_iter()
@@ -129,7 +129,7 @@ impl Coordinator {
 
     /// True if the prefill instance has comfortable room to host a migrant
     /// of `ctx` tokens (its own prompts take priority).
-    pub fn destination_can_host(&self, prefill: &Instance, ctx: u32) -> bool {
+    pub(crate) fn destination_can_host(&self, prefill: &Instance, ctx: u32) -> bool {
         prefill.kv_free_tokens() >= 2 * u64::from(ctx)
     }
 }
@@ -138,7 +138,7 @@ impl Coordinator {
 mod tests {
     use super::*;
     use windserve_engine::{InstanceConfig, SeqState};
-    use windserve_gpu::{GpuSpec, StreamSharing};
+    use windserve_gpu::GpuSpec;
     use windserve_model::{CostModel, ModelSpec, Parallelism};
 
     fn coordinator() -> Coordinator {
@@ -157,13 +157,7 @@ mod tests {
             Parallelism::tp(2),
         )
         .unwrap();
-        Instance::new(
-            InstanceConfig::decode("d"),
-            cost,
-            StreamSharing::default(),
-            20e9,
-        )
-        .unwrap()
+        Instance::new(InstanceConfig::decode("d"), cost, 20e9).unwrap()
     }
 
     #[test]

@@ -54,7 +54,7 @@ use serde::value::{Map, Value};
 use serde::{Deserialize, Serialize};
 use windserve_gpu::Topology;
 use windserve_metrics::LatencySummary;
-use windserve_sim::SimTime;
+use windserve_sim::{mix64, SimTime, GOLDEN_GAMMA};
 use windserve_trace::{LeaseAction, TimedEvent, TraceEvent, TraceLog};
 use windserve_workload::{ArrivalProcess, Dataset, Scenario, TenantId, Trace};
 
@@ -148,7 +148,7 @@ impl ArbiterConfig {
     /// # Errors
     ///
     /// Returns [`Error::Fleet`] describing the first invalid field.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if !(self.pressure_threshold.is_finite() && self.pressure_threshold > 0.0) {
             return Err(Error::Fleet {
                 reason: format!(
@@ -248,7 +248,7 @@ impl FleetConfig {
 
     /// The fleet-wide router: every tenant with its id and deployment, in
     /// declaration order (which is id order).
-    pub fn tenant_routing(&self) -> Vec<TenantRoute> {
+    pub(crate) fn tenant_routing(&self) -> Vec<TenantRoute> {
         let mut routes = Vec::new();
         for (d_ix, d) in self.deployments.iter().enumerate() {
             for t in &d.tenants {
@@ -264,7 +264,7 @@ impl FleetConfig {
 
     /// GPUs the planner must grant unconditionally (every deployment's
     /// base placement).
-    pub fn base_gpus(&self) -> usize {
+    pub(crate) fn base_gpus(&self) -> usize {
         self.deployments.iter().map(|d| d.serve.total_gpus()).sum()
     }
 
@@ -277,7 +277,7 @@ impl FleetConfig {
     /// Returns [`Error::Gpu`] for a malformed pool topology, otherwise
     /// [`Error::Fleet`] (or a wrapped per-deployment config error)
     /// describing the first problem.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         let fleet = |reason: String| Error::Fleet { reason };
         self.topology.validate()?;
         if self.deployments.is_empty() {
@@ -356,7 +356,7 @@ impl FleetConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Fleet`] if [`FleetConfig::validate`] fails.
+    /// Returns [`Error::Fleet`] if `FleetConfig::validate` fails.
     pub fn build(self) -> Result<Fleet> {
         self.validate()?;
         Ok(Fleet { cfg: self })
@@ -485,11 +485,6 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// The tenant report with the given name.
-    pub fn tenant(&self, name: &str) -> Option<&TenantReport> {
-        self.tenants.iter().find(|t| t.name == name)
-    }
-
     /// Fleet-wide goodput: both-SLO requests per second summed over
     /// tenants.
     pub fn total_goodput(&self) -> f64 {
@@ -581,11 +576,7 @@ impl Ledger {
 /// SplitMix64 — forks per-tenant workload seeds off the fleet seed so
 /// adding a tenant never perturbs its neighbours' workloads.
 fn fork_seed(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64((seed ^ salt.wrapping_mul(GOLDEN_GAMMA)).wrapping_add(GOLDEN_GAMMA))
 }
 
 impl Fleet {

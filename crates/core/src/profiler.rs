@@ -35,10 +35,11 @@ use windserve_sim::SimDuration;
 /// let cost = CostModel::new(ModelSpec::opt_13b(), GpuSpec::a800_80gb(),
 ///                           Parallelism::tp(2))?;
 /// let profiler = Profiler::fit(&cost);
-/// let t = profiler.predict_prefill(768);
-/// let truth = cost.step_time(&windserve_model::BatchPlan::single_prefill(768));
+/// // Eq. 2: a decode step of 16 requests at context 1024.
+/// let t = profiler.predict_decode(16 * 1024);
+/// let truth = cost.step_time(&windserve_model::BatchPlan::decode_only(vec![1024; 16]));
 /// let err = (t.as_secs_f64() / truth.as_secs_f64() - 1.0).abs();
-/// assert!(err < 0.25);
+/// assert!(err < 0.1);
 /// # Ok(())
 /// # }
 /// ```
@@ -98,7 +99,7 @@ impl Profiler {
     }
 
     /// Predicted duration of prefilling `n_tokens` prompt tokens (Eq. 1).
-    pub fn predict_prefill(&self, n_tokens: u64) -> SimDuration {
+    pub(crate) fn predict_prefill(&self, n_tokens: u64) -> SimDuration {
         let x = n_tokens as f64;
         let [c, a, b] = self.prefill_coeffs;
         SimDuration::from_secs_f64((c + a * x + b * x * x).max(0.0))
@@ -115,7 +116,7 @@ impl Profiler {
     /// a new request, given the queue's cumulative backlog tokens, the new
     /// request's prompt, and the anticipated remaining time of the batch
     /// currently prefilling.
-    pub fn predict_ttft(
+    pub(crate) fn predict_ttft(
         &self,
         backlog_tokens: u64,
         new_prompt_tokens: u64,

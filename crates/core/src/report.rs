@@ -130,15 +130,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Throughput: completed requests per second over the run.
-    pub fn throughput(&self) -> f64 {
-        if self.duration_secs > 0.0 {
-            self.summary.completed as f64 / self.duration_secs
-        } else {
-            0.0
-        }
-    }
-
     /// Goodput (DistServe's metric): requests per second that met *both*
     /// SLOs.
     pub fn goodput(&self) -> f64 {
@@ -208,21 +199,5 @@ impl RunReport {
         slo: windserve_metrics::SloSpec,
     ) -> std::collections::BTreeMap<Option<u64>, LatencySummary> {
         LatencySummary::grouped_by(slo, &self.records, |r| r.session.map(|t| t.session.0))
-    }
-
-    /// A latency summary restricted to requests whose prefill ran at the
-    /// given site (e.g. only dispatched prefills).
-    pub fn summary_by_site(
-        &self,
-        slo: windserve_metrics::SloSpec,
-        site: windserve_metrics::PrefillSite,
-    ) -> LatencySummary {
-        let records: Vec<RequestRecord> = self
-            .records
-            .iter()
-            .filter(|r| r.prefill_site == site)
-            .copied()
-            .collect();
-        LatencySummary::of(slo, &records)
     }
 }

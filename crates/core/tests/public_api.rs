@@ -1,6 +1,7 @@
 //! Public-API snapshot: a checked-in text listing of every `pub` item
-//! declared in the `windserve` facade, diffed on every test run so API
-//! changes are visible in review instead of slipping through.
+//! declared in every library crate of the workspace (`crates/*/src`),
+//! grouped by crate and diffed on every test run so API changes are
+//! visible in review instead of slipping through.
 //!
 //! On an intentional API change, regenerate the snapshot with
 //!
@@ -22,6 +23,11 @@ const ITEM_KEYWORDS: [&str; 8] = [
 
 fn crate_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The workspace's `crates/` directory, one member crate per entry.
+fn crates_dir() -> PathBuf {
+    crate_root().join("..").join("..").join("crates")
 }
 
 /// Extracts the `pub` item declarations of one source file, one per line,
@@ -70,47 +76,62 @@ fn public_items(source: &str) -> Vec<String> {
     items
 }
 
-/// Every `.rs` file under `dir`, recursively, except the crate's
-/// `tests.rs`.
+/// Every library `.rs` file under `dir`, recursively: binary targets
+/// (`bin/`, `main.rs`) and the test-only `tests.rs`/`proptests.rs` modules
+/// declare no API another crate can call.
 fn source_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source directory") {
         let path = entry.expect("directory entry").path();
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+        let name = name.as_deref().unwrap_or("");
         if path.is_dir() {
-            source_files(&path, out);
+            if name != "bin" {
+                source_files(&path, out);
+            }
         } else if path.extension().is_some_and(|e| e == "rs")
-            && path.file_name().is_some_and(|n| n != "tests.rs")
+            && !["tests.rs", "proptests.rs", "main.rs"].contains(&name)
         {
             out.push(path);
         }
     }
 }
 
-fn render_surface(root: &Path) -> String {
-    let src = root.join("src");
-    let mut files = Vec::new();
-    source_files(&src, &mut files);
-    files.sort();
+fn render_surface(crates: &Path) -> String {
+    let mut members: Vec<PathBuf> = std::fs::read_dir(crates)
+        .expect("readable crates directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.join("src").is_dir())
+        .collect();
+    members.sort();
     let mut out = String::from(
-        "# Public API of the `windserve` facade. Regenerate with\n\
+        "# Public API of every workspace library crate. Regenerate with\n\
          # UPDATE_API_SNAPSHOT=1 cargo test -p windserve --test public_api\n",
     );
-    for path in files {
-        // Headers name the file by its path under `src/`, `/`-separated.
-        let name = path
-            .strip_prefix(&src)
-            .expect("file under src/")
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        let source = std::fs::read_to_string(&path).expect("readable source file");
-        let items = public_items(&source);
-        if items.is_empty() {
-            continue;
-        }
-        let _ = write!(out, "\n[{name}]\n");
-        for item in items {
-            let _ = writeln!(out, "pub {item}");
+    for member in members {
+        let src = member.join("src");
+        let mut files = Vec::new();
+        source_files(&src, &mut files);
+        files.sort();
+        let crate_name = member.file_name().expect("crate directory name");
+        let _ = write!(out, "\n== crates/{} ==\n", crate_name.to_string_lossy());
+        for path in files {
+            // Headers name the file by its path under `src/`, `/`-separated.
+            let name = path
+                .strip_prefix(&src)
+                .expect("file under src/")
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/");
+            let source = std::fs::read_to_string(&path).expect("readable source file");
+            let items = public_items(&source);
+            if items.is_empty() {
+                continue;
+            }
+            let _ = write!(out, "\n[{name}]\n");
+            for item in items {
+                let _ = writeln!(out, "pub {item}");
+            }
         }
     }
     out
@@ -118,9 +139,8 @@ fn render_surface(root: &Path) -> String {
 
 #[test]
 fn public_api_matches_the_checked_in_snapshot() {
-    let root = crate_root();
-    let rendered = render_surface(&root);
-    let snapshot_path = root.join(SNAPSHOT);
+    let rendered = render_surface(&crates_dir());
+    let snapshot_path = crate_root().join(SNAPSHOT);
     if std::env::var_os("UPDATE_API_SNAPSHOT").is_some() {
         std::fs::write(&snapshot_path, &rendered).expect("write snapshot");
         return;

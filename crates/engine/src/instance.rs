@@ -11,15 +11,15 @@
 //! concurrently (pipeline parallelism keeps `pp` batches in flight), and a
 //! decode instance optionally runs guest prefills in an *auxiliary CUDA
 //! stream* (stream-based disaggregation, §3.4) whose interference with the
-//! main stream follows the [`StreamSharing`] contention model.
+//! main stream follows the [`slowdown`](windserve_gpu::slowdown) contention model.
 
-use crate::config::{InstanceConfig, InstanceRole};
+use crate::config::InstanceConfig;
 use crate::ledger::{Ledger, Roster, Seat};
 use crate::outcome::StepKind;
 use crate::seq::{SeqPhase, SeqState};
 use crate::stats::InstanceStats;
 use std::collections::VecDeque;
-use windserve_gpu::{KernelCost, StreamSharing};
+use windserve_gpu::KernelCost;
 use windserve_kvcache::{BackupStore, BlockManager};
 use windserve_model::CostModel;
 use windserve_sim::hash::FxHashSet;
@@ -97,7 +97,6 @@ impl Lane {
 pub struct Instance {
     pub(crate) cfg: InstanceConfig,
     pub(crate) cost: CostModel,
-    pub(crate) sharing: StreamSharing,
     pub(crate) kv: BlockManager,
     pub(crate) backups: BackupStore,
     /// Live sequences, keyed by raw request id.
@@ -131,12 +130,7 @@ impl Instance {
     ///
     /// Returns an error if the host bandwidth is invalid or the placement
     /// leaves no room for KV blocks.
-    pub fn new(
-        cfg: InstanceConfig,
-        cost: CostModel,
-        sharing: StreamSharing,
-        host_bandwidth: f64,
-    ) -> crate::Result<Self> {
+    pub fn new(cfg: InstanceConfig, cost: CostModel, host_bandwidth: f64) -> crate::Result<Self> {
         if !(host_bandwidth.is_finite() && host_bandwidth > 0.0) {
             return Err(crate::Error::InvalidConfig {
                 instance: cfg.name.clone(),
@@ -170,7 +164,6 @@ impl Instance {
             stats: InstanceStats::default(),
             cfg,
             cost,
-            sharing,
             newly_scratch: Vec::new(),
         })
     }
@@ -178,11 +171,6 @@ impl Instance {
     /// The instance's display name.
     pub fn name(&self) -> &str {
         &self.cfg.name
-    }
-
-    /// The scheduling role.
-    pub fn role(&self) -> InstanceRole {
-        self.cfg.role
     }
 
     /// The cost model backing this instance.
@@ -501,20 +489,6 @@ impl Instance {
                 .sum::<u64>();
         }
         total
-    }
-
-    /// The context length of sequence `id`, if it lives here.
-    pub fn context_of(&self, id: RequestId) -> Option<u32> {
-        self.seqs.slot_of(id.0).map(|slot| self.context_at(slot))
-    }
-
-    /// True if sequence `id` lives here and has produced all of its output
-    /// tokens (e.g. a one-token request fully answered by its prefill).
-    pub fn sequence_is_done(&self, id: RequestId) -> bool {
-        self.seqs.slot_of(id.0).is_some_and(|slot| {
-            let seq = self.seqs.at(slot);
-            seq.generated + self.owed(slot) >= seq.output_target
-        })
     }
 
     // ------------------------------------------------------------------
@@ -848,8 +822,32 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::InstanceRole;
     use windserve_gpu::GpuSpec;
     use windserve_model::{ModelSpec, Parallelism};
+
+    /// Test-only views the scheduler never needs.
+    impl Instance {
+        /// The scheduling role.
+        pub(crate) fn role(&self) -> InstanceRole {
+            self.cfg.role
+        }
+
+        /// The context length of sequence `id`, if it lives here.
+        pub(crate) fn context_of(&self, id: RequestId) -> Option<u32> {
+            self.seqs.slot_of(id.0).map(|slot| self.context_at(slot))
+        }
+
+        /// True if sequence `id` lives here and has produced all of its
+        /// output tokens (e.g. a one-token request fully answered by its
+        /// prefill).
+        pub(crate) fn sequence_is_done(&self, id: RequestId) -> bool {
+            self.seqs.slot_of(id.0).is_some_and(|slot| {
+                let seq = self.seqs.at(slot);
+                seq.generated + self.owed(slot) >= seq.output_target
+            })
+        }
+    }
 
     pub(crate) fn test_instance(role: InstanceRole) -> Instance {
         let cfg = match role {
@@ -863,7 +861,7 @@ mod tests {
             Parallelism::tp(2),
         )
         .unwrap();
-        Instance::new(cfg, cost, StreamSharing::default(), 20e9).unwrap()
+        Instance::new(cfg, cost, 20e9).unwrap()
     }
 
     #[test]
@@ -1035,10 +1033,10 @@ mod tests {
         inst.kv.allocate(1, 640).unwrap();
         let kept = inst.convert_to_backup(RequestId(1), 0.1);
         assert!(kept);
-        assert_eq!(inst.backups.len(), 1);
+        assert_eq!(inst.backup_tokens_of(RequestId(1)), Some(640));
         assert_eq!(inst.backup_delta_tokens(RequestId(1), 700), 60);
         inst.drop_backup(RequestId(1));
-        assert_eq!(inst.backups.len(), 0);
+        assert_eq!(inst.backup_tokens_of(RequestId(1)), None);
         inst.kv.check_invariants().unwrap();
     }
 

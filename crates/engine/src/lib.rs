@@ -17,7 +17,7 @@
 //!
 //! ```
 //! use windserve_engine::{Instance, InstanceConfig, LaneRef};
-//! use windserve_gpu::{GpuSpec, StreamSharing};
+//! use windserve_gpu::GpuSpec;
 //! use windserve_model::{CostModel, ModelSpec, Parallelism};
 //! use windserve_sim::SimTime;
 //! use windserve_workload::RequestId;
@@ -25,8 +25,7 @@
 //! # fn main() -> windserve_engine::Result<()> {
 //! let cost = CostModel::new(ModelSpec::opt_13b(), GpuSpec::a800_80gb(),
 //!                           Parallelism::tp(2))?;
-//! let mut inst = Instance::new(InstanceConfig::prefill("prefill-0"), cost,
-//!                              StreamSharing::default(), 20e9)?;
+//! let mut inst = Instance::new(InstanceConfig::prefill("prefill-0"), cost, 20e9)?;
 //! inst.enqueue_prefill(RequestId(0), 768, 100);
 //! let started = inst.try_start(SimTime::ZERO);
 //! let outcome = inst.complete_step(started[0].lane, started[0].ends_at);

@@ -10,7 +10,7 @@ use crate::oracle::Eager;
 use crate::outcome::{LaneRef, PausedSeq};
 use crate::seq::SeqState;
 use proptest::prelude::*;
-use windserve_gpu::{GpuSpec, StreamSharing};
+use windserve_gpu::GpuSpec;
 use windserve_model::{CostModel, ModelSpec, Parallelism};
 use windserve_sim::SimTime;
 use windserve_workload::RequestId;
@@ -81,7 +81,7 @@ fn cramped_instance(role: InstanceRole, kv_tokens: u64, preemption: PreemptionMo
         InstanceRole::Colocated => InstanceConfig::colocated("c"),
     };
     cfg.preemption = preemption;
-    Instance::new(cfg, cost, StreamSharing::default(), 20e9).unwrap()
+    Instance::new(cfg, cost, 20e9).unwrap()
 }
 
 /// Starts whatever `inst` can start at `now`, recording the steps.
@@ -355,7 +355,7 @@ fn leap_fixture(members: &[(u32, u32, bool)], guests: &[(u32, u32)], slack: u64)
         if local {
             // What a finished guest prefill leaves behind: the prompt's
             // KV, the first token generated, the request promoted.
-            let mut seq = SeqState::new(id, ctx - 1, output);
+            let mut seq = SeqState::new_with_cached(id, ctx - 1, 0, output);
             seq.prefilled = ctx - 1;
             seq.generated = 1;
             inst.kv.allocate(id.0, ctx - 1).expect("sized to fit");
@@ -795,7 +795,7 @@ fn twin_pair(pp: u32, kv_tokens: u64, preemption: PreemptionMode) -> (Instance, 
     let mut cfg = InstanceConfig::decode("d");
     cfg.preemption = preemption;
     let eager = Eager::new(cfg.clone(), cost.clone(), 20e9);
-    let inst = Instance::new(cfg, cost, StreamSharing::default(), 20e9).unwrap();
+    let inst = Instance::new(cfg, cost, 20e9).unwrap();
     (inst, eager)
 }
 

@@ -50,11 +50,6 @@ pub struct SeqState {
 }
 
 impl SeqState {
-    /// A fresh sequence about to prefill.
-    pub fn new(id: RequestId, prompt_tokens: u32, output_target: u32) -> Self {
-        Self::new_with_cached(id, prompt_tokens, 0, output_target)
-    }
-
     /// A fresh sequence whose first `cached` prompt tokens are served from
     /// a session prefix cache: prefill starts at the suffix.
     ///
@@ -62,7 +57,7 @@ impl SeqState {
     ///
     /// Panics on a degenerate sequence or if the cached prefix covers the
     /// whole prompt (a prefill always has at least one token to compute).
-    pub fn new_with_cached(
+    pub(crate) fn new_with_cached(
         id: RequestId,
         prompt_tokens: u32,
         cached: u32,
@@ -116,23 +111,23 @@ impl SeqState {
     /// True while the sequence is queued for prefill and no work has been
     /// done beyond its cached prefix — i.e. it has not yet been picked up
     /// by a prefill step and can still be cancelled or re-routed.
-    pub fn prefill_untouched(&self) -> bool {
+    pub(crate) fn prefill_untouched(&self) -> bool {
         self.prefilled == self.cached
     }
 
     /// Context length for attention purposes (prompt processed + tokens
     /// generated).
-    pub fn context(&self) -> u32 {
+    pub(crate) fn context(&self) -> u32 {
         self.prefilled + self.generated
     }
 
     /// True once all output tokens exist.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.generated >= self.output_target
     }
 
     /// Remaining prompt tokens to prefill.
-    pub fn prompt_remaining(&self) -> u32 {
+    pub(crate) fn prompt_remaining(&self) -> u32 {
         self.prompt_tokens - self.prefilled
     }
 }
@@ -143,7 +138,7 @@ mod tests {
 
     #[test]
     fn fresh_sequence_starts_empty() {
-        let s = SeqState::new(RequestId(1), 100, 20);
+        let s = SeqState::new_with_cached(RequestId(1), 100, 0, 20);
         assert_eq!(s.context(), 0);
         assert_eq!(s.prompt_remaining(), 100);
         assert!(!s.is_done());
@@ -175,7 +170,7 @@ mod tests {
         started.prefilled += 5;
         assert!(!started.prefill_untouched());
         // An uncached sequence is untouched exactly at prefilled == 0.
-        assert!(SeqState::new(RequestId(2), 10, 1).prefill_untouched());
+        assert!(SeqState::new_with_cached(RequestId(2), 10, 0, 1).prefill_untouched());
     }
 
     #[test]

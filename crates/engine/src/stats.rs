@@ -38,7 +38,12 @@ pub struct InstanceStats {
 
 impl InstanceStats {
     /// Records one completed step.
-    pub fn record_step(&mut self, kind: StepKind, duration: SimDuration, kernel: &KernelCost) {
+    pub(crate) fn record_step(
+        &mut self,
+        kind: StepKind,
+        duration: SimDuration,
+        kernel: &KernelCost,
+    ) {
         match kind {
             StepKind::Prefill => self.prefill_steps += 1,
             StepKind::Decode => self.decode_steps += 1,

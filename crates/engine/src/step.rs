@@ -343,7 +343,7 @@ impl Instance {
         let kernel = self.cost.decode_kernel_cost(batch as u64, sum_l);
         let mut alone = SimDuration::from_secs_f64(kernel.alone_secs());
         if let Some(aux) = &self.aux_step {
-            alone = alone.mul_f64(self.sharing.slowdown(kernel, aux.kernel));
+            alone = alone.mul_f64(windserve_gpu::slowdown(kernel, aux.kernel));
         }
         (alone, kernel)
     }
@@ -445,7 +445,7 @@ impl Instance {
             .filter_map(|l| l.step.as_ref().map(|s| s.kernel))
             .max_by(|a, b| a.io_secs.partial_cmp(&b.io_secs).expect("finite"))
         {
-            let slow = self.sharing.slowdown(kernel, busiest);
+            let slow = windserve_gpu::slowdown(kernel, busiest);
             duration = duration.mul_f64(slow);
         }
         Some(self.finish_step_construction(StepKind::AuxPrefill, now, duration, kernel, jobs))

@@ -6,7 +6,7 @@ use crate::config::{InstanceConfig, InstanceRole};
 use crate::instance::Instance;
 use crate::outcome::{LaneRef, StepKind, StepOutcome};
 use crate::seq::SeqState;
-use windserve_gpu::{GpuSpec, StreamSharing};
+use windserve_gpu::GpuSpec;
 use windserve_model::{BatchPlan, CostModel, ModelSpec, Parallelism};
 use windserve_sim::{SimDuration, SimTime};
 use windserve_workload::RequestId;
@@ -26,7 +26,7 @@ fn instance(role: InstanceRole) -> Instance {
         InstanceRole::Decode => InstanceConfig::decode("d"),
         InstanceRole::Colocated => InstanceConfig::colocated("c"),
     };
-    Instance::new(cfg, opt13b_cost(), StreamSharing::default(), 20e9).unwrap()
+    Instance::new(cfg, opt13b_cost(), 20e9).unwrap()
 }
 
 /// Tiny capacity instance for memory-pressure tests.
@@ -35,7 +35,7 @@ fn cramped(cfg: InstanceConfig, total_blocks_tokens: u64) -> Instance {
     // Shrink usable KV by inflating the activation reserve.
     let spare = cost.kv_capacity_bytes() - total_blocks_tokens * cost.model().kv_bytes_per_token();
     cost.activation_reserve_bytes += spare / cost.parallelism().n_gpus() as u64;
-    Instance::new(cfg, cost, StreamSharing::default(), 20e9).unwrap()
+    Instance::new(cfg, cost, 20e9).unwrap()
 }
 
 fn cramped_decode(total_blocks_tokens: u64) -> Instance {

@@ -36,7 +36,7 @@
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
-use windserve_sim::{SimDuration, SimRng, SimTime};
+use windserve_sim::{keyed_seed, SimDuration, SimRng, SimTime};
 
 pub mod net;
 
@@ -308,11 +308,6 @@ impl FaultPlan {
             .with_transfer_failures(0.15, 3, SimDuration::from_millis(5))
     }
 
-    /// True when the plan injects nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.transfer_failure_p <= 0.0
-    }
-
     /// The timed events sorted chronologically (stable, so same-time
     /// events keep their declaration order).
     pub fn sorted_events(&self) -> Vec<FaultEvent> {
@@ -364,12 +359,7 @@ impl FaultPlan {
         if self.transfer_failure_p >= 1.0 {
             return true;
         }
-        let mixed = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(tid.wrapping_mul(0xD134_2543_DE82_EF95))
-            .wrapping_add(u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        let mut rng = SimRng::seed_from_u64(mixed);
+        let mut rng = SimRng::seed_from_u64(keyed_seed(self.seed, tid, u64::from(attempt)));
         rng.next_f64() < self.transfer_failure_p
     }
 
@@ -387,10 +377,15 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// True when the plan injects nothing at all.
+    fn is_empty(plan: &FaultPlan) -> bool {
+        plan.events.is_empty() && plan.transfer_failure_p <= 0.0
+    }
+
     #[test]
     fn empty_plan_is_empty_and_valid() {
         let plan = FaultPlan::new(1);
-        assert!(plan.is_empty());
+        assert!(is_empty(&plan));
         assert!(plan.validate().is_ok());
         assert!(!plan.transfer_fails(0, 0));
     }
@@ -516,7 +511,7 @@ mod tests {
             FaultPlan::chaos(1, horizon, 9),
         ] {
             plan.validate().expect("preset must validate");
-            assert!(!plan.is_empty());
+            assert!(!is_empty(&plan));
             let json = serde_json::to_string(&plan).unwrap();
             let back: FaultPlan = serde_json::from_str(&json).unwrap();
             assert_eq!(back, plan);
@@ -529,7 +524,7 @@ mod tests {
         for name in FAULT_PRESETS {
             let plan = FaultPlan::from_preset(name, 1, horizon, 9).expect("known preset");
             plan.validate().expect("preset must validate");
-            assert!(!plan.is_empty(), "preset {name} must inject something");
+            assert!(!is_empty(&plan), "preset {name} must inject something");
         }
         let err = FaultPlan::from_preset("nope", 1, horizon, 9).unwrap_err();
         assert!(matches!(err, FaultError::UnknownPreset { .. }), "{err}");

@@ -17,7 +17,7 @@
 //! [`fault_window_conns`]: NetFaultPlan::fault_window_conns
 
 use serde::{Deserialize, Serialize};
-use windserve_sim::SimRng;
+use windserve_sim::{keyed_seed, SimRng};
 
 use crate::FaultError;
 
@@ -117,7 +117,7 @@ pub struct NetFaultPlan {
 
 impl NetFaultPlan {
     /// An empty plan: every probability zero, an unbounded fault window.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         NetFaultPlan {
             reset_p: 0.0,
             slow_loris_p: 0.0,
@@ -217,15 +217,6 @@ impl NetFaultPlan {
         self
     }
 
-    /// True when the plan injects nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.reset_p <= 0.0
-            && self.slow_loris_p <= 0.0
-            && self.stalled_write_p <= 0.0
-            && self.worker_panic_p <= 0.0
-            && self.driver_stall_p <= 0.0
-    }
-
     /// Checks the plan for nonsense values.
     ///
     /// # Errors
@@ -304,12 +295,7 @@ impl NetFaultPlan {
         if p >= 1.0 {
             return true;
         }
-        let mixed = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(conn.wrapping_mul(0xD134_2543_DE82_EF95))
-            .wrapping_add(salt.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        let mut rng = SimRng::seed_from_u64(mixed);
+        let mut rng = SimRng::seed_from_u64(keyed_seed(self.seed, conn, salt));
         rng.next_f64() < p
     }
 }
@@ -318,10 +304,19 @@ impl NetFaultPlan {
 mod tests {
     use super::*;
 
+    /// True when the plan injects nothing at all.
+    fn is_empty(plan: &NetFaultPlan) -> bool {
+        plan.reset_p <= 0.0
+            && plan.slow_loris_p <= 0.0
+            && plan.stalled_write_p <= 0.0
+            && plan.worker_panic_p <= 0.0
+            && plan.driver_stall_p <= 0.0
+    }
+
     #[test]
     fn empty_plan_injects_nothing_and_validates() {
         let plan = NetFaultPlan::new(7);
-        assert!(plan.is_empty());
+        assert!(is_empty(&plan));
         assert!(plan.validate().is_ok());
         for conn in 0..256 {
             assert_eq!(plan.fault_for(conn), None);
@@ -366,7 +361,7 @@ mod tests {
         for name in NET_PRESETS {
             let plan = NetFaultPlan::from_preset(name, 11).expect("known preset");
             plan.validate().expect("preset must validate");
-            assert!(!plan.is_empty(), "preset {name} must inject something");
+            assert!(!is_empty(&plan), "preset {name} must inject something");
             let json = serde_json::to_string(&plan).unwrap();
             let back: NetFaultPlan = serde_json::from_str(&json).unwrap();
             assert_eq!(back, plan);

@@ -31,7 +31,7 @@ impl CompletionRequest {
     ///
     /// Returns a human-readable reason for malformed JSON or out-of-range
     /// fields; the server answers `400` with it.
-    pub fn from_json(body: &[u8]) -> Result<Self, String> {
+    pub(crate) fn from_json(body: &[u8]) -> Result<Self, String> {
         let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
         let value: Value =
             serde_json::from_str(text).map_err(|e| format!("body is not valid JSON: {e}"))?;
@@ -81,7 +81,7 @@ impl CompletionRequest {
 
 /// The JSON body of a typed error response:
 /// `{"error": {"type": ..., "code": ..., "message": ...}}`.
-pub fn error_body(code: u16, kind: &str, message: &str) -> Vec<u8> {
+pub(crate) fn error_body(code: u16, kind: &str, message: &str) -> Vec<u8> {
     serde_json::to_string(&serde_json::json!({
         "error": { "type": kind, "code": code, "message": message }
     }))
@@ -92,7 +92,7 @@ pub fn error_body(code: u16, kind: &str, message: &str) -> Vec<u8> {
 /// The error body for a request the cluster dropped, typed by its
 /// [`DropReason`] (the status code comes from
 /// [`DropReason::http_status`]).
-pub fn drop_body(reason: DropReason) -> Vec<u8> {
+pub(crate) fn drop_body(reason: DropReason) -> Vec<u8> {
     error_body(
         reason.http_status(),
         reason.label(),
@@ -101,7 +101,7 @@ pub fn drop_body(reason: DropReason) -> Vec<u8> {
 }
 
 /// The `data:` payload of one streamed token event.
-pub fn token_event_json(id: RequestId, token_index: u32, virtual_secs: f64) -> String {
+pub(crate) fn token_event_json(id: RequestId, token_index: u32, virtual_secs: f64) -> String {
     serde_json::to_string(&serde_json::json!({
         "id": format!("cmpl-{}", id.0),
         "object": "completion.chunk",
@@ -112,10 +112,10 @@ pub fn token_event_json(id: RequestId, token_index: u32, virtual_secs: f64) -> S
 }
 
 /// The sentinel `data:` payload that terminates a token stream.
-pub const DONE_SENTINEL: &str = "[DONE]";
+pub(crate) const DONE_SENTINEL: &str = "[DONE]";
 
 /// The JSON body of a non-streamed completion response.
-pub fn completion_body(
+pub(crate) fn completion_body(
     id: RequestId,
     prompt_tokens: u32,
     completion_tokens: u32,

@@ -10,7 +10,7 @@
 //! driver pumps the session past the arrival before replying, so a
 //! rejection surfaces as a real `429`/`503` before any stream bytes are
 //! written); per-token completions route back to the submitting
-//! connection through a [`Sink`].
+//! connection through a `Sink`.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -30,7 +30,7 @@ use crate::sse::SseEvent;
 
 /// Where a request's live updates go.
 #[derive(Debug, Clone)]
-pub enum Sink {
+pub(crate) enum Sink {
     /// Deliver typed updates over a channel (non-streamed responses,
     /// tests).
     Channel(Sender<StreamUpdate>),
@@ -167,7 +167,7 @@ impl DriverHandle {
     ///
     /// [`SubmitError::Dropped`] when overload control rejected the
     /// request, [`SubmitError::Unavailable`] when the driver is gone.
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         prompt_tokens: u32,
         output_tokens: u32,
@@ -198,26 +198,26 @@ impl DriverHandle {
     /// Records a gateway-layer event (health transitions, injected
     /// faults) into the session trace. Best-effort: lost if the driver
     /// is gone.
-    pub fn emit_trace(&self, ev: TraceEvent) {
+    pub(crate) fn emit_trace(&self, ev: TraceEvent) {
         let _ = self.tx.send(Msg::Trace(ev));
     }
 
     /// Reports that request `id`'s pump stream died mid-flight so the
     /// driver reclaims its routing state instead of feeding a vanished
     /// client forever.
-    pub fn stream_dead(&self, id: RequestId) {
+    pub(crate) fn stream_dead(&self, id: RequestId) {
         let _ = self.tx.send(Msg::StreamDead(id));
     }
 
     /// Injects a driver stall (network chaos): the driver thread sleeps
     /// for `dur` (capped) before processing further work.
-    pub fn stall(&self, dur: Duration) {
+    pub(crate) fn stall(&self, dur: Duration) {
         let _ = self.tx.send(Msg::Stall(dur));
     }
 
     /// A point-in-time snapshot of the live session, or `None` if the
     /// driver is gone.
-    pub fn snapshot(&self) -> Option<SessionSnapshot> {
+    pub(crate) fn snapshot(&self) -> Option<SessionSnapshot> {
         let (tx, rx) = mpsc::channel();
         self.tx.send(Msg::Snapshot { reply: tx }).ok()?;
         rx.recv().ok()
@@ -239,7 +239,7 @@ impl SimDriver {
     /// # Errors
     ///
     /// Propagates cluster construction failures (invalid config).
-    pub fn spawn(cfg: ServeConfig, time_scale: f64) -> windserve::Result<SimDriver> {
+    pub(crate) fn spawn(cfg: ServeConfig, time_scale: f64) -> windserve::Result<SimDriver> {
         let cluster = Cluster::new(cfg)?;
         let mut session = cluster.into_session();
         session.enable_live_events();
@@ -262,7 +262,7 @@ impl SimDriver {
     }
 
     /// A cloneable handle for submissions and snapshots.
-    pub fn handle(&self) -> DriverHandle {
+    pub(crate) fn handle(&self) -> DriverHandle {
         DriverHandle {
             tx: self.tx.clone(),
         }
@@ -270,7 +270,7 @@ impl SimDriver {
 
     /// Drains in-flight work, finishes the session, and returns the
     /// final accounting.
-    pub fn shutdown(mut self) -> DriverReport {
+    pub(crate) fn shutdown(mut self) -> DriverReport {
         let (tx, rx) = mpsc::channel();
         let report = if self.tx.send(Msg::Shutdown { reply: tx }).is_ok() {
             rx.recv().ok()

@@ -11,7 +11,7 @@
 //! fast-failing submissions with `503` + `Retry-After` without touching
 //! the driver; after `BREAKER_COOLDOWN` it half-opens and lets probe
 //! requests through — one success closes it, one failure re-opens it.
-//! Every transition surfaces as a [`HealthSignal`] the server forwards
+//! Every transition surfaces as a `HealthSignal` the server forwards
 //! into the scheduling trace.
 
 use std::collections::VecDeque;
@@ -36,7 +36,7 @@ pub enum HealthState {
 
 impl HealthState {
     /// Short lowercase label used by `/healthz` and trace events.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             HealthState::Healthy => "healthy",
             HealthState::Degraded => "degraded",
@@ -72,7 +72,7 @@ const BREAKER_COOLDOWN: Duration = Duration::from_millis(250);
 /// The admission verdict from the health layer, checked by workers
 /// before a submission reaches the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
+pub(crate) enum Gate {
     /// Proceed with the submission (`probe` marks a half-open breaker
     /// probe whose outcome decides the breaker's next state).
     Allow {
@@ -90,7 +90,7 @@ pub enum Gate {
 
 /// A health-layer transition the server records into the trace.
 #[derive(Debug, Clone, PartialEq)]
-pub enum HealthSignal {
+pub(crate) enum HealthSignal {
     /// The gateway-wide state moved.
     StateChanged {
         /// State before.
@@ -213,7 +213,7 @@ impl Health {
 
     /// The admission verdict, plus a breaker transition signal when this
     /// call moved an open breaker to half-open.
-    pub fn gate(&self) -> (Gate, Option<HealthSignal>) {
+    pub(crate) fn gate(&self) -> (Gate, Option<HealthSignal>) {
         let mut inner = self.lock();
         if inner.state == HealthState::Draining {
             return (Gate::Draining, None);
@@ -244,7 +244,7 @@ impl Health {
 
     /// Records one admission outcome (`failed` = rejection or driver
     /// unavailability) and returns every transition it caused.
-    pub fn record(&self, failed: bool) -> Vec<HealthSignal> {
+    pub(crate) fn record(&self, failed: bool) -> Vec<HealthSignal> {
         let mut signals = Vec::new();
         let mut inner = self.lock();
         inner.window.push_back(failed);
@@ -313,7 +313,7 @@ impl Health {
 
     /// Marks the gateway draining (absorbing); returns the transition
     /// signal the first time.
-    pub fn begin_drain(&self) -> Option<HealthSignal> {
+    pub(crate) fn begin_drain(&self) -> Option<HealthSignal> {
         let mut inner = self.lock();
         if inner.state == HealthState::Draining {
             return None;
@@ -328,12 +328,12 @@ impl Health {
     }
 
     /// The current gateway-wide state.
-    pub fn state(&self) -> HealthState {
+    pub(crate) fn state(&self) -> HealthState {
         self.lock().state
     }
 
     /// A serializable snapshot for the control plane.
-    pub fn snapshot(&self) -> HealthSnapshot {
+    pub(crate) fn snapshot(&self) -> HealthSnapshot {
         let inner = self.lock();
         HealthSnapshot {
             status: inner.state.label(),

@@ -11,9 +11,9 @@
 use std::io::BufRead;
 
 /// Hard cap on the request head (request line + headers) in bytes.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Hard cap on a request body in bytes.
-pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// A parse/framing failure, with a human-readable reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +56,7 @@ impl HttpRequest {
     }
 
     /// The target's path component (the part before any `?`).
-    pub fn path(&self) -> &str {
+    pub(crate) fn path(&self) -> &str {
         self.target.split('?').next().unwrap_or(&self.target)
     }
 
@@ -201,13 +201,13 @@ fn status_reason(code: u16) -> &'static str {
 }
 
 /// Frames a complete fixed-length response (`Connection: close`).
-pub fn simple_response(status: u16, content_type: &str, body: &[u8]) -> Vec<u8> {
+pub(crate) fn simple_response(status: u16, content_type: &str, body: &[u8]) -> Vec<u8> {
     response_with_headers(status, content_type, &[], body)
 }
 
 /// Frames a complete fixed-length response with extra headers (for
 /// `Retry-After` on shed/drain responses). Always `Connection: close`.
-pub fn response_with_headers(
+pub(crate) fn response_with_headers(
     status: u16,
     content_type: &str,
     extra: &[(&str, &str)],

@@ -16,7 +16,7 @@
 //! a [`ClusterSession`](windserve::ClusterSession), mapping wall-clock
 //! time onto virtual time (`virtual_now = real_elapsed × time_scale`)
 //! and routing per-token live events back to open response streams
-//! through the [`pump::StreamPump`]. Overload control inside the
+//! through the `pump::StreamPump`. Overload control inside the
 //! simulator surfaces as real `429`/`503` responses with typed JSON
 //! bodies.
 //!
@@ -40,9 +40,8 @@ pub mod server;
 pub mod sse;
 
 pub use api::CompletionRequest;
-pub use driver::{DriverHandle, DriverReport, SimDriver, Sink, StreamUpdate, SubmitError};
+pub use driver::{DriverHandle, DriverReport, SimDriver, StreamUpdate, SubmitError};
 pub use envelope::{json_envelope, ENVELOPE_SCHEMA_VERSION};
 pub use health::{Health, HealthSnapshot, HealthState};
 pub use loadgen::{LoadReport, LoadgenConfig};
-pub use registry::Registry;
 pub use server::{Gateway, GatewayConfig, GatewayReport};

@@ -423,8 +423,8 @@ pub fn run(cfg: &LoadgenConfig) -> windserve::Result<LoadReport> {
         transport_errors,
         first_attempt,
         retry,
-        ttft: Percentiles::summarize(&ttfts),
-        tbt: Percentiles::summarize(&tbts),
+        ttft: Percentiles::of(ttfts),
+        tbt: Percentiles::of(tbts),
         goodput_rps: if wall_secs > 0.0 {
             counts[0] as f64 / wall_secs
         } else {

@@ -1,7 +1,7 @@
 //! A bounded worker pool for connection handling.
 //!
 //! The acceptor hands each connection to the pool; when every worker is
-//! busy and the backlog is full, [`WorkerPool::try_execute`] refuses the
+//! busy and the backlog is full, `WorkerPool::try_execute` refuses the
 //! job so the acceptor can answer `503` immediately instead of queueing
 //! unboundedly — overload at the transport layer stays visible, exactly
 //! like overload inside the simulated cluster.
@@ -33,7 +33,7 @@ struct Inner {
 }
 
 /// A fixed set of worker threads draining a bounded job queue.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -56,7 +56,7 @@ impl WorkerPool {
     /// Returns the OS error when a worker thread cannot be spawned;
     /// already-spawned workers are joined before returning so no thread
     /// leaks from a partial pool.
-    pub fn new(workers: usize, capacity: usize) -> std::io::Result<Self> {
+    pub(crate) fn new(workers: usize, capacity: usize) -> std::io::Result<Self> {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 jobs: VecDeque::new(),
@@ -87,13 +87,13 @@ impl WorkerPool {
     }
 
     /// How many connection handlers have panicked since the pool started.
-    pub fn panic_count(&self) -> u64 {
+    pub(crate) fn panic_count(&self) -> u64 {
         self.inner.panics.load(Ordering::Relaxed)
     }
 
     /// Queues a job, or returns `false` when the backlog is full (or the
     /// pool is shutting down) — the caller decides how to shed.
-    pub fn try_execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
+    pub(crate) fn try_execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
         let mut state = self
             .inner
             .state
@@ -109,7 +109,7 @@ impl WorkerPool {
     }
 
     /// Stops accepting work, drains queued jobs, and joins every worker.
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         {
             let mut state = self
                 .inner

@@ -7,7 +7,7 @@
 //! sockets, buffering what the kernel won't take yet.
 //!
 //! Backpressure: a stream whose client reads too slowly accumulates
-//! buffered frames; past [`MAX_BUFFERED_BYTES`] the pump drops the whole
+//! buffered frames; past `MAX_BUFFERED_BYTES` the pump drops the whole
 //! stream (closing the socket) rather than letting one slow consumer
 //! grow the process without bound. Frames pushed before the socket is
 //! registered are buffered the same way, so the driver may start
@@ -21,7 +21,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Per-stream cap on bytes buffered for a slow client.
-pub const MAX_BUFFERED_BYTES: usize = 256 * 1024;
+pub(crate) const MAX_BUFFERED_BYTES: usize = 256 * 1024;
 
 /// How many recently finished stream ids the pump remembers so late
 /// frames cannot resurrect a removed stream as a leaked table entry.
@@ -29,7 +29,7 @@ const TOMBSTONE_CAP: usize = 1024;
 
 /// One unit of work for a stream.
 #[derive(Debug)]
-pub enum Frame {
+pub(crate) enum Frame {
     /// Raw response bytes (already HTTP-chunk framed).
     Data(Vec<u8>),
     /// Flush whatever is buffered, then close the socket.
@@ -63,24 +63,24 @@ struct StreamState {
 
 /// Cloneable sender half used by the driver and the HTTP workers.
 #[derive(Debug, Clone)]
-pub struct PumpHandle {
+pub(crate) struct PumpHandle {
     tx: Sender<Msg>,
 }
 
 impl PumpHandle {
     /// Attaches the socket for `stream`; buffered frames flush to it.
-    pub fn register(&self, stream: u64, sock: TcpStream) {
+    pub(crate) fn register(&self, stream: u64, sock: TcpStream) {
         let _ = self.tx.send(Msg::Register(stream, sock));
     }
 
     /// Queues a frame for `stream` (before or after registration).
-    pub fn push(&self, stream: u64, frame: Frame) {
+    pub(crate) fn push(&self, stream: u64, frame: Frame) {
         let _ = self.tx.send(Msg::Push(stream, frame));
     }
 
     /// Injects a write stall: `stream`'s buffered bytes stay queued for
     /// `dur` before flushing resumes (network-chaos partial writes).
-    pub fn stall(&self, stream: u64, dur: Duration) {
+    pub(crate) fn stall(&self, stream: u64, dur: Duration) {
         let _ = self.tx.send(Msg::Stall(stream, dur));
     }
 }
@@ -88,32 +88,23 @@ impl PumpHandle {
 /// Callback invoked on the pump thread when a stream dies mid-flight
 /// (client disconnect, write error, or buffer overflow) — *not* on clean
 /// `Close` teardown. The driver uses it to reclaim abandoned streams.
-pub type DeadStreamNotifier = Box<dyn Fn(u64) + Send>;
+pub(crate) type DeadStreamNotifier = Box<dyn Fn(u64) + Send>;
 
 /// The pump thread and its handle factory.
 #[derive(Debug)]
-pub struct StreamPump {
+pub(crate) struct StreamPump {
     tx: Sender<Msg>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl StreamPump {
-    /// Spawns the pump thread with no dead-stream notifier.
-    ///
-    /// # Errors
-    ///
-    /// Returns the OS error when the pump thread cannot be spawned.
-    pub fn new() -> std::io::Result<Self> {
-        Self::with_notifier(Box::new(|_| {}))
-    }
-
     /// Spawns the pump thread; `notifier` fires (on the pump thread) for
     /// every stream that dies mid-flight rather than closing cleanly.
     ///
     /// # Errors
     ///
     /// Returns the OS error when the pump thread cannot be spawned.
-    pub fn with_notifier(notifier: DeadStreamNotifier) -> std::io::Result<Self> {
+    pub(crate) fn with_notifier(notifier: DeadStreamNotifier) -> std::io::Result<Self> {
         let (tx, rx) = mpsc::channel();
         let thread = std::thread::Builder::new()
             .name("gw-pump".to_string())
@@ -125,14 +116,14 @@ impl StreamPump {
     }
 
     /// A cloneable handle for pushing frames and registering sockets.
-    pub fn handle(&self) -> PumpHandle {
+    pub(crate) fn handle(&self) -> PumpHandle {
         PumpHandle {
             tx: self.tx.clone(),
         }
     }
 
     /// Flushes what can be flushed promptly and joins the thread.
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         let _ = self.tx.send(Msg::Shutdown);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
@@ -314,7 +305,7 @@ mod tests {
     fn frames_buffered_before_registration_arrive_in_order() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let pump = StreamPump::new().unwrap();
+        let pump = StreamPump::with_notifier(Box::new(|_| {})).unwrap();
         let handle = pump.handle();
         // Push before the socket exists: pre-registration buffering.
         handle.push(7, Frame::Data(b"first ".to_vec()));
@@ -374,7 +365,7 @@ mod tests {
     fn stalled_writes_resume_after_the_stall_window() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let pump = StreamPump::new().unwrap();
+        let pump = StreamPump::with_notifier(Box::new(|_| {})).unwrap();
         let handle = pump.handle();
         let client = TcpStream::connect(addr).unwrap();
         let (server_side, _) = listener.accept().unwrap();

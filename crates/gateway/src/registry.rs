@@ -13,7 +13,7 @@ use windserve_gpu::GpuId;
 
 /// One GPU of a node, with its memory accounting in MiB.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GpuStatus {
+pub(crate) struct GpuStatus {
     /// GPU index within the cluster.
     pub index: usize,
     /// Total device memory, MiB.
@@ -22,7 +22,7 @@ pub struct GpuStatus {
 
 /// One node of the serving cluster.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NodeStatus {
+pub(crate) struct NodeStatus {
     /// Node identifier (`node-0`, ...).
     pub node_id: String,
     /// The GPUs on this node.
@@ -31,7 +31,7 @@ pub struct NodeStatus {
 
 /// One serving endpoint (an engine instance) in the registry.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EndpointInfo {
+pub(crate) struct EndpointInfo {
     /// Endpoint identifier — the instance name (`prefill-0`, ...).
     pub endpoint_id: String,
     /// Replica index within its phase.
@@ -48,7 +48,7 @@ pub struct EndpointInfo {
 
 /// One replica's placement within the plan.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlacementAssignment {
+pub(crate) struct PlacementAssignment {
     /// Endpoint this assignment realizes.
     pub endpoint_id: String,
     /// The node hosting the replica's first GPU.
@@ -59,7 +59,7 @@ pub struct PlacementAssignment {
 
 /// A versioned placement of every replica onto the GPU pool.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlacementPlan {
+pub(crate) struct PlacementPlan {
     /// The served model.
     pub model_uid: String,
     /// Monotone plan version; bumped whenever placement changes.
@@ -70,7 +70,7 @@ pub struct PlacementPlan {
 
 /// The static control-plane view of one deployment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Registry {
+pub(crate) struct Registry {
     /// Cluster nodes and their GPUs.
     pub nodes: Vec<NodeStatus>,
     /// Registered serving endpoints.
@@ -88,7 +88,7 @@ impl Registry {
     ///
     /// The layout's [`Error::Config`](windserve::Error::Config) when the
     /// placement does not fit the topology.
-    pub fn from_config(cfg: &ServeConfig) -> windserve::Result<Self> {
+    pub(crate) fn from_config(cfg: &ServeConfig) -> windserve::Result<Self> {
         let topo = &cfg.topology;
         let mut nodes: Vec<NodeStatus> = (0..topo.n_nodes())
             .map(|n| NodeStatus {

@@ -1,8 +1,8 @@
 //! The gateway server: listener, routing, and the data-plane glue
 //! between HTTP connections and the [`SimDriver`].
 //!
-//! Threading model: one acceptor thread, a bounded [`WorkerPool`] that
-//! parses requests and writes response heads, one [`StreamPump`] thread
+//! Threading model: one acceptor thread, a bounded `WorkerPool` that
+//! parses requests and writes response heads, one `StreamPump` thread
 //! that owns every open SSE socket, and one driver thread that owns the
 //! simulation. A worker is occupied only for the life of a request's
 //! *head* — a streaming response parks its socket on the pump and frees

@@ -4,7 +4,7 @@
 //!
 //! * [`GpuSpec`] — roofline parameters of one GPU (A800/A100/H100/RTX4090
 //!   presets);
-//! * [`KernelCost`] / [`StreamSharing`] — the CUDA-stream contention model
+//! * [`KernelCost`] / [`slowdown`] — the CUDA-stream contention model
 //!   behind stream-based disaggregation (paper §3.4);
 //! * [`LinkKind`] / [`RouteSpec`] / [`TransferEngine`] — interconnect timing
 //!   for KV handoff, migration and swap;
@@ -17,13 +17,16 @@
 //! several decode iterations while NVLink is near-free:
 //!
 //! ```
-//! use windserve_gpu::{GpuId, Topology};
+//! use windserve_gpu::{Topology, TransferEngine};
+//! use windserve_sim::SimTime;
 //!
 //! let topo = Topology::a800_testbed();
 //! let (prefill, decode) = topo.paired_placement(2, 2);
-//! let route = topo.route_between(&prefill, &decode);
+//! let mut links = TransferEngine::new();
+//! let route = links.add_route(topo.route_between(&prefill, &decode));
 //! let kv_bytes = (1.5 * (1u64 << 30) as f64) as u64; // OPT-13B, 2048 tokens
-//! assert!(route.duration(kv_bytes).as_secs_f64() < 0.01); // NVLink pairs
+//! let done = links.submit(route, kv_bytes, SimTime::ZERO);
+//! assert!(done.as_secs_f64() < 0.01); // NVLink pairs
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,5 +41,5 @@ mod topology;
 pub use error::{Error, Result};
 pub use link::{LinkKind, RouteId, RouteSpec, TransferEngine};
 pub use spec::{GpuSpec, GIB};
-pub use stream::{KernelCost, StreamSharing};
+pub use stream::{slowdown, slowdowns, KernelCost};
 pub use topology::{GpuId, Topology};

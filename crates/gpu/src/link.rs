@@ -34,7 +34,7 @@ impl LinkKind {
     /// bidirectional; we halve them and apply a protocol-efficiency factor
     /// calibrated so a 1.5 GB transfer over PCIe peer takes ≈65 ms
     /// (paper §2.2).
-    pub fn bandwidth(self) -> f64 {
+    pub(crate) fn bandwidth(self) -> f64 {
         let eff = 0.72;
         match self {
             LinkKind::NvLink => 200e9 * eff,
@@ -46,7 +46,7 @@ impl LinkKind {
     }
 
     /// Fixed per-transfer setup latency.
-    pub fn base_latency(self) -> SimDuration {
+    pub(crate) fn base_latency(self) -> SimDuration {
         match self {
             LinkKind::NvLink => SimDuration::from_micros(20),
             LinkKind::PciePeer | LinkKind::PcieHost => SimDuration::from_micros(50),
@@ -73,7 +73,7 @@ impl RouteSpec {
     /// # Panics
     ///
     /// Panics if `stripes` is zero.
-    pub fn striped(kind: LinkKind, stripes: usize) -> Self {
+    pub(crate) fn striped(kind: LinkKind, stripes: usize) -> Self {
         assert!(stripes > 0, "route needs at least one stripe");
         RouteSpec {
             kind,
@@ -82,7 +82,7 @@ impl RouteSpec {
     }
 
     /// Unloaded duration of moving `bytes` over this route.
-    pub fn duration(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn duration(&self, bytes: u64) -> SimDuration {
         if bytes == 0 {
             return SimDuration::ZERO;
         }
@@ -106,13 +106,16 @@ struct RouteState {
 /// # Examples
 ///
 /// ```
-/// use windserve_gpu::{LinkKind, RouteSpec, TransferEngine};
+/// use windserve_gpu::{GpuId, Topology, TransferEngine};
 /// use windserve_sim::SimTime;
 ///
+/// let topo = Topology::pcie_only(4, 4);
 /// let mut eng = TransferEngine::new();
-/// let route = eng.add_route(RouteSpec::striped(LinkKind::PciePeer, 2));
-/// let done = eng.submit(route, 1 << 30, SimTime::ZERO);
-/// assert!(done > SimTime::ZERO);
+/// let route = eng.add_route(topo.route_between(&[GpuId(0), GpuId(1)], &[GpuId(2), GpuId(3)]));
+/// let first = eng.submit(route, 1 << 30, SimTime::ZERO);
+/// // A second transfer on the same route waits for the first (FIFO).
+/// let second = eng.submit(route, 1 << 30, SimTime::ZERO);
+/// assert!(first > SimTime::ZERO && second > first);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TransferEngine {
@@ -146,16 +149,6 @@ impl TransferEngine {
         let done = start + state.spec.duration(bytes);
         state.busy_until = done;
         done
-    }
-
-    /// When the route frees up, given everything submitted so far.
-    pub fn busy_until(&self, route: RouteId) -> SimTime {
-        self.routes[route.0].busy_until
-    }
-
-    /// The route's static description.
-    pub fn spec(&self, route: RouteId) -> RouteSpec {
-        self.routes[route.0].spec
     }
 }
 
@@ -196,7 +189,7 @@ mod tests {
         let t1 = eng.submit(r, 1 << 30, SimTime::ZERO);
         let t2 = eng.submit(r, 1 << 30, SimTime::ZERO);
         let gap = t2 - t1;
-        let solo = eng.spec(r).duration(1 << 30);
+        let solo = eng.routes[r.0].spec.duration(1 << 30);
         assert_eq!(gap, solo);
     }
 
@@ -246,11 +239,11 @@ mod proptests {
                 now += SimDuration::from_micros(*gap);
                 let done = eng.submit(r, *size, now);
                 let earliest_start = last_done.max(now);
-                prop_assert_eq!(done, earliest_start + eng.spec(r).duration(*size));
+                prop_assert_eq!(done, earliest_start + eng.routes[r.0].spec.duration(*size));
                 prop_assert!(done >= last_done);
                 last_done = done;
             }
-            prop_assert_eq!(eng.busy_until(r), last_done);
+            prop_assert_eq!(eng.routes[r.0].busy_until, last_done);
         }
 
         /// Route duration is monotone in bytes and superadditive-free:

@@ -104,7 +104,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if either id is out of range or if `a == b`.
-    pub fn link_kind(&self, a: GpuId, b: GpuId) -> LinkKind {
+    pub(crate) fn link_kind(&self, a: GpuId, b: GpuId) -> LinkKind {
         assert!(
             a.0 < self.n_gpus && b.0 < self.n_gpus,
             "gpu id out of range"

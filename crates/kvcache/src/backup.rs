@@ -79,21 +79,6 @@ impl BackupStore {
     pub fn evict_oldest(&mut self) -> Option<Backup> {
         self.entries.pop_front()
     }
-
-    /// Total tokens held across all backups.
-    pub fn total_tokens(&self) -> u64 {
-        self.entries.iter().map(|b| u64::from(b.tokens)).sum()
-    }
-
-    /// Number of live backups.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no backups are held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +99,7 @@ mod tests {
         s.insert(1, 100);
         s.insert(2, 200);
         s.insert(1, 150); // refresh: now newest
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.entries.len(), 2);
         assert_eq!(s.evict_oldest().unwrap().key, 2);
         assert_eq!(s.tokens_of(1), Some(150));
     }
@@ -125,12 +110,12 @@ mod tests {
         for i in 0..3 {
             s.insert(i, 10);
         }
-        assert_eq!(s.total_tokens(), 30);
+        assert_eq!(s.entries.iter().map(|b| b.tokens).sum::<u32>(), 30);
         assert_eq!(s.evict_oldest().unwrap().key, 0);
         assert_eq!(s.evict_oldest().unwrap().key, 1);
         assert_eq!(s.evict_oldest().unwrap().key, 2);
         assert!(s.evict_oldest().is_none());
-        assert!(s.is_empty());
+        assert!(s.entries.is_empty());
     }
 
     #[test]
@@ -168,8 +153,8 @@ mod proptests {
                     prop_assert!(seen.insert(b.key), "duplicate key {}", b.key);
                     sum += u64::from(b.tokens);
                 }
-                prop_assert_eq!(sum, store.total_tokens());
-                prop_assert_eq!(seen.len(), store.len());
+                prop_assert_eq!(sum, store.entries.iter().map(|b| u64::from(b.tokens)).sum::<u64>());
+                prop_assert_eq!(seen.len(), store.entries.len());
             }
         }
 
@@ -216,7 +201,7 @@ mod proptests {
                         prop_assert!(delta <= tokens, "delta exceeds the context");
                     }
                 }
-                prop_assert_eq!(store.len(), oracle.len());
+                prop_assert_eq!(store.entries.len(), oracle.len());
                 for (&k, &v) in &oracle {
                     prop_assert_eq!(store.tokens_of(k), Some(v));
                 }

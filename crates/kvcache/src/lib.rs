@@ -36,5 +36,5 @@ mod prefix;
 pub use backup::{Backup, BackupStore};
 pub use error::{Error, Result};
 pub use manager::{AllocError, BlockManager, SeqKey};
-pub use migrate::{background_duration_secs, MigrationPhase, StallFreeMigration};
+pub use migrate::{MigrationPhase, StallFreeMigration};
 pub use prefix::{PrefixStats, PrefixStore, SessionKey};

@@ -22,8 +22,6 @@ pub enum MigrationPhase {
     /// Request paused; the tail (threshold + tokens generated during the
     /// background phase) is being flushed.
     Paused,
-    /// All KV is at the destination; the request resumes there.
-    Complete,
 }
 
 /// One in-flight stall-free migration.
@@ -34,12 +32,10 @@ pub enum MigrationPhase {
 /// use windserve_kvcache::{MigrationPhase, StallFreeMigration};
 ///
 /// let mut m = StallFreeMigration::new(1000, 64);
-/// assert_eq!(m.background_tokens(), 936);
 /// m.on_tokens_generated(10);           // still decoding at the source
 /// let tail = m.begin_pause();
 /// assert_eq!(tail, 64 + 10);
-/// assert_eq!(m.complete(), 1010);      // total context at destination
-/// assert_eq!(m.phase(), MigrationPhase::Complete);
+/// assert_eq!(m.phase(), MigrationPhase::Paused);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StallFreeMigration {
@@ -66,11 +62,6 @@ impl StallFreeMigration {
             generated_in_background: 0,
             phase: MigrationPhase::Background,
         }
-    }
-
-    /// Tokens moved by the background (non-blocking) phase.
-    pub fn background_tokens(&self) -> u32 {
-        self.snapshot_tokens - self.pause_threshold
     }
 
     /// Records `n` tokens decoded at the source while the background phase
@@ -101,50 +92,10 @@ impl StallFreeMigration {
         self.pause_threshold + self.generated_in_background
     }
 
-    /// Marks the tail flushed. Returns the total context now resident at
-    /// the destination.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the migration is paused.
-    pub fn complete(&mut self) -> u32 {
-        assert_eq!(self.phase, MigrationPhase::Paused, "not paused");
-        self.phase = MigrationPhase::Complete;
-        self.total_tokens()
-    }
-
-    /// Context tokens the destination ends up holding.
-    pub fn total_tokens(&self) -> u32 {
-        self.snapshot_tokens + self.generated_in_background
-    }
-
     /// Current phase.
     pub fn phase(&self) -> MigrationPhase {
         self.phase
     }
-}
-
-/// Analytic feasibility check for the background phase. The remaining
-/// KV to move evolves as `remaining(t) = backlog − (link − gen)·t`: the
-/// link drains it while the still-decoding source generates
-/// `gen_bytes_per_sec` of fresh KV. Returns the time until the remaining
-/// amount first reaches zero (i.e. only the pause-threshold tail is left),
-/// or `None` if generation outpaces the link and the transfer can never
-/// catch up — the caller should then pause immediately, accepting the
-/// stall.
-pub fn background_duration_secs(
-    backlog_bytes: u64,
-    link_bytes_per_sec: f64,
-    gen_bytes_per_sec: f64,
-) -> Option<f64> {
-    if backlog_bytes == 0 {
-        return Some(0.0);
-    }
-    let net = link_bytes_per_sec - gen_bytes_per_sec;
-    if net <= 0.0 {
-        return None;
-    }
-    Some(backlog_bytes as f64 / net)
 }
 
 #[cfg(test)]
@@ -152,20 +103,30 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Tokens the background (non-blocking) phase moves.
+    fn background_tokens(m: &StallFreeMigration) -> u32 {
+        m.snapshot_tokens - m.pause_threshold
+    }
+
+    /// Context tokens the destination ends up holding.
+    fn total_tokens(m: &StallFreeMigration) -> u32 {
+        m.snapshot_tokens + m.generated_in_background
+    }
+
     #[test]
     fn lifecycle_moves_every_token_once() {
         let mut m = StallFreeMigration::new(500, 32);
         m.on_tokens_generated(7);
         m.on_tokens_generated(3);
         let tail = m.begin_pause();
-        assert_eq!(m.background_tokens() + tail, 510);
-        assert_eq!(m.complete(), 510);
+        assert_eq!(background_tokens(&m) + tail, 510);
+        assert_eq!(total_tokens(&m), 510);
     }
 
     #[test]
     fn oversized_threshold_degenerates_to_stalled() {
         let mut m = StallFreeMigration::new(100, 1000);
-        assert_eq!(m.background_tokens(), 0);
+        assert_eq!(background_tokens(&m), 0);
         assert_eq!(m.begin_pause(), 100);
     }
 
@@ -175,15 +136,6 @@ mod tests {
         let mut m = StallFreeMigration::new(100, 10);
         m.begin_pause();
         m.on_tokens_generated(1);
-    }
-
-    #[test]
-    fn infeasible_background_reported() {
-        assert!(background_duration_secs(1000, 10.0, 20.0).is_none());
-        assert!(background_duration_secs(1000, 10.0, 10.0).is_none());
-        assert!(background_duration_secs(0, 10.0, 20.0).is_some());
-        let t = background_duration_secs(1_000, 101.0, 1.0).unwrap();
-        assert!((t - 10.0).abs() < 1e-9);
     }
 
     proptest! {
@@ -198,8 +150,8 @@ mod tests {
                 generated += g;
             }
             let tail = m.begin_pause();
-            prop_assert_eq!(m.background_tokens() + tail, ctx + generated);
-            prop_assert_eq!(m.complete(), ctx + generated);
+            prop_assert_eq!(background_tokens(&m) + tail, ctx + generated);
+            prop_assert_eq!(total_tokens(&m), ctx + generated);
         }
     }
 }

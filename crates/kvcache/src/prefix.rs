@@ -69,18 +69,6 @@ pub struct PrefixStats {
     pub hit_tokens: u64,
 }
 
-impl PrefixStats {
-    /// Hit fraction of all lookups so far (0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     /// Context tokens of retained KV for the session.
@@ -245,12 +233,6 @@ impl PrefixStore {
         }
     }
 
-    /// Invalidates `session`'s retained KV (completed for good, or its
-    /// blocks were reclaimed). Returns the evicted token count, if any.
-    pub fn remove(&mut self, session: SessionKey) -> Option<u32> {
-        self.evict(session)
-    }
-
     /// Drops everything (instance crash or scale-down): all retained KV is
     /// gone, accounted as evictions.
     pub fn clear(&mut self) {
@@ -265,7 +247,7 @@ impl PrefixStore {
     /// Evicts every session idle longer than the TTL as of `now`. Called
     /// lazily by [`insert`](Self::insert) and [`lookup`](Self::lookup);
     /// exposed so owners can sweep at reporting boundaries too.
-    pub fn expire(&mut self, now: SimTime) {
+    pub(crate) fn expire(&mut self, now: SimTime) {
         // Every record below the top, live or dead, was touched no earlier,
         // so a fresh top ends the sweep without a probe.
         while let Some(&Reverse((touched_at, stamp, session))) = self.by_touch.peek() {
@@ -306,26 +288,6 @@ impl PrefixStore {
             .retain(|&Reverse((_, stamp, session))| holds(entries, session, stamp));
     }
 
-    /// Tokens of retained KV currently live.
-    pub fn live_tokens(&self) -> u64 {
-        self.live_tokens
-    }
-
-    /// The configured token budget.
-    pub fn capacity_tokens(&self) -> u64 {
-        self.capacity_tokens
-    }
-
-    /// Number of sessions with live retained KV.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no session KV is retained.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> PrefixStats {
         self.stats
@@ -362,7 +324,7 @@ mod tests {
         s.insert(1, 1400, SimTime::ZERO);
         s.insert(1, 200, SimTime::ZERO); // stale smaller snapshot: no shrink
         assert_eq!(s.lookup(1, 2000, SimTime::ZERO), 1400);
-        assert_eq!(s.live_tokens(), 1400);
+        assert_eq!(s.live_tokens, 1400);
         assert_eq!(s.stats().inserted_tokens, 1400);
     }
 
@@ -377,7 +339,7 @@ mod tests {
         assert_eq!(s.peek(2, 400, SimTime::ZERO), 0, "LRU entry evicted");
         assert_eq!(s.peek(1, 400, SimTime::ZERO), 400);
         assert_eq!(s.peek(3, 400, SimTime::ZERO), 400);
-        assert!(s.live_tokens() <= 1000);
+        assert!(s.live_tokens <= 1000);
     }
 
     #[test]
@@ -386,7 +348,7 @@ mod tests {
         s.insert(1, 5000, SimTime::ZERO);
         // The entry alone exceeds the budget: it is evicted immediately and
         // the store stays consistent.
-        assert_eq!(s.live_tokens(), 0);
+        assert_eq!(s.live_tokens, 0);
         assert_eq!(s.lookup(1, 5000, SimTime::ZERO), 0);
         assert_eq!(s.stats().evicted_tokens, 5000);
     }
@@ -404,7 +366,7 @@ mod tests {
         let stale = fresh + secs(61.0);
         assert_eq!(s.lookup(1, 500, stale), 0);
         assert_eq!(s.stats().evictions, 1);
-        assert!(s.is_empty());
+        assert!(s.entries.is_empty());
     }
 
     #[test]
@@ -412,24 +374,24 @@ mod tests {
         let mut s = store();
         s.insert(1, 300, SimTime::ZERO);
         s.insert(2, 200, SimTime::ZERO);
-        assert_eq!(s.remove(1), Some(300));
-        assert_eq!(s.remove(1), None);
+        assert_eq!(s.evict(1), Some(300));
+        assert_eq!(s.evict(1), None);
         s.clear();
-        assert!(s.is_empty());
+        assert!(s.entries.is_empty());
         let st = s.stats();
         assert_eq!(st.evictions, 2);
         assert_eq!(st.inserted_tokens, st.evicted_tokens);
-        assert_eq!(s.live_tokens(), 0);
+        assert_eq!(s.live_tokens, 0);
     }
 
     #[test]
     fn hit_rate_tracks_lookups() {
         let mut s = store();
-        assert_eq!(s.stats().hit_rate(), 0.0);
+        assert_eq!((s.stats().hits, s.stats().misses), (0, 0));
         s.insert(1, 100, SimTime::ZERO);
         s.lookup(1, 100, SimTime::ZERO);
         s.lookup(2, 100, SimTime::ZERO);
-        assert!((s.stats().hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!((s.stats().hits, s.stats().misses), (1, 1));
     }
 
     #[test]
@@ -475,7 +437,7 @@ mod tests {
         // ones, where no pop reaches them; only compaction drops them.
         for _ in 0..1000 {
             assert_eq!(s.lookup(7, 100, SimTime::ZERO), 100);
-            let bound = 2 * s.len() + COMPACT_SLACK;
+            let bound = 2 * s.entries.len() + COMPACT_SLACK;
             assert!(s.by_stamp.len() <= bound && s.by_touch.len() <= bound);
         }
         // The LRU order survived the compactions.
@@ -629,7 +591,7 @@ mod proptests {
     /// compaction bound.
     fn assert_matches(store: &PrefixStore, oracle: &ScanStore) {
         assert_eq!(store.stats(), oracle.stats);
-        assert_eq!(store.live_tokens(), oracle.live_tokens);
+        assert_eq!(store.live_tokens, oracle.live_tokens);
         assert_eq!(store.clock, oracle.clock);
         let live: BTreeMap<SessionKey, Entry> =
             store.entries.iter().map(|(&k, &e)| (k, e)).collect();
@@ -701,7 +663,7 @@ mod proptests {
                         store.peek(session, tokens, now),
                         oracle.peek(session, tokens, now)
                     ),
-                    3 => prop_assert_eq!(store.remove(session), oracle.remove(session)),
+                    3 => prop_assert_eq!(store.evict(session), oracle.remove(session)),
                     4 => {
                         store.expire(now);
                         oracle.expire(now);
@@ -739,30 +701,30 @@ mod proptests {
                 match op {
                     0 => store.insert(session, tokens, now),
                     1 => { store.lookup(session, tokens, now); }
-                    2 => { store.remove(session); }
+                    2 => { store.evict(session); }
                     3 => store.expire(now),
                     _ => store.clear(),
                 }
                 let stats = store.stats();
                 prop_assert_eq!(
                     stats.inserted_tokens,
-                    store.live_tokens() + stats.evicted_tokens,
+                    store.live_tokens + stats.evicted_tokens,
                     "conservation broke"
                 );
-                prop_assert!(store.live_tokens() <= capacity, "budget overflow");
+                prop_assert!(store.live_tokens <= capacity, "budget overflow");
                 let from_entries: u64 = (0..8)
                     .map(|k| u64::from(store.peek(k, u32::MAX, now)))
                     .sum();
                 // peek applies the TTL filter; anything it cannot see must
                 // already be expired, so entries can only under-count live
                 // tokens, never exceed them.
-                prop_assert!(from_entries <= store.live_tokens());
+                prop_assert!(from_entries <= store.live_tokens);
                 prop_assert!(stats.hit_tokens <= stats.inserted_tokens.max(stats.hit_tokens));
             }
             // A final full sweep-and-clear returns every live token.
             store.clear();
             let stats = store.stats();
-            prop_assert_eq!(store.live_tokens(), 0);
+            prop_assert_eq!(store.live_tokens, 0);
             prop_assert_eq!(stats.inserted_tokens, stats.evicted_tokens);
         }
     }
@@ -817,7 +779,7 @@ mod proptests {
                     ),
                     37 => {
                         *ctx = 0;
-                        prop_assert_eq!(store.remove(session), oracle.remove(session));
+                        prop_assert_eq!(store.evict(session), oracle.remove(session));
                     }
                     38 => {
                         store.expire(now);

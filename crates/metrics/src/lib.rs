@@ -2,8 +2,8 @@
 //!
 //! Measurement machinery for the WindServe reproduction:
 //!
-//! * [`percentile`] / [`Percentiles`] — nearest-rank quantiles (TTFT
-//!   P50/P99, TPOT P90/P99 as in the paper's §5.1);
+//! * [`Percentiles`] — nearest-rank quantiles (TTFT P50/P99, TPOT
+//!   P90/P99 as in the paper's §5.1);
 //! * [`RequestRecord`] — per-request stage timestamps and derived TTFT /
 //!   TPOT / queueing delays;
 //! * [`SloSpec`] / [`SloAttainment`] — Table 4 objectives and the
@@ -15,12 +15,12 @@
 //! # Examples
 //!
 //! ```
-//! use windserve_metrics::{percentile, Percentiles};
+//! use windserve_metrics::Percentiles;
 //!
 //! let lat = vec![0.08, 0.09, 0.11, 0.32, 0.07];
-//! let p = Percentiles::of(&lat).unwrap();
+//! let p = Percentiles::of(lat);
 //! assert_eq!(p.p99, 0.32);
-//! assert_eq!(percentile(&lat, 0.5), Some(0.09));
+//! assert_eq!(p.p50, 0.09);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,7 +37,7 @@ mod util;
 
 pub use error::{Error, Result};
 pub use outcome::{DropReason, DroppedRequest};
-pub use percentile::{percentile, Percentiles};
+pub use percentile::Percentiles;
 pub use record::{PrefillSite, RequestRecord};
 pub use series::{InstanceSeries, Series};
 pub use slo::{SloAttainment, SloSpec};

@@ -86,14 +86,14 @@ impl RequestRecord {
     }
 
     /// Prefill queueing delay: issue → prefill start.
-    pub fn prefill_queue_delay(&self) -> f64 {
+    pub(crate) fn prefill_queue_delay(&self) -> f64 {
         self.prefill_start
             .saturating_since(self.arrival)
             .as_secs_f64()
     }
 
     /// Decode queueing delay: entered decode queue → first decode step.
-    pub fn decode_queue_delay(&self) -> f64 {
+    pub(crate) fn decode_queue_delay(&self) -> f64 {
         self.decode_start
             .saturating_since(self.decode_enqueue)
             .as_secs_f64()

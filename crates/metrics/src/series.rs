@@ -12,13 +12,14 @@ use windserve_sim::{SimDuration, SimTime};
 /// # Examples
 ///
 /// ```
-/// use windserve_metrics::Series;
+/// use windserve_metrics::InstanceSeries;
 /// use windserve_sim::{SimDuration, SimTime};
 ///
-/// let mut s = Series::new(SimDuration::from_millis(100));
+/// let mut series = InstanceSeries::new("decode-0", SimDuration::from_millis(100));
+/// let s = &mut series.running;
 /// s.push(SimTime::from_secs_f64(0.0), 1.0);
 /// s.push(SimTime::from_secs_f64(0.1), 3.0);
-/// assert_eq!(s.len(), 2);
+/// assert_eq!(s.values(), &[1.0, 3.0]);
 /// assert_eq!(s.mean(), 2.0);
 /// assert_eq!(s.max(), 3.0);
 /// ```
@@ -34,7 +35,7 @@ impl Series {
     /// # Panics
     ///
     /// Panics if the interval is zero.
-    pub fn new(interval: SimDuration) -> Self {
+    pub(crate) fn new(interval: SimDuration) -> Self {
         assert!(!interval.is_zero(), "sampling interval must be positive");
         Series {
             interval,
@@ -57,24 +58,9 @@ impl Series {
         self.values.push(value);
     }
 
-    /// The sampling interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
     /// The samples in order.
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if no samples were taken.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// Arithmetic mean (0 for an empty series).
@@ -130,7 +116,7 @@ mod tests {
         for i in 0..10u64 {
             s.push(SimTime::from_micros(i * 50_000), i as f64);
         }
-        assert_eq!(s.len(), 10);
+        assert_eq!(s.values().len(), 10);
         assert_eq!(s.mean(), 4.5);
         assert_eq!(s.max(), 9.0);
     }
@@ -138,7 +124,7 @@ mod tests {
     #[test]
     fn empty_series_is_well_behaved() {
         let s = Series::new(SimDuration::from_millis(1));
-        assert!(s.is_empty());
+        assert!(s.values().is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.max(), 0.0);
     }
@@ -152,7 +138,7 @@ mod tests {
     #[test]
     fn instance_series_share_one_cadence() {
         let is = InstanceSeries::new("decode", SimDuration::from_millis(100));
-        assert_eq!(is.kv_used.interval(), is.running.interval());
+        assert_eq!(is.kv_used.interval, is.running.interval);
         assert_eq!(is.name, "decode");
     }
 }

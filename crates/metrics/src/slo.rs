@@ -59,13 +59,13 @@ impl SloSpec {
     }
 
     /// True if the record meets the TTFT objective.
-    pub fn meets_ttft(&self, record: &RequestRecord) -> bool {
+    pub(crate) fn meets_ttft(&self, record: &RequestRecord) -> bool {
         record.ttft() <= self.ttft.as_secs_f64() + 1e-12
     }
 
     /// True if the record meets the TPOT objective (requests with a single
     /// output token trivially pass).
-    pub fn meets_tpot(&self, record: &RequestRecord) -> bool {
+    pub(crate) fn meets_tpot(&self, record: &RequestRecord) -> bool {
         record
             .tpot()
             .map(|t| t <= self.tpot.as_secs_f64() + 1e-12)
@@ -90,19 +90,6 @@ pub struct SloAttainment {
 }
 
 impl SloAttainment {
-    /// Computes attainment over `records` (1.0 across the board for an
-    /// empty sample).
-    pub fn of(slo: SloSpec, records: &[RequestRecord]) -> Self {
-        let count =
-            |pred: &dyn Fn(&RequestRecord) -> bool| records.iter().filter(|r| pred(r)).count();
-        Self::of_counts(
-            records.len(),
-            count(&|r| slo.meets_ttft(r)),
-            count(&|r| slo.meets_tpot(r)),
-            count(&|r| slo.meets_both(r)),
-        )
-    }
-
     /// Attainment of `completed` requests of which `ttft`, `tpot` and
     /// `both` meet the TTFT objective, the TPOT objective and both.
     pub(crate) fn of_counts(completed: usize, ttft: usize, tpot: usize, both: usize) -> Self {
@@ -163,7 +150,7 @@ mod tests {
     fn attainment_counts_fractions() {
         let slo = SloSpec::opt_13b_sharegpt();
         let records = vec![record(0.1, 0.05), record(0.5, 0.05), record(0.1, 0.2)];
-        let a = SloAttainment::of(slo, &records);
+        let a = crate::LatencySummary::of(slo, &records).slo;
         assert!((a.ttft - 2.0 / 3.0).abs() < 1e-9);
         assert!((a.tpot - 2.0 / 3.0).abs() < 1e-9);
         assert!((a.both - 1.0 / 3.0).abs() < 1e-9);
@@ -171,7 +158,7 @@ mod tests {
 
     #[test]
     fn empty_sample_attains_trivially() {
-        let a = SloAttainment::of(SloSpec::opt_13b_sharegpt(), &[]);
+        let a = crate::LatencySummary::of(SloSpec::opt_13b_sharegpt(), &[]).slo;
         assert_eq!(a.both, 1.0);
     }
 

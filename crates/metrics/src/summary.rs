@@ -66,10 +66,10 @@ impl LatencySummary {
         }
         LatencySummary {
             completed: n,
-            ttft: Percentiles::summarize_owned(ttft),
-            tpot: Percentiles::summarize_owned(tpot),
-            prefill_queue: Percentiles::summarize_owned(prefill_queue),
-            decode_queue: Percentiles::summarize_owned(decode_queue),
+            ttft: Percentiles::of(ttft),
+            tpot: Percentiles::of(tpot),
+            prefill_queue: Percentiles::of(prefill_queue),
+            decode_queue: Percentiles::of(decode_queue),
             slo: SloAttainment::of_counts(n, meets_ttft, meets_tpot, meets_both),
             slo_attaining: meets_both,
             dispatched_prefills,
@@ -179,14 +179,20 @@ mod tests {
         let tpots: Vec<f64> = records.iter().filter_map(|r| r.tpot()).collect();
         let pq: Vec<f64> = records.iter().map(|r| r.prefill_queue_delay()).collect();
         let dq: Vec<f64> = records.iter().map(|r| r.decode_queue_delay()).collect();
-        let of = |xs: &[f64]| Percentiles::of(xs).unwrap_or_else(Percentiles::zero);
+        let count =
+            |pred: &dyn Fn(&RequestRecord) -> bool| records.iter().filter(|r| pred(r)).count();
         LatencySummary {
             completed: records.len(),
-            ttft: of(&ttfts),
-            tpot: of(&tpots),
-            prefill_queue: of(&pq),
-            decode_queue: of(&dq),
-            slo: SloAttainment::of(slo, records),
+            ttft: Percentiles::of(ttfts),
+            tpot: Percentiles::of(tpots),
+            prefill_queue: Percentiles::of(pq),
+            decode_queue: Percentiles::of(dq),
+            slo: SloAttainment::of_counts(
+                records.len(),
+                count(&|r| slo.meets_ttft(r)),
+                count(&|r| slo.meets_tpot(r)),
+                count(&|r| slo.meets_both(r)),
+            ),
             slo_attaining: records.iter().filter(|r| slo.meets_both(r)).count(),
             dispatched_prefills: records
                 .iter()

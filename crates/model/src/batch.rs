@@ -28,7 +28,7 @@ impl PrefillChunk {
     }
 
     /// Total context once this chunk completes.
-    pub fn total_context(&self) -> u32 {
+    pub(crate) fn total_context(&self) -> u32 {
         self.new_tokens + self.past_tokens
     }
 }
@@ -43,13 +43,12 @@ impl PrefillChunk {
 /// ```
 /// use windserve_model::{BatchPlan, PrefillChunk};
 ///
-/// let mut plan = BatchPlan::new();
+/// let mut plan = BatchPlan::decode_only([1024, 512]);
 /// plan.add_prefill(PrefillChunk::whole(768));
-/// plan.add_decode(1024);
-/// plan.add_decode(512);
-/// assert_eq!(plan.prefill_tokens(), 768);
-/// assert_eq!(plan.decode_batch(), 2);
-/// assert_eq!(plan.decode_context_sum(), 1536);
+/// // Two decodes whose contexts sum to 1536: the same plan.
+/// let mut same = BatchPlan::single_prefill(768);
+/// same.add_decodes(2, 1536);
+/// assert_eq!(plan, same);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct BatchPlan {
@@ -108,7 +107,7 @@ impl BatchPlan {
     /// # Panics
     ///
     /// Panics if `context` is zero.
-    pub fn add_decode(&mut self, context: u32) {
+    pub(crate) fn add_decode(&mut self, context: u32) {
         assert!(context > 0, "decode needs a context");
         self.add_decodes(1, u64::from(context));
     }
@@ -125,35 +124,15 @@ impl BatchPlan {
         self.decode_sum_l += sum_l;
     }
 
-    /// Total new prefill tokens (the `N` of Table 1 / Eq. 1).
-    pub fn prefill_tokens(&self) -> u64 {
-        self.prefill_new
-    }
-
-    /// Number of decode jobs (the `B` of Table 1).
-    pub fn decode_batch(&self) -> u64 {
-        self.decode_batch
-    }
-
-    /// Sum of decode context lengths (the `ΣL` of Table 1 / Eq. 2).
-    pub fn decode_context_sum(&self) -> u64 {
-        self.decode_sum_l
-    }
-
-    /// Total new tokens produced by the step (prefill + one per decode).
-    pub fn new_tokens(&self) -> u64 {
-        self.prefill_new + self.decode_batch
-    }
-
     /// True if the plan contains no work. Every prefill chunk has new
     /// tokens, so that is no new prefill token and no decode job.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.prefill_new == 0 && self.decode_batch == 0
     }
 
     /// Splits the plan into its prefill-only and decode-only halves (used
     /// by stream-based disaggregation to price each stream separately).
-    pub fn split_phases(&self) -> (BatchPlan, BatchPlan) {
+    pub(crate) fn split_phases(&self) -> (BatchPlan, BatchPlan) {
         (
             BatchPlan {
                 decode_batch: 0,
@@ -184,10 +163,10 @@ mod tests {
         plan.add_decode(100);
         plan.add_decode(200);
         plan.add_decode(300);
-        assert_eq!(plan.prefill_tokens(), 768);
-        assert_eq!(plan.decode_batch(), 3);
-        assert_eq!(plan.decode_context_sum(), 600);
-        assert_eq!(plan.new_tokens(), 771);
+        assert_eq!(plan.prefill_new, 768);
+        assert_eq!(plan.decode_batch, 3);
+        assert_eq!(plan.decode_sum_l, 600);
+        assert_eq!(plan.prefill_new + plan.decode_batch, 771);
         assert!(!plan.is_empty());
     }
 
@@ -197,17 +176,17 @@ mod tests {
         plan.add_prefill(PrefillChunk::whole(64));
         plan.add_decode(10);
         let (p, d) = plan.split_phases();
-        assert_eq!(p.prefill_tokens(), 64);
-        assert_eq!(p.decode_batch(), 0);
-        assert_eq!(d.prefill_tokens(), 0);
-        assert_eq!(d.decode_batch(), 1);
+        assert_eq!(p.prefill_new, 64);
+        assert_eq!(p.decode_batch, 0);
+        assert_eq!(d.prefill_new, 0);
+        assert_eq!(d.decode_batch, 1);
     }
 
     #[test]
     fn constructors_cover_common_cases() {
-        assert_eq!(BatchPlan::single_prefill(100).prefill_tokens(), 100);
+        assert_eq!(BatchPlan::single_prefill(100).prefill_new, 100);
         let d = BatchPlan::decode_only([5, 6, 7]);
-        assert_eq!(d.decode_batch(), 3);
+        assert_eq!(d.decode_batch, 3);
         assert!(BatchPlan::new().is_empty());
     }
 

@@ -127,11 +127,6 @@ impl CostModel {
         &self.model
     }
 
-    /// The GPU type backing the instance.
-    pub fn gpu(&self) -> &GpuSpec {
-        &self.gpu
-    }
-
     /// The instance placement.
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
@@ -214,13 +209,6 @@ impl CostModel {
                 self.step_time(&prefill) + self.step_time(&decode) - self.step_overhead
             }
         }
-    }
-
-    /// True if a plan's time is dominated by its compute leg (prefill
-    /// regime) rather than its I/O leg (decode regime).
-    pub fn is_compute_bound(&self, plan: &BatchPlan) -> bool {
-        let k = self.kernel_cost(plan);
-        k.compute_secs >= k.io_secs
     }
 }
 
@@ -413,8 +401,10 @@ mod tests {
     #[test]
     fn prefill_is_compute_bound_decode_is_io_bound() {
         let cm = opt13b_tp2();
-        assert!(cm.is_compute_bound(&BatchPlan::single_prefill(768)));
-        assert!(!cm.is_compute_bound(&BatchPlan::decode_only(vec![768; 16])));
+        let prefill = cm.kernel_cost(&BatchPlan::single_prefill(768));
+        assert!(prefill.compute_secs >= prefill.io_secs);
+        let decode = cm.kernel_cost(&BatchPlan::decode_only(vec![768; 16]));
+        assert!(decode.compute_secs < decode.io_secs);
     }
 
     #[test]
@@ -608,7 +598,7 @@ mod tests {
         for contexts in batches {
             let plan = BatchPlan::decode_only(contexts.iter().copied());
             assert_eq!(
-                cm.decode_kernel_cost(plan.decode_batch(), plan.decode_context_sum()),
+                cm.decode_kernel_cost(plan.decode_batch, plan.decode_sum_l),
                 cm.kernel_cost(&plan)
             );
         }

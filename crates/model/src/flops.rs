@@ -62,25 +62,25 @@ pub fn attn_flops(spec: &ModelSpec, new_tokens: u64, ctx: u64) -> u64 {
 }
 
 /// Generalized FFN FLOPs for one layer over `new_tokens` tokens.
-pub fn ffn_flops(spec: &ModelSpec, new_tokens: u64) -> u64 {
+pub(crate) fn ffn_flops(spec: &ModelSpec, new_tokens: u64) -> u64 {
     2 * new_tokens * spec.ffn_params_per_layer()
 }
 
 /// Weight bytes one layer streams from HBM per forward pass (read once per
 /// step regardless of batch size).
-pub fn layer_weight_io(spec: &ModelSpec) -> u64 {
+pub(crate) fn layer_weight_io(spec: &ModelSpec) -> u64 {
     (spec.attn_params_per_layer() + spec.ffn_params_per_layer()) * u64::from(spec.dtype_bytes)
 }
 
 /// KV bytes one layer reads for a decode token with context length `ctx`
 /// plus the write of the new token's KV.
-pub fn layer_kv_io(spec: &ModelSpec, new_tokens: u64, ctx_read: u64) -> u64 {
+pub(crate) fn layer_kv_io(spec: &ModelSpec, new_tokens: u64, ctx_read: u64) -> u64 {
     spec.kv_dim() * (ctx_read + new_tokens) * u64::from(spec.dtype_bytes)
 }
 
 /// Activation bytes a layer moves for `tokens` resident tokens (input +
 /// output of each sublayer, a small constant factor of `H`).
-pub fn layer_activation_io(spec: &ModelSpec, tokens: u64) -> u64 {
+pub(crate) fn layer_activation_io(spec: &ModelSpec, tokens: u64) -> u64 {
     4 * tokens * u64::from(spec.hidden) * u64::from(spec.dtype_bytes)
 }
 

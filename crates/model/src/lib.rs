@@ -22,8 +22,10 @@
 //!
 //! let cm = CostModel::new(ModelSpec::opt_13b(), GpuSpec::a800_80gb(),
 //!                         Parallelism::tp(2)).unwrap();
-//! assert!(cm.is_compute_bound(&BatchPlan::single_prefill(1024)));
-//! assert!(!cm.is_compute_bound(&BatchPlan::decode_only(vec![1024; 8])));
+//! let prefill = cm.kernel_cost(&BatchPlan::single_prefill(1024));
+//! assert!(prefill.compute_secs > prefill.io_secs);
+//! let decode = cm.kernel_cost(&BatchPlan::decode_only(vec![1024; 8]));
+//! assert!(decode.compute_secs < decode.io_secs);
 //! ```
 
 #![forbid(unsafe_code)]

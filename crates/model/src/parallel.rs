@@ -55,7 +55,7 @@ impl Parallelism {
     /// all-reduce overhead (two collectives per layer). Calibrated to the
     /// commonly observed ~92-96% scaling at TP-2/TP-4 on NVLink-class
     /// fabrics.
-    pub fn tp_efficiency(&self) -> f64 {
+    pub(crate) fn tp_efficiency(&self) -> f64 {
         1.0 / (1.0 + 0.05 * (self.tp as f64 - 1.0))
     }
 

@@ -164,12 +164,12 @@ impl ModelSpec {
     }
 
     /// Dimension of one attention head.
-    pub fn head_dim(&self) -> u32 {
+    pub(crate) fn head_dim(&self) -> u32 {
         self.hidden / self.n_heads
     }
 
     /// Number of KV heads (equals query heads for MHA).
-    pub fn kv_heads(&self) -> u32 {
+    pub(crate) fn kv_heads(&self) -> u32 {
         match self.attention {
             AttentionKind::Mha => self.n_heads,
             AttentionKind::Gqa { kv_heads } => kv_heads,
@@ -177,7 +177,7 @@ impl ModelSpec {
     }
 
     /// Combined K+V width per token per layer, in elements.
-    pub fn kv_dim(&self) -> u64 {
+    pub(crate) fn kv_dim(&self) -> u64 {
         2 * u64::from(self.kv_heads()) * u64::from(self.head_dim())
     }
 
@@ -190,7 +190,7 @@ impl ModelSpec {
     }
 
     /// Attention weight elements per layer (Q, K, V, O projections).
-    pub fn attn_params_per_layer(&self) -> u64 {
+    pub(crate) fn attn_params_per_layer(&self) -> u64 {
         let h = u64::from(self.hidden);
         let kv_width = u64::from(self.kv_heads()) * u64::from(self.head_dim());
         // Q and O are H x H; K and V are H x kv_width.
@@ -198,7 +198,7 @@ impl ModelSpec {
     }
 
     /// FFN weight elements per layer.
-    pub fn ffn_params_per_layer(&self) -> u64 {
+    pub(crate) fn ffn_params_per_layer(&self) -> u64 {
         let h = u64::from(self.hidden);
         let i = u64::from(self.ffn_intermediate);
         match self.ffn {
@@ -216,7 +216,7 @@ impl ModelSpec {
     }
 
     /// Total weight bytes.
-    pub fn weight_bytes(&self) -> u64 {
+    pub(crate) fn weight_bytes(&self) -> u64 {
         self.param_count() * u64::from(self.dtype_bytes)
     }
 

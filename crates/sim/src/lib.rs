@@ -7,7 +7,8 @@
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time;
 //! * [`EventQueue`] — the future-event list (time-ordered, FIFO ties);
 //! * [`SimRng`] — a stable, seedable RNG (xoshiro256++) so every simulation
-//!   is reproducible from one `u64`;
+//!   is reproducible from one `u64`, and [`mix64`] / [`keyed_seed`] — the
+//!   SplitMix64 finalizer and keyed seed behind every seeded hash;
 //! * [`FxHashMap`] / [`FxHashSet`] — deterministic, fast hashing for the
 //!   hot maps of the layers above (no per-process SipHash seed);
 //! * [`KeyedSlab`] — values at stable, recycled slots, found by key through
@@ -61,6 +62,6 @@ mod time;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::{EventQueue, Scheduled};
-pub use rng::SimRng;
+pub use rng::{keyed_seed, mix64, SimRng, GOLDEN_GAMMA};
 pub use slab::KeyedSlab;
 pub use time::{SimDuration, SimTime};

@@ -186,16 +186,6 @@ impl<E> EventQueue<E> {
         self.last_popped = to;
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.run.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.run.is_empty()
-    }
-
     /// The time of the most recently popped event (the simulation "now").
     pub fn now(&self) -> SimTime {
         self.last_popped
@@ -377,13 +367,13 @@ mod tests {
                     prop_assert_eq!(got, reference.pop().map(|Reverse(e)| e));
                 }
                 prop_assert_eq!(q.peek_time(), reference.peek().map(|Reverse((at, _, _))| *at));
-                prop_assert_eq!(q.len(), reference.len());
+                prop_assert_eq!(q.run.len() + q.heap.len(), reference.len());
             }
             while let Some(Reverse(want)) = reference.pop() {
                 let got = q.pop().map(|e| (e.at, e.seq, e.event));
                 prop_assert_eq!(got, Some(want));
             }
-            prop_assert!(q.is_empty() && q.pop().is_none());
+            prop_assert!(q.run.is_empty() && q.heap.is_empty() && q.pop().is_none());
         }
 
         #[test]

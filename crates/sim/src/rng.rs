@@ -8,6 +8,38 @@
 
 use rand::RngCore;
 
+/// SplitMix64's state increment, `2^64 / φ` rounded to odd.
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output finalizer: a bijective avalanche of `z`. Every
+/// seeded hash in the workspace (RNG seeding, per-key verdicts, tier and
+/// tenant seeds) ends in this one function.
+pub fn mix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A seed keyed by `(seed, key, salt)`: `seed·γ + key·K + salt·M` with
+/// three odd multipliers, so one plan seed yields an independent stream
+/// for each transfer, connection or request without consuming RNG state.
+///
+/// # Examples
+///
+/// ```
+/// use windserve_sim::{keyed_seed, SimRng};
+///
+/// // A seeded verdict for transfer 12's second attempt: the same inputs
+/// // always give the same draw, whatever was asked before.
+/// let draw = |seed| SimRng::seed_from_u64(keyed_seed(seed, 12, 2)).next_f64();
+/// assert_eq!(draw(9), draw(9));
+/// ```
+pub fn keyed_seed(seed: u64, key: u64, salt: u64) -> u64 {
+    seed.wrapping_mul(GOLDEN_GAMMA)
+        .wrapping_add(key.wrapping_mul(0xD134_2543_DE82_EF95))
+        .wrapping_add(salt.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+}
+
 /// A deterministic, seedable RNG with a stable algorithm (xoshiro256++).
 ///
 /// # Examples
@@ -31,11 +63,8 @@ impl SimRng {
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = seed;
         let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            sm = sm.wrapping_add(GOLDEN_GAMMA);
+            mix64(sm)
         };
         SimRng {
             s: [next(), next(), next(), next()],
@@ -49,11 +78,7 @@ impl SimRng {
     /// another.
     pub fn fork(&self, stream: u64) -> SimRng {
         // Mix the current state with the stream id through SplitMix again.
-        let mixed = self.s[0]
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(stream.wrapping_mul(0xD134_2543_DE82_EF95))
-            ^ self.s[2].rotate_left(17);
-        SimRng::seed_from_u64(mixed)
+        SimRng::seed_from_u64(keyed_seed(self.s[0], stream, 0) ^ self.s[2].rotate_left(17))
     }
 
     fn next_state(&mut self) -> u64 {
@@ -120,6 +145,40 @@ impl RngCore for SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Literal outputs of the five seeded-hash call shapes: any change to
+    /// `mix64`, `keyed_seed` or the seeding reshuffles every seeded run.
+    #[test]
+    fn call_shapes_keep_their_bits() {
+        // `SimRng::seed_from_u64`: four consecutive SplitMix64 outputs.
+        assert_eq!(
+            SimRng::seed_from_u64(42).s,
+            [
+                0xbdd7_3226_2feb_6e95,
+                0x28ef_e333_b266_f103,
+                0x4752_6757_130f_9f52,
+                0x581c_e1ff_0e4a_e394,
+            ]
+        );
+        // `SimRng::fork`.
+        assert_eq!(
+            SimRng::seed_from_u64(42).fork(7).next_u64(),
+            0x0ee0_4b2b_4310_c9c5
+        );
+        // `FaultPlan::transfer_fails` and `NetFaultPlan::roll`: a one-shot
+        // generator seeded by `(plan seed, transfer or connection, salt)`.
+        let verdict =
+            |seed, key, salt| SimRng::seed_from_u64(keyed_seed(seed, key, salt)).next_u64();
+        assert_eq!(verdict(9, 1234, 2), 0x27a2_c375_0b91_6549);
+        assert_eq!(verdict(11, 77, 3), 0xdd7f_d022_87e6_04e1);
+        // `Trace::with_tiers`: the finalizer over `(seed, request id)`.
+        assert_eq!(mix64(keyed_seed(7, 0, 1000)), 0x8ca4_7e99_90fc_d6af);
+        // The fleet's per-tenant `fork_seed(48879, 3)`.
+        assert_eq!(
+            mix64((48879 ^ 3u64.wrapping_mul(GOLDEN_GAMMA)).wrapping_add(GOLDEN_GAMMA)),
+            0x9056_2a25_2607_e053
+        );
+    }
 
     #[test]
     fn same_seed_same_stream() {

@@ -80,8 +80,6 @@ impl SimTime {
 impl SimDuration {
     /// A zero-length span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration from a raw microsecond count.
     pub const fn from_micros(us: u64) -> Self {
@@ -136,11 +134,6 @@ impl SimDuration {
             "invalid factor {factor}"
         );
         SimDuration((self.0 as f64 * factor).round() as u64)
-    }
-
-    /// Duration subtraction that stops at zero instead of underflowing.
-    pub fn saturating_sub(self, rhs: SimDuration) -> Self {
-        SimDuration(self.0.saturating_sub(rhs.0))
     }
 }
 

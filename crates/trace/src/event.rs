@@ -23,7 +23,7 @@ pub enum Lane {
 
 impl Lane {
     /// A small stable integer for exporters that need a thread id.
-    pub fn slot(self) -> u32 {
+    pub(crate) fn slot(self) -> u32 {
         match self {
             Lane::Main(i) => i,
             Lane::Aux => 15,
@@ -31,7 +31,7 @@ impl Lane {
     }
 
     /// Short display label (`lane0`, `aux`).
-    pub fn label(self) -> String {
+    pub(crate) fn label(self) -> String {
         match self {
             Lane::Main(i) => format!("lane{i}"),
             Lane::Aux => "aux".to_string(),
@@ -54,7 +54,7 @@ pub enum StepClass {
 
 impl StepClass {
     /// Display label used by exporters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             StepClass::Prefill => "prefill",
             StepClass::Decode => "decode",
@@ -173,7 +173,7 @@ pub enum LeaseAction {
 
 impl LeaseAction {
     /// Display label used by exporters and the CLI audit.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             LeaseAction::Granted => "granted",
             LeaseAction::Reclaimed => "reclaimed",
@@ -474,7 +474,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The request this event concerns, if any.
-    pub fn request_id(&self) -> Option<RequestId> {
+    pub(crate) fn request_id(&self) -> Option<RequestId> {
         match self {
             TraceEvent::Queued { id, .. }
             | TraceEvent::PrefillStarted { id, .. }

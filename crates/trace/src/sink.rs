@@ -48,7 +48,7 @@ impl Tracer {
 
     /// Whether events are being recorded.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.capacity > 0
     }
 

@@ -54,16 +54,6 @@ impl ArrivalProcess {
         Ok(ArrivalProcess::Poisson { rate })
     }
 
-    /// Deterministic arrivals at `rate` req/s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive and finite. Use
-    /// [`ArrivalProcess::try_uniform`] to handle untrusted rates.
-    pub fn uniform(rate: f64) -> Self {
-        Self::try_uniform(rate).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Deterministic arrivals at `rate` req/s, rejecting invalid rates.
     ///
     /// # Errors
@@ -185,7 +175,7 @@ mod tests {
     #[test]
     fn uniform_gaps_are_constant() {
         let mut rng = SimRng::seed_from_u64(3);
-        let gaps = ArrivalProcess::uniform(4.0).gaps(10, &mut rng);
+        let gaps = ArrivalProcess::Uniform { rate: 4.0 }.gaps(10, &mut rng);
         assert!(gaps.iter().all(|&g| g == SimDuration::from_millis(250)));
     }
 

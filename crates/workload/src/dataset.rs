@@ -25,14 +25,23 @@ use windserve_sim::{SimRng, SimTime};
 /// # Examples
 ///
 /// ```
-/// use windserve_workload::QuantileSampler;
-/// use windserve_sim::SimRng;
+/// use windserve_workload::{ArrivalProcess, Dataset, QuantileSampler, Scenario};
 ///
-/// let s = QuantileSampler::new(vec![(0.0, 1.0), (0.5, 10.0), (1.0, 100.0)]).unwrap();
-/// assert_eq!(s.quantile(0.5), 10.0);
-/// let mut rng = SimRng::seed_from_u64(1);
-/// let x = s.sample(&mut rng);
-/// assert!((1..=100).contains(&x));
+/// // Every prompt is 10 tokens long; outputs spread over 1..=100.
+/// let points = |pts: &str| -> QuantileSampler {
+///     serde_json::from_str(&format!(r#"{{"points":{pts}}}"#)).unwrap()
+/// };
+/// let dataset = Dataset {
+///     name: "custom".into(),
+///     prompt: points("[[0.0,10.0],[1.0,10.0]]"),
+///     output: points("[[0.0,1.0],[0.5,10.0],[1.0,100.0]]"),
+///     max_context: 2048,
+/// };
+/// let trace = Scenario::single_shot(dataset, ArrivalProcess::poisson(4.0), 50)
+///     .generate(1)
+///     .unwrap();
+/// assert!(trace.requests().iter().all(|r| r.prompt_tokens == 10));
+/// assert!(trace.requests().iter().all(|r| (1..=100).contains(&r.output_tokens)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantileSampler {
@@ -47,7 +56,7 @@ impl QuantileSampler {
     /// Returns an error unless the points start at quantile 0.0, end at
     /// 1.0, and are strictly increasing in quantile and non-decreasing in
     /// value, with all values ≥ 1.
-    pub fn new(points: Vec<(f64, f64)>) -> crate::Result<Self> {
+    pub(crate) fn new(points: Vec<(f64, f64)>) -> crate::Result<Self> {
         let sampler = QuantileSampler { points };
         sampler.validate()?;
         Ok(sampler)
@@ -62,7 +71,7 @@ impl QuantileSampler {
     ///
     /// Returns [`Error::InvalidSampler`](crate::Error::InvalidSampler)
     /// describing the first violated invariant.
-    pub fn validate(&self) -> crate::Result<()> {
+    pub(crate) fn validate(&self) -> crate::Result<()> {
         let points = &self.points;
         let invalid = |reason: String| crate::Error::InvalidSampler { reason };
         if points.len() < 2 {
@@ -96,7 +105,7 @@ impl QuantileSampler {
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
         let mut iter = self.points.windows(2);
         while let Some([a, b]) = iter.next().map(|w| [w[0], w[1]]) {
@@ -108,17 +117,8 @@ impl QuantileSampler {
         self.points[self.points.len() - 1].1
     }
 
-    /// Analytic mean of the distribution (trapezoid rule over the inverse
-    /// CDF, which is exact for a piecewise-linear one).
-    pub fn mean(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| (w[1].0 - w[0].0) * (w[0].1 + w[1].1) / 2.0)
-            .sum()
-    }
-
     /// Draws one sample, rounded to a whole token count (min 1).
-    pub fn sample(&self, rng: &mut SimRng) -> u32 {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> u32 {
         (self.quantile(rng.next_f64()).round() as u32).max(1)
     }
 }
@@ -282,7 +282,7 @@ impl Dataset {
     /// the underlying
     /// [`Error::InvalidSampler`](crate::Error::InvalidSampler)) describing
     /// the first violated invariant.
-    pub fn validate(&self) -> crate::Result<()> {
+    pub(crate) fn validate(&self) -> crate::Result<()> {
         self.prompt.validate()?;
         self.output.validate()?;
         if self.max_context < 2 {
@@ -299,7 +299,12 @@ impl Dataset {
     /// Samples one request with the given id and arrival time, clamping
     /// lengths so that `prompt + output <= max_context` (prompts are capped
     /// at `max_context - 1`; outputs fill what remains).
-    pub fn sample_request(&self, id: RequestId, arrival: SimTime, rng: &mut SimRng) -> Request {
+    pub(crate) fn sample_request(
+        &self,
+        id: RequestId,
+        arrival: SimTime,
+        rng: &mut SimRng,
+    ) -> Request {
         let prompt = self.prompt.sample(rng).min(self.max_context - 1);
         let output = self.output.sample(rng).min(self.max_context - prompt);
         Request::new(id, arrival, prompt, output.max(1))
@@ -309,6 +314,15 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Analytic mean of the distribution (trapezoid rule over the inverse
+    /// CDF, which is exact for a piecewise-linear one).
+    fn analytic_mean(s: &QuantileSampler) -> f64 {
+        s.points
+            .windows(2)
+            .map(|w| (w[1].0 - w[0].0) * (w[0].1 + w[1].1) / 2.0)
+            .sum()
+    }
 
     fn sample_stats(sampler: &QuantileSampler, n: usize) -> (f64, f64, f64) {
         let mut rng = SimRng::seed_from_u64(42);
@@ -370,7 +384,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(7);
         for i in 0..10_000 {
             let r = d.sample_request(RequestId(i), SimTime::ZERO, &mut rng);
-            assert!(r.final_context() <= 2048, "overflow: {r:?}");
+            assert!(r.prompt_tokens + r.output_tokens <= 2048, "overflow: {r:?}");
             assert!(r.prompt_tokens >= 1 && r.output_tokens >= 1);
         }
     }
@@ -379,7 +393,7 @@ mod tests {
     fn analytic_mean_matches_empirical() {
         let d = Dataset::sharegpt(2048);
         let (mean, _, _) = sample_stats(&d.prompt, 200_000);
-        assert!((d.prompt.mean() / mean - 1.0).abs() < 0.02);
+        assert!((analytic_mean(&d.prompt) / mean - 1.0).abs() < 0.02);
     }
 
     #[test]
@@ -434,7 +448,7 @@ mod tests {
         // summarization outputs are short but heavy-tailed.
         let lb = Dataset::longbench(4096);
         let sg = Dataset::sharegpt(2048);
-        let skew = |s: &QuantileSampler| s.mean() / s.quantile(0.5);
+        let skew = |s: &QuantileSampler| analytic_mean(s) / s.quantile(0.5);
         assert!(skew(&lb.output) > skew(&sg.output));
     }
 }

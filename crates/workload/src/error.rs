@@ -18,7 +18,7 @@ pub enum Error {
         reason: String,
     },
     /// A dataset's lengths cannot fit its context window (see
-    /// [`Dataset::validate`](crate::Dataset::validate)).
+    /// `Dataset::validate`).
     InvalidDataset {
         /// What is wrong with the dataset.
         reason: String,

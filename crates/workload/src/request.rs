@@ -111,7 +111,7 @@ impl Request {
     }
 
     /// The same request tagged with a tenant.
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
+    pub(crate) fn with_tenant(mut self, tenant: TenantId) -> Self {
         self.tenant = tenant;
         self
     }
@@ -132,34 +132,11 @@ impl Request {
         });
         self
     }
-
-    /// Context length once the request has fully completed.
-    pub fn final_context(&self) -> u32 {
-        self.prompt_tokens + self.output_tokens
-    }
-
-    /// Tokens decoded *after* the first token (the TPOT denominator).
-    pub fn decode_steps(&self) -> u32 {
-        self.output_tokens.saturating_sub(1)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn derived_lengths_are_consistent() {
-        let r = Request::new(RequestId(1), SimTime::ZERO, 100, 20);
-        assert_eq!(r.final_context(), 120);
-        assert_eq!(r.decode_steps(), 19);
-    }
-
-    #[test]
-    fn single_token_output_has_no_decode_steps() {
-        let r = Request::new(RequestId(2), SimTime::ZERO, 5, 1);
-        assert_eq!(r.decode_steps(), 0);
-    }
 
     #[test]
     #[should_panic(expected = "empty prompt")]

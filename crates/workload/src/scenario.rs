@@ -49,7 +49,7 @@ impl DatasetSpec {
     /// Returns [`Error::UnknownDataset`](crate::Error::UnknownDataset) for
     /// an unresolvable name, or the dataset's own
     /// [`validate`](Dataset::validate) failure.
-    pub fn resolve(&self) -> crate::Result<Dataset> {
+    pub(crate) fn resolve(&self) -> crate::Result<Dataset> {
         let dataset = match self {
             DatasetSpec::Named { name, max_context } => Dataset::by_name(name, *max_context)?,
             DatasetSpec::Inline(dataset) => dataset.clone(),
@@ -120,11 +120,6 @@ impl Scenario {
     /// A multi-turn sessions scenario.
     pub fn sessions(sessions: SessionsScenario) -> Self {
         Scenario::Sessions(sessions)
-    }
-
-    /// A trace-driven scenario replaying explicit requests.
-    pub fn trace_driven(requests: Vec<Request>) -> Self {
-        Scenario::TraceDriven { requests }
     }
 
     /// Checks the scenario end to end without generating anything.
@@ -217,8 +212,11 @@ mod tests {
 
     #[test]
     fn constructors_build_each_variant() {
-        let single =
-            Scenario::single_shot(Dataset::longbench(4096), ArrivalProcess::uniform(2.0), 50);
+        let single = Scenario::single_shot(
+            Dataset::longbench(4096),
+            ArrivalProcess::Uniform { rate: 2.0 },
+            50,
+        );
         single.validate().unwrap();
         assert_eq!(single.generate(1).unwrap().requests().len(), 50);
 
@@ -230,7 +228,9 @@ mod tests {
             Request::new(RequestId(0), SimTime::ZERO, 10, 2),
             Request::new(RequestId(1), SimTime::from_micros(5), 10, 2),
         ];
-        let driven = Scenario::trace_driven(reqs.clone());
+        let driven = Scenario::TraceDriven {
+            requests: reqs.clone(),
+        };
         driven.validate().unwrap();
         assert_eq!(driven.generate(99).unwrap().requests(), &reqs[..]);
     }
@@ -258,16 +258,20 @@ mod tests {
 
         // Out-of-order trace-driven requests error instead of panicking
         // inside Trace::from_requests.
-        let out_of_order = Scenario::trace_driven(vec![
-            Request::new(RequestId(0), SimTime::from_micros(5), 10, 2),
-            Request::new(RequestId(1), SimTime::ZERO, 10, 2),
-        ]);
+        let out_of_order = Scenario::TraceDriven {
+            requests: vec![
+                Request::new(RequestId(0), SimTime::from_micros(5), 10, 2),
+                Request::new(RequestId(1), SimTime::ZERO, 10, 2),
+            ],
+        };
         let err = out_of_order.generate(0).unwrap_err();
         assert!(matches!(err, crate::Error::InvalidScenario { .. }), "{err}");
-        let dup_ids = Scenario::trace_driven(vec![
-            Request::new(RequestId(3), SimTime::ZERO, 10, 2),
-            Request::new(RequestId(3), SimTime::from_micros(5), 10, 2),
-        ]);
+        let dup_ids = Scenario::TraceDriven {
+            requests: vec![
+                Request::new(RequestId(3), SimTime::ZERO, 10, 2),
+                Request::new(RequestId(3), SimTime::from_micros(5), 10, 2),
+            ],
+        };
         assert!(dup_ids.validate().is_err());
     }
 
@@ -280,7 +284,9 @@ mod tests {
                 100,
             ),
             Scenario::sessions(SessionsScenario::builder().sessions(3).build().unwrap()),
-            Scenario::trace_driven(vec![Request::new(RequestId(0), SimTime::ZERO, 10, 2)]),
+            Scenario::TraceDriven {
+                requests: vec![Request::new(RequestId(0), SimTime::ZERO, 10, 2)],
+            },
         ];
         for scenario in scenarios {
             let text = serde_json::to_string(&scenario).unwrap();

@@ -28,7 +28,7 @@ use windserve_sim::{SimDuration, SimRng, SimTime};
 /// # Examples
 ///
 /// ```
-/// use windserve_workload::SessionsScenario;
+/// use windserve_workload::{Scenario, SessionsScenario};
 ///
 /// let scenario = SessionsScenario::builder()
 ///     .sessions(40)
@@ -37,7 +37,7 @@ use windserve_sim::{SimDuration, SimRng, SimTime};
 ///     .mean_think_secs(10.0)
 ///     .build()
 ///     .unwrap();
-/// let trace = scenario.generate(7).unwrap();
+/// let trace = Scenario::sessions(scenario).generate(7).unwrap();
 /// assert!(trace.requests().len() >= 80);
 /// assert!(trace
 ///     .requests()
@@ -83,7 +83,7 @@ impl SessionsScenario {
     /// Returns [`Error::InvalidScenario`](crate::Error::InvalidScenario)
     /// (or the underlying dataset/arrival error) naming the first invalid
     /// field.
-    pub fn validate(&self) -> crate::Result<()> {
+    pub(crate) fn validate(&self) -> crate::Result<()> {
         let invalid = |reason: String| crate::Error::InvalidScenario { reason };
         if self.sessions == 0 {
             return Err(invalid("sessions must be at least 1".into()));
@@ -132,7 +132,7 @@ impl SessionsScenario {
     /// # Errors
     ///
     /// Returns the first [`SessionsScenario::validate`] failure.
-    pub fn generate(&self, seed: u64) -> crate::Result<Trace> {
+    pub(crate) fn generate(&self, seed: u64) -> crate::Result<Trace> {
         self.validate()?;
         let dataset = self.dataset.resolve()?;
         let root = SimRng::seed_from_u64(seed);
@@ -223,7 +223,7 @@ impl Default for SessionsBuilder {
 
 impl SessionsBuilder {
     /// Starts from the chatbot-shaped defaults.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SessionsBuilder {
             scenario: SessionsScenario {
                 sessions: 200,
@@ -281,7 +281,7 @@ impl SessionsBuilder {
     ///
     /// # Errors
     ///
-    /// See [`SessionsScenario::validate`].
+    /// See `SessionsScenario::validate`.
     pub fn build(self) -> crate::Result<SessionsScenario> {
         self.scenario.validate()?;
         Ok(self.scenario)
@@ -329,10 +329,10 @@ mod tests {
                 assert!(next.arrival > prev.arrival, "turns issue in order");
                 // The shared prefix is exactly the prior turn's context,
                 // except where the context window clamped the prompt.
-                let prior_ctx = prev.final_context();
+                let prior_ctx = prev.prompt_tokens + prev.output_tokens;
                 assert!(tag.shared_prefix_tokens <= prior_ctx);
                 assert!(tag.shared_prefix_tokens < next.prompt_tokens);
-                if next.final_context() < 2048 {
+                if next.prompt_tokens + next.output_tokens < 2048 {
                     assert_eq!(
                         tag.shared_prefix_tokens,
                         prior_ctx.min(next.prompt_tokens - 1)
@@ -366,7 +366,7 @@ mod tests {
             .unwrap();
         let trace = scenario.generate(5).unwrap();
         for r in trace.requests() {
-            assert!(r.final_context() <= 1024, "overflow: {r:?}");
+            assert!(r.prompt_tokens + r.output_tokens <= 1024, "overflow: {r:?}");
         }
     }
 

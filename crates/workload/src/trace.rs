@@ -8,7 +8,7 @@ use crate::arrival::ArrivalProcess;
 use crate::dataset::Dataset;
 use crate::request::{Request, RequestId, TenantId};
 use serde::{Deserialize, Serialize};
-use windserve_sim::{SimRng, SimTime};
+use windserve_sim::{keyed_seed, mix64, SimRng, SimTime};
 
 /// A replayable request trace.
 ///
@@ -117,30 +117,6 @@ impl Trace {
         }
     }
 
-    /// A sub-trace of the requests with indices in `range`, re-identified
-    /// from zero and re-based so the first request arrives at its original
-    /// offset from the slice start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Trace {
-        let window = &self.requests[range];
-        let base = window.first().map(|r| r.arrival).unwrap_or(SimTime::ZERO);
-        let requests = window
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                retagged(
-                    r,
-                    RequestId(i as u64),
-                    SimTime::ZERO + r.arrival.saturating_since(base),
-                )
-            })
-            .collect();
-        Trace { requests }
-    }
-
     /// The same requests with all inter-arrival gaps scaled by
     /// `1 / rate_factor`: a factor of 2 doubles the offered rate.
     ///
@@ -201,24 +177,6 @@ impl Trace {
         Trace { requests }
     }
 
-    /// The same trace with every request tagged as belonging to `tenant`.
-    pub fn with_tenant(&self, tenant: TenantId) -> Trace {
-        let requests = self
-            .requests
-            .iter()
-            .map(|r| r.with_tenant(tenant))
-            .collect();
-        Trace { requests }
-    }
-
-    /// The tenants present in this trace, ascending and deduplicated.
-    pub fn tenants(&self) -> Vec<TenantId> {
-        let mut tenants: Vec<TenantId> = self.requests.iter().map(|r| r.tenant).collect();
-        tenants.sort_unstable();
-        tenants.dedup();
-        tenants
-    }
-
     /// Assigns each request a priority tier in `0..n_tiers`, deterministic
     /// in `(seed, request id)`. Tiers come from a pure hash rather than an
     /// RNG stream, so the sampled lengths and arrival times of the trace
@@ -233,16 +191,9 @@ impl Trace {
             .requests
             .iter()
             .map(|r| {
-                // SplitMix64-style finalizer over (seed, id): uniform enough
-                // for tier assignment, no RNG state consumed.
-                let mut x = seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(r.id.0.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-                x ^= x >> 30;
-                x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                x ^= x >> 27;
-                x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-                x ^= x >> 31;
+                // SplitMix64 finalizer over (seed, id): uniform enough for
+                // tier assignment, no RNG state consumed.
+                let x = mix64(keyed_seed(seed, 0, r.id.0));
                 // `r` already carries its tenant; with_tier keeps it.
                 r.with_tier((x % u64::from(n_tiers)) as u8)
             })
@@ -285,6 +236,14 @@ mod tests {
     use crate::request::SessionId;
     use crate::Scenario;
 
+    /// The tenants present in `t`, ascending and deduplicated.
+    fn tenants(t: &Trace) -> Vec<TenantId> {
+        let mut tenants: Vec<TenantId> = t.requests().iter().map(|r| r.tenant).collect();
+        tenants.sort_unstable();
+        tenants.dedup();
+        tenants
+    }
+
     fn generate(d: &Dataset, a: &ArrivalProcess, n: usize, seed: u64) -> Trace {
         Scenario::single_shot(d.clone(), a.clone(), n)
             .generate(seed)
@@ -303,7 +262,6 @@ mod tests {
         ]);
         let tags = |t: &Trace| -> Vec<_> { t.requests().iter().map(|r| r.session).collect() };
         let expected = tags(&base);
-        assert_eq!(tags(&base.slice(0..2)), expected);
         assert_eq!(tags(&base.with_rate_scaled(2.0)), expected);
         assert_eq!(tags(&base.merge(&Trace::from_requests(vec![]))), expected);
         assert_eq!(
@@ -311,7 +269,6 @@ mod tests {
             expected
         );
         assert_eq!(tags(&base.with_tiers(2, 7)), expected);
-        assert_eq!(tags(&base.with_tenant(TenantId(2))), expected);
     }
 
     #[test]
@@ -329,7 +286,7 @@ mod tests {
     fn lengths_are_independent_of_arrival_process() {
         let d = Dataset::sharegpt(2048);
         let t1 = generate(&d, &ArrivalProcess::poisson(4.0), 100, 7);
-        let t2 = generate(&d, &ArrivalProcess::uniform(9.0), 100, 7);
+        let t2 = generate(&d, &ArrivalProcess::Uniform { rate: 9.0 }, 100, 7);
         let lens = |t: &Trace| -> Vec<(u32, u32)> {
             t.requests()
                 .iter()
@@ -365,24 +322,6 @@ mod tests {
         let r1 = Request::new(RequestId(0), SimTime::from_micros(10), 5, 1);
         let r2 = Request::new(RequestId(1), SimTime::from_micros(5), 5, 1);
         let _ = Trace::from_requests(vec![r1, r2]);
-    }
-
-    #[test]
-    fn slicing_rebases_and_renumbers() {
-        let d = Dataset::sharegpt(2048);
-        let t = generate(&d, &ArrivalProcess::poisson(5.0), 100, 13);
-        let s = t.slice(20..50);
-        assert_eq!(s.requests().len(), 30);
-        assert_eq!(s.requests()[0].id, RequestId(0));
-        assert_eq!(s.requests()[0].arrival, SimTime::ZERO);
-        // Gaps are preserved.
-        let orig_gap = t.requests()[21]
-            .arrival
-            .saturating_since(t.requests()[20].arrival);
-        let new_gap = s.requests()[1]
-            .arrival
-            .saturating_since(s.requests()[0].arrival);
-        assert_eq!(orig_gap, new_gap);
     }
 
     #[test]
@@ -435,16 +374,14 @@ mod tests {
         for tier in 0..3u8 {
             assert!(tiered.requests().iter().any(|r| r.tier == tier));
         }
-        // Tiers survive slicing, rate scaling and merging.
-        let sliced = tiered.slice(10..60);
-        assert!(sliced.requests().iter().any(|r| r.tier > 0));
+        // Tiers survive rate scaling and merging.
         let fast = tiered.with_rate_scaled(2.0);
         assert_eq!(
             tiered.requests()[7].tier,
             fast.requests()[7].tier,
             "rate scaling must not touch tiers"
         );
-        let merged = tiered.slice(0..10).merge(&tiered.slice(10..20));
+        let merged = tiered.merge(&Trace::from_requests(vec![]));
         assert!(merged.requests().iter().any(|r| r.tier > 0));
     }
 
@@ -461,7 +398,7 @@ mod tests {
         let merged =
             Trace::merge_tagged(&[(TenantId(0), chat.clone()), (TenantId(1), summ.clone())]);
         assert_eq!(merged.requests().len(), 65);
-        assert_eq!(merged.tenants(), vec![TenantId(0), TenantId(1)]);
+        assert_eq!(tenants(&merged), vec![TenantId(0), TenantId(1)]);
         for w in merged.requests().windows(2) {
             assert!(w[1].arrival >= w[0].arrival);
             assert!(w[1].id > w[0].id);
@@ -477,9 +414,9 @@ mod tests {
         assert_eq!(count(0), 40);
         assert_eq!(count(1), 25);
         // Tagging a whole trace is equivalent to tagging its requests.
-        let tagged = chat.with_tenant(TenantId(7));
+        let tagged = Trace::merge_tagged(&[(TenantId(7), chat.clone())]);
         assert!(tagged.requests().iter().all(|r| r.tenant == TenantId(7)));
-        assert_eq!(tagged.tenants(), vec![TenantId(7)]);
+        assert_eq!(tenants(&tagged), vec![TenantId(7)]);
         // Determinism: same inputs, same merge.
         let again = Trace::merge_tagged(&[(TenantId(0), chat), (TenantId(1), summ)]);
         assert_eq!(merged, again);
