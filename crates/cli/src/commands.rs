@@ -369,6 +369,9 @@ pub(crate) fn serve(args: &Args) -> Result<String, ArgError> {
     // supervisor that signals the moment it sees liveness always takes
     // the graceful-drain path.
     sigterm::install();
+    // Every thread the gateway spawns inherits this thread's timer slack,
+    // so each timed wait in the driver, pump and workers wakes on time.
+    timer_slack::tighten();
     let gateway = Gateway::start(GatewayConfig {
         cfg: spec.config,
         addr: "127.0.0.1".to_string(),
@@ -500,6 +503,61 @@ mod sigterm {
     }
 }
 
+/// Timer slack for the live paths: Linux delays every timed wait by the
+/// thread's slack (50 µs by default), which would make each streamed
+/// token land late. One audited FFI call sets it to 1 ns; threads spawned
+/// afterwards inherit it.
+#[cfg(target_os = "linux")]
+mod timer_slack {
+    use std::ffi::{c_int, c_ulong};
+
+    const PR_SET_TIMERSLACK: c_int = 29;
+
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+
+    /// Sets the calling thread's timer slack to 1 ns.
+    #[allow(unsafe_code)]
+    pub(crate) fn tighten() {
+        // SAFETY: `prctl` is the libc entry point, variadic as declared;
+        // `PR_SET_TIMERSLACK` reads one `unsigned long` and touches only
+        // the calling thread's timer slack. A failure leaves the default
+        // slack, which is harmless.
+        unsafe {
+            prctl(PR_SET_TIMERSLACK, 1 as c_ulong);
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        const PR_GET_TIMERSLACK: c_int = 30;
+
+        #[allow(unsafe_code)]
+        fn slack_ns() -> c_int {
+            // SAFETY: `PR_GET_TIMERSLACK` takes no argument and only reads
+            // the calling thread's timer slack.
+            unsafe { prctl(PR_GET_TIMERSLACK) }
+        }
+
+        #[test]
+        fn slack_is_one_ns_here_and_on_threads_spawned_after() {
+            tighten();
+            assert_eq!(slack_ns(), 1);
+            assert_eq!(std::thread::spawn(slack_ns).join().unwrap(), 1);
+        }
+    }
+}
+
+/// Elsewhere the platform's default timer slack stays.
+#[cfg(not(target_os = "linux"))]
+mod timer_slack {
+    /// No-op.
+    pub(crate) fn tighten() {}
+}
+
 /// Fires an open-loop Poisson request stream at a running gateway
 /// (`--port`, `--rate` req/s for `--duration`) and reports client-side
 /// TTFT/TBT percentiles, typed rejections, and goodput.
@@ -527,6 +585,9 @@ pub(crate) fn loadgen(args: &Args) -> Result<String, ArgError> {
             cfg.retry_budget
         )));
     }
+    // The sweep's short socket polls would otherwise oversleep and inflate
+    // the TTFT and TBT it reports.
+    timer_slack::tighten();
     let report = windserve_gateway::loadgen::run(&cfg).map_err(|e| ArgError(format!("{e}")))?;
     if args.switch("json") {
         return render::json_envelope("loadgen", serde_json::to_value(&report));

@@ -14,8 +14,9 @@
 //! The library surface exists so the parser and command plumbing are unit
 //! testable; `src/main.rs` is a thin shim.
 
-// `deny` rather than `forbid`: the SIGTERM handler in `commands.rs`
-// needs one audited `libc::signal`-style FFI call behind an `allow`.
+// `deny` rather than `forbid`: `commands.rs` makes two audited FFI calls,
+// each behind an `allow`: `signal` for the SIGTERM handler and `prctl`
+// for the live paths' 1 ns timer slack.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

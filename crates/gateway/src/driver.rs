@@ -373,7 +373,19 @@ impl VirtualClock {
         self.last_us = self.last_us.max(us);
         SimTime::from_micros(self.last_us)
     }
+
+    /// Real time left, from this instant, until the clock reads `at`,
+    /// capped at [`MAX_WAIT`].
+    fn until(&self, at: SimTime) -> Duration {
+        let wake = real_nanos_for_virtual_micros(at.as_micros(), self.scale_fp);
+        let left = wake.saturating_sub(self.epoch.elapsed().as_nanos());
+        Duration::from_nanos(u64::try_from(left).unwrap_or(u64::MAX)).min(MAX_WAIT)
+    }
 }
+
+/// The longest the driver sleeps between wakes, so time keeps advancing
+/// smoothly even with no event scheduled.
+const MAX_WAIT: Duration = Duration::from_millis(5);
 
 /// Maps exact real nanoseconds through the 32.32 fixed-point scale to
 /// virtual microseconds. Monotone in `nanos` by construction (integer
@@ -381,6 +393,12 @@ impl VirtualClock {
 fn scaled_virtual_micros(nanos: u128, scale_fp: u128) -> u64 {
     let us = (nanos.saturating_mul(scale_fp) >> 32) / 1_000;
     u64::try_from(us).unwrap_or(u64::MAX)
+}
+
+/// The exact ceil inverse of [`scaled_virtual_micros`]: the first real
+/// nanosecond at which it reads at least `t_us`.
+fn real_nanos_for_virtual_micros(t_us: u64, scale_fp: u128) -> u128 {
+    ((u128::from(t_us) * 1_000) << 32).div_ceil(scale_fp)
 }
 
 fn driver_loop(session: ClusterSession, rx: &Receiver<Msg>, scale: f64) {
@@ -395,16 +413,13 @@ fn driver_loop(session: ClusterSession, rx: &Receiver<Msg>, scale: f64) {
         scale,
     };
     let shutdown_reply = loop {
-        let vnow = clock.now();
-        driver.advance(vnow);
-        // Sleep until the next scheduled event lands (in real time) or a
-        // message arrives, bounded so time keeps advancing smoothly.
+        driver.advance(clock.now());
+        // Sleep until the wall instant the next scheduled event lands on,
+        // measured after `advance` ran, or until a message arrives.
         let timeout = driver
             .session
             .next_event_at()
-            .map(|t| t.saturating_since(vnow).as_secs_f64() / scale)
-            .map(|secs| Duration::from_secs_f64(secs.clamp(0.0, 0.005)))
-            .unwrap_or(Duration::from_millis(5));
+            .map_or(MAX_WAIT, |t| clock.until(t));
         match rx.recv_timeout(timeout) {
             Ok(Msg::Shutdown { reply }) => break Some(reply),
             Ok(msg) => driver.handle(msg, clock.now()),
@@ -681,6 +696,7 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use windserve::SystemKind;
 
     fn test_config() -> ServeConfig {
@@ -722,6 +738,26 @@ mod tests {
                 let now = clock.now();
                 assert!(now >= prev, "virtual time went backwards");
                 prev = now;
+            }
+        }
+    }
+
+    proptest! {
+        /// The driver's wake instant is exact: the clock reads `t` at the
+        /// inverse's nanosecond and not one nanosecond earlier.
+        #[test]
+        fn wake_instant_is_the_first_nanosecond_reading_t(
+            scale_fp in prop_oneof![
+                (1u64..1 << 62).prop_map(u128::from),
+                (0u64..u64::MAX, 1u64..u64::MAX)
+                    .prop_map(|(hi, lo)| (u128::from(hi) << 64) | u128::from(lo)),
+            ],
+            t in prop_oneof![0u64..1 << 40, 0u64..u64::MAX, Just(u64::MAX)],
+        ) {
+            let wake = real_nanos_for_virtual_micros(t, scale_fp);
+            prop_assert!(scaled_virtual_micros(wake, scale_fp) >= t);
+            if let Some(earlier) = wake.checked_sub(1) {
+                prop_assert!(scaled_virtual_micros(earlier, scale_fp) < t);
             }
         }
     }
