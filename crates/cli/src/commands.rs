@@ -370,7 +370,7 @@ pub(crate) fn serve(args: &Args) -> Result<String, ArgError> {
     // the graceful-drain path.
     sigterm::install();
     // Every thread the gateway spawns inherits this thread's timer slack,
-    // so each timed wait in the driver, pump and workers wakes on time.
+    // so each timed wait in the driver and workers wakes on time.
     timer_slack::tighten();
     let gateway = Gateway::start(GatewayConfig {
         cfg: spec.config,

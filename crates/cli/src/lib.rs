@@ -21,9 +21,9 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod build;
-pub mod commands;
-pub mod render;
+mod build;
+mod commands;
+mod render;
 
 use args::Args;
 

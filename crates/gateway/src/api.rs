@@ -11,17 +11,17 @@ use windserve_workload::RequestId;
 /// rather than text: either `prompt_tokens` directly, or a `prompt`
 /// string whose length is estimated at four characters per token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompletionRequest {
+pub(crate) struct CompletionRequest {
     /// Prompt length in tokens.
-    pub prompt_tokens: u32,
+    pub(crate) prompt_tokens: u32,
     /// Output budget in tokens (`max_tokens`; the sim generates exactly
     /// this many).
-    pub max_tokens: u32,
+    pub(crate) max_tokens: u32,
     /// Stream token events over SSE (`true`) or answer with one JSON
     /// body at completion (`false`).
-    pub stream: bool,
+    pub(crate) stream: bool,
     /// Priority tier for overload control (`0` sheds first).
-    pub tier: u8,
+    pub(crate) tier: u8,
 }
 
 impl CompletionRequest {
@@ -78,6 +78,10 @@ impl CompletionRequest {
         })
     }
 }
+
+/// `Retry-After` seconds suggested on admission rejections, drops and
+/// drain.
+pub(crate) const RETRY_AFTER_SECS: u64 = 1;
 
 /// The JSON body of a typed error response:
 /// `{"error": {"type": ..., "code": ..., "message": ...}}`.

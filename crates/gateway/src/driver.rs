@@ -6,14 +6,18 @@
 //! scale above 1 the simulated cluster runs *faster* than real time, so
 //! a localhost client sees millisecond TTFTs for what the paper measures
 //! in seconds. Live HTTP requests become sim arrivals stamped at the
-//! mapped instant; admission verdicts come back synchronously (the
-//! driver pumps the session past the arrival before replying, so a
-//! rejection surfaces as a real `429`/`503` before any stream bytes are
-//! written); per-token completions route back to the submitting
-//! connection through a `Sink`.
+//! mapped instant, and each arrives with its accepted socket: from then
+//! on this thread is the only writer of that socket. It decides admission
+//! at once (the driver pumps the session past the arrival, so a rejection
+//! is a real `429`/`503` before any stream bytes are written), then
+//! writes the SSE head, token chunks and terminal event of a stream, or
+//! the whole JSON response of a unary request at its terminal, through
+//! the request's `Outbox`.
 
 use std::collections::HashMap;
+use std::net::TcpStream;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -23,80 +27,28 @@ use windserve_sim::{SimDuration, SimTime};
 use windserve_trace::TraceEvent;
 use windserve_workload::{Request, RequestId, SessionId};
 
-use crate::api;
-use crate::http::{encode_chunk, LAST_CHUNK};
-use crate::pump::{Frame, PumpHandle};
+use crate::api::{self, CompletionRequest};
+use crate::health::Health;
+use crate::http::{self, encode_chunk, sse_response_head, LAST_CHUNK};
+use crate::outbox::Outbox;
 use crate::sse::SseEvent;
 
-/// Where a request's live updates go.
-#[derive(Debug, Clone)]
-pub(crate) enum Sink {
-    /// Deliver typed updates over a channel (non-streamed responses,
-    /// tests).
-    Channel(Sender<StreamUpdate>),
-    /// Frame updates as SSE chunks and push them to the stream pump,
-    /// whose stream for the request is keyed by its id.
-    Pump(PumpHandle),
-}
-
-impl Sink {
-    /// Delivers one update for request `id`: typed over a channel, or as
-    /// the SSE event `sse` builds, framed as one HTTP chunk for the pump.
-    /// A terminal update also ends the chunked body and closes the stream.
-    fn deliver(&self, id: RequestId, update: StreamUpdate, sse: impl FnOnce() -> SseEvent) {
-        match self {
-            Sink::Channel(tx) => {
-                let _ = tx.send(update);
-            }
-            Sink::Pump(pump) => {
-                let mut bytes = encode_chunk(&sse().encode());
-                let last = !matches!(update, StreamUpdate::Token { .. });
-                if last {
-                    bytes.extend_from_slice(LAST_CHUNK);
-                }
-                pump.push(id.0, Frame::Data(bytes));
-                if last {
-                    pump.push(id.0, Frame::Close);
-                }
-            }
-        }
-    }
-}
-
-/// A live update for one submitted request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamUpdate {
-    /// A token was produced (`index` 0 is the first token).
-    Token {
-        /// Zero-based token index.
-        index: u32,
-        /// Virtual time of the token.
-        virtual_secs: f64,
-    },
-    /// The request completed.
-    Done {
-        /// Tokens delivered.
-        tokens: u32,
-        /// Virtual seconds from submission to first token.
-        ttft_virtual_secs: f64,
-        /// Virtual seconds from submission to completion.
-        latency_virtual_secs: f64,
-    },
-    /// The request was dropped after admission (shed or deadline).
-    Aborted {
-        /// The typed reason.
-        reason: DropReason,
-    },
-}
-
-/// Why a submission failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SubmitError {
-    /// Overload control dropped the request at admission; answer with
-    /// [`DropReason::http_status`].
-    Dropped(DropReason),
-    /// The driver is gone (shutting down).
-    Unavailable,
+/// A parsed completion request handed to the driver with its socket.
+#[derive(Debug)]
+pub(crate) struct Submission {
+    /// What the client asked for; `req.stream` picks SSE or one JSON body.
+    pub(crate) req: CompletionRequest,
+    /// Wall-clock budget in seconds, if any.
+    pub(crate) timeout_secs: Option<f64>,
+    /// Client-chosen conversation key (the `x-session-id` header);
+    /// follow-ups under the same key are tagged as session turns so
+    /// prefix caching and affinity routing can act on them.
+    pub(crate) session: Option<String>,
+    /// Injected write stall (network chaos): the response's bytes are held
+    /// this long.
+    pub(crate) write_stall: Option<Duration>,
+    /// The accepted connection; only the driver writes to it from here on.
+    pub(crate) sock: TcpStream,
 }
 
 /// Final accounting from a driver that has shut down.
@@ -121,26 +73,12 @@ pub struct DriverReport {
 }
 
 enum Msg {
-    Submit {
-        prompt_tokens: u32,
-        output_tokens: u32,
-        tier: u8,
-        timeout_secs: Option<f64>,
-        /// Client-chosen conversation key (the `x-session-id` header);
-        /// follow-ups under the same key are tagged as session turns so
-        /// prefix caching and affinity routing can act on them.
-        session: Option<String>,
-        verdict: Sender<Result<RequestId, DropReason>>,
-        sink: Sink,
-    },
+    Submit(Submission),
     Snapshot {
         reply: Sender<SessionSnapshot>,
     },
     /// Record a gateway-layer event into the session trace.
     Trace(TraceEvent),
-    /// A request's pump stream died mid-flight (client disconnect);
-    /// reclaim it.
-    StreamDead(RequestId),
     /// Injected driver stall (network chaos): sleep on the driver thread.
     Stall(Duration),
     Shutdown {
@@ -150,7 +88,7 @@ enum Msg {
 
 /// Cloneable submission/status handle to the driver thread.
 #[derive(Clone)]
-pub struct DriverHandle {
+pub(crate) struct DriverHandle {
     tx: Sender<Msg>,
 }
 
@@ -161,37 +99,16 @@ impl std::fmt::Debug for DriverHandle {
 }
 
 impl DriverHandle {
-    /// Submits a live request and blocks until the admission verdict.
+    /// Hands a request and its socket to the driver, which answers it.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Dropped`] when overload control rejected the
-    /// request, [`SubmitError::Unavailable`] when the driver is gone.
-    pub(crate) fn submit(
-        &self,
-        prompt_tokens: u32,
-        output_tokens: u32,
-        tier: u8,
-        timeout_secs: Option<f64>,
-        session: Option<String>,
-        sink: Sink,
-    ) -> Result<RequestId, SubmitError> {
-        let (verdict_tx, verdict_rx) = mpsc::channel();
-        self.tx
-            .send(Msg::Submit {
-                prompt_tokens,
-                output_tokens,
-                tier,
-                timeout_secs,
-                session,
-                verdict: verdict_tx,
-                sink,
-            })
-            .map_err(|_| SubmitError::Unavailable)?;
-        match verdict_rx.recv() {
-            Ok(Ok(id)) => Ok(id),
-            Ok(Err(reason)) => Err(SubmitError::Dropped(reason)),
-            Err(_) => Err(SubmitError::Unavailable),
+    /// The driver is gone; the socket comes back so the caller can answer
+    /// `503 unavailable` itself.
+    pub(crate) fn submit(&self, sub: Submission) -> Result<(), TcpStream> {
+        match self.tx.send(Msg::Submit(sub)) {
+            Err(mpsc::SendError(Msg::Submit(sub))) => Err(sub.sock),
+            _ => Ok(()),
         }
     }
 
@@ -200,13 +117,6 @@ impl DriverHandle {
     /// is gone.
     pub(crate) fn emit_trace(&self, ev: TraceEvent) {
         let _ = self.tx.send(Msg::Trace(ev));
-    }
-
-    /// Reports that request `id`'s pump stream died mid-flight so the
-    /// driver reclaims its routing state instead of feeding a vanished
-    /// client forever.
-    pub(crate) fn stream_dead(&self, id: RequestId) {
-        let _ = self.tx.send(Msg::StreamDead(id));
     }
 
     /// Injects a driver stall (network chaos): the driver thread sleeps
@@ -226,7 +136,7 @@ impl DriverHandle {
 
 /// The driver thread plus its shutdown path.
 #[derive(Debug)]
-pub struct SimDriver {
+pub(crate) struct SimDriver {
     tx: Sender<Msg>,
     thread: Option<JoinHandle<()>>,
 }
@@ -234,12 +144,16 @@ pub struct SimDriver {
 impl SimDriver {
     /// Builds the cluster and spawns the driver thread. `time_scale` is
     /// the virtual-seconds-per-real-second factor (clamped to a small
-    /// positive minimum).
+    /// positive minimum); every admission outcome is recorded in `health`.
     ///
     /// # Errors
     ///
     /// Propagates cluster construction failures (invalid config).
-    pub(crate) fn spawn(cfg: ServeConfig, time_scale: f64) -> windserve::Result<SimDriver> {
+    pub(crate) fn spawn(
+        cfg: ServeConfig,
+        time_scale: f64,
+        health: Arc<Health>,
+    ) -> windserve::Result<SimDriver> {
         let cluster = Cluster::new(cfg)?;
         let mut session = cluster.into_session();
         session.enable_live_events();
@@ -251,7 +165,7 @@ impl SimDriver {
         let (tx, rx) = mpsc::channel();
         let thread = std::thread::Builder::new()
             .name("gw-driver".to_string())
-            .spawn(move || driver_loop(session, &rx, scale))
+            .spawn(move || driver_loop(session, health, &rx, scale))
             .map_err(|e| windserve::Error::Gateway {
                 reason: format!("cannot spawn driver thread: {e}"),
             })?;
@@ -289,7 +203,11 @@ impl SimDriver {
 
 /// Per-request live routing state.
 struct StreamState {
-    sink: Sink,
+    /// Stream SSE events (`true`) or answer with one JSON body at the
+    /// terminal.
+    sse: bool,
+    /// Echoed in a unary response's `usage`.
+    prompt_tokens: u32,
     submitted_at: SimTime,
     first_token_at: Option<SimTime>,
     tokens: u32,
@@ -299,6 +217,7 @@ struct StreamState {
 }
 
 /// How an admitted request ends.
+#[derive(Clone, Copy)]
 enum Terminal {
     /// The simulator finished it at this virtual instant.
     Done(SimTime),
@@ -327,7 +246,13 @@ struct GatewaySession {
 
 struct Driver {
     session: ClusterSession,
+    /// Records every admission outcome for the health machine and breaker.
+    health: Arc<Health>,
+    /// Requests admitted and not yet at a terminal.
     streams: HashMap<RequestId, StreamState>,
+    /// The socket of every request whose response is not fully written:
+    /// open streams, and closed or rejected ones still flushing.
+    outboxes: HashMap<RequestId, Outbox>,
     /// Conversation state per `x-session-id` key.
     sessions: HashMap<String, GatewaySession>,
     next_session: u64,
@@ -387,6 +312,9 @@ impl VirtualClock {
 /// smoothly even with no event scheduled.
 const MAX_WAIT: Duration = Duration::from_millis(5);
 
+/// How soon the driver retries a socket that would not take all its bytes.
+const FLUSH_RETRY: Duration = Duration::from_millis(1);
+
 /// Maps exact real nanoseconds through the 32.32 fixed-point scale to
 /// virtual microseconds. Monotone in `nanos` by construction (integer
 /// multiply, shift, divide), saturating at the representable maximum.
@@ -401,11 +329,13 @@ fn real_nanos_for_virtual_micros(t_us: u64, scale_fp: u128) -> u128 {
     ((u128::from(t_us) * 1_000) << 32).div_ceil(scale_fp)
 }
 
-fn driver_loop(session: ClusterSession, rx: &Receiver<Msg>, scale: f64) {
+fn driver_loop(session: ClusterSession, health: Arc<Health>, rx: &Receiver<Msg>, scale: f64) {
     let mut clock = VirtualClock::new(scale);
     let mut driver = Driver {
         session,
+        health,
         streams: HashMap::new(),
+        outboxes: HashMap::new(),
         sessions: HashMap::new(),
         next_session: 0,
         next_id: 0,
@@ -414,12 +344,17 @@ fn driver_loop(session: ClusterSession, rx: &Receiver<Msg>, scale: f64) {
     };
     let shutdown_reply = loop {
         driver.advance(clock.now());
+        let backlogged = driver.flush();
         // Sleep until the wall instant the next scheduled event lands on,
-        // measured after `advance` ran, or until a message arrives.
-        let timeout = driver
+        // measured after `advance` ran, or until a message arrives; retry
+        // sockets that would not take all their bytes soon.
+        let mut timeout = driver
             .session
             .next_event_at()
             .map_or(MAX_WAIT, |t| clock.until(t));
+        if backlogged {
+            timeout = timeout.min(FLUSH_RETRY);
+        }
         match rx.recv_timeout(timeout) {
             Ok(Msg::Shutdown { reply }) => break Some(reply),
             Ok(msg) => driver.handle(msg, clock.now()),
@@ -429,13 +364,15 @@ fn driver_loop(session: ClusterSession, rx: &Receiver<Msg>, scale: f64) {
     };
     // Drain in-flight work so every admitted request reaches a terminal
     // state (tokens stream out at full simulation speed, untied from the
-    // wall clock now that the gateway is closing).
+    // wall clock now that the gateway is closing), then write what the
+    // sockets take at once; bytes still queued after that are dropped.
     if driver.report.error.is_none() {
         if let Err(e) = driver.session.pump_to_drain() {
             driver.report.error = Some(e.to_string());
         }
         driver.route_live_events();
     }
+    driver.flush();
     let Driver {
         session,
         mut report,
@@ -450,6 +387,16 @@ fn driver_loop(session: ClusterSession, rx: &Receiver<Msg>, scale: f64) {
     if let Some(reply) = shutdown_reply {
         let _ = reply.send(report);
     }
+}
+
+/// The whole fixed-length response for a request dropped with `reason`.
+fn drop_response(reason: DropReason) -> Vec<u8> {
+    http::response_with_headers(
+        reason.http_status(),
+        "application/json",
+        &[("Retry-After", &api::RETRY_AFTER_SECS.to_string())],
+        &api::drop_body(reason),
+    )
 }
 
 impl Driver {
@@ -512,11 +459,46 @@ impl Driver {
         }
     }
 
-    /// Ends request `id`'s stream with `terminal`. The only code that drops
-    /// a routing entry, counts a terminal, traces `GatewayStreamClosed`
-    /// and writes the terminal to the sink. A request already closed is
-    /// left alone, so the sim events that still arrive for it after a
-    /// deadline or a disconnect are ignored.
+    /// Writes what every socket will take. A socket that fails ends its
+    /// request as [`Terminal::Disconnected`]; a finished response drops
+    /// its socket. Returns whether bytes are still waiting.
+    fn flush(&mut self) -> bool {
+        let now = Instant::now();
+        let mut failed = Vec::new();
+        let mut backlogged = false;
+        self.outboxes.retain(|&id, outbox| match outbox.flush(now) {
+            Ok(done) => {
+                backlogged |= outbox.is_pending();
+                !done
+            }
+            Err(_) => {
+                failed.push(id);
+                false
+            }
+        });
+        for id in failed {
+            self.close(id, Terminal::Disconnected);
+        }
+        backlogged
+    }
+
+    /// Queues `bytes` for request `id`'s socket; `last` ends its response.
+    /// A client too far behind to take them is disconnected.
+    fn send(&mut self, id: RequestId, bytes: &[u8], last: bool) {
+        let Some(outbox) = self.outboxes.get_mut(&id) else {
+            return;
+        };
+        if !outbox.push(bytes, last) {
+            self.outboxes.remove(&id);
+            self.close(id, Terminal::Disconnected);
+        }
+    }
+
+    /// Ends request `id` with `terminal`. The only code that drops a
+    /// routing entry, counts a terminal, traces `GatewayStreamClosed` and
+    /// queues the terminal bytes. A request already closed is left alone,
+    /// so the sim events that still arrive for it after a deadline or a
+    /// disconnect are ignored.
     fn close(&mut self, id: RequestId, terminal: Terminal) {
         let Some(state) = self.streams.remove(&id) else {
             return;
@@ -533,123 +515,50 @@ impl Driver {
             delivered_tokens: state.tokens,
         });
         let drop_event = |name: &str, reason: DropReason| {
-            SseEvent::named(name, String::from_utf8_lossy(&api::drop_body(reason)))
+            sse_last_chunk(&SseEvent::named(
+                name,
+                String::from_utf8_lossy(&api::drop_body(reason)),
+            ))
         };
         let since_submit = |t: SimTime| t.saturating_since(state.submitted_at).as_secs_f64();
-        let (update, event) = match terminal {
-            Terminal::Done(at) => (
-                StreamUpdate::Done {
-                    tokens: state.tokens,
-                    ttft_virtual_secs: since_submit(state.first_token_at.unwrap_or(at)),
-                    latency_virtual_secs: since_submit(at),
-                },
-                SseEvent::data(api::DONE_SENTINEL),
+        let deadline = DropReason::DeadlineExceeded;
+        let bytes = match (terminal, state.sse) {
+            (Terminal::Done(_), true) => sse_last_chunk(&SseEvent::data(api::DONE_SENTINEL)),
+            (Terminal::Done(at), false) => http::simple_response(
+                200,
+                "application/json",
+                &api::completion_body(
+                    id,
+                    state.prompt_tokens,
+                    state.tokens,
+                    since_submit(state.first_token_at.unwrap_or(at)),
+                    since_submit(at),
+                ),
             ),
-            Terminal::Dropped(reason) => (
-                StreamUpdate::Aborted { reason },
-                drop_event("error", reason),
-            ),
-            Terminal::Deadline => {
-                let reason = DropReason::DeadlineExceeded;
-                (
-                    StreamUpdate::Aborted { reason },
-                    drop_event(reason.label(), reason),
-                )
-            }
+            (Terminal::Dropped(reason), true) => drop_event("error", reason),
+            (Terminal::Deadline, true) => drop_event(deadline.label(), deadline),
+            (Terminal::Dropped(reason), false) => drop_response(reason),
+            (Terminal::Deadline, false) => drop_response(deadline),
             // The sim keeps producing tokens for the request; with the
             // routing entry gone they are dropped on the floor, which is
             // exactly what a vanished client deserves.
-            Terminal::Disconnected => return,
+            (Terminal::Disconnected, _) => {
+                self.outboxes.remove(&id);
+                return;
+            }
         };
-        state.sink.deliver(id, update, || event);
+        self.send(id, &bytes, true);
     }
 
     fn handle(&mut self, msg: Msg, vnow: SimTime) {
         match msg {
-            Msg::Submit {
-                prompt_tokens,
-                output_tokens,
-                tier,
-                timeout_secs,
-                session,
-                verdict,
-                sink,
-            } => {
-                if self.report.error.is_some() {
-                    // A failed session admits nothing; surface as shed.
-                    let _ = verdict.send(Err(DropReason::Shed));
-                    return;
-                }
-                let id = RequestId(self.next_id);
-                self.next_id += 1;
-                self.report.submitted += 1;
-                let mut req = Request::new(id, vnow, prompt_tokens, output_tokens).with_tier(tier);
-                if let Some(key) = session {
-                    let tag = self.session_turn(key, prompt_tokens, output_tokens);
-                    req = req.with_session(tag.0, tag.1, tag.2);
-                }
-                self.session.inject(req);
-                self.session.emit_trace(TraceEvent::GatewaySubmitted {
-                    id,
-                    prompt_tokens,
-                    output_tokens,
-                    streamed: matches!(sink, Sink::Pump { .. }),
-                });
-                // Pump past the arrival instant: an admission rejection
-                // (queue cap, token budget, shed-on-admit) shows up as a
-                // Dropped event for this id before any token can.
-                if let Err(e) = self.session.pump_until(vnow) {
-                    self.report.error = Some(e.to_string());
-                    let _ = verdict.send(Err(DropReason::Shed));
-                    return;
-                }
-                let mut admission = Ok(id);
-                for ev in self.session.drain_live_events() {
-                    match ev {
-                        LiveEvent::Dropped {
-                            id: dropped,
-                            reason,
-                            ..
-                        } if dropped == id => {
-                            admission = Err(reason);
-                        }
-                        other => self.route_one(other),
-                    }
-                }
-                match admission {
-                    Ok(id) => {
-                        // The wall-clock budget maps to virtual time with
-                        // the same scale the clock uses, so "2s real"
-                        // means the same thing to the deadline as it
-                        // does to token pacing.
-                        let deadline = timeout_secs
-                            .filter(|secs| secs.is_finite() && *secs > 0.0)
-                            .map(|secs| vnow + SimDuration::from_secs_f64(secs * self.scale));
-                        self.streams.insert(
-                            id,
-                            StreamState {
-                                sink,
-                                submitted_at: vnow,
-                                first_token_at: None,
-                                tokens: 0,
-                                deadline,
-                            },
-                        );
-                        let _ = verdict.send(Ok(id));
-                    }
-                    Err(reason) => {
-                        self.report.rejected += 1;
-                        let _ = verdict.send(Err(reason));
-                    }
-                }
-            }
+            Msg::Submit(sub) => self.submit(sub, vnow),
             Msg::Snapshot { reply } => {
                 let _ = reply.send(self.session.snapshot());
             }
             Msg::Trace(ev) => {
                 self.session.emit_trace(ev);
             }
-            Msg::StreamDead(id) => self.close(id, Terminal::Disconnected),
             Msg::Stall(dur) => {
                 std::thread::sleep(dur.min(MAX_DRIVER_STALL));
             }
@@ -658,13 +567,113 @@ impl Driver {
         }
     }
 
+    /// Injects a submission at `vnow` and decides its admission at once:
+    /// an admitted request gets a routing entry (and an SSE head when it
+    /// streams), a rejected one its typed `429`/`503`. Both outcomes feed
+    /// the health machine before any byte reaches the client.
+    fn submit(&mut self, sub: Submission, vnow: SimTime) {
+        let Submission {
+            req: creq,
+            timeout_secs,
+            session,
+            write_stall,
+            sock,
+        } = sub;
+        // A socket that cannot take non-blocking writes would stall the
+        // driver on its first write: drop it unanswered.
+        let Ok(outbox) = Outbox::new(sock, write_stall) else {
+            return;
+        };
+        let id = RequestId(self.next_id);
+        self.next_id += 1;
+        self.outboxes.insert(id, outbox);
+        let admission = self.admit(id, creq, session, vnow);
+        for signal in self.health.record(admission.is_err()) {
+            self.session.emit_trace(signal.into());
+        }
+        match admission {
+            Ok(()) => {
+                // The wall-clock budget maps to virtual time with the same
+                // scale the clock uses, so "2s real" means the same thing
+                // to the deadline as it does to token pacing.
+                let deadline = timeout_secs
+                    .filter(|secs| secs.is_finite() && *secs > 0.0)
+                    .map(|secs| vnow + SimDuration::from_secs_f64(secs * self.scale));
+                self.streams.insert(
+                    id,
+                    StreamState {
+                        sse: creq.stream,
+                        prompt_tokens: creq.prompt_tokens,
+                        submitted_at: vnow,
+                        first_token_at: None,
+                        tokens: 0,
+                        deadline,
+                    },
+                );
+                if creq.stream {
+                    self.send(id, &sse_response_head(), false);
+                }
+            }
+            Err(reason) => self.send(id, &drop_response(reason), true),
+        }
+    }
+
+    /// Injects request `id` and pumps past its arrival instant: an
+    /// admission rejection (queue cap, token budget, shed-on-admit) shows
+    /// up as a `Dropped` event for this id before any token can. A failed
+    /// session admits nothing and answers as shed.
+    fn admit(
+        &mut self,
+        id: RequestId,
+        creq: CompletionRequest,
+        session: Option<String>,
+        vnow: SimTime,
+    ) -> Result<(), DropReason> {
+        if self.report.error.is_some() {
+            return Err(DropReason::Shed);
+        }
+        self.report.submitted += 1;
+        let (prompt_tokens, output_tokens) = (creq.prompt_tokens, creq.max_tokens);
+        let mut req = Request::new(id, vnow, prompt_tokens, output_tokens).with_tier(creq.tier);
+        if let Some(key) = session {
+            let tag = self.session_turn(key, prompt_tokens, output_tokens);
+            req = req.with_session(tag.0, tag.1, tag.2);
+        }
+        self.session.inject(req);
+        self.session.emit_trace(TraceEvent::GatewaySubmitted {
+            id,
+            prompt_tokens,
+            output_tokens,
+            streamed: creq.stream,
+        });
+        if let Err(e) = self.session.pump_until(vnow) {
+            self.report.error = Some(e.to_string());
+            return Err(DropReason::Shed);
+        }
+        let mut admission = Ok(());
+        for ev in self.session.drain_live_events() {
+            match ev {
+                LiveEvent::Dropped {
+                    id: dropped,
+                    reason,
+                    ..
+                } if dropped == id => admission = Err(reason),
+                other => self.route_one(other),
+            }
+        }
+        if admission.is_err() {
+            self.report.rejected += 1;
+        }
+        admission
+    }
+
     fn route_live_events(&mut self) {
         for ev in self.session.drain_live_events() {
             self.route_one(ev);
         }
     }
 
-    /// Delivers one live event to its request's sink.
+    /// Delivers one live event to its request.
     fn route_one(&mut self, ev: LiveEvent) {
         let id = ev.request_id();
         match ev {
@@ -677,15 +686,10 @@ impl Driver {
                 let index = state.tokens;
                 state.tokens += 1;
                 state.first_token_at.get_or_insert(at);
-                let virtual_secs = at.as_secs_f64();
-                state.sink.deliver(
-                    id,
-                    StreamUpdate::Token {
-                        index,
-                        virtual_secs,
-                    },
-                    || SseEvent::data(api::token_event_json(id, index, virtual_secs)),
-                );
+                if state.sse {
+                    let event = SseEvent::data(api::token_event_json(id, index, at.as_secs_f64()));
+                    self.send(id, &encode_chunk(&event.encode()), false);
+                }
             }
             LiveEvent::Finished { at, .. } => self.close(id, Terminal::Done(at)),
             LiveEvent::Dropped { reason, .. } => self.close(id, Terminal::Dropped(reason)),
@@ -693,10 +697,22 @@ impl Driver {
     }
 }
 
+/// `event` as the last HTTP chunk of an SSE body, followed by the
+/// chunk that ends the body.
+fn sse_last_chunk(event: &SseEvent) -> Vec<u8> {
+    let mut bytes = encode_chunk(&event.encode());
+    bytes.extend_from_slice(LAST_CHUNK);
+    bytes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::ResponseParser;
+    use crate::sse::SseParser;
     use proptest::prelude::*;
+    use std::io::Read;
+    use std::net::TcpListener;
     use windserve::SystemKind;
 
     fn test_config() -> ServeConfig {
@@ -762,28 +778,72 @@ mod tests {
         }
     }
 
+    /// Submits a completion on a fresh loopback connection and returns the
+    /// client's end, from which the driver's response is read.
+    fn submit(
+        handle: &DriverHandle,
+        body: &str,
+        timeout_secs: Option<f64>,
+        session: Option<&str>,
+    ) -> TcpStream {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let (sock, _) = listener.accept().unwrap();
+        let req = CompletionRequest::from_json(body.as_bytes()).unwrap();
+        handle
+            .submit(Submission {
+                req,
+                timeout_secs,
+                session: session.map(str::to_string),
+                write_stall: None,
+                sock,
+            })
+            .expect("the driver is running");
+        client
+    }
+
+    /// Reads `client` until the response is complete.
+    fn response(client: &mut TcpStream) -> ResponseParser {
+        let mut parser = ResponseParser::new();
+        let mut buf = [0u8; 4096];
+        while !parser.is_done() {
+            let n = client.read(&mut buf).unwrap();
+            assert!(n > 0, "the driver closed the socket mid-response");
+            parser.feed(&buf[..n]).unwrap();
+        }
+        parser
+    }
+
+    /// Reads a unary response's status and JSON body.
+    fn json_response(client: &mut TcpStream) -> (Option<u16>, serde_json::Value) {
+        let mut parser = response(client);
+        let body = serde_json::from_str(std::str::from_utf8(&parser.take_body()).unwrap()).unwrap();
+        (parser.status(), body)
+    }
+
     #[test]
     fn a_live_request_streams_tokens_then_done() {
-        let driver = SimDriver::spawn(test_config(), 1000.0).unwrap();
+        let driver = SimDriver::spawn(test_config(), 1000.0, Arc::new(Health::new())).unwrap();
         let handle = driver.handle();
-        let (tx, rx) = mpsc::channel();
-        let id = handle
-            .submit(64, 4, 0, None, None, Sink::Channel(tx))
-            .unwrap();
-        assert_eq!(id, RequestId(0));
-        let mut tokens = 0u32;
-        let done = loop {
-            match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
-                StreamUpdate::Token { index, .. } => {
-                    assert_eq!(index, tokens, "token order");
-                    tokens += 1;
-                }
-                StreamUpdate::Done { tokens: n, .. } => break n,
-                StreamUpdate::Aborted { reason } => panic!("aborted: {reason:?}"),
-            }
-        };
-        assert_eq!(done, 4);
-        assert_eq!(tokens, 4);
+        let mut client = submit(
+            &handle,
+            r#"{"prompt_tokens": 64, "max_tokens": 4, "stream": true}"#,
+            None,
+            None,
+        );
+        let mut parser = response(&mut client);
+        assert_eq!(parser.status(), Some(200));
+        let events = SseParser::new().feed(&parser.take_body());
+        assert_eq!(events.len(), 5, "4 tokens + [DONE]: {events:?}");
+        for (index, ev) in events[..4].iter().enumerate() {
+            let v: serde_json::Value = serde_json::from_str(&ev.data).unwrap();
+            assert_eq!(v["id"].as_str(), Some("cmpl-0"));
+            assert_eq!(v["token_index"].as_u64(), Some(index as u64), "token order");
+        }
+        assert_eq!(events[4].data, api::DONE_SENTINEL);
         let report = driver.shutdown();
         assert_eq!(report.submitted, 1);
         assert_eq!(report.completed, 1);
@@ -793,24 +853,21 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_live_state() {
-        let driver = SimDriver::spawn(test_config(), 1000.0).unwrap();
+        let driver = SimDriver::spawn(test_config(), 1000.0, Arc::new(Health::new())).unwrap();
         let handle = driver.handle();
         let snap = handle.snapshot().unwrap();
         assert_eq!(snap.completed_requests, 0);
         assert!(!snap.instances.is_empty());
-        let (tx, rx) = mpsc::channel();
-        handle
-            .submit(64, 2, 0, None, None, Sink::Channel(tx))
-            .unwrap();
         // Wait for completion, then the snapshot must count it.
-        loop {
-            if matches!(
-                rx.recv_timeout(Duration::from_secs(30)).unwrap(),
-                StreamUpdate::Done { .. }
-            ) {
-                break;
-            }
-        }
+        let mut client = submit(
+            &handle,
+            r#"{"prompt_tokens": 64, "max_tokens": 2}"#,
+            None,
+            None,
+        );
+        let (status, body) = json_response(&mut client);
+        assert_eq!(status, Some(200));
+        assert_eq!(body["usage"]["completion_tokens"].as_u64(), Some(2));
         let snap = handle.snapshot().unwrap();
         assert_eq!(snap.completed_requests, 1);
         driver.shutdown();
@@ -826,20 +883,24 @@ mod tests {
         });
         // Freeze virtual time (tiny scale): nothing completes while we
         // overfill the admission cap.
-        let driver = SimDriver::spawn(cfg, 1e-6).unwrap();
+        let health = Arc::new(Health::new());
+        let driver = SimDriver::spawn(cfg, 1e-6, Arc::clone(&health)).unwrap();
         let handle = driver.handle();
-        let (tx, _rx) = mpsc::channel();
-        assert!(handle
-            .submit(64, 4, 0, None, None, Sink::Channel(tx.clone()))
-            .is_ok());
-        let err = handle
-            .submit(64, 4, 0, None, None, Sink::Channel(tx))
-            .expect_err("cap of 1 must reject the second live request");
-        match err {
-            SubmitError::Dropped(reason) => assert_eq!(reason.http_status(), 429),
-            SubmitError::Unavailable => panic!("driver died"),
-        }
+        let body = r#"{"prompt_tokens": 64, "max_tokens": 4}"#;
+        let admitted = submit(&handle, body, None, None);
+        let mut rejected = submit(&handle, body, None, None);
+        let mut parser = response(&mut rejected);
+        assert_eq!(
+            parser.status(),
+            Some(429),
+            "cap of 1 must reject the second live request"
+        );
+        assert_eq!(parser.header("retry-after"), Some("1"));
+        assert_eq!(parser.take_body(), api::drop_body(DropReason::QueueFull));
+        // The driver recorded both outcomes before answering.
+        assert_eq!(health.snapshot().window_samples, 2);
         let report = driver.shutdown();
+        drop(admitted);
         assert_eq!(report.rejected, 1);
         assert_eq!(report.completed, 1);
     }
@@ -848,23 +909,16 @@ mod tests {
     fn session_turns_share_a_prefix_and_hit_the_cache() {
         let mut cfg = test_config();
         cfg.prefix_cache = Some(windserve::PrefixCacheConfig::default());
-        let driver = SimDriver::spawn(cfg, 1000.0).unwrap();
+        let driver = SimDriver::spawn(cfg, 1000.0, Arc::new(Health::new())).unwrap();
         let handle = driver.handle();
         // Three turns of one conversation: each prompt embeds the history,
         // so follow-ups carry a growing shared prefix.
         for turn in 0..3u32 {
-            let (tx, rx) = mpsc::channel();
             let prompt = 256 * (turn + 1);
-            handle
-                .submit(prompt, 8, 0, None, Some("conv-1".into()), Sink::Channel(tx))
-                .unwrap();
-            loop {
-                match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
-                    StreamUpdate::Done { .. } => break,
-                    StreamUpdate::Aborted { reason } => panic!("aborted: {reason:?}"),
-                    StreamUpdate::Token { .. } => {}
-                }
-            }
+            let body = format!(r#"{{"prompt_tokens": {prompt}, "max_tokens": 8}}"#);
+            let mut client = submit(&handle, &body, None, Some("conv-1"));
+            let (status, body) = json_response(&mut client);
+            assert_eq!(status, Some(200), "{body}");
         }
         let snap = handle.snapshot().unwrap();
         assert!(
@@ -884,19 +938,17 @@ mod tests {
     fn deadlines_kill_streams_with_a_typed_abort() {
         // Freeze virtual time (tiny scale): the request can never finish
         // on its own, so only the deadline can end it.
-        let driver = SimDriver::spawn(test_config(), 1e-6).unwrap();
+        let driver = SimDriver::spawn(test_config(), 1e-6, Arc::new(Health::new())).unwrap();
         let handle = driver.handle();
-        let (tx, rx) = mpsc::channel();
-        handle
-            .submit(64, 64, 0, Some(0.05), None, Sink::Channel(tx))
-            .unwrap();
-        let update = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(
-            update,
-            StreamUpdate::Aborted {
-                reason: DropReason::DeadlineExceeded
-            }
+        let mut client = submit(
+            &handle,
+            r#"{"prompt_tokens": 64, "max_tokens": 64}"#,
+            Some(0.05),
+            None,
         );
+        let (status, body) = json_response(&mut client);
+        assert_eq!(status, Some(503));
+        assert_eq!(body["error"]["type"].as_str(), Some("deadline-exceeded"));
         let report = driver.shutdown();
         assert_eq!(report.deadline_exceeded, 1);
         assert_eq!(report.completed, 0);

@@ -23,7 +23,7 @@ use windserve_trace::TraceEvent;
 
 /// The gateway-wide health state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum HealthState {
+pub(crate) enum HealthState {
     /// Admission outcomes are predominantly successful.
     Healthy,
     /// The rolling error/shed rate crossed the degrade threshold; the
@@ -135,7 +135,7 @@ impl From<HealthSignal> for TraceEvent {
 /// A point-in-time health snapshot for `/healthz` and the cluster
 /// status endpoint.
 #[derive(Debug, Clone, Serialize)]
-pub struct HealthSnapshot {
+pub(crate) struct HealthSnapshot {
     /// The gateway-wide state label.
     pub status: &'static str,
     /// Error/shed fraction over the rolling window.
@@ -189,7 +189,7 @@ impl Inner {
 /// every verdict. Lock poisoning recovers the guard (the state is a few
 /// counters; a panicked recorder cannot corrupt it structurally).
 #[derive(Debug)]
-pub struct Health {
+pub(crate) struct Health {
     inner: Mutex<Inner>,
 }
 

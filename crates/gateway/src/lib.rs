@@ -12,13 +12,15 @@
 //!   node/endpoint registry and versioned placement plan.
 //! - `GET /healthz` — liveness.
 //!
-//! Behind the listener sits the [`driver::SimDriver`]: one thread owning
-//! a [`ClusterSession`](windserve::ClusterSession), mapping wall-clock
-//! time onto virtual time (`virtual_now = real_elapsed × time_scale`)
-//! and routing per-token live events back to open response streams
-//! through the `pump::StreamPump`. Overload control inside the
-//! simulator surfaces as real `429`/`503` responses with typed JSON
-//! bodies.
+//! Behind the listener sits the `SimDriver`: one thread owning a
+//! [`ClusterSession`](windserve::ClusterSession), mapping wall-clock
+//! time onto virtual time (`virtual_now = real_elapsed × time_scale`).
+//! A worker hands each completion request to it together with the
+//! accepted socket, and from then on the driver is the only writer of
+//! that socket: the admission verdict, every per-token SSE event and the
+//! terminal, or a unary request's whole JSON body. Overload control
+//! inside the simulator surfaces as real `429`/`503` responses with
+//! typed JSON bodies.
 //!
 //! [`loadgen`] closes the loop: an open-loop Poisson client that holds
 //! thousands of concurrent SSE streams against the server and reports
@@ -27,21 +29,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod api;
+mod api;
 pub mod driver;
-pub mod envelope;
-pub mod health;
+mod envelope;
+mod health;
 pub mod http;
 pub mod loadgen;
-pub mod pool;
-pub mod pump;
-pub mod registry;
+mod outbox;
+mod pool;
+mod registry;
 pub mod server;
 pub mod sse;
 
-pub use api::CompletionRequest;
-pub use driver::{DriverHandle, DriverReport, SimDriver, StreamUpdate, SubmitError};
+pub use driver::DriverReport;
 pub use envelope::{json_envelope, ENVELOPE_SCHEMA_VERSION};
-pub use health::{Health, HealthSnapshot, HealthState};
 pub use loadgen::{LoadReport, LoadgenConfig};
 pub use server::{Gateway, GatewayConfig, GatewayReport};

@@ -1,49 +1,45 @@
 //! The gateway server: listener, routing, and the data-plane glue
-//! between HTTP connections and the [`SimDriver`].
+//! between HTTP connections and the `SimDriver`.
 //!
 //! Threading model: one acceptor thread, a bounded `WorkerPool` that
-//! parses requests and writes response heads, one `StreamPump` thread
-//! that owns every open SSE socket, and one driver thread that owns the
-//! simulation. A worker is occupied only for the life of a request's
-//! *head* — a streaming response parks its socket on the pump and frees
-//! the worker immediately, which is how a small pool sustains thousands
-//! of concurrent streams.
+//! parses and gates requests, and one driver thread that owns the
+//! simulation. A worker answers what it can alone (health, status,
+//! errors, gate rejections) and hands every completion, socket and all,
+//! to the driver with `DriverHandle::submit`; from then on only the
+//! driver writes to that socket — the admission verdict, the SSE stream
+//! or the unary body. No worker waits on a completion, which is how a
+//! small pool sustains thousands of concurrent requests.
 //!
-//! Resilience: every admission passes the [`Health`] gate (draining and
+//! Resilience: every admission passes the `Health` gate (draining and
 //! circuit-breaker fast-fails answer `503` + `Retry-After` without
 //! touching the driver), per-request deadlines propagate to the driver,
-//! dead SSE sockets are reported back so the driver reclaims their
-//! streams, and an optional seeded [`NetFaultPlan`] injects network
-//! chaos (connection resets, slow-loris reads, stalled writes, worker
-//! panics, driver stalls) at the transport layer.
+//! a socket that fails a write ends its request as a disconnect, and an
+//! optional seeded [`NetFaultPlan`] injects network chaos (connection
+//! resets, slow-loris reads, stalled writes, worker panics, driver
+//! stalls) at the transport layer.
 
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use serde_json::Value;
 use windserve::{Error, ServeConfig};
 use windserve_faults::{NetFaultKind, NetFaultPlan, NetFaultRecord};
 use windserve_trace::TraceEvent;
-use windserve_workload::RequestId;
 
-use crate::api::{self, CompletionRequest};
-use crate::driver::{DriverHandle, DriverReport, SimDriver, Sink, StreamUpdate, SubmitError};
+use crate::api::{self, CompletionRequest, RETRY_AFTER_SECS};
+use crate::driver::{DriverHandle, DriverReport, SimDriver, Submission};
 use crate::envelope::json_envelope;
 use crate::health::{Gate, Health};
 use crate::http::{self, HttpRequest};
 use crate::pool::WorkerPool;
-use crate::pump::{PumpHandle, StreamPump};
 use crate::registry::Registry;
 
 /// Cap on injected slow-loris / stalled-write delays so a chaos plan can
 /// slow the gateway, never wedge it.
 const MAX_INJECTED_DELAY: Duration = Duration::from_secs(2);
-
-/// `Retry-After` seconds suggested on admission rejections and drain.
-const RETRY_AFTER_SECS: u64 = 1;
 
 /// How the gateway is stood up.
 #[derive(Debug, Clone)]
@@ -55,7 +51,7 @@ pub struct GatewayConfig {
     /// Bind port; `0` picks an ephemeral port (read it back via
     /// [`Gateway::addr`]).
     pub port: u16,
-    /// Worker threads parsing requests and writing response heads.
+    /// Worker threads parsing and gating requests.
     pub workers: usize,
     /// Virtual seconds simulated per real second.
     pub time_scale: f64,
@@ -100,7 +96,6 @@ pub struct GatewayReport {
 /// Everything a worker needs to answer a request.
 struct Ctx {
     handle: DriverHandle,
-    pump: PumpHandle,
     health: Arc<Health>,
     /// Static control-plane registry, serialized once at startup.
     registry: Value,
@@ -116,12 +111,11 @@ struct Ctx {
     fault_log: Arc<Mutex<Vec<NetFaultRecord>>>,
 }
 
-/// A running gateway: listener + workers + pump + driver.
+/// A running gateway: listener + workers + driver.
 pub struct Gateway {
     local_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandleWorkerPool>,
-    pump: StreamPump,
     driver: SimDriver,
     handle: DriverHandle,
     health: Arc<Health>,
@@ -154,18 +148,9 @@ impl Gateway {
         }
         let registry = serde_json::to_value(&Registry::from_config(&gw.cfg)?);
         let max_context = gw.cfg.model.max_context;
-        let driver = SimDriver::spawn(gw.cfg, gw.time_scale)?;
+        let health = Arc::new(Health::new());
+        let driver = SimDriver::spawn(gw.cfg, gw.time_scale, Arc::clone(&health))?;
         let handle = driver.handle();
-        // Dead SSE sockets loop back to the driver so it reclaims the
-        // stream instead of feeding a vanished client forever. Pump
-        // streams are keyed by request id.
-        let pump = {
-            let handle = handle.clone();
-            StreamPump::with_notifier(Box::new(move |id| handle.stream_dead(RequestId(id))))
-                .map_err(|e| Error::Gateway {
-                    reason: format!("spawn pump: {e}"),
-                })?
-        };
         let listener =
             TcpListener::bind((gw.addr.as_str(), gw.port)).map_err(|e| Error::Gateway {
                 reason: format!("bind {}:{}: {e}", gw.addr, gw.port),
@@ -173,11 +158,9 @@ impl Gateway {
         let local_addr = listener.local_addr().map_err(|e| Error::Gateway {
             reason: format!("local_addr: {e}"),
         })?;
-        let health = Arc::new(Health::new());
         let fault_log = Arc::new(Mutex::new(Vec::new()));
         let ctx = Arc::new(Ctx {
             handle: handle.clone(),
-            pump: pump.handle(),
             health: Arc::clone(&health),
             registry,
             max_context,
@@ -205,7 +188,6 @@ impl Gateway {
             local_addr,
             stop,
             acceptor: Some(acceptor),
-            pump,
             driver,
             handle,
             health,
@@ -243,7 +225,6 @@ impl Gateway {
             }
         }
         let driver = self.driver.shutdown();
-        self.pump.shutdown();
         let net_faults = self
             .fault_log
             .lock()
@@ -407,15 +388,25 @@ fn handle_status(sock: &mut TcpStream, ctx: &Ctx) {
 
 /// The request's wall-clock budget: the `x-request-timeout-ms` header
 /// wins over the gateway default.
-fn effective_timeout_secs(req: &HttpRequest, ctx: &Ctx) -> Option<f64> {
-    req.header("x-request-timeout-ms")
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(|ms| ms as f64 / 1_000.0)
-        .or(ctx.request_timeout_secs)
+///
+/// # Errors
+///
+/// The header is present but not a whole number of milliseconds.
+fn effective_timeout_secs(req: &HttpRequest, ctx: &Ctx) -> Result<Option<f64>, String> {
+    match req.header("x-request-timeout-ms") {
+        Some(v) => v
+            .trim()
+            .parse::<u64>()
+            .map(|ms| Some(ms as f64 / 1_000.0))
+            .map_err(|_| {
+                format!("x-request-timeout-ms must be a whole number of milliseconds, got {v:?}")
+            }),
+        None => Ok(ctx.request_timeout_secs),
+    }
 }
 
-/// `POST /v1/completions`: health gate, admission, then either a parked
-/// SSE stream or a blocking unary response.
+/// `POST /v1/completions`: health gate and validation, then hand the
+/// request and its socket to the driver, which writes the response.
 fn handle_completion(
     mut sock: TcpStream,
     req: &HttpRequest,
@@ -448,8 +439,10 @@ fn handle_completion(
             return;
         }
     }
-    let creq = match CompletionRequest::from_json(&req.body) {
-        Ok(creq) => creq,
+    let parsed = CompletionRequest::from_json(&req.body)
+        .and_then(|creq| Ok((creq, effective_timeout_secs(req, ctx)?)));
+    let (creq, timeout_secs) = match parsed {
+        Ok(parsed) => parsed,
         Err(reason) => {
             let _ = sock.write_all(&http::simple_response(
                 400,
@@ -474,12 +467,11 @@ fn handle_completion(
         ));
         return;
     }
+    let capped = |ms: u64| Duration::from_millis(ms).min(MAX_INJECTED_DELAY);
     if let Some(NetFaultKind::DriverStall { stall_ms }) = &fault {
         // The driver thread itself lags: every live stream feels it.
-        ctx.handle
-            .stall(Duration::from_millis(*stall_ms).min(MAX_INJECTED_DELAY));
+        ctx.handle.stall(capped(*stall_ms));
     }
-    let timeout_secs = effective_timeout_secs(req, ctx);
     // A client that tags its turns with `x-session-id` gets them treated
     // as one conversation: the driver assigns a session, counts turns,
     // and marks the shared prefix for prefix caching.
@@ -488,109 +480,25 @@ fn handle_completion(
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .map(str::to_string);
-    if creq.stream {
-        let result = ctx.handle.submit(
-            creq.prompt_tokens,
-            creq.max_tokens,
-            creq.tier,
-            timeout_secs,
-            session,
-            Sink::Pump(ctx.pump.clone()),
-        );
-        for signal in ctx.health.record(result.is_err()) {
-            ctx.handle.emit_trace(signal.into());
-        }
-        match result {
-            Ok(id) => {
-                if sock.write_all(&http::sse_response_head()).is_ok() {
-                    ctx.pump.register(id.0, sock);
-                    if let Some(NetFaultKind::StalledWrite { stall_ms }) = &fault {
-                        // Buffered SSE bytes sit in the pump for the
-                        // stall window before flushing resumes.
-                        ctx.pump.stall(
-                            id.0,
-                            Duration::from_millis(*stall_ms).min(MAX_INJECTED_DELAY),
-                        );
-                    }
-                }
-                // Token frames queued before registration are buffered by
-                // the pump; the worker is free as soon as the head is out.
-            }
-            Err(e) => write_submit_error(&mut sock, &e),
-        }
-    } else {
-        if let Some(NetFaultKind::StalledWrite { stall_ms }) = &fault {
-            // Unary responses stall before any byte is written.
-            std::thread::sleep(Duration::from_millis(*stall_ms).min(MAX_INJECTED_DELAY));
-        }
-        let (tx, rx) = mpsc::channel();
-        let result = ctx.handle.submit(
-            creq.prompt_tokens,
-            creq.max_tokens,
-            creq.tier,
-            timeout_secs,
-            session,
-            Sink::Channel(tx),
-        );
-        for signal in ctx.health.record(result.is_err()) {
-            ctx.handle.emit_trace(signal.into());
-        }
-        match result {
-            Ok(id) => loop {
-                match rx.recv() {
-                    Ok(StreamUpdate::Token { .. }) => {}
-                    Ok(StreamUpdate::Done {
-                        tokens,
-                        ttft_virtual_secs,
-                        latency_virtual_secs,
-                    }) => {
-                        let body = api::completion_body(
-                            id,
-                            creq.prompt_tokens,
-                            tokens,
-                            ttft_virtual_secs,
-                            latency_virtual_secs,
-                        );
-                        let _ =
-                            sock.write_all(&http::simple_response(200, "application/json", &body));
-                        return;
-                    }
-                    Ok(StreamUpdate::Aborted { reason }) => {
-                        let _ = sock.write_all(&http::response_with_headers(
-                            reason.http_status(),
-                            "application/json",
-                            &[("Retry-After", &RETRY_AFTER_SECS.to_string())],
-                            &api::drop_body(reason),
-                        ));
-                        return;
-                    }
-                    Err(_) => {
-                        let _ = sock.write_all(&http::simple_response(
-                            503,
-                            "application/json",
-                            &api::error_body(503, "unavailable", "driver went away"),
-                        ));
-                        return;
-                    }
-                }
-            },
-            Err(e) => write_submit_error(&mut sock, &e),
-        }
-    }
-}
-
-fn write_submit_error(sock: &mut TcpStream, err: &SubmitError) {
-    let (status, body) = match err {
-        SubmitError::Dropped(reason) => (reason.http_status(), api::drop_body(*reason)),
-        SubmitError::Unavailable => (
-            503u16,
-            api::error_body(503, "unavailable", "the gateway is shutting down"),
-        ),
+    let submission = Submission {
+        req: creq,
+        timeout_secs,
+        session,
+        // The response's bytes, head included, wait out the stall.
+        write_stall: match &fault {
+            Some(NetFaultKind::StalledWrite { stall_ms }) => Some(capped(*stall_ms)),
+            _ => None,
+        },
+        sock,
     };
-    let _ = sock.write_all(&http::response_with_headers(
-        status,
-        "application/json",
-        &[("Retry-After", &RETRY_AFTER_SECS.to_string())],
-        &body,
-    ));
+    // The socket comes back only when the driver is gone; nothing else
+    // writes to it once the driver holds it.
+    if let Err(mut sock) = ctx.handle.submit(submission) {
+        let _ = sock.write_all(&http::response_with_headers(
+            503,
+            "application/json",
+            &[("Retry-After", &RETRY_AFTER_SECS.to_string())],
+            &api::error_body(503, "unavailable", "the gateway is shutting down"),
+        ));
+    }
 }

@@ -271,6 +271,20 @@ fn malformed_requests_get_typed_errors_and_service_continues() {
     );
     assert_eq!(parser.status(), Some(400));
 
+    // A deadline header that is not a whole number of milliseconds.
+    for bad in ["soon", "-5"] {
+        let mut req = completion_request(r#"{"prompt_tokens": 32, "max_tokens": 2}"#);
+        req.headers
+            .push(("x-request-timeout-ms".to_string(), bad.to_string()));
+        let mut parser = exchange(addr, &req);
+        assert_eq!(parser.status(), Some(400), "{bad}");
+        let body: Value =
+            serde_json::from_str(std::str::from_utf8(&parser.take_body()).unwrap()).unwrap();
+        assert_eq!(body["error"]["type"].as_str(), Some("bad-request"));
+        let message = body["error"]["message"].as_str().unwrap();
+        assert!(message.contains("x-request-timeout-ms"), "{message}");
+    }
+
     // Raw garbage that is not HTTP at all: the server answers 400 or
     // just closes the socket; either way it must not hang or die.
     let mut sock = TcpStream::connect(addr).expect("connect");
@@ -333,4 +347,80 @@ fn concurrent_streams_of_different_lengths_get_every_token() {
     let report = gw.shutdown();
     assert_eq!(report.driver.completed, 8);
     assert!(report.driver.error.is_none(), "{:?}", report.driver.error);
+}
+
+/// A unary completion in flight holds no worker: with one worker and
+/// frozen virtual time, `/healthz` still answers at once.
+#[test]
+fn healthz_answers_while_a_unary_completion_is_in_flight() {
+    let mut gw = GatewayConfig::local(ServeConfig::opt_13b_sharegpt(SystemKind::WindServe));
+    gw.workers = 1;
+    gw.time_scale = 1e-6;
+    let gw = Gateway::start(gw).unwrap();
+    let addr = gw.addr();
+    let mut unary = TcpStream::connect(addr).unwrap();
+    unary
+        .write_all(&completion_request(r#"{"prompt_tokens": 64, "max_tokens": 8}"#).encode())
+        .unwrap();
+    let mut probe = TcpStream::connect(addr).unwrap();
+    probe
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    probe
+        .write_all(&HttpRequest::new("GET", "/healthz", Vec::new()).encode())
+        .unwrap();
+    let mut raw = Vec::new();
+    probe
+        .read_to_end(&mut raw)
+        .expect("/healthz must answer within 2 s");
+    let mut parser = ResponseParser::new();
+    parser.feed(&raw).unwrap();
+    assert_eq!(parser.status(), Some(200));
+    let report = gw.shutdown();
+    drop(unary);
+    assert_eq!(
+        report.driver.completed, 1,
+        "drain finishes the unary request"
+    );
+}
+
+/// Shutdown drains a unary request at simulation speed, as it does a
+/// stream: at time scale 1 a 400-token request would take seconds of
+/// wall clock, yet shutdown returns at once and the client gets its body.
+#[test]
+fn shutdown_drains_an_in_flight_unary_request_without_the_wall_clock() {
+    let mut gw = GatewayConfig::local(ServeConfig::opt_13b_sharegpt(SystemKind::WindServe));
+    gw.time_scale = 1.0;
+    let gw = Gateway::start(gw).unwrap();
+    let addr = gw.addr();
+    let client = std::thread::spawn(move || {
+        exchange(
+            addr,
+            &completion_request(r#"{"prompt_tokens": 64, "max_tokens": 400}"#),
+        )
+    });
+    // Wait until the request is in the simulation.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut parser = exchange(
+            addr,
+            &HttpRequest::new("GET", "/v1/cluster/status", Vec::new()),
+        );
+        let v: Value =
+            serde_json::from_str(std::str::from_utf8(&parser.take_body()).unwrap()).unwrap();
+        if v["report"]["snapshot"]["pending_requests"].as_u64() == Some(1) {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "never admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let start = std::time::Instant::now();
+    let report = gw.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+    assert_eq!(report.driver.completed, 1);
+    let mut parser = client.join().expect("client thread");
+    assert_eq!(parser.status(), Some(200));
+    let v: Value = serde_json::from_str(std::str::from_utf8(&parser.take_body()).unwrap()).unwrap();
+    assert_eq!(v["usage"]["completion_tokens"].as_u64(), Some(400));
 }
