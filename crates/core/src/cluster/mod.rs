@@ -71,7 +71,7 @@ use windserve_kvcache::PrefixStore;
 use windserve_metrics::{DropReason, DroppedRequest, PrefillSite, RequestRecord};
 use windserve_model::CostModel;
 use windserve_sim::hash::FxHashMap;
-use windserve_sim::{EventQueue, KeyedSlab, SimDuration, SimTime};
+use windserve_sim::{EventQueue, KeyedSlab, Scheduled, SimDuration, SimTime};
 use windserve_trace::{Lane, StepClass, TraceEvent, TraceLog, Tracer};
 use windserve_workload::{Request, RequestId, Trace};
 
@@ -457,7 +457,6 @@ impl Cluster {
         ClusterSession {
             cluster: self,
             events: EventQueue::new(),
-            requests: Vec::new(),
             records: Vec::new(),
             decoded_scratch: Vec::new(),
             leap_scratch: Leap::default(),
@@ -732,9 +731,10 @@ pub struct SessionSnapshot {
 #[derive(Debug)]
 pub struct ClusterSession {
     cluster: Cluster,
-    events: EventQueue<Event>,
-    /// Session-owned arrivals; `Event::Arrival` indexes here.
-    requests: Vec<Request>,
+    /// Scheduled events in a heap, and every injected request not yet
+    /// delivered, by value, in the queue's arrival lane: the session's one
+    /// copy of each request until it is admitted.
+    events: EventQueue<Event, Request>,
     records: Vec<RequestRecord>,
     /// Reused list of the members of a completing step, or of each step a
     /// leap applies, for live tokens and background migrations.
@@ -772,6 +772,11 @@ const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<ClusterSession>();
 };
+
+// A request waits in the event queue's arrival lane, as one
+// `Scheduled<Request>`, from injection until it is admitted: that entry is
+// the session's whole per-request cost until then.
+const _: () = assert!(std::mem::size_of::<Scheduled<Request>>() <= 72);
 
 #[cfg(test)]
 mod tests {

@@ -3,14 +3,14 @@
 
 use super::autoscale::CHECK_INTERVAL;
 use super::transfer::MAX_CONCURRENT_MIGRATIONS;
-use super::{sorted_ids, stamp, trace_lane, Cluster, ClusterSession, LiveEvent};
+use super::{stamp, trace_lane, Cluster, ClusterSession, LiveEvent};
 use super::{InstanceSnapshot, SessionSnapshot};
 use crate::coordinator::RESCHED_WATERMARK;
 use crate::report::{InstanceReport, RunReport};
 use windserve_engine::{LaneRef, RunAhead, StartedStep, StepKind};
 use windserve_faults::FaultPlan;
 use windserve_metrics::LatencySummary;
-use windserve_sim::{Scheduled, SimDuration, SimTime};
+use windserve_sim::{Delivery, Scheduled, SimDuration, SimTime};
 use windserve_trace::{TraceEvent, TraceLog};
 use windserve_workload::{Request, RequestId};
 
@@ -20,7 +20,6 @@ const MAX_EVENTS: u64 = 200_000_000;
 
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Event {
-    Arrival(usize),
     StepDone {
         inst: usize,
         lane: LaneRef,
@@ -151,14 +150,13 @@ impl ClusterSession {
         self.cluster.tracer.emit(now, || event);
     }
 
-    /// Adds one arrival to the session. The request is scheduled at its
-    /// own `arrival` stamp, clamped forward to the session's current
-    /// virtual time (events cannot fire in the past).
+    /// Adds one arrival to the session. The request joins the event
+    /// queue's arrival lane at its own `arrival` stamp, clamped forward to
+    /// the session's current virtual time (events cannot fire in the past),
+    /// and the lane holds it until it is delivered.
     pub fn inject(&mut self, req: Request) -> RequestId {
         let at = req.arrival.max(self.events.now());
-        let idx = self.requests.len();
-        self.requests.push(req);
-        self.events.schedule(at, Event::Arrival(idx));
+        self.events.arrive(at, req);
         self.live_work += 1;
         if self.started {
             self.rearm_ticks();
@@ -208,10 +206,11 @@ impl ClusterSession {
         self.started = true;
         let now = self.events.now();
         let cluster = &mut self.cluster;
-        // Every injected request still to complete ends in a record, most
-        // with a TTFT prediction: one allocation each instead of growing
-        // while the run goes.
-        let left = self.requests.len() - self.records.len();
+        // Every injected request ends in a record, most with a TTFT
+        // prediction: one allocation each instead of growing while the run
+        // goes. Before the first pump the only work queued is the injected
+        // arrivals.
+        let left = self.live_work as usize;
         self.records.reserve(left);
         cluster.ttft_predictions.reserve(left);
         cluster.fault_events = cluster
@@ -274,9 +273,13 @@ impl ClusterSession {
     /// that end before every queued event and before `ahead` (just past
     /// the pump's horizon). Every other event, and a step the run-ahead
     /// does not take, runs the general body.
-    fn step(&mut self, scheduled: Scheduled<Event>, ahead: SimTime) -> crate::Result<()> {
+    fn step(
+        &mut self,
+        scheduled: Scheduled<Delivery<Event, Request>>,
+        ahead: SimTime,
+    ) -> crate::Result<()> {
         self.processed += 1;
-        if !scheduled.event.is_tick() {
+        if !matches!(scheduled.event, Delivery::Event(ev) if ev.is_tick()) {
             // Every work event was credited exactly once (inject or the
             // deferred flush); an uncredited debit means the event
             // classification drifted, and letting it wrap would wedge the
@@ -297,11 +300,13 @@ impl ClusterSession {
             });
         }
         let leapt = match scheduled.event {
-            Event::StepDone {
+            Delivery::Event(Event::StepDone {
                 inst,
                 lane: lane @ LaneRef::Main(_),
                 epoch,
-            } => epoch == self.cluster.step_epoch[inst] && self.run_ahead(inst, lane, epoch, ahead),
+            }) => {
+                epoch == self.cluster.step_epoch[inst] && self.run_ahead(inst, lane, epoch, ahead)
+            }
             _ => false,
         };
         if !leapt {
@@ -317,9 +322,12 @@ impl ClusterSession {
 
     /// The general body of one event: apply it, give every instance a
     /// chance to start steps, and queue what that scheduled.
-    fn deliver(&mut self, scheduled: Scheduled<Event>) -> crate::Result<()> {
+    fn deliver(&mut self, scheduled: Scheduled<Delivery<Event, Request>>) -> crate::Result<()> {
         let now = scheduled.at;
-        if !matches!(scheduled.event, Event::Fault(_) | Event::WatchdogTick) {
+        if !matches!(
+            scheduled.event,
+            Delivery::Event(Event::Fault(_) | Event::WatchdogTick)
+        ) {
             // A recovery scheduled after the last request completed, or
             // a coarse watchdog sweep outliving the workload, must not
             // stretch the measured run.
@@ -327,7 +335,30 @@ impl ClusterSession {
         }
         self.cluster.activation.account(now);
         match scheduled.event {
-            Event::Arrival(i) => self.cluster.on_arrival(self.requests[i], now),
+            Delivery::Arrival(req) => self.cluster.on_arrival(req, now),
+            Delivery::Event(event) => self.apply(event, now)?,
+        }
+        // State changed somewhere: give every instance a chance to
+        // launch steps (cheap — the instance count is tiny).
+        let mut swap_waiting = false;
+        for idx in 0..self.cluster.instances.len() {
+            let started = self.cluster.instances[idx].try_start(now);
+            self.cluster.register_steps(idx, &started, now);
+            swap_waiting |= self.cluster.instances[idx].swapped_len() > 0;
+        }
+        self.swap_waiting = swap_waiting;
+        let mut deferred = std::mem::take(&mut self.cluster.deferred);
+        for (at, ev) in deferred.drain(..) {
+            self.schedule(at.max(now), ev);
+        }
+        // Hand the (now empty) buffer back so its capacity is reused.
+        std::mem::swap(&mut self.cluster.deferred, &mut deferred);
+        Ok(())
+    }
+
+    /// Applies one scheduled event at `now`.
+    fn apply(&mut self, event: Event, now: SimTime) -> crate::Result<()> {
+        match event {
             Event::StepDone { inst, lane, epoch } => {
                 // A crash bumps the epoch: completions for steps the
                 // crash destroyed are stale and must be dropped.
@@ -390,21 +421,6 @@ impl ClusterSession {
                 }
             }
         }
-        // State changed somewhere: give every instance a chance to
-        // launch steps (cheap — the instance count is tiny).
-        let mut swap_waiting = false;
-        for idx in 0..self.cluster.instances.len() {
-            let started = self.cluster.instances[idx].try_start(now);
-            self.cluster.register_steps(idx, &started, now);
-            swap_waiting |= self.cluster.instances[idx].swapped_len() > 0;
-        }
-        self.swap_waiting = swap_waiting;
-        let mut deferred = std::mem::take(&mut self.cluster.deferred);
-        for (at, ev) in deferred.drain(..) {
-            self.schedule(at.max(now), ev);
-        }
-        // Hand the (now empty) buffer back so its capacity is reused.
-        std::mem::swap(&mut self.cluster.deferred, &mut deferred);
         Ok(())
     }
 
@@ -555,28 +571,38 @@ impl ClusterSession {
     ///
     /// # Errors
     ///
-    /// Returns an error if resident requests remain (the simulation
-    /// deadlocked or the session was finished before draining) or a final
-    /// invariant audit fails.
+    /// Returns an error if injected requests remain incomplete, resident
+    /// or never delivered (the simulation deadlocked or the session was
+    /// finished before draining), or a final invariant audit fails.
     pub fn finish(self) -> crate::Result<(RunReport, TraceLog)> {
         let ClusterSession {
             mut cluster,
+            mut events,
             mut records,
             processed,
             end_time,
             audit_every,
             ..
         } = self;
+        // An arrival still queued is as incomplete as a resident request.
+        // Free the spent queue before the records are sorted and summarized.
+        let mut incomplete: Vec<u64> = cluster.pending.keys().collect();
+        while let Some(scheduled) = events.pop() {
+            if let Delivery::Arrival(req) = scheduled.event {
+                incomplete.push(req.id.0);
+            }
+        }
+        drop(events);
         if audit_every.is_some() {
             // One final audit over the drained cluster.
             cluster.audit_invariants()?;
         }
 
-        if !cluster.pending.is_empty() {
-            let ids = sorted_ids(&cluster.pending);
+        if !incomplete.is_empty() {
+            incomplete.sort_unstable();
             return Err(crate::Error::Deadlock {
-                incomplete: ids.len(),
-                first: ids.iter().take(5).map(|&i| RequestId(i)).collect(),
+                incomplete: incomplete.len(),
+                first: incomplete.iter().take(5).map(|&i| RequestId(i)).collect(),
             });
         }
 
@@ -648,5 +674,10 @@ impl ClusterSession {
     /// Records completed so far, in completion order.
     pub(crate) fn records(&self) -> &[windserve_metrics::RequestRecord] {
         &self.records
+    }
+
+    /// Slots the event queue's arrival lane has allocated.
+    pub(crate) fn arrival_capacity(&self) -> usize {
+        self.events.arrival_capacity()
     }
 }

@@ -532,6 +532,96 @@ fn snapshot_slo_count_matches_a_full_summary() {
     assert_eq!(report.summary.slo_attaining, snap.slo_attaining);
 }
 
+/// Finishing before draining is an error that counts every injected
+/// request not yet complete: resident ones and arrivals never delivered.
+#[test]
+fn finishing_early_counts_undelivered_arrivals() {
+    use crate::Error;
+    use windserve_workload::RequestId;
+
+    let trace = sharegpt_trace(4.0, 50, 29);
+    let session = || {
+        let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
+        let mut session = Cluster::new(cfg).expect("valid config").into_session();
+        for req in trace.requests() {
+            session.inject(*req);
+        }
+        session
+    };
+    match session().finish() {
+        Err(Error::Deadlock { incomplete, first }) => {
+            assert_eq!(incomplete, 50);
+            assert_eq!(first, (0..5).map(RequestId).collect::<Vec<_>>());
+        }
+        other => panic!("finishing an unpumped session: {other:?}"),
+    }
+
+    let mut part_way = session();
+    part_way
+        .pump_until(trace.requests()[25].arrival)
+        .expect("pump");
+    let snap = part_way.snapshot();
+    assert!(snap.pending_requests > 0 && snap.completed_requests > 0);
+    match part_way.finish() {
+        Err(Error::Deadlock { incomplete, .. }) => {
+            assert_eq!(
+                incomplete + snap.completed_requests + snap.dropped_requests,
+                50
+            );
+        }
+        other => panic!("finishing part-way: {other:?}"),
+    }
+}
+
+/// Arrivals injected out of time order are delivered in it: a trace with
+/// distinct stamps, injected in reverse, replays to the same report as
+/// injected in order.
+#[test]
+fn reverse_injection_replays_like_in_order() {
+    let trace = sharegpt_trace(12.0, 400, 31);
+    let requests = trace.requests();
+    assert!(requests.windows(2).all(|w| w[0].arrival < w[1].arrival));
+    let replay = |order: &mut dyn Iterator<Item = &windserve_workload::Request>| {
+        let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
+        let mut session = Cluster::new(cfg).expect("valid config").into_session();
+        for req in order {
+            session.inject(*req);
+        }
+        session.pump_to_drain().expect("drain");
+        session.finish().expect("finish").0
+    };
+    let in_order = replay(&mut requests.iter());
+    let reversed = replay(&mut requests.iter().rev());
+    assert_eq!(in_order.summary.completed, 400);
+    assert!(format!("{in_order:?}") == format!("{reversed:?}"));
+}
+
+/// Fed one request at a time and pumped past each arrival, as the
+/// gateway's driver feeds it, a session's arrival lane never holds more
+/// than a few requests, so its allocation stays small however many pass.
+#[test]
+fn one_at_a_time_feeding_keeps_the_lane_small() {
+    use windserve_sim::{SimDuration, SimTime};
+    use windserve_workload::{Request, RequestId};
+
+    let cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
+    let mut session = Cluster::new(cfg).expect("valid config").into_session();
+    let gap = SimDuration::from_millis(5);
+    let mut now = SimTime::ZERO;
+    for id in 0..10_000 {
+        now += gap;
+        session.inject(Request::new(RequestId(id), now, 32, 2));
+        session.pump_until(now).expect("pump");
+    }
+    let capacity = session.arrival_capacity();
+    assert!(capacity <= 16, "the lane grew to {capacity} slots");
+    session.pump_to_drain().expect("drain");
+    assert_eq!(
+        session.finish().expect("finish").0.summary.completed,
+        10_000
+    );
+}
+
 /// `finish` sorts the records in place by `(id, completion)`: exactly the
 /// order a stable sort by id gives the completion order, also when ids
 /// complete out of order and one is reused after it completed.

@@ -5,7 +5,9 @@
 //! tested:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time;
-//! * [`EventQueue`] — the future-event list (time-ordered, FIFO ties);
+//! * [`EventQueue`] — the future-event list: scheduled events in a heap
+//!   and arrivals in a sorted lane, delivered in one time order (FIFO
+//!   ties) as a [`Delivery`];
 //! * [`SimRng`] — a stable, seedable RNG (xoshiro256++) so every simulation
 //!   is reproducible from one `u64`, and [`mix64`] / [`keyed_seed`] — the
 //!   SplitMix64 finalizer and keyed seed behind every seeded hash;
@@ -20,32 +22,30 @@
 //!
 //! # Examples
 //!
-//! A minimal M/D/1 queue simulated with these primitives:
+//! A minimal M/D/1 queue simulated with these primitives: customers enter
+//! the arrival lane, departures are scheduled events.
 //!
 //! ```
-//! use windserve_sim::{EventQueue, SimDuration, SimRng, SimTime};
-//!
-//! #[derive(Debug)]
-//! enum Ev { Arrival, Departure }
+//! use windserve_sim::{Delivery, EventQueue, SimDuration, SimRng, SimTime};
 //!
 //! let mut q = EventQueue::new();
 //! let mut rng = SimRng::seed_from_u64(1);
 //! let service = SimDuration::from_millis(10);
 //! let mut t = SimTime::ZERO;
-//! for _ in 0..100 {
+//! for customer in 0..100 {
 //!     t += SimDuration::from_secs_f64(rng.next_exp(50.0));
-//!     q.schedule(t, Ev::Arrival);
+//!     q.arrive(t, customer);
 //! }
 //! let mut busy_until = SimTime::ZERO;
 //! let mut served = 0;
 //! while let Some(ev) = q.pop() {
 //!     match ev.event {
-//!         Ev::Arrival => {
+//!         Delivery::Arrival(customer) => {
 //!             let start = busy_until.max(ev.at);
 //!             busy_until = start + service;
-//!             q.schedule(busy_until, Ev::Departure);
+//!             q.schedule(busy_until, customer);
 //!         }
-//!         Ev::Departure => served += 1,
+//!         Delivery::Event(_departed) => served += 1,
 //!     }
 //! }
 //! assert_eq!(served, 100);
@@ -61,7 +61,7 @@ mod slab;
 mod time;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use queue::{EventQueue, Scheduled};
+pub use queue::{Delivery, EventQueue, Scheduled};
 pub use rng::{keyed_seed, mix64, SimRng, GOLDEN_GAMMA};
 pub use slab::KeyedSlab;
 pub use time::{SimDuration, SimTime};
