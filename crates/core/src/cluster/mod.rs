@@ -176,12 +176,70 @@ struct Counters {
     invariant_checks: u64,
 }
 
-/// One resident request, from admission to its terminal outcome. Every
-/// stage stamp is first-write-wins ([`stamp`]).
-#[derive(Debug, Clone, Copy)]
+/// Where the cluster has placed a resident request. Whether it is queued,
+/// running, swapped or paused there is the engine's to say.
+#[derive(Debug, Clone)]
+enum Phase {
+    /// Queued or prefilling on `inst` (a decode replica for a guest prefill).
+    Prefill { inst: usize },
+    /// Its KV on the wire in transfer `tid`: a handoff or a backup restore.
+    Handoff { tid: u64 },
+    /// Queued, running or swapped out for decode on `inst`. Entering it
+    /// stamps `decode_enqueue`.
+    Decode { inst: usize },
+    /// Decoding at its source while the KV copies to its destination
+    /// (boxed: most records never migrate).
+    Migrating(Box<MigrationCtl>),
+    /// Nowhere to run, with `generated` tokens streamed and last placed on
+    /// `from`. Re-placed in `order` when a replica recovers.
+    Parked {
+        generated: u32,
+        from: usize,
+        order: u64,
+    },
+}
+
+/// A named change to a resident request's lifecycle.
+#[derive(Debug)]
+enum Transition {
+    /// A step on `inst` started its prefill.
+    PrefillStarted { inst: usize },
+    /// Its prefill finished.
+    FirstToken,
+    /// A step on `inst` started decoding it.
+    DecodeStarted { inst: usize },
+    /// It moved to another phase.
+    To(Phase),
+}
+
+impl Phase {
+    /// Whether a request in this phase may take `t` (checked in debug
+    /// builds). A recovery may re-place it from anywhere.
+    fn allows(&self, t: &Transition) -> bool {
+        use Phase::{Decode, Handoff, Migrating, Prefill};
+        use Transition::{DecodeStarted, FirstToken, PrefillStarted, To};
+        match (self, t) {
+            (Prefill { inst }, PrefillStarted { inst: at } | To(Decode { inst: at }))
+            | (Decode { inst }, DecodeStarted { inst: at }) => inst == at,
+            (Prefill { .. }, FirstToken) | (Handoff { .. }, To(Decode { .. })) => true,
+            (Migrating(m), DecodeStarted { inst } | To(Decode { inst })) => {
+                [m.src, m.dst].contains(inst)
+            }
+            (Decode { inst }, To(Migrating(m))) => m.src == *inst,
+            (Migrating(a), To(Migrating(b))) => (a.src, a.dst) == (b.src, b.dst),
+            (_, To(next)) => !matches!(next, Decode { .. } | Migrating(_)),
+            _ => false,
+        }
+    }
+}
+
+/// One resident request, from admission to its terminal outcome. Its
+/// phase and stage stamps change only through [`Cluster::transition`].
+#[derive(Debug)]
 struct Pending {
     req: Request,
     site: PrefillSite,
+    phase: Phase,
     /// Algorithm 1's TTFT prediction at arrival, in seconds.
     predicted_ttft: Option<f64>,
     prefill_start: Option<SimTime>,
@@ -197,11 +255,12 @@ struct Pending {
 }
 
 impl Pending {
-    fn admitted(req: Request, site: PrefillSite, predicted_ttft: Option<f64>) -> Self {
+    fn admitted(req: Request, site: PrefillSite, ttft: Option<f64>, phase: Phase) -> Self {
         Pending {
             req,
             site,
-            predicted_ttft,
+            phase,
+            predicted_ttft: ttft,
             prefill_start: None,
             first_token: None,
             decode_enqueue: None,
@@ -212,32 +271,6 @@ impl Pending {
             cached_prefix: 0,
         }
     }
-}
-
-/// Stamps one stage of resident request `id` at `now` unless that stage is
-/// already stamped. Returns whether this call set it (the milestone is
-/// new); a request that is not resident is left alone.
-fn stamp(
-    pending: &mut KeyedSlab<Pending>,
-    id: RequestId,
-    now: SimTime,
-    stage: fn(&mut Pending) -> &mut Option<SimTime>,
-) -> bool {
-    let Some(p) = pending.get_mut(id.0) else {
-        return false;
-    };
-    let cell = stage(p);
-    let newly = cell.is_none();
-    cell.get_or_insert(now);
-    newly
-}
-
-/// Resident request ids, ascending: the order every caller that acts on
-/// the set uses, independent of slot reuse.
-fn sorted_ids(pending: &KeyedSlab<Pending>) -> Vec<u64> {
-    let mut ids: Vec<u64> = pending.keys().collect();
-    ids.sort_unstable();
-    ids
 }
 
 /// A fully assembled serving deployment, ready to replay traces.
@@ -258,7 +291,12 @@ pub struct Cluster {
     pending: KeyedSlab<Pending>,
     /// Per-instance session prefix caches and their counters.
     prefix: PrefixCache,
-    migrations: FxHashMap<u64, MigrationCtl>,
+    /// Resident requests in [`Phase::Migrating`].
+    migrating: usize,
+    /// Requests parked so far, for [`Phase::Parked`]'s order.
+    parks: u64,
+    /// Aborted requests left inside a running step: `(instance, id)`.
+    reaping: Vec<(usize, RequestId)>,
     /// Events produced inside handlers, drained into the queue by `run`.
     deferred: Vec<(SimTime, Event)>,
     /// Sampled per-instance state (when sampling is enabled).
@@ -274,9 +312,6 @@ pub struct Cluster {
     crashed: Vec<bool>,
     /// Per-instance crash epoch, stamped into every `StepDone`.
     step_epoch: Vec<u64>,
-    /// Requests with nowhere to run: `(id, tokens already streamed, last
-    /// placement)`. Re-placed when a replica recovers.
-    parked: Vec<(u64, u32, usize)>,
     /// Typed terminal outcomes for requests that never completed
     /// (admission rejection, shedding, watchdog abort).
     dropped: Vec<DroppedRequest>,
@@ -399,7 +434,9 @@ impl Cluster {
                 stores: prefix_stores,
                 ..PrefixCache::default()
             },
-            migrations: FxHashMap::default(),
+            migrating: 0,
+            parks: 0,
+            reaping: Vec::new(),
             deferred: Vec::new(),
             series: Vec::new(),
             ttft_predictions: Vec::new(),
@@ -407,7 +444,6 @@ impl Cluster {
             fault_events: Vec::new(),
             crashed: vec![false; n_instances],
             step_epoch: vec![0; n_instances],
-            parked: Vec::new(),
             dropped: Vec::new(),
             peak_pending: 0,
             slo_attaining: 0,
@@ -486,6 +522,7 @@ impl Cluster {
         records: &mut Vec<RequestRecord>,
     ) -> crate::Result<()> {
         self.trace_step_finished(inst, outcome.lane, outcome.kind, outcome.duration, now);
+        self.reap();
         for fp in &outcome.finished_prefills {
             self.on_finished_prefill(inst, fp.id, now, records)?;
         }
@@ -533,14 +570,16 @@ impl Cluster {
     ) {
         for id in decoded {
             push_live(&mut self.live, LiveEvent::Token { id: *id, at: now });
-            if let Some(m) = self.migrations.get_mut(&id.0) {
+            if self.migrating == 0 {
+                continue;
+            }
+            if let Some(Phase::Migrating(m)) = self.pending.get_mut(id.0).map(|p| &mut p.phase) {
                 if m.state.phase() == windserve_kvcache::MigrationPhase::Background {
                     m.state.on_tokens_generated(1);
                 }
             }
         }
         for c in completed {
-            self.migrations.remove(&c.id.0);
             self.finalize_record(c.id, c.swap_outs, now, records);
         }
     }
@@ -570,7 +609,7 @@ impl Cluster {
             // (e.g. re-placed around a crash); nothing left to record.
             return Ok(());
         };
-        let newly_first = stamp(&mut self.pending, id, now, |p| &mut p.first_token);
+        let newly_first = self.transition(id, Transition::FirstToken, now);
         // A recovery re-prefill folds already-streamed tokens into the
         // engine-side prompt; everything below must use the engine's frame,
         // or a recovered request whose remainder is one token would be
@@ -594,8 +633,8 @@ impl Cluster {
         }
         if output_target == 1 {
             // The prefill's token was the whole response.
-            stamp(&mut self.pending, id, now, |p| &mut p.decode_enqueue);
-            stamp(&mut self.pending, id, now, |p| &mut p.decode_start);
+            self.transition(id, Transition::To(Phase::Decode { inst }), now);
+            self.transition(id, Transition::DecodeStarted { inst }, now);
             self.instances[inst].release_sequence(id);
             self.finalize_record(id, 0, now, records);
             return Ok(());
@@ -609,7 +648,7 @@ impl Cluster {
         }
         // Dispatched (decode instance) or colocated: KV already lives where
         // decoding happens — no transfer at all.
-        stamp(&mut self.pending, id, now, |p| &mut p.decode_enqueue);
+        self.transition(id, Transition::To(Phase::Decode { inst }), now);
         self.instances[inst].promote_to_decode(id);
         Ok(())
     }
@@ -621,7 +660,7 @@ impl Cluster {
         now: SimTime,
         records: &mut Vec<RequestRecord>,
     ) {
-        let Some(rec) = self.pending.remove(id.0) else {
+        let Some(rec) = self.retire(id) else {
             // Already finalized (stale completion after a recovery race).
             return;
         };
@@ -659,6 +698,59 @@ impl Cluster {
         };
         self.slo_attaining += usize::from(self.cfg.slo.meets_both(&record));
         records.push(record);
+    }
+
+    /// Applies `t` to resident request `id` at `now`: the one place a phase
+    /// changes or a stage is stamped. A stamp is first-write-wins; returns
+    /// whether `t` set one. A request that is not resident is left alone.
+    #[inline]
+    fn transition(&mut self, id: RequestId, t: Transition, now: SimTime) -> bool {
+        let Some(p) = self.pending.get_mut(id.0) else {
+            return false;
+        };
+        debug_assert!(p.phase.allows(&t), "{id}: {:?} cannot take {t:?}", p.phase);
+        let stage = match t {
+            Transition::PrefillStarted { .. } => &mut p.prefill_start,
+            Transition::FirstToken => &mut p.first_token,
+            Transition::DecodeStarted { .. } => &mut p.decode_start,
+            Transition::To(next) => {
+                let migrating = |phase: &Phase| usize::from(matches!(phase, Phase::Migrating(_)));
+                self.migrating = self.migrating + migrating(&next) - migrating(&p.phase);
+                p.phase = next;
+                match p.phase {
+                    Phase::Decode { .. } => &mut p.decode_enqueue,
+                    _ => return false,
+                }
+            }
+        };
+        let newly = stage.is_none();
+        stage.get_or_insert(now);
+        newly
+    }
+
+    /// Removes resident request `id` at its terminal.
+    fn retire(&mut self, id: RequestId) -> Option<Pending> {
+        let p = self.pending.remove(id.0)?;
+        self.migrating -= usize::from(matches!(p.phase, Phase::Migrating(_)));
+        Some(p)
+    }
+
+    /// Resident request `id`'s migration, if it is migrating.
+    fn migration(&self, id: RequestId) -> Option<&MigrationCtl> {
+        match &self.pending.get(id.0)?.phase {
+            Phase::Migrating(m) => Some(m.as_ref()),
+            _ => None,
+        }
+    }
+
+    /// The phase of a request parked now, after every earlier one.
+    fn parked(&mut self, generated: u32, from: usize) -> Phase {
+        self.parks += 1;
+        Phase::Parked {
+            generated,
+            from,
+            order: self.parks,
+        }
     }
 }
 
@@ -781,23 +873,36 @@ const _: () = assert!(std::mem::size_of::<Scheduled<Request>>() <= 72);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use windserve_kvcache::StallFreeMigration;
 
     fn req(id: u64) -> Request {
         Request::new(RequestId(id), SimTime::from_micros(id), 10, 4)
     }
 
+    /// OPT-13B/ShareGPT WindServe 1P+1D: instance 0 prefills, 1 decodes.
+    fn cluster() -> Cluster {
+        let cfg = ServeConfig::opt_13b_sharegpt(crate::SystemKind::WindServe);
+        Cluster::new(cfg).expect("a valid preset")
+    }
+
+    fn admitted(id: u64, inst: usize) -> Pending {
+        let phase = Phase::Prefill { inst };
+        Pending::admitted(req(id), PrefillSite::PrefillInstance, None, phase)
+    }
+
     #[test]
     fn slots_recycle_through_the_free_list() {
         let mut t = KeyedSlab::new();
-        t.insert(1, Pending::admitted(req(1), PrefillSite::Colocated, None));
-        t.insert(2, Pending::admitted(req(2), PrefillSite::Colocated, None));
+        t.insert(1, admitted(1, 0));
+        t.insert(2, admitted(2, 0));
         assert_eq!(t.len(), 2);
         let e = t.remove(1).expect("resident");
         assert_eq!(e.req.id.0, 1);
         // The freed slot is reused and its record fully reset.
+        let phase = Phase::Prefill { inst: 0 };
         let slot = t.insert(
             3,
-            Pending::admitted(req(3), PrefillSite::PrefillInstance, Some(0.5)),
+            Pending::admitted(req(3), PrefillSite::PrefillInstance, Some(0.5), phase),
         );
         assert_eq!(slot, 0);
         assert_eq!(t.len(), 2);
@@ -805,32 +910,129 @@ mod tests {
         assert_eq!(e3.predicted_ttft, Some(0.5));
         assert_eq!((e3.swap_outs, e3.resumed), (0, 0));
         assert!(e3.first_token.is_none());
-        assert_eq!(sorted_ids(&t), vec![2, 3]);
+        let mut ids: Vec<u64> = t.keys().collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![2, 3]);
     }
 
     #[test]
     fn stamps_are_first_write_wins() {
-        let mut t = KeyedSlab::new();
+        let mut c = cluster();
         let id = RequestId(7);
-        t.insert(
-            7,
-            Pending::admitted(req(7), PrefillSite::PrefillInstance, None),
+        let at = SimTime::from_micros;
+        c.pending.insert(7, admitted(7, 0));
+        assert!(c.transition(id, Transition::PrefillStarted { inst: 0 }, at(5)));
+        assert!(c.transition(id, Transition::FirstToken, at(10)));
+        assert!(!c.transition(id, Transition::FirstToken, at(20)));
+        assert!(c.transition(id, Transition::To(Phase::Decode { inst: 0 }), at(25)));
+        assert!(c.transition(id, Transition::DecodeStarted { inst: 0 }, at(30)));
+        // A crash re-prefills it on the decode replica: the phase moves
+        // and every stage keeps its first stamp.
+        assert!(!c.transition(id, Transition::To(Phase::Prefill { inst: 1 }), at(35)));
+        assert!(!c.transition(id, Transition::PrefillStarted { inst: 1 }, at(36)));
+        assert!(!c.transition(id, Transition::FirstToken, at(40)));
+        assert!(!c.transition(id, Transition::To(Phase::Decode { inst: 1 }), at(45)));
+        assert!(!c.transition(id, Transition::DecodeStarted { inst: 1 }, at(50)));
+        let e = c.pending.get(7).expect("resident");
+        assert!(
+            matches!(e.phase, Phase::Decode { inst: 1 }),
+            "{:?}",
+            e.phase
         );
-        assert!(stamp(&mut t, id, SimTime::from_micros(10), |p| &mut p.first_token));
-        assert!(!stamp(&mut t, id, SimTime::from_micros(20), |p| &mut p.first_token));
-        stamp(&mut t, id, SimTime::from_micros(30), |p| {
-            &mut p.decode_start
-        });
-        stamp(&mut t, id, SimTime::from_micros(40), |p| {
-            &mut p.decode_start
-        });
-        let e = t.get(7).expect("resident");
-        assert_eq!(e.first_token, Some(SimTime::from_micros(10)));
-        assert_eq!(e.decode_start, Some(SimTime::from_micros(30)));
-        // Stamping a non-resident id is a no-op, not a panic.
-        let absent = RequestId(99);
-        assert!(!stamp(&mut t, absent, SimTime::from_micros(1), |p| &mut p
-            .decode_enqueue));
-        assert!(!t.contains_key(99));
+        let stamps = [
+            e.prefill_start,
+            e.first_token,
+            e.decode_enqueue,
+            e.decode_start,
+        ];
+        assert_eq!(stamps, [5, 10, 25, 30].map(|t| Some(at(t))));
+        // Entering and leaving a migration keeps the count.
+        let state = StallFreeMigration::new(100, 10);
+        let m = MigrationCtl {
+            state,
+            src: 1,
+            dst: 0,
+            tid: None,
+        };
+        c.transition(id, Transition::To(Phase::Migrating(Box::new(m))), at(55));
+        assert_eq!(c.migrating, 1);
+        c.transition(id, Transition::To(Phase::Decode { inst: 1 }), at(60));
+        assert_eq!(c.migrating, 0);
+        // A request that is not resident is left alone, not a panic.
+        assert!(!c.transition(RequestId(99), Transition::FirstToken, at(1)));
+        assert!(!c.pending.contains_key(99));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "cannot take")]
+    fn a_transition_its_phase_does_not_allow_panics_in_debug_builds() {
+        let mut c = cluster();
+        c.pending.insert(7, admitted(7, 0));
+        c.transition(
+            RequestId(7),
+            Transition::DecodeStarted { inst: 0 },
+            SimTime::ZERO,
+        );
+    }
+
+    #[test]
+    fn a_phase_that_disagrees_with_the_engine_fails_the_audit() {
+        let mut session = cluster().into_session();
+        session.inject(req(0));
+        session.pump_until(SimTime::from_micros(1)).expect("runs");
+        let c = &mut session.cluster;
+        c.audit_invariants().expect("a consistent cluster");
+        c.pending.get_mut(0).expect("resident").phase = Phase::Decode { inst: 1 };
+        let err = c
+            .audit_invariants()
+            .expect_err("the phase names the wrong replica");
+        assert!(matches!(err, crate::Error::Invariant { .. }), "{err}");
+    }
+
+    #[test]
+    fn an_abort_mid_step_leaves_at_once_and_frees_the_kv_when_the_step_lands() {
+        let mut session = cluster().into_session();
+        session.enable_live_events();
+        let id = session.inject(Request::new(RequestId(0), SimTime::ZERO, 64, 1024));
+        session
+            .pump_until(SimTime::from_micros(1_000_000))
+            .expect("runs");
+        assert!(session.abort(id));
+        assert!(!session.abort(id), "aborted once");
+        assert_eq!(session.pending_requests(), 0);
+        // It was decoding: the engine lets go when the step lands.
+        assert_eq!(session.cluster.reaping, vec![(1, id)]);
+        session.cluster.audit_invariants().expect("consistent");
+        session.pump_to_drain().expect("drains");
+        assert!(session.cluster.reaping.is_empty());
+        assert!(session.cluster.instances.iter().all(|i| i.is_drained()));
+        assert!(session
+            .cluster
+            .instances
+            .iter()
+            .all(|i| i.kv_free_fraction() == 1.0));
+        let cancelled = |e: &LiveEvent| {
+            matches!(
+                e,
+                LiveEvent::Dropped {
+                    reason: DropReason::Cancelled,
+                    ..
+                }
+            ) && e.request_id() == id
+        };
+        assert_eq!(
+            session
+                .drain_live_events()
+                .iter()
+                .filter(|e| cancelled(e))
+                .count(),
+            1
+        );
+        let (report, _) = session.finish().expect("a clean drain");
+        assert!(report.records.is_empty());
+        assert_eq!(report.dropped.len(), 1);
+        assert_eq!(report.dropped[0].reason, DropReason::Cancelled);
+        assert_eq!((report.watchdog_aborts, report.requests_rejected), (0, 0));
     }
 }

@@ -4,7 +4,7 @@
 
 use super::routing::Placement;
 use super::transfer::TransferAction;
-use super::{push_live, sorted_ids, Cluster, LiveEvent};
+use super::{push_live, Cluster, LiveEvent, Phase};
 use std::cmp::Reverse;
 use windserve_metrics::{DropReason, DroppedRequest, PrefillSite};
 use windserve_sim::{SimDuration, SimTime};
@@ -94,7 +94,7 @@ impl Cluster {
                     }
                     Some(qid) => {
                         if self.instances[inst].cancel_queued_prefill(qid) {
-                            self.pending.remove(qid.0);
+                            self.retire(qid);
                             self.record_drop(qid, tier, DropReason::Shed, now);
                             decision.verdict = AdmissionVerdict::ShedVictim;
                             decision.victim = Some(qid);
@@ -113,6 +113,7 @@ impl Cluster {
         match reason {
             DropReason::Shed => self.counters.requests_shed += 1,
             DropReason::DeadlineExceeded => self.counters.watchdog_aborts += 1,
+            DropReason::Cancelled => {}
             _ => self.counters.requests_rejected += 1,
         }
         self.dropped.push(DroppedRequest {
@@ -179,52 +180,71 @@ impl Cluster {
     /// the fault plan) are the canonical case — without the watchdog they
     /// turn into a drain-time deadlock.
     pub(super) fn watchdog_sweep(&mut self, deadline: SimDuration, now: SimTime) {
-        let mut stuck: Vec<u64> = self
+        let mut stuck: Vec<(u64, SimTime)> = self
             .pending
             .iter()
             .filter(|(_, p)| now.saturating_since(p.req.arrival) > deadline)
-            .map(|(id, _)| id)
+            .map(|(id, p)| (id, p.req.arrival))
             .collect();
         stuck.sort_unstable();
-        for raw in stuck {
+        for (raw, arrival) in stuck {
             let id = RequestId(raw);
             // A request making forward progress on a GPU is not stuck;
             // aborting mid-step would corrupt the lane.
             if (0..self.instances.len()).any(|i| self.instances[i].in_running_step(id)) {
                 continue;
             }
-            self.abort_request(id, deadline, now);
+            self.abort(id, DropReason::DeadlineExceeded, now);
+            let waited_secs = now.saturating_since(arrival).as_secs_f64();
+            let deadline_secs = deadline.as_secs_f64();
+            self.tracer.emit(now, || TraceEvent::WatchdogAborted {
+                id,
+                waited_secs,
+                deadline_secs,
+            });
         }
     }
 
-    /// Tears down every trace of `id` across the cluster — in-flight
-    /// transfers, migration control, engine state, backups, the parked
-    /// list — and records the typed terminal outcome.
-    fn abort_request(&mut self, id: RequestId, deadline: SimDuration, now: SimTime) {
-        // The bytes stay on the wire; delivery finds no action and becomes
-        // a no-op.
-        self.transfers
-            .actions
-            .retain(|_, pt| pt.action.request_id() != id);
-        if let Some(m) = self.migrations.remove(&id.0) {
-            self.instances[m.src].unmark_migrating(id);
-            self.instances[m.src].cancel_pause(id);
-        }
-        for i in 0..self.instances.len() {
-            self.instances[i].abort_sequence(id);
-        }
-        self.parked.retain(|&(pid, _, _)| pid != id.0);
-        let Some(rec) = self.pending.remove(id.0) else {
-            return;
+    /// Ends resident request `id` with `reason`: tears it down through the
+    /// owner its phase names, drops its backups everywhere and records the
+    /// typed outcome. Returns whether `id` was resident.
+    pub(super) fn abort(&mut self, id: RequestId, reason: DropReason, now: SimTime) -> bool {
+        let Some(rec) = self.retire(id) else {
+            return false;
         };
-        let waited_secs = now.saturating_since(rec.req.arrival).as_secs_f64();
-        let deadline_secs = deadline.as_secs_f64();
-        self.record_drop(id, rec.req.tier, DropReason::DeadlineExceeded, now);
-        self.tracer.emit(now, || TraceEvent::WatchdogAborted {
-            id,
-            waited_secs,
-            deadline_secs,
-        });
+        // A transfer's bytes stay on the wire; its delivery finds no
+        // action and becomes a no-op.
+        let owner = match rec.phase {
+            Phase::Prefill { inst } | Phase::Decode { inst } => Some(inst),
+            Phase::Handoff { tid } => match self.transfers.actions.remove(&tid).map(|t| t.action) {
+                Some(TransferAction::KvHandoff { src, .. }) => Some(src),
+                _ => None,
+            },
+            Phase::Migrating(m) => {
+                if let Some(tid) = m.tid {
+                    self.transfers.actions.remove(&tid);
+                }
+                self.instances[m.src].unmark_migrating(id);
+                self.instances[m.src].cancel_pause(id);
+                Some(m.src)
+            }
+            Phase::Parked { .. } => None,
+        };
+        self.reaping.extend(owner.map(|inst| (inst, id)));
+        self.reap();
+        for inst in &mut self.instances {
+            inst.drop_backup(id);
+        }
+        self.record_drop(id, rec.req.tier, reason, now);
+        true
+    }
+
+    /// Frees the engine state aborted requests left behind, each once the
+    /// step it was in has landed.
+    pub(super) fn reap(&mut self) {
+        let instances = &mut self.instances;
+        self.reaping
+            .retain(|&(i, id)| !instances[i].abort_sequence(id) && instances[i].has_sequence(id));
     }
 
     /// Cluster-wide invariant audit: per-instance engine/KV consistency
@@ -244,29 +264,37 @@ impl Cluster {
             inst.check_invariants()
                 .map_err(|reason| violated(format!("{}: {reason}", inst.name())))?;
         }
-        for raw in sorted_ids(&self.pending) {
+        let mut ids: Vec<u64> = self.pending.keys().collect();
+        ids.sort_unstable();
+        for raw in ids {
             let id = RequestId(raw);
-            let holders = (0..self.instances.len())
-                .filter(|&i| self.instances[i].has_sequence(id))
-                .count();
-            if holders > 1 {
-                return Err(violated(format!(
-                    "request {raw} resident on {holders} instances"
-                )));
-            }
-            // MigrationPhase1 carries no sequence state (the victim still
-            // lives at its source), so it does not count as residency.
-            let in_transfer = self.transfers.actions.values().any(|pt| match &pt.action {
-                TransferAction::MigrationPhase1 { .. } => false,
-                action => action.request_id() == id,
-            });
-            let is_parked = self.parked.iter().any(|&(pid, _, _)| pid == raw);
-            if holders == 0 && !in_transfer && !is_parked {
-                return Err(violated(format!(
-                    "request {raw} is pending but resident nowhere"
-                )));
-            }
             let rec = self.pending.get(raw).expect("id just listed");
+            let holds = |i: usize| self.instances[i].has_sequence(id);
+            let holders = (0..self.instances.len()).filter(|&i| holds(i)).count();
+            let carries = |tid: &u64| match self.transfers.actions.get(tid).map(|pt| &pt.action) {
+                // A migration's bulk carries no sequence state: the victim
+                // still lives at its source.
+                Some(TransferAction::MigrationPhase1 { .. }) | None => false,
+                Some(action) => action.request_id() == id,
+            };
+            let placed = match &rec.phase {
+                Phase::Prefill { inst } | Phase::Decode { inst } => holders == 1 && holds(*inst),
+                Phase::Handoff { tid } => holders <= 1 && carries(tid),
+                Phase::Migrating(m) => {
+                    holders == 1 && holds(m.src)
+                        || holders == 0 && m.tid.as_ref().is_some_and(carries)
+                }
+                Phase::Parked { .. } => {
+                    let mut transfers = self.transfers.actions.values();
+                    holders == 0 && !transfers.any(|pt| pt.action.request_id() == id)
+                }
+            };
+            if !placed {
+                return Err(violated(format!(
+                    "request {raw} is not where its phase says: {:?}, on {holders} instances",
+                    rec.phase
+                )));
+            }
             let mut last = rec.req.arrival;
             for (label, stamp) in [
                 ("prefill_start", rec.prefill_start),

@@ -2,8 +2,8 @@
 //! degradation and stragglers, and re-placing every request a fault
 //! stranded.
 
-use super::transfer::{MigrationCtl, TransferAction};
-use super::Cluster;
+use super::transfer::TransferAction;
+use super::{Cluster, Phase, Transition};
 use windserve_engine::SeqState;
 use windserve_faults::FaultKind;
 use windserve_sim::SimTime;
@@ -78,17 +78,16 @@ impl Cluster {
         tids.sort_unstable();
         for tid in tids {
             let involved = match &self.transfers.actions[&tid].action {
-                TransferAction::KvHandoff { src, dst, .. } => *src == c || *dst == c,
+                TransferAction::KvHandoff { src, dst, .. }
+                | TransferAction::BackupRestore { src, dst, .. } => *src == c || *dst == c,
                 TransferAction::MigrationPhase1 { id } => self
-                    .migrations
-                    .get(&id.0)
+                    .migration(*id)
                     .is_some_and(|m| m.src == c || m.dst == c),
                 // A tail already on the wire survives a source crash; only
                 // a destination crash strands it.
                 TransferAction::MigrationPhase2 { state } => {
-                    self.migrations.get(&state.id.0).is_some_and(|m| m.dst == c)
+                    self.migration(state.id).is_some_and(|m| m.dst == c)
                 }
-                TransferAction::BackupRestore { src, dst, .. } => *src == c || *dst == c,
             };
             if !involved {
                 continue;
@@ -127,56 +126,39 @@ impl Cluster {
                         dst: nd,
                         keep_backup,
                     };
-                    self.submit_transfer(action, route, pt.bytes, now);
+                    let tid = self.submit_transfer(action, route, pt.bytes, now);
+                    self.transition(id, Transition::To(Phase::Handoff { tid }), now);
                 }
-                TransferAction::MigrationPhase1 { id } => {
-                    if let Some(m) = self.migrations.remove(&id.0) {
-                        if m.src != c {
-                            // The destination died; the victim keeps
-                            // decoding where it is.
-                            self.instances[m.src].unmark_migrating(id);
-                        }
-                        // src == c: the drain pass recovers the victim.
-                    }
-                }
-                TransferAction::MigrationPhase2 { state } => {
-                    // The paused sequence was headed to the crashed
-                    // destination; it lives only in this transfer.
-                    let id = state.id;
-                    self.migrations.remove(&id.0);
-                    self.recover_request(id, state.generated, c, now)?;
-                }
-                TransferAction::BackupRestore { state, .. } => {
+                // The migration is settled with the others below.
+                TransferAction::MigrationPhase1 { .. } => {}
+                // The request lived only in this transfer.
+                TransferAction::MigrationPhase2 { state }
+                | TransferAction::BackupRestore { state, .. } => {
                     self.recover_request(state.id, state.generated, c, now)?;
                 }
             }
         }
 
-        // Migrations between transfers (bulk delivered, pause not yet
-        // consumed at a step boundary).
-        let mut mids: Vec<u64> = self.migrations.keys().copied().collect();
-        mids.sort_unstable();
-        for mid in mids {
-            let MigrationCtl { src, dst, .. } = self.migrations[&mid];
-            if src != c && dst != c {
-                continue;
+        // A migration whose destination died goes back to decoding at its
+        // source, its pause withdrawn before the next step boundary
+        // detaches the victim into the void. One whose source died is the
+        // drain pass's, unless its tail is already on the wire.
+        let mut orphaned = Vec::new();
+        for (id, p) in self.pending.iter() {
+            if let Phase::Migrating(m) = &p.phase {
+                orphaned.extend((m.dst == c).then_some((id, m.src)));
             }
-            self.migrations.remove(&mid);
-            if src != c {
-                // The destination is gone; withdraw the pause before the
-                // next step boundary detaches the victim into the void.
-                let id = RequestId(mid);
-                self.instances[src].unmark_migrating(id);
-                self.instances[src].cancel_pause(id);
-            }
-            // src == c: the drain pass recovers the victim itself.
+        }
+        for (raw, src) in orphaned {
+            let id = RequestId(raw);
+            self.instances[src].unmark_migrating(id);
+            self.instances[src].cancel_pause(id);
+            self.transition(id, Transition::To(Phase::Decode { inst: src }), now);
         }
 
         // Everything resident on the replica is lost; re-place each
         // request (sorted by id inside fail_and_drain).
-        let lost = self.instances[c].fail_and_drain();
-        for state in lost {
-            self.migrations.remove(&state.id.0);
+        for state in self.instances[c].fail_and_drain() {
             self.recover_request(state.id, state.generated, c, now)?;
         }
         Ok(())
@@ -190,11 +172,20 @@ impl Cluster {
         }
         self.crashed[c] = false;
         self.activation.set(c, Some(now));
-        let parked = std::mem::take(&mut self.parked);
-        for (id, generated, from) in parked {
-            if self.pending.contains_key(id) {
-                self.recover_request(RequestId(id), generated, from, now)?;
+        let mut parked = Vec::new();
+        for (id, p) in self.pending.iter() {
+            if let Phase::Parked {
+                generated,
+                from,
+                order,
+            } = p.phase
+            {
+                parked.push((order, id, generated, from));
             }
+        }
+        parked.sort_unstable();
+        for (_, id, generated, from) in parked {
+            self.recover_request(RequestId(id), generated, from, now)?;
         }
         Ok(())
     }
@@ -240,7 +231,8 @@ impl Cluster {
                 self.note_rescheduled(id, from, dst, true, now);
                 let state = SeqState::arriving_for_decode(id, prompt, output_target, resumed, 0);
                 let action = TransferAction::BackupRestore { state, src, dst };
-                self.submit_transfer(action, route, bytes, now);
+                let tid = self.submit_transfer(action, route, bytes, now);
+                self.transition(id, Transition::To(Phase::Handoff { tid }), now);
                 // The restored state is back in the request's original
                 // frame: nothing stays folded away.
                 self.set_resumed(id, 0);
@@ -256,10 +248,11 @@ impl Cluster {
                 .or_else(|| self.pick_guest_host(now))
         };
         let Some(t) = target else {
-            // The parked tuple carries the full delivered count; no engine
+            // The parked phase carries the full delivered count; no engine
             // state exists while parked.
             self.set_resumed(id, 0);
-            self.parked.push((id.0, generated, from));
+            let parked = self.parked(generated, from);
+            self.transition(id, Transition::To(parked), now);
             return Ok(());
         };
         // A stale backup of this request would collide with a fresh one
@@ -271,6 +264,7 @@ impl Cluster {
         // how many were folded so later accounting (prefill completion,
         // another crash) can translate back to the request's frame.
         self.set_resumed(id, generated);
+        self.transition(id, Transition::To(Phase::Prefill { inst: t }), now);
         self.instances[t].enqueue_prefill(
             id,
             prompt + generated,

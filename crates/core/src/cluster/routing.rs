@@ -1,7 +1,7 @@
 //! Replica selection: arrival routing through prefix affinity and
 //! Algorithm 1, and the handoff, migration and recovery target picks.
 
-use super::{Cluster, Pending, NO_INSTANCE};
+use super::{Cluster, Pending, Phase, NO_INSTANCE};
 use windserve_kvcache::PrefixStore;
 use windserve_metrics::PrefillSite;
 use windserve_sim::SimTime;
@@ -243,8 +243,13 @@ impl Cluster {
             None if self.cfg.system.colocated() => PrefillSite::Colocated,
             None => PrefillSite::PrefillInstance,
         };
-        self.pending
-            .insert(id.0, Pending::admitted(req, site, predicted_ttft));
+        let phase = match &placement {
+            Some(p) => Phase::Prefill { inst: p.inst },
+            // Every replica is down: park until a recovery.
+            None => self.parked(0, NO_INSTANCE),
+        };
+        let admitted = Pending::admitted(req, site, predicted_ttft, phase);
+        self.pending.insert(id.0, admitted);
         self.peak_pending = self.peak_pending.max(self.pending.len());
         let Some(Placement {
             inst,
@@ -252,8 +257,6 @@ impl Cluster {
             decision,
         }) = placement
         else {
-            // Every replica is down: park until a recovery.
-            self.parked.push((id.0, 0, NO_INSTANCE));
             return;
         };
         self.tracer.emit(now, || TraceEvent::Queued {

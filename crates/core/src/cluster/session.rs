@@ -3,13 +3,13 @@
 
 use super::autoscale::CHECK_INTERVAL;
 use super::transfer::MAX_CONCURRENT_MIGRATIONS;
-use super::{stamp, trace_lane, Cluster, ClusterSession, LiveEvent};
+use super::{trace_lane, Cluster, ClusterSession, LiveEvent, Transition};
 use super::{InstanceSnapshot, SessionSnapshot};
 use crate::coordinator::RESCHED_WATERMARK;
 use crate::report::{InstanceReport, RunReport};
 use windserve_engine::{LaneRef, RunAhead, StartedStep, StepKind};
 use windserve_faults::FaultPlan;
-use windserve_metrics::LatencySummary;
+use windserve_metrics::{DropReason, LatencySummary};
 use windserve_sim::{Delivery, Scheduled, SimDuration, SimTime};
 use windserve_trace::{TraceEvent, TraceLog};
 use windserve_workload::{Request, RequestId};
@@ -86,14 +86,14 @@ impl Cluster {
             ends_at,
         });
         for &id in newly_prefilling {
-            stamp(&mut self.pending, id, now, |p| &mut p.prefill_start);
+            self.transition(id, Transition::PrefillStarted { inst }, now);
             self.tracer.emit(now, || TraceEvent::PrefillStarted {
                 id,
                 inst: inst as u32,
             });
         }
         for &id in newly_decoding {
-            stamp(&mut self.pending, id, now, |p| &mut p.decode_start);
+            self.transition(id, Transition::DecodeStarted { inst }, now);
             self.tracer.emit(now, || TraceEvent::DecodeStarted {
                 id,
                 inst: inst as u32,
@@ -107,7 +107,7 @@ impl Cluster {
     fn leap_floor(&self, inst: usize) -> f64 {
         let (resched, preempt_watermark) = self.pressure_reactions(inst);
         let mut floor = preempt_watermark.unwrap_or(0.0);
-        if resched && self.migrations.len() < MAX_CONCURRENT_MIGRATIONS {
+        if resched && self.migrating < MAX_CONCURRENT_MIGRATIONS {
             floor = floor.max(RESCHED_WATERMARK);
         }
         floor
@@ -140,6 +140,16 @@ impl ClusterSession {
     /// Requests currently resident (queued or running).
     pub fn pending_requests(&self) -> usize {
         self.cluster.pending.len()
+    }
+
+    /// Ends resident request `id` for the front end (a client gone, or its
+    /// deadline passed): it leaves with a [`DropReason::Cancelled`]
+    /// outcome, and its KV is freed now or when the step it is in lands.
+    /// Returns whether `id` was resident; an injected request not yet
+    /// delivered is not.
+    pub fn abort(&mut self, id: RequestId) -> bool {
+        let now = self.events.now();
+        self.cluster.abort(id, DropReason::Cancelled, now)
     }
 
     /// Records a front-end event (e.g. a gateway submission) into the
@@ -368,7 +378,7 @@ impl ClusterSession {
                     decoded.clear();
                     // The common case has no live listeners and no migration
                     // in flight; skip reading the step's members then.
-                    if cluster.live.is_some() || !cluster.migrations.is_empty() {
+                    if cluster.live.is_some() || cluster.migrating > 0 {
                         decoded.extend(cluster.instances[inst].step_members(lane));
                     }
                     let outcome = cluster.instances[inst].complete_step(lane, now);
@@ -456,10 +466,11 @@ impl ClusterSession {
     /// sweep would find every other instance as the last sweep left it,
     /// and `try_start` on such an instance is a no-op unless a preemption
     /// left its swap queue non-empty; while one does, nothing runs ahead.
-    /// The pressure reactions a completion triggers stay off because the
+    /// Nor does anything while an aborted request waits to be reaped at
+    /// the end of its step. The pressure reactions a completion triggers stay off because the
     /// engine keeps free KV at or above `leap_floor`.
     fn run_ahead(&mut self, inst: usize, lane: LaneRef, epoch: u64, ahead: SimTime) -> bool {
-        if self.swap_waiting {
+        if self.swap_waiting || !self.cluster.reaping.is_empty() {
             return false;
         }
         // The delivered step is event `processed`; each further step is

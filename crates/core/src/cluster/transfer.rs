@@ -3,7 +3,7 @@
 //! retries and fallbacks when the wire fails them.
 
 use super::session::Event;
-use super::{stamp, Cluster};
+use super::{Cluster, Phase, Transition};
 use crate::coordinator::RESCHED_WATERMARK;
 use windserve_engine::{PausedSeq, SeqState};
 use windserve_gpu::{RouteId, TransferEngine};
@@ -76,13 +76,16 @@ pub(super) struct PendingTransfer {
     attempt: u32,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(super) struct MigrationCtl {
     pub(super) state: StallFreeMigration,
     /// Source decode instance.
     pub(super) src: usize,
     /// Destination prefill instance.
     pub(super) dst: usize,
+    /// The phase-1 bulk or phase-2 tail on the wire; `None` between them,
+    /// while the pause waits for a step boundary.
+    pub(super) tid: Option<u64>,
 }
 
 /// The interconnect and every transfer in flight on it.
@@ -132,15 +135,15 @@ impl Transfers {
 }
 
 impl Cluster {
-    /// Launches a transfer and registers its completion action. `bytes` is
-    /// the logical payload.
+    /// Launches a transfer, registers its completion action and returns
+    /// its id. `bytes` is the logical payload.
     pub(super) fn submit_transfer(
         &mut self,
         action: TransferAction,
         route: RouteId,
         bytes: u64,
         now: SimTime,
-    ) {
+    ) -> u64 {
         let tid = self.transfers.next;
         self.transfers.next += 1;
         let pt = PendingTransfer {
@@ -151,6 +154,7 @@ impl Cluster {
         };
         let done = self.transfers.launch(tid, pt, now);
         self.deferred.push((done, Event::TransferDone(tid)));
+        tid
     }
 
     /// Hands `id`'s freshly prefilled KV from prefill replica `src` to
@@ -194,7 +198,8 @@ impl Cluster {
             dst,
             keep_backup,
         };
-        self.submit_transfer(action, route, wire_bytes, now);
+        let tid = self.submit_transfer(action, route, wire_bytes, now);
+        self.transition(id, Transition::To(Phase::Handoff { tid }), now);
         Ok(())
     }
 
@@ -210,20 +215,20 @@ impl Cluster {
     /// replica `dst`: the KV is still resident at the source, so the
     /// request decodes in place rather than being lost.
     pub(super) fn decode_in_place(&mut self, id: RequestId, src: usize, dst: usize, now: SimTime) {
-        stamp(&mut self.pending, id, now, |p| &mut p.decode_enqueue);
+        self.transition(id, Transition::To(Phase::Decode { inst: src }), now);
         self.note_rescheduled(id, dst, src, false, now);
         self.instances[src].promote_to_decode(id);
     }
 
     pub(super) fn on_paused(&mut self, paused: PausedSeq, now: SimTime) -> crate::Result<()> {
         let id = paused.state.id;
-        let Some(migration) = self.migrations.get_mut(&id.0) else {
+        let Some(mut m) = self.migration(id).cloned() else {
             // Pause without a live migration: the request completed in the
             // same step; nothing to do.
             return Ok(());
         };
-        let tail_tokens = migration.state.begin_pause();
-        let (src, dst) = (migration.src, migration.dst);
+        let tail_tokens = m.state.begin_pause();
+        let (src, dst) = (m.src, m.dst);
         self.tracer
             .emit(now, || TraceEvent::MigrationPaused { id, tail_tokens });
         let bytes = self.count_kv_bytes(src, tail_tokens);
@@ -235,7 +240,9 @@ impl Cluster {
         }
         state.swap_outs = 0;
         let route = self.transfers.route(src, dst)?;
-        self.submit_transfer(TransferAction::MigrationPhase2 { state }, route, bytes, now);
+        let phase2 = TransferAction::MigrationPhase2 { state };
+        m.tid = Some(self.submit_transfer(phase2, route, bytes, now));
+        self.transition(id, Transition::To(Phase::Migrating(Box::new(m))), now);
         Ok(())
     }
 
@@ -276,9 +283,11 @@ impl Cluster {
         self.deliver_transfer(pt.action, now)
     }
 
-    /// Applies a successfully delivered transfer's effects.
+    /// Applies a successfully delivered transfer's effects: each but a
+    /// migration's bulk lands the request in its destination's decode
+    /// queue.
     fn deliver_transfer(&mut self, action: TransferAction, now: SimTime) -> crate::Result<()> {
-        match action {
+        let (state, dst) = match action {
             TransferAction::KvHandoff {
                 state,
                 src,
@@ -286,64 +295,49 @@ impl Cluster {
                 keep_backup,
             } => {
                 let id = state.id;
-                if keep_backup {
-                    if self.instances[src].convert_to_backup(id, BACKUP_WATERMARK) {
-                        self.counters.backups_created += 1;
-                        self.tracer.emit(now, || TraceEvent::BackupCreated {
-                            id,
-                            inst: src as u32,
-                        });
-                    }
-                } else {
+                if !keep_backup {
                     self.instances[src].release_sequence(id);
+                } else if self.instances[src].convert_to_backup(id, BACKUP_WATERMARK) {
+                    self.counters.backups_created += 1;
+                    let inst = src as u32;
+                    self.tracer
+                        .emit(now, || TraceEvent::BackupCreated { id, inst });
                 }
-                stamp(&mut self.pending, id, now, |p| &mut p.decode_enqueue);
-                self.tracer.emit(now, || TraceEvent::KvTransferFinished {
-                    id,
-                    dst: dst as u32,
-                });
-                self.instances[dst].enqueue_decode_arrival(state);
-            }
-            TransferAction::MigrationPhase1 { id } => {
-                if self.pending.contains_key(id.0) {
-                    if let Some(m) = self.migrations.get(&id.0) {
-                        let src = m.src;
-                        if let Some(paused) = self.instances[src].request_pause(id) {
-                            self.on_paused(paused, now)?;
-                        }
-                    }
-                } else {
-                    self.migrations.remove(&id.0);
-                }
-            }
-            TransferAction::MigrationPhase2 { state } => {
-                let id = state.id;
-                let Some(m) = self.migrations.remove(&id.0) else {
-                    return Ok(());
-                };
-                self.instances[m.dst].drop_backup(id);
-                if self.pending.contains_key(id.0) {
-                    self.instances[m.dst].enqueue_decode_arrival(state);
-                    self.counters.migrations_completed += 1;
-                    self.tracer.emit(now, || TraceEvent::MigrationFinished {
-                        id,
-                        dst: m.dst as u32,
-                    });
-                }
+                (state, dst)
             }
             TransferAction::BackupRestore { state, src, dst } => {
-                let id = state.id;
-                self.instances[src].drop_backup(id);
-                if self.pending.contains_key(id.0) {
-                    stamp(&mut self.pending, id, now, |p| &mut p.decode_enqueue);
-                    self.tracer.emit(now, || TraceEvent::KvTransferFinished {
-                        id,
-                        dst: dst as u32,
-                    });
-                    self.instances[dst].enqueue_decode_arrival(state);
-                }
+                self.instances[src].drop_backup(state.id);
+                (state, dst)
             }
-        }
+            TransferAction::MigrationPhase1 { id } => {
+                // A victim that completed meanwhile has no migration left.
+                if let Some(mut m) = self.migration(id).cloned() {
+                    let src = m.src;
+                    m.tid = None;
+                    self.transition(id, Transition::To(Phase::Migrating(Box::new(m))), now);
+                    if let Some(paused) = self.instances[src].request_pause(id) {
+                        self.on_paused(paused, now)?;
+                    }
+                }
+                return Ok(());
+            }
+            TransferAction::MigrationPhase2 { state } => {
+                let Some(dst) = self.migration(state.id).map(|m| m.dst) else {
+                    return Ok(());
+                };
+                self.instances[dst].drop_backup(state.id);
+                self.counters.migrations_completed += 1;
+                (state, dst)
+            }
+        };
+        let (id, migrated) = (state.id, self.migration(state.id).is_some());
+        self.transition(id, Transition::To(Phase::Decode { inst: dst }), now);
+        self.instances[dst].enqueue_decode_arrival(state);
+        let dst = dst as u32;
+        self.tracer.emit(now, || match migrated {
+            true => TraceEvent::MigrationFinished { id, dst },
+            false => TraceEvent::KvTransferFinished { id, dst },
+        });
         Ok(())
     }
 
@@ -359,8 +353,9 @@ impl Cluster {
             TransferAction::MigrationPhase1 { id } => {
                 // Abort the migration; the victim keeps decoding at its
                 // source as if it was never selected.
-                if let Some(m) = self.migrations.remove(&id.0) {
-                    self.instances[m.src].unmark_migrating(id);
+                if let Some(src) = self.migration(id).map(|m| m.src) {
+                    self.instances[src].unmark_migrating(id);
+                    self.transition(id, Transition::To(Phase::Decode { inst: src }), now);
                 }
                 Ok(())
             }
@@ -385,7 +380,7 @@ impl Cluster {
         decode_idx: usize,
         now: SimTime,
     ) -> crate::Result<()> {
-        while self.migrations.len() < MAX_CONCURRENT_MIGRATIONS
+        while self.migrating < MAX_CONCURRENT_MIGRATIONS
             && self
                 .coordinator
                 .needs_rescheduling(&self.instances[decode_idx])
@@ -396,7 +391,11 @@ impl Cluster {
                 kv_free_fraction,
                 watermark: RESCHED_WATERMARK,
             });
-            let Some((victim, ctx)) = self.coordinator.pick_victim(&self.instances[decode_idx])
+            // An aborted request still mid-step is no victim.
+            let Some((victim, ctx)) = self
+                .coordinator
+                .pick_victim(&self.instances[decode_idx])
+                .filter(|(v, _)| self.pending.contains_key(v.0))
             else {
                 return Ok(());
             };
@@ -424,7 +423,7 @@ impl Cluster {
         if backup_hit {
             self.counters.backup_hits += 1;
         }
-        let migration = StallFreeMigration::new(ctx, PAUSE_THRESHOLD_TOKENS.min(delta));
+        let state = StallFreeMigration::new(ctx, PAUSE_THRESHOLD_TOKENS.min(delta));
         let bulk_tokens = delta.saturating_sub(PAUSE_THRESHOLD_TOKENS);
         self.tracer.emit(now, || TraceEvent::MigrationStarted {
             id,
@@ -435,17 +434,16 @@ impl Cluster {
             backup_hit,
         });
         let bytes = self.count_kv_bytes(src, bulk_tokens);
-        self.migrations.insert(
-            id.0,
-            MigrationCtl {
-                state: migration,
-                src,
-                dst,
-            },
-        );
         self.counters.migrations_started += 1;
         let route = self.transfers.route(src, dst)?;
-        self.submit_transfer(TransferAction::MigrationPhase1 { id }, route, bytes, now);
+        let tid = self.submit_transfer(TransferAction::MigrationPhase1 { id }, route, bytes, now);
+        let m = MigrationCtl {
+            state,
+            src,
+            dst,
+            tid: Some(tid),
+        };
+        self.transition(id, Transition::To(Phase::Migrating(Box::new(m))), now);
         Ok(())
     }
 }

@@ -496,9 +496,10 @@ impl Driver {
 
     /// Ends request `id` with `terminal`. The only code that drops a
     /// routing entry, counts a terminal, traces `GatewayStreamClosed` and
-    /// queues the terminal bytes. A request already closed is left alone,
-    /// so the sim events that still arrive for it after a deadline or a
-    /// disconnect are ignored.
+    /// queues the terminal bytes. A deadline or a disconnect also aborts
+    /// the request in the simulator, which frees its KV. A request already
+    /// closed is left alone, so the sim events that still arrive for it
+    /// are ignored.
     fn close(&mut self, id: RequestId, terminal: Terminal) {
         let Some(state) = self.streams.remove(&id) else {
             return;
@@ -510,6 +511,9 @@ impl Driver {
             Terminal::Disconnected => &mut self.report.disconnected,
         };
         *counter += 1;
+        if matches!(terminal, Terminal::Deadline | Terminal::Disconnected) {
+            self.session.abort(id);
+        }
         self.session.emit_trace(TraceEvent::GatewayStreamClosed {
             id,
             delivered_tokens: state.tokens,
@@ -539,9 +543,6 @@ impl Driver {
             (Terminal::Deadline, true) => drop_event(deadline.label(), deadline),
             (Terminal::Dropped(reason), false) => drop_response(reason),
             (Terminal::Deadline, false) => drop_response(deadline),
-            // The sim keeps producing tokens for the request; with the
-            // routing entry gone they are dropped on the floor, which is
-            // exactly what a vanished client deserves.
             (Terminal::Disconnected, _) => {
                 self.outboxes.remove(&id);
                 return;

@@ -149,7 +149,7 @@ fn request_deadlines_surface_as_typed_sse_terminals() {
 }
 
 /// A client that walks away mid-stream costs nothing but its own
-/// stream: the pump notices the dead socket, the driver reclaims the
+/// stream: the driver's flush meets the dead socket and reclaims the
 /// routing entry, and the next request is served normally.
 #[test]
 fn mid_stream_disconnects_are_reclaimed_and_service_continues() {
@@ -166,8 +166,8 @@ fn mid_stream_disconnects_are_reclaimed_and_service_continues() {
     let mut head = [0u8; 64];
     sock.read_exact(&mut head).unwrap();
     drop(sock);
-    // Give the pump time to hit the dead socket and the driver time to
-    // process the reclamation.
+    // Give the driver's flush time to hit the dead socket and close the
+    // stream.
     std::thread::sleep(Duration::from_millis(800));
     let parser = try_exchange(
         addr,

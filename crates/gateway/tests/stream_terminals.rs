@@ -2,16 +2,18 @@
 //! TCP: a completed stream, a drop by the simulator's overload control
 //! after admission, a gateway deadline (streamed and unary), and a client that
 //! disconnects mid-stream. Each gateway's shutdown report must account
-//! for every submission exactly once.
+//! for every submission exactly once, and a request the gateway cuts short
+//! must leave the simulator too.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use windserve::{OverloadConfig, ServeConfig, SystemKind};
+use windserve::{OverloadConfig, RunReport, ServeConfig, SystemKind};
 use windserve_gateway::driver::DriverReport;
 use windserve_gateway::http::HttpRequest;
 use windserve_gateway::server::{Gateway, GatewayConfig};
+use windserve_metrics::DropReason;
 
 /// The response head that opens every SSE stream.
 const SSE_HEAD: &str = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
@@ -49,6 +51,29 @@ fn raw_exchange(addr: SocketAddr, request: &[u8]) -> Vec<u8> {
     let mut raw = Vec::new();
     sock.read_to_end(&mut raw).expect("read to EOF");
     raw
+}
+
+/// The simulator's resident request count, from the status endpoint.
+fn pending_requests(addr: SocketAddr) -> u64 {
+    let status = HttpRequest::new("GET", "/v1/cluster/status", Vec::new());
+    let raw = String::from_utf8(raw_exchange(addr, &status.encode())).expect("UTF-8");
+    let body = &raw[raw.find("\r\n\r\n").expect("a response head") + 4..];
+    let v: serde_json::Value = serde_json::from_str(body).expect("a JSON body");
+    v["report"]["snapshot"]["pending_requests"]
+        .as_u64()
+        .expect("a resident count")
+}
+
+/// The simulator's account of requests `ids`, all cut short by the
+/// gateway: none completed, and each left with one `cancelled` drop.
+fn assert_cancelled(run: Option<&RunReport>, ids: &[u64]) {
+    let run = run.expect("a clean shutdown has a run report");
+    assert!(run.records.is_empty(), "completed: {:?}", run.records);
+    let dropped: Vec<(u64, DropReason)> = run.dropped.iter().map(|d| (d.id.0, d.reason)).collect();
+    let cancelled: Vec<(u64, DropReason)> =
+        ids.iter().map(|&id| (id, DropReason::Cancelled)).collect();
+    assert_eq!(dropped, cancelled);
+    assert_eq!(DropReason::Cancelled.label(), "cancelled");
 }
 
 /// One HTTP/1.1 chunk, framed by hand.
@@ -180,10 +205,14 @@ fn gateway_deadlines_end_streamed_and_unary_requests() {
         DEADLINE_BODY.len()
     );
     assert_eq!(String::from_utf8_lossy(&raw), expected);
+    // Frozen time never finishes either request: both left at their
+    // deadline.
+    assert_eq!(pending_requests(gw.addr()), 0);
 
     let d = gw.shutdown().driver;
     assert_eq!((d.submitted, d.deadline_exceeded), (2, 2));
     assert_conserved(&d);
+    assert_cancelled(d.run_report.as_ref(), &[0, 1]);
 }
 
 #[test]
@@ -200,10 +229,12 @@ fn a_mid_stream_disconnect_is_reclaimed() {
     sock.read_exact(&mut head).unwrap();
     assert_eq!(String::from_utf8_lossy(&head), SSE_HEAD);
     drop(sock);
-    // The pump meets the dead socket on its next token write and the
-    // driver reclaims the stream.
+    // The driver's flush meets the dead socket on a token write soon
+    // after and closes the stream, well before the 1,024th token.
     std::thread::sleep(Duration::from_millis(800));
+    assert_eq!(pending_requests(gw.addr()), 0);
     let d = gw.shutdown().driver;
     assert_eq!((d.submitted, d.disconnected), (1, 1));
     assert_conserved(&d);
+    assert_cancelled(d.run_report.as_ref(), &[0]);
 }

@@ -2,7 +2,8 @@
 //!
 //! Under overload control a request can leave the system without
 //! producing its output: rejected at admission, shed to protect the SLO
-//! of higher-tier work, or aborted by the deadline watchdog. Each such
+//! of higher-tier work, aborted by the deadline watchdog, or cancelled by
+//! the serving front-end when its client gave up on it. Each such
 //! exit is recorded as a [`DroppedRequest`] with a typed [`DropReason`],
 //! so a run report accounts for every request — completed or not — and
 //! "silently vanished" is not a reachable state.
@@ -26,6 +27,9 @@ pub enum DropReason {
     /// Aborted by the deadline watchdog after exceeding its wall-clock
     /// budget.
     DeadlineExceeded,
+    /// Cancelled by the serving front-end: the client disconnected or the
+    /// gateway's own deadline for it passed.
+    Cancelled,
 }
 
 impl DropReason {
@@ -36,6 +40,7 @@ impl DropReason {
             DropReason::TokenBudget => "token-budget",
             DropReason::Shed => "shed",
             DropReason::DeadlineExceeded => "deadline-exceeded",
+            DropReason::Cancelled => "cancelled",
         }
     }
 
@@ -46,7 +51,7 @@ impl DropReason {
     pub fn http_status(self) -> u16 {
         match self {
             DropReason::QueueFull | DropReason::TokenBudget | DropReason::Shed => 429,
-            DropReason::DeadlineExceeded => 503,
+            DropReason::DeadlineExceeded | DropReason::Cancelled => 503,
         }
     }
 }
