@@ -27,7 +27,7 @@ pub struct Args {
     pub command: Option<String>,
     /// Remaining non-flag tokens.
     pub positional: Vec<String>,
-    flags: BTreeMap<String, Option<String>>,
+    flags: BTreeMap<String, Vec<String>>,
 }
 
 /// Boolean switches that take no value.
@@ -74,9 +74,7 @@ pub(crate) const VALUE_FLAGS: &[&str] = &[
     "preset",
     "out",
     "audit",
-    "systems",
-    "rates",
-    "fault-seed",
+    "vary",
     "max-queue",
     "max-queued-tokens",
     "shed-factor",
@@ -84,7 +82,6 @@ pub(crate) const VALUE_FLAGS: &[&str] = &[
     "deadline",
     "audit-every",
     "overload-factor",
-    "tiers",
     "jobs",
     "port",
     "time-scale",
@@ -104,27 +101,27 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns an error for a value-flag at the end of the line with no
-    /// value.
+    /// Returns an error for an unknown flag, a value-flag at the end of
+    /// the line with no value, or a flag given twice (only `--vary`
+    /// repeats).
     pub(crate) fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Self, ArgError> {
         let mut args = Args::default();
-        let mut iter = tokens.into_iter().peekable();
+        let mut iter = tokens.into_iter();
         while let Some(tok) = iter.next() {
             if let Some(name) = tok.strip_prefix("--") {
-                if SWITCHES.contains(&name) {
-                    args.flags.insert(name.to_string(), None);
-                    continue;
-                }
-                if !VALUE_FLAGS.contains(&name) {
+                let switch = SWITCHES.contains(&name);
+                if !switch && !VALUE_FLAGS.contains(&name) {
                     return Err(ArgError(format!(
                         "unknown flag --{name}; see `windserve help`"
                     )));
                 }
-                match iter.next() {
-                    Some(value) => {
-                        args.flags.insert(name.to_string(), Some(value));
-                    }
-                    None => return Err(ArgError(format!("--{name} needs a value"))),
+                if name != "vary" && args.flags.contains_key(name) {
+                    return Err(ArgError(format!("--{name} is given more than once")));
+                }
+                let values = args.flags.entry(name.to_string()).or_default();
+                if !switch {
+                    let value = iter.next();
+                    values.push(value.ok_or_else(|| ArgError(format!("--{name} needs a value")))?);
                 }
             } else if args.command.is_none() {
                 args.command = Some(tok);
@@ -152,7 +149,13 @@ impl Args {
 
     /// The raw value of a flag, if present.
     pub(crate) fn get(&self, name: &str) -> Option<&str> {
-        self.flags.get(name).and_then(|v| v.as_deref())
+        self.flags.get(name)?.first().map(String::as_str)
+    }
+
+    /// Every value of the repeatable `--vary`, in command-line order.
+    pub(crate) fn get_all(&self, name: &str) -> &[String] {
+        debug_assert_eq!(name, "vary", "only --vary repeats");
+        self.flags.get(name).map_or(&[], Vec::as_slice)
     }
 
     /// A typed flag with a default.
@@ -165,12 +168,7 @@ impl Args {
         name: &str,
         default: T,
     ) -> Result<T, ArgError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| ArgError(format!("--{name}: cannot parse {raw:?}"))),
-        }
+        Ok(self.get_opt(name)?.unwrap_or(default))
     }
 
     /// A typed optional flag.
@@ -275,6 +273,35 @@ mod tests {
             let err = Args::parse(["perf".to_string(), flag.clone()]).unwrap_err();
             assert!(err.0.starts_with(&format!("unknown flag {flag}")), "{err}");
         }
+        // The one-axis flags `compare --vary` replaced.
+        for flag in ["systems", "rates", "tiers", "fault-seed"] {
+            let err =
+                Args::parse(["compare", &format!("--{flag}"), "1"].map(String::from)).unwrap_err();
+            assert!(
+                err.0.starts_with(&format!("unknown flag --{flag}")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_flags_and_switches_are_errors() {
+        for line in [
+            "run --requests 10 --requests 20",
+            "compare --system vllm --system distserve",
+            "run --json --json",
+        ] {
+            let err = Args::parse(line.split_whitespace().map(String::from)).unwrap_err();
+            let flag = line.split_whitespace().nth(1).unwrap();
+            assert_eq!(err.0, format!("{flag} is given more than once"), "{line}");
+        }
+    }
+
+    #[test]
+    fn vary_accumulates_in_order() {
+        let a = parse("compare --vary rate=1,2 --json --vary system=vllm");
+        assert_eq!(a.get_all("vary"), ["rate=1,2", "system=vllm"]);
+        assert!(parse("compare").get_all("vary").is_empty());
     }
 
     #[test]

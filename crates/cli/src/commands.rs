@@ -1,11 +1,10 @@
 //! CLI subcommands.
 
 use crate::args::{ArgError, Args};
-use crate::build::{preset_by_name, system_by_name, RunSpec};
+use crate::build::{preset_by_name, RunSpec};
+use crate::grid::{self, Axis};
 use crate::render;
-use windserve::{Cluster, FaultPlan, RequestId, RunReport, TraceMode};
-use windserve_engine::InstanceRole;
-use windserve_sim::SimDuration;
+use windserve::{Cluster, RequestId, RunReport, TraceLog, TraceMode};
 use windserve_workload::{Dataset, Trace};
 
 /// Runs one serving simulation and prints (or JSON-dumps) the report.
@@ -22,9 +21,9 @@ pub(crate) fn run(args: &Args) -> Result<String, ArgError> {
     if let Some(path) = args.get("save-trace") {
         save_trace(path, &trace)?;
     }
-    let report = run_cluster(spec.config.clone(), &trace)?;
+    let (report, _) = run_cluster(spec.config.clone(), &trace)?;
     if args.switch("json") {
-        render::report_json(&report)
+        render::json_envelope("run", serde_json::to_value(&report))
     } else if args.switch("quiet") {
         Ok(render::report_brief(&spec, &report))
     } else {
@@ -33,12 +32,28 @@ pub(crate) fn run(args: &Args) -> Result<String, ArgError> {
 }
 
 /// Runs `cfg` over `trace`, mapping build and run failures to CLI errors.
-fn run_cluster(cfg: windserve::ServeConfig, trace: &Trace) -> Result<RunReport, ArgError> {
+fn run_cluster(
+    cfg: windserve::ServeConfig,
+    trace: &Trace,
+) -> Result<(RunReport, TraceLog), ArgError> {
     Cluster::new(cfg)
         .map_err(|e| ArgError(format!("config: {e}")))?
         .run(trace)
-        .map(|(report, _)| report)
         .map_err(|e| ArgError(format!("simulation: {e}")))
+}
+
+/// Writes `log` as Chrome `trace_event` JSON to `--out`, if given, and
+/// says so.
+fn write_out(args: &Args, log: &TraceLog) -> Result<String, ArgError> {
+    let Some(path) = args.get("out") else {
+        return Ok(String::new());
+    };
+    std::fs::write(path, log.to_chrome_json())
+        .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
+    Ok(format!(
+        "wrote Chrome trace ({} events) to {path}\n",
+        log.len()
+    ))
 }
 
 /// Runs a multi-deployment fleet over one shared GPU pool and prints
@@ -72,72 +87,47 @@ pub(crate) fn fleet(args: &Args) -> Result<String, ArgError> {
     let (report, log) = fleet
         .run(jobs)
         .map_err(|e| ArgError(format!("fleet: {e}")))?;
-    let mut out = String::new();
-    if let Some(path) = args.get("out") {
-        std::fs::write(path, log.to_chrome_json())
-            .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        out += &format!("wrote Chrome trace ({} events) to {path}\n", log.len());
-    }
+    let mut out = write_out(args, &log)?;
     if args.switch("json") {
-        return render::fleet_json(&report);
+        return render::json_envelope("fleet", serde_json::to_value(&report));
     }
     out += &render::fleet_text(fleet.config(), &report, &log);
     Ok(out)
 }
 
-/// Runs the same workload under several systems and prints a comparison.
+/// Runs the same workload at every point of a `--vary` grid (see
+/// [`grid`]) and tabulates the reports.
 ///
 /// # Errors
 ///
-/// Reports invalid flags or a failed simulation.
+/// Reports invalid flags, a malformed `--vary`, or a failed simulation.
 pub(crate) fn compare(args: &Args) -> Result<String, ArgError> {
     let base = RunSpec::from_args(args)?;
-    let systems: Vec<&str> = match args.get("systems") {
-        Some(list) => list.split(',').collect(),
-        None => vec!["windserve", "distserve", "vllm"],
-    };
+    let grid = grid::parse(args)?;
+    // When overload varies, every point replays the generated trace at
+    // `--overload-factor` times its rate, in three seeded priority tiers.
+    let factor: f64 = args.get_or("overload-factor", 2.0)?;
+    let scale = grid
+        .iter()
+        .any(|(axis, _)| *axis == Axis::Overload)
+        .then_some(factor);
+    if scale.is_some() && !(factor.is_finite() && factor > 0.0) {
+        return Err(ArgError(format!(
+            "--overload-factor must be positive, got {factor}"
+        )));
+    }
     let mut rows = Vec::new();
-    for name in systems {
-        let mut spec = base.clone();
-        spec.config.system = system_by_name(name.trim())?;
-        let report = execute(&spec)?;
-        rows.push(report);
+    for (point, spec) in grid::points(&grid, &base, args)? {
+        let mut trace = spec.generate_trace()?;
+        if let Some(factor) = scale {
+            trace = trace.with_rate_scaled(factor).with_tiers(3, spec.seed);
+        }
+        rows.push((point, run_cluster(spec.config, &trace)?.0));
     }
     if args.switch("json") {
-        render::reports_json(&rows)
+        render::grid_json(&grid, &rows)
     } else {
-        Ok(render::comparison_text(&base, &rows))
-    }
-}
-
-/// Sweeps the per-GPU rate and prints one row per operating point.
-///
-/// # Errors
-///
-/// Reports invalid flags or a failed simulation.
-pub(crate) fn sweep(args: &Args) -> Result<String, ArgError> {
-    let base = RunSpec::from_args(args)?;
-    if base.config.workload.is_some() {
-        return Err(ArgError(
-            "sweep varies the arrival rate, which a [workload.scenario] config fixes; \
-             drop the [workload] section to sweep"
-                .into(),
-        ));
-    }
-    let rates = parse_rates(args.get("rates").unwrap_or("1,2,3,4,5"))?;
-    let mut rows = Vec::new();
-    for rate in rates {
-        let mut spec = base.clone();
-        spec.rate_per_gpu = rate;
-        // Rebuild the arrival process at the new rate.
-        spec.arrivals = RunSpec::arrivals_at(args, spec.config.total_rate(rate))?;
-        let report = execute(&spec)?;
-        rows.push((rate, report));
-    }
-    if args.switch("json") {
-        render::sweep_json(&rows)
-    } else {
-        Ok(render::sweep_text(&base, &rows))
+        Ok(render::grid_text(&base, &grid, scale, &rows))
     }
 }
 
@@ -160,16 +150,8 @@ pub(crate) fn trace(args: &Args) -> Result<String, ArgError> {
     }
     spec.config.trace = TraceMode::Full;
     let trace = spec.generate_trace()?;
-    let (report, log) = Cluster::new(spec.config.clone())
-        .map_err(|e| ArgError(format!("config: {e}")))?
-        .run(&trace)
-        .map_err(|e| ArgError(format!("simulation: {e}")))?;
-    let mut out = String::new();
-    if let Some(path) = args.get("out") {
-        std::fs::write(path, log.to_chrome_json())
-            .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        out += &format!("wrote Chrome trace ({} events) to {path}\n", log.len());
-    }
+    let (report, log) = run_cluster(spec.config.clone(), &trace)?;
+    let mut out = write_out(args, &log)?;
     if let Some(id) = args.get_opt::<u64>("audit")? {
         if log.for_request(RequestId(id)).is_empty() {
             return Err(ArgError(format!("no trace events for request {id}")));
@@ -179,133 +161,6 @@ pub(crate) fn trace(args: &Args) -> Result<String, ArgError> {
         out += &render::scheduling_trace_text(&spec, &report, &log);
     }
     Ok(out)
-}
-
-/// Runs the same workload with and without an injected fault plan and
-/// prints the degradation: goodput, latency tails, and the recovery
-/// actions the cluster took (reschedules, retries, backup hits).
-///
-/// # Errors
-///
-/// Reports invalid flags or a failed simulation.
-pub(crate) fn faults(args: &Args) -> Result<String, ArgError> {
-    let base = RunSpec::from_args(args)?;
-    let preset = args.get("preset").unwrap_or("decode-crash");
-    let fault_seed = args.get_or("fault-seed", base.seed)?;
-    // Faults are placed relative to the expected span of the arrival
-    // schedule so crash/recover land mid-run at any --rate/--requests.
-    let horizon =
-        SimDuration::from_secs_f64(base.requests as f64 / base.arrivals.mean_rate().max(1e-9));
-    // Colocated replicas all serve both phases, so replica 0 stands in for
-    // the first decode replica.
-    let first_decode = base
-        .config
-        .layout()
-        .map_err(|e| ArgError(format!("invalid configuration: {e}")))?
-        .iter()
-        .position(|r| r.role == InstanceRole::Decode)
-        .unwrap_or(0) as u32;
-    let plan = FaultPlan::from_preset(preset, first_decode, horizon, fault_seed)
-        .map_err(|e| ArgError(format!("--preset: {e}")))?;
-    let trace = base.generate_trace()?;
-    let baseline = run_cluster(base.config.clone(), &trace)?;
-    let mut faulted_cfg = base.config.clone();
-    faulted_cfg.faults = Some(plan);
-    let faulted = run_cluster(faulted_cfg, &trace)?;
-    if args.switch("json") {
-        return render::json_envelope(
-            "faults",
-            serde_json::json!({
-                "preset": preset,
-                "fault_seed": fault_seed,
-                "baseline": baseline,
-                "faulted": faulted,
-            }),
-        );
-    }
-    let mut out = format!(
-        "fault preset {preset:?} (seed {fault_seed}) | {} | {} requests\n\n",
-        base.config.model.name, base.requests,
-    );
-    out += &format!(
-        "{:<12} {:>9} {:>10} {:>10} {:>10} {:>9}\n",
-        "", "goodput", "TTFT p50", "TTFT p99", "TPOT p99", "SLO both"
-    );
-    for (label, r) in [("fault-free", &baseline), ("faulted", &faulted)] {
-        out += &format!(
-            "{:<12} {:>9.3} {:>10.4} {:>10.4} {:>10.4} {:>8.1}%\n",
-            label,
-            r.goodput(),
-            r.summary.ttft.p50,
-            r.summary.ttft.p99,
-            r.summary.tpot.p99,
-            r.summary.slo.both * 100.0,
-        );
-    }
-    out += &format!(
-        "\nrecovery: {} faults injected | {} requests rescheduled \
-         ({} backup hits) | {} transfer retries\n\
-         completed {}/{} requests\n",
-        faulted.faults_injected,
-        faulted.requests_rescheduled,
-        faulted.backup_hits,
-        faulted.transfer_retries,
-        faulted.summary.completed,
-        base.requests,
-    );
-    Ok(out)
-}
-
-/// Drives the same workload at an overload rate (default 2x) with and
-/// without overload control and prints the comparison: goodput, latency
-/// tails, peak queue depth, and the typed outcomes of every request that
-/// did not complete (rejected, shed, preempted, watchdog-aborted).
-///
-/// # Errors
-///
-/// Reports invalid flags or a failed simulation.
-pub(crate) fn overload(args: &Args) -> Result<String, ArgError> {
-    let base = RunSpec::from_args(args)?;
-    let factor: f64 = args.get_or("overload-factor", 2.0)?;
-    if !(factor.is_finite() && factor > 0.0) {
-        return Err(ArgError(format!(
-            "--overload-factor must be positive, got {factor}"
-        )));
-    }
-    let tiers: u8 = args.get_or("tiers", 3u8)?;
-    if tiers == 0 {
-        return Err(ArgError("--tiers must be at least 1".into()));
-    }
-    let trace = base
-        .generate_trace()?
-        .with_rate_scaled(factor)
-        .with_tiers(tiers, base.seed);
-    let mut controlled_cfg = base.config.clone();
-    if controlled_cfg.overload.is_none() {
-        // No overload flags given: defaults plus pressure preemption and a
-        // periodic audit, so every subsystem participates in the demo.
-        controlled_cfg.overload = Some(windserve::OverloadConfig {
-            preempt_kv_watermark: Some(0.05),
-            audit_interval_events: Some(10_000),
-            ..Default::default()
-        });
-    }
-    let mut baseline_cfg = base.config.clone();
-    baseline_cfg.overload = None;
-    let baseline = run_cluster(baseline_cfg, &trace)?;
-    let controlled = run_cluster(controlled_cfg, &trace)?;
-    if args.switch("json") {
-        return render::json_envelope(
-            "overload",
-            serde_json::json!({
-                "overload_factor": factor,
-                "tiers": tiers,
-                "baseline": baseline,
-                "controlled": controlled,
-            }),
-        );
-    }
-    Ok(render::overload_text(&base, factor, &baseline, &controlled))
 }
 
 /// Serves the simulated cluster over live HTTP/SSE: `POST
@@ -677,14 +532,11 @@ COMMANDS:
     run          simulate one serving run and report latencies
     fleet        run several deployments over one shared GPU pool and
                  report per-tenant SLO attainment and lease accounting
-    compare      run the same workload under several systems
-    sweep        sweep the per-GPU request rate
+    compare      run the same workload at every point of a grid (--vary)
+                 and tabulate the reports
     trace        capture every scheduling decision of a run
     trace-stats  show Table 2-style statistics of a generated trace
     budget       show the calibrated Algorithm 1 budget and profiler fit
-    faults       inject a fault preset and compare against the fault-free run
-    overload     drive the workload past capacity and compare overload
-                 control (admit/shed/preempt/watchdog) against no control
     serve        expose the simulated cluster as a live HTTP/SSE gateway
                  (POST /v1/completions, GET /v1/cluster/status, /healthz)
     loadgen      fire an open-loop request stream at a running gateway and
@@ -726,12 +578,14 @@ COMMON FLAGS (with defaults):
     --out <path>                 (trace) write Chrome trace_event JSON
                                  (open in Perfetto / chrome://tracing)
     --audit <request-id>         (trace) print one request's decision audit
-    --systems a,b,c              (compare) systems to compare
-    --rates 1,2,3                (sweep) per-GPU rates
-    --preset <name>              (faults) decode-crash, prefill-crash,
-                                 flaky-transfers, degraded-link, chaos
-                                 [decode-crash]
-    --fault-seed N               (faults) fault-plan seed [--seed]
+    --vary <axis>=<v1,v2,...>    (compare, repeatable) a grid axis; several run
+                                 as a product, row-major in flag order:
+                                 system=<names>, rate=<req/s/GPU>,
+                                 faults=none|decode-crash|prefill-crash|
+                                 flaky-transfers|degraded-link|chaos,
+                                 overload=off|on (every point's trace then
+                                 runs at --overload-factor x its rate)
+                                 [system=windserve,distserve,vllm]
     --overload                   enable overload control with defaults
     --max-queue N                cap resident (admitted, unfinished) requests
     --max-queued-tokens N        cap queued prefill tokens at admission
@@ -740,8 +594,7 @@ COMMON FLAGS (with defaults):
     --deadline <secs>            watchdog aborts requests older than this
     --audit-every N              run the cluster invariant auditor every N
                                  events (always once more at drain)
-    --overload-factor F          (overload) arrival-rate multiplier [2.0]
-    --tiers N                    (overload) priority tiers to assign [3]
+    --overload-factor F          (compare) arrival-rate multiplier [2.0]
     --port N                     (serve, loadgen) gateway TCP port; 0 picks
                                  an ephemeral port [8080]
     --time-scale F               (serve) virtual seconds per wall second [100]
@@ -768,11 +621,6 @@ COMMON FLAGS (with defaults):
     .to_string()
 }
 
-fn execute(spec: &RunSpec) -> Result<RunReport, ArgError> {
-    let trace = spec.generate_trace()?;
-    run_cluster(spec.config.clone(), &trace)
-}
-
 /// Loads a trace from a JSON file previously written with `--save-trace`.
 ///
 /// # Errors
@@ -792,18 +640,6 @@ pub(crate) fn load_trace(path: &str) -> Result<Trace, ArgError> {
 pub(crate) fn save_trace(path: &str, trace: &Trace) -> Result<(), ArgError> {
     let text = serde_json::to_string(trace).map_err(|e| ArgError(format!("serialize: {e}")))?;
     std::fs::write(path, text).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
-}
-
-fn parse_rates(spec: &str) -> Result<Vec<f64>, ArgError> {
-    spec.split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<f64>()
-                .ok()
-                .filter(|r| r.is_finite() && *r > 0.0)
-                .ok_or_else(|| ArgError(format!("bad rate {s:?}")))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -847,38 +683,86 @@ mod tests {
         assert_eq!(report["summary"]["completed"], 80);
     }
 
+    /// The rows of a `compare --json` grid.
+    fn grid_rows(out: &str) -> Vec<serde_json::Value> {
+        envelope(out, "compare")["rows"].as_array().unwrap().clone()
+    }
+
     #[test]
     fn compare_includes_all_requested_systems() {
         let out = compare(&args(
-            "compare --requests 80 --rate 2 --systems windserve,distserve",
+            "compare --requests 80 --rate 2 --vary system=windserve,distserve",
         ))
         .unwrap();
-        assert!(out.contains("WindServe"));
-        assert!(out.contains("DistServe"));
-        assert!(!out.contains("vLLM"));
+        assert!(out.contains("windserve"));
+        assert!(out.contains("distserve"));
+        assert!(!out.contains("vllm"));
+        // Without --vary the grid is the three systems.
+        let out = compare(&args("compare --requests 40 --rate 2 --json")).unwrap();
+        let axes = &envelope(&out, "compare")["axes"];
+        assert_eq!(axes[0]["name"], "system");
+        assert_eq!(
+            axes[0]["values"],
+            serde_json::json!(["windserve", "distserve", "vllm"])
+        );
+        let labels: Vec<_> = grid_rows(&out)
+            .iter()
+            .map(|r| r["report"]["system"].clone())
+            .collect();
+        assert_eq!(
+            labels,
+            ["WindServe", "DistServe", "VllmColocated"].map(serde_json::Value::from)
+        );
     }
 
     #[test]
     fn sweep_emits_one_row_per_rate() {
-        let out = sweep(&args("sweep --requests 60 --rates 1,2")).unwrap();
-        let rows = out.lines().filter(|l| l.contains("req/s")).count();
-        assert!(rows >= 2, "{out}");
+        let out = compare(&args("compare --requests 60 --vary rate=1,2")).unwrap();
+        let rows: Vec<_> = (out.lines().map(str::trim_start))
+            .filter(|l| l.starts_with(['1', '2']))
+            .collect();
+        assert_eq!(rows.len(), 2, "{out}");
+        assert!(
+            out.contains("TTFT p50") && out.contains("completed"),
+            "{out}"
+        );
+        // Fault and overload columns appear only when their axis varies.
+        assert!(
+            !out.contains("injected") && !out.contains("peak queue"),
+            "{out}"
+        );
     }
 
     #[test]
     fn sweep_and_trace_presets_honour_the_arrival_process() {
-        let swept = sweep(&args(
-            "sweep --requests 40 --rates 2 --arrivals uniform --json",
-        ))
+        let flags = "--requests 40 --arrivals uniform --json";
+        let grid = compare(&args(&format!(
+            "compare --vary system=windserve,distserve --vary rate=1,2 {flags}"
+        )))
         .unwrap();
-        let single = run(&args(
-            "run --requests 40 --rate 2 --arrivals uniform --json",
-        ))
+        let rows = grid_rows(&grid);
+        assert_eq!(rows.len(), 4);
+        // Row-major in flag order: the last axis varies fastest.
+        let points = [("windserve", "1"), ("windserve", "2")]
+            .into_iter()
+            .chain([("distserve", "1"), ("distserve", "2")]);
+        for (row, (system, rate)) in rows.iter().zip(points) {
+            assert_eq!(
+                row["point"],
+                serde_json::json!({ "system": system, "rate": rate })
+            );
+            let single = run(&args(&format!(
+                "run --system {system} --rate {rate} {flags}"
+            )))
+            .unwrap();
+            assert_eq!(row["report"], envelope(&single, "run"), "{system} @ {rate}");
+        }
+        let none = compare(&args(&format!(
+            "compare --vary faults=none --rate 2 {flags}"
+        )))
         .unwrap();
-        assert_eq!(
-            envelope(&swept, "sweep")[0]["report"],
-            envelope(&single, "run")
-        );
+        let single = run(&args(&format!("run --rate 2 {flags}"))).unwrap();
+        assert_eq!(grid_rows(&none)[0]["report"], envelope(&single, "run"));
         // The preset is the default deployment, so only the arrivals could
         // tell the two traces apart.
         let preset = trace(&args(
@@ -904,82 +788,129 @@ mod tests {
 
     #[test]
     fn faults_compares_against_fault_free_baseline() {
-        let out = faults(&args(
-            "faults --preset decode-crash --requests 120 --rate 2 --seed 11",
+        let out = compare(&args(
+            "compare --vary faults=none,decode-crash --requests 120 --rate 2 --seed 11",
         ))
         .unwrap();
-        assert!(out.contains("fault-free"));
-        assert!(out.contains("faulted"));
-        assert!(out.contains("faults injected"));
-        assert!(out.contains("completed 120/120"), "{out}");
+        for column in ["injected", "rescheduled", "backup hits", "transfer retries"] {
+            assert!(out.contains(column), "{out}");
+        }
+        let row = |point: &str| {
+            let line = out
+                .lines()
+                .find(|l| l.trim_start().starts_with(point))
+                .unwrap();
+            line.split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>()
+        };
+        // `completed` is the eighth column; `injected` follows it.
+        let (none, crash) = (row("none "), row("decode-crash "));
+        assert_eq!((none[7].as_str(), none[8].as_str()), ("120", "0"), "{out}");
+        assert_eq!(crash[7], "120", "{out}");
+        assert_ne!(crash[8], "0", "{out}");
     }
 
     #[test]
     fn faults_flaky_preset_retries_and_completes() {
-        let out = faults(&args(
-            "faults --preset flaky-transfers --requests 100 --rate 2",
+        let out = compare(&args(
+            "compare --vary faults=decode-crash,flaky-transfers --requests 100 --rate 2 --json",
         ))
         .unwrap();
-        assert!(out.contains("transfer retries"));
-        assert!(out.contains("completed 100/100"), "{out}");
+        let rows = grid_rows(&out);
+        for row in &rows {
+            assert_eq!(
+                row["report"]["summary"]["completed"], 100,
+                "{}",
+                row["point"]
+            );
+        }
+        assert!(rows[1]["report"]["transfer_retries"].as_u64().unwrap() > 0);
     }
 
     #[test]
     fn faults_unknown_preset_is_a_clean_error() {
-        let err = faults(&args("faults --preset meteor-strike --requests 10")).unwrap_err();
-        assert!(err.0.contains("meteor-strike"));
-        assert!(err.0.contains("decode-crash"));
+        let err = compare(&args(
+            "compare --vary faults=none,meteor-strike --requests 10",
+        ))
+        .unwrap_err();
+        assert!(err.0.contains("meteor-strike"), "{err}");
+        assert!(err.0.contains("decode-crash"), "{err}");
     }
 
     #[test]
     fn faults_json_carries_both_reports() {
-        let out = faults(&args(
-            "faults --preset degraded-link --requests 60 --rate 2 --json",
+        let out = compare(&args(
+            "compare --vary faults=none,degraded-link --requests 60 --rate 2 --json",
         ))
         .unwrap();
-        let v = envelope(&out, "faults");
-        assert_eq!(v["preset"], "degraded-link");
-        assert_eq!(v["baseline"]["summary"]["completed"], 60);
-        assert_eq!(v["faulted"]["summary"]["completed"], 60);
+        let v = envelope(&out, "compare");
+        assert_eq!(v["axes"][0]["name"], "faults");
+        let rows = grid_rows(&out);
+        assert_eq!(rows[1]["point"]["faults"], "degraded-link");
+        assert_eq!(rows[0]["report"]["summary"]["completed"], 60);
+        assert_eq!(rows[1]["report"]["summary"]["completed"], 60);
     }
 
     #[test]
     fn overload_compares_against_uncontrolled_baseline() {
-        let out = overload(&args("overload --requests 150 --rate 4 --seed 7")).unwrap();
-        assert!(out.contains("uncontrolled"));
-        assert!(out.contains("controlled"));
-        assert!(out.contains("invariant auditor"));
-        assert!(out.contains("typed outcomes"));
+        let out = compare(&args(
+            "compare --vary overload=off,on --requests 150 --rate 4 --seed 7",
+        ))
+        .unwrap();
+        assert!(out.contains("2.0x its rate in 3 priority tiers"), "{out}");
+        for column in [
+            "peak queue",
+            "rejected",
+            "shed",
+            "preempted",
+            "aborts",
+            "audits",
+        ] {
+            assert!(out.contains(column), "{out}");
+        }
+        let points: Vec<_> = out
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert!(points.ends_with(&["overload", "off", "on"]), "{out}");
     }
 
     #[test]
     fn overload_json_carries_both_reports() {
-        let out = overload(&args("overload --requests 100 --rate 4 --json")).unwrap();
-        let v = envelope(&out, "overload");
-        assert!(v["overload_factor"].as_f64().unwrap() > 1.9);
-        assert!(v["baseline"]["summary"].as_object().is_some());
-        assert!(v["controlled"]["summary"].as_object().is_some());
+        let out = compare(&args(
+            "compare --vary overload=off,on --requests 100 --rate 4 --json",
+        ))
+        .unwrap();
+        let rows = grid_rows(&out);
+        let (off, on) = (&rows[0]["report"], &rows[1]["report"]);
+        assert_eq!(rows[1]["point"]["overload"], "on");
+        // The demo bundle arms the auditor on `on` only.
+        assert_eq!(off["invariant_checks"], 0);
+        assert!(on["invariant_checks"].as_u64().unwrap() > 0);
     }
 
     #[test]
     fn overload_rejects_bad_factor_and_tiers() {
-        let err = overload(&args("overload --overload-factor -2")).unwrap_err();
-        assert!(err.0.contains("--overload-factor"));
-        let err = overload(&args("overload --tiers 0")).unwrap_err();
-        assert!(err.0.contains("--tiers"));
+        let err =
+            compare(&args("compare --vary overload=off,on --overload-factor -2")).unwrap_err();
+        assert!(err.0.contains("--overload-factor"), "{err}");
+        // The tier count is the constant 3 now.
+        let err = Args::parse("compare --tiers 0".split(' ').map(String::from)).unwrap_err();
+        assert!(err.0.starts_with("unknown flag --tiers"), "{err}");
     }
 
     #[test]
     fn overload_flags_flow_into_the_controlled_config() {
         // A hard queue cap must bound the peak queue depth reported.
-        let out = overload(&args(
-            "overload --requests 120 --rate 4 --max-queue 24 --json",
+        let out = compare(&args(
+            "compare --vary overload=off,on --requests 120 --rate 4 --max-queue 24 --json",
         ))
         .unwrap();
-        let v = envelope(&out, "overload");
-        let peak = v["controlled"]["peak_pending"].as_u64().unwrap();
+        let on = &grid_rows(&out)[1]["report"];
+        let peak = on["peak_pending"].as_u64().unwrap();
         assert!(peak <= 24, "peak_pending {peak} exceeds --max-queue 24");
-        assert!(v["controlled"]["requests_rejected"].as_u64().unwrap() > 0);
+        assert!(on["requests_rejected"].as_u64().unwrap() > 0);
     }
 
     #[test]
@@ -1077,9 +1008,13 @@ tier = 1
 
     #[test]
     fn rates_parser_rejects_garbage() {
-        assert!(parse_rates("1,2,x").is_err());
-        assert!(parse_rates("-1").is_err());
-        assert_eq!(parse_rates("1, 2.5").unwrap(), vec![1.0, 2.5]);
+        for bad in ["1,2,x", "-1", "0", "nan", "inf"] {
+            let err = compare(&args(&format!("compare --vary rate={bad}"))).unwrap_err();
+            assert!(err.0.starts_with("bad rate"), "{bad}: {err}");
+        }
+        let out = compare(&args("compare --requests 10 --vary rate=1,2.5 --json")).unwrap();
+        let axes = &envelope(&out, "compare")["axes"];
+        assert_eq!(axes[0]["values"], serde_json::json!(["1", "2.5"]));
     }
 
     #[test]

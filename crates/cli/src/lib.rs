@@ -1,13 +1,15 @@
 //! # windserve-cli
 //!
-//! The `windserve` command-line tool: run, compare, and sweep serving
-//! simulations of the WindServe system and its baselines from the shell,
+//! The `windserve` command-line tool: run serving simulations of the
+//! WindServe system and its baselines from the shell, one at a time or
+//! over a grid of systems, rates, fault presets and overload control,
 //! with every knob of [`windserve::ServeConfig`] exposed as a flag.
 //!
 //! ```sh
 //! windserve run --model opt-13b --dataset sharegpt --rate 4
-//! windserve compare --systems windserve,distserve,vllm --rate 4
-//! windserve sweep --rates 1,2,3,4,5 --json
+//! windserve compare --vary system=windserve,distserve,vllm --rate 4
+//! windserve compare --vary rate=1,2,3,4,5 --json
+//! windserve compare --vary faults=none,decode-crash --vary overload=off,on
 //! windserve budget --model llama2-70b
 //! ```
 //!
@@ -23,6 +25,7 @@
 pub mod args;
 mod build;
 mod commands;
+mod grid;
 mod render;
 
 use args::Args;
@@ -41,12 +44,9 @@ pub fn dispatch(args: &Args) -> Result<String, args::ArgError> {
         Some("run") => commands::run(args),
         Some("fleet") => commands::fleet(args),
         Some("compare") => commands::compare(args),
-        Some("sweep") => commands::sweep(args),
         Some("trace") => commands::trace(args),
         Some("trace-stats") => commands::trace_stats(args),
         Some("budget") => commands::budget(args),
-        Some("faults") => commands::faults(args),
-        Some("overload") => commands::overload(args),
         Some("serve") => commands::serve(args),
         Some("loadgen") => commands::loadgen(args),
         Some("help") | None => Ok(commands::help()),
@@ -77,9 +77,13 @@ mod tests {
 
     #[test]
     fn retired_perf_command_is_unknown() {
-        let perf = Args::parse(vec!["perf".to_string()]).unwrap();
-        let err = dispatch(&perf).unwrap_err();
-        assert!(err.0.starts_with(r#"unknown command "perf""#), "{}", err.0);
-        assert!(!commands::help().contains("\n    perf "));
+        // `sweep`, `faults` and `overload` are `compare --vary` axes now.
+        for command in ["perf", "sweep", "faults", "overload"] {
+            let args = Args::parse(vec![command.to_string()]).unwrap();
+            let err = dispatch(&args).unwrap_err();
+            let unknown = format!("unknown command {command:?}");
+            assert!(err.0.starts_with(&unknown), "{}", err.0);
+            assert!(!commands::help().contains(&format!("\n    {command} ")));
+        }
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::args::ArgError;
 use crate::build::RunSpec;
+use crate::grid::{Axis, Grid};
 use windserve::fleet::{FleetConfig, FleetReport};
 use windserve::trace::LeaseAction;
 use windserve::{Cluster, Percentiles, RunReport, TraceLog};
@@ -194,15 +195,6 @@ pub(crate) fn fleet_text(cfg: &FleetConfig, report: &FleetReport, log: &TraceLog
     out
 }
 
-/// JSON rendering of a fleet report.
-///
-/// # Errors
-///
-/// Propagates serialization failures (should not happen for these types).
-pub(crate) fn fleet_json(report: &FleetReport) -> Result<String, ArgError> {
-    json_envelope("fleet", serde_json::to_value(report))
-}
-
 /// Renders values as a unicode sparkline, downsampled to at most `width`
 /// buckets (each bucket shows its mean).
 pub(crate) fn sparkline(values: &[f64], width: usize) -> String {
@@ -231,154 +223,95 @@ pub(crate) fn sparkline(values: &[f64], width: usize) -> String {
         .collect()
 }
 
-/// JSON rendering of a report.
+/// A count column a grid table adds when its axis varies: the axis, the
+/// header, and how the count reads a report.
+type Count = (Axis, &'static str, fn(&RunReport) -> u64);
+
+/// The count columns, in table order.
+const COUNTS: [Count; 10] = [
+    (Axis::Faults, "injected", |r| r.faults_injected),
+    (Axis::Faults, "rescheduled", |r| r.requests_rescheduled),
+    (Axis::Faults, "backup hits", |r| r.backup_hits),
+    (Axis::Faults, "transfer retries", |r| r.transfer_retries),
+    (Axis::Overload, "peak queue", |r| r.peak_pending as u64),
+    (Axis::Overload, "rejected", |r| r.requests_rejected),
+    (Axis::Overload, "shed", |r| r.requests_shed),
+    (Axis::Overload, "preempted", |r| r.requests_preempted),
+    (Axis::Overload, "aborts", |r| r.watchdog_aborts),
+    (Axis::Overload, "audits", |r| r.invariant_checks),
+];
+
+/// The grid table: one row per point, its value on each axis, then
+/// latency, SLO and throughput, then the counts of each varied axis.
+/// Latencies go through `stat`, so a point that completes nothing prints
+/// "n/a", not placeholder zeros.
+pub(crate) fn grid_text(
+    base: &RunSpec,
+    grid: &Grid,
+    scale: Option<f64>,
+    rows: &[(Vec<&str>, RunReport)],
+) -> String {
+    let varies = |axis| grid.iter().any(|(a, _)| *a == axis);
+    let mut out = format!("{} on {}", base.config.model.name, base.config.gpu.name);
+    if !varies(Axis::System) {
+        out += &format!(" | {}", base.config.system.label());
+    }
+    if let Some(factor) = scale {
+        out += &format!(" | trace at {factor:.1}x its rate in 3 priority tiers");
+    }
+    let counts: Vec<_> = COUNTS.iter().filter(|(axis, ..)| varies(*axis)).collect();
+    let mut head: Vec<&str> = grid.iter().map(|(axis, _)| axis.name()).collect();
+    head.extend(["TTFT p50", "TTFT p99", "TPOT p90", "TPOT p99"]);
+    head.extend(["SLO both", "goodput", "completed"]);
+    head.extend(counts.iter().map(|(_, name, _)| *name));
+    let mut table = vec![head.into_iter().map(String::from).collect::<Vec<_>>()];
+    for (point, r) in rows {
+        let s = &r.summary;
+        let mut row: Vec<String> = point.iter().map(|v| v.to_string()).collect();
+        row.extend([(&s.ttft, s.ttft.p50), (&s.ttft, s.ttft.p99)].map(|(p, v)| stat(p, v, 0)));
+        row.extend([(&s.tpot, s.tpot.p90), (&s.tpot, s.tpot.p99)].map(|(p, v)| stat(p, v, 0)));
+        row.push(format!("{:.1}%", s.slo.both * 100.0));
+        row.push(format!("{:.3}", r.goodput()));
+        row.push(s.completed.to_string());
+        row.extend(counts.iter().map(|(.., count)| count(r).to_string()));
+        table.push(row);
+    }
+    let widths: Vec<usize> = (0..table[0].len())
+        .map(|c| table.iter().map(|row| row[c].len()).max().unwrap_or(0))
+        .collect();
+    out += "\n";
+    for row in table {
+        let cells: Vec<String> = (row.iter().zip(&widths))
+            .map(|(v, &w)| format!("{v:>w$}"))
+            .collect();
+        out += &format!("\n{}", cells.join("  "));
+    }
+    out + "\n"
+}
+
+/// JSON rendering of a grid: `{axes: [{name, values}], rows: [{point,
+/// report}]}`, each point mapping every axis to its value.
 ///
 /// # Errors
 ///
 /// Propagates serialization failures (should not happen for these types).
-pub(crate) fn report_json(report: &RunReport) -> Result<String, ArgError> {
-    json_envelope("run", serde_json::to_value(report))
-}
-
-/// JSON rendering of several reports.
-///
-/// # Errors
-///
-/// Propagates serialization failures.
-pub(crate) fn reports_json(reports: &[RunReport]) -> Result<String, ArgError> {
-    json_envelope("compare", serde_json::to_value(reports))
-}
-
-/// Comparison table across systems.
-pub(crate) fn comparison_text(spec: &RunSpec, reports: &[RunReport]) -> String {
-    let mut out = format!(
-        "{} on {} @ {:.2} req/s/GPU, {} requests\n\n",
-        spec.config.model.name, spec.dataset.name, spec.rate_per_gpu, spec.requests
-    );
-    out += &format!(
-        "{:<22} {:>10} {:>10} {:>10} {:>10} {:>9} {:>6} {:>6} {:>6}\n",
-        "system",
-        "TTFT p50",
-        "TTFT p99",
-        "TPOT p90",
-        "TPOT p99",
-        "SLO both",
-        "disp",
-        "migr",
-        "swaps"
-    );
-    for r in reports {
-        out += &format!(
-            "{:<22} {} {} {} {} {:>8.1}% {:>6} {:>6} {:>6}\n",
-            r.system.label(),
-            stat(&r.summary.ttft, r.summary.ttft.p50, 10),
-            stat(&r.summary.ttft, r.summary.ttft.p99, 10),
-            stat(&r.summary.tpot, r.summary.tpot.p90, 10),
-            stat(&r.summary.tpot, r.summary.tpot.p99, 10),
-            r.summary.slo.both * 100.0,
-            r.dispatched_prefills,
-            r.migrations_started,
-            r.total_swap_outs(),
-        );
-    }
-    out
-}
-
-/// Overload A/B comparison: an uncontrolled baseline against the same
-/// workload under overload control. Latency columns go through `stat`,
-/// so a run that completes nothing prints "n/a" instead of placeholder
-/// zeros.
-pub(crate) fn overload_text(
-    spec: &RunSpec,
-    factor: f64,
-    baseline: &RunReport,
-    controlled: &RunReport,
-) -> String {
-    use windserve::DropReason;
-    let mut out = format!(
-        "overload: {factor:.1}x arrival rate ({:.2} req/s/GPU) | {} | {} requests\n\n",
-        spec.rate_per_gpu * factor,
-        spec.config.model.name,
-        spec.requests,
-    );
-    out += &format!(
-        "{:<13} {:>9} {:>10} {:>10} {:>10} {:>9} {:>7} {:>7}\n",
-        "", "goodput", "TTFT p50", "TTFT p99", "TPOT p99", "SLO both", "done", "peak-q"
-    );
-    for (label, r) in [("uncontrolled", baseline), ("controlled", controlled)] {
-        out += &format!(
-            "{:<13} {:>9.3} {} {} {} {:>8.1}% {:>7} {:>7}\n",
-            label,
-            r.goodput(),
-            stat(&r.summary.ttft, r.summary.ttft.p50, 10),
-            stat(&r.summary.ttft, r.summary.ttft.p99, 10),
-            stat(&r.summary.tpot, r.summary.tpot.p99, 10),
-            r.summary.slo.both * 100.0,
-            r.summary.completed,
-            r.peak_pending,
-        );
-    }
-    out += &format!(
-        "\noverload control: {} rejected ({} queue-full, {} token-budget) | \
-         {} shed | {} preempted | {} watchdog aborts\n\
-         accounting: {} completed + {} dropped with typed outcomes = {} requests\n\
-         invariant auditor: {} passes, zero violations\n",
-        controlled.requests_rejected,
-        controlled.dropped_with(DropReason::QueueFull),
-        controlled.dropped_with(DropReason::TokenBudget),
-        controlled.requests_shed,
-        controlled.requests_preempted,
-        controlled.watchdog_aborts,
-        controlled.summary.completed,
-        controlled.dropped.len(),
-        controlled.summary.completed + controlled.dropped.len(),
-        controlled.invariant_checks,
-    );
-    out
-}
-
-/// Rate-sweep table.
-pub(crate) fn sweep_text(spec: &RunSpec, rows: &[(f64, RunReport)]) -> String {
-    let mut out = format!(
-        "{} | {} on {}, {} requests per point\n\n",
-        spec.config.system.label(),
-        spec.config.model.name,
-        spec.dataset.name,
-        spec.requests
-    );
-    out += &format!(
-        "{:>9} {:>10} {:>10} {:>10} {:>10} {:>9}\n",
-        "req/s", "TTFT p50", "TTFT p99", "TPOT p90", "TPOT p99", "SLO both"
-    );
-    for (rate, r) in rows {
-        out += &format!(
-            "{rate:>6.2} req/s {} {} {} {} {:>8.1}%\n",
-            stat(&r.summary.ttft, r.summary.ttft.p50, 7),
-            stat(&r.summary.ttft, r.summary.ttft.p99, 10),
-            stat(&r.summary.tpot, r.summary.tpot.p90, 10),
-            stat(&r.summary.tpot, r.summary.tpot.p99, 10),
-            r.summary.slo.both * 100.0,
-        );
-    }
-    out
-}
-
-/// JSON rendering of a rate sweep.
-///
-/// # Errors
-///
-/// Propagates serialization failures.
-pub(crate) fn sweep_json(rows: &[(f64, RunReport)]) -> Result<String, ArgError> {
-    let values: Vec<serde_json::Value> = rows
+pub(crate) fn grid_json(grid: &Grid, rows: &[(Vec<&str>, RunReport)]) -> Result<String, ArgError> {
+    let axes: Vec<_> = grid
         .iter()
-        .map(|(rate, r)| {
-            serde_json::json!({
-                "rate_per_gpu": rate,
-                "report": r,
-            })
+        .map(|(axis, values)| serde_json::json!({ "name": axis.name(), "values": values }))
+        .collect();
+    let rows: Vec<_> = rows
+        .iter()
+        .map(|(point, report)| {
+            let point: serde_json::Map = grid
+                .iter()
+                .zip(point)
+                .map(|((axis, _), v)| (axis.name().to_string(), (*v).into()))
+                .collect();
+            serde_json::json!({ "point": point, "report": report })
         })
         .collect();
-    json_envelope("sweep", serde_json::Value::Array(values))
+    json_envelope("compare", serde_json::json!({ "axes": axes, "rows": rows }))
 }
 
 /// Table 2-style statistics of a generated trace.
@@ -407,16 +340,6 @@ pub(crate) fn scheduling_trace_text(
     report: &RunReport,
     log: &windserve::TraceLog,
 ) -> String {
-    use std::collections::BTreeMap;
-    let mut kinds: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for e in log.events() {
-        *kinds.entry(e.event.kind()).or_insert(0) += 1;
-    }
-    let decisions = log.dispatch_decisions();
-    let mut verdicts: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for (_, d) in &decisions {
-        *verdicts.entry(d.verdict.label()).or_insert(0) += 1;
-    }
     let mut out = format!(
         "{} | {} | {} requests | {} trace events over {:.2}s\n",
         report.system.label(),
@@ -425,33 +348,35 @@ pub(crate) fn scheduling_trace_text(
         log.len(),
         report.duration_secs,
     );
-    out += "  events:";
-    for (kind, n) in &kinds {
-        out += &format!(" {kind} {n}");
-    }
-    out += "\n";
+    out += &format!(
+        "  events:{}\n",
+        tally(log.events().iter().map(|e| e.event.kind()))
+    );
+    let decisions = log.dispatch_decisions();
     if !decisions.is_empty() {
-        out += &format!("  Algorithm 1 decisions ({}):", decisions.len());
-        for (verdict, n) in &verdicts {
-            out += &format!(" {verdict} {n}");
-        }
-        out += "\n";
+        let verdicts = tally(decisions.iter().map(|(_, d)| d.verdict.label()));
+        out += &format!("  Algorithm 1 decisions ({}):{verdicts}\n", decisions.len());
     }
     let admissions = log.admission_decisions();
     if !admissions.is_empty() {
-        let mut verdicts: BTreeMap<&'static str, usize> = BTreeMap::new();
-        for (_, a) in &admissions {
-            *verdicts.entry(a.verdict.label()).or_insert(0) += 1;
-        }
-        out += &format!("  admission decisions ({}):", admissions.len());
-        for (verdict, n) in &verdicts {
-            out += &format!(" {verdict} {n}");
-        }
-        out += "\n";
+        let verdicts = tally(admissions.iter().map(|(_, a)| a.verdict.label()));
+        out += &format!("  admission decisions ({}):{verdicts}\n", admissions.len());
     }
     out += "  use --audit <request-id> for one request's decisions, \
             --out <path> for a Chrome trace\n";
     out
+}
+
+/// Counts each label, as ` <label> <count>` pairs in label order.
+fn tally(labels: impl Iterator<Item = &'static str>) -> String {
+    let mut counts = std::collections::BTreeMap::new();
+    for label in labels {
+        *counts.entry(label).or_insert(0usize) += 1;
+    }
+    counts
+        .iter()
+        .map(|(label, n)| format!(" {label} {n}"))
+        .collect()
 }
 
 /// Budget/profiler summary for a configuration.

@@ -99,7 +99,7 @@ fn overflowing_rates_exit_one() {
         "run --requests 10 --rate 1e308",
         "run --requests 10 --arrivals uniform --rate 1e308",
         "compare --requests 10 --rate 1e308",
-        "sweep --requests 10 --rates 1e308",
+        "compare --requests 10 --vary rate=1e308",
         "trace-stats --requests 10 --rate 1e308",
         "trace --requests 10 --preset opt13b-sharegpt --rate 1e308",
     ] {
@@ -117,4 +117,57 @@ fn unrepresentable_durations_exit_one() {
     ] {
         assert_exits_one(line);
     }
+}
+
+#[test]
+fn hostile_vary_input_exits_one() {
+    for flags in [
+        "--vary speed=1,2",
+        "--vary rate",
+        "--vary rate=",
+        "--vary rate=1,,2",
+        "--vary rate=1,",
+        "--vary rate=1 --vary system=vllm --vary rate=2",
+        "--vary rate=0",
+        "--vary rate=-1",
+        "--vary rate=nan",
+        "--vary rate=inf",
+        "--vary system=windserve,orca",
+        "--vary faults=none,meteor-strike",
+        "--vary overload=off,maybe",
+        "--vary overload=off,on --overload-factor 0",
+        "--vary overload=off,on --overload-factor -2",
+    ] {
+        assert_exits_one(&format!("compare --requests 10 {flags}"));
+    }
+}
+
+/// The README's sessions scenario: its arrivals come from the config
+/// file, not from `--rate` and `--requests`.
+const SESSIONS: &str = "[workload.scenario.Sessions]\nsessions = 30\nsession_rate = 6.0\n\
+    turns_min = 2\nturns_max = 6\nmean_think_secs = 20.0\nfollowup_min_tokens = 16\n\
+    followup_max_tokens = 192\n[workload.scenario.Sessions.dataset.Named]\n\
+    name = \"sharegpt\"\nmax_context = 2048\n";
+
+#[test]
+fn flag_arrival_axes_reject_a_scenario_config() {
+    let path = config_file("sessions", SESSIONS);
+    for axis in ["rate=1,2", "faults=none,decode-crash"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_windserve"))
+            .args(["compare", "--config", &path, "--vary", axis])
+            .output()
+            .expect("run windserve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{axis}: {stderr}");
+        assert!(stderr.contains("[workload.scenario]"), "{axis}: {stderr}");
+    }
+    // The system axis runs the scenario, and no line prints the unused
+    // `--requests` default as a count.
+    let out = Command::new(env!("CARGO_BIN_EXE_windserve"))
+        .args(["compare", "--config", &path, "--vary", "system=windserve"])
+        .output()
+        .expect("run windserve");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(!stdout.contains("1000"), "{stdout}");
 }
